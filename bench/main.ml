@@ -260,7 +260,7 @@ let t1_build () =
       (dt *. 1e9 /. float_of_int n) dt
   in
   per "static" Wavelet_trie.of_array;
-  per "succinct" Wt_core.Succinct_wt.of_array;
+  per "flat arena" Wt_core.Flat_wt.of_array;
   per "append-only" Append_wt.of_array;
   per "dynamic" Dynamic_wt.of_array;
   per "quad" Wt_wavelet_tree.Quad_wt.of_array;
@@ -293,7 +293,7 @@ let t1_space () =
     Printf.printf "   [%s] n=%d\n" title (Array.length seq);
     let st = Wavelet_trie.stats (Wavelet_trie.of_array seq) in
     print_stats "static" st;
-    print_stats "succinct" (Wt_core.Succinct_wt.stats (Wt_core.Succinct_wt.of_array seq));
+    print_stats "flat arena" (Wt_core.Flat_wt.stats (Wt_core.Flat_wt.of_array seq));
     print_stats "append-only" (Append_wt.stats (Append_wt.of_array seq));
     print_stats "dynamic" (Dynamic_wt.stats (Dynamic_wt.of_array seq));
     let naive = Naive.of_array seq in
@@ -473,7 +473,6 @@ let s7_cache () =
   let n = 65536 in
   let seq = url_sequence ~seed:42 n in
   let b = Wavelet_trie.of_array seq in
-  let sWt = Wt_core.Succinct_wt.of_array seq in
   let q = Wt_wavelet_tree.Quad_wt.of_array seq in
   List.iter
     (fun (label, line_bytes, ways, sets) ->
@@ -500,7 +499,6 @@ let s7_cache () =
           (100. *. Wt_workload.Cache_sim.miss_rate cache)
       in
       measure "binary trie" (fun pos -> ignore (Wavelet_trie.access b pos));
-      measure "succinct trie" (fun pos -> ignore (Wt_core.Succinct_wt.access sWt pos));
       measure "quad trie" (fun pos -> ignore (Wt_wavelet_tree.Quad_wt.access q pos)))
     [ ("L1-32K", 64, 8, 64); ("L2-1M", 64, 16, 1024) ];
   flush stdout

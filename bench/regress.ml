@@ -17,9 +17,15 @@
      direction-aware: ns/op and us/record must not rise, speedups and
      MB/s must not fall.  Improvements are reported, never gated.
 
-   Exit 0 when clean, 1 on any regression; --soft reports but always
-   exits 0 (for CI runners whose core count or load makes timing
-   unreliable — the structural checks still print). *)
+   - Space: the static variant's space against the lower bound
+     ([ratio_to_lb]) and its node/directory overhead ([overhead_bits])
+     must equal the baseline.  Space is deterministic (fixed seed,
+     fixed n), so this gate is exact and fails even under --soft: a
+     layout change must come with a regenerated baseline.
+
+   Exit 0 when clean, 1 on any regression; --soft reports timing
+   regressions but does not fail on them (for CI runners whose core
+   count or load makes timing unreliable). *)
 
 module Json = Wtrie.Json
 
@@ -159,6 +165,33 @@ let structural base cur =
       | _ -> fail "metrics.%s.latencies missing from one side" variant)
     [ "static"; "append"; "dynamic" ]
 
+let hard_failures = ref 0
+
+let space_exact base cur =
+  let field j key =
+    match lookup j "metrics.static.space" with
+    | Some (Json.List (s :: _)) -> (
+        match Json.member key s with
+        | Some (Json.Int i) -> Some (float_of_int i)
+        | Some (Json.Float f) -> Some f
+        | _ -> None)
+    | _ -> None
+  in
+  List.iter
+    (fun key ->
+      let name = "metrics.static.space." ^ key in
+      match (field base key, field cur key) with
+      | Some b, Some c when Float.abs (c -. b) <= 1e-9 *. Float.abs b ->
+          Printf.printf "ok    %-45s %12.4f  (exact)\n" name c
+      | Some b, Some c ->
+          incr hard_failures;
+          fail "%-45s %12.4f -> %12.4f  (space is deterministic: regenerate the baseline)"
+            name b c
+      | _ ->
+          incr hard_failures;
+          fail "%s missing from one side" name)
+    [ "ratio_to_lb"; "overhead_bits" ]
+
 let throughput ~threshold base cur =
   List.iter
     (fun (dir, path) ->
@@ -204,12 +237,18 @@ let () =
         (!threshold *. 100.)
         (if !soft then ", soft" else "");
       structural base cur;
+      space_exact base cur;
       throughput ~threshold:!threshold base cur;
       absolute ~threshold:!threshold cur;
       if !failures = 0 then print_endline "regress: clean"
       else begin
         Printf.printf "regress: %d failure(s)\n" !failures;
-        if not !soft then exit 1 else print_endline "regress: soft mode, not failing the build"
+        if !hard_failures > 0 then begin
+          Printf.printf "regress: %d space failure(s), failing even in soft mode\n" !hard_failures;
+          exit 1
+        end
+        else if not !soft then exit 1
+        else print_endline "regress: soft mode, not failing the build"
       end
   | _ ->
       prerr_endline "usage: regress BASELINE.json CURRENT.json [--threshold FRAC] [--soft]";

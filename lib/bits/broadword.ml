@@ -1,6 +1,7 @@
-(* Byte-table implementations.  The classic 64-bit SWAR constants
-   (0x5555_5555_5555_5555 etc.) do not fit in OCaml's 63-bit int literals,
-   and per-byte table lookups are competitive on modern hardware anyway. *)
+(* Byte-table implementations, except [popcount].  The classic 64-bit
+   SWAR constants (0x5555_5555_5555_5555 etc.) do not fit in OCaml's
+   63-bit int literals; [popcount] only takes non-negative ints (62
+   data bits), for which the constants truncated to 62 bits do. *)
 
 let popcount_table =
   let t = Bytes.create 256 in
@@ -31,12 +32,15 @@ let select_table =
 let popcount_byte b =
   Char.code (Bytes.unsafe_get popcount_table (b land 0xff))
 
+(* SWAR over 62 bits: pair, nibble and byte sums, then one multiply
+   gathers the byte sums in bits 56..62 (the total, at most 62, fits in
+   the 7 bits the 63-bit product keeps there). *)
 let popcount x =
   if x < 0 then invalid_arg "Broadword.popcount: negative argument";
-  let rec go x acc =
-    if x = 0 then acc else go (x lsr 8) (acc + popcount_byte (x land 0xff))
-  in
-  go x 0
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56
 
 let select_in_word x k =
   if k < 0 then invalid_arg "Broadword.select_in_word: negative index";

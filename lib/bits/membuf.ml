@@ -63,9 +63,15 @@ let get_bit t pos =
   check t byte 1 "get_bit";
   Char.code (Bigarray.Array1.unsafe_get t.ba byte) land (1 lsl (pos land 7)) <> 0
 
+(* Unaligned native-endian 64-bit load; the caller bounds-checks. *)
+external unsafe_get64 : ba -> int -> int64 = "%caml_bigstring_get64u"
+
 (* [get_bits t pos len] reads [len <= 62] bits starting at bit [pos],
-   LSB-first, mirroring [Bitbuf.get_bits].  Accumulated in <= 8-bit
-   chunks so no intermediate shift exceeds 61 (OCaml ints are 63-bit). *)
+   LSB-first, mirroring [Bitbuf.get_bits].  When the eight bytes from
+   the first one lie inside the window (and the host is little-endian)
+   one 64-bit load covers every read of at most 56 bits; otherwise the
+   bits are accumulated in <= 8-bit chunks so no intermediate shift
+   exceeds 61 (OCaml ints are 63-bit). *)
 let get_bits t pos len =
   if len < 0 || len > 62 then invalid_arg "Membuf.get_bits: len outside [0, 62]";
   if len = 0 then 0
@@ -74,17 +80,22 @@ let get_bits t pos len =
     let last_byte = (pos + len - 1) lsr 3 in
     check t first_byte (last_byte - first_byte + 1) "get_bits";
     let sh = pos land 7 in
-    let take = min len (8 - sh) in
-    let acc = ref ((Char.code (Bigarray.Array1.unsafe_get t.ba first_byte) lsr sh)
-                   land ((1 lsl take) - 1)) in
-    let got = ref take in
-    let byte = ref (first_byte + 1) in
-    while !got < len do
-      let take = min 8 (len - !got) in
-      let v = Char.code (Bigarray.Array1.unsafe_get t.ba !byte) land ((1 lsl take) - 1) in
-      acc := !acc lor (v lsl !got);
-      got := !got + take;
-      incr byte
-    done;
-    !acc
+    if len <= 56 && first_byte <= t.len - 8 && not Sys.big_endian then
+      Int64.to_int (Int64.shift_right_logical (unsafe_get64 t.ba first_byte) sh)
+      land ((1 lsl len) - 1)
+    else begin
+      let take = min len (8 - sh) in
+      let acc = ref ((Char.code (Bigarray.Array1.unsafe_get t.ba first_byte) lsr sh)
+                     land ((1 lsl take) - 1)) in
+      let got = ref take in
+      let byte = ref (first_byte + 1) in
+      while !got < len do
+        let take = min 8 (len - !got) in
+        let v = Char.code (Bigarray.Array1.unsafe_get t.ba !byte) land ((1 lsl take) - 1) in
+        acc := !acc lor (v lsl !got);
+        got := !got + take;
+        incr byte
+      done;
+      !acc
+    end
   end

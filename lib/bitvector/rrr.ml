@@ -502,22 +502,27 @@ end
 let pp fmt t = Format.fprintf fmt "%s" (Bitbuf.to_string (to_bitbuf t))
 
 (* ------------------------------------------------------------------ *)
-(* Flat serialized form: the same blocks/directories laid out in one
-   contiguous byte blob, queried in place through {!Wt_bits.Membuf}.
-   This is the inline bitvector encoding of the format-v3 arena
-   ([Wt_core.Flat_wt]): no deserialization, the on-disk bytes are the
+(* Flat serialized form: the same blocks and directory laid out as one
+   bit-packed blob, queried in place through {!Wt_bits.Membuf}.  This
+   is the inline bitvector encoding of the format-v3 arena
+   ([Wt_core.Flat_wt]): no deserialization, the on-disk bits are the
    query structure.
 
-   Blob layout (all integers little-endian, bit streams LSB-first):
+   The blob has no header and no alignment.  Its length [len] is known
+   to its owner (an arena node's count), and [nblocks]/[nsb] follow from
+   it.  One LSB-first bit stream:
 
-     u64 len_bits | u64 total_ones
-     | (nsb+1) x u32 sb_ones        cumulative ones before superblock
-     | (nsb+1) x u32 sb_off         offset-stream bit pos at superblock
-     | classes   (nblocks x 6 bits, byte-padded)
-     | offsets   (variable-width offsets, byte-padded)
+     directory   only when nsb > 1: for sb = 1 .. nsb, two fields of
+                 w = bit_width (64 * nblocks) bits: the ones before
+                 superblock sb and the offset-stream bit position of
+                 superblock sb (sb = nsb holds the totals; sb = 0 is
+                 implicitly (0, 0))
+     classes     nblocks x 6 bits
+     offsets     variable-width offsets, concatenated
 
-   [nblocks]/[nsb] are derived from [len_bits], so the blob is
-   self-delimiting given its base offset. *)
+   A blob of at most [sb_bits] bits is exactly its RRR payload; its
+   total ones and offset-stream length are the sums over its (at most
+   16) classes, taken when the view is opened. *)
 module Flat = struct
   module Membuf = Wt_bits.Membuf
 
@@ -529,76 +534,84 @@ module Flat = struct
     len : int;
     total_ones : int;
     nblocks : int;
-    sb_ones_off : int; (* byte offset of the sb_ones directory *)
-    sb_off_off : int; (* byte offset of the sb_off directory *)
+    dir_bit : int; (* bit offset of the superblock directory *)
+    dir_w : int; (* directory field width; 0 when there is none *)
     classes_bit : int; (* bit offset of the classes stream *)
     offsets_bit : int; (* bit offset of the offsets stream *)
-    size : int; (* blob size in bytes *)
+    bits : int; (* blob length in bits *)
   }
 
   let nsb_of_nblocks nblocks = (nblocks + sb_blocks - 1) / sb_blocks
 
-  (* Append one bit stream of a pointer [rrr] byte-aligned: Bitbuf and
-     Membuf share the LSB-first layout, so byte [i] of the stream is
-     exactly [get_bits (8*i) 8]. *)
-  let append_stream buf bb =
-    let len = Bitbuf.length bb in
-    let i = ref 0 in
-    while !i < len do
-      let take = min 8 (len - !i) in
-      Buffer.add_char buf (Char.chr (Bitbuf.get_bits bb !i take));
-      i := !i + take
-    done
+  (* Both directory fields are bounded by 64 bits per block: a block
+     holds at most 62 ones and its offset at most 59 bits. *)
+  let dir_width nblocks =
+    if nsb_of_nblocks nblocks > 1 then Broadword.bit_width (64 * nblocks) else 0
 
-  let add_u32_le buf v = Buffer.add_int32_le buf (Int32.of_int v)
-  let add_u64_le buf v = Buffer.add_int64_le buf (Int64.of_int v)
+  let append bb (rrr : rrr) =
+    let nblocks = nblocks_of_len rrr.len in
+    let w = dir_width nblocks in
+    if w > 0 then
+      for sb = 1 to nsb_of_nblocks nblocks do
+        Bitbuf.add_bits bb w rrr.sb_ones.(sb);
+        Bitbuf.add_bits bb w rrr.sb_off.(sb)
+      done;
+    Bitbuf.append bb rrr.classes;
+    Bitbuf.append bb rrr.offsets
 
-  let append buf (rrr : rrr) =
-    add_u64_le buf rrr.len;
-    add_u64_le buf rrr.total_ones;
-    Array.iter (fun v -> add_u32_le buf v) rrr.sb_ones;
-    Array.iter (fun v -> add_u32_le buf v) rrr.sb_off;
-    append_stream buf rrr.classes;
-    append_stream buf rrr.offsets
+  (* Ones and offset-stream bits of blocks [lo, hi), added to [ones] and
+     [off]: ten 6-bit classes per Membuf read. *)
+  let walk_classes mb classes_bit lo hi ones off =
+    let ones = ref ones and off = ref off and blk = ref lo in
+    while !blk < hi do
+      let k = min 10 (hi - !blk) in
+      let w = ref (Membuf.get_bits mb (classes_bit + (!blk * class_bits)) (k * class_bits)) in
+      for _ = 1 to k do
+        let c = !w land 63 in
+        ones := !ones + c;
+        off := !off + offset_width.(c);
+        w := !w lsr class_bits
+      done;
+      blk := !blk + k
+    done;
+    (!ones, !off)
 
-  (* [of_membuf mb base]: a view of the blob starting at byte [base].
-     Validates the directory shape; every subsequent read is
+  let dir_ones t sb =
+    if sb = 0 then 0 else Membuf.get_bits t.mb (t.dir_bit + ((sb - 1) * 2 * t.dir_w)) t.dir_w
+
+  let dir_off t sb =
+    if sb = 0 then 0
+    else Membuf.get_bits t.mb (t.dir_bit + ((sb - 1) * 2 * t.dir_w) + t.dir_w) t.dir_w
+
+  (* [of_membuf mb bit ~len]: a view of the [len]-bit blob starting at
+     bit [bit].  Reads at most two words (the directory totals, or the
+     classes of a single-superblock blob); every later read is
      bounds-checked by [Membuf], so a corrupt blob raises
      [Invalid_argument] instead of reading out of range. *)
-  let of_membuf mb base =
-    let len = Membuf.get_u64 mb base in
-    let total_ones = Membuf.get_u64 mb (base + 8) in
-    if total_ones > len then invalid_arg "Rrr.Flat: ones exceed length";
+  let of_membuf mb bit ~len =
+    if len < 0 || bit < 0 then invalid_arg "Rrr.Flat: negative length or offset";
     let nblocks = nblocks_of_len len in
     let nsb = nsb_of_nblocks nblocks in
-    let sb_ones_off = base + 16 in
-    let sb_off_off = sb_ones_off + (4 * (nsb + 1)) in
-    let classes_off = sb_off_off + (4 * (nsb + 1)) in
-    let classes_bytes = ((nblocks * class_bits) + 7) / 8 in
-    let offsets_off = classes_off + classes_bytes in
-    let offsets_bits = Membuf.get_u32 mb (sb_off_off + (4 * nsb)) in
-    let size = offsets_off + ((offsets_bits + 7) / 8) - base in
-    if Membuf.length mb < base + size then invalid_arg "Rrr.Flat: blob truncated";
-    {
-      mb;
-      len;
-      total_ones;
-      nblocks;
-      sb_ones_off;
-      sb_off_off;
-      classes_bit = classes_off * 8;
-      offsets_bit = offsets_off * 8;
-      size;
-    }
+    let dir_w = dir_width nblocks in
+    let classes_bit = bit + (if dir_w > 0 then 2 * dir_w * nsb else 0) in
+    let offsets_bit = classes_bit + (nblocks * class_bits) in
+    let total_ones, off_bits =
+      if dir_w > 0 then begin
+        let last = bit + ((nsb - 1) * 2 * dir_w) in
+        (Membuf.get_bits mb last dir_w, Membuf.get_bits mb (last + dir_w) dir_w)
+      end
+      else walk_classes mb classes_bit 0 nblocks 0 0
+    in
+    if total_ones > len then invalid_arg "Rrr.Flat: ones exceed length";
+    let bits = offsets_bit + off_bits - bit in
+    if bit + bits > 8 * Membuf.length mb then invalid_arg "Rrr.Flat: blob truncated";
+    { mb; len; total_ones; nblocks; dir_bit = bit; dir_w; classes_bit; offsets_bit; bits }
 
   let length t = t.len
   let ones t = t.total_ones
   let zeros t = t.len - t.total_ones
-  let size t = t.size
-  let space_bits t = t.size * 8
+  let space_bits t = t.bits
 
-  let sb_ones t sb = Membuf.get_u32 t.mb (t.sb_ones_off + (4 * sb))
-  let sb_offp t sb = Membuf.get_u32 t.mb (t.sb_off_off + (4 * sb))
   let class_of t blk = Membuf.get_bits t.mb (t.classes_bit + (blk * class_bits)) class_bits
   let off_bits t pos w = Membuf.get_bits t.mb (t.offsets_bit + pos) w
 
@@ -663,14 +676,7 @@ module Flat = struct
 
   let walk_to_block t target =
     let sb = target / sb_blocks in
-    let ones = ref (sb_ones t sb) in
-    let off = ref (sb_offp t sb) in
-    for blk = sb * sb_blocks to target - 1 do
-      let c = class_of t blk in
-      ones := !ones + c;
-      off := !off + offset_width.(c)
-    done;
-    (!ones, !off)
+    walk_classes t.mb t.classes_bit (sb * sb_blocks) target (dir_ones t sb) (dir_off t sb)
 
   let block_len t blk = min block_bits (t.len - (blk * block_bits))
 
@@ -752,7 +758,7 @@ module Flat = struct
     Probe.hit Rrr_select;
     let nsb = nsb_of_nblocks t.nblocks in
     let count_before sb =
-      if b then sb_ones t sb else min t.len (sb * sb_bits) - sb_ones t sb
+      if b then dir_ones t sb else min t.len (sb * sb_bits) - dir_ones t sb
     in
     let lo = ref 0 and hi = ref nsb in
     while !hi - !lo > 1 do
@@ -762,7 +768,7 @@ module Flat = struct
     let sb = !lo in
     let remaining = ref (k - count_before sb) in
     let blk = ref (sb * sb_blocks) in
-    let off = ref (sb_offp t sb) in
+    let off = ref (dir_off t sb) in
     let block_count blk =
       let c = class_of t blk in
       if b then c else block_len t blk - c
@@ -801,20 +807,18 @@ module Flat = struct
     let seek t blk =
       if blk = t.blk then Probe.hit Bv_cursor_hit
       else begin
-        (if t.blk >= 0 && blk > t.blk && blk - t.blk <= sb_blocks then begin
-           Probe.hit Bv_cursor_hit;
-           for b = t.blk to blk - 1 do
-             let c = class_of t.bv b in
-             t.ones_before <- t.ones_before + c;
-             t.off <- t.off + offset_width.(c)
-           done
-         end
-         else begin
-           Probe.hit Bv_cursor_miss;
-           let ones, off = walk_to_block t.bv blk in
-           t.ones_before <- ones;
-           t.off <- off
-         end);
+        let ones, off =
+          if t.blk >= 0 && blk > t.blk && blk - t.blk <= sb_blocks then begin
+            Probe.hit Bv_cursor_hit;
+            walk_classes t.bv.mb t.bv.classes_bit t.blk blk t.ones_before t.off
+          end
+          else begin
+            Probe.hit Bv_cursor_miss;
+            walk_to_block t.bv blk
+          end
+        in
+        t.ones_before <- ones;
+        t.off <- off;
         t.blk <- blk;
         t.bits <- decode_block t.bv t.off (class_of t.bv blk)
       end

@@ -91,32 +91,33 @@ end
 
 val pp : Format.formatter -> t -> unit
 
-(** Flat serialized form: the same blocks and directories in one
-    contiguous byte blob, queried in place through {!Wt_bits.Membuf} —
-    the inline bitvector encoding of the format-v3 arena.  [append]
-    serializes a built bitvector; [of_membuf] opens a view at a byte
-    offset with no decoding.  Queries hit the same [Rrr_*] /
-    [Bv_cursor_*] probes as the pointer form. *)
+(** Flat serialized form: the same blocks as one bit-packed blob,
+    queried in place through {!Wt_bits.Membuf} — the inline bitvector
+    encoding of the format-v3 arena.  The blob stores no length,
+    popcount or padding: its owner supplies the length, and a blob of at
+    most 16 blocks carries no superblock directory, so it is exactly its
+    RRR payload.  [append] serializes a built bitvector; [of_membuf]
+    opens a view at a bit offset with no decoding.  Queries hit the same
+    [Rrr_*] / [Bv_cursor_*] probes as the pointer form. *)
 module Flat : sig
   type rrr := t
   type t
 
-  val append : Buffer.t -> rrr -> unit
-  (** Serialize the blob (self-delimiting given its base offset). *)
+  val append : Wt_bits.Bitbuf.t -> rrr -> unit
+  (** Append the blob's bits (self-delimiting given its length). *)
 
-  val of_membuf : Wt_bits.Membuf.t -> int -> t
-  (** [of_membuf mb base] views the blob starting at byte [base].
-      Raises [Invalid_argument] on a structurally corrupt blob; all
-      subsequent reads are bounds-checked. *)
+  val of_membuf : Wt_bits.Membuf.t -> int -> len:int -> t
+  (** [of_membuf mb bit ~len] views the [len]-bit blob starting at bit
+      [bit], reading at most two words.  Raises [Invalid_argument] on a
+      structurally corrupt blob; all subsequent reads are
+      bounds-checked. *)
 
   val length : t -> int
   val ones : t -> int
   val zeros : t -> int
 
-  val size : t -> int
-  (** Blob size in bytes. *)
-
   val space_bits : t -> int
+  (** Blob length in bits. *)
 
   val rank : t -> bool -> int -> int
   val select : t -> bool -> int -> int

@@ -1,58 +1,65 @@
 (* Pointer-free flat static Wavelet Trie — the format-v3 arena.
 
-   The whole trie lives in one contiguous byte blob: a 64-byte header,
-   a level-ordered table of fixed-size node records addressed by index
-   instead of pointers, the concatenated node labels as one bit stream,
-   and the RRR bitvector blobs inline ({!Wt_bitvector.Rrr.Flat}), with
-   their rank/select directories precomputed at build time.  Queries
-   run directly against the blob through {!Wt_bits.Membuf} — the
-   on-disk container payload *is* the in-memory query structure, so
-   [open] is a checksummed header read plus an [mmap] (zero-copy, one
-   read-only mapping shareable across serving processes).
+   The whole trie lives in one contiguous byte blob: a 56-byte header, a
+   succinct node directory (topology bits with a rank sample per 32
+   nodes, and one monotone sequence of node offsets), then every
+   node's content — its header-free RRR bitvector blob
+   ({!Wt_bitvector.Rrr.Flat}) followed by its label — as one bit
+   stream.  Node counts are not stored: a child's count is its parent's
+   β zeros or ones, and the root's is the sequence length.  Queries run
+   directly against the blob through {!Wt_bits.Membuf} — the on-disk
+   container payload *is* the in-memory query structure, so [open] is a
+   checksummed header read plus an [mmap] (zero-copy, one read-only
+   mapping shareable across serving processes).
 
-   Arena layout (integers little-endian, bit streams LSB-first):
+   Arena layout (integers little-endian, bit streams LSB-first; N nodes
+   in BFS order, I = (N - 1) / 2 of them internal; every section is
+   byte-aligned and its size derived from the header):
 
-     header (64 bytes):
+     header (56 bytes):
        off  0  magic "WTF3" (4 bytes)
-       off  4  u32 arena version (= 1)
-       off  8  u64 n               sequence length
-       off 16  u64 node_count
-       off 24  u64 nodes_off       byte offset of the node table (= 64)
-       off 32  u64 labels_off      byte offset of the label stream
-       off 40  u64 labels_len_bits
+       off  4  u32 arena version (= 2)
+       off  8  u64 n               sequence length (the root's count)
+       off 16  u64 node_count      N
+       off 24  u64 labels_bits     total label length in bits
+       off 32  u64 offsets_bits    node offset stream length in bits
+       off 40  u64 content_bits    content stream length in bits
        off 48  u64 arena_len       total blob size in bytes
-       off 56  u64 reserved (= 0)
 
-     node record (32 bytes, BFS order; children of node i are the
-     consecutive records [child0, child0+1]):
-       off  0  u32 child0          0-child index; 0 marks a leaf (the
-                                   root is never a child, so index 0 is
-                                   free as the sentinel)
-       off  4  u32 count           subsequence length (β length /
-                                   leaf occurrence count)
-       off  8  u32 label_len       label length in bits
-       off 12  u32 reserved (= 0)
-       off 16  u64 label_off       bit offset into the label stream
-       off 24  u64 payload         internal: absolute byte offset of
-                                   the node's RRR blob; leaf: 0
+     topology: ceil (N / 32) records of 8 bytes:
+       u32 internal nodes before the record's first node
+       u32 bit j set iff node 32r + j is internal
+     The children of internal node i are the consecutive nodes
+     [c, c + 1] with c = 2 * rank1 (internal, i) + 1.
 
-     labels:  labels_len_bits bits, byte-padded
-     blobs:   RRR blobs ({!Rrr.Flat} layout), one per internal node
+     node offsets: N + 1 bit offsets into the content stream
+       ({!Wt_succinct.Flat_offsets}: per block of 32, the first offset
+       and fixed-width differences at the block's own width),
+       offsets_bits bits, byte-padded.
+
+     content: content_bits bits, byte-padded.  Node i owns
+       [off i, off (i + 1)): an internal node's β blob (length = its
+       count), then its label; a leaf's label alone.  A label's length
+       is its extent minus the blob's.
 
    Safety: every arena read is bounds-checked by [Membuf], so a corrupt
    blob raises [Invalid_argument] (or {!Wt_durable.Container.Format_error}
    at open) — never a segfault — even when the backing is an unverified
-   mmap.  [child] additionally requires child indices to increase, so
-   traversals over corrupt tables terminate.  After {!close} the file
-   descriptor is released and the handle flips to a closed state: every
-   subsequent operation raises {!Closed} deterministically, while the
-   mapping itself stays alive (GC-rooted through the handle) so
-   in-flight reads in other domains remain memory-safe. *)
+   mmap.  A node's extent is checked against the content stream and its
+   β blob against the extent before use, and [child] requires child
+   indices to increase, so traversals over corrupt tables terminate.
+   After {!close} the file descriptor is released and the handle flips
+   to a closed state: every subsequent operation raises {!Closed}
+   deterministically, while the mapping itself stays alive (GC-rooted
+   through the handle) so in-flight reads in other domains remain
+   memory-safe. *)
 
 module Bitstring = Wt_strings.Bitstring
 module Bitbuf = Wt_bits.Bitbuf
+module Broadword = Wt_bits.Broadword
 module Membuf = Wt_bits.Membuf
 module Rrr = Wt_bitvector.Rrr
+module Offsets = Wt_succinct.Flat_offsets
 module Container = Wt_durable.Container
 module Probe = Wt_obs.Probe
 module Trace = Wt_obs.Trace
@@ -60,9 +67,8 @@ module Trace = Wt_obs.Trace
 exception Closed
 
 let arena_magic = "WTF3"
-let arena_version = 1
-let header_len = 64
-let node_len = 32
+let arena_version = 2
+let header_len = 56
 
 let tag = "static"
 (* Same variant tag as the v2 static container; the two are told apart
@@ -72,26 +78,28 @@ type t = {
   mb : Membuf.t;
   n : int;
   node_count : int;
-  nodes_off : int;
-  labels_bit : int; (* bit offset of the label stream *)
+  labels_bits : int;
+  content_bits : int;
+  offs : Offsets.t; (* node extents in the content stream *)
+  content_bit : int; (* bit offset of the content stream *)
   source : string; (* file path when opened from storage, for errors *)
   mutable closed : bool;
   release : unit -> unit; (* backing fd, when mmap-opened *)
 }
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Container.Format_error m)) fmt
+let topo_len node_count = 8 * ((node_count + 31) / 32)
+
+(* Byte offsets of the node offsets and of the content stream, and the
+   arena size, all derived from the header fields. *)
+let sections ~node_count ~offsets_bits ~content_bits =
+  let offs = header_len + topo_len node_count in
+  let content = offs + ((offsets_bits + 7) / 8) in
+  (offs, content, content + ((content_bits + 7) / 8))
 
 (* ------------------------------------------------------------------ *)
 (* Building: serialize a pointer trie's BFS walk straight into the
    arena blob. *)
-
-type rec_ = {
-  r_child0 : int;
-  r_count : int;
-  r_llen : int;
-  r_loff : int;
-  r_blob : int option; (* blob offset relative to the blob section *)
-}
 
 let append_stream buf bb =
   let len = Bitbuf.length bb in
@@ -108,65 +116,52 @@ let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
 let arena_of_wavelet_trie (wt : Wavelet_trie.t) : string =
   Probe.time Flat_build (fun () ->
       let n = Wavelet_trie.length wt in
-      if n >= 1 lsl 32 then invalid_arg "Flat_wt: sequence length exceeds 2^32";
-      let labels = Bitbuf.create () in
-      let blobs = Buffer.create 1024 in
-      let recs = ref [] in
-      let node_count = ref 0 in
-      let next = ref 1 in
-      Wavelet_trie.iter_bfs wt (fun ~label ~bv ~count ->
-          let r_loff = Bitbuf.length labels in
-          Bitstring.append_to_bitbuf label labels;
-          let r_child0, r_blob =
-            match bv with
-            | None -> (0, None)
-            | Some bv ->
-                let off = Buffer.length blobs in
-                Rrr.Flat.append blobs bv;
-                let c0 = !next in
-                next := !next + 2;
-                (c0, Some off)
-          in
-          incr node_count;
-          recs :=
-            { r_child0; r_count = count; r_llen = Bitstring.length label; r_loff; r_blob }
-            :: !recs);
-      let node_count = !node_count in
+      let content = Bitbuf.create () in
+      let topo = Bitbuf.create () in
+      let offs = ref [] in
+      let labels_bits = ref 0 in
+      Wavelet_trie.iter_bfs wt (fun ~label ~bv ~count:_ ->
+          offs := Bitbuf.length content :: !offs;
+          (match bv with
+          | None -> Bitbuf.add topo false
+          | Some bv ->
+              Bitbuf.add topo true;
+              Rrr.Flat.append content bv);
+          labels_bits := !labels_bits + Bitstring.length label;
+          Bitstring.append_to_bitbuf label content);
+      let node_count = Bitbuf.length topo in
       if node_count >= 1 lsl 32 then invalid_arg "Flat_wt: node count exceeds 2^32";
-      let labels_bits = Bitbuf.length labels in
-      let labels_off = header_len + (node_len * node_count) in
-      let blobs_off = labels_off + ((labels_bits + 7) / 8) in
-      let arena_len = blobs_off + Buffer.length blobs in
+      let content_bits = Bitbuf.length content in
+      let offsets = Bitbuf.create () in
+      Offsets.append offsets ~universe:content_bits
+        (Array.of_list (List.rev (content_bits :: !offs)));
+      let offsets_bits = Bitbuf.length offsets in
+      let _, _, arena_len = sections ~node_count ~offsets_bits ~content_bits in
       let out = Buffer.create arena_len in
       Buffer.add_string out arena_magic;
       add_u32 out arena_version;
-      add_u64 out n;
-      add_u64 out node_count;
-      add_u64 out header_len;
-      add_u64 out labels_off;
-      add_u64 out labels_bits;
-      add_u64 out arena_len;
-      add_u64 out 0;
-      List.iter
-        (fun r ->
-          add_u32 out r.r_child0;
-          add_u32 out r.r_count;
-          add_u32 out r.r_llen;
-          add_u32 out 0;
-          add_u64 out r.r_loff;
-          add_u64 out (match r.r_blob with None -> 0 | Some rel -> blobs_off + rel))
-        (List.rev !recs);
-      append_stream out labels;
-      Buffer.add_buffer out blobs;
+      List.iter (add_u64 out)
+        [ n; node_count; !labels_bits; offsets_bits; content_bits; arena_len ];
+      let internal = ref 0 in
+      for r = 0 to ((node_count + 31) / 32) - 1 do
+        let bits = Bitbuf.get_bits topo (32 * r) (min 32 (node_count - (32 * r))) in
+        add_u32 out !internal;
+        add_u32 out bits;
+        internal := !internal + Broadword.popcount bits
+      done;
+      append_stream out offsets;
+      append_stream out content;
+      assert (Buffer.length out = arena_len);
       Buffer.contents out)
 
 (* ------------------------------------------------------------------ *)
-(* Opening: validate the header shape, then serve queries in place.
-   [release] is invoked (once) by {!close} to free the backing fd. *)
+(* Opening: validate the header, then serve queries in place.  Nothing
+   past the header is read.  [release] is invoked (once) by {!close} to
+   free the backing fd. *)
 
 let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
   let len = Membuf.length mb in
-  if len < header_len then fail "flat arena: truncated header (%d bytes)" len;
+  if len < 8 then fail "flat arena: truncated header (%d bytes)" len;
   let magic_ok =
     Membuf.get mb 0 = Char.code 'W'
     && Membuf.get mb 1 = Char.code 'T'
@@ -175,46 +170,47 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
   in
   if not magic_ok then fail "flat arena: bad magic";
   let v = Membuf.get_u32 mb 4 in
-  if v <> arena_version then fail "flat arena: version %d, expected %d" v arena_version;
+  if v <> arena_version then
+    fail "flat arena: version %d, expected %d (rebuild the index from its source)" v
+      arena_version;
+  if len < header_len then fail "flat arena: truncated header (%d bytes)" len;
   match
-    let n = Membuf.get_u64 mb 8 in
-    let node_count = Membuf.get_u64 mb 16 in
-    let nodes_off = Membuf.get_u64 mb 24 in
-    let labels_off = Membuf.get_u64 mb 32 in
-    let labels_bits = Membuf.get_u64 mb 40 in
-    let arena_len = Membuf.get_u64 mb 48 in
-    (n, node_count, nodes_off, labels_off, labels_bits, arena_len)
+    let u64 off = Membuf.get_u64 mb off in
+    (u64 8, u64 16, u64 24, u64 32, u64 40, u64 48)
   with
   | exception Invalid_argument _ -> fail "flat arena: corrupt header field"
-  | n, node_count, nodes_off, labels_off, labels_bits, arena_len ->
+  | n, node_count, labels_bits, offsets_bits, content_bits, arena_len ->
       if arena_len <> len then
         fail "flat arena: declared size %d, actual %d" arena_len len;
-      if nodes_off <> header_len then fail "flat arena: bad node-table offset";
-      if node_count > (len - header_len) / node_len then
-        fail "flat arena: node table exceeds the blob";
-      if labels_off <> header_len + (node_len * node_count) then
-        fail "flat arena: bad label-stream offset";
-      if labels_off + ((labels_bits + 7) / 8) > len then
-        fail "flat arena: label stream exceeds the blob";
+      (* bound the sections by the blob before deriving offsets, so the
+         arithmetic below cannot overflow *)
+      if node_count > 8 * len || offsets_bits > 8 * len || content_bits > 8 * len then
+        fail "flat arena: section exceeds the blob";
+      if offsets_bits < Offsets.headers_bits ~count:(node_count + 1) ~universe:content_bits
+      then fail "flat arena: node offset stream too short";
+      if labels_bits > content_bits then fail "flat arena: labels exceed the content stream";
       if (n = 0) <> (node_count = 0) then
         fail "flat arena: length and node count disagree on emptiness";
-      let t =
-        {
-          mb;
-          n;
-          node_count;
-          nodes_off;
-          labels_bit = labels_off * 8;
-          source;
-          closed = false;
-          release;
-        }
-      in
-      (if node_count > 0 then
-         let root_count = Membuf.get_u32 mb (nodes_off + 4) in
-         if root_count <> n then
-           fail "flat arena: root count %d disagrees with length %d" root_count n);
-      t
+      if node_count > 0 && node_count land 1 = 0 then
+        fail "flat arena: even node count %d (not a binary trie)" node_count;
+      (* the root's β has n bits, hence 6 class bits per 62 of them *)
+      if node_count > 1 && n > Rrr.block_bits * (content_bits / 6) then
+        fail "flat arena: length %d exceeds what the content stream can hold" n;
+      let offs, content, end_ = sections ~node_count ~offsets_bits ~content_bits in
+      if end_ <> len then fail "flat arena: sections end at %d, blob is %d bytes" end_ len;
+      {
+        mb;
+        n;
+        node_count;
+        labels_bits;
+        content_bits;
+        offs =
+          Offsets.of_membuf mb ~bit:(8 * offs) ~count:(node_count + 1) ~universe:content_bits;
+        content_bit = 8 * content;
+        source;
+        closed = false;
+        release;
+      }
 
 let close t =
   if not t.closed then begin
@@ -229,28 +225,70 @@ let source t = t.source
 
 module Node = struct
   type trie = t
-  type node = { t : t; idx : int; mutable bv_memo : Rrr.Flat.t option }
-  (* [bv_memo] caches the parsed bitvector view: node values live
+
+  type node = {
+    t : t;
+    idx : int;
+    count : int;
+    irank : int; (* rank among internal nodes; -1 for a leaf *)
+    mutable lo : int; (* content extent, read on first use; -1 before *)
+    mutable hi : int;
+    mutable bv_memo : Rrr.Flat.t option;
+  }
+  (* The mutable fields cache what the node has read: node values live
      within one traversal (they are created by [root]/[child] and never
-     shared across domains), so the memo is domain-local by
+     shared across domains), so the caches are domain-local by
      construction. *)
+
+  let make t idx count =
+    let rec_bit = 8 * (header_len + (8 * (idx lsr 5))) in
+    let bits = Membuf.get_bits t.mb (rec_bit + 32) 32 in
+    let j = idx land 31 in
+    let irank =
+      if bits land (1 lsl j) = 0 then -1
+      else Membuf.get_bits t.mb rec_bit 32 + Broadword.popcount (bits land ((1 lsl j) - 1))
+    in
+    { t; idx; count; irank; lo = -1; hi = -1; bv_memo = None }
 
   let root (trie : trie) =
     if trie.closed then raise Closed;
-    if trie.node_count = 0 then None else Some { t = trie; idx = 0; bv_memo = None }
+    if trie.node_count = 0 then None else Some (make trie 0 trie.n)
 
   let length (trie : trie) =
     if trie.closed then raise Closed;
     trie.n
 
-  let base node = node.t.nodes_off + (node_len * node.idx)
-  let child0 node = Membuf.get_u32 node.t.mb (base node)
-  let count node = Membuf.get_u32 node.t.mb (base node + 4)
-  let is_leaf node = child0 node = 0
+  let count node = node.count
+  let is_leaf node = node.irank < 0
+
+  let extent node =
+    if node.lo < 0 then begin
+      let lo, hi = Offsets.get2 node.t.offs node.idx in
+      if lo > hi || hi > node.t.content_bits then
+        invalid_arg "Flat_wt.Node: corrupt node extent";
+      node.lo <- lo;
+      node.hi <- hi
+    end
+
+  let bv_of node =
+    match node.bv_memo with
+    | Some bv -> bv
+    | None ->
+        if node.irank < 0 then invalid_arg "Flat_wt.Node: leaf has no bitvector";
+        extent node;
+        let bv = Rrr.Flat.of_membuf node.t.mb (node.t.content_bit + node.lo) ~len:node.count in
+        if node.lo + Rrr.Flat.space_bits bv > node.hi then
+          invalid_arg "Flat_wt.Node: β overruns its node extent";
+        node.bv_memo <- Some bv;
+        bv
 
   let label node =
-    let len = Membuf.get_u32 node.t.mb (base node + 8) in
-    let bitpos = node.t.labels_bit + Membuf.get_u64 node.t.mb (base node + 16) in
+    extent node;
+    let start =
+      if node.irank < 0 then node.lo else node.lo + Rrr.Flat.space_bits (bv_of node)
+    in
+    let len = node.hi - start in
+    let bitpos = node.t.content_bit + start in
     let out = Bitbuf.create ~capacity_bits:len () in
     let i = ref 0 in
     while !i < len do
@@ -261,23 +299,14 @@ module Node = struct
     Bitstring.unsafe_of_bitbuf out
 
   let child node b =
-    let c0 = child0 node in
-    if c0 = 0 then invalid_arg "Flat_wt.Node.child: leaf";
+    if node.irank < 0 then invalid_arg "Flat_wt.Node.child: leaf";
+    let c0 = (2 * node.irank) + 1 in
     (* child indices must increase: traversals over a corrupt table
        terminate instead of looping *)
     if c0 <= node.idx || c0 + 1 >= node.t.node_count then
       invalid_arg "Flat_wt.Node.child: corrupt child index";
-    { t = node.t; idx = (if b then c0 + 1 else c0); bv_memo = None }
-
-  let bv_of node =
-    match node.bv_memo with
-    | Some bv -> bv
-    | None ->
-        let p = Membuf.get_u64 node.t.mb (base node + 24) in
-        if p = 0 then invalid_arg "Flat_wt.Node: leaf has no bitvector";
-        let bv = Rrr.Flat.of_membuf node.t.mb p in
-        node.bv_memo <- Some bv;
-        bv
+    let bv = bv_of node in
+    if b then make node.t (c0 + 1) (Rrr.Flat.ones bv) else make node.t c0 (Rrr.Flat.zeros bv)
 
   let bv_rank node b pos = Rrr.Flat.rank (bv_of node) b pos
   let bv_select node b k = Rrr.Flat.select (bv_of node) b k
@@ -350,32 +379,56 @@ let open_file ?(mode = `Mmap) path =
                   m.Container.close ();
                   raise e))
 
-(* Structural deep check (the [wtrie verify] walk): child topology,
-   count consistency between each β and its children, label and blob
-   bounds.  Raises [Failure] on the first violation. *)
+(* Space split the way the serve gauges and [Stats] report it: labels,
+   β blobs, and the directory — header, topology, node offsets and the
+   content stream's final padding.  Read from the header fields, so it
+   stays answerable after [close]. *)
+let label_bits t = t.labels_bits
+let bv_bits t = t.content_bits - t.labels_bits
+let directory_bits t = (8 * Membuf.length t.mb) - t.content_bits
+
+(* Structural deep check (the [wtrie verify] walk): topology records
+   and their rank samples, node offsets monotone from 0 to the content
+   stream's end, each β blob inside its node's extent, non-empty
+   children, every node reachable, and the label total.  Raises
+   [Failure] on the first violation. *)
 let check_invariants t =
   if t.closed then raise Closed;
   let check cond fmt =
     Printf.ksprintf (fun m -> if not cond then failwith ("flat arena: " ^ m)) fmt
   in
+  let nc = t.node_count in
+  let internal = ref 0 in
+  for r = 0 to ((nc + 31) / 32) - 1 do
+    let rec_ = header_len + (8 * r) in
+    check (Membuf.get_u32 t.mb rec_ = !internal) "topology record %d: bad rank sample" r;
+    let bits = Membuf.get_u32 t.mb (rec_ + 4) in
+    check (bits lsr min 32 (nc - (32 * r)) = 0) "topology record %d: bits past the last node" r;
+    internal := !internal + Broadword.popcount bits
+  done;
+  check (!internal = nc / 2) "%d internal nodes, expected %d" !internal (nc / 2);
+  let prev = ref 0 in
+  for i = 0 to nc do
+    let v = Offsets.get t.offs i in
+    check (v >= !prev) "node offset %d decreases" i;
+    prev := v
+  done;
+  check (Offsets.get t.offs 0 = 0 && !prev = t.content_bits)
+    "node offsets span [%d, %d], expected [0, %d]" (Offsets.get t.offs 0) !prev t.content_bits;
   match Node.root t with
   | None -> check (t.n = 0) "empty node table but length %d" t.n
   | Some root ->
-      check (Node.count root = t.n) "root count %d <> length %d" (Node.count root) t.n;
+      let visited = ref 0 and labels = ref 0 in
       let rec go node =
-        ignore (Bitstring.length (Node.label node));
-        let c = Node.count node in
-        if Node.is_leaf node then check (c > 0) "leaf with count 0"
-        else begin
-          let bv = Node.bv_of node in
-          check (Rrr.Flat.length bv = c) "node %d: β length %d <> count %d" node.Node.idx
-            (Rrr.Flat.length bv) c;
-          let z = Node.child node false and o = Node.child node true in
-          check
-            (Node.count z = Rrr.Flat.zeros bv && Node.count o = Rrr.Flat.ones bv)
-            "node %d: children counts disagree with β" node.Node.idx;
-          go z;
-          go o
+        incr visited;
+        labels := !labels + Bitstring.length (Node.label node);
+        check (Node.count node > 0) "node %d: count 0" node.Node.idx;
+        if not (Node.is_leaf node) then begin
+          go (Node.child node false);
+          go (Node.child node true)
         end
       in
-      go root
+      go root;
+      check (!visited = nc) "%d nodes reachable of %d" !visited nc;
+      check (!labels = t.labels_bits) "labels total %d bits, header says %d" !labels
+        t.labels_bits

@@ -25,12 +25,16 @@ let of_array strings =
   let rec build (idxs : int array) off =
     let m = Array.length idxs in
     let first = strings.(idxs.(0)) in
-    (* α = lcp of all suffixes *)
+    (* α = lcp of all suffixes; each comparison only needs to reach the
+       running α length, never the ends of the strings *)
     let alpha_len = ref (Bitstring.length first - off) in
-    for k = 1 to m - 1 do
-      let s = strings.(idxs.(k)) in
-      let l = Bitstring.lcp (Bitstring.drop first off) (Bitstring.drop s off) in
-      if l < !alpha_len then alpha_len := l
+    let k = ref 1 in
+    while !k < m && !alpha_len > 0 do
+      let s = strings.(idxs.(!k)) in
+      let cap = min !alpha_len (Bitstring.length s - off) in
+      let l = Bitstring.lcp (Bitstring.sub first off cap) (Bitstring.sub s off cap) in
+      if l < !alpha_len then alpha_len := l;
+      incr k
     done;
     let alpha = Bitstring.sub first off !alpha_len in
     let stop = off + !alpha_len in

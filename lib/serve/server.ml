@@ -38,8 +38,10 @@ module Append_wt = Wt_core.Append_wt
 module Is = Wt_core.Indexed_sequence
 
 (* What the loop needs from a trie variant: its length (the inline
-   [Length] reply) and its batch engine.  The trie type is packed away
-   in {!source}, so one server type serves every variant. *)
+   [Length] reply), its batch engine, and the gauges it exports (each
+   sampled from the currently published trie at scrape time).  The trie
+   type is packed away in {!source}, so one server type serves every
+   variant. *)
 type 'trie backend = {
   length : 'trie -> int;
   engine :
@@ -48,6 +50,7 @@ type 'trie backend = {
     'trie ->
     Is.op array ->
     (Is.value, Is.error) result array;
+  gauges : (string * ('trie -> float)) list;
 }
 
 type source = Source : 'trie backend * 'trie Snapshot.t -> source
@@ -59,6 +62,7 @@ let append_backend =
       (fun ?pool ?domains trie ops ->
         Wt_par.Par_exec.query_batch ?pool ?domains Wt_exec.Exec.Append.query_batch trie
           ops);
+    gauges = [];
   }
 
 let static_backend =
@@ -68,6 +72,15 @@ let static_backend =
       (fun ?pool ?domains trie ops ->
         Wt_par.Par_exec.query_batch ?pool ?domains Wt_exec.Exec.Static.query_batch trie
           ops);
+    (* the arena's space split: labels, β blobs, and the directory
+       (header, topology, node offsets, padding) *)
+    gauges =
+      (let bits f t = float_of_int (f t) in
+       [
+         ("static_label_bits", bits Wt_core.Flat_wt.label_bits);
+         ("static_bv_bits", bits Wt_core.Flat_wt.bv_bits);
+         ("static_directory_bits", bits Wt_core.Flat_wt.directory_bits);
+       ]);
   }
 
 (* Serves the tiered store's epoch-published merged views ([runs…;
@@ -79,6 +92,7 @@ let tiered_backend =
     engine =
       (fun ?pool ?domains view ops ->
         Wt_tiered.Tiered.View.query_batch ?pool ?domains view ops);
+    gauges = [];
   }
 
 type config = {
@@ -287,6 +301,9 @@ let create ?config ~backend snap =
       float_of_int (Hashtbl.length t.conns));
   Export.register_gauge "serve_pending_ops" (fun () ->
       float_of_int (Batcher.pending t.batcher));
+  List.iter
+    (fun (name, f) -> Export.register_gauge name (fun () -> f (Snapshot.read snap)))
+    backend.gauges;
   t
 
 (* ------------------------------------------------------------------ *)

@@ -216,6 +216,80 @@ let test_equivalence () =
           Wtrie.Static.close mmap))
     [ 0; 1; 2; 13; 64; 257 ]
 
+(* Past the single-block fast paths: a root β longer than one RRR
+   superblock (992 bits, so the blob carries its directory) and more
+   nodes than one topology record / node-offset block (32). *)
+let test_multi_block () =
+  let rng = Xoshiro.create 31 in
+  let distinct = Array.init 40 (fun i -> Printf.sprintf "host%02d.example/p%d" i (i * 7)) in
+  let arr = Array.init 2500 (fun _ -> distinct.(Xoshiro.int rng (Array.length distinct))) in
+  let pwt = Str_pointer.of_array arr in
+  let fwt = Wtrie.Static.of_array arr in
+  check_bool "more nodes than one directory block" true (fwt.Flat_wt.node_count > 64);
+  Flat_wt.check_invariants fwt;
+  check_equiv "multi-block fresh" arr pwt fwt;
+  with_saved fwt (fun path ->
+      List.iter
+        (fun mode ->
+          let t = Wtrie.Static.open_file_exn ~mode path in
+          check_equiv "multi-block reopened" arr pwt t;
+          Wtrie.Static.close t)
+        [ `Copy; `Mmap ])
+
+(* The node directory stays within 32 bits per node: the whole arena
+   is its labels, its β blobs, 32 bits per node and the header — with β
+   measured as the blobs themselves, which carry no length, popcount or
+   (for one superblock) directory.  [fixed] covers what even a one-node
+   arena has: a topology record, a node-offset block header, and the
+   byte padding of two sections. *)
+let test_space_bound () =
+  let rng = Xoshiro.create 5 in
+  List.iter
+    (fun n ->
+      let urls = Wt_workload.Urls.raw_sequence (Wt_workload.Urls.create ~seed:n ()) n in
+      let arr = Array.init n (fun i -> if i mod 3 = 0 then urls.(i) else (make_seq rng 1).(0)) in
+      let fwt = Wtrie.Static.of_array arr in
+      let st = Flat_wt.stats fwt in
+      let fixed = 64 + 62 + 16 in
+      let bound =
+        st.label_bits + st.bv_bits + (32 * fwt.Flat_wt.node_count) + (8 * Flat_wt.header_len)
+        + fixed
+      in
+      if st.total_bits > bound then
+        Alcotest.failf "n=%d: arena %d bits > labels %d + β %d + 32 x %d nodes + header" n
+          st.total_bits st.label_bits st.bv_bits fwt.Flat_wt.node_count;
+      check_int "gauges split the arena" st.total_bits
+        (Flat_wt.label_bits fwt + Flat_wt.bv_bits fwt + Flat_wt.directory_bits fwt))
+    [ 1; 13; 300; 4000 ]
+
+(* An index written by the previous arena layout (version 1: a 64-byte
+   header and 32-byte node records) fails closed, naming its version,
+   whichever way it is opened. *)
+let test_v1_arena_rejected () =
+  let header = Buffer.create 64 in
+  Buffer.add_string header "WTF3";
+  Buffer.add_int32_le header 1l;
+  List.iter (fun v -> Buffer.add_int64_le header (Int64.of_int v)) [ 1; 1; 64; 96; 0; 97; 0 ];
+  let payload = Buffer.contents header ^ String.make 33 '\000' in
+  let path = Filename.temp_file "wt_flat_v1" ".wtx" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Container.write_v3 ~tag:Flat_wt.tag ~payload path;
+      List.iter
+        (fun mode ->
+          match Wtrie.Static.open_file ~mode path with
+          | Error (Wtrie.Storage_error { reason; _ }) ->
+              let has sub =
+                let n = String.length reason and m = String.length sub in
+                let rec go i = i + m <= n && (String.sub reason i m = sub || go (i + 1)) in
+                go 0
+              in
+              check_bool ("names version 1: " ^ reason) true (has "version 1")
+          | Error e -> Alcotest.failf "expected Storage_error, got %a" Wtrie.pp_error e
+          | Ok _ -> Alcotest.fail "opened a version-1 arena")
+        [ `Copy; `Mmap ])
+
 (* ------------------------------------------------------------------ *)
 (* v2 -> v3 migration: an old pointer-tree container loads (flattened)
    and converts; the converted file is a v3 arena answering the same
@@ -322,11 +396,15 @@ let () =
       ( "equivalence",
         [
           Alcotest.test_case "pointer = flat = copy = mmap" `Quick test_equivalence;
+          Alcotest.test_case "multi-superblock β, multi-block directory" `Quick
+            test_multi_block;
         ] );
+      ("space", [ Alcotest.test_case "directory within 32 bits per node" `Quick test_space_bound ]);
       ( "storage",
         [
           Alcotest.test_case "v2 load + convert to v3" `Quick test_v2_migration;
           Alcotest.test_case "errors are data" `Quick test_storage_errors;
+          Alcotest.test_case "arena v1 fails closed" `Quick test_v1_arena_rejected;
         ] );
       ("close", [ Alcotest.test_case "deterministic after close" `Quick test_close ]);
     ]

@@ -539,6 +539,41 @@ let test_slow_threshold_filters () =
       Alcotest.(check bool) "no exemplars on the page" false
         (contains (Client.scrape c) "# EXEMPLAR"))
 
+(* A static (format-v3 arena) server exports the arena's space split as
+   gauges, and the three parts add up to the whole arena. *)
+let test_static_space_gauges () =
+  telemetered @@ fun () ->
+  let wt = Wtrie.Static.of_array strings in
+  let cfg = { (Server.default_config ()) with port = 0; window_us = 100 } in
+  let srv = Server.create ~config:cfg ~backend:Server.static_backend (Snapshot.create wt) in
+  let d = Domain.spawn (fun () -> Server.serve srv) in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.request_stop srv;
+      Domain.join d)
+  @@ fun () ->
+  let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port srv) () in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let page = Client.scrape c in
+  let gauge name =
+    let key = "wtrie_" ^ name ^ " " in
+    match
+      List.find_opt
+        (fun l -> String.length l > String.length key && String.sub l 0 (String.length key) = key)
+        (String.split_on_char '\n' page)
+    with
+    | Some l ->
+        float_of_string (String.sub l (String.length key) (String.length l - String.length key))
+    | None -> Alcotest.failf "gauge %s missing from the scrape" name
+  in
+  let labels = gauge "static_label_bits"
+  and bv = gauge "static_bv_bits"
+  and dir = gauge "static_directory_bits" in
+  Alcotest.(check bool) "every part is non-empty" true (labels > 0. && bv > 0. && dir > 0.);
+  Alcotest.(check (float 0.5)) "parts sum to the arena"
+    (float_of_int (Wt_core.Flat_wt.space_bits wt))
+    (labels +. bv +. dir)
+
 let test_metrics_listener () =
   telemetered @@ fun () ->
   with_server ~tweak:(fun c -> { c with metrics_port = Some 0; slow_ms = Some 0 })
@@ -621,5 +656,6 @@ let () =
           Alcotest.test_case "stats and scrape wire ops" `Quick test_stats_and_scrape_ops;
           Alcotest.test_case "slow threshold filters" `Quick test_slow_threshold_filters;
           Alcotest.test_case "plain-TCP metrics listener" `Quick test_metrics_listener;
+          Alcotest.test_case "static arena space gauges" `Quick test_static_space_gauges;
         ] );
     ]

@@ -106,12 +106,6 @@ let test_structure_dynamic () =
   done;
   C.trie rng wt (Dynamic_wt.length wt)
 
-let test_structure_succinct () =
-  let rng = Xoshiro.create 24 in
-  let module C = Check (Wt_core.Succinct_wt.Node) in
-  let seq = sample rng 1200 in
-  C.trie rng (Wt_core.Succinct_wt.of_array seq) 1200
-
 (* ------------------------------------------------------------------ *)
 
 let test_pp_golden () =
@@ -174,7 +168,6 @@ let () =
           Alcotest.test_case "static" `Quick test_structure_static;
           Alcotest.test_case "append-only" `Quick test_structure_append;
           Alcotest.test_case "dynamic (churned)" `Quick test_structure_dynamic;
-          Alcotest.test_case "succinct" `Quick test_structure_succinct;
         ] );
       ( "rendering",
         [ Alcotest.test_case "pp golden" `Quick test_pp_golden ] );
