@@ -1022,12 +1022,25 @@ let batch_block () =
    deserialize vs the v3 checksum-plus-mmap open of the same ~131k-URL
    sequence, and the batch engine on the arena vs the pointer trie.
    The open numbers are the whole story of v3 — the arena needs no
-   decode, so reopening is independent of the payload size touched. *)
+   decode, so reopening is independent of the payload size touched.
+   The build figures are [Wtrie.Static.of_array] on those strings: best
+   of three wall times, and the words one build allocates (minor +
+   major - promoted, so a promoted word counts once). *)
 let flat_block () =
   let n = 131072 in
   let g = Urls.create ~seed:42 () in
   let strings = Urls.raw_sequence g n in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = allocated () in
   let fwt = Wtrie.Static.of_array strings in
+  let build_words = allocated () -. w0 in
+  let build =
+    List.fold_left min infinity
+      (List.init 3 (fun _ -> time_batch (fun () -> ignore (Wtrie.Static.of_array strings))))
+  in
   let pwt = Wavelet_trie.of_array (Array.map Wt_core.String_api.encode strings) in
   let v2 = Filename.temp_file "wt_bench_v2" ".wtx" in
   let v3 = Filename.temp_file "wt_bench_v3" ".wtx" in
@@ -1070,6 +1083,8 @@ let flat_block () =
   Json.Obj
     [
       ("n", Json.Int n);
+      ("build_ns_per_string", Json.Float (build *. 1e9 /. float_of_int n));
+      ("build_words_per_string", Json.Float (build_words /. float_of_int n));
       ("v2_load_ms", Json.Float (v2_load *. 1e3));
       ("v3_mmap_open_ms", Json.Float (mmap_open *. 1e3));
       ("v3_copy_open_ms", Json.Float (copy_open *. 1e3));

@@ -23,6 +23,12 @@
      fixed n), so this gate is exact and fails even under --soft: a
      layout change must come with a regenerated baseline.
 
+   - Build allocation: the words one static build allocates per string
+     ([flat.build_words_per_string]) may not exceed the baseline by
+     more than 10%.  Allocation does not depend on the runner's speed
+     or load (repeat runs agree to 0.01%), so this gate also fails
+     under --soft.
+
    Exit 0 when clean, 1 on any regression; --soft reports timing
    regressions but does not fail on them (for CI runners whose core
    count or load makes timing unreliable). *)
@@ -80,6 +86,7 @@ let gated =
     (* format v3: reopen cost and the flat engine's batch latency *)
     (Higher_better, "flat.open_speedup_vs_v2");
     (Lower_better, "flat.flat_batch_ns_per_op");
+    (Lower_better, "flat.build_ns_per_string");
     (* tiered store: sustained WAL-backed ingest rate and the merged
        run+delta read path's tail latency *)
     (Higher_better, "tiered.ingest_strings_per_s");
@@ -192,6 +199,19 @@ let space_exact base cur =
           fail "%s missing from one side" name)
     [ "ratio_to_lb"; "overhead_bits" ]
 
+let build_alloc base cur =
+  let path = "flat.build_words_per_string" in
+  match (number base path, number cur path) with
+  | Some b, Some c when c <= b *. 1.10 ->
+      Printf.printf "ok    %-45s %12.1f -> %12.1f  (<= +10%%)\n" path b c
+  | Some b, Some c ->
+      incr hard_failures;
+      fail "%-45s %12.1f -> %12.1f  (build allocates more than 10%% over the baseline)" path b
+        c
+  | _ ->
+      incr hard_failures;
+      fail "%s missing from one side" path
+
 let throughput ~threshold base cur =
   List.iter
     (fun (dir, path) ->
@@ -238,13 +258,15 @@ let () =
         (if !soft then ", soft" else "");
       structural base cur;
       space_exact base cur;
+      build_alloc base cur;
       throughput ~threshold:!threshold base cur;
       absolute ~threshold:!threshold cur;
       if !failures = 0 then print_endline "regress: clean"
       else begin
         Printf.printf "regress: %d failure(s)\n" !failures;
         if !hard_failures > 0 then begin
-          Printf.printf "regress: %d space failure(s), failing even in soft mode\n" !hard_failures;
+          Printf.printf "regress: %d space or allocation failure(s), failing even in soft mode\n"
+            !hard_failures;
           exit 1
         end
         else if not !soft then exit 1

@@ -53,6 +53,9 @@ let set t pos bit =
   let b' = if bit then b lor m else b land lnot m in
   Bytes.unsafe_set t.data i (Char.unsafe_chr (b' land 0xff))
 
+(* When the eight bytes from the first one lie in the backing store, one
+   little-endian 64-bit load covers every read of at most 56 bits;
+   otherwise the bits are gathered a byte at a time. *)
 let get_bits t pos len =
   if len < 0 || len > 62 then invalid_arg "Bitbuf.get_bits: bad length";
   if pos < 0 || pos + len > t.len then invalid_arg "Bitbuf.get_bits: out of bounds";
@@ -62,19 +65,24 @@ let get_bits t pos len =
     let data = t.data in
     let first = pos lsr 3 in
     let shift = pos land 7 in
-    (* Low bits from the first byte. *)
-    let acc = ref (Char.code (Bytes.unsafe_get data first) lsr shift) in
-    let got = ref (8 - shift) in
-    let i = ref (first + 1) in
-    while !got < len do
-      let remaining = len - !got in
-      let b = Char.code (Bytes.unsafe_get data !i) in
-      let b = if remaining < 8 then b land ((1 lsl remaining) - 1) else b in
-      acc := !acc lor (b lsl !got);
-      got := !got + 8;
-      incr i
-    done;
-    !acc land (if len = 62 then (1 lsl 62) - 1 else (1 lsl len) - 1)
+    if len <= 56 && first <= Bytes.length data - 8 then
+      Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le data first) shift)
+      land ((1 lsl len) - 1)
+    else begin
+      (* Low bits from the first byte. *)
+      let acc = ref (Char.code (Bytes.unsafe_get data first) lsr shift) in
+      let got = ref (8 - shift) in
+      let i = ref (first + 1) in
+      while !got < len do
+        let remaining = len - !got in
+        let b = Char.code (Bytes.unsafe_get data !i) in
+        let b = if remaining < 8 then b land ((1 lsl remaining) - 1) else b in
+        acc := !acc lor (b lsl !got);
+        got := !got + 8;
+        incr i
+      done;
+      !acc land (if len = 62 then (1 lsl 62) - 1 else (1 lsl len) - 1)
+    end
   end
 
 let set_bits t pos len v =
@@ -198,6 +206,8 @@ let equal a b =
       get_bits a pos chunk = get_bits b pos chunk && go (pos + chunk)
   in
   go 0
+
+let add_to_buffer buf t = Buffer.add_subbytes buf t.data 0 ((t.len + 7) / 8)
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 let id t = t.id

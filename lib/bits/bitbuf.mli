@@ -78,6 +78,11 @@ val of_string : string -> t
 val to_string : t -> string
 (** Inverse of {!of_string}. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** [add_to_buffer buf t] appends the [ceil (length t / 8)] bytes of the
+    stream to [buf]: bit [8i + j] is bit [j] of byte [i], and the bits
+    past [length t] in the last byte are zero. *)
+
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

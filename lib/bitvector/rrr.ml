@@ -526,9 +526,6 @@ let pp fmt t = Format.fprintf fmt "%s" (Bitbuf.to_string (to_bitbuf t))
 module Flat = struct
   module Membuf = Wt_bits.Membuf
 
-  type rrr = t
-  (* the pointer representation, input of the serializer *)
-
   type t = {
     mb : Membuf.t;
     len : int;
@@ -548,16 +545,42 @@ module Flat = struct
   let dir_width nblocks =
     if nsb_of_nblocks nblocks > 1 then Broadword.bit_width (64 * nblocks) else 0
 
-  let append bb (rrr : rrr) =
-    let nblocks = nblocks_of_len rrr.len in
+  (* The blob of a [len]-bit bitvector given as its 62-bit blocks:
+     [blocks.(i)] holds bits [62i, 62i + 62), LSB first, zero past
+     [len].  Directory (cumulative ones and offset bits at the end of
+     each superblock), then the classes ten per append, then the
+     offsets. *)
+  let append_blocks bb blocks ~len =
+    let nblocks = nblocks_of_len len in
     let w = dir_width nblocks in
-    if w > 0 then
-      for sb = 1 to nsb_of_nblocks nblocks do
-        Bitbuf.add_bits bb w rrr.sb_ones.(sb);
-        Bitbuf.add_bits bb w rrr.sb_off.(sb)
+    if w > 0 then begin
+      let ones = ref 0 and off = ref 0 in
+      for blk = 0 to nblocks - 1 do
+        let c = Broadword.popcount blocks.(blk) in
+        ones := !ones + c;
+        off := !off + offset_width.(c);
+        if (blk + 1) mod sb_blocks = 0 || blk = nblocks - 1 then begin
+          Bitbuf.add_bits bb w !ones;
+          Bitbuf.add_bits bb w !off
+        end
+      done
+    end;
+    let blk = ref 0 in
+    while !blk < nblocks do
+      let k = min 10 (nblocks - !blk) in
+      let word = ref 0 in
+      for i = k - 1 downto 0 do
+        word := (!word lsl class_bits) lor Broadword.popcount blocks.(!blk + i)
       done;
-    Bitbuf.append bb rrr.classes;
-    Bitbuf.append bb rrr.offsets
+      Bitbuf.add_bits bb (k * class_bits) !word;
+      blk := !blk + k
+    done;
+    for blk = 0 to nblocks - 1 do
+      let bits = blocks.(blk) in
+      let c = Broadword.popcount bits in
+      let w = offset_width.(c) in
+      if w > 0 then Bitbuf.add_bits bb w (encode_offset bits c)
+    done
 
   (* Ones and offset-stream bits of blocks [lo, hi), added to [ones] and
      [off]: ten 6-bit classes per Membuf read. *)

@@ -96,15 +96,17 @@ val pp : Format.formatter -> t -> unit
     encoding of the format-v3 arena.  The blob stores no length,
     popcount or padding: its owner supplies the length, and a blob of at
     most 16 blocks carries no superblock directory, so it is exactly its
-    RRR payload.  [append] serializes a built bitvector; [of_membuf]
-    opens a view at a bit offset with no decoding.  Queries hit the same
-    [Rrr_*] / [Bv_cursor_*] probes as the pointer form. *)
+    RRR payload.  [append_blocks] encodes a bitvector straight into a
+    blob; [of_membuf] opens a view at a bit offset with no decoding.
+    Queries hit the same [Rrr_*] / [Bv_cursor_*] probes as the pointer
+    form. *)
 module Flat : sig
-  type rrr := t
   type t
 
-  val append : Wt_bits.Bitbuf.t -> rrr -> unit
-  (** Append the blob's bits (self-delimiting given its length). *)
+  val append_blocks : Wt_bits.Bitbuf.t -> int array -> len:int -> unit
+  (** [append_blocks bb blocks ~len] appends the blob of the [len]-bit
+      bitvector whose bits [62i, 62i + 62) are [blocks.(i)], LSB first
+      and zero past [len] (self-delimiting given [len]). *)
 
   val of_membuf : Wt_bits.Membuf.t -> int -> len:int -> t
   (** [of_membuf mb bit ~len] views the [len]-bit blob starting at bit

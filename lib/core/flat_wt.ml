@@ -98,43 +98,129 @@ let sections ~node_count ~offsets_bits ~content_bits =
   (offs, content, content + ((content_bits + 7) / 8))
 
 (* ------------------------------------------------------------------ *)
-(* Building: serialize a pointer trie's BFS walk straight into the
-   arena blob. *)
-
-let append_stream buf bb =
-  let len = Bitbuf.length bb in
-  let i = ref 0 in
-  while !i < len do
-    let take = min 8 (len - !i) in
-    Buffer.add_char buf (Char.chr (Bitbuf.get_bits bb !i take));
-    i := !i + take
-  done
+(* Building.  The trie of Definition 3.1 depends only on the distinct
+   strings and the sequence, so the arena is written level by level from
+   the sorted distinct keys and the sequence as key ranks, with no
+   pointer trie in between.  A node is a key range [lo, hi) whose keys
+   share their first [off] bits, plus the subsequence of the ranks in
+   it.  A one-key range is a leaf labelled with the rest of its key.
+   Otherwise the range's keys share exactly m = LCP (key lo, key hi-1)
+   bits and split at bit m — keys [lo, j) continue with 0, keys [j, hi)
+   with 1 — so the label is bits [off, m), β marks the ranks >= j, and a
+   stable partition hands each child its subsequence.  Nodes are
+   numbered in BFS order with a node's two children consecutive, zero
+   child first, as the topology requires; each level's subsequences lie
+   side by side in one rank array, so two arrays of n ranks serve every
+   level. *)
 
 let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
-let arena_of_wavelet_trie (wt : Wavelet_trie.t) : string =
+(* First index in [lo, hi] whose key has bit [m] set, given that the
+   keys are sorted, share their first [m] bits, and key [hi] has it. *)
+let split_point keys lo hi m =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Bitstring.get keys.(mid) m then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* [arena_of_keys keys seq]: [keys] sorted, distinct and prefix-free,
+   [seq.(i)] the rank in [keys] of the sequence's i-th string, every key
+   occurring at least once. *)
+let arena_of_keys (keys : Bitstring.t array) (seq : int array) : string =
   Probe.time Flat_build (fun () ->
-      let n = Wavelet_trie.length wt in
-      let content = Bitbuf.create () in
-      let topo = Bitbuf.create () in
-      let offs = ref [] in
-      let labels_bits = ref 0 in
-      Wavelet_trie.iter_bfs wt (fun ~label ~bv ~count:_ ->
-          offs := Bitbuf.length content :: !offs;
-          (match bv with
-          | None -> Bitbuf.add topo false
-          | Some bv ->
-              Bitbuf.add topo true;
-              Rrr.Flat.append content bv);
-          labels_bits := !labels_bits + Bitstring.length label;
-          Bitstring.append_to_bitbuf label content);
-      let node_count = Bitbuf.length topo in
+      let d = Array.length keys and n = Array.length seq in
+      (* cum.(k): occurrences of the keys ranked below k *)
+      let cum = Array.make (d + 1) 0 in
+      Array.iter (fun r -> cum.(r + 1) <- cum.(r + 1) + 1) seq;
+      for k = 1 to d do
+        if cum.(k) = 0 then invalid_arg "Flat_wt: a key does not occur in the sequence";
+        cum.(k) <- cum.(k) + cum.(k - 1)
+      done;
+      let node_count = if d = 0 then 0 else (2 * d) - 1 in
       if node_count >= 1 lsl 32 then invalid_arg "Flat_wt: node count exceeds 2^32";
+      (* the BFS queue: node i's key range and consumed bits; the root,
+         node 0, is [0, d) at offset 0 *)
+      let q_lo = Array.make node_count 0 and q_hi = Array.make node_count d in
+      let q_off = Array.make node_count 0 in
+      let tail = ref 1 in
+      let offs = Array.make (node_count + 1) 0 in
+      let topo = Bitbuf.create ~capacity_bits:node_count () in
+      let content = Bitbuf.create ~capacity_bits:(4 * n) () in
+      let labels_bits = ref 0 in
+      let blocks = Array.make ((n / Rrr.block_bits) + 1) 0 in
+      (* level L reads its subsequences from [src] and writes level L+1's
+         into [dst] *)
+      let spare = Array.make n 0 in
+      let src = ref seq and dst = ref (Array.make n 0) in
+      let rpos = ref 0 and wpos = ref 0 and level_end = ref 1 in
+      for i = 0 to node_count - 1 do
+        if i = !level_end then begin
+          let read = !src in
+          src := !dst;
+          dst := if read == seq then spare else read;
+          rpos := 0;
+          wpos := 0;
+          level_end := !tail
+        end;
+        let lo = q_lo.(i) and hi = q_hi.(i) and off = q_off.(i) in
+        let key = keys.(lo) in
+        let count = cum.(hi) - cum.(lo) in
+        offs.(i) <- Bitbuf.length content;
+        let stop =
+          if hi - lo = 1 then begin
+            Bitbuf.add topo false;
+            Bitstring.length key
+          end
+          else begin
+            Bitbuf.add topo true;
+            let m = Bitstring.lcp key keys.(hi - 1) in
+            let j = split_point keys (lo + 1) (hi - 1) m in
+            let src = !src and dst = !dst in
+            let w0 = ref !wpos and w1 = ref (!wpos + cum.(j) - cum.(lo)) in
+            let word = ref 0 and fill = ref 0 and nb = ref 0 in
+            for k = !rpos to !rpos + count - 1 do
+              let r = Array.unsafe_get src k in
+              if r >= j then begin
+                word := !word lor (1 lsl !fill);
+                Array.unsafe_set dst !w1 r;
+                incr w1
+              end
+              else begin
+                Array.unsafe_set dst !w0 r;
+                incr w0
+              end;
+              incr fill;
+              if !fill = Rrr.block_bits then begin
+                blocks.(!nb) <- !word;
+                incr nb;
+                word := 0;
+                fill := 0
+              end
+            done;
+            if !fill > 0 then blocks.(!nb) <- !word;
+            Rrr.Flat.append_blocks content blocks ~len:count;
+            wpos := !wpos + count;
+            q_lo.(!tail) <- lo;
+            q_hi.(!tail) <- j;
+            q_off.(!tail) <- m + 1;
+            q_lo.(!tail + 1) <- j;
+            q_hi.(!tail + 1) <- hi;
+            q_off.(!tail + 1) <- m + 1;
+            tail := !tail + 2;
+            m
+          end
+        in
+        rpos := !rpos + count;
+        labels_bits := !labels_bits + (stop - off);
+        Bitstring.append_to_bitbuf (Bitstring.sub key off (stop - off)) content
+      done;
       let content_bits = Bitbuf.length content in
+      offs.(node_count) <- content_bits;
       let offsets = Bitbuf.create () in
-      Offsets.append offsets ~universe:content_bits
-        (Array.of_list (List.rev (content_bits :: !offs)));
+      Offsets.append offsets ~universe:content_bits offs;
       let offsets_bits = Bitbuf.length offsets in
       let _, _, arena_len = sections ~node_count ~offsets_bits ~content_bits in
       let out = Buffer.create arena_len in
@@ -149,8 +235,8 @@ let arena_of_wavelet_trie (wt : Wavelet_trie.t) : string =
         add_u32 out bits;
         internal := !internal + Broadword.popcount bits
       done;
-      append_stream out offsets;
-      append_stream out content;
+      Bitbuf.add_to_buffer out offsets;
+      Bitbuf.add_to_buffer out content;
       assert (Buffer.length out = arena_len);
       Buffer.contents out)
 
@@ -351,9 +437,83 @@ let stats t = Q.stats ~space_bits t
 (* ------------------------------------------------------------------ *)
 (* Construction and storage *)
 
-let of_wavelet_trie wt = of_membuf (Membuf.of_string (arena_of_wavelet_trie wt))
-let of_array strings = of_wavelet_trie (Wavelet_trie.of_array strings)
+let of_keys keys seq = of_membuf (Membuf.of_string (arena_of_keys keys seq))
+
+(* The distinct strings of [strings] sorted by [compare], and the
+   sequence as ranks among them.  [H] decides equality. *)
+let sorted_keys (type k) (module H : Hashtbl.S with type key = k) ~compare strings =
+  let ids = H.create 1024 in
+  let firsts = ref [] in
+  let seq =
+    Array.map
+      (fun s ->
+        match H.find_opt ids s with
+        | Some id -> id
+        | None ->
+            let id = H.length ids in
+            H.add ids s id;
+            firsts := s :: !firsts;
+            id)
+      strings
+  in
+  let distinct = Array.of_list (List.rev !firsts) in
+  let order = Array.init (Array.length distinct) Fun.id in
+  Array.stable_sort (fun a b -> compare distinct.(a) distinct.(b)) order;
+  let rank = Array.make (Array.length distinct) 0 in
+  Array.iteri (fun r id -> rank.(id) <- r) order;
+  Array.iteri (fun i id -> seq.(i) <- rank.(id)) seq;
+  (Array.map (fun id -> distinct.(id)) order, seq)
+
+module Bits_tbl = Hashtbl.Make (Bitstring)
+
+let of_array strings =
+  let keys, seq = sorted_keys (module Bits_tbl) ~compare:Bitstring.compare strings in
+  for j = 1 to Array.length keys - 1 do
+    if Bitstring.is_prefix ~prefix:keys.(j - 1) keys.(j) then
+      invalid_arg "Flat_wt.of_array: string set is not prefix-free"
+  done;
+  of_keys keys seq
+
 let of_list l = of_array (Array.of_list l)
+
+(* The pointer trie's leaves, read zero child first, are the sorted
+   keys; a node's ranks are its children's merged through its β. *)
+let of_wavelet_trie wt =
+  let module N = Wavelet_trie.Node in
+  let keys = ref [] and d = ref 0 in
+  let path = Bitbuf.create () in
+  let rec ranks node =
+    let depth = Bitbuf.length path in
+    Bitstring.append_to_bitbuf (N.label node) path;
+    let r =
+      if N.is_leaf node then begin
+        keys := Bitstring.of_bitbuf path :: !keys;
+        incr d;
+        Array.make (N.count node) (!d - 1)
+      end
+      else begin
+        let stop = Bitbuf.length path in
+        let child b =
+          Bitbuf.add path b;
+          let r = ranks (N.child node b) in
+          Bitbuf.truncate path stop;
+          r
+        in
+        let zero = child false in
+        let one = child true in
+        let next = N.iter_bits node 0 and z = ref 0 and o = ref 0 in
+        Array.init (N.count node) (fun _ ->
+            if next () then (incr o; one.(!o - 1)) else (incr z; zero.(!z - 1)))
+      end
+    in
+    Bitbuf.truncate path depth;
+    r
+  in
+  match N.root wt with
+  | None -> of_keys [||] [||]
+  | Some root ->
+      let seq = ranks root in
+      of_keys (Array.of_list (List.rev !keys)) seq
 
 let save_file t path =
   if t.closed then raise Closed;

@@ -36,6 +36,8 @@ open struct
     | No_occurrence of { count : int; occurrences : int }
     | Trie_closed
     | Storage_error of { path : string; reason : string }
+
+  module Str_tbl = Hashtbl.Make (String)
 end
 
 module Make (I : Indexed_sequence.S) = struct
@@ -169,8 +171,14 @@ module Static = struct
   let select_prefix t ~prefix ~count =
     protect t (fun () -> M.select_prefix t ~prefix ~count)
 
-  let of_list l = Flat_wt.of_list (List.map encode l)
-  let of_array a = Flat_wt.of_array (Array.map encode a)
+  (* Deduplicate and sort the raw strings, then binarize only the
+     distinct ones: the encoding keeps byte order (a proper prefix sorts
+     first), so [String.compare] order is the keys' bit order. *)
+  let of_array a =
+    let keys, seq = Flat_wt.sorted_keys (module Str_tbl) ~compare:String.compare a in
+    Flat_wt.of_keys (Array.map encode keys) seq
+
+  let of_list l = of_array (Array.of_list l)
   let of_wavelet_trie = Flat_wt.of_wavelet_trie
 
   (* Storage front door: every failure mode lands in the shared error

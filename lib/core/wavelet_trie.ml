@@ -83,25 +83,6 @@ let of_list l = of_array (Array.of_list l)
 
 (* ------------------------------------------------------------------ *)
 
-(* Level-ordered serialization hook for the flat arena builder
-   ({!Flat_wt}): nodes in BFS order, a node's two children enqueued
-   consecutively (zero first), so the builder can assign contiguous
-   child indices with a running counter. *)
-let iter_bfs t f =
-  match t.root with
-  | None -> ()
-  | Some root ->
-      let q = Queue.create () in
-      Queue.add root q;
-      while not (Queue.is_empty q) do
-        match Queue.pop q with
-        | Leaf { label; count } -> f ~label ~bv:None ~count
-        | Node { label; bv; zero; one } ->
-            f ~label ~bv:(Some bv) ~count:(Rrr.length bv);
-            Queue.add zero q;
-            Queue.add one q
-      done
-
 module Node = struct
   type trie = t
   type nonrec node = node

@@ -35,16 +35,6 @@ val dump : t -> (string * string option) list
 val stats : t -> Stats.t
 (** Space accounting per Theorem 3.7. *)
 
-val iter_bfs :
-  t ->
-  (label:Wt_strings.Bitstring.t -> bv:Wt_bitvector.Rrr.t option -> count:int -> unit) ->
-  unit
-(** Visit every node in BFS (level) order — a node's two children are
-    enqueued consecutively, zero child first.  [bv] is [None] for
-    leaves; [count] is the subsequence length (β length for internal
-    nodes, occurrence count for leaves).  Serialization hook for the
-    flat arena builder ({!Flat_wt}). *)
-
 val pp : Format.formatter -> t -> unit
 (** Render the trie in the style of the paper's Figure 2 (labels α and
     bitvectors β per node; β truncated past 64 bits). *)

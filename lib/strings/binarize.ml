@@ -1,34 +1,65 @@
 module Bitbuf = Wt_bits.Bitbuf
 module Broadword = Wt_bits.Broadword
 
+(* Byte [c]'s 9-bit code as an LSB-first bit group: the [1] marker, then
+   the data bits MSB first (MSB first preserves byte order under
+   bit-lexicographic compare). *)
+let code = Array.init 256 (fun c -> 1 lor (Broadword.reverse_bits c 8 lsl 1))
+
+(* The inverse of the data bits: 8 stream bits back to the byte. *)
+let byte_of_bits = String.init 256 (fun v -> Char.chr (Broadword.reverse_bits v 8))
+
+let code_at s i = code.(Char.code (String.unsafe_get s i))
+
 let of_bytes s =
   let n = String.length s in
   let out = Bitbuf.create ~capacity_bits:((9 * n) + 1) () in
-  String.iter
-    (fun c ->
-      Bitbuf.add out true;
-      (* MSB first preserves byte order under bit-lexicographic compare *)
-      Bitbuf.add_bits out 8 (Broadword.reverse_bits (Char.code c) 8))
-    s;
+  let i = ref 0 in
+  (* six codes (54 bits) per append *)
+  while !i + 6 <= n do
+    let p = !i in
+    Bitbuf.add_bits out 54
+      (code_at s p
+      lor (code_at s (p + 1) lsl 9)
+      lor (code_at s (p + 2) lsl 18)
+      lor (code_at s (p + 3) lsl 27)
+      lor (code_at s (p + 4) lsl 36)
+      lor (code_at s (p + 5) lsl 45));
+    i := p + 6
+  done;
+  while !i < n do
+    Bitbuf.add_bits out 9 (code_at s !i);
+    incr i
+  done;
   Bitbuf.add out false;
-  Bitstring.of_bitbuf out
+  Bitstring.unsafe_of_bitbuf out
+
+(* Codes whose six markers (bits 0, 9, ..., 45 of a 54-bit read) are all
+   set decode without further checks. *)
+let markers6 = 1 lor (1 lsl 9) lor (1 lsl 18) lor (1 lsl 27) lor (1 lsl 36) lor (1 lsl 45)
 
 let to_bytes bs =
-  let buf = Buffer.create 16 in
   let n = Bitstring.length bs in
-  let rec go pos =
-    if pos >= n then invalid_arg "Binarize.to_bytes: missing terminator"
+  let out = Bytes.create (n / 9) in
+  let rec go pos k =
+    let w = if n - pos >= 54 then Bitstring.get_bits bs pos 54 else 0 in
+    if w land markers6 = markers6 then begin
+      for j = 0 to 5 do
+        Bytes.unsafe_set out (k + j) byte_of_bits.[(w lsr ((9 * j) + 1)) land 0xff]
+      done;
+      go (pos + 54) (k + 6)
+    end
+    else if pos >= n then invalid_arg "Binarize.to_bytes: missing terminator"
     else if not (Bitstring.get bs pos) then
-      if pos + 1 = n then Buffer.contents buf
+      if pos + 1 = n then Bytes.sub_string out 0 k
       else invalid_arg "Binarize.to_bytes: trailing bits"
     else if pos + 9 > n then invalid_arg "Binarize.to_bytes: truncated byte"
     else begin
-      let v = Bitstring.get_bits bs (pos + 1) 8 in
-      Buffer.add_char buf (Char.chr (Broadword.reverse_bits v 8));
-      go (pos + 9)
+      Bytes.unsafe_set out k byte_of_bits.[Bitstring.get_bits bs (pos + 1) 8];
+      go (pos + 9) (k + 1)
     end
   in
-  go 0
+  go 0 0
 
 let of_int_msb ~width v =
   if width < 1 || width > 62 then invalid_arg "Binarize.of_int_msb: bad width";

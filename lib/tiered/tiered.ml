@@ -19,8 +19,11 @@
       windows merged by decoded string, and [query_batch] via a
       two-phase per-tier batch decomposition that reuses the batch
       engine and the domain pool on every tier.
-    - {b Compaction} seals the delta (the compactor takes ownership;
-      queries keep a frozen [Dynamic_wt.snapshot] of it as a tier),
+    - {b Compaction}: the writer seals the delta the moment it reaches
+      the threshold, waiting first for a compaction still running (at
+      most one sealed delta, so every run holds exactly [threshold]
+      strings).  The compactor takes ownership of the sealed delta
+      (queries keep a frozen [Dynamic_wt.snapshot] of it as a tier),
       builds a [Flat_wt] arena off the owner's critical path — on a
       background domain or, for the synchronous [compact], optionally
       through a [Wt_par.Pool] — and commits with a strict ordering:
@@ -770,40 +773,37 @@ let seal t =
         Some d
       end)
 
-let do_compact ?pool t =
-  match seal t with
-  | None -> ()
-  | Some sealed -> (
-      let n = Dynamic_wt.length sealed in
-      try
-        Trace.with_span ~args:[ ("strings", n) ] "tiered.compact" (fun () ->
-            Probe.time Tiered_compact (fun () ->
-                let build () = Flat_wt.of_array (Dynamic_wt.to_array sealed) in
-                let flat =
-                  match pool with
-                  | None -> build ()
-                  | Some p ->
-                      let r = ref None in
-                      Pool.run p [| (fun () -> r := Some (build ())) |];
-                      Option.get !r
-                in
-                commit t flat))
-      with e ->
-        (* Disk may sit in any commit window; in-memory reads stay
-           correct (the sealed tier is still a view tier and its
-           records are still in some on-disk WAL or run).  Poison the
-           writer — recovery is a reopen. *)
-        with_lock t (fun () -> if t.compact_exn = None then t.compact_exn <- Some e);
-        raise e)
+let compact_sealed ?pool t sealed =
+  let n = Dynamic_wt.length sealed in
+  try
+    Trace.with_span ~args:[ ("strings", n) ] "tiered.compact" (fun () ->
+        Probe.time Tiered_compact (fun () ->
+            let build () = Flat_wt.of_array (Dynamic_wt.to_array sealed) in
+            let flat =
+              match pool with
+              | None -> build ()
+              | Some p ->
+                  let r = ref None in
+                  Pool.run p [| (fun () -> r := Some (build ())) |];
+                  Option.get !r
+            in
+            commit t flat))
+  with e ->
+    (* Disk may sit in any commit window; in-memory reads stay
+       correct (the sealed tier is still a view tier and its
+       records are still in some on-disk WAL or run).  Poison the
+       writer — recovery is a reopen. *)
+    with_lock t (fun () -> if t.compact_exn = None then t.compact_exn <- Some e);
+    raise e
 
-let spawn_compactor t =
+let spawn_compactor t sealed =
   t.compacting <- true;
   t.compactor <-
     Some
       (Domain.spawn (fun () ->
            Fun.protect
              ~finally:(fun () -> with_lock t (fun () -> t.compacting <- false))
-             (fun () -> try do_compact t with _ -> ())))
+             (fun () -> try compact_sealed t sealed with _ -> ())))
 
 (* Reap a finished background compactor (joins instantly when
    [compacting] is false). *)
@@ -819,19 +819,23 @@ let wait_compaction t =
   (match t.compactor with Some d -> Domain.join d | None -> ());
   t.compactor <- None
 
+(* The writer seals the delta the moment it reaches [threshold], so
+   every run holds exactly [threshold] strings (bar a larger delta
+   recovered from the WAL).  At most one sealed delta exists: if the
+   previous compaction is still running, the writer waits for it
+   first. *)
 let maybe_compact t =
   reap t;
-  if
-    (not t.compacting)
-    && t.compact_exn = None
-    && Dynamic_wt.length t.delta >= t.threshold
-  then spawn_compactor t
+  if t.compact_exn = None && Dynamic_wt.length t.delta >= t.threshold then begin
+    wait_compaction t;
+    if t.compact_exn = None then Option.iter (spawn_compactor t) (seal t)
+  end
 
 let compact ?pool t =
   wait_compaction t;
   (match t.compact_exn with Some e -> raise e | None -> ());
   if t.closed || t.read_only then failwith "tiered store is closed or read-only";
-  do_compact ?pool t
+  Option.iter (compact_sealed ?pool t) (seal t)
 
 (* ------------------------------------------------------------------ *)
 (* Ingest *)

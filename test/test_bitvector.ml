@@ -172,6 +172,42 @@ let test_rrr_patterns () =
         (patterns rng n))
     [ 0; 1; 61; 62; 63; 991; 992; 993; 3000 ]
 
+(* The flat blob encoded straight from 62-bit blocks, opened at an
+   unaligned offset inside a larger stream, answers like the model —
+   one superblock (no directory) and several (with one). *)
+let test_rrr_flat_blocks () =
+  let rng = Xoshiro.create 404 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (pname, bits) ->
+          let model = Model.of_array bits in
+          let blocks = Array.make ((n / Rrr.block_bits) + 1) 0 in
+          Array.iteri
+            (fun i b ->
+              if b then
+                blocks.(i / Rrr.block_bits) <-
+                  blocks.(i / Rrr.block_bits) lor (1 lsl (i mod Rrr.block_bits)))
+            bits;
+          let stream = Bitbuf.create () in
+          Bitbuf.add_bits stream 5 0b10110;
+          Rrr.Flat.append_blocks stream blocks ~len:n;
+          let blob_bits = Bitbuf.length stream - 5 in
+          Bitbuf.add_bits stream 7 0b1111111;
+          let out = Buffer.create 64 in
+          Bitbuf.add_to_buffer out stream;
+          let mb = Wt_bits.Membuf.of_string (Buffer.contents out) in
+          let bv = Rrr.Flat.of_membuf mb 5 ~len:n in
+          check_int "blob length" blob_bits (Rrr.Flat.space_bits bv);
+          agree
+            ~name:(Printf.sprintf "rrr-flat/%s/%d" pname n)
+            ~access:(Rrr.Flat.access bv) ~rank:(Rrr.Flat.rank bv) ~select:(Rrr.Flat.select bv)
+            ~length:(fun () -> Rrr.Flat.length bv)
+            ~rng model;
+          check_int "ones" (Model.count model true) (Rrr.Flat.ones bv))
+        (patterns rng n))
+    [ 0; 1; 61; 62; 63; 991; 992; 993; 3000 ]
+
 let test_rrr_compression () =
   (* A sparse bitvector must compress far below its plain length. *)
   let n = 100_000 in
@@ -554,6 +590,7 @@ let () =
       ( "rrr",
         [
           Alcotest.test_case "patterns vs model" `Quick test_rrr_patterns;
+          Alcotest.test_case "flat blob from blocks" `Quick test_rrr_flat_blocks;
           Alcotest.test_case "compression" `Quick test_rrr_compression;
           Alcotest.test_case "iterator" `Quick test_rrr_iterator;
         ] );

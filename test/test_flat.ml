@@ -385,6 +385,60 @@ let test_storage_errors () =
           | Ok _ -> Alcotest.fail "opened garbage")
         [ `Copy; `Mmap ])
 
+(* ------------------------------------------------------------------ *)
+(* The direct builder: every front door writes the arena the pointer
+   trie describes, byte for byte. *)
+
+let arena (t : Flat_wt.t) = Wt_bits.Membuf.to_string t.Flat_wt.mb
+
+(* Representation-independent terms of Stats: β and total bits differ
+   between the pointer trie and the arena by design. *)
+let bound_terms (s : Wt_core.Stats.t) =
+  (s.n, s.distinct, s.avg_height, s.seq_h0_bits, s.trie_lb_bits, s.label_bits)
+
+let prop_direct_build a =
+  let enc = Array.map Wt_core.String_api.encode a in
+  let pwt = Wavelet_trie.of_array enc in
+  let direct = Wtrie.Static.of_array a in
+  Flat_wt.check_invariants direct;
+  Flat_wt.dump direct = Wavelet_trie.dump pwt
+  && bound_terms (Flat_wt.stats direct) = bound_terms (Wavelet_trie.stats pwt)
+  && arena direct = arena (Flat_wt.of_array enc)
+  && arena direct = arena (Flat_wt.of_wavelet_trie pwt)
+
+(* Byte strings built from atoms with NUL and 0xFF bytes and the empty
+   string, so shared prefixes and proper prefixes are common; arrays of
+   length 0 and 1, all-equal arrays and duplicate-heavy ones. *)
+let byte_arrays =
+  let open QCheck.Gen in
+  let atom = oneofl [ ""; "\x00"; "\xff"; "a"; "ab"; "a\x00"; "a\xff"; "\xff\xff"; "b" ] in
+  let str = map (String.concat "") (list_size (int_range 0 3) atom) in
+  let raw = string_size ~gen:(oneofl [ '\x00'; '\xff'; 'a'; 'b' ]) (int_range 0 12) in
+  let s = oneof [ str; raw ] in
+  oneof
+    [
+      array_size (int_range 0 1) s;
+      map2 (fun x n -> Array.make n x) s (int_range 1 40);
+      array_size (int_range 2 120) s;
+    ]
+
+let qcheck_direct_build =
+  let print a = String.concat "; " (Array.to_list (Array.map String.escaped a)) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"static build = pointer trie = bitstring = pointer input"
+       ~count:300 (QCheck.make ~print byte_arrays) prop_direct_build)
+
+(* The bitstring front door checks prefix-freeness on adjacent sorted
+   keys, as the pointer builder does. *)
+let test_not_prefix_free () =
+  List.iter
+    (fun strings ->
+      let arr = Array.of_list (List.map bs strings) in
+      let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+      check_bool "pointer rejects" true (raises (fun () -> ignore (Wavelet_trie.of_array arr)));
+      check_bool "flat rejects" true (raises (fun () -> ignore (Flat_wt.of_array arr))))
+    [ [ "01"; "011" ]; [ "1"; "0"; "0"; "01" ]; [ ""; "1" ]; [ "0"; "10"; "11"; "110" ] ]
+
 let () =
   Alcotest.run "wt_flat"
     [
@@ -398,6 +452,11 @@ let () =
           Alcotest.test_case "pointer = flat = copy = mmap" `Quick test_equivalence;
           Alcotest.test_case "multi-superblock β, multi-block directory" `Quick
             test_multi_block;
+        ] );
+      ( "build",
+        [
+          qcheck_direct_build;
+          Alcotest.test_case "bitstring input not prefix-free" `Quick test_not_prefix_free;
         ] );
       ("space", [ Alcotest.test_case "directory within 32 bits per node" `Quick test_space_bound ]);
       ( "storage",

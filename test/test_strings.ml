@@ -148,6 +148,43 @@ let test_bytes_malformed () =
   Alcotest.check_raises "trailing" (Invalid_argument "Binarize.to_bytes: trailing bits")
     (fun () -> ignore (Binarize.to_bytes (bs "011")))
 
+(* The table-driven codec against a bit-at-a-time reference encoder:
+   every byte value, at every length from 0 to 64 (so both the six-code
+   fast paths and their tails), plus malformed inputs long enough to
+   reach the fast path before failing. *)
+let reference_encode s =
+  let out = Bitbuf.create () in
+  String.iter
+    (fun c ->
+      Bitbuf.add out true;
+      for k = 7 downto 0 do
+        Bitbuf.add out ((Char.code c lsr k) land 1 = 1)
+      done)
+    s;
+  Bitbuf.add out false;
+  Bitstring.of_bitbuf out
+
+let test_bytes_reference () =
+  for v = 0 to 255 do
+    for len = 0 to 64 do
+      let s = String.init len (fun i -> Char.chr ((v + (i * 37)) land 255)) in
+      let enc = Binarize.of_bytes s in
+      if not (Bitstring.equal enc (reference_encode s)) then
+        Alcotest.failf "of_bytes differs from the reference on %S" s;
+      if Binarize.to_bytes (reference_encode s) <> s then
+        Alcotest.failf "to_bytes does not invert the reference on %S" s
+    done
+  done;
+  let long = reference_encode (String.make 20 '\xff') in
+  let n = Bitstring.length long in
+  Alcotest.check_raises "missing terminator"
+    (Invalid_argument "Binarize.to_bytes: missing terminator") (fun () ->
+      ignore (Binarize.to_bytes (Bitstring.prefix long (n - 1))));
+  Alcotest.check_raises "truncated byte" (Invalid_argument "Binarize.to_bytes: truncated byte")
+    (fun () -> ignore (Binarize.to_bytes (Bitstring.prefix long (n - 5))));
+  Alcotest.check_raises "trailing bits" (Invalid_argument "Binarize.to_bytes: trailing bits")
+    (fun () -> ignore (Binarize.to_bytes (Bitstring.append long long)))
+
 let test_int_codecs () =
   check_string "msb 5 w4" "0101" (Bitstring.to_string (Binarize.of_int_msb ~width:4 5));
   check_string "lsb 5 w4" "1010" (Bitstring.to_string (Binarize.of_int_lsb ~width:4 5));
@@ -212,6 +249,7 @@ let () =
           Alcotest.test_case "prefix-free" `Quick test_bytes_prefix_free;
           Alcotest.test_case "order-preserving" `Quick test_bytes_order_preserving;
           Alcotest.test_case "malformed input" `Quick test_bytes_malformed;
+          Alcotest.test_case "matches the bitwise reference" `Quick test_bytes_reference;
           Alcotest.test_case "int codecs" `Quick test_int_codecs;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);

@@ -324,6 +324,34 @@ let test_concurrent_readers () =
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
+(* Seal sizes do not depend on the compactor's timing: the writer seals
+   the delta the moment it reaches the threshold, waiting for a running
+   compaction first, so k thresholds of one-at-a-time ingests leave
+   exactly k runs of [threshold] strings and an empty delta. *)
+
+let test_run_sizes () =
+  let dir = fresh_dir (Printf.sprintf "sizes_%d" (Unix.getpid ())) in
+  let threshold = 256 and k = 6 in
+  let t = T.create ~threshold dir in
+  for i = 0 to (k * threshold) - 1 do
+    T.ingest t (Printf.sprintf "host%d.example/%d" (i mod 7) (i mod 101))
+  done;
+  T.wait_compaction t;
+  check_int "runs" k (T.run_count t);
+  check_int "delta empty" 0 (T.delta_length t);
+  let v = T.current_view t in
+  Array.iteri
+    (fun i tier ->
+      match tier with
+      | T.View.Run f ->
+          check_int (Printf.sprintf "run %d size" i) threshold (Wt_core.Flat_wt.length f)
+      | T.View.Dyn d -> check_int "delta tier empty" 0 (Wt_core.Dynamic_wt.length d))
+    v.T.View.tiers;
+  check_int "all ingests present" (k * threshold) (T.length t);
+  T.close t;
+  rm_rf dir
+
+(* ------------------------------------------------------------------ *)
 (* Store lifecycle edges *)
 
 let test_edges () =
@@ -373,5 +401,7 @@ let () =
       ("differential", [ qcheck ]);
       ( "concurrency",
         [ Alcotest.test_case "snapshot readers during compaction" `Quick test_concurrent_readers ] );
+      ( "compaction",
+        [ Alcotest.test_case "runs hold exactly threshold strings" `Quick test_run_sizes ] );
       ("edges", [ Alcotest.test_case "lifecycle edges" `Quick test_edges ]);
     ]
