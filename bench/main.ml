@@ -75,6 +75,12 @@ let time_batch f =
   f ();
   now () -. t0
 
+(* Words allocated so far on this domain, minor and major, each counted
+   once.  Allocation does not depend on the machine's speed or load. *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
 (* ------------------------------------------------------------------ *)
 (* Shared workloads *)
 
@@ -862,8 +868,9 @@ let serve_block () =
 (* Tiered store: sustained WAL-backed ingest against an in-memory
    dynamic append of the same volume (compaction keeps the delta
    bounded, so the per-string cost stays flat where the monolithic
-   dynamic trie's grows with n), and merged-read p99 against the pure
-   flat arena the runs are built from (the price of the k-way view). *)
+   dynamic trie's grows with n), the words one ingest allocates, and
+   merged-read p99 against the pure flat arena the runs are built from
+   (the price of the k-way view). *)
 
 let tiered_block () =
   let n = 16384 in
@@ -881,6 +888,19 @@ let tiered_block () =
   in
   let runs = T.run_count t and generation = T.generation t in
   let delta = T.delta_length t in
+  (* a threshold above the block's strings never starts a compactor
+     domain, so the count repeats exactly *)
+  let ingest_words =
+    let dir = dir ^ "_alloc" in
+    rm_store dir;
+    let t = T.create ~threshold:(n + 1) dir in
+    let w0 = allocated_words () in
+    Array.iter (T.ingest t) strings;
+    let words = allocated_words () -. w0 in
+    T.close t;
+    rm_store dir;
+    words /. float_of_int n
+  in
   let dyn = Wtrie.Dynamic.create () in
   let dt_dyn = time_batch (fun () -> Array.iter (Wtrie.Dynamic.append dyn) strings) in
   (* read-side p99 over scalar access: merged run+delta view vs the
@@ -917,6 +937,7 @@ let tiered_block () =
       ("ingest_strings_per_s", Wt_obs.Json.Float (per_s dt_ingest));
       ("dynamic_strings_per_s", Wt_obs.Json.Float (per_s dt_dyn));
       ("ingest_speedup_vs_dynamic", Wt_obs.Json.Float (dt_dyn /. dt_ingest));
+      ("ingest_words_per_string", Wt_obs.Json.Float ingest_words);
       ("read_p99_us", Wt_obs.Json.Float tiered_p99);
       ("static_read_p99_us", Wt_obs.Json.Float static_p99);
       ("read_p99_ratio_vs_static", Wt_obs.Json.Float (tiered_p99 /. static_p99));
@@ -1030,13 +1051,9 @@ let flat_block () =
   let n = 131072 in
   let g = Urls.create ~seed:42 () in
   let strings = Urls.raw_sequence g n in
-  let allocated () =
-    let minor, promoted, major = Gc.counters () in
-    minor +. major -. promoted
-  in
-  let w0 = allocated () in
+  let w0 = allocated_words () in
   let fwt = Wtrie.Static.of_array strings in
-  let build_words = allocated () -. w0 in
+  let build_words = allocated_words () -. w0 in
   let build =
     List.fold_left min infinity
       (List.init 3 (fun _ -> time_batch (fun () -> ignore (Wtrie.Static.of_array strings))))

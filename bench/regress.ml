@@ -23,11 +23,12 @@
      fixed n), so this gate is exact and fails even under --soft: a
      layout change must come with a regenerated baseline.
 
-   - Build allocation: the words one static build allocates per string
-     ([flat.build_words_per_string]) may not exceed the baseline by
-     more than 10%.  Allocation does not depend on the runner's speed
-     or load (repeat runs agree to 0.01%), so this gate also fails
-     under --soft.
+   - Allocation: the words one static build allocates per string
+     ([flat.build_words_per_string]) and the words one tiered ingest
+     allocates ([tiered.ingest_words_per_string]) may not exceed the
+     baseline by more than 10%.  Allocation does not depend on the
+     runner's speed or load (repeat runs agree to 0.01%), so this gate
+     also fails under --soft.
 
    Exit 0 when clean, 1 on any regression; --soft reports timing
    regressions but does not fail on them (for CI runners whose core
@@ -199,18 +200,19 @@ let space_exact base cur =
           fail "%s missing from one side" name)
     [ "ratio_to_lb"; "overhead_bits" ]
 
-let build_alloc base cur =
-  let path = "flat.build_words_per_string" in
-  match (number base path, number cur path) with
-  | Some b, Some c when c <= b *. 1.10 ->
-      Printf.printf "ok    %-45s %12.1f -> %12.1f  (<= +10%%)\n" path b c
-  | Some b, Some c ->
-      incr hard_failures;
-      fail "%-45s %12.1f -> %12.1f  (build allocates more than 10%% over the baseline)" path b
-        c
-  | _ ->
-      incr hard_failures;
-      fail "%s missing from one side" path
+let alloc_gate base cur =
+  List.iter
+    (fun path ->
+      match (number base path, number cur path) with
+      | Some b, Some c when c <= b *. 1.10 ->
+          Printf.printf "ok    %-45s %12.1f -> %12.1f  (<= +10%%)\n" path b c
+      | Some b, Some c ->
+          incr hard_failures;
+          fail "%-45s %12.1f -> %12.1f  (allocates more than 10%% over the baseline)" path b c
+      | _ ->
+          incr hard_failures;
+          fail "%s missing from one side" path)
+    [ "flat.build_words_per_string"; "tiered.ingest_words_per_string" ]
 
 let throughput ~threshold base cur =
   List.iter
@@ -258,7 +260,7 @@ let () =
         (if !soft then ", soft" else "");
       structural base cur;
       space_exact base cur;
-      build_alloc base cur;
+      alloc_gate base cur;
       throughput ~threshold:!threshold base cur;
       absolute ~threshold:!threshold cur;
       if !failures = 0 then print_endline "regress: clean"

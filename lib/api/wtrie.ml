@@ -116,7 +116,7 @@ module Dynamic : DYNAMIC_API with type t = Wt_core.Dynamic_wt.t = struct
 end
 
 (** The write-optimized tiered store ([lib/tiered]): ingests land in a
-    small {!Dynamic}-style delta backed by a WAL, reads go through a
+    small {!Append}-style delta backed by a WAL, reads go through a
     merged view over [immutable runs…; delta], and a background domain
     compacts the delta into flat-arena run files, publishing each new
     tier list through {!Snapshot} epochs.  The store satisfies the
@@ -176,7 +176,10 @@ module Storage = struct
     | _ -> (
         match Wt_core.Persist.tag_of_file path with
         | Some "static" ->
-            Static (Wt_core.Flat_wt.of_wavelet_trie (Wt_core.Persist.load_static path))
+            Static
+              (Wt_core.Flat_wt.of_trie
+                 (module Wt_core.Wavelet_trie.Node)
+                 (Wt_core.Persist.load_static path))
         | Some "append" -> Append (Wt_core.Persist.load_append path)
         | Some "dynamic" -> Dynamic (Wt_core.Persist.load_dynamic path)
         | Some t -> raise (Format_error (Printf.sprintf "unknown index variant %S" t))
@@ -234,8 +237,8 @@ module Storage = struct
     let flat =
       match loaded with
       | Static t -> t
-      | Append t -> Wt_core.Flat_wt.of_array (Wt_core.Append_wt.to_array t)
-      | Dynamic t -> Wt_core.Flat_wt.of_array (Wt_core.Dynamic_wt.to_array t)
+      | Append t -> Wt_core.Flat_wt.of_trie (module Wt_core.Append_wt.Node) t
+      | Dynamic t -> Wt_core.Flat_wt.of_trie (module Wt_core.Dynamic_wt.Node) t
     in
     Static.save_file_exn flat dst;
     (variant_name loaded, length loaded)

@@ -160,6 +160,22 @@ let append t b =
   advance_pending t;
   if tl + 1 = seg_bits then retire_tail t
 
+(* A frozen copy for readers on other domains.  Frozen segments never
+   change, and neither do the pending segment's raw bits and directory
+   (its builder only reads them), so both are shared.  [append] still
+   writes the tail, its directory and the segment arrays, so those are
+   copied: O(nsegs + seg_bits / 64).  Reads of the copy never write; the
+   copy shares the pending builder, so appending to it is correct only
+   on the original's domain. *)
+let snapshot t =
+  {
+    t with
+    segments = Array.sub t.segments 0 t.nsegs;
+    cum_ones = Array.sub t.cum_ones 0 (t.nsegs + 1);
+    tail = Bitbuf.copy t.tail;
+    tail_cum = Array.copy t.tail_cum;
+  }
+
 let of_bitbuf buf =
   let t = create () in
   let n = Bitbuf.length buf in

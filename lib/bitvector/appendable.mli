@@ -32,6 +32,12 @@ val init : bool -> int -> t
 val of_bitbuf : Wt_bits.Bitbuf.t -> t
 (** Bulk construction (appends every bit; segments are frozen on the way). *)
 
+val snapshot : t -> t
+(** A copy that later appends to the original do not affect, safe to
+    read from another domain while the original keeps appending.  It
+    shares the frozen segments and the pending segment's raw bits and
+    copies the tail and the segment directory: O(segments + 4096/64). *)
+
 val zeros : t -> int
 val is_constant : t -> bool
 

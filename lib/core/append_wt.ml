@@ -66,6 +66,23 @@ let append t s =
       go root 0 t.n);
   t.n <- t.n + 1
 
+(* Frozen copy for snapshot-isolated readers: a split rewrites a node's
+   label and kind in place, so the node records are copied (O(#nodes));
+   each bitvector is an {!Appendable.snapshot}, which shares every
+   segment the writer no longer touches. *)
+let snapshot t =
+  let rec copy node =
+    {
+      label = node.label;
+      kind =
+        (match node.kind with
+        | Leaf { count } -> Leaf { count }
+        | Internal { bv; zero; one } ->
+            Internal { bv = Appendable.snapshot bv; zero = copy zero; one = copy one });
+    }
+  in
+  { root = Option.map copy t.root; n = t.n }
+
 (* Bulk construction by recursive partitioning, with the bitvectors
    streamed into Appendable segments — O(total bits). *)
 let of_array strings =

@@ -26,6 +26,11 @@ val append : t -> Wt_strings.Bitstring.t -> unit
 val of_array : Wt_strings.Bitstring.t array -> t
 val to_array : t -> Wt_strings.Bitstring.t array
 
+val snapshot : t -> t
+(** A frozen copy for readers on other domains: later appends to [t],
+    node splits included, do not affect it.  Copies the node records,
+    O(#nodes); each bitvector is an {!Wt_bitvector.Appendable.snapshot}. *)
+
 val bulk_append : t -> Wt_strings.Bitstring.t array -> unit
 (** [bulk_append t ss] appends the strings of [ss] in order, routing the
     whole batch through the trie in one traversal: each node's branch

@@ -476,43 +476,54 @@ let of_array strings =
 
 let of_list l = of_array (Array.of_list l)
 
-(* The pointer trie's leaves, read zero child first, are the sorted
-   keys; a node's ranks are its children's merged through its β. *)
-let of_wavelet_trie wt =
-  let module N = Wavelet_trie.Node in
-  let keys = ref [] and d = ref 0 in
-  let path = Bitbuf.create () in
-  let rec ranks node =
-    let depth = Bitbuf.length path in
-    Bitstring.append_to_bitbuf (N.label node) path;
-    let r =
-      if N.is_leaf node then begin
-        keys := Bitstring.of_bitbuf path :: !keys;
-        incr d;
-        Array.make (N.count node) (!d - 1)
-      end
-      else begin
-        let stop = Bitbuf.length path in
-        let child b =
-          Bitbuf.add path b;
-          let r = ranks (N.child node b) in
-          Bitbuf.truncate path stop;
-          r
-        in
-        let zero = child false in
-        let one = child true in
-        let next = N.iter_bits node 0 and z = ref 0 and o = ref 0 in
-        Array.init (N.count node) (fun _ ->
-            if next () then (incr o; one.(!o - 1)) else (incr z; zero.(!z - 1)))
-      end
-    in
-    Bitbuf.truncate path depth;
-    r
-  in
-  match N.root wt with
+(* Any trie through its node view, with no string decoded.  The leaves,
+   read zero child first, are the sorted keys.  The sequence is handed
+   down the trie: a node holds the root positions of its occurrences, in
+   order, as one range of a position array; its β splits the range
+   stably between its children, zeros first, and a leaf writes its key's
+   rank at its positions.  A node's range lives in one of two arrays by
+   depth parity and its children's in the other, so the walk allocates
+   three arrays of n and nothing per node. *)
+let of_trie (type a) (module N : Node_view.S with type trie = a) (trie : a) =
+  match N.root trie with
   | None -> of_keys [||] [||]
   | Some root ->
-      let seq = ranks root in
+      let n = N.count root in
+      let seq = Array.make n 0 in
+      let even = Array.init n Fun.id and odd = Array.make n 0 in
+      let keys = ref [] and d = ref 0 in
+      let path = Bitbuf.create () in
+      let rec go node depth lo =
+        let here = Bitbuf.length path in
+        Bitstring.append_to_bitbuf (N.label node) path;
+        let src, dst = if depth land 1 = 0 then (even, odd) else (odd, even) in
+        let hi = lo + N.count node in
+        if N.is_leaf node then begin
+          keys := Bitstring.of_bitbuf path :: !keys;
+          for k = lo to hi - 1 do
+            seq.(src.(k)) <- !d
+          done;
+          incr d
+        end
+        else begin
+          let zero = N.child node false in
+          let mid = lo + N.count zero in
+          let next = N.iter_bits node 0 and w0 = ref lo and w1 = ref mid in
+          for k = lo to hi - 1 do
+            let w = if next () then w1 else w0 in
+            dst.(!w) <- src.(k);
+            incr w
+          done;
+          let stop = Bitbuf.length path in
+          Bitbuf.add path false;
+          go zero (depth + 1) lo;
+          Bitbuf.truncate path stop;
+          Bitbuf.add path true;
+          go (N.child node true) (depth + 1) mid
+        end;
+        Bitbuf.truncate path here
+      in
+      go root 0 0;
       of_keys (Array.of_list (List.rev !keys)) seq
 
 let save_file t path =

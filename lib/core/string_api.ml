@@ -179,7 +179,6 @@ module Static = struct
     Flat_wt.of_keys (Array.map encode keys) seq
 
   let of_list l = of_array (Array.of_list l)
-  let of_wavelet_trie = Flat_wt.of_wavelet_trie
 
   (* Storage front door: every failure mode lands in the shared error
      variant — [Format_error] and I/O problems as [Storage_error],

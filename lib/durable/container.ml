@@ -63,8 +63,9 @@ let fsync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> ()
   | fd ->
-      Fault.fsync fd;
-      (try Unix.close fd with Unix.Unix_error _ -> ())
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () -> Fault.fsync fd)
 
 let cleanup_tmp dir =
   match Sys.readdir dir with

@@ -267,9 +267,11 @@ let close t =
   | None -> ()
   | Some oc ->
       t.wal_oc <- None;
-      flush oc;
-      Fault.fsync (Unix.descr_of_out_channel oc);
-      close_out oc
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          flush oc;
+          Fault.fsync (Unix.descr_of_out_channel oc))
 
 (* ------------------------------------------------------------------ *)
 (* Mutation through the log *)

@@ -23,8 +23,15 @@ let set_crash_hook f = crash_hook := f
 (* [None] = disarmed; [Some b] = b more bytes may reach disk. *)
 let budget = ref None
 
+(* [Some e]: the next {!fsync} fails with errno [e]. *)
+let fsync_error : Unix.error option ref = ref None
+
 let arm_crash_after_bytes n = budget := Some (max 0 n)
-let disarm () = budget := None
+
+let disarm () =
+  budget := None;
+  fsync_error := None
+
 let armed () = !budget <> None
 
 let arm_from_env () =
@@ -57,5 +64,15 @@ let output oc s pos len =
 
 let output_string oc s = output oc s 0 (String.length s)
 
-(* fsync is advisory on exotic filesystems; never fail a save over it. *)
-let fsync fd = try Unix.fsync fd with Unix.Unix_error _ -> ()
+(* A failed fsync is reported, never swallowed: after one, the kernel
+   may already have dropped the dirty pages, so the caller must not
+   acknowledge what it wrote (Rebello et al., ATC 2020).  Tests make the
+   next fsync fail with a chosen errno. *)
+let fail_next_fsync e = fsync_error := Some e
+
+let fsync fd =
+  match !fsync_error with
+  | Some e ->
+      fsync_error := None;
+      raise (Unix.Unix_error (e, "fsync", "injected"))
+  | None -> Unix.fsync fd

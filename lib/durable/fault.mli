@@ -15,6 +15,8 @@ val arm_crash_after_bytes : int -> unit
 (** Allow this many more durable bytes, then crash. *)
 
 val disarm : unit -> unit
+(** Clear the byte budget and any pending {!fail_next_fsync}. *)
+
 val armed : unit -> bool
 
 val arm_from_env : unit -> unit
@@ -34,4 +36,9 @@ val output : out_channel -> string -> int -> int -> unit
 val output_string : out_channel -> string -> unit
 
 val fsync : Unix.file_descr -> unit
-(** [Unix.fsync] that ignores filesystem refusals. *)
+(** [Unix.fsync]; raises [Unix.Unix_error] when it fails, since the
+    data it was to make durable may already be lost. *)
+
+val fail_next_fsync : Unix.error -> unit
+(** Test hook: the next {!fsync} raises [Unix.Unix_error] with this
+    errno instead of syncing.  Cleared by {!disarm}. *)

@@ -1,17 +1,19 @@
-(** Write-optimized tiered store: a small fully-dynamic delta absorbing
+(** Write-optimized tiered store: a small append-only delta absorbing
     ingests, immutable flat-arena runs absorbing compactions, and a
     merged read view over both.
 
-    The paper's fully-dynamic trie pays O(|s| + h_s log n) per update
-    with n the whole sequence; the LSM-style arrangement here keeps the
-    mutable structure small (n = delta size, bounded by the compaction
-    threshold) and amortizes the rest into static runs that answer
-    reads at flat-arena speed.  The moving parts:
+    The store only ever appends, so the delta is the paper's §4.1
+    append-only trie ([Append_wt]): O(|s| + h_s) per ingest, worst
+    case, with a new string splitting one node in O(1) through
+    [Init]'s left offset.  Static runs answer the older history at
+    flat-arena speed — the shape of Navarro–Nekrich's dynamic
+    sequences, static parts plus a small buffer rebuilt
+    periodically.  The moving parts:
 
-    - {b Ingest} appends the raw byte string to the WAL (the ack
-      point), then to the in-memory [Dynamic_wt] delta.  The WAL is
-      the delta's replay source — there is no separate delta snapshot
-      file.
+    - {b Ingest} appends the raw byte string to the WAL, then to the
+      in-memory [Append_wt] delta; {!flush} (the fsync) is the ack
+      point.  The WAL is the delta's replay source — there is no
+      separate delta snapshot file.
     - {b Reads} go through a {!View}: the tier list
       [runs…; sealed?; delta] with prefix-sum offsets.  The view
       implements the whole query surface — scalar access/rank/select
@@ -22,18 +24,31 @@
     - {b Compaction}: the writer seals the delta the moment it reaches
       the threshold, waiting first for a compaction still running (at
       most one sealed delta, so every run holds exactly [threshold]
-      strings).  The compactor takes ownership of the sealed delta
-      (queries keep a frozen [Dynamic_wt.snapshot] of it as a tier),
-      builds a [Flat_wt] arena off the owner's critical path — on a
-      background domain or, for the synchronous [compact], optionally
-      through a [Wt_par.Pool] — and commits with a strict ordering:
+      strings).  Nothing appends to a sealed trie again, so the
+      compactor and every query share it as it is, with no copy; it
+      stays a view tier until the commit.  The compactor builds the
+      run from the trie's keys ([Flat_wt.of_trie]: the leaves, zero
+      child first, are the sorted keys, and each β hands its node's
+      positions down to its children — no string is decoded) off the
+      owner's critical path — on a background domain or, for the
+      synchronous [compact], optionally through a [Wt_par.Pool] — and
+      commits with a strict ordering:
       run file durable, WAL rotated to the next generation carrying
       only post-seal ingests, manifest swapped.  Each window of that
       ordering is recoverable (see {!open_}).
     - {b Publication}: every commit (and [publish]) installs a frozen
       view in a {!Wt_par.Snapshot}, so concurrent readers and the
       serving front-end never observe a torn tier list; a batch in
-      flight keeps the epoch's tiers alive until it completes.
+      flight keeps the epoch's tiers alive until it completes.  The
+      live delta goes in as an [Append_wt.snapshot], O(delta nodes):
+      node records are copied, since a split rewrites a node in place;
+      each bitvector shares its frozen RRR segments and its pending
+      segment's raw bits, which nothing writes any more, and copies
+      its tail and segment directory, which [append] still writes.
+    - {b Failures}: a failed compaction or a failed WAL flush or fsync
+      poisons the writer — every later [ingest], [flush] or [compact]
+      re-raises the error, reads keep working, and a reopen recovers
+      what the disk holds.  A failed fsync is never an ack.
 
     On-disk layout (a store is a directory):
     - [manifest.wtx] — format-v2 container, tag ["tiered-manifest"],
@@ -60,7 +75,7 @@ module Bitstring = Wt_strings.Bitstring
 module Binarize = Wt_strings.Binarize
 module Iseq = Wt_core.Indexed_sequence
 module Flat_wt = Wt_core.Flat_wt
-module Dynamic_wt = Wt_core.Dynamic_wt
+module Append_wt = Wt_core.Append_wt
 module Stats = Wt_core.Stats
 module Container = Wt_durable.Container
 module Wal = Wt_durable.Wal
@@ -81,7 +96,7 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Container.Format_error m)) fmt
 (* Merged read view *)
 
 module View = struct
-  type tier = Run of Flat_wt.t | Dyn of Dynamic_wt.t
+  type tier = Run of Flat_wt.t | App of Append_wt.t
 
   type t = {
     tiers : tier array;
@@ -90,7 +105,7 @@ module View = struct
 
   let tier_length = function
     | Run f -> Flat_wt.length f
-    | Dyn d -> Dynamic_wt.length d
+    | App d -> Append_wt.length d
 
   let make tiers =
     let n = Array.length tiers in
@@ -118,48 +133,48 @@ module View = struct
 
   (* Per-tier scalar primitives. *)
   let t_access t p =
-    match t with Run f -> Flat_wt.access f p | Dyn d -> Dynamic_wt.access d p
+    match t with Run f -> Flat_wt.access f p | App d -> Append_wt.access d p
 
   let t_rank t s p =
-    match t with Run f -> Flat_wt.rank f s p | Dyn d -> Dynamic_wt.rank d s p
+    match t with Run f -> Flat_wt.rank f s p | App d -> Append_wt.rank d s p
 
   let t_rank_prefix t s p =
     match t with
     | Run f -> Flat_wt.rank_prefix f s p
-    | Dyn d -> Dynamic_wt.rank_prefix d s p
+    | App d -> Append_wt.rank_prefix d s p
 
   let t_select t s k =
-    match t with Run f -> Flat_wt.select f s k | Dyn d -> Dynamic_wt.select d s k
+    match t with Run f -> Flat_wt.select f s k | App d -> Append_wt.select d s k
 
   let t_select_prefix t s k =
     match t with
     | Run f -> Flat_wt.select_prefix f s k
-    | Dyn d -> Dynamic_wt.select_prefix d s k
+    | App d -> Append_wt.select_prefix d s k
 
   let t_space_bits = function
     | Run f -> Flat_wt.space_bits f
-    | Dyn d -> Dynamic_wt.space_bits d
+    | App d -> Append_wt.space_bits d
 
-  let t_stats = function Run f -> Flat_wt.stats f | Dyn d -> Dynamic_wt.stats d
+  let t_stats = function Run f -> Flat_wt.stats f | App d -> Append_wt.stats d
 
   (* Per-tier analytics at the bitstring level; windows pre-clipped. *)
   module AR = Wt_analytics.Analytics.Make (Flat_wt.Node)
-  module AD = Wt_analytics.Analytics.Make (Dynamic_wt.Node)
+  module AA = Wt_analytics.Analytics.Make (Append_wt.Node)
 
   let t_select_all ?prefix t ~lo ~hi =
     match t with
     | Run f -> AR.select_all ?prefix f ~lo ~hi
-    | Dyn d -> AD.select_all ?prefix d ~lo ~hi
+    | App d -> AA.select_all ?prefix d ~lo ~hi
 
   let t_range_count ?prefix t ~lo ~hi =
     match t with
     | Run f -> AR.range_count ?prefix f ~lo ~hi
-    | Dyn d -> AD.range_count ?prefix d ~lo ~hi
+    | App d -> AA.range_count ?prefix d ~lo ~hi
 
   let t_range_distinct ?prefix t ~lo ~hi =
     match t with
     | Run f -> AR.range_distinct ?prefix f ~lo ~hi
-    | Dyn d -> AD.range_distinct ?prefix d ~lo ~hi
+    | App d -> AA.range_distinct ?prefix d ~lo ~hi
 
   (* The global window [lo, hi) clipped to tier [i], in tier-local
      coordinates; [None] when they do not intersect. *)
@@ -304,7 +319,7 @@ module View = struct
      whole-tier count probe per [Select]-family op.  Phase B resolves
      each select in the single tier holding its residual index.  Both
      phases run each tier's sub-batch through {!Wt_par.Par_exec}, so
-     the pool parallelism of the flat and dynamic engines carries
+     the pool parallelism of the flat and append-only engines carries
      over unchanged; results are merged back in input order. *)
 
   type a_tag =
@@ -315,7 +330,7 @@ module View = struct
   let run_tier ?pool ?domains v j ops =
     match v.tiers.(j) with
     | Run f -> Wt_par.Par_exec.query_batch ?pool ?domains Wt_exec.Exec.Static.query_batch f ops
-    | Dyn d -> Wt_par.Par_exec.query_batch ?pool ?domains Wt_exec.Exec.Dynamic.query_batch d ops
+    | App d -> Wt_par.Par_exec.query_batch ?pool ?domains Wt_exec.Exec.Append.query_batch d ops
 
   let query_batch ?pool ?domains v (ops : Iseq.op array) :
       (Iseq.value, Iseq.error) result array =
@@ -511,15 +526,15 @@ type t = {
   mutable generation : int;
   mutable next_run : int;
   mutable runs : run list;  (** oldest first *)
-  mutable sealed : Dynamic_wt.t option;  (** compactor-owned *)
-  mutable sealed_q : Dynamic_wt.t option;  (** frozen copy queries read *)
-  mutable delta : Dynamic_wt.t;
+  mutable sealed : Append_wt.t option;  (** never written again: shared *)
+  mutable delta : Append_wt.t;
   mutable suffix : string list;  (** raw ingests since the seal, newest first *)
   mutable wal_oc : out_channel option;
   mutable wal_bytes : int;
   mutable compacting : bool;
   mutable compactor : unit Domain.t option;
-  mutable compact_exn : exn option;
+  mutable poison : exn option;
+      (** a failed compaction or WAL fsync: the writer refuses mutation *)
   mutable closed : bool;
   view : View.t Snapshot.t;
 }
@@ -540,22 +555,25 @@ let with_lock t f =
 let ensure_writable t =
   if t.closed then failwith "tiered store is closed";
   if t.read_only then failwith "tiered store opened read-only";
-  match t.compact_exn with
+  match t.poison with
   | Some e ->
       (* A failed compaction leaves disk state only recoverable by
-         reopen; refuse further mutation instead of compounding it. *)
+         reopen, and after a failed fsync the kernel may have dropped
+         the WAL's dirty pages; refuse further mutation instead of
+         compounding either. *)
       raise e
   | None -> ()
 
 (* Tier list under the lock.  [frozen] decides whether the live delta
    goes in as-is (owner-side queries: always fresh, single-threaded) or
-   as a [Dynamic_wt.snapshot] (publication: other domains must never
-   share cursor state with the mutating owner). *)
+   as an [Append_wt.snapshot] (publication: other domains must not read
+   node records and tails the owner keeps writing).  A sealed delta is
+   never written again, so it goes in as-is either way. *)
 let tiers_locked t ~frozen =
   let runs = List.map (fun r -> View.Run r.rflat) t.runs in
-  let sealed = match t.sealed_q with Some d -> [ View.Dyn d ] | None -> [] in
-  let delta = if frozen then Dynamic_wt.snapshot t.delta else t.delta in
-  Array.of_list (runs @ sealed @ [ View.Dyn delta ])
+  let sealed = match t.sealed with Some d -> [ View.App d ] | None -> [] in
+  let delta = if frozen then Append_wt.snapshot t.delta else t.delta in
+  Array.of_list (runs @ sealed @ [ View.App delta ])
 
 let publish_locked t =
   ignore (Snapshot.publish t.view (View.make (tiers_locked t ~frozen:true)))
@@ -626,14 +644,14 @@ let open_internal ~read_only ~verify ~threshold dir =
   let wal_reset =
     (not scan.s_header_ok) || scan.s_tag <> wal_tag || scan.s_generation <> generation
   in
-  let delta = Dynamic_wt.create () in
+  let delta = Append_wt.create () in
   let replayed, dropped =
     if wal_reset then (0, scan.s_dropped_bytes)
     else begin
       List.iter
         (fun op ->
           match op with
-          | Wal.Append s -> Dynamic_wt.append delta (Binarize.of_bytes s)
+          | Wal.Append s -> Append_wt.append delta (Binarize.of_bytes s)
           | Wal.Insert _ | Wal.Delete _ ->
               fail "%s: tiered WAL holds a non-append record" dir)
         scan.s_ops;
@@ -645,7 +663,7 @@ let open_internal ~read_only ~verify ~threshold dir =
     Flight.record ~a:replayed ~b:dropped Wal_replay
   end;
   if dropped > 0 then Probe.record Durable_wal_dropped_bytes dropped;
-  if verify then Dynamic_wt.check_invariants delta;
+  if verify then Append_wt.check_invariants delta;
   let wal_oc, wal_bytes =
     if read_only then (None, 0)
     else begin
@@ -657,7 +675,7 @@ let open_internal ~read_only ~verify ~threshold dir =
   in
   let tiers =
     Array.of_list
-      (List.map (fun r -> View.Run r.rflat) runs @ [ View.Dyn (Dynamic_wt.snapshot delta) ])
+      (List.map (fun r -> View.Run r.rflat) runs @ [ View.App (Append_wt.snapshot delta) ])
   in
   let t =
     {
@@ -669,14 +687,13 @@ let open_internal ~read_only ~verify ~threshold dir =
       next_run;
       runs;
       sealed = None;
-      sealed_q = None;
       delta;
       suffix = [];
       wal_oc;
       wal_bytes;
       compacting = false;
       compactor = None;
-      compact_exn = None;
+      poison = None;
       closed = false;
       view = Snapshot.create (View.make tiers);
     }
@@ -687,7 +704,7 @@ let open_internal ~read_only ~verify ~threshold dir =
      step stale, which is fine for telemetry. *)
   Export.register_gauge "tiered_compacting" (fun () -> if t.compacting then 1. else 0.);
   Export.register_gauge "tiered_delta_strings" (fun () ->
-      float_of_int (Dynamic_wt.length t.delta));
+      float_of_int (Append_wt.length t.delta));
   Export.register_gauge "tiered_run_count" (fun () -> float_of_int (List.length t.runs));
   let recovery =
     {
@@ -750,35 +767,33 @@ let commit t flat =
       t.generation <- g';
       t.next_run <- t.next_run + 1;
       t.sealed <- None;
-      t.sealed_q <- None;
       t.suffix <- [];
       Probe.hit Tiered_compact;
       Probe.duration Tiered_run_count (List.length t.runs);
       Flight.record ~a:g' Checkpoint;
       publish_locked t)
 
-(* Seal the delta (cheap, under the lock): the compactor owns it from
-   here; queries see a frozen snapshot of it as a tier until the
-   commit swaps in the run. *)
+(* Seal the delta (O(1), under the lock).  Nothing appends to it
+   again, so the compactor and every reader share it as it is: queries
+   see it as a tier until the commit swaps in the run. *)
 let seal t =
   with_lock t (fun () ->
-      if Dynamic_wt.length t.delta = 0 then None
+      if Append_wt.length t.delta = 0 then None
       else begin
         let d = t.delta in
         t.sealed <- Some d;
-        t.sealed_q <- Some (Dynamic_wt.snapshot d);
-        t.delta <- Dynamic_wt.create ();
+        t.delta <- Append_wt.create ();
         t.suffix <- [];
-        Probe.duration Tiered_delta_strings (Dynamic_wt.length d);
+        Probe.duration Tiered_delta_strings (Append_wt.length d);
         Some d
       end)
 
 let compact_sealed ?pool t sealed =
-  let n = Dynamic_wt.length sealed in
+  let n = Append_wt.length sealed in
   try
     Trace.with_span ~args:[ ("strings", n) ] "tiered.compact" (fun () ->
         Probe.time Tiered_compact (fun () ->
-            let build () = Flat_wt.of_array (Dynamic_wt.to_array sealed) in
+            let build () = Flat_wt.of_trie (module Append_wt.Node) sealed in
             let flat =
               match pool with
               | None -> build ()
@@ -793,7 +808,7 @@ let compact_sealed ?pool t sealed =
        correct (the sealed tier is still a view tier and its
        records are still in some on-disk WAL or run).  Poison the
        writer — recovery is a reopen. *)
-    with_lock t (fun () -> if t.compact_exn = None then t.compact_exn <- Some e);
+    with_lock t (fun () -> if t.poison = None then t.poison <- Some e);
     raise e
 
 let spawn_compactor t sealed =
@@ -826,14 +841,14 @@ let wait_compaction t =
    first. *)
 let maybe_compact t =
   reap t;
-  if t.compact_exn = None && Dynamic_wt.length t.delta >= t.threshold then begin
+  if t.poison = None && Append_wt.length t.delta >= t.threshold then begin
     wait_compaction t;
-    if t.compact_exn = None then Option.iter (spawn_compactor t) (seal t)
+    if t.poison = None then Option.iter (spawn_compactor t) (seal t)
   end
 
 let compact ?pool t =
   wait_compaction t;
-  (match t.compact_exn with Some e -> raise e | None -> ());
+  (match t.poison with Some e -> raise e | None -> ());
   if t.closed || t.read_only then failwith "tiered store is closed or read-only";
   Option.iter (compact_sealed ?pool t) (seal t)
 
@@ -852,7 +867,7 @@ let ingest t s =
       Probe.record Tiered_ingest_bytes (String.length s);
       Probe.hit Durable_wal_append;
       Flight.record ~a:bytes Wal_append;
-      Dynamic_wt.append t.delta (Binarize.of_bytes s);
+      Append_wt.append t.delta (Binarize.of_bytes s);
       if t.sealed <> None then t.suffix <- s :: t.suffix);
   maybe_compact t
 
@@ -860,15 +875,24 @@ let ingest_batch t ss =
   List.iter (ingest t) ss;
   publish t
 
+(* The group-commit ack.  A failed write-back or fsync acknowledges
+   nothing and poisons the writer: the kernel may already have dropped
+   the unsynced records, so later ingests and flushes re-raise the
+   error, while reads keep answering from memory.  Reopening recovers
+   what the WAL really holds. *)
 let flush t =
   with_lock t (fun () ->
       ensure_writable t;
       match t.wal_oc with
       | None -> ()
-      | Some oc ->
-          flush oc;
-          Fault.fsync (Unix.descr_of_out_channel oc);
-          Probe.hit Tiered_flush)
+      | Some oc -> (
+          try
+            flush oc;
+            Fault.fsync (Unix.descr_of_out_channel oc);
+            Probe.hit Tiered_flush
+          with e ->
+            t.poison <- Some e;
+            raise e))
 
 let close t =
   (try wait_compaction t with _ -> ());
@@ -890,7 +914,7 @@ let close t =
 let dir t = t.dir
 let generation t = t.generation
 let run_count t = List.length t.runs
-let delta_length t = Dynamic_wt.length t.delta
+let delta_length t = Append_wt.length t.delta
 let wal_bytes t = t.wal_bytes
 let is_compacting t = t.compacting
 

@@ -356,6 +356,48 @@ let test_appendable_iterator () =
   done;
   Array.iter (fun b -> check_bool "body bit" b (Appendable.Iter.next it)) bits
 
+(* A snapshot taken while frozen segments, a pending segment still under
+   construction and a tail are all live answers for its own length after
+   the original appends two more segments: every query path — scalar,
+   cursor and iterator — against the bits it saw. *)
+let test_appendable_snapshot () =
+  let rng = Xoshiro.create 407 in
+  List.iter
+    (fun (b0, off, len) ->
+      let name = Printf.sprintf "snapshot(%b,%d,%d)" b0 off len in
+      let body = Array.init (len + (2 * 4096) + 100) (fun _ -> Xoshiro.int rng 3 = 0) in
+      let bits = Array.append (Array.make off b0) body in
+      let bv = Appendable.init b0 off in
+      Array.iteri (fun i b -> if i < len then Appendable.append bv b) body;
+      let snap = Appendable.snapshot bv in
+      Array.iteri (fun i b -> if i >= len then Appendable.append bv b) body;
+      let seen = Model.of_array (Array.sub bits 0 (off + len)) in
+      let model = Model.of_array bits in
+      Appendable.check_invariants snap;
+      Appendable.check_invariants bv;
+      agree ~name ~access:(Appendable.access snap) ~rank:(Appendable.rank snap)
+        ~select:(Appendable.select snap)
+        ~length:(fun () -> Appendable.length snap)
+        ~rng seen;
+      agree ~name:(name ^ " original") ~access:(Appendable.access bv)
+        ~rank:(Appendable.rank bv) ~select:(Appendable.select bv)
+        ~length:(fun () -> Appendable.length bv)
+        ~rng model;
+      let n = Model.length seen in
+      let cur = Appendable.Cursor.create snap and it = Appendable.Iter.create snap 0 in
+      let ones = ref 0 in
+      for pos = 0 to n - 1 do
+        let b = Model.access seen pos in
+        check_int (name ^ " cursor rank") !ones (Appendable.Cursor.rank cur true pos);
+        let b', r = Appendable.Cursor.access_rank cur pos in
+        check_bool (name ^ " cursor bit") b b';
+        check_int (name ^ " cursor access_rank") (if b then !ones else pos - !ones) r;
+        check_bool (name ^ " iter") b (Appendable.Iter.next it);
+        if b then incr ones
+      done;
+      check_bool (name ^ " iter end") false (Appendable.Iter.has_next it))
+    [ (false, 0, 4096 + 20); (false, 0, 8192 + 30); (true, 100, 8192 + 12) ]
+
 (* ------------------------------------------------------------------ *)
 (* Dynamic bitvectors (shared scenarios over both codecs) *)
 
@@ -600,6 +642,7 @@ let () =
           Alcotest.test_case "init offset" `Quick test_appendable_init_offset;
           Alcotest.test_case "pending construction window" `Quick test_appendable_pending_window;
           Alcotest.test_case "iterator" `Quick test_appendable_iterator;
+          Alcotest.test_case "snapshot" `Quick test_appendable_snapshot;
         ] );
       ("dyn_rle", dyn_suite (module Dyn_rle) "dyn_rle" 1000);
       ("dyn_gap", dyn_suite (module Dyn_gap) "dyn_gap" 2000);

@@ -174,6 +174,42 @@ let test_append_oracle () =
   done;
   Append_wt.check_invariants wt
 
+(* A snapshot survives node splits.  After it is taken, unseen strings
+   split nodes above existing leaves (a word led by a letter outside the
+   pool branches off near the root) and the leaves themselves (a pool
+   word plus one more letter); the snapshot keeps answering for the
+   prefix it saw, with the same dump. *)
+let test_append_snapshot () =
+  let rng = Xoshiro.create 2004 in
+  let words =
+    Array.init 40 (fun _ ->
+        String.init (1 + Xoshiro.int rng 6) (fun _ ->
+            Char.chr (Char.code 'a' + Xoshiro.int rng 3)))
+  in
+  let word () = words.(Xoshiro.int rng (Array.length words)) in
+  let oracle = Naive.create () and wt = Append_wt.create () in
+  let add w =
+    let s = Binarize.of_bytes w in
+    Naive.append oracle s;
+    Append_wt.append wt s
+  in
+  for _ = 1 to 5000 do
+    add (word ())
+  done;
+  let snap = Append_wt.snapshot wt in
+  let seen = Naive.of_array (Array.init (Naive.length oracle) (Naive.access oracle)) in
+  let dump = Append_wt.dump snap in
+  for i = 1 to 3000 do
+    add (match i mod 3 with 0 -> word () | 1 -> word () ^ "d" | _ -> "z" ^ word ())
+  done;
+  check_bool "the appends split nodes" true
+    (Append_wt.distinct_count wt > Append_wt.distinct_count snap);
+  Alcotest.check dump_testable "snapshot dump unchanged" dump (Append_wt.dump snap);
+  Append_wt.check_invariants snap;
+  Append_wt.check_invariants wt;
+  agree (module Append_wt) snap seen rng ~queries:300;
+  agree (module Append_wt) wt oracle rng ~queries:100
+
 let test_dynamic_oracle () =
   let rng = Xoshiro.create 3003 in
   let pool = word_pool rng 40 in
@@ -421,6 +457,8 @@ let () =
           Alcotest.test_case "static vs naive" `Quick test_static_oracle;
           Alcotest.test_case "static empty" `Quick test_static_empty;
           Alcotest.test_case "append-only vs naive" `Quick test_append_oracle;
+          Alcotest.test_case "append-only snapshot survives splits" `Quick
+            test_append_snapshot;
           Alcotest.test_case "dynamic vs naive" `Quick test_dynamic_oracle;
           Alcotest.test_case "dynamic alphabet lifecycle" `Quick test_dynamic_alphabet_lifecycle;
           Alcotest.test_case "variants agree" `Quick test_variants_agree;

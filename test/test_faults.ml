@@ -788,6 +788,36 @@ let test_tiered_recovery_classes () =
   rm_rf after;
   rm_rf base
 
+(* A failed WAL fsync is not an ack: [flush] raises and poisons the
+   writer, so every later ingest and flush re-raises while reads keep
+   answering, and a reopen reads back every string acknowledged before
+   the failure. *)
+let test_tiered_fsync_failure () =
+  let dir = fresh_dir "tiered_fsync" in
+  let t = Tiered.create ~threshold:max_int dir in
+  let acked = List.init 8 (Printf.sprintf "acked-%d") in
+  List.iter (Tiered.ingest t) acked;
+  Tiered.flush t;
+  Fault.fail_next_fsync Unix.EIO;
+  List.iter (Tiered.ingest t) (List.init 8 (Printf.sprintf "unacked-%d"));
+  let raises_eio what f =
+    check_bool what true
+      (match f () with () -> false | exception Unix.Unix_error (Unix.EIO, _, _) -> true)
+  in
+  raises_eio "flush raises" (fun () -> Tiered.flush t);
+  raises_eio "next ingest raises" (fun () -> Tiered.ingest t "after");
+  raises_eio "next flush raises" (fun () -> Tiered.flush t);
+  check_int "reads keep working" 16 (Tiered.length t);
+  check_bool "read after the failure" true (Tiered.access t ~pos:0 = Ok "acked-0");
+  Fault.disarm ();
+  Tiered.close t;
+  let t, _ = Tiered.open_ dir in
+  let n = List.length acked in
+  check_bool "acknowledged strings read back" true
+    (List.init n (fun pos -> Result.get_ok (Tiered.access t ~pos)) = acked);
+  Tiered.close t;
+  rm_rf dir
+
 let () =
   Alcotest.run "wt_faults"
     [
@@ -819,5 +849,6 @@ let () =
           Alcotest.test_case "manifest corruption sweeps" `Quick test_tiered_manifest_sweeps;
           Alcotest.test_case "run corruption sweeps" `Quick test_tiered_run_sweeps;
           Alcotest.test_case "recovery classes" `Quick test_tiered_recovery_classes;
+          Alcotest.test_case "failed WAL fsync is not an ack" `Quick test_tiered_fsync_failure;
         ] );
     ]

@@ -8,6 +8,8 @@ module Bitstring = Wt_strings.Bitstring
 module Xoshiro = Wt_bits.Xoshiro
 module Wavelet_trie = Wt_core.Wavelet_trie
 module Flat_wt = Wt_core.Flat_wt
+module Append_wt = Wt_core.Append_wt
+module Dynamic_wt = Wt_core.Dynamic_wt
 module Str_pointer = Wt_core.String_api.Pointer
 module An_pointer = Wt_analytics.Analytics.Pointer
 module Persist = Wt_core.Persist
@@ -396,15 +398,27 @@ let arena (t : Flat_wt.t) = Wt_bits.Membuf.to_string t.Flat_wt.mb
 let bound_terms (s : Wt_core.Stats.t) =
   (s.n, s.distinct, s.avg_height, s.seq_h0_bits, s.trie_lb_bits, s.label_bits)
 
+(* The node-view builder is fed the same strings four ways: the
+   pointer trie, an append-only trie grown one string at a time and in
+   bulk, and a dynamic trie. *)
 let prop_direct_build a =
   let enc = Array.map Wt_core.String_api.encode a in
   let pwt = Wavelet_trie.of_array enc in
   let direct = Wtrie.Static.of_array a in
+  let appended = Append_wt.create () in
+  Array.iter (Append_wt.append appended) enc;
   Flat_wt.check_invariants direct;
   Flat_wt.dump direct = Wavelet_trie.dump pwt
   && bound_terms (Flat_wt.stats direct) = bound_terms (Wavelet_trie.stats pwt)
-  && arena direct = arena (Flat_wt.of_array enc)
-  && arena direct = arena (Flat_wt.of_wavelet_trie pwt)
+  && List.for_all
+       (fun flat -> arena flat = arena direct)
+       [
+         Flat_wt.of_array enc;
+         Flat_wt.of_trie (module Wavelet_trie.Node) pwt;
+         Flat_wt.of_trie (module Append_wt.Node) appended;
+         Flat_wt.of_trie (module Append_wt.Node) (Append_wt.of_array enc);
+         Flat_wt.of_trie (module Dynamic_wt.Node) (Dynamic_wt.of_array enc);
+       ]
 
 (* Byte strings built from atoms with NUL and 0xFF bytes and the empty
    string, so shared prefixes and proper prefixes are common; arrays of

@@ -345,7 +345,7 @@ let test_run_sizes () =
       match tier with
       | T.View.Run f ->
           check_int (Printf.sprintf "run %d size" i) threshold (Wt_core.Flat_wt.length f)
-      | T.View.Dyn d -> check_int "delta tier empty" 0 (Wt_core.Dynamic_wt.length d))
+      | T.View.App d -> check_int "delta tier empty" 0 (Wt_core.Append_wt.length d))
     v.T.View.tiers;
   check_int "all ingests present" (k * threshold) (T.length t);
   T.close t;
