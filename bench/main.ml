@@ -404,12 +404,13 @@ let s5_range () =
         Printf.printf "   n=%7d %-28s %9.1f us/query\n" n name
           (dt *. 1e6 /. float_of_int batch)
       in
-      bench "distinct (range 1024)" (fun ~lo ~hi -> ignore (Range.Static.distinct wt ~lo ~hi));
+      bench "distinct (range 1024)" (fun ~lo ~hi ->
+          ignore (Range.Static.range_distinct wt ~lo ~hi));
       bench "majority (range 1024)" (fun ~lo ~hi -> ignore (Range.Static.majority wt ~lo ~hi));
       bench "at_least 32 (range 1024)" (fun ~lo ~hi ->
           ignore (Range.Static.at_least wt ~lo ~hi ~threshold:32));
       bench "top_k 10 (range 1024)" (fun ~lo ~hi ->
-          ignore (Range.Static.top_k wt ~lo ~hi 10));
+          ignore (Range.Static.range_topk wt ~lo ~hi ~k:10));
       bench "iter_range (range 1024)" (fun ~lo ~hi ->
           Range.Static.iter_range wt ~lo ~hi (fun _ -> ())))
     [ 16384; 131072 ];

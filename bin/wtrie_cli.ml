@@ -1,6 +1,8 @@
 (* wtrie — index a file of lines as a compressed sequence of strings and
    query it: the paper's Access/Rank/Select/RankPrefix/SelectPrefix plus
-   the Section 5 range analytics, from the command line.
+   the Section 5 range queries (distinct, majority, at-least, top-k,
+   quantile), from the command line.  Every query command answers
+   through the one [Wtrie.QUERY_API], whatever the source.
 
      dune exec bin/wtrie_cli.exe -- stats mylog.txt
      dune exec bin/wtrie_cli.exe -- rank mylog.txt "GET /index.html"
@@ -19,12 +21,9 @@
    atomically; [convert] upgrades any older index in place; [ingest]
    maintains a crash-safe snapshot+WAL store directory; [verify]
    deep-checks every form and [recover] truncates a torn WAL tail and
-   checkpoints.  Query commands accept a line file, a saved index, or
-   an (append) store directory interchangeably. *)
+   checkpoints.  Query commands accept a line file, a saved index, an
+   (append) store directory or a tiered store interchangeably. *)
 
-module Bitstring = Wt_strings.Bitstring
-module Binarize = Wt_strings.Binarize
-module Range = Wt_core.Range
 module Stats = Wt_core.Stats
 module Storage = Wtrie.Storage
 module Durable = Wtrie.Durable
@@ -53,9 +52,10 @@ let read_lines path =
 
 (* What a query command runs against: an append trie (line files,
    stores, v2 append indexes) or a flat static arena (v3 indexes, and
-   v2 static indexes flattened on load).  Most commands only need the
-   uniform QUERY_API and go through [pack]; the range-toolkit and
-   serving commands match on the variant. *)
+   v2 static indexes flattened on load) or a tiered store.  Every query
+   command, range queries included, goes through the uniform QUERY_API
+   via [pack]; only stats, index and the serving commands match on the
+   variant. *)
 type src =
   | App of Wtrie.Append.t
   | Flat of Wtrie.Static.t
@@ -165,15 +165,9 @@ let fail_query e =
 
 let or_fail = function Ok v -> v | Error e -> fail_query e
 
-(* Validate [--lo]/[--hi] into a concrete window for the range commands
-   that bypass the front door (the [Range] toolkit calls raise on bad
-   windows instead of returning errors). *)
-let window_or_fail src lo hi =
-  let len = src_length src in
-  let hi = match hi with None -> len | Some h -> h in
-  if lo < 0 || lo > len then fail_query (Wtrie.Position_out_of_bounds { pos = lo; len });
-  if hi < lo || hi > len then fail_query (Wtrie.Position_out_of_bounds { pos = hi; len });
-  (lo, hi)
+(* One "COUNT  STRING" line per tally, for every command that lists
+   strings with their window counts. *)
+let print_tallies items = Array.iter (fun (s, c) -> Printf.printf "%8d  %s\n" c s) items
 
 let index_cmd =
   let out =
@@ -776,9 +770,6 @@ let query_cmd =
             | Error e -> Format.printf "error: %a@." Wtrie.pp_error e)
           (Q.query_batch ?domains wt ops)
     | None ->
-        let pp_tallies =
-          Array.iter (fun (s, c) -> Printf.printf "%8d  %s\n" c s)
-        in
         if select_all then
           Array.iter
             (fun pos -> Printf.printf "%d\n" pos)
@@ -788,10 +779,10 @@ let query_cmd =
           Printf.printf "%d\n" (or_fail (Q.range_count ?prefix wt ~lo ~hi))
         end
         else if distinct then
-          pp_tallies (or_fail (Q.range_distinct ?prefix ~lo ?hi wt))
+          print_tallies (or_fail (Q.range_distinct ?prefix ~lo ?hi wt))
         else
           match top_k with
-          | Some k -> pp_tallies (or_fail (Q.range_topk ?prefix ~lo ?hi wt ~k))
+          | Some k -> print_tallies (or_fail (Q.range_topk ?prefix ~lo ?hi wt ~k))
           | None -> assert false);
     src
   in
@@ -806,9 +797,7 @@ let distinct_cmd =
     with_stats stats @@ fun () ->
     let src = build file in
     let (Packed ((module Q), wt)) = pack src in
-    Array.iter
-      (fun (s, c) -> Printf.printf "%8d  %s\n" c s)
-      (or_fail (Q.range_distinct ~lo ?hi wt));
+    print_tallies (or_fail (Q.range_distinct ~lo ?hi wt));
     src
   in
   Cmd.v
@@ -819,19 +808,11 @@ let majority_cmd =
   let run file lo hi stats =
     with_stats stats @@ fun () ->
     let src = build file in
-    let lo, hi = window_or_fail src lo hi in
-    let m =
-      match src with
-      | App wt -> Range.Append.majority wt ~lo ~hi
-      | Flat wt -> Range.Static.majority wt ~lo ~hi
-      | Tier t -> (
-          (* the merged top-1 is the only majority candidate *)
-          match Wtrie.Tiered.range_topk ~lo ~hi t ~k:1 with
-          | Ok [| (s, c) |] when 2 * c > hi - lo -> Some (Binarize.of_bytes s, c)
-          | _ -> None)
-    in
-    (match m with
-    | Some (s, c) -> Printf.printf "%s (%d of %d)\n" (Binarize.to_bytes s) c (hi - lo)
+    let (Packed ((module Q), wt)) = pack src in
+    (match or_fail (Q.range_majority ~lo ?hi wt) with
+    | Some (s, c) ->
+        let hi = Option.value hi ~default:(Q.length wt) in
+        Printf.printf "%s (%d of %d)\n" s c (hi - lo)
     | None ->
         print_endline "no majority";
         exit 1);
@@ -847,9 +828,7 @@ let top_k_cmd =
     with_stats stats @@ fun () ->
     let src = build file in
     let (Packed ((module Q), wt)) = pack src in
-    Array.iter
-      (fun (s, c) -> Printf.printf "%8d  %s\n" c s)
-      (or_fail (Q.range_topk ~lo ?hi wt ~k));
+    print_tallies (or_fail (Q.range_topk ~lo ?hi wt ~k));
     src
   in
   Cmd.v
@@ -861,30 +840,9 @@ let quantile_cmd =
   let run file k lo hi stats =
     with_stats stats @@ fun () ->
     let src = build file in
-    let lo, hi = window_or_fail src lo hi in
-    let q =
-      match src with
-      | App wt -> Range.Append.quantile wt ~lo ~hi k
-      | Flat wt -> Range.Static.quantile wt ~lo ~hi k
-      | Tier _ when k < 0 -> invalid_arg "Range.quantile"
-      | Tier t -> (
-          (* walk the lex-sorted merged distinct tallies to the k-th
-             occupant (counting multiplicity), as the single-trie
-             range-quantile does *)
-          match Wtrie.Tiered.range_distinct ~lo ~hi t with
-          | Error _ -> None
-          | Ok items ->
-              let rec walk i acc =
-                if i >= Array.length items then None
-                else
-                  let s, c = items.(i) in
-                  if k < acc + c then Some (Binarize.of_bytes s)
-                  else walk (i + 1) (acc + c)
-              in
-              walk 0 0)
-    in
-    (match q with
-    | Some s -> print_endline (Binarize.to_bytes s)
+    let (Packed ((module Q), wt)) = pack src in
+    (match or_fail (Q.range_quantile ~lo ?hi wt ~k) with
+    | Some s -> print_endline s
     | None ->
         prerr_endline "k out of range";
         exit 1);
@@ -897,30 +855,16 @@ let quantile_cmd =
 
 let at_least_cmd =
   let t = Arg.(required & pos 1 (some int) None & info [] ~docv:"T") in
-  let run file t lo hi stats =
+  let run file threshold lo hi stats =
     with_stats stats @@ fun () ->
     let src = build file in
-    let lo, hi = window_or_fail src lo hi in
-    let hits =
-      match src with
-      | App wt -> Range.Append.at_least wt ~lo ~hi ~threshold:t
-      | Flat wt -> Range.Static.at_least wt ~lo ~hi ~threshold:t
-      | Tier tr ->
-          if t < 1 then invalid_arg "Range.at_least: threshold must be >= 1";
-          (match Wtrie.Tiered.range_distinct ~lo ~hi tr with
-          | Error _ -> []
-          | Ok items ->
-              Array.to_list items
-              |> List.filter_map (fun (s, c) ->
-                     if c >= t then Some (Binarize.of_bytes s, c) else None))
-    in
-    List.iter
-      (fun (s, c) -> Printf.printf "%8d  %s\n" c (Binarize.to_bytes s))
-      hits;
+    let (Packed ((module Q), wt)) = pack src in
+    print_tallies (or_fail (Q.range_at_least ~lo ?hi wt ~threshold));
     src
   in
   Cmd.v
-    (Cmd.info "at-least" ~doc:"Strings occurring at least T times in [--lo, --hi).")
+    (Cmd.info "at-least"
+       ~doc:"Strings occurring at least T times in [--lo, --hi) (a T below 1 lists every string present).")
     Term.(const run $ file_arg $ t $ lo_arg $ hi_arg $ stats_arg)
 
 (* ------------------------------------------------------------------ *)

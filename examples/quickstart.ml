@@ -7,8 +7,6 @@
    Build:  dune exec examples/quickstart.exe *)
 
 module Bitstring = Wt_strings.Bitstring
-module Binarize = Wt_strings.Binarize
-module Range = Wt_core.Range
 
 let () =
   (* A tiny access log: the sequence order is the time order. *)
@@ -70,17 +68,16 @@ let () =
       | Error e -> Format.printf "batch[%d] = error: %a@." i Wtrie.pp_error e)
     batch;
 
-  (* Section 5 analytics on a position range (= time window).  Range
-     works on the same value: [Wtrie.Static.t] IS [Wt_core.Flat_wt.t],
-     the flat format-v3 arena. *)
+  (* Section 5 range queries on a position window (= time window):
+     [?lo]/[?hi] default to the whole sequence. *)
   Printf.printf "distinct in window [2, 9):\n";
-  List.iter
-    (fun (s, c) -> Printf.printf "  %-18s x%d\n" (Binarize.to_bytes s) c)
-    (Range.Static.distinct wt ~lo:2 ~hi:9);
-  (match Range.Static.majority wt ~lo:0 ~hi:10 with
-  | Some (s, c) ->
-      Printf.printf "majority of the whole log: %s (%d/10)\n" (Binarize.to_bytes s) c
-  | None -> Printf.printf "no majority in the whole log\n");
+  (match Wtrie.Static.range_distinct ~lo:2 ~hi:9 wt with
+  | Ok tallies -> Array.iter (fun (s, c) -> Printf.printf "  %-18s x%d\n" s c) tallies
+  | Error e -> Format.printf "  error: %a@." Wtrie.pp_error e);
+  (match Wtrie.Static.range_majority wt with
+  | Ok (Some (s, c)) -> Printf.printf "majority of the whole log: %s (%d/10)\n" s c
+  | Ok None -> Printf.printf "no majority in the whole log\n"
+  | Error e -> Format.printf "majority: error: %a@." Wtrie.pp_error e);
 
   (* The fully dynamic version: unseen strings may arrive at any moment. *)
   let dwt = Wtrie.Dynamic.of_list log in

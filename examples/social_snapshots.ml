@@ -9,21 +9,15 @@
    the Wavelet Trie supports and fixed-alphabet wavelet trees do not.
 
    The timeline lives behind the [Wtrie.Dynamic] front door (plain byte
-   strings); the range analytics of Section 5 work on the same value
-   through [Wt_core.Range].
+   strings), Section 5's range queries included; sequential access
+   works on the same value through [Wt_core.Range].
 
    Build:  dune exec examples/social_snapshots.exe *)
 
-module Bitstring = Wt_strings.Bitstring
 module Binarize = Wt_strings.Binarize
 module Range = Wt_core.Range
 
 let edge src dst = Printf.sprintf "%s>%s" src dst
-
-(* bit-prefix meaning "any edge out of src", for the Range toolkit *)
-let out_edges src =
-  let e = Binarize.of_bytes (src ^ ">") in
-  Bitstring.prefix e (Bitstring.length e - 1)
 
 let () =
   let wt = Wtrie.Dynamic.create () in
@@ -52,9 +46,9 @@ let () =
   (* Snapshot question: what were ada's outgoing edge events during
      "winter vacation" (positions [2, 8))? *)
   Printf.printf "\nada's edge events in window [2, 8):\n";
-  List.iter
-    (fun (s, c) -> Printf.printf "  %s x%d\n" (Binarize.to_bytes s) c)
-    (Range.Dynamic.distinct wt ~prefix:(out_edges "ada") ~lo:2 ~hi:8);
+  Array.iter
+    (fun (s, c) -> Printf.printf "  %s x%d\n" s c)
+    (Result.get_ok (Wtrie.Dynamic.range_distinct ~prefix:"ada>" ~lo:2 ~hi:8 wt));
 
   (* Count per vertex over the whole timeline: one rank_prefix each. *)
   Printf.printf "\nout-degree event counts:\n";

@@ -22,11 +22,13 @@
     - {!Append} — append-only streams (Section 4.1);
     - {!Dynamic} — insert/delete at any position (Section 4.2).
 
-    All three share the {!module-type-QUERY_API} read side — every
-    query, from scalar point lookups through [query_batch] to the range
-    analytics ([select_all], [range_count], [range_distinct],
-    [range_topk]), is declared once and behaves identically across
-    variants.  {!module-type-STRING_API} adds construction; the mutable
+    All three, and the {!Tiered} store, share the
+    {!module-type-QUERY_API} read side — every query, from scalar point
+    lookups through [query_batch] to the Section 5 range suite
+    ([select_all], [range_count], [range_distinct], [range_topk],
+    [range_majority], [range_at_least], [range_quantile], written once
+    in {!Wt_core.Range}), is declared once and behaves identically
+    across variants.  {!module-type-STRING_API} adds construction; the mutable
     ones extend it ({!module-type-APPEND_API},
     {!module-type-DYNAMIC_API}).  Each operation comes in exactly one
     shape — labelled arguments, [(_, {!error}) result] for everything
@@ -40,8 +42,8 @@
     across serving processes).  The [t] equalities are exposed
     ([Static.t] is [Wt_core.Flat_wt.t], [Dynamic.t] is
     [Wt_core.Dynamic_wt.t], ...) so the lower-level toolkits
-    ([Wt_core.Range], [Wt_core.Persist], ...) keep working on the same
-    values. *)
+    ([Wt_core.Range]'s bitstring-level suite and sequential access,
+    [Wt_core.Persist], ...) keep working on the same values. *)
 
 type error = Wt_core.Indexed_sequence.error =
   | Position_out_of_bounds of { pos : int; len : int }
@@ -71,24 +73,34 @@ module type DYNAMIC_API = Wt_core.Indexed_sequence.DYNAMIC_API
 
 (* Sealing with the API signatures attaches the batch entry points from
    the engine — routed through the domain pool when [~domains] is given —
-   and the range-analytics suite from [lib/analytics], then hides every
-   helper outside QUERY_API and the variant's constructors/mutators. *)
+   and the range suite's byte façade ({!Wt_core.Range.Make_string}),
+   then hides every helper outside QUERY_API and the variant's
+   constructors/mutators. *)
 
 module Static : STATIC_API with type t = Wt_core.Flat_wt.t = struct
   include Wt_core.String_api.Static
-  module A = Wt_analytics.Analytics.Static
+  module R = Wt_core.Range.Make_string (Wt_core.Range.Static)
 
-  (* The analytics and batch entry points bypass the scalar façade, so
+  (* The range and batch entry points bypass the scalar façade, so
      they repeat its guards: a closed trie reports [Trie_closed] and a
      corrupted arena [Storage_error] through the result, never an
      exception ([protect] comes from {!Wt_core.String_api.Static}). *)
-  let select_all ?prefix ?lo ?hi t = protect t (fun () -> A.select_all ?prefix ?lo ?hi t)
-  let range_count ?prefix t ~lo ~hi = protect t (fun () -> A.range_count ?prefix t ~lo ~hi)
+  let select_all ?prefix ?lo ?hi t = protect t (fun () -> R.select_all ?prefix ?lo ?hi t)
+  let range_count ?prefix t ~lo ~hi = protect t (fun () -> R.range_count ?prefix t ~lo ~hi)
 
   let range_distinct ?prefix ?lo ?hi t =
-    protect t (fun () -> A.range_distinct ?prefix ?lo ?hi t)
+    protect t (fun () -> R.range_distinct ?prefix ?lo ?hi t)
 
-  let range_topk ?prefix ?lo ?hi t ~k = protect t (fun () -> A.range_topk ?prefix ?lo ?hi t ~k)
+  let range_topk ?prefix ?lo ?hi t ~k = protect t (fun () -> R.range_topk ?prefix ?lo ?hi t ~k)
+
+  let range_majority ?prefix ?lo ?hi t =
+    protect t (fun () -> R.range_majority ?prefix ?lo ?hi t)
+
+  let range_at_least ?prefix ?lo ?hi t ~threshold =
+    protect t (fun () -> R.range_at_least ?prefix ?lo ?hi t ~threshold)
+
+  let range_quantile ?prefix ?lo ?hi t ~k =
+    protect t (fun () -> R.range_quantile ?prefix ?lo ?hi t ~k)
 
   let query_batch ?domains t ops =
     match
@@ -101,7 +113,7 @@ end
 
 module Append : APPEND_API with type t = Wt_core.Append_wt.t = struct
   include Wt_core.String_api.Append
-  include Wt_analytics.Analytics.Append
+  include Wt_core.Range.Make_string (Wt_core.Range.Append)
 
   let query_batch ?domains t ops =
     Wt_par.Par_exec.query_batch ?domains Wt_exec.Exec.Append.query_batch t ops
@@ -109,7 +121,7 @@ end
 
 module Dynamic : DYNAMIC_API with type t = Wt_core.Dynamic_wt.t = struct
   include Wt_core.String_api.Dynamic
-  include Wt_analytics.Analytics.Dynamic
+  include Wt_core.Range.Make_string (Wt_core.Range.Dynamic)
 
   let query_batch ?domains t ops =
     Wt_par.Par_exec.query_batch ?domains Wt_exec.Exec.Dynamic.query_batch t ops

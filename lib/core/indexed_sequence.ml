@@ -97,8 +97,9 @@ let pp_value fmt = function
     and uniform: every partial operation returns [(_, error) result]
     with the shared {!error} type; {!val-query_batch} evaluates a
     vector of point operations in one amortized trie traversal, and the
-    range-analytics suite ([select_all] / [range_count] /
-    [range_distinct] / [range_topk], implemented in [lib/analytics])
+    Section 5 range suite ([select_all] / [range_count] /
+    [range_distinct] / [range_topk] / [range_majority] /
+    [range_at_least] / [range_quantile], implemented once in {!Range})
     answers window queries with one frontier walk instead of one scalar
     query per reported item.
 
@@ -158,11 +159,11 @@ module type QUERY_API = sig
       queries while updating the dynamic variant, query a [snapshot]
       published through [Wt_par.Snapshot] instead. *)
 
-  (** {2 Range analytics}
+  (** {2 Range queries}
 
       Window queries over positions [\[lo, hi)], each answered by one
-      root-to-frontier traversal of the trie ([lib/analytics]) instead
-      of a loop of scalar queries. *)
+      root-to-frontier traversal of the trie ({!Range}) instead of a
+      loop of scalar queries. *)
 
   val select_all : ?prefix:string -> ?lo:int -> ?hi:int -> t -> (int array, error) result
   (** All positions in [\[lo, hi)] whose string starts with [prefix],
@@ -190,6 +191,32 @@ module type QUERY_API = sig
       only nodes whose window count exceeds the k-th answer are
       expanded.  Ties are broken towards the lexicographically smaller
       string. *)
+
+  val range_majority :
+    ?prefix:string -> ?lo:int -> ?hi:int -> t -> ((string * int) option, error) result
+  (** The string filling more than half of the positions in
+      [\[lo, hi)] that match [prefix], with its count; [None] when no
+      string does.  One root-to-leaf descent. *)
+
+  val range_at_least :
+    ?prefix:string ->
+    ?lo:int ->
+    ?hi:int ->
+    t ->
+    threshold:int ->
+    ((string * int) array, error) result
+  (** The strings occurring at least [threshold] times in [\[lo, hi)]
+      (matching [prefix]) with their counts, in the order of
+      [range_distinct], which is the same walk pruned at subtrees below
+      the threshold.  A [threshold] below 1 answers as 1: every string
+      present. *)
+
+  val range_quantile :
+    ?prefix:string -> ?lo:int -> ?hi:int -> t -> k:int -> (string option, error) result
+  (** The [k]-th (0-based) smallest of the strings in [\[lo, hi)]
+      matching [prefix], counted with multiplicity in the order of
+      [range_distinct]; [None] when fewer than [k + 1] positions match,
+      [Negative_count] when [k < 0]. *)
 end
 
 (** {!QUERY_API} plus construction: the full surface of the immutable

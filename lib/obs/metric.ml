@@ -27,7 +27,7 @@
       (and the subset the submitting domain stole back from the queue),
       queue-wait and per-shard-run latency histograms, and dynamic-trie
       snapshots published for isolated readers;
-    - [Analytics_*]: the range-analytics suite ([lib/analytics]) —
+    - [Analytics_*]: the range suite's byte façade ([lib/core/range.ml]) —
       one count per front-door invocation of [select_all],
       [range_count], [range_distinct] and [range_topk]; the same ids
       key the per-call latency histograms recorded at the byte-string

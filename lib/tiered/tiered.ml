@@ -17,8 +17,8 @@
     - {b Reads} go through a {!View}: the tier list
       [runs…; sealed?; delta] with prefix-sum offsets.  The view
       implements the whole query surface — scalar access/rank/select
-      via per-tier decomposition, the analytics suite via per-tier
-      windows merged by decoded string, and [query_batch] via a
+      via per-tier decomposition, the range suite via per-tier windows
+      merged into one tally by string, and [query_batch] via a
       two-phase per-tier batch decomposition that reuses the batch
       engine and the domain pool on every tier.
     - {b Compaction}: the writer seals the delta the moment it reaches
@@ -157,106 +157,110 @@ module View = struct
 
   let t_stats = function Run f -> Flat_wt.stats f | App d -> Append_wt.stats d
 
-  (* Per-tier analytics at the bitstring level; windows pre-clipped. *)
-  module AR = Wt_analytics.Analytics.Make (Flat_wt.Node)
-  module AA = Wt_analytics.Analytics.Make (Append_wt.Node)
-
-  let t_select_all ?prefix t ~lo ~hi =
-    match t with
-    | Run f -> AR.select_all ?prefix f ~lo ~hi
-    | App d -> AA.select_all ?prefix d ~lo ~hi
-
-  let t_range_count ?prefix t ~lo ~hi =
-    match t with
-    | Run f -> AR.range_count ?prefix f ~lo ~hi
-    | App d -> AA.range_count ?prefix d ~lo ~hi
-
-  let t_range_distinct ?prefix t ~lo ~hi =
-    match t with
-    | Run f -> AR.range_distinct ?prefix f ~lo ~hi
-    | App d -> AA.range_distinct ?prefix d ~lo ~hi
-
   (* The global window [lo, hi) clipped to tier [i], in tier-local
      coordinates; [None] when they do not intersect. *)
   let clip v i ~lo ~hi =
     let a = max lo v.offsets.(i) and b = min hi v.offsets.(i + 1) in
     if a >= b then None else Some (a - v.offsets.(i), b - v.offsets.(i))
 
-  (* Merge per-tier distinct tallies by decoded byte string.  Tiers are
-     independent tries, so equal strings can sit at structurally
-     different leaves; the decoded bytes are the canonical key.  The
-     table keeps one representative bitstring per key for ordering. *)
+  (* Per-tier range suites, at the bitstring level. *)
+  module RS = Wt_core.Range.Static
+  module RA = Wt_core.Range.Append
+  module Btbl = Hashtbl.Make (Bitstring)
+
+  (* The one tally merge: per-tier distinct lists summed by string.
+     Tiers are independent tries, but a leaf's path spells its whole
+     binarized string, so equal strings have equal paths in every
+     tier.  Lexicographic order, like a single trie's distinct walk. *)
   let tally ?prefix v ~lo ~hi =
-    let tbl = Hashtbl.create 64 in
+    let tbl = Btbl.create 64 in
     Array.iteri
       (fun i t ->
         match clip v i ~lo ~hi with
         | None -> ()
         | Some (l, h) ->
+            let items =
+              match t with
+              | Run f -> RS.range_distinct ?prefix f ~lo:l ~hi:h
+              | App d -> RA.range_distinct ?prefix d ~lo:l ~hi:h
+            in
             Array.iter
               (fun (path, c) ->
-                let key = Binarize.to_bytes path in
-                match Hashtbl.find_opt tbl key with
-                | Some (_, r) -> r := !r + c
-                | None -> Hashtbl.add tbl key (path, ref c))
-              (t_range_distinct ?prefix t ~lo:l ~hi:h))
+                Btbl.replace tbl path (c + Option.value (Btbl.find_opt tbl path) ~default:0))
+              items)
       v.tiers;
-    tbl
+    let items = Array.of_seq (Btbl.to_seq tbl) in
+    Array.sort (fun (a, _) (b, _) -> Bitstring.compare a b) items;
+    items
 
-  let tally_items ?prefix v ~lo ~hi =
-    Hashtbl.fold (fun _ (p, r) acc -> (p, !r) :: acc) (tally ?prefix v ~lo ~hi) []
+  (* The range suite over the merged view.  Windows are assumed valid,
+     as in {!Wt_core.Range.Make}; counting ops sum per-tier answers, the
+     rest read the merged tally — a string in no single tier's top k
+     or majority can still win on the merged counts. *)
+  module Suite = struct
+    type nonrec t = t
 
-  (* Bitstring-level analytics over the merged view.  Windows are
-     assumed valid, as in {!Wt_analytics.Analytics.Make}. *)
-  let select_all_bits ?prefix v ~lo ~hi =
-    let parts = ref [] in
-    for i = Array.length v.tiers - 1 downto 0 do
-      match clip v i ~lo ~hi with
-      | None -> ()
-      | Some (l, h) ->
-          let arr = t_select_all ?prefix v.tiers.(i) ~lo:l ~hi:h in
-          let off = v.offsets.(i) in
-          parts := Array.map (fun p -> p + off) arr :: !parts
-    done;
-    (* per-tier results are ascending and tiers are position-disjoint *)
-    Array.concat !parts
+    let length = length
 
-  let range_count_bits ?prefix v ~lo ~hi =
-    let acc = ref 0 in
-    Array.iteri
-      (fun i t ->
+    let select_all ?prefix v ~lo ~hi =
+      let parts = ref [] in
+      for i = Array.length v.tiers - 1 downto 0 do
         match clip v i ~lo ~hi with
         | None -> ()
-        | Some (l, h) -> acc := !acc + t_range_count ?prefix t ~lo:l ~hi:h)
-      v.tiers;
-    !acc
+        | Some (l, h) ->
+            let arr =
+              match v.tiers.(i) with
+              | Run f -> RS.select_all ?prefix f ~lo:l ~hi:h
+              | App d -> RA.select_all ?prefix d ~lo:l ~hi:h
+            in
+            let off = v.offsets.(i) in
+            parts := Array.map (fun p -> p + off) arr :: !parts
+      done;
+      (* per-tier results are ascending and tiers are position-disjoint *)
+      Array.concat !parts
 
-  let range_distinct_bits ?prefix v ~lo ~hi =
-    let items = tally_items ?prefix v ~lo ~hi in
-    let items =
-      List.sort (fun (a, _) (b, _) -> Bitstring.compare a b) items
-    in
-    Array.of_list items
+    let range_count ?prefix v ~lo ~hi =
+      let acc = ref 0 in
+      Array.iteri
+        (fun i t ->
+          match clip v i ~lo ~hi with
+          | None -> ()
+          | Some (l, h) -> (
+              match t with
+              | Run f -> acc := !acc + RS.range_count ?prefix f ~lo:l ~hi:h
+              | App d -> acc := !acc + RA.range_count ?prefix d ~lo:l ~hi:h))
+        v.tiers;
+      !acc
 
-  (* Global top-k needs global counts: a string in no single tier's
-     top k can win on the merged tallies, so per-tier topk is not
-     sound — merge full distinct tallies, then order. *)
-  let range_topk_bits ?prefix v ~lo ~hi ~k =
-    if k = 0 then [||]
-    else
-      let items = tally_items ?prefix v ~lo ~hi in
-      let items =
-        List.sort
-          (fun (pa, ca) (pb, cb) ->
-            if ca <> cb then compare cb ca else Bitstring.compare pa pb)
-          items
+    let range_distinct = tally
+
+    let range_topk ?prefix v ~lo ~hi ~k =
+      let items = tally ?prefix v ~lo ~hi in
+      (* stable: equal counts keep their lexicographic order *)
+      Array.stable_sort (fun (_, a) (_, b) -> compare b a) items;
+      Array.sub items 0 (min k (Array.length items))
+
+    let majority ?prefix v ~lo ~hi =
+      let items = tally ?prefix v ~lo ~hi in
+      let total = Array.fold_left (fun acc (_, c) -> acc + c) 0 items in
+      Array.find_opt (fun (_, c) -> 2 * c > total) items
+
+    let at_least ?prefix v ~lo ~hi ~threshold =
+      tally ?prefix v ~lo ~hi |> Array.to_seq
+      |> Seq.filter (fun (_, c) -> c >= threshold)
+      |> Array.of_seq
+
+    (* walk the sorted tally to the k-th occupant, with multiplicity *)
+    let quantile ?prefix v ~lo ~hi k =
+      let items = tally ?prefix v ~lo ~hi in
+      let rec walk i k =
+        if i >= Array.length items then None
+        else
+          let s, c = items.(i) in
+          if k < c then Some s else walk (i + 1) (k - c)
       in
-      let rec take k = function
-        | [] -> []
-        | _ when k = 0 -> []
-        | x :: tl -> x :: take (k - 1) tl
-      in
-      Array.of_list (take k items)
+      walk 0 k
+  end
 
   (* The merged view as an {!Iseq.S} indexed sequence, so the standard
      byte façade ({!Wt_core.String_api.Make}) applies verbatim and the
@@ -302,8 +306,7 @@ module View = struct
     let select v s idx = fold_select t_rank t_select v s idx
     let select_prefix v s idx = fold_select t_rank_prefix t_select_prefix v s idx
 
-    let distinct_count v =
-      Hashtbl.length (tally v ~lo:0 ~hi:(length v))
+    let distinct_count v = Array.length (tally v ~lo:0 ~hi:(length v))
 
     let space_bits v =
       Array.fold_left (fun acc t -> acc + t_space_bits t) 0 v.tiers
@@ -978,80 +981,31 @@ let query_batch ?domains t ops =
   | Ok res -> res
   | Error e -> Array.map (fun _ -> Error e) ops
 
-(* Range analytics: merged-level validation and observability (one
-   counter hit, one latency sample, one span per call — the per-tier
-   traversals do not double-count the façade metrics because they run
-   at the bitstring level). *)
-
-let window v lo hi =
-  let len = View.length v in
-  let lo = Option.value lo ~default:0 in
-  let hi = Option.value hi ~default:len in
-  if lo < 0 || lo > len then Error (Iseq.Position_out_of_bounds { pos = lo; len })
-  else if hi < lo || hi > len then
-    Error (Iseq.Position_out_of_bounds { pos = hi; len })
-  else Ok (lo, hi)
-
-let bits_prefix = Option.map Wt_core.String_api.encode_prefix
-let decode_item (path, n) = (Binarize.to_bytes path, n)
+(* The range suite: the shared byte façade over the merged view, so
+   validation, errors and observability (one counter hit, one latency
+   sample, one span per call) match every single-trie variant. *)
+module R = Wt_core.Range.Make_string (View.Suite)
 
 let select_all ?prefix ?lo ?hi t =
-  protect t (fun () ->
-      let v = current_view t in
-      match window v lo hi with
-      | Error e -> Error e
-      | Ok (lo, hi) ->
-          Probe.hit Analytics_select_all;
-          Trace.with_span ~args:[ ("lo", lo); ("hi", hi) ] "analytics.select_all"
-            (fun () ->
-              Probe.time Analytics_select_all (fun () ->
-                  Ok (View.select_all_bits ?prefix:(bits_prefix prefix) v ~lo ~hi))))
+  protect t (fun () -> R.select_all ?prefix ?lo ?hi (current_view t))
 
 let range_count ?prefix t ~lo ~hi =
-  protect t (fun () ->
-      let v = current_view t in
-      match window v (Some lo) (Some hi) with
-      | Error e -> Error e
-      | Ok (lo, hi) ->
-          Probe.hit Analytics_range_count;
-          Trace.with_span ~args:[ ("lo", lo); ("hi", hi) ] "analytics.range_count"
-            (fun () ->
-              Probe.time Analytics_range_count (fun () ->
-                  Ok (View.range_count_bits ?prefix:(bits_prefix prefix) v ~lo ~hi))))
+  protect t (fun () -> R.range_count ?prefix (current_view t) ~lo ~hi)
 
 let range_distinct ?prefix ?lo ?hi t =
-  protect t (fun () ->
-      let v = current_view t in
-      match window v lo hi with
-      | Error e -> Error e
-      | Ok (lo, hi) ->
-          Probe.hit Analytics_distinct;
-          Trace.with_span ~args:[ ("lo", lo); ("hi", hi) ] "analytics.distinct"
-            (fun () ->
-              Probe.time Analytics_distinct (fun () ->
-                  Ok
-                    (Array.map decode_item
-                       (View.range_distinct_bits ?prefix:(bits_prefix prefix) v
-                          ~lo ~hi)))))
+  protect t (fun () -> R.range_distinct ?prefix ?lo ?hi (current_view t))
 
 let range_topk ?prefix ?lo ?hi t ~k =
-  if k < 0 then Error (Iseq.Negative_count { count = k })
-  else
-    protect t (fun () ->
-        let v = current_view t in
-        match window v lo hi with
-        | Error e -> Error e
-        | Ok (lo, hi) ->
-            Probe.hit Analytics_topk;
-            Trace.with_span
-              ~args:[ ("lo", lo); ("hi", hi); ("k", k) ]
-              "analytics.topk"
-              (fun () ->
-                Probe.time Analytics_topk (fun () ->
-                    Ok
-                      (Array.map decode_item
-                         (View.range_topk_bits ?prefix:(bits_prefix prefix) v ~lo
-                            ~hi ~k)))))
+  protect t (fun () -> R.range_topk ?prefix ?lo ?hi (current_view t) ~k)
+
+let range_majority ?prefix ?lo ?hi t =
+  protect t (fun () -> R.range_majority ?prefix ?lo ?hi (current_view t))
+
+let range_at_least ?prefix ?lo ?hi t ~threshold =
+  protect t (fun () -> R.range_at_least ?prefix ?lo ?hi (current_view t) ~threshold)
+
+let range_quantile ?prefix ?lo ?hi t ~k =
+  protect t (fun () -> R.range_quantile ?prefix ?lo ?hi (current_view t) ~k)
 
 (* ------------------------------------------------------------------ *)
 (* Verification / recovery *)

@@ -1,5 +1,6 @@
-(* Range analytics (lib/analytics): oracle equivalence of select_all /
-   range_count / range_distinct / range_topk against the naive
+(* The range suite's byte façade (Wt_core.Range): oracle equivalence of
+   select_all / range_count / range_distinct / range_topk /
+   range_majority / range_at_least / range_quantile against the naive
    scalar-loop over a plain array, QCheck-driven on all three variants;
    interleaved dynamic inserts/deletes; frozen-snapshot reads while the
    owner mutates; the window/argument error contract; and the
@@ -52,6 +53,21 @@ let o_topk arr ?prefix ~lo ~hi ~k () =
   in
   Array.of_list (List.filteri (fun i _ -> i < k) l)
 
+let o_majority arr ?prefix ~lo ~hi () =
+  let l = o_tally arr ?prefix ~lo ~hi () in
+  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 l in
+  List.find_opt (fun (_, c) -> 2 * c > total) l
+
+let o_at_least arr ?prefix ~lo ~hi ~threshold () =
+  Array.of_list
+    (List.filter
+       (fun (_, c) -> c >= max 1 threshold)
+       (Array.to_list (o_distinct arr ?prefix ~lo ~hi ())))
+
+let o_quantile arr ?(prefix = "") ~lo ~hi ~k () =
+  let l = List.filter (starts_with ~prefix) (Array.to_list (Array.sub arr lo (hi - lo))) in
+  if k < 0 then None else List.nth_opt (List.sort String.compare l) k
+
 let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" (Format.asprintf "%a" I.pp_error e)
@@ -74,7 +90,22 @@ let check_case (type a) name (module V : Wtrie.STRING_API with type t = a) (wt :
     (ok (V.range_distinct ?prefix ~lo ~hi wt));
   Alcotest.check tallies (ctx ^ " range_topk")
     (o_topk arr ?prefix ~lo ~hi ~k ())
-    (ok (V.range_topk ?prefix ~lo ~hi wt ~k))
+    (ok (V.range_topk ?prefix ~lo ~hi wt ~k));
+  Alcotest.(check (option (pair string int)))
+    (ctx ^ " range_majority")
+    (o_majority arr ?prefix ~lo ~hi ())
+    (ok (V.range_majority ?prefix ~lo ~hi wt));
+  (* k doubles as the threshold, so 0 exercises the clamp to 1 *)
+  Alcotest.check tallies (ctx ^ " range_at_least")
+    (o_at_least arr ?prefix ~lo ~hi ~threshold:k ())
+    (ok (V.range_at_least ?prefix ~lo ~hi wt ~threshold:k));
+  List.iter
+    (fun k ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s range_quantile %d" ctx k)
+        (o_quantile arr ?prefix ~lo ~hi ~k ())
+        (ok (V.range_quantile ?prefix ~lo ~hi wt ~k)))
+    [ 0; k; (hi - lo) / 2; hi - lo ]
 
 let check_all_variants arr ?prefix ~lo ~hi ~k () =
   check_case "static" (module Wtrie.Static) (Wtrie.Static.of_array arr) arr ?prefix ~lo
@@ -218,6 +249,21 @@ let test_errors () =
   Alcotest.(check bool) "negative k" true
     (err (Wtrie.Append.range_topk wt ~k:(-2)) = I.Negative_count { count = -2 });
   Alcotest.check tallies "k = 0" [||] (ok (Wtrie.Append.range_topk wt ~k:0));
+  Alcotest.(check bool) "negative quantile" true
+    (err (Wtrie.Append.range_quantile wt ~k:(-1)) = I.Negative_count { count = -1 });
+  Alcotest.(check bool) "majority hi beyond n" true
+    (err (Wtrie.Append.range_majority ~hi:6 wt) = I.Position_out_of_bounds { pos = 6; len = 5 });
+  Alcotest.(check (option string)) "quantile past the window" None
+    (ok (Wtrie.Append.range_quantile ~lo:1 ~hi:3 wt ~k:2));
+  Alcotest.(check (option (pair string int))) "majority" (Some ("a", 3))
+    (ok (Wtrie.Append.range_majority wt));
+  Alcotest.(check (option (pair string int))) "no majority" None
+    (ok (Wtrie.Append.range_majority ~lo:1 ~hi:5 wt));
+  (* a threshold below 1 answers as 1: every string present *)
+  Alcotest.check tallies "threshold 0" [| ("a", 3); ("b", 1); ("c", 1) |]
+    (ok (Wtrie.Append.range_at_least wt ~threshold:0));
+  Alcotest.check tallies "threshold negative" [| ("a", 1); ("c", 1) |]
+    (ok (Wtrie.Append.range_at_least ~lo:2 ~hi:4 wt ~threshold:(-5)));
   Alcotest.check positions "absent prefix" [||]
     (ok (Wtrie.Append.select_all ~prefix:"zzz" wt));
   check_int "absent prefix count" 0 (ok (Wtrie.Append.range_count ~prefix:"zzz" wt ~lo:0 ~hi:5));
@@ -228,7 +274,11 @@ let test_errors () =
   Alcotest.check positions "empty seq select_all" [||] (ok (Wtrie.Append.select_all e));
   Alcotest.check tallies "empty seq distinct" [||] (ok (Wtrie.Append.range_distinct e));
   Alcotest.check tallies "empty seq topk" [||] (ok (Wtrie.Append.range_topk e ~k:3));
-  check_int "empty seq count" 0 (ok (Wtrie.Append.range_count e ~lo:0 ~hi:0))
+  check_int "empty seq count" 0 (ok (Wtrie.Append.range_count e ~lo:0 ~hi:0));
+  Alcotest.(check (option (pair string int))) "empty seq majority" None
+    (ok (Wtrie.Append.range_majority e));
+  Alcotest.(check (option string)) "empty seq quantile" None
+    (ok (Wtrie.Append.range_quantile e ~k:0))
 
 (* ------------------------------------------------------------------ *)
 (* Observability: one counter hit per front-door call. *)

@@ -7,7 +7,8 @@ module Xoshiro = Wt_bits.Xoshiro
 module Wavelet_trie = Wt_core.Wavelet_trie
 module Append_wt = Wt_core.Append_wt
 module Dynamic_wt = Wt_core.Dynamic_wt
-module Range = Wt_core.Range
+(* the range suite over the pointer trie, the §3 reference *)
+module Range = Wt_core.Range.Make (Wavelet_trie.Node)
 module Dyn_rle = Wt_bitvector.Dyn_rle
 module Appendable = Wt_bitvector.Appendable
 
@@ -85,9 +86,9 @@ let test_prefix_ending_inside_label () =
   check_int "mid-label prefix 2" 1 (Wavelet_trie.rank_prefix wt (bs "11111") 3);
   check_int "mismatch inside label" 0 (Wavelet_trie.rank_prefix wt (bs "001") 3);
   (* range.distinct restricted to a mid-label prefix *)
-  let d = Range.Pointer.distinct wt ~prefix:(bs "000") ~lo:0 ~hi:3 in
-  check_int "distinct under mid-label prefix" 2 (List.length d);
-  List.iter
+  let d = Range.range_distinct wt ~prefix:(bs "000") ~lo:0 ~hi:3 in
+  check_int "distinct under mid-label prefix" 2 (Array.length d);
+  Array.iter
     (fun (s, c) ->
       check_int "count 1" 1 c;
       check_bool "has prefix" true (Bitstring.is_prefix ~prefix:(bs "000") s))
@@ -217,20 +218,20 @@ let test_iter_range_boundaries () =
   (* empty range at every position *)
   for lo = 0 to 300 do
     let got = ref 0 in
-    Range.Pointer.iter_range wt ~lo ~hi:lo (fun _ -> incr got);
+    Range.iter_range wt ~lo ~hi:lo (fun _ -> incr got);
     check_int "empty range" 0 !got
   done;
   (* single-element ranges equal access *)
   for pos = 0 to 299 do
     let got = ref [] in
-    Range.Pointer.iter_range wt ~lo:pos ~hi:(pos + 1) (fun s -> got := s :: !got);
+    Range.iter_range wt ~lo:pos ~hi:(pos + 1) (fun s -> got := s :: !got);
     match !got with
     | [ s ] -> check_bool "singleton" true (Bitstring.equal s seq.(pos))
     | _ -> Alcotest.fail "expected exactly one element"
   done;
   (* full range *)
   let got = ref 0 in
-  Range.Pointer.iter_range wt ~lo:0 ~hi:300 (fun _ -> incr got);
+  Range.iter_range wt ~lo:0 ~hi:300 (fun _ -> incr got);
   check_int "full" 300 !got
 
 let () =

@@ -11,7 +11,8 @@ module Flat_wt = Wt_core.Flat_wt
 module Append_wt = Wt_core.Append_wt
 module Dynamic_wt = Wt_core.Dynamic_wt
 module Str_pointer = Wt_core.String_api.Pointer
-module An_pointer = Wt_analytics.Analytics.Pointer
+(* the range suite's byte façade over the pointer trie, the reference *)
+module An_pointer = Wt_core.Range.Make_string (Wt_core.Range.Make (Wavelet_trie.Node))
 module Persist = Wt_core.Persist
 module Container = Wt_durable.Container
 
@@ -164,6 +165,21 @@ let check_equiv ctx arr pwt fwt =
   Alcotest.check tallies (ctx ^ " range_topk")
     (An_pointer.range_topk ~lo ~hi pwt ~k:3)
     (Wtrie.Static.range_topk ~lo ~hi fwt ~k:3);
+  Alcotest.check
+    Alcotest.(result (option (pair string int)) (testable Wtrie.pp_error ( = )))
+    (ctx ^ " range_majority")
+    (An_pointer.range_majority ~lo ~hi pwt)
+    (Wtrie.Static.range_majority ~lo ~hi fwt);
+  Alcotest.check tallies (ctx ^ " range_at_least")
+    (An_pointer.range_at_least ~lo ~hi pwt ~threshold:2)
+    (Wtrie.Static.range_at_least ~lo ~hi fwt ~threshold:2);
+  for k = -1 to hi - lo do
+    Alcotest.check
+      Alcotest.(result (option string) (testable Wtrie.pp_error ( = )))
+      (Printf.sprintf "%s range_quantile %d" ctx k)
+      (An_pointer.range_quantile ~lo ~hi pwt ~k)
+      (Wtrie.Static.range_quantile ~lo ~hi fwt ~k)
+  done;
   (* the batch engine over the arena agrees with the scalar answers *)
   if n > 0 then begin
   let ops =
@@ -354,6 +370,9 @@ let test_close () =
       expect_closed "range_count" (Wtrie.Static.range_count wt ~lo:0 ~hi:1);
       expect_closed "range_distinct" (Wtrie.Static.range_distinct wt);
       expect_closed "range_topk" (Wtrie.Static.range_topk wt ~k:1);
+      expect_closed "range_majority" (Wtrie.Static.range_majority wt);
+      expect_closed "range_at_least" (Wtrie.Static.range_at_least wt ~threshold:1);
+      expect_closed "range_quantile" (Wtrie.Static.range_quantile wt ~k:0);
       expect_closed "save_file" (Wtrie.Static.save_file wt path);
       Array.iter (expect_closed "batch")
         (Wtrie.Static.query_batch wt [| Access { pos = 0 }; Rank { s = "a"; pos = 1 } |]);

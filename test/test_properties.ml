@@ -7,7 +7,8 @@ module Binarize = Wt_strings.Binarize
 module Wavelet_trie = Wt_core.Wavelet_trie
 module Append_wt = Wt_core.Append_wt
 module Dynamic_wt = Wt_core.Dynamic_wt
-module Range = Wt_core.Range
+(* the range suite over the pointer trie, the §3 reference *)
+module Range = Wt_core.Range.Make (Wavelet_trie.Node)
 module Dyn_rle = Wt_bitvector.Dyn_rle
 
 (* words over a tiny alphabet to force heavy sharing and duplicates *)
@@ -79,10 +80,10 @@ let prop_distinct_counts words =
   let seq = encode_seq words in
   let wt = Wavelet_trie.of_array seq in
   let n = Array.length seq in
-  let d = Range.Pointer.distinct wt ~lo:0 ~hi:n in
-  List.fold_left (fun acc (_, c) -> acc + c) 0 d = n
-  && List.for_all (fun (s, c) -> Wavelet_trie.rank wt s n = c) d
-  && List.length d = Wavelet_trie.distinct_count wt
+  let d = Range.range_distinct wt ~lo:0 ~hi:n in
+  Array.fold_left (fun acc (_, c) -> acc + c) 0 d = n
+  && Array.for_all (fun (s, c) -> Wavelet_trie.rank wt s n = c) d
+  && Array.length d = Wavelet_trie.distinct_count wt
 
 (* the three variants stay in lockstep under a common build *)
 let prop_variants_lockstep words =

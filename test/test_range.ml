@@ -59,36 +59,39 @@ let static_ops seq =
   let wt = Flat_wt.of_array (Array.map encode seq) in
   {
     iter = (fun ?prefix ~lo ~hi f -> Range.Static.iter_range ?prefix wt ~lo ~hi f);
-    distinct = (fun ?prefix ~lo ~hi () -> Range.Static.distinct ?prefix wt ~lo ~hi);
+    distinct =
+      (fun ?prefix ~lo ~hi () -> Array.to_list (Range.Static.range_distinct ?prefix wt ~lo ~hi));
     majority = (fun ?prefix ~lo ~hi () -> Range.Static.majority ?prefix wt ~lo ~hi);
     at_least =
       (fun ?prefix ~lo ~hi ~threshold () ->
-        Range.Static.at_least ?prefix wt ~lo ~hi ~threshold);
-    count_range = (fun ~prefix ~lo ~hi -> Range.Static.count_range wt ~prefix ~lo ~hi);
+        Array.to_list (Range.Static.at_least ?prefix wt ~lo ~hi ~threshold));
+    count_range = (fun ~prefix ~lo ~hi -> Range.Static.range_count ~prefix wt ~lo ~hi);
   }
 
 let append_ops seq =
   let wt = Append_wt.of_array (Array.map encode seq) in
   {
     iter = (fun ?prefix ~lo ~hi f -> Range.Append.iter_range ?prefix wt ~lo ~hi f);
-    distinct = (fun ?prefix ~lo ~hi () -> Range.Append.distinct ?prefix wt ~lo ~hi);
+    distinct =
+      (fun ?prefix ~lo ~hi () -> Array.to_list (Range.Append.range_distinct ?prefix wt ~lo ~hi));
     majority = (fun ?prefix ~lo ~hi () -> Range.Append.majority ?prefix wt ~lo ~hi);
     at_least =
       (fun ?prefix ~lo ~hi ~threshold () ->
-        Range.Append.at_least ?prefix wt ~lo ~hi ~threshold);
-    count_range = (fun ~prefix ~lo ~hi -> Range.Append.count_range wt ~prefix ~lo ~hi);
+        Array.to_list (Range.Append.at_least ?prefix wt ~lo ~hi ~threshold));
+    count_range = (fun ~prefix ~lo ~hi -> Range.Append.range_count ~prefix wt ~lo ~hi);
   }
 
 let dynamic_ops seq =
   let wt = Dynamic_wt.of_array (Array.map encode seq) in
   {
     iter = (fun ?prefix ~lo ~hi f -> Range.Dynamic.iter_range ?prefix wt ~lo ~hi f);
-    distinct = (fun ?prefix ~lo ~hi () -> Range.Dynamic.distinct ?prefix wt ~lo ~hi);
+    distinct =
+      (fun ?prefix ~lo ~hi () -> Array.to_list (Range.Dynamic.range_distinct ?prefix wt ~lo ~hi));
     majority = (fun ?prefix ~lo ~hi () -> Range.Dynamic.majority ?prefix wt ~lo ~hi);
     at_least =
       (fun ?prefix ~lo ~hi ~threshold () ->
-        Range.Dynamic.at_least ?prefix wt ~lo ~hi ~threshold);
-    count_range = (fun ~prefix ~lo ~hi -> Range.Dynamic.count_range wt ~prefix ~lo ~hi);
+        Array.to_list (Range.Dynamic.at_least ?prefix wt ~lo ~hi ~threshold));
+    count_range = (fun ~prefix ~lo ~hi -> Range.Dynamic.range_count ~prefix wt ~lo ~hi);
   }
 
 let exercise name ops seq rng =
@@ -189,29 +192,18 @@ let test_top_k () =
     let lo = Xoshiro.int rng 401 in
     let hi = lo + Xoshiro.int rng (400 - lo + 1) in
     let k = Xoshiro.int rng 6 in
-    let got =
-      Range.Static.top_k wt ~lo ~hi k
-      |> List.map (fun (s, c) -> (Binarize.to_bytes s, c))
-    in
-    let expected = naive_top_k seq lo hi k in
-    (* counts must match exactly; at equal counts the tie order is free *)
-    Alcotest.(check (list int)) "top-k counts" (List.map snd expected) (List.map snd got);
-    (* every returned string really has its count in the range *)
-    List.iter
-      (fun (w, c) ->
-        let actual =
-          List.length (List.filter (String.equal w) (naive_slice seq lo hi))
-        in
-        check_int ("count of " ^ w) actual c)
-      got
+    let got = decode_list (Array.to_list (Range.Static.range_topk wt ~lo ~hi ~k)) in
+    (* exact order: count descending, ties to the lexicographically
+       smaller string (the stable sort keeps [naive_distinct]'s order) *)
+    Alcotest.(check (list (pair string int))) "top-k" (naive_top_k seq lo hi k) got
   done;
   (* k larger than the distinct count returns everything *)
-  let all = Range.Static.top_k wt ~lo:0 ~hi:400 1000 in
-  check_int "k too large" (List.length (naive_distinct seq 0 400)) (List.length all);
+  let all = Range.Static.range_topk wt ~lo:0 ~hi:400 ~k:1000 in
+  check_int "k too large" (List.length (naive_distinct seq 0 400)) (Array.length all);
   (* with a prefix restriction *)
   let p = word_prefix "a" in
-  let got = Range.Static.top_k wt ~prefix:p ~lo:0 ~hi:400 3 in
-  List.iter
+  let got = Range.Static.range_topk wt ~prefix:p ~lo:0 ~hi:400 ~k:3 in
+  Array.iter
     (fun (s, _) -> check_bool "prefixed" true (Bitstring.is_prefix ~prefix:p s))
     got
 

@@ -67,19 +67,19 @@ let test_dynamic_soak () =
           let w = Bitstring.to_string (Naive.access oracle i) in
           Hashtbl.replace tbl w (1 + Option.value ~default:0 (Hashtbl.find_opt tbl w))
         done;
-        let got = Range.Dynamic.distinct wt ~lo ~hi in
-        check_int "range distinct count" (Hashtbl.length tbl) (List.length got);
-        List.iter
+        let got = Range.Dynamic.range_distinct wt ~lo ~hi in
+        check_int "range distinct count" (Hashtbl.length tbl) (Array.length got);
+        Array.iter
           (fun (s, c) ->
             check_int "range count" (Option.value ~default:(-1)
               (Hashtbl.find_opt tbl (Bitstring.to_string s))) c)
           got;
         (* top-1 equals max count *)
-        (match Range.Dynamic.top_k wt ~lo ~hi 1 with
-        | [ (_, c) ] ->
+        (match Range.Dynamic.range_topk wt ~lo ~hi ~k:1 with
+        | [| (_, c) |] ->
             let m = Hashtbl.fold (fun _ c m -> max c m) tbl 0 in
             check_int "top-1" m c
-        | [] -> check_int "top-1 empty" 0 (hi - lo)
+        | [||] -> check_int "top-1 empty" 0 (hi - lo)
         | _ -> Alcotest.fail "top_k 1 returned several")
       end
     end

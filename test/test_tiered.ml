@@ -5,7 +5,7 @@
      naive list-of-strings oracle, and a pure [Wtrie.Dynamic] run.
      After every compaction and at the end of the scenario the whole
      query surface must agree: scalar ops against the oracle,
-     query_batch (at 1/2/4 domains) and the analytics suite against
+     query_batch (at 1/2/4 domains) and the range suite against
      the dynamic run, plus a close -> reopen leg so the WAL replay /
      manifest / run files round-trip every scenario's final state.
      Explicit compactions rotate through 1/2/4-domain pools.
@@ -181,8 +181,15 @@ let differential ?(tag = "") t (oracle : string array) (dyn : Wtrie.Dynamic.t) =
       check_bool (ctx (Printf.sprintf "query_batch ~domains:%d" domains)) true
         (expected = got))
     batch_domains;
-  (* analytics over a few windows, differentially *)
-  let windows = [ (0, n); (0, n / 2); (n / 3, n - (n / 4)); (n / 2, n / 2) ] in
+  (* range queries over a few windows, differentially: the whole
+     sequence, a half, a middle slice, an empty window, and one window
+     straddling each tier boundary *)
+  let straddles =
+    Array.to_list (T.current_view t).T.View.offsets
+    |> List.filter (fun b -> 0 < b && b < n)
+    |> List.map (fun b -> (max 0 (b - 2), min n (b + 3)))
+  in
+  let windows = [ (0, n); (0, n / 2); (n / 3, n - (n / 4)); (n / 2, n / 2) ] @ straddles in
   List.iter
     (fun (lo, hi) ->
       if lo <= hi then
@@ -203,7 +210,22 @@ let differential ?(tag = "") t (oracle : string array) (dyn : Wtrie.Dynamic.t) =
                 check_bool (ctx "range_topk") true
                   (Wtrie.Dynamic.range_topk ?prefix ~lo ~hi dyn ~k
                   = T.range_topk ?prefix ~lo ~hi t ~k))
-              [ 0; 1; 2; 1000 ])
+              [ 0; 1; 2; 1000 ];
+            check_bool (ctx "range_majority") true
+              (Wtrie.Dynamic.range_majority ?prefix ~lo ~hi dyn
+              = T.range_majority ?prefix ~lo ~hi t);
+            List.iter
+              (fun threshold ->
+                check_bool (ctx "range_at_least") true
+                  (Wtrie.Dynamic.range_at_least ?prefix ~lo ~hi dyn ~threshold
+                  = T.range_at_least ?prefix ~lo ~hi t ~threshold))
+              [ -1; 0; 1; 2; 3; 1000 ];
+            List.iter
+              (fun k ->
+                check_bool (ctx "range_quantile") true
+                  (Wtrie.Dynamic.range_quantile ?prefix ~lo ~hi dyn ~k
+                  = T.range_quantile ?prefix ~lo ~hi t ~k))
+              [ -1; 0; 1; (hi - lo) / 2; hi - lo - 1; hi - lo ])
           [ ""; "a"; "ab" ])
     windows;
   (* window validation errors *)
@@ -211,7 +233,12 @@ let differential ?(tag = "") t (oracle : string array) (dyn : Wtrie.Dynamic.t) =
     (T.range_count t ~lo:(-1) ~hi:0
     = Error (Wtrie.Position_out_of_bounds { pos = -1; len = n }));
   check_bool (ctx "bad topk") true
-    (T.range_topk t ~k:(-1) = Error (Wtrie.Negative_count { count = -1 }))
+    (T.range_topk t ~k:(-1) = Error (Wtrie.Negative_count { count = -1 }));
+  check_bool (ctx "bad quantile") true
+    (T.range_quantile t ~k:(-1) = Error (Wtrie.Negative_count { count = -1 }));
+  check_bool (ctx "bad majority window") true
+    (T.range_majority t ~hi:(n + 1)
+    = Error (Wtrie.Position_out_of_bounds { pos = n + 1; len = n }))
 
 (* ------------------------------------------------------------------ *)
 (* The scenario property *)
