@@ -869,9 +869,9 @@ let serve_block () =
 (* Tiered store: sustained WAL-backed ingest against an in-memory
    dynamic append of the same volume (compaction keeps the delta
    bounded, so the per-string cost stays flat where the monolithic
-   dynamic trie's grows with n), the words one ingest allocates, and
-   merged-read p99 against the pure flat arena the runs are built from
-   (the price of the k-way view). *)
+   dynamic trie's grows with n), the words one ingest and one merging
+   compaction allocate, and merged-read p99 against the pure flat arena
+   the runs are built from (the price of the k-way view). *)
 
 let tiered_block () =
   let n = 16384 in
@@ -898,6 +898,25 @@ let tiered_block () =
     let w0 = allocated_words () in
     Array.iter (T.ingest t) strings;
     let words = allocated_words () -. w0 in
+    T.close t;
+    rm_store dir;
+    words /. float_of_int n
+  in
+  (* one synchronous compaction folding runs of 8,192 and 4,096 strings
+     (reopened, so mmapped) and a 4,096-string delta into one run, per
+     string of that run; no compactor domain runs meanwhile *)
+  let merge_words =
+    let dir = dir ^ "_merge" in
+    rm_store dir;
+    let t = T.create ~threshold:4096 dir in
+    Array.iter (T.ingest t) (Array.sub strings 0 12288);
+    T.close t;
+    let t, _ = T.open_ ~threshold:(n + 1) dir in
+    Array.iter (T.ingest t) (Array.sub strings 12288 4096);
+    let w0 = allocated_words () in
+    T.compact t;
+    let words = allocated_words () -. w0 in
+    assert (T.run_count t = 1);
     T.close t;
     rm_store dir;
     words /. float_of_int n
@@ -939,6 +958,7 @@ let tiered_block () =
       ("dynamic_strings_per_s", Wt_obs.Json.Float (per_s dt_dyn));
       ("ingest_speedup_vs_dynamic", Wt_obs.Json.Float (dt_dyn /. dt_ingest));
       ("ingest_words_per_string", Wt_obs.Json.Float ingest_words);
+      ("merge_words_per_string", Wt_obs.Json.Float merge_words);
       ("read_p99_us", Wt_obs.Json.Float tiered_p99);
       ("static_read_p99_us", Wt_obs.Json.Float static_p99);
       ("read_p99_ratio_vs_static", Wt_obs.Json.Float (tiered_p99 /. static_p99));

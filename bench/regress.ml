@@ -24,9 +24,11 @@
      layout change must come with a regenerated baseline.
 
    - Allocation: the words one static build allocates per string
-     ([flat.build_words_per_string]) and the words one tiered ingest
-     allocates ([tiered.ingest_words_per_string]) may not exceed the
-     baseline by more than 10%.  Allocation does not depend on the
+     ([flat.build_words_per_string]), the words one tiered ingest
+     allocates ([tiered.ingest_words_per_string]) and the words one
+     merging tiered compaction allocates per string of its run
+     ([tiered.merge_words_per_string]) may not exceed the baseline by
+     more than 10%.  Allocation does not depend on the
      runner's speed or load (repeat runs agree to 0.01%), so this gate
      also fails under --soft.
 
@@ -212,7 +214,11 @@ let alloc_gate base cur =
       | _ ->
           incr hard_failures;
           fail "%s missing from one side" path)
-    [ "flat.build_words_per_string"; "tiered.ingest_words_per_string" ]
+    [
+      "flat.build_words_per_string";
+      "tiered.ingest_words_per_string";
+      "tiered.merge_words_per_string";
+    ]
 
 let throughput ~threshold base cur =
   List.iter

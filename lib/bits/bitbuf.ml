@@ -85,13 +85,25 @@ let get_bits t pos len =
     end
   end
 
+(* Like [get_bits]: one little-endian 64-bit read-modify-write when the
+   eight bytes from the first one lie in the backing store and the bits
+   fit in them, otherwise a byte at a time. *)
 let set_bits t pos len v =
   if len < 0 || len > 62 then invalid_arg "Bitbuf.set_bits: bad length";
   if v < 0 then invalid_arg "Bitbuf.set_bits: negative value";
   if pos < 0 || pos + len > t.len then invalid_arg "Bitbuf.set_bits: out of bounds";
   let data = t.data in
   let v = v land (if len = 62 then (1 lsl 62) - 1 else (1 lsl len) - 1) in
-  let i = ref (pos lsr 3) in
+  let first = pos lsr 3 in
+  if len <= 56 && first <= Bytes.length data - 8 then begin
+    let shift = pos land 7 in
+    let m = Int64.shift_left (Int64.of_int ((1 lsl len) - 1)) shift in
+    let old = Bytes.get_int64_le data first in
+    Bytes.set_int64_le data first
+      (Int64.logor (Int64.logand old (Int64.lognot m)) (Int64.shift_left (Int64.of_int v) shift))
+  end
+  else
+  let i = ref first in
   let shift = ref (pos land 7) in
   let written = ref 0 in
   while !written < len do

@@ -27,20 +27,18 @@ let offset_width =
 
 (* Rank of [bits] (a 62-bit pattern with popcount [c]) in the combinatorial
    enumeration: scanning positions from 0, a set bit at position i with r
-   ones still to place skips C(62-1-i, r) patterns. *)
+   ones still to place skips C(62-1-i, r) patterns (those with a 0 there
+   and r ones in the remaining 61-i bits).  Only the set bits are
+   visited. *)
 let encode_offset bits c =
   let off = ref 0 in
   let r = ref c in
-  let i = ref 0 in
   let bits = ref bits in
   while !r > 0 do
-    if !bits land 1 = 1 then begin
-      (* patterns with a 0 here and r ones in the remaining 61-i bits *)
-      off := !off + binom.(block_bits - 1 - !i).(!r);
-      decr r
-    end;
-    bits := !bits lsr 1;
-    incr i
+    let i = Broadword.lowest_bit !bits in
+    off := !off + binom.(block_bits - 1 - i).(!r);
+    decr r;
+    bits := !bits land (!bits - 1)
   done;
   !off
 
@@ -696,6 +694,20 @@ module Flat = struct
       done;
       !bit
     end
+
+  let iter_blocks t f =
+    let off = ref 0 and blk = ref 0 in
+    while !blk < t.nblocks do
+      let k = min 10 (t.nblocks - !blk) in
+      let w = ref (Membuf.get_bits t.mb (t.classes_bit + (!blk * class_bits)) (k * class_bits)) in
+      for _ = 1 to k do
+        let c = !w land 63 in
+        f (decode_block t !off c);
+        off := !off + offset_width.(c);
+        w := !w lsr class_bits
+      done;
+      blk := !blk + k
+    done
 
   let walk_to_block t target =
     let sb = target / sb_blocks in

@@ -126,6 +126,11 @@ module Flat : sig
   val access : t -> int -> bool
   val access_rank : t -> int -> bool * int
 
+  val iter_blocks : t -> (int -> unit) -> unit
+  (** [iter_blocks t f] calls [f] on each block in order, decoded: bits
+      [62i, 62i + 62) LSB first, zero past the length — the form
+      {!append_blocks} takes. *)
+
   module Cursor : sig
     type bv := t
     type t

@@ -99,22 +99,130 @@ let sections ~node_count ~offsets_bits ~content_bits =
 
 (* ------------------------------------------------------------------ *)
 (* Building.  The trie of Definition 3.1 depends only on the distinct
-   strings and the sequence, so the arena is written level by level from
-   the sorted distinct keys and the sequence as key ranks, with no
-   pointer trie in between.  A node is a key range [lo, hi) whose keys
-   share their first [off] bits, plus the subsequence of the ranks in
-   it.  A one-key range is a leaf labelled with the rest of its key.
-   Otherwise the range's keys share exactly m = LCP (key lo, key hi-1)
-   bits and split at bit m — keys [lo, j) continue with 0, keys [j, hi)
-   with 1 — so the label is bits [off, m), β marks the ranks >= j, and a
-   stable partition hands each child its subsequence.  Nodes are
-   numbered in BFS order with a node's two children consecutive, zero
-   child first, as the topology requires; each level's subsequences lie
-   side by side in one rank array, so two arrays of n ranks serve every
-   level. *)
+   strings and the sequence, so an arena is written level by level —
+   nodes in BFS order, a node's two children consecutive, zero child
+   first, as the topology requires — with no pointer trie in between.
+   Two builders feed one writer: [arena_of_keys] from the sorted
+   distinct keys and the sequence as key ranks, and [merge] from
+   existing tries whose sequences are consecutive slices. *)
 
 let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
+
+(* The arena writer.  A node is started with its topology bit; an
+   internal node then gets its β, accumulated 62 bits at a time into
+   [blocks] and RRR-encoded straight into the content stream, and every
+   node its label.  [finish] lays out the header, the topology records
+   and the node offsets in front of the content. *)
+type writer = {
+  mutable starts : int array; (* content offset of each node started *)
+  mutable nodes : int;
+  topo : Bitbuf.t;
+  content : Bitbuf.t;
+  mutable label_total : int;
+  blocks : int array; (* β of the current node, bits [62i, 62i + 62) in entry i *)
+  mutable word : int; (* β bits not yet in [blocks] *)
+  mutable fill : int;
+  mutable nb : int;
+}
+
+(* [n] bounds every β; [nodes] is the node count, or a first guess. *)
+let writer ~n ~nodes =
+  {
+    starts = Array.make (nodes + 1) 0;
+    nodes = 0;
+    topo = Bitbuf.create ~capacity_bits:nodes ();
+    content = Bitbuf.create ~capacity_bits:(4 * n) ();
+    label_total = 0;
+    blocks = Array.make ((n / Rrr.block_bits) + 1) 0;
+    word = 0;
+    fill = 0;
+    nb = 0;
+  }
+
+let start_node w ~internal =
+  if w.nodes + 1 >= Array.length w.starts then begin
+    let starts = Array.make (2 * Array.length w.starts) 0 in
+    Array.blit w.starts 0 starts 0 w.nodes;
+    w.starts <- starts
+  end;
+  w.starts.(w.nodes) <- Bitbuf.length w.content;
+  w.nodes <- w.nodes + 1;
+  Bitbuf.add w.topo internal
+
+let block_mask = Broadword.mask Rrr.block_bits
+
+(* [add_bits w len v]: the next [len <= 62] bits of the current β, the
+   low bits of [v], zero above [len]. *)
+let add_bits w len v =
+  let room = Rrr.block_bits - w.fill in
+  w.word <- w.word lor ((v lsl w.fill) land block_mask);
+  if len < room then w.fill <- w.fill + len
+  else begin
+    w.blocks.(w.nb) <- w.word;
+    w.nb <- w.nb + 1;
+    w.word <- v lsr room;
+    w.fill <- len - room
+  end
+
+let add_run w b len =
+  let rest = ref len in
+  while !rest > 0 do
+    let take = min Rrr.block_bits !rest in
+    add_bits w take (if b then Broadword.mask take else 0);
+    rest := !rest - take
+  done
+
+(* Encode the [len]-bit β held in [blocks] (and, for the accumulator,
+   [word]) into the content stream. *)
+let end_beta w ~len =
+  if w.fill > 0 then w.blocks.(w.nb) <- w.word;
+  Rrr.Flat.append_blocks w.content w.blocks ~len;
+  w.word <- 0;
+  w.fill <- 0;
+  w.nb <- 0
+
+let add_label w len v =
+  Bitbuf.add_bits w.content len v;
+  w.label_total <- w.label_total + len
+
+(* Copy [len] bits at bit [pos] of [mb] into the content stream. *)
+let copy_bits w mb pos len =
+  let p = ref 0 in
+  while !p < len do
+    let take = min 56 (len - !p) in
+    Bitbuf.add_bits w.content take (Membuf.get_bits mb (pos + !p) take);
+    p := !p + take
+  done
+
+let finish w ~n =
+  let node_count = w.nodes in
+  if node_count >= 1 lsl 32 then invalid_arg "Flat_wt: node count exceeds 2^32";
+  let content_bits = Bitbuf.length w.content in
+  w.starts.(node_count) <- content_bits;
+  let offs =
+    if Array.length w.starts = node_count + 1 then w.starts
+    else Array.sub w.starts 0 (node_count + 1)
+  in
+  let offsets = Bitbuf.create () in
+  Offsets.append offsets ~universe:content_bits offs;
+  let offsets_bits = Bitbuf.length offsets in
+  let _, _, arena_len = sections ~node_count ~offsets_bits ~content_bits in
+  let out = Buffer.create arena_len in
+  Buffer.add_string out arena_magic;
+  add_u32 out arena_version;
+  List.iter (add_u64 out) [ n; node_count; w.label_total; offsets_bits; content_bits; arena_len ];
+  let internal = ref 0 in
+  for r = 0 to ((node_count + 31) / 32) - 1 do
+    let bits = Bitbuf.get_bits w.topo (32 * r) (min 32 (node_count - (32 * r))) in
+    add_u32 out !internal;
+    add_u32 out bits;
+    internal := !internal + Broadword.popcount bits
+  done;
+  Bitbuf.add_to_buffer out offsets;
+  Bitbuf.add_to_buffer out w.content;
+  assert (Buffer.length out = arena_len);
+  Buffer.contents out
 
 (* First index in [lo, hi] whose key has bit [m] set, given that the
    keys are sorted, share their first [m] bits, and key [hi] has it. *)
@@ -128,7 +236,15 @@ let split_point keys lo hi m =
 
 (* [arena_of_keys keys seq]: [keys] sorted, distinct and prefix-free,
    [seq.(i)] the rank in [keys] of the sequence's i-th string, every key
-   occurring at least once. *)
+   occurring at least once.  A node is a key range [lo, hi) whose keys
+   share their first [off] bits, plus the subsequence of the ranks in
+   it.  A one-key range is a leaf labelled with the rest of its key.
+   Otherwise the range's keys share exactly m = LCP (key lo, key hi-1)
+   bits and split at bit m — keys [lo, j) continue with 0, keys [j, hi)
+   with 1 — so the label is bits [off, m), β marks the ranks >= j, and a
+   stable partition hands each child its subsequence.  Each level's
+   subsequences lie side by side in one rank array, so two arrays of n
+   ranks serve every level. *)
 let arena_of_keys (keys : Bitstring.t array) (seq : int array) : string =
   Probe.time Flat_build (fun () ->
       let d = Array.length keys and n = Array.length seq in
@@ -146,11 +262,8 @@ let arena_of_keys (keys : Bitstring.t array) (seq : int array) : string =
       let q_lo = Array.make node_count 0 and q_hi = Array.make node_count d in
       let q_off = Array.make node_count 0 in
       let tail = ref 1 in
-      let offs = Array.make (node_count + 1) 0 in
-      let topo = Bitbuf.create ~capacity_bits:node_count () in
-      let content = Bitbuf.create ~capacity_bits:(4 * n) () in
-      let labels_bits = ref 0 in
-      let blocks = Array.make ((n / Rrr.block_bits) + 1) 0 in
+      let w = writer ~n ~nodes:node_count in
+      let blocks = w.blocks in
       (* level L reads its subsequences from [src] and writes level L+1's
          into [dst] *)
       let spare = Array.make n 0 in
@@ -168,14 +281,10 @@ let arena_of_keys (keys : Bitstring.t array) (seq : int array) : string =
         let lo = q_lo.(i) and hi = q_hi.(i) and off = q_off.(i) in
         let key = keys.(lo) in
         let count = cum.(hi) - cum.(lo) in
-        offs.(i) <- Bitbuf.length content;
+        start_node w ~internal:(hi - lo > 1);
         let stop =
-          if hi - lo = 1 then begin
-            Bitbuf.add topo false;
-            Bitstring.length key
-          end
+          if hi - lo = 1 then Bitstring.length key
           else begin
-            Bitbuf.add topo true;
             let m = Bitstring.lcp key keys.(hi - 1) in
             let j = split_point keys (lo + 1) (hi - 1) m in
             let src = !src and dst = !dst in
@@ -201,7 +310,7 @@ let arena_of_keys (keys : Bitstring.t array) (seq : int array) : string =
               end
             done;
             if !fill > 0 then blocks.(!nb) <- !word;
-            Rrr.Flat.append_blocks content blocks ~len:count;
+            Rrr.Flat.append_blocks w.content blocks ~len:count;
             wpos := !wpos + count;
             q_lo.(!tail) <- lo;
             q_hi.(!tail) <- j;
@@ -214,31 +323,10 @@ let arena_of_keys (keys : Bitstring.t array) (seq : int array) : string =
           end
         in
         rpos := !rpos + count;
-        labels_bits := !labels_bits + (stop - off);
-        Bitstring.append_to_bitbuf (Bitstring.sub key off (stop - off)) content
+        w.label_total <- w.label_total + (stop - off);
+        Bitstring.append_to_bitbuf (Bitstring.sub key off (stop - off)) w.content
       done;
-      let content_bits = Bitbuf.length content in
-      offs.(node_count) <- content_bits;
-      let offsets = Bitbuf.create () in
-      Offsets.append offsets ~universe:content_bits offs;
-      let offsets_bits = Bitbuf.length offsets in
-      let _, _, arena_len = sections ~node_count ~offsets_bits ~content_bits in
-      let out = Buffer.create arena_len in
-      Buffer.add_string out arena_magic;
-      add_u32 out arena_version;
-      List.iter (add_u64 out)
-        [ n; node_count; !labels_bits; offsets_bits; content_bits; arena_len ];
-      let internal = ref 0 in
-      for r = 0 to ((node_count + 31) / 32) - 1 do
-        let bits = Bitbuf.get_bits topo (32 * r) (min 32 (node_count - (32 * r))) in
-        add_u32 out !internal;
-        add_u32 out bits;
-        internal := !internal + Broadword.popcount bits
-      done;
-      Bitbuf.add_to_buffer out offsets;
-      Bitbuf.add_to_buffer out content;
-      assert (Buffer.length out = arena_len);
-      Buffer.contents out)
+      finish w ~n)
 
 (* ------------------------------------------------------------------ *)
 (* Opening: validate the header, then serve queries in place.  Nothing
@@ -309,6 +397,14 @@ let source t = t.source
 
 (* ------------------------------------------------------------------ *)
 
+(* Node [idx]'s rank among the internal nodes, -1 for a leaf. *)
+let[@inline] irank t idx =
+  let rec_bit = 8 * (header_len + (8 * (idx lsr 5))) in
+  let bits = Membuf.get_bits t.mb (rec_bit + 32) 32 in
+  let j = idx land 31 in
+  if bits land (1 lsl j) = 0 then -1
+  else Membuf.get_bits t.mb rec_bit 32 + Broadword.popcount (bits land ((1 lsl j) - 1))
+
 module Node = struct
   type trie = t
 
@@ -326,15 +422,7 @@ module Node = struct
      shared across domains), so the caches are domain-local by
      construction. *)
 
-  let make t idx count =
-    let rec_bit = 8 * (header_len + (8 * (idx lsr 5))) in
-    let bits = Membuf.get_bits t.mb (rec_bit + 32) 32 in
-    let j = idx land 31 in
-    let irank =
-      if bits land (1 lsl j) = 0 then -1
-      else Membuf.get_bits t.mb rec_bit 32 + Broadword.popcount (bits land ((1 lsl j) - 1))
-    in
-    { t; idx; count; irank; lo = -1; hi = -1; bv_memo = None }
+  let make t idx count = { t; idx; count; irank = irank t idx; lo = -1; hi = -1; bv_memo = None }
 
   let root (trie : trie) =
     if trie.closed then raise Closed;
@@ -476,55 +564,315 @@ let of_array strings =
 
 let of_list l = of_array (Array.of_list l)
 
-(* Any trie through its node view, with no string decoded.  The leaves,
-   read zero child first, are the sorted keys.  The sequence is handed
-   down the trie: a node holds the root positions of its occurrences, in
-   order, as one range of a position array; its β splits the range
-   stably between its children, zeros first, and a leaf writes its key's
-   rank at its positions.  A node's range lives in one of two arrays by
-   depth parity and its children's in the other, so the walk allocates
-   three arrays of n and nothing per node. *)
-let of_trie (type a) (module N : Node_view.S with type trie = a) (trie : a) =
+(* ------------------------------------------------------------------ *)
+(* Structural merge.  Sources whose sequences are consecutive slices
+   of one sequence are merged into the arena of the whole, with no
+   string decoded and no position handed down.  The strings below any
+   prefix form, in each source, one subtrie entered part-way along one
+   node's label, so a merged node is a range of source cursors (source,
+   node, label bits consumed, count), at most one per source, in source
+   order.  Its label runs while every cursor's remaining label agrees
+   and has bits left: it ends where two disagree or one branches, and
+   the node is a leaf only when every cursor is a leaf ending there.
+   Its β is, in source order, the β of each cursor that branches there
+   and a constant run of each other cursor's next label bit — in
+   sequence order, since the sources are.  Cursors live in plain int
+   arrays, one set per BFS level. *)
+
+type source = Arena of t | Trie : (module Node_view.S with type trie = 'a) * 'a -> source
+
+(* A non-empty source read through int node handles, the root's being
+   0.  The arena needs a node's count to find the label behind its β
+   blob, so every function on a node takes it.  Label reads are at most
+   56 bits wide.  [beta] adds the node's β to a merged β and
+   [whole_beta] writes it as the whole β of a node that no other source
+   shares; both return its ones. *)
+type reader = {
+  len : int;
+  leaf : int -> bool;
+  child : int -> bool -> int;
+  label_len : int -> int -> int;
+  label_bits : int -> int -> int -> int -> int; (* node, count, offset, width *)
+  add_label : writer -> int -> int -> int -> int -> unit; (* node, count, offset, length *)
+  beta : writer -> int -> int -> int;
+  whole_beta : writer -> int -> int -> int;
+}
+
+let arena_reader t =
+  if t.closed then raise Closed;
+  let irank = irank t in
+  (* each merged node reads one node per source: keep the last one's
+     β blob and label *)
+  let at = ref (-1) and blob = ref 0 and blob_bits = ref 0 and ones = ref 0 in
+  let label = ref 0 and label_len = ref 0 in
+  let locate idx count =
+    if idx <> !at then begin
+      let lo, hi = Offsets.get2 t.offs idx in
+      if lo > hi || hi > t.content_bits then invalid_arg "Flat_wt.merge: corrupt node extent";
+      blob := t.content_bit + lo;
+      if irank idx < 0 then begin
+        blob_bits := 0;
+        ones := 0
+      end
+      else begin
+        let bv = Rrr.Flat.of_membuf t.mb !blob ~len:count in
+        blob_bits := Rrr.Flat.space_bits bv;
+        ones := Rrr.Flat.ones bv
+      end;
+      if lo + !blob_bits > hi then invalid_arg "Flat_wt.merge: β overruns its node extent";
+      label := !blob + !blob_bits;
+      label_len := hi - lo - !blob_bits;
+      at := idx
+    end
+  in
+  if t.node_count = 0 then None
+  else
+    Some
+      {
+        len = t.n;
+        leaf = (fun idx -> irank idx < 0);
+        child =
+          (fun idx b ->
+            let c0 = (2 * irank idx) + 1 in
+            if c0 <= idx || c0 + 1 >= t.node_count then
+              invalid_arg "Flat_wt.merge: corrupt child index";
+            if b then c0 + 1 else c0);
+        label_len =
+          (fun idx count ->
+            locate idx count;
+            !label_len);
+        label_bits =
+          (fun idx count off width ->
+            locate idx count;
+            Membuf.get_bits t.mb (!label + off) width);
+        add_label =
+          (fun w idx count off len ->
+            locate idx count;
+            copy_bits w t.mb (!label + off) len;
+            w.label_total <- w.label_total + len);
+        beta =
+          (fun w idx count ->
+            locate idx count;
+            let rest = ref count in
+            Rrr.Flat.iter_blocks (Rrr.Flat.of_membuf t.mb !blob ~len:count) (fun block ->
+                add_bits w (min Rrr.block_bits !rest) block;
+                rest := !rest - Rrr.block_bits);
+            !ones);
+        (* the same bits at the same length: the same blob *)
+        whole_beta =
+          (fun w idx count ->
+            locate idx count;
+            copy_bits w t.mb !blob !blob_bits;
+            !ones);
+      }
+
+(* Any trie through its node view: handles index the nodes reached so
+   far, and β is read one bit at a time. *)
+let trie_reader (type a) (module N : Node_view.S with type trie = a) (trie : a) =
   match N.root trie with
-  | None -> of_keys [||] [||]
+  | None -> None
   | Some root ->
-      let n = N.count root in
-      let seq = Array.make n 0 in
-      let even = Array.init n Fun.id and odd = Array.make n 0 in
-      let keys = ref [] and d = ref 0 in
-      let path = Bitbuf.create () in
-      let rec go node depth lo =
-        let here = Bitbuf.length path in
-        Bitstring.append_to_bitbuf (N.label node) path;
-        let src, dst = if depth land 1 = 0 then (even, odd) else (odd, even) in
-        let hi = lo + N.count node in
-        if N.is_leaf node then begin
-          keys := Bitstring.of_bitbuf path :: !keys;
-          for k = lo to hi - 1 do
-            seq.(src.(k)) <- !d
-          done;
-          incr d
-        end
-        else begin
-          let zero = N.child node false in
-          let mid = lo + N.count zero in
-          let next = N.iter_bits node 0 and w0 = ref lo and w1 = ref mid in
-          for k = lo to hi - 1 do
-            let w = if next () then w1 else w0 in
-            dst.(!w) <- src.(k);
-            incr w
-          done;
-          let stop = Bitbuf.length path in
-          Bitbuf.add path false;
-          go zero (depth + 1) lo;
-          Bitbuf.truncate path stop;
-          Bitbuf.add path true;
-          go (N.child node true) (depth + 1) mid
+      let nodes = ref (Array.make 64 root) and reached = ref 1 in
+      let get h = !nodes.(h) in
+      let add node =
+        if !reached = Array.length !nodes then begin
+          let grown = Array.make (2 * !reached) root in
+          Array.blit !nodes 0 grown 0 !reached;
+          nodes := grown
         end;
-        Bitbuf.truncate path here
+        !nodes.(!reached) <- node;
+        incr reached;
+        !reached - 1
       in
-      go root 0 0;
-      of_keys (Array.of_list (List.rev !keys)) seq
+      let beta w h count =
+        let node = get h in
+        let next = N.iter_bits node 0 in
+        let rest = ref count in
+        while !rest > 0 do
+          let take = min Rrr.block_bits !rest in
+          let word = ref 0 in
+          for j = 0 to take - 1 do
+            if next () then word := !word lor (1 lsl j)
+          done;
+          add_bits w take !word;
+          rest := !rest - take
+        done;
+        N.count (N.child node true)
+      in
+        Some
+          {
+            len = N.count root;
+            leaf = (fun h -> N.is_leaf (get h));
+            child = (fun h b -> add (N.child (get h) b));
+            label_len = (fun h _ -> Bitstring.length (N.label (get h)));
+            label_bits = (fun h _ off width -> Bitstring.get_bits (N.label (get h)) off width);
+            add_label =
+              (fun w h _ off len ->
+                let label = N.label (get h) in
+                let p = ref 0 in
+                while !p < len do
+                  let take = min 56 (len - !p) in
+                  add_label w take (Bitstring.get_bits label (off + !p) take);
+                  p := !p + take
+                done);
+            beta;
+            whole_beta =
+              (fun w h count ->
+                let ones = beta w h count in
+                end_beta w ~len:count;
+                ones);
+          }
+
+(* One BFS level of merged nodes: node j owns cursors
+   [first.(j), first.(j + 1)), the last one up to [cursors]. *)
+type level = {
+  mutable src : int array;
+  mutable node : int array;
+  mutable off : int array;
+  mutable cnt : int array;
+  mutable cursors : int;
+  mutable first : int array;
+  mutable merged : int;
+}
+
+let level () =
+  let a () = Array.make 64 0 in
+  { src = a (); node = a (); off = a (); cnt = a (); cursors = 0; first = a (); merged = 0 }
+
+let grown a = Array.append a (Array.make (Array.length a) 0)
+
+let open_node l =
+  if l.merged = Array.length l.first then l.first <- grown l.first;
+  l.first.(l.merged) <- l.cursors;
+  l.merged <- l.merged + 1
+
+let push_cursor l s v o c =
+  if l.cursors = Array.length l.src then begin
+    l.src <- grown l.src;
+    l.node <- grown l.node;
+    l.off <- grown l.off;
+    l.cnt <- grown l.cnt
+  end;
+  let i = l.cursors in
+  l.src.(i) <- s;
+  l.node.(i) <- v;
+  l.off.(i) <- o;
+  l.cnt.(i) <- c;
+  l.cursors <- i + 1
+
+(* An internal node's β has both bit values, or its tree is corrupt. *)
+let checked_ones ones count =
+  if ones <= 0 || ones >= count then invalid_arg "Flat_wt.merge: constant β at an internal node";
+  ones
+
+let merge_readers (readers : reader array) =
+  let k = Array.length readers in
+  let n = Array.fold_left (fun acc r -> acc + r.len) 0 readers in
+  let w = writer ~n ~nodes:64 in
+  (* per cursor of the node at hand: its label bits left, and the bit it
+     continues with (-1 when it branches here, with [ones] its β's) *)
+  let rem = Array.make k 0 and bit = Array.make k 0 and ones = Array.make k 0 in
+  let cur = ref (level ()) and next = ref (level ()) in
+  if k > 0 then open_node !cur;
+  Array.iteri (fun s r -> push_cursor !cur s 0 0 r.len) readers;
+  while !cur.merged > 0 do
+    let l = !cur and nx = !next in
+    nx.cursors <- 0;
+    nx.merged <- 0;
+    for j = 0 to l.merged - 1 do
+      let a = l.first.(j) and b = if j + 1 < l.merged then l.first.(j + 1) else l.cursors in
+      let s0 = l.src.(a) and v0 = l.node.(a) and o0 = l.off.(a) and c0 = l.cnt.(a) in
+      let r0 = readers.(s0) in
+      if b - a = 1 then begin
+        (* one source below this prefix: its node, past the label bits
+           already consumed *)
+        let internal = not (r0.leaf v0) in
+        start_node w ~internal;
+        let ones = if internal then checked_ones (r0.whole_beta w v0 c0) c0 else 0 in
+        r0.add_label w v0 c0 o0 (r0.label_len v0 c0 - o0);
+        if internal then begin
+          open_node nx;
+          push_cursor nx s0 (r0.child v0 false) 0 (c0 - ones);
+          open_node nx;
+          push_cursor nx s0 (r0.child v0 true) 0 ones
+        end
+      end
+      else begin
+        let m = ref (r0.label_len v0 c0 - o0) in
+        rem.(0) <- !m;
+        for i = a + 1 to b - 1 do
+          let r = readers.(l.src.(i)) and v = l.node.(i) and o = l.off.(i) and c = l.cnt.(i) in
+          rem.(i - a) <- r.label_len v c - o;
+          (* the label ends where this cursor disagrees with the first *)
+          let p = ref 0 and lim = ref (min !m rem.(i - a)) in
+          while !p < !lim do
+            let take = min 56 (!lim - !p) in
+            let x = r0.label_bits v0 c0 (o0 + !p) take lxor r.label_bits v c (o + !p) take in
+            if x = 0 then p := !p + take
+            else begin
+              p := !p + Broadword.lowest_bit x;
+              lim := !p
+            end
+          done;
+          m := !lim
+        done;
+        let m = !m in
+        let internal = ref false in
+        for i = a to b - 1 do
+          if rem.(i - a) > m || not (readers.(l.src.(i)).leaf l.node.(i)) then internal := true
+        done;
+        start_node w ~internal:!internal;
+        if !internal then begin
+          let count = ref 0 in
+          for i = a to b - 1 do
+            let r = readers.(l.src.(i)) and v = l.node.(i) and c = l.cnt.(i) in
+            count := !count + c;
+            if rem.(i - a) > m then begin
+              bit.(i - a) <- r.label_bits v c (l.off.(i) + m) 1;
+              add_run w (bit.(i - a) = 1) c
+            end
+            else begin
+              if r.leaf v then invalid_arg "Flat_wt.merge: the strings are not prefix-free";
+              bit.(i - a) <- -1;
+              ones.(i - a) <- checked_ones (r.beta w v c) c
+            end
+          done;
+          end_beta w ~len:!count
+        end;
+        r0.add_label w v0 c0 o0 m;
+        if !internal then
+          for side = 0 to 1 do
+            open_node nx;
+            for i = a to b - 1 do
+              let s = l.src.(i) and v = l.node.(i) and c = l.cnt.(i) in
+              if bit.(i - a) = side then push_cursor nx s v (l.off.(i) + m + 1) c
+              else if bit.(i - a) < 0 then
+                push_cursor nx s
+                  (readers.(s).child v (side = 1))
+                  0
+                  (if side = 1 then ones.(i - a) else c - ones.(i - a))
+            done
+          done
+      end
+    done;
+    cur := nx;
+    next := l
+  done;
+  finish w ~n
+
+let merge sources =
+  Probe.time Flat_build (fun () ->
+      let readers =
+        Array.of_list
+          (List.filter_map
+             (function Arena t -> arena_reader t | Trie (m, trie) -> trie_reader m trie)
+             (Array.to_list sources))
+      in
+      of_membuf (Membuf.of_string (merge_readers readers)))
+
+(* Any trie through its node view: the one-source merge. *)
+let of_trie (type a) (module N : Node_view.S with type trie = a) (trie : a) =
+  merge [| Trie ((module N), trie) |]
 
 let save_file t path =
   if t.closed then raise Closed;

@@ -8,7 +8,8 @@
     [Init]'s left offset.  Static runs answer the older history at
     flat-arena speed — the shape of Navarro–Nekrich's dynamic
     sequences, static parts plus a small buffer rebuilt
-    periodically.  The moving parts:
+    periodically, here with logarithmically many parts.  The moving
+    parts:
 
     - {b Ingest} appends the raw byte string to the WAL, then to the
       in-memory [Append_wt] delta; {!flush} (the fsync) is the ack
@@ -23,19 +24,22 @@
       engine and the domain pool on every tier.
     - {b Compaction}: the writer seals the delta the moment it reaches
       the threshold, waiting first for a compaction still running (at
-      most one sealed delta, so every run holds exactly [threshold]
+      most one sealed delta, so every seal adds exactly [threshold]
       strings).  Nothing appends to a sealed trie again, so the
       compactor and every query share it as it is, with no copy; it
-      stays a view tier until the commit.  The compactor builds the
-      run from the trie's keys ([Flat_wt.of_trie]: the leaves, zero
-      child first, are the sorted keys, and each β hands its node's
-      positions down to its children — no string is decoded) off the
-      owner's critical path — on a background domain or, for the
-      synchronous [compact], optionally through a [Wt_par.Pool] — and
-      commits with a strict ordering:
-      run file durable, WAL rotated to the next generation carrying
-      only post-seal ingests, manifest swapped.  Each window of that
-      ordering is recoverable (see {!open_}).
+      stays a view tier until the commit.  The new run absorbs,
+      walking back from the newest, every run no longer than what it
+      holds so far — a binary counter over run sizes, so after k seals
+      the runs hold [threshold] times the set bits of k.  The
+      compactor builds it by a structural merge of those runs and the
+      sealed trie ([Flat_wt.merge]: node by node, no string decoded)
+      off the owner's critical path — on a background domain or, for
+      the synchronous [compact], optionally through a [Wt_par.Pool] —
+      and commits with a strict ordering: run file durable (its name
+      records how many runs it replaces), WAL rotated to the next
+      generation carrying only post-seal ingests, manifest swapped
+      with the absorbed runs dropped, their files deleted.  Each
+      window of that ordering is recoverable (see {!open_}).
     - {b Publication}: every commit (and [publish]) installs a frozen
       view in a {!Wt_par.Snapshot}, so concurrent readers and the
       serving front-end never observe a torn tier list; a batch in
@@ -55,6 +59,8 @@
       payload = marshalled [(generation, run file names oldest-first,
       next run number)];
     - [run-NNNNNN.wtx] — format-v3 flat-arena containers;
+      [run-NNNNNN-rJ.wtx] for a run that replaced the J newest runs
+      before it;
     - [wal.log] — {!Wt_durable.Wal} log, tag ["tiered"], generation
       equal to the manifest's; append records only.
 
@@ -64,9 +70,12 @@
       orphan ([w = g]); the full WAL replays, the orphan is deleted and
       the next compaction rewrites it atomically;
     - after the WAL rotation, before the manifest swap ([w = g+1]):
-      roll forward — the pending run [run-<next>] holds exactly the
-      records the rotation dropped, so the run is adopted, the
-      manifest rewritten at [g+1], and the (suffix-only) WAL replayed;
+      roll forward — the pending run [run-<next>] (plain, or [-rJ])
+      holds exactly the records the rotation dropped merged with the J
+      newest runs, so it is adopted in their place, the manifest
+      rewritten at [g+1], and the (suffix-only) WAL replayed;
+    - after the manifest swap, before the replaced files are deleted:
+      they are orphans too, deleted by the next read-write open;
     - [w < g] or torn WAL header: the log is stale (its records are
       already inside a run) — reset it;
     - [w > g+1]: impossible under the protocol; refuse to open. *)
@@ -494,7 +503,34 @@ module F = Wt_core.String_api.Make (View.Seq)
 
 let manifest_path dir = Filename.concat dir "manifest.wtx"
 let wal_path dir = Filename.concat dir "wal.log"
-let run_file i = Printf.sprintf "run-%06d.wtx" i
+
+(* Run [i]'s file name records how many older runs it replaces: a plain
+   name for none, so stores written before runs merged read as they
+   always did. *)
+let run_file ?(replaces = 0) i =
+  if replaces = 0 then Printf.sprintf "run-%06d.wtx" i
+  else Printf.sprintf "run-%06d-r%d.wtx" i replaces
+
+(* The pending run numbered [i] on disk, with the count it replaces. *)
+let pending_run dir i =
+  let prefix = Printf.sprintf "run-%06d-r" i in
+  let replaces f =
+    if f = run_file i then Some 0
+    else if String.starts_with ~prefix f && Filename.check_suffix f ".wtx" then
+      let digits = String.sub f (String.length prefix) (String.length f - String.length prefix - 4) in
+      match int_of_string_opt digits with
+      | Some j when j > 0 && f = run_file ~replaces:j i -> Some j
+      | _ -> None
+    else None
+  in
+  match
+    List.filter_map
+      (fun f -> Option.map (fun j -> (f, j)) (replaces f))
+      (Array.to_list (Sys.readdir dir))
+  with
+  | [] -> None
+  | [ found ] -> Some found
+  | _ -> fail "%s: more than one pending run numbered %d" dir i
 
 let write_manifest dir ~generation ~runs ~next_run =
   let payload =
@@ -519,7 +555,16 @@ let is_store dir =
 (* ------------------------------------------------------------------ *)
 (* The store *)
 
-type run = { rfile : string; rflat : Flat_wt.t }
+(* [l] without its [k] newest (last) elements, and those elements. *)
+let split_newest k l =
+  let keep = List.length l - k in
+  (List.filteri (fun i _ -> i < keep) l, List.filteri (fun i _ -> i >= keep) l)
+
+type run = {
+  rfile : string;
+  rflat : Flat_wt.t;
+  opened : bool;  (** read from its file at open, not built in memory *)
+}
 
 type t = {
   dir : string;
@@ -529,6 +574,9 @@ type t = {
   mutable generation : int;
   mutable next_run : int;
   mutable runs : run list;  (** oldest first *)
+  mutable retired : run list;
+      (** opened runs a merge replaced: an older epoch may still read
+          them, so they close with the store *)
   mutable sealed : Append_wt.t option;  (** never written again: shared *)
   mutable delta : Append_wt.t;
   mutable suffix : string list;  (** raw ingests since the seal, newest first *)
@@ -591,49 +639,73 @@ let handle t = t.view
 (* Open / recovery *)
 
 let open_runs ~verify dir names =
-  List.map
-    (fun name ->
-      let path = Filename.concat dir name in
-      let rflat =
-        try Flat_wt.open_file ~mode:(if verify then `Copy else `Mmap) path
-        with Sys_error reason -> fail "%s: %s" path reason
-      in
-      if verify then Flat_wt.check_invariants rflat;
-      { rfile = name; rflat })
-    names
+  let runs = ref [] in
+  try
+    List.iter
+      (fun name ->
+        let path = Filename.concat dir name in
+        let rflat =
+          try Flat_wt.open_file ~mode:(if verify then `Copy else `Mmap) path
+          with Sys_error reason -> fail "%s: %s" path reason
+        in
+        runs := { rfile = name; rflat; opened = true } :: !runs;
+        if verify then Flat_wt.check_invariants rflat)
+      names;
+    List.rev !runs
+  with e ->
+    List.iter (fun r -> Flat_wt.close r.rflat) !runs;
+    raise e
 
 let open_internal ~read_only ~verify ~threshold dir =
   if not (is_store dir) then fail "%s: not a tiered store (no manifest.wtx)" dir;
   if not read_only then Container.cleanup_tmp dir;
-  let generation, run_names, next_run = read_manifest dir in
-  let scan = Wal.scan (wal_path dir) in
-  if scan.s_header_ok && scan.s_tag = wal_tag && scan.s_generation > generation + 1
-  then
-    fail "%s: WAL generation %d is ahead of manifest generation %d" dir
-      scan.s_generation generation;
-  let rolled_forward =
-    scan.s_header_ok && scan.s_tag = wal_tag && scan.s_generation = generation + 1
+  let rec load attempt =
+    let manifest = read_manifest dir in
+    let generation, run_names, next_run = manifest in
+    let scan = Wal.scan (wal_path dir) in
+    if scan.s_header_ok && scan.s_tag = wal_tag && scan.s_generation > generation + 1
+    then
+      fail "%s: WAL generation %d is ahead of manifest generation %d" dir
+        scan.s_generation generation;
+    let rolled_forward =
+      scan.s_header_ok && scan.s_tag = wal_tag && scan.s_generation = generation + 1
+    in
+    let generation, run_names, next_run =
+      if rolled_forward then begin
+        (* The WAL rotation landed but the manifest swap did not: the
+           pending run holds exactly the records the rotation dropped,
+           merged with the newest runs its name says it replaces.  Adopt
+           it in their place and complete the commit. *)
+        let pending, replaces =
+          match pending_run dir next_run with
+          | Some p -> p
+          | None ->
+              fail "%s: WAL is one generation ahead but pending run %s is missing" dir
+                (run_file next_run)
+        in
+        if replaces > List.length run_names then
+          fail "%s: pending run %s replaces %d runs, the manifest names %d" dir pending
+            replaces (List.length run_names);
+        let runs = fst (split_newest replaces run_names) @ [ pending ] in
+        if not read_only then
+          write_manifest dir ~generation:(generation + 1) ~runs
+            ~next_run:(next_run + 1);
+        (generation + 1, runs, next_run + 1)
+      end
+      else (generation, run_names, next_run)
+    in
+    match open_runs ~verify dir run_names with
+    | runs -> (generation, run_names, next_run, scan, rolled_forward, runs)
+    | exception (Container.Format_error _ as e) ->
+        (* a writer's merge may have replaced, and deleted, a run
+           between the manifest read and its open: read again *)
+        if read_only && attempt < 3 && read_manifest dir <> manifest then load (attempt + 1)
+        else raise e
   in
-  let generation, run_names, next_run =
-    if rolled_forward then begin
-      (* The WAL rotation landed but the manifest swap did not: the
-         pending run holds exactly the records the rotation dropped.
-         Adopt it and complete the commit. *)
-      let pending = run_file next_run in
-      if not (Sys.file_exists (Filename.concat dir pending)) then
-        fail "%s: WAL is one generation ahead but pending run %s is missing" dir
-          pending;
-      let runs = run_names @ [ pending ] in
-      if not read_only then
-        write_manifest dir ~generation:(generation + 1) ~runs
-          ~next_run:(next_run + 1);
-      (generation + 1, runs, next_run + 1)
-    end
-    else (generation, run_names, next_run)
-  in
-  let runs = open_runs ~verify dir run_names in
-  (* Runs adopted; anything else named run-*.wtx is an orphan from a
-     crash between the run write and the WAL rotation. *)
+  let generation, run_names, next_run, scan, rolled_forward, runs = load 0 in
+  (* Runs adopted; anything else named run-*.wtx is an orphan: a run a
+     merge replaced, or a pending run from a crash between the run write
+     and the WAL rotation. *)
   if not read_only then
     Array.iter
       (fun f ->
@@ -689,6 +761,7 @@ let open_internal ~read_only ~verify ~threshold dir =
       generation;
       next_run;
       runs;
+      retired = [];
       sealed = None;
       delta;
       suffix = [];
@@ -740,13 +813,15 @@ let open_read_only ?(verify = false) dir =
 
 (* Commit ordering (each step atomic on its own, the sequence
    recoverable at every boundary — see the module header):
-   1. run file durable; 2. WAL rotated to generation g+1 carrying the
-   post-seal suffix; 3. manifest swapped to g+1.  In-memory state and
-   the published view change only after all three. *)
-let commit t flat =
+   1. run file durable, named for the [replaces] newest runs it merged;
+   2. WAL rotated to generation g+1 carrying the post-seal suffix;
+   3. manifest swapped to g+1, the replaced runs dropped.  Then the
+   replaced files are deleted (the sweep at open catches a crash before
+   that), and the in-memory state and the published view change. *)
+let commit t flat ~replaces =
   with_lock t (fun () ->
       let g' = t.generation + 1 in
-      let name = run_file t.next_run in
+      let name = run_file ~replaces t.next_run in
       let path = Filename.concat t.dir name in
       Flat_wt.save_file flat path;
       Probe.record Tiered_compact_bytes (Unix.stat path).Unix.st_size;
@@ -757,16 +832,21 @@ let commit t flat =
       | None -> ());
       let suffix_ops = List.rev_map (fun s -> Wal.Append s) t.suffix in
       Wal.create_with ~tag:wal_tag ~generation:g' suffix_ops (wal_path t.dir);
+      let kept, replaced = split_newest replaces t.runs in
       write_manifest t.dir ~generation:g'
-        ~runs:(List.map (fun r -> r.rfile) t.runs @ [ name ])
+        ~runs:(List.map (fun r -> r.rfile) kept @ [ name ])
         ~next_run:(t.next_run + 1);
+      List.iter
+        (fun r -> try Sys.remove (Filename.concat t.dir r.rfile) with Sys_error _ -> ())
+        replaced;
       t.wal_oc <- Some (Wal.open_append (wal_path t.dir));
       t.wal_bytes <-
         List.fold_left
           (fun acc op -> acc + Wal.record_size op)
           (Wal.header_size ~tag:wal_tag)
           suffix_ops;
-      t.runs <- t.runs @ [ { rfile = name; rflat = flat } ];
+      t.runs <- kept @ [ { rfile = name; rflat = flat; opened = false } ];
+      t.retired <- List.filter (fun r -> r.opened) replaced @ t.retired;
       t.generation <- g';
       t.next_run <- t.next_run + 1;
       t.sealed <- None;
@@ -791,12 +871,33 @@ let seal t =
         Some d
       end)
 
+(* How many of the newest runs the next run absorbs: walking back from
+   the newest, every run no longer than what the new run holds so far.
+   Over seals of equal deltas this is a binary counter on run sizes, so
+   at most log2 (n / threshold) + 1 runs exist. *)
+let absorbed runs ~delta =
+  let rec go size j = function
+    | r :: older when Flat_wt.length r.rflat <= size ->
+        go (size + Flat_wt.length r.rflat) (j + 1) older
+    | _ -> j
+  in
+  go delta 0 (List.rev runs)
+
+(* Only this compaction's commit changes [runs], so the ones it merges
+   stay the newest until it commits. *)
 let compact_sealed ?pool t sealed =
   let n = Append_wt.length sealed in
+  let runs = with_lock t (fun () -> t.runs) in
+  let replaces = absorbed runs ~delta:n in
+  let merged = snd (split_newest replaces runs) in
   try
-    Trace.with_span ~args:[ ("strings", n) ] "tiered.compact" (fun () ->
+    Trace.with_span ~args:[ ("strings", n); ("runs", replaces) ] "tiered.compact" (fun () ->
         Probe.time Tiered_compact (fun () ->
-            let build () = Flat_wt.of_trie (module Append_wt.Node) sealed in
+            let sources =
+              List.map (fun r -> Flat_wt.Arena r.rflat) merged
+              @ [ Flat_wt.Trie ((module Append_wt.Node), sealed) ]
+            in
+            let build () = Flat_wt.merge (Array.of_list sources) in
             let flat =
               match pool with
               | None -> build ()
@@ -805,7 +906,7 @@ let compact_sealed ?pool t sealed =
                   Pool.run p [| (fun () -> r := Some (build ())) |];
                   Option.get !r
             in
-            commit t flat))
+            commit t flat ~replaces))
   with e ->
     (* Disk may sit in any commit window; in-memory reads stay
        correct (the sealed tier is still a view tier and its
@@ -838,8 +939,9 @@ let wait_compaction t =
   t.compactor <- None
 
 (* The writer seals the delta the moment it reaches [threshold], so
-   every run holds exactly [threshold] strings (bar a larger delta
-   recovered from the WAL).  At most one sealed delta exists: if the
+   every seal adds exactly [threshold] strings (bar a larger delta
+   recovered from the WAL) and the run sizes do not depend on the
+   compactor's timing.  At most one sealed delta exists: if the
    previous compaction is still running, the writer waits for it
    first. *)
 let maybe_compact t =
@@ -908,7 +1010,7 @@ let close t =
             (try Stdlib.flush oc with Sys_error _ -> ());
             close_out_noerr oc
         | None -> ());
-        List.iter (fun r -> Flat_wt.close r.rflat) t.runs
+        List.iter (fun r -> Flat_wt.close r.rflat) (t.runs @ t.retired)
       end)
 
 (* ------------------------------------------------------------------ *)

@@ -174,7 +174,8 @@ let test_rrr_patterns () =
 
 (* The flat blob encoded straight from 62-bit blocks, opened at an
    unaligned offset inside a larger stream, answers like the model —
-   one superblock (no directory) and several (with one). *)
+   one superblock (no directory) and several (with one) — and decodes
+   back to the same blocks. *)
 let test_rrr_flat_blocks () =
   let rng = Xoshiro.create 404 in
   List.iter
@@ -204,7 +205,13 @@ let test_rrr_flat_blocks () =
             ~access:(Rrr.Flat.access bv) ~rank:(Rrr.Flat.rank bv) ~select:(Rrr.Flat.select bv)
             ~length:(fun () -> Rrr.Flat.length bv)
             ~rng model;
-          check_int "ones" (Model.count model true) (Rrr.Flat.ones bv))
+          check_int "ones" (Model.count model true) (Rrr.Flat.ones bv);
+          let decoded = ref [] in
+          Rrr.Flat.iter_blocks bv (fun block -> decoded := block :: !decoded);
+          Alcotest.(check (list int))
+            (Printf.sprintf "blocks %s/%d" pname n)
+            (Array.to_list (Array.sub blocks 0 ((n + Rrr.block_bits - 1) / Rrr.block_bits)))
+            (List.rev !decoded))
         (patterns rng n))
     [ 0; 1; 61; 62; 63; 991; 992; 993; 3000 ]
 

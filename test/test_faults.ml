@@ -580,29 +580,55 @@ let tiered_contents dir =
     (fun () ->
       List.init (Tiered.length t) (fun pos -> Result.get_ok (Tiered.access t ~pos)))
 
+(* A base store whose next compaction merges: two runs of 8 and 4
+   strings (the second compaction does not absorb the larger first run)
+   and a 4-string delta, which absorbs both — a commit replacing J = 2
+   runs. *)
+let merge_inputs = List.init 16 (fun i -> Printf.sprintf "m-%02d-%s" i (String.make (i mod 3) 'z'))
+
+let build_merge_base dir =
+  rm_rf dir;
+  let t = Tiered.create ~threshold:max_int dir in
+  List.iteri
+    (fun i s ->
+      Tiered.ingest t s;
+      if i = 7 || i = 11 then Tiered.compact t)
+    merge_inputs;
+  Tiered.flush t;
+  Tiered.close t
+
+let run_files dir =
+  List.sort compare
+    (List.filter
+       (fun f -> String.length f > 4 && String.sub f 0 4 = "run-")
+       (Array.to_list (Sys.readdir dir)))
+
 (* Compact [base] into [measure] once, fault-free, to learn the byte
    cost of each commit step (every write goes through the budgeted
    [Fault.output_string], so file sizes are budget arithmetic). *)
-let measure_compaction base measure =
+let measure_compaction ?(run = "run-000000.wtx") base measure =
   copy_dir base measure;
   let tm, _ = Tiered.open_ ~threshold:max_int measure in
   Tiered.compact tm;
   Tiered.close tm;
   let sz f = (Unix.stat (Filename.concat measure f)).Unix.st_size in
-  (sz "run-000000.wtx", sz "wal.log", sz "manifest.wtx")
+  (sz run, sz "wal.log", sz "manifest.wtx")
 
-let test_tiered_compaction_crash_sweep () =
-  let base = fresh_dir "tiered_crash_base" in
-  build_tiered_base base;
-  let measure = fresh_dir "tiered_crash_measure" in
-  let run_b, wal_b, man_b = measure_compaction base measure in
+(* Crash the compaction of [base] at every budget of a stride plus
+   pinned budgets inside each commit window, so the sweep provably hits
+   all three crash sites.  The commit writes [run], replacing the
+   [replaces] newest of [runs_before] runs. *)
+let compaction_crash_sweep ~name ~build ~inputs ~runs_before ~replaces ~run =
+  let base = fresh_dir (name ^ "_base") in
+  build base;
+  let measure = fresh_dir (name ^ "_measure") in
+  let run_b, wal_b, man_b = measure_compaction ~run base measure in
   rm_rf measure;
   let total = run_b + wal_b + man_b in
-  let dir = fresh_dir "tiered_crash" in
-  let n = List.length tiered_inputs in
+  let dir = fresh_dir name in
+  let n = List.length inputs in
+  let runs_after = runs_before - replaces + 1 in
   let crashes = ref 0 and completions = ref 0 and rolled = ref 0 in
-  (* a stride plus pinned budgets inside each commit window, so the
-     sweep provably hits all three crash sites *)
   let budgets =
     List.sort_uniq compare
       (List.init 62 (fun i -> i * max 1 (total / 60))
@@ -623,15 +649,21 @@ let test_tiered_compaction_crash_sweep () =
         Fault.disarm ();
         Tiered.close t;
         incr (if crashed then crashes else completions);
-        let ctx m = Printf.sprintf "budget %d/%d (crashed=%b): %s" budget total crashed m in
+        let ctx m = Printf.sprintf "%s budget %d/%d (crashed=%b): %s" name budget total crashed m in
         (* even before repair, no acknowledged ingest may be missing:
            every crash window leaves the records in the old WAL, the
            new WAL + pending run, or the committed run *)
         let rep0 = Tiered.verify dir in
         check_int (ctx "no lost ingest pre-recovery") n rep0.Tiered.v_length;
         check_bool (ctx "never a WAL reset") false rep0.Tiered.v_wal_reset;
-        if rep0.Tiered.v_rolled_forward then incr rolled;
-        check_bool (ctx "no duplicate pre-recovery") true (tiered_contents dir = tiered_inputs);
+        if rep0.Tiered.v_rolled_forward then begin
+          incr rolled;
+          check_int (ctx "roll-forward replaces exactly J runs") runs_after rep0.Tiered.v_runs
+        end
+        else
+          check_bool (ctx "the runs before or after the commit") true
+            (rep0.Tiered.v_runs = (if crashed then runs_before else runs_after));
+        check_bool (ctx "no duplicate pre-recovery") true (tiered_contents dir = inputs);
         (* repair: adopt/replay, compact the delta, land clean *)
         let r = Tiered.recover dir in
         check_bool (ctx "recover never resets the WAL") false r.Tiered.r_wal_reset;
@@ -640,7 +672,9 @@ let test_tiered_compaction_crash_sweep () =
         check_int (ctx "no lost ingest") n rep.Tiered.v_length;
         check_bool (ctx "exactly one run generation") true (rep.Tiered.v_runs = 1);
         check_int (ctx "delta fully compacted") 0 rep.Tiered.v_wal_records;
-        check_bool (ctx "contents") true (tiered_contents dir = tiered_inputs)
+        check_bool (ctx "contents") true (tiered_contents dir = inputs);
+        (* nothing replaced or orphaned is left behind *)
+        Alcotest.(check (list string)) (ctx "run files") [ run ] (run_files dir)
       end)
     budgets;
   (* the sweep must have exercised both outcomes, and the pinned budget
@@ -650,6 +684,42 @@ let test_tiered_compaction_crash_sweep () =
   check_bool "sweep saw completions" true (!completions > 0);
   check_bool "sweep saw a roll-forward window" true (!rolled > 0);
   rm_rf dir;
+  rm_rf base
+
+let test_tiered_compaction_crash_sweep () =
+  compaction_crash_sweep ~name:"tiered_crash" ~build:build_tiered_base ~inputs:tiered_inputs
+    ~runs_before:0 ~replaces:0 ~run:"run-000000.wtx"
+
+(* The same sweep over a commit that absorbs two runs, then a pending
+   run written the way stores wrote every run before runs merged: a
+   plain name, holding the delta alone.  Roll-forward appends it and
+   replaces nothing. *)
+let test_tiered_merge_crash_sweep () =
+  compaction_crash_sweep ~name:"tiered_merge_crash" ~build:build_merge_base
+    ~inputs:merge_inputs ~runs_before:2 ~replaces:2 ~run:"run-000002-r2.wtx";
+  let base = fresh_dir "tiered_plain_base" in
+  build_merge_base base;
+  let after = fresh_dir "tiered_plain_after" in
+  ignore (measure_compaction ~run:"run-000002-r2.wtx" base after : int * int * int);
+  let dir = fresh_dir "tiered_plain" in
+  copy_dir base dir;
+  write_file (Filename.concat dir "wal.log") (read_file (Filename.concat after "wal.log"));
+  let delta = Array.of_list (List.filteri (fun i _ -> i >= 12) merge_inputs) in
+  Wt_core.Flat_wt.save_file (Wtrie.Static.of_array delta) (Filename.concat dir "run-000002.wtx");
+  let rep = Tiered.verify dir in
+  check_bool "plain pending run rolls forward" true rep.Tiered.v_rolled_forward;
+  check_int "plain pending run replaces nothing" 3 rep.Tiered.v_runs;
+  check_int "plain pending run keeps everything" (List.length merge_inputs) rep.Tiered.v_length;
+  let t, r = Tiered.open_ dir in
+  check_bool "open completes the plain commit" true r.Tiered.r_rolled_forward;
+  Tiered.close t;
+  check_bool "clean after the plain adoption" true (Tiered.verify dir).Tiered.v_clean;
+  check_bool "contents after the plain adoption" true (tiered_contents dir = merge_inputs);
+  Alcotest.(check (list string))
+    "plain adoption keeps every run" [ "run-000000.wtx"; "run-000001.wtx"; "run-000002.wtx" ]
+    (run_files dir);
+  rm_rf dir;
+  rm_rf after;
   rm_rf base
 
 (* Bit-flip and truncation sweeps over the manifest: every corrupted
@@ -846,6 +916,7 @@ let () =
       ( "tiered",
         [
           Alcotest.test_case "compaction crash sweep" `Quick test_tiered_compaction_crash_sweep;
+          Alcotest.test_case "merge commit crash sweep" `Quick test_tiered_merge_crash_sweep;
           Alcotest.test_case "manifest corruption sweeps" `Quick test_tiered_manifest_sweeps;
           Alcotest.test_case "run corruption sweeps" `Quick test_tiered_run_sweeps;
           Alcotest.test_case "recovery classes" `Quick test_tiered_recovery_classes;

@@ -461,15 +461,73 @@ let qcheck_direct_build =
     (QCheck.Test.make ~name:"static build = pointer trie = bitstring = pointer input"
        ~count:300 (QCheck.make ~print byte_arrays) prop_direct_build)
 
+(* The structural merge: arenas of consecutive slices of the input, then
+   the last slice as an append-only or dynamic trie read through its
+   node view, merge into the very arena the static front door builds
+   from the whole input.  [unique] tags every string with its slice
+   number, so no key occurs in two slices. *)
+let prop_merge (a, cuts, dynamic_tail, unique) =
+  let n = Array.length a in
+  let cuts = List.sort compare (List.map (fun c -> c mod (n + 1)) cuts) in
+  let bounds = Array.of_list ((0 :: cuts) @ [ n ]) in
+  let slices = Array.length bounds - 1 in
+  let a =
+    if unique then
+      Array.mapi
+        (fun i s ->
+          let slice = ref 0 in
+          while bounds.(!slice + 1) <= i do incr slice done;
+          s ^ String.make 1 (Char.chr !slice))
+        a
+    else a
+  in
+  let slice i = Array.sub a bounds.(i) (bounds.(i + 1) - bounds.(i)) in
+  let tail = Array.map Wt_core.String_api.encode (slice (slices - 1)) in
+  let tail =
+    if dynamic_tail then Flat_wt.Trie ((module Dynamic_wt.Node), Dynamic_wt.of_array tail)
+    else begin
+      let t = Append_wt.create () in
+      Array.iter (Append_wt.append t) tail;
+      Flat_wt.Trie ((module Append_wt.Node), t)
+    end
+  in
+  let arenas = Array.init (slices - 1) (fun i -> Flat_wt.Arena (Wtrie.Static.of_array (slice i))) in
+  let sources = Array.append arenas [| tail |] in
+  let merged = Flat_wt.merge sources in
+  Flat_wt.check_invariants merged;
+  arena merged = arena (Wtrie.Static.of_array a)
+
+(* k = 1..5 arenas ahead of the tail, any of them empty. *)
+let merge_cases =
+  let open QCheck.Gen in
+  quad byte_arrays (list_size (int_range 1 5) nat) bool bool
+
+let qcheck_merge =
+  let print (a, cuts, dynamic_tail, unique) =
+    Printf.sprintf "[%s] cuts [%s] %s tail%s"
+      (String.concat "; " (Array.to_list (Array.map String.escaped a)))
+      (String.concat "; " (List.map string_of_int cuts))
+      (if dynamic_tail then "dynamic" else "append-only")
+      (if unique then ", slice-tagged" else "")
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"merged slices = static build of the whole" ~count:300
+       (QCheck.make ~print merge_cases) prop_merge)
+
 (* The bitstring front door checks prefix-freeness on adjacent sorted
-   keys, as the pointer builder does. *)
+   keys, as the pointer builder does; the merge, on the keys of
+   different sources. *)
 let test_not_prefix_free () =
   List.iter
     (fun strings ->
       let arr = Array.of_list (List.map bs strings) in
       let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
       check_bool "pointer rejects" true (raises (fun () -> ignore (Wavelet_trie.of_array arr)));
-      check_bool "flat rejects" true (raises (fun () -> ignore (Flat_wt.of_array arr))))
+      check_bool "flat rejects" true (raises (fun () -> ignore (Flat_wt.of_array arr)));
+      let keys = List.sort_uniq Bitstring.compare (Array.to_list arr) in
+      let one_key_arenas = List.map (fun s -> Flat_wt.Arena (Flat_wt.of_array [| s |])) keys in
+      check_bool "merge rejects" true
+        (raises (fun () -> ignore (Flat_wt.merge (Array.of_list one_key_arenas)))))
     [ [ "01"; "011" ]; [ "1"; "0"; "0"; "01" ]; [ ""; "1" ]; [ "0"; "10"; "11"; "110" ] ]
 
 let () =
@@ -489,6 +547,7 @@ let () =
       ( "build",
         [
           qcheck_direct_build;
+          qcheck_merge;
           Alcotest.test_case "bitstring input not prefix-free" `Quick test_not_prefix_free;
         ] );
       ("space", [ Alcotest.test_case "directory within 32 bits per node" `Quick test_space_bound ]);

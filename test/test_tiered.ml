@@ -351,31 +351,75 @@ let test_concurrent_readers () =
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
-(* Seal sizes do not depend on the compactor's timing: the writer seals
+(* Run sizes do not depend on the compactor's timing: the writer seals
    the delta the moment it reaches the threshold, waiting for a running
-   compaction first, so k thresholds of one-at-a-time ingests leave
-   exactly k runs of [threshold] strings and an empty delta. *)
+   compaction first, and each seal's run absorbs every newest run no
+   longer than itself, so after k seals of one-at-a-time ingests the
+   runs are [threshold] times the set bits of k, largest first, with an
+   empty delta — and a reopen finds the same runs. *)
 
 let test_run_sizes () =
-  let dir = fresh_dir (Printf.sprintf "sizes_%d" (Unix.getpid ())) in
-  let threshold = 256 and k = 6 in
-  let t = T.create ~threshold dir in
-  for i = 0 to (k * threshold) - 1 do
-    T.ingest t (Printf.sprintf "host%d.example/%d" (i mod 7) (i mod 101))
-  done;
-  T.wait_compaction t;
-  check_int "runs" k (T.run_count t);
-  check_int "delta empty" 0 (T.delta_length t);
-  let v = T.current_view t in
-  Array.iteri
-    (fun i tier ->
-      match tier with
-      | T.View.Run f ->
-          check_int (Printf.sprintf "run %d size" i) threshold (Wt_core.Flat_wt.length f)
-      | T.View.App d -> check_int "delta tier empty" 0 (Wt_core.Append_wt.length d))
-    v.T.View.tiers;
-  check_int "all ingests present" (k * threshold) (T.length t);
+  let threshold = 64 in
+  List.iter
+    (fun k ->
+      let dir = fresh_dir (Printf.sprintf "sizes_%d_%d" (Unix.getpid ()) k) in
+      let t = T.create ~threshold dir in
+      for i = 0 to (k * threshold) - 1 do
+        T.ingest t (Printf.sprintf "host%d.example/%d" (i mod 7) (i mod 101))
+      done;
+      T.wait_compaction t;
+      let expected =
+        List.filter_map
+          (fun bit -> if k land (1 lsl bit) <> 0 then Some (threshold lsl bit) else None)
+          [ 4; 3; 2; 1; 0 ]
+      in
+      let sizes v =
+        Array.to_list v.T.View.tiers
+        |> List.filter_map (function
+             | T.View.Run f -> Some (Wt_core.Flat_wt.length f)
+             | T.View.App d ->
+                 check_int "delta tier empty" 0 (Wt_core.Append_wt.length d);
+                 None)
+      in
+      let ctx what = Printf.sprintf "%d seals: %s" k what in
+      Alcotest.(check (list int)) (ctx "run sizes") expected (sizes (T.current_view t));
+      (* a merge deletes the files of the runs it replaced *)
+      let run_files =
+        Array.to_list (Sys.readdir dir) |> List.filter (fun f -> String.starts_with ~prefix:"run-" f)
+      in
+      check_int (ctx "run files") (List.length expected) (List.length run_files);
+      check_int (ctx "delta empty") 0 (T.delta_length t);
+      check_int (ctx "all ingests present") (k * threshold) (T.length t);
+      T.close t;
+      let t, r = T.open_ ~threshold dir in
+      check_int (ctx "reopened runs") (List.length expected) r.T.r_runs;
+      Alcotest.(check (list int)) (ctx "reopened run sizes") expected (sizes (T.current_view t));
+      T.close t;
+      rm_rf dir)
+    [ 1; 2; 3; 6; 7; 8; 11 ]
+
+(* A run opened from its file (mmap) and then replaced by a merge stays
+   readable from a view published before the merge, although its file
+   is gone, until the store closes. *)
+let test_retired_runs () =
+  let dir = fresh_dir (Printf.sprintf "retired_%d" (Unix.getpid ())) in
+  let t = T.create ~threshold:max_int dir in
+  List.iter (T.ingest t) [ "a"; "b"; "c"; "d" ];
+  T.compact t;
   T.close t;
+  let t, _ = T.open_ dir in
+  List.iter (T.ingest t) [ "e"; "f"; "g"; "h" ];
+  T.publish t;
+  let before = Snapshot.read (T.handle t) in
+  T.compact t;
+  check_int "one merged run" 1 (T.run_count t);
+  check_bool "replaced file deleted" false (Sys.file_exists (Filename.concat dir "run-000000.wtx"));
+  let read v pos = Wt_strings.Binarize.to_bytes (T.View.Seq.access v pos) in
+  check_bool "older view reads the replaced run" true
+    (List.init 8 (read before) = [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]);
+  T.close t;
+  check_bool "closed with the store" true
+    (match read before 0 with _ -> false | exception Wt_core.Flat_wt.Closed -> true);
   rm_rf dir
 
 (* ------------------------------------------------------------------ *)
@@ -429,6 +473,9 @@ let () =
       ( "concurrency",
         [ Alcotest.test_case "snapshot readers during compaction" `Quick test_concurrent_readers ] );
       ( "compaction",
-        [ Alcotest.test_case "runs hold exactly threshold strings" `Quick test_run_sizes ] );
+        [
+          Alcotest.test_case "run sizes are the seal count's bits" `Quick test_run_sizes;
+          Alcotest.test_case "older views read replaced runs" `Quick test_retired_runs;
+        ] );
       ("edges", [ Alcotest.test_case "lifecycle edges" `Quick test_edges ]);
     ]
