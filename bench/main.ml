@@ -716,8 +716,8 @@ let a_quad () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Durability: snapshot save/load throughput and WAL replay rate for
-   the crash-safe store (format-v2 container + write-ahead log). *)
+(* Durability: format-v2 snapshot save/load throughput, and the tiered
+   store's write-ahead log: logged-ingest cost and replay rate. *)
 
 let rm_store dir =
   if Sys.file_exists dir then begin
@@ -750,19 +750,22 @@ let durability_block () =
   in
   Sys.remove path;
   let mb_s dt = float_of_int bytes /. dt /. 1048576. in
-  (* WAL: logged-append overhead, then replay rate on reopen *)
+  (* WAL: logged-ingest cost into a store that never compacts, then
+     the replay rate of the reopen that rebuilds its delta *)
+  let module T = Wtrie.Tiered in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "wt_bench_store" in
   rm_store dir;
-  let t = Durable.create ~checkpoint_bytes:max_int ~variant:`Append dir in
-  let dt_append = time_batch (fun () -> Array.iter (Durable.append t) strings) in
-  let wal_bytes = Durable.wal_bytes t in
-  Durable.close t;
+  let t = T.create ~threshold:max_int dir in
+  let dt_append = time_batch (fun () -> Array.iter (T.ingest t) strings) in
+  let wal_bytes = T.wal_bytes t in
+  T.flush t;
+  T.close t;
   let replayed = ref 0 in
   let dt_replay =
     time_batch (fun () ->
-        let t', r = Durable.open_ ~checkpoint_bytes:max_int ~verify:false dir in
-        replayed := r.Durable.replayed;
-        Durable.close t')
+        let t', r = T.open_ ~threshold:max_int dir in
+        replayed := r.T.r_replayed;
+        T.close t')
   in
   rm_store dir;
   Wt_obs.Json.Obj

@@ -12,21 +12,21 @@
    Each line of the file is one element of the sequence, in order.
    Sources go through one front door: a line file builds in memory, a
    saved index opens via [Wtrie.Storage] (format v3 maps the flat arena
-   in place — O(1), zero-copy; format v2 still loads), a durable store
-   directory replays.  Pass [--stats] to any query command to get the
-   observability report (operation counters, latency histograms,
-   space-vs-LB breakdown) on stderr.
+   in place — O(1), zero-copy; format v2 still loads), a store
+   directory opens its runs and replays its WAL.  Pass [--stats] to any
+   query command to get the observability report (operation counters,
+   latency histograms, space-vs-LB breakdown) on stderr.
 
    Durability: [index] writes a checksummed format-v3 static index
    atomically; [convert] upgrades any older index in place; [ingest]
-   maintains a crash-safe snapshot+WAL store directory; [verify]
-   deep-checks every form and [recover] truncates a torn WAL tail and
-   checkpoints.  Query commands accept a line file, a saved index, an
-   (append) store directory or a tiered store interchangeably. *)
+   appends to a crash-safe tiered store directory; [verify] deep-checks
+   every form and [recover] truncates a torn WAL tail, completes an
+   interrupted commit, compacts the delta, and migrates a snapshot+WAL
+   directory of earlier versions.  Query commands accept a line file, a
+   saved index or a store directory interchangeably. *)
 
 module Stats = Wt_core.Stats
 module Storage = Wtrie.Storage
-module Durable = Wtrie.Durable
 module Json = Wtrie.Json
 open Cmdliner
 
@@ -50,9 +50,9 @@ let read_lines path =
   if path <> "-" then close_in ic;
   Array.of_list (List.rev !lines)
 
-(* What a query command runs against: an append trie (line files,
-   stores, v2 append indexes) or a flat static arena (v3 indexes, and
-   v2 static indexes flattened on load) or a tiered store.  Every query
+(* What a query command runs against: an append trie (line files, v2
+   append indexes) or a flat static arena (v3 indexes, and v2 static
+   indexes flattened on load) or a tiered store.  Every query
    command, range queries included, goes through the uniform QUERY_API
    via [pack]; only stats, index and the serving commands match on the
    variant. *)
@@ -73,34 +73,16 @@ let src_length src =
   Q.length wt
 
 (* Build from a line file, or load directly when given a saved index or
-   a durable store directory — every stored form behind [Wtrie.Storage],
-   so a v3 index is an mmap away. *)
+   a store directory — every stored form behind [Wtrie.Storage], so a
+   v3 index is an mmap away. *)
 let build path =
-  if path <> "-" && Sys.file_exists path && Sys.is_directory path
-     && Wtrie.Tiered.is_store path
-  then begin
+  if path <> "-" && Sys.file_exists path && Sys.is_directory path then begin
     let t, r = Wtrie.Tiered.open_read_only path in
     if r.Wtrie.Tiered.r_dropped_bytes > 0 || r.Wtrie.Tiered.r_wal_reset then
       Printf.eprintf
         "warning: %s has a torn write-ahead log (%d bytes unrecovered); run 'wtrie recover %s'\n"
         path r.Wtrie.Tiered.r_dropped_bytes path;
     Tier t
-  end
-  else if path <> "-" && Sys.file_exists path && Sys.is_directory path then begin
-    if not (Durable.is_store path) then begin
-      Printf.eprintf "%s is a directory but not a durable store\n" path;
-      exit 2
-    end;
-    let t, r = Durable.open_read_only ~verify:false path in
-    if r.Durable.dropped_bytes > 0 || r.Durable.wal_reset then
-      Printf.eprintf
-        "warning: %s has a torn write-ahead log (%d bytes unrecovered); run 'wtrie recover %s'\n"
-        path r.Durable.dropped_bytes path;
-    match Durable.append_trie t with
-    | Some wt -> App wt
-    | None ->
-        Printf.eprintf "%s holds a dynamic store; this command reads append stores only\n" path;
-        exit 2
   end
   else if path <> "-" && Sys.file_exists path && Storage.is_index_file path then begin
     match Storage.load_index path with
@@ -222,7 +204,7 @@ let convert_cmd =
     Term.(const run $ src_arg $ out)
 
 (* ------------------------------------------------------------------ *)
-(* Durability commands: ingest (crash-safe append store), verify,
+(* Durability commands: ingest (crash-safe tiered store), verify,
    recover. *)
 
 let json_arg =
@@ -230,85 +212,57 @@ let json_arg =
 
 let ingest_cmd =
   let dir =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"STORE" ~doc:"Durable store directory (created on first use).")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"STORE" ~doc:"Store directory (created on first use).")
   in
   let file =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"FILE" ~doc:"Input file; one string per line ('-' for stdin).")
   in
-  let checkpoint =
-    Arg.(value & opt int (1 lsl 20) & info [ "checkpoint-bytes" ] ~docv:"N" ~doc:"Checkpoint the WAL into a fresh snapshot once it exceeds N bytes (snapshot+WAL stores).")
-  in
-  let tiered =
-    Arg.(value & flag & info [ "tiered" ] ~doc:"Use the tiered LSM-style store: ingests land in a small dynamic delta and a background domain compacts it into immutable runs.  An existing store's layout always wins over this flag.")
-  in
   let compact_strings =
-    Arg.(value & opt (some int) None & info [ "compact-strings" ] ~docv:"N" ~doc:"Tiered stores: compact the delta into a run once it holds N strings.")
+    Arg.(value & opt (some int) None & info [ "compact-strings" ] ~docv:"N" ~doc:"Compact the delta into a run once it holds N strings.")
   in
-  let run dir file checkpoint_bytes tiered compact_strings =
+  let run dir file compact_strings =
     let lines = read_lines file in
     (match compact_strings with
     | Some n when n < 1 ->
         Printf.eprintf "wtrie ingest: --compact-strings must be >= 1 (got %d)\n" n;
         exit 64
     | _ -> ());
-    (* an existing store dictates its own layout; the flag only picks
-       the layout of a store created here *)
-    if Wtrie.Tiered.is_store dir || ((not (Durable.is_store dir)) && tiered) then begin
-      let module T = Wtrie.Tiered in
-      let t =
-        if T.is_store dir then begin
-          let t, r = T.open_ ?threshold:compact_strings dir in
-          if r.T.r_replayed > 0 || r.T.r_dropped_bytes > 0 || r.T.r_rolled_forward then
-            Printf.eprintf
-              "recovered %s: %d WAL records replayed, %d torn bytes dropped%s\n" dir
-              r.T.r_replayed r.T.r_dropped_bytes
-              (if r.T.r_rolled_forward then ", mid-compaction commit completed" else "");
-          t
-        end
-        else T.create ?threshold:compact_strings dir
-      in
-      Array.iter (T.ingest t) lines;
-      T.wait_compaction t;
-      T.flush t;
-      let len = T.length t and gen = T.generation t in
-      let runs = T.run_count t and delta = T.delta_length t in
-      T.close t;
-      Printf.printf
-        "ingested %d strings into %s (tiered, length %d, generation %d, %d runs + %d in delta)\n"
-        (Array.length lines) dir len gen runs delta
-    end
-    else begin
-      let t =
-        if Durable.is_store dir then begin
-          let t, r = Durable.open_ ~checkpoint_bytes dir in
-          if r.Durable.replayed > 0 || r.Durable.dropped_bytes > 0 then
-            Printf.eprintf "recovered %s: %d WAL records replayed, %d torn bytes dropped\n"
-              dir r.Durable.replayed r.Durable.dropped_bytes;
-          t
-        end
-        else Durable.create ~checkpoint_bytes ~variant:`Append dir
-      in
-      Array.iter (Durable.append t) lines;
-      Durable.close t;
-      Printf.printf "ingested %d strings into %s (length %d, generation %d)\n"
-        (Array.length lines) dir (Durable.length t) (Durable.generation t)
-    end
+    let module T = Wtrie.Tiered in
+    let t =
+      if T.is_store dir then begin
+        let t, r = T.open_ ?threshold:compact_strings dir in
+        if r.T.r_replayed > 0 || r.T.r_dropped_bytes > 0 || r.T.r_rolled_forward then
+          Printf.eprintf
+            "recovered %s: %d WAL records replayed, %d torn bytes dropped%s\n" dir
+            r.T.r_replayed r.T.r_dropped_bytes
+            (if r.T.r_rolled_forward then ", mid-compaction commit completed" else "");
+        t
+      end
+      else T.create ?threshold:compact_strings dir
+    in
+    Array.iter (T.ingest t) lines;
+    T.wait_compaction t;
+    T.flush t;
+    let len = T.length t and gen = T.generation t in
+    let runs = T.run_count t and delta = T.delta_length t in
+    T.close t;
+    Printf.printf
+      "ingested %d strings into %s (tiered, length %d, generation %d, %d runs + %d in delta)\n"
+      (Array.length lines) dir len gen runs delta
   in
   Cmd.v
     (Cmd.info "ingest"
-       ~doc:"Append a file of lines to a crash-safe store (write-ahead logged; survives being killed mid-append).  With $(b,--tiered), the store is LSM-style: delta + immutable runs + background compaction.")
-    Term.(const run $ dir $ file $ checkpoint $ tiered $ compact_strings)
-
+       ~doc:"Append a file of lines to a crash-safe tiered store (write-ahead logged; survives being killed mid-append): a small delta, immutable runs, and background compaction.")
+    Term.(const run $ dir $ file $ compact_strings)
 
 let verify_cmd =
   let path =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"INDEX" ~doc:"Index file or durable store directory.")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"INDEX" ~doc:"Index file or store directory.")
   in
   let run path json =
     let emit obj = print_endline (Json.to_string (Json.Obj obj)) in
     match
-      if Sys.file_exists path && Sys.is_directory path && Wtrie.Tiered.is_store path
-      then begin
+      if Sys.file_exists path && Sys.is_directory path then begin
         let module T = Wtrie.Tiered in
         let r = T.verify path in
         if json then
@@ -339,36 +293,6 @@ let verify_cmd =
             path;
         r.T.v_clean
       end
-      else if Sys.file_exists path && Sys.is_directory path then begin
-        let r = Durable.verify path in
-        if json then
-          emit
-            [
-              ("ok", Json.Bool r.Durable.v_clean);
-              ("kind", Json.Str "store");
-              ("variant", Json.Str (Durable.variant_name r.Durable.v_variant));
-              ("generation", Json.Int r.Durable.v_generation);
-              ("length", Json.Int r.Durable.v_length);
-              ("distinct", Json.Int r.Durable.v_distinct);
-              ("wal_records", Json.Int r.Durable.v_wal_records);
-              ("wal_dropped_bytes", Json.Int r.Durable.v_dropped_bytes);
-              ("wal_reset_needed", Json.Bool r.Durable.v_wal_reset);
-            ]
-        else if r.Durable.v_clean then
-          Printf.printf "%s: ok (%s store, generation %d, length %d, wal records %d)\n"
-            path
-            (Durable.variant_name r.Durable.v_variant)
-            r.Durable.v_generation r.Durable.v_length r.Durable.v_wal_records
-        else
-          Printf.printf
-            "%s: recoverable (%s store, %d wal records intact, %d bytes torn%s); run 'wtrie recover %s'\n"
-            path
-            (Durable.variant_name r.Durable.v_variant)
-            r.Durable.v_wal_records r.Durable.v_dropped_bytes
-            (if r.Durable.v_wal_reset then ", wal header reset needed" else "")
-            path;
-        r.Durable.v_clean
-      end
       else begin
         let tag, length = Storage.verify_index path in
         if json then
@@ -393,47 +317,16 @@ let verify_cmd =
   in
   Cmd.v
     (Cmd.info "verify"
-       ~doc:"Deep-verify an index file or durable store: checksums, WAL scan, structural invariants.  Exit 0 clean, 1 recoverable, 2 corrupt.")
+       ~doc:"Deep-verify an index file or store: checksums, WAL scan, structural invariants.  Exit 0 clean, 1 recoverable, 2 corrupt.")
     Term.(const run $ path $ json_arg)
 
 let recover_cmd =
   let path =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"STORE" ~doc:"Durable store directory.")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"STORE" ~doc:"Store directory.")
   in
   let run path json =
-    if Sys.file_exists path && Sys.is_directory path && Wtrie.Tiered.is_store path
-    then begin
-      let module T = Wtrie.Tiered in
-      match T.recover path with
-      | r ->
-          if json then
-            print_endline
-              (Json.to_string
-                 (Json.Obj
-                    [
-                      ("ok", Json.Bool true);
-                      ("replayed", Json.Int r.T.r_replayed);
-                      ("dropped_bytes", Json.Int r.T.r_dropped_bytes);
-                      ("wal_reset", Json.Bool r.T.r_wal_reset);
-                      ("rolled_forward", Json.Bool r.T.r_rolled_forward);
-                      ("generation", Json.Int r.T.r_generation);
-                    ]))
-          else
-            Printf.printf
-              "recovered %s: replayed %d records, dropped %d bytes%s, delta compacted into a run\n"
-              path r.T.r_replayed r.T.r_dropped_bytes
-              (if r.T.r_rolled_forward then ", completed a mid-compaction commit"
-               else "")
-      | exception Storage.Format_error msg ->
-          if json then
-            print_endline
-              (Json.to_string
-                 (Json.Obj [ ("ok", Json.Bool false); ("error", Json.Str msg) ]))
-          else Printf.eprintf "%s: unrecoverable: %s\n" path msg;
-          exit 2
-    end
-    else
-    match Durable.recover path with
+    let module T = Wtrie.Tiered in
+    match T.recover path with
     | r ->
         if json then
           print_endline
@@ -441,16 +334,19 @@ let recover_cmd =
                (Json.Obj
                   [
                     ("ok", Json.Bool true);
-                    ("replayed", Json.Int r.Durable.replayed);
-                    ("dropped_bytes", Json.Int r.Durable.dropped_bytes);
-                    ("wal_reset", Json.Bool r.Durable.wal_reset);
-                    ("generation", Json.Int (r.Durable.snapshot_generation + 1));
+                    ("replayed", Json.Int r.T.r_replayed);
+                    ("dropped_bytes", Json.Int r.T.r_dropped_bytes);
+                    ("wal_reset", Json.Bool r.T.r_wal_reset);
+                    ("rolled_forward", Json.Bool r.T.r_rolled_forward);
+                    ("migrated", Json.Bool r.T.r_migrated);
+                    ("generation", Json.Int r.T.r_generation);
                   ]))
         else
           Printf.printf
-            "recovered %s: replayed %d records, dropped %d bytes, checkpointed as generation %d\n"
-            path r.Durable.replayed r.Durable.dropped_bytes
-            (r.Durable.snapshot_generation + 1)
+            "recovered %s: replayed %d records, dropped %d bytes%s%s, delta compacted into a run\n"
+            path r.T.r_replayed r.T.r_dropped_bytes
+            (if r.T.r_migrated then ", migrated a snapshot+WAL store" else "")
+            (if r.T.r_rolled_forward then ", completed a mid-compaction commit" else "")
     | exception Storage.Format_error msg ->
         if json then
           print_endline
@@ -460,7 +356,7 @@ let recover_cmd =
   in
   Cmd.v
     (Cmd.info "recover"
-       ~doc:"Replay a store's WAL, truncate any torn tail, and checkpoint the recovered state into a fresh snapshot.")
+       ~doc:"Replay a store's WAL, truncate any torn tail, complete an interrupted commit and compact the delta into a run.  A snapshot+WAL directory of earlier versions is migrated into a tiered store first.")
     Term.(const run $ path $ json_arg)
 
 let stats_cmd =
@@ -1296,7 +1192,7 @@ let top_cmd =
     Term.(const run $ target_arg $ interval_arg $ count_arg $ once_arg)
 
 let () =
-  (* CI and tests can kill any durable writer mid-write by setting
+  (* CI and tests can kill the store writer mid-write by setting
      WTRIE_FAULT_CRASH_AFTER=<bytes>; the process then exits 70 with a
      torn file, exactly like a crash. *)
   Wt_durable.Fault.arm_from_env ();

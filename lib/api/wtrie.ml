@@ -127,15 +127,16 @@ module Dynamic : DYNAMIC_API with type t = Wt_core.Dynamic_wt.t = struct
     Wt_par.Par_exec.query_batch ?domains Wt_exec.Exec.Dynamic.query_batch t ops
 end
 
-(** The write-optimized tiered store ([lib/tiered]): ingests land in a
-    small {!Append}-style delta backed by a WAL, reads go through a
-    merged view over [immutable runs…; delta], and a background domain
-    compacts the delta into flat-arena run files, publishing each new
-    tier list through {!Snapshot} epochs.  The store satisfies the
-    whole {!module-type-QUERY_API} (sealed below), plus
-    [create]/[open_]/[ingest]/[flush]/[compact]/[verify]/[recover] and
-    the durable-store error conventions ([Wt_durable.Container.
-    Format_error] for corrupt stores).  See docs/durability.md.
+(** The one writable store, write-optimized and tiered ([lib/tiered]):
+    ingests land in a small {!Append}-style delta backed by a WAL, reads
+    go through a merged view over [immutable runs…; delta], and a
+    background domain compacts the delta into flat-arena run files,
+    publishing each new tier list through {!Snapshot} epochs.  The
+    store satisfies the whole {!module-type-QUERY_API} (sealed below),
+    plus [create]/[open_]/[ingest]/[flush]/[compact]/[verify]/[recover]
+    ([Wt_durable.Container.Format_error] for corrupt stores; [recover]
+    also migrates a snapshot+WAL directory of earlier versions).  See
+    docs/durability.md.
 
     {[
       let t = Wtrie.Tiered.create "store.tiered" in
@@ -274,13 +275,6 @@ end
 module Pool = Wt_par.Pool
 
 module Snapshot = Wt_par.Snapshot
-
-(** Crash-safe persistence for the mutable variants: checksummed
-    snapshot + write-ahead log in a store directory, with torn-tail
-    recovery and checkpointing ([wtrie ingest]/[verify]/[recover] in
-    the CLI).  [Durable.Fault] is the fault-injection hook the
-    crash-safety test harness drives. *)
-module Durable = Durable
 
 (** Space accounting shared by the variants ([Static.space_bits] etc.
     feed it); [Stats.to_breakdown] bridges into {!Report}. *)

@@ -12,8 +12,7 @@
     Like all [Marshal]-based formats it is not portable across
     incompatible compiler versions; the checksummed header makes such
     mismatches fail loudly instead of silently misbehaving.  Intended
-    for index caches (see the [wtrie] CLI) and the {!Durable} store's
-    snapshots, not archival storage. *)
+    for index caches (see the [wtrie] CLI), not archival storage. *)
 
 exception Format_error of string
 (** Raised by the [load_*] functions on any corruption: bad magic,

@@ -23,7 +23,7 @@
    Writes are atomic: temp file in the same directory, fsync, rename
    over the target, fsync the directory.  An interrupted save therefore
    always leaves the previous version of the file intact (orphaned temp
-   files are invisible to readers; {!Durable} cleans its store
+   files are invisible to readers; the tiered store cleans its
    directory of them on open, via {!cleanup_tmp}).  All
    bytes go through {!Fault}, so the fault harness can tear any write. *)
 

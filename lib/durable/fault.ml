@@ -1,7 +1,7 @@
 (* Fault injection for the durability layer.
 
-   Every byte the durable subsystem writes (snapshot containers, WAL
-   headers, WAL records) flows through {!output}, so a test — or the
+   Every byte the durability layer writes (containers, WAL headers, WAL
+   records) flows through {!output}, so a test — or the
    [WTRIE_FAULT_CRASH_AFTER] environment knob used by the CI smoke test
    — can arm a byte budget after which the process behaves as if it
    crashed mid-write: the allowed prefix reaches the file (a torn
@@ -13,7 +13,7 @@
 exception Injected_crash of string
 
 (* Called with the fault message just before {!Injected_crash} is
-   raised.  The [durable] library (which, unlike this one, links
+   raised.  The tiered store (which, unlike this library, links
    [wt_obs]) points it at the flight recorder so the crash marker lands
    in the ring before the process unwinds; a ref keeps [wt_durable]
    dependency-light. *)

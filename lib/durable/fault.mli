@@ -1,6 +1,6 @@
 (** Fault-injection hook for the durability layer.
 
-    All durable writes (snapshot containers, WAL headers and records)
+    All durable writes (containers, WAL headers and records)
     go through {!output}/{!output_string}.  Arming a byte budget makes
     the write path behave like a process killed mid-write: the allowed
     prefix reaches the file — a torn write — and {!Injected_crash} is
@@ -25,7 +25,7 @@ val arm_from_env : unit -> unit
 
 val set_crash_hook : (string -> unit) -> unit
 (** Invoked with the fault message just before {!Injected_crash} is
-    raised.  The [durable] library points this at the flight recorder
+    raised.  The tiered store points this at the flight recorder
     ({!Wt_obs.Flight}) so a crash marker lands in the ring before the
     process unwinds; the indirection keeps this library free of an obs
     dependency. *)

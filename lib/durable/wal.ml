@@ -1,18 +1,22 @@
-(* Write-ahead log framing for the durable store.
+(* Write-ahead log framing for the tiered store.
 
    A WAL file is a checksummed header followed by a stream of
    CRC-framed records:
 
      header := magic (16 bytes "wavelet-trie-wal")
              | u32 version (= 1)
-             | u32 tag length | tag bytes       (variant, e.g. "append")
-             | u64 generation                   (snapshot it applies to)
+             | u32 tag length | tag bytes       (owner, e.g. "tiered")
+             | u64 generation                   (manifest it applies to)
              | u32 CRC32C of everything above
      record := u32 body length | u32 CRC32C of body | body
      body   := u8 op
              | op = 0 (Append): string bytes
              | op = 1 (Insert): u64 position | string bytes
              | op = 2 (Delete): u64 position
+
+   The tiered store writes append records only; insert and delete
+   records are read when it migrates a snapshot+WAL directory of
+   earlier versions (see [Wt_tiered.Tiered.recover]).
 
    The scanner ({!scan}) never raises on corruption: it recovers every
    complete, checksum-valid record before the first bad frame and

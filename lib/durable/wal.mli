@@ -1,6 +1,8 @@
-(** Write-ahead log framing: a checksummed header (variant tag + the
-    snapshot generation the log applies to) followed by CRC-framed
-    append/insert/delete records.
+(** Write-ahead log framing: a checksummed header (owner tag + the
+    generation the log applies to) followed by CRC-framed
+    append/insert/delete records.  The tiered store writes append
+    records only; the other two are replayed when it migrates a
+    snapshot+WAL directory of earlier versions.
 
     The scanner never raises on corruption — it recovers every
     complete, checksum-valid record before the first bad frame and

@@ -11,9 +11,9 @@
 
     It exists to answer "what was the system doing just before X?":
     {!dump} merges every domain's ring into one chronological tail, and
-    the durable layer's injected-crash path ({!Wt_durable.Fault}) drops
-    a [Crash] marker so the dump written at [exit 70] shows the WAL
-    appends and checkpoints that led up to the torn write.
+    the tiered store points the injected-crash path ({!Wt_durable.Fault})
+    at a [Crash] marker so the dump written at [exit 70] shows the WAL
+    appends and commits that led up to the torn write.
 
     Reading ({!dump}) while other domains write is safe but the
     freshest slots may be mid-overwrite; collectors should quiesce
@@ -24,10 +24,8 @@ type kind =
   | Span_end  (** a {!Trace} span closed ([a] = span id, [note] = name) *)
   | Wal_append  (** a WAL record reached the log ([a] = payload bytes) *)
   | Wal_replay  (** recovery replayed WAL records ([a] = record count) *)
-  | Snapshot_save  (** a durable snapshot was written ([a] = generation) *)
-  | Snapshot_load  (** a durable snapshot was read ([a] = generation) *)
   | Snapshot_publish  (** an epoch snapshot was published ([a] = epoch) *)
-  | Checkpoint  (** WAL absorbed into a fresh snapshot ([a] = new generation) *)
+  | Checkpoint  (** a compaction committed a run ([a] = new generation) *)
   | Pool_dispatch  (** a pool task started executing ([a] = domain slot) *)
   | Crash  (** injected crash fired; [note] is the fault message *)
   | Slow_query
@@ -40,8 +38,6 @@ let kind_name = function
   | Span_end -> "span_end"
   | Wal_append -> "wal_append"
   | Wal_replay -> "wal_replay"
-  | Snapshot_save -> "snapshot_save"
-  | Snapshot_load -> "snapshot_load"
   | Snapshot_publish -> "snapshot_publish"
   | Checkpoint -> "checkpoint"
   | Pool_dispatch -> "pool_dispatch"

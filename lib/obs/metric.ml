@@ -12,9 +12,9 @@
     - [Wt_nodes_visited] / [Wt_bits_consumed]: traversal work — trie
       nodes examined and string bits consumed (label lcp plus branch
       bits) along root-to-node paths, i.e. the O(|s| + h_s) term;
-    - [Durable_*]: the crash-safe persistence layer — snapshot
-      saves/loads, WAL records appended and replayed, torn-tail bytes
-      dropped during recovery, and checkpoints taken;
+    - [Durable_*]: the write-ahead log the tiered store keeps — WAL
+      records appended and replayed, and torn-tail bytes dropped
+      during recovery;
     - [Exec_*]: the batch query engine — batches executed, operations
       per batch, and the per-level latency histogram of its
       level-by-level traversal;
@@ -92,12 +92,9 @@ type t =
   | Wt_node_merge
   | Wt_nodes_visited
   | Wt_bits_consumed
-  | Durable_snapshot_save
-  | Durable_snapshot_load
   | Durable_wal_append
   | Durable_wal_replay
   | Durable_wal_dropped_bytes
-  | Durable_checkpoint
   | Exec_batch
   | Exec_batch_ops
   | Exec_level
@@ -140,7 +137,7 @@ type t =
   | Rt_gc_ns
   | Rt_events_lost
 
-let count = 71
+let count = 68
 
 let index = function
   | Rrr_rank -> 0
@@ -167,53 +164,50 @@ let index = function
   | Wt_node_merge -> 21
   | Wt_nodes_visited -> 22
   | Wt_bits_consumed -> 23
-  | Durable_snapshot_save -> 24
-  | Durable_snapshot_load -> 25
-  | Durable_wal_append -> 26
-  | Durable_wal_replay -> 27
-  | Durable_wal_dropped_bytes -> 28
-  | Durable_checkpoint -> 29
-  | Exec_batch -> 30
-  | Exec_batch_ops -> 31
-  | Exec_level -> 32
-  | Bv_cursor_hit -> 33
-  | Bv_cursor_miss -> 34
-  | Par_batch -> 35
-  | Par_shards -> 36
-  | Par_task -> 37
-  | Par_steal -> 38
-  | Par_queue_wait -> 39
-  | Par_shard_run -> 40
-  | Par_snapshot_publish -> 41
-  | Analytics_select_all -> 42
-  | Analytics_range_count -> 43
-  | Analytics_distinct -> 44
-  | Analytics_topk -> 45
-  | Serve_accept -> 46
-  | Serve_conn_close -> 47
-  | Serve_request -> 48
-  | Serve_batch -> 49
-  | Serve_shed -> 50
-  | Serve_deadline -> 51
-  | Serve_bad_frame -> 52
-  | Serve_queue_depth -> 53
-  | Serve_queue_wait -> 54
-  | Flat_build -> 55
-  | Flat_save -> 56
-  | Flat_open_mmap -> 57
-  | Flat_open_copy -> 58
-  | Tiered_ingest -> 59
-  | Tiered_ingest_bytes -> 60
-  | Tiered_flush -> 61
-  | Tiered_compact -> 62
-  | Tiered_compact_bytes -> 63
-  | Tiered_delta_strings -> 64
-  | Tiered_run_count -> 65
-  | Serve_slow -> 66
-  | Rt_gc_minor -> 67
-  | Rt_gc_major -> 68
-  | Rt_gc_ns -> 69
-  | Rt_events_lost -> 70
+  | Durable_wal_append -> 24
+  | Durable_wal_replay -> 25
+  | Durable_wal_dropped_bytes -> 26
+  | Exec_batch -> 27
+  | Exec_batch_ops -> 28
+  | Exec_level -> 29
+  | Bv_cursor_hit -> 30
+  | Bv_cursor_miss -> 31
+  | Par_batch -> 32
+  | Par_shards -> 33
+  | Par_task -> 34
+  | Par_steal -> 35
+  | Par_queue_wait -> 36
+  | Par_shard_run -> 37
+  | Par_snapshot_publish -> 38
+  | Analytics_select_all -> 39
+  | Analytics_range_count -> 40
+  | Analytics_distinct -> 41
+  | Analytics_topk -> 42
+  | Serve_accept -> 43
+  | Serve_conn_close -> 44
+  | Serve_request -> 45
+  | Serve_batch -> 46
+  | Serve_shed -> 47
+  | Serve_deadline -> 48
+  | Serve_bad_frame -> 49
+  | Serve_queue_depth -> 50
+  | Serve_queue_wait -> 51
+  | Flat_build -> 52
+  | Flat_save -> 53
+  | Flat_open_mmap -> 54
+  | Flat_open_copy -> 55
+  | Tiered_ingest -> 56
+  | Tiered_ingest_bytes -> 57
+  | Tiered_flush -> 58
+  | Tiered_compact -> 59
+  | Tiered_compact_bytes -> 60
+  | Tiered_delta_strings -> 61
+  | Tiered_run_count -> 62
+  | Serve_slow -> 63
+  | Rt_gc_minor -> 64
+  | Rt_gc_major -> 65
+  | Rt_gc_ns -> 66
+  | Rt_events_lost -> 67
 
 let all =
   [|
@@ -221,8 +215,7 @@ let all =
     Dbv_insert; Dbv_delete; Dbv_rank; Dbv_select; Dbv_access; Wt_access; Wt_rank;
     Wt_select; Wt_rank_prefix; Wt_select_prefix; Wt_insert; Wt_delete; Wt_append;
     Wt_node_split; Wt_node_merge; Wt_nodes_visited; Wt_bits_consumed;
-    Durable_snapshot_save; Durable_snapshot_load; Durable_wal_append;
-    Durable_wal_replay; Durable_wal_dropped_bytes; Durable_checkpoint;
+    Durable_wal_append; Durable_wal_replay; Durable_wal_dropped_bytes;
     Exec_batch; Exec_batch_ops; Exec_level; Bv_cursor_hit; Bv_cursor_miss;
     Par_batch; Par_shards; Par_task; Par_steal; Par_queue_wait; Par_shard_run;
     Par_snapshot_publish; Analytics_select_all; Analytics_range_count;
@@ -259,12 +252,9 @@ let name = function
   | Wt_node_merge -> "wt_node_merge"
   | Wt_nodes_visited -> "wt_nodes_visited"
   | Wt_bits_consumed -> "wt_bits_consumed"
-  | Durable_snapshot_save -> "durable_snapshot_save"
-  | Durable_snapshot_load -> "durable_snapshot_load"
   | Durable_wal_append -> "durable_wal_append"
   | Durable_wal_replay -> "durable_wal_replay"
   | Durable_wal_dropped_bytes -> "durable_wal_dropped_bytes"
-  | Durable_checkpoint -> "durable_checkpoint"
   | Exec_batch -> "exec_batch"
   | Exec_batch_ops -> "exec_batch_ops"
   | Exec_level -> "exec_level"

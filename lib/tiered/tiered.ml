@@ -78,13 +78,19 @@
       they are orphans too, deleted by the next read-write open;
     - [w < g] or torn WAL header: the log is stale (its records are
       already inside a run) — reset it;
-    - [w > g+1]: impossible under the protocol; refuse to open. *)
+    - [w > g+1]: impossible under the protocol; refuse to open.
+
+    A directory holding [snapshot.wtx] and no manifest is a snapshot+WAL
+    store of earlier versions: every entry point refuses it except
+    {!recover}, which migrates it into a store of one run (see
+    {!migrate}). *)
 
 module Bitstring = Wt_strings.Bitstring
 module Binarize = Wt_strings.Binarize
 module Iseq = Wt_core.Indexed_sequence
 module Flat_wt = Wt_core.Flat_wt
 module Append_wt = Wt_core.Append_wt
+module Dynamic_wt = Wt_core.Dynamic_wt
 module Stats = Wt_core.Stats
 module Container = Wt_durable.Container
 module Wal = Wt_durable.Wal
@@ -100,6 +106,11 @@ let manifest_tag = "tiered-manifest"
 let wal_tag = "tiered"
 let default_threshold = 4096
 let fail fmt = Printf.ksprintf (fun m -> raise (Container.Format_error m)) fmt
+
+(* Arm the flight recorder's crash marker: when fault injection tears a
+   write, the dump taken at exit shows the [crash] event after the WAL
+   appends and commits that led up to it. *)
+let () = Fault.set_crash_hook (fun msg -> Flight.record ~note:msg Crash)
 
 (* ------------------------------------------------------------------ *)
 (* Merged read view *)
@@ -552,6 +563,18 @@ let read_manifest dir =
 let is_store dir =
   Sys.file_exists dir && Sys.is_directory dir && Sys.file_exists (manifest_path dir)
 
+(* A snapshot+WAL directory, the writable store before this one: only
+   {!recover} opens it, to migrate it (see {!migrate}). *)
+let legacy_snapshot = "snapshot.wtx"
+
+let is_legacy dir =
+  Sys.file_exists (Filename.concat dir legacy_snapshot)
+  && not (Sys.file_exists (manifest_path dir))
+
+let refuse_legacy dir =
+  if is_legacy dir then
+    fail "%s holds a snapshot+WAL store; run 'wtrie recover %s' to migrate it" dir dir
+
 (* ------------------------------------------------------------------ *)
 (* The store *)
 
@@ -597,6 +620,7 @@ type recovery = {
   r_dropped_bytes : int;  (** torn-tail bytes discarded *)
   r_rolled_forward : bool;  (** a mid-commit crash was completed *)
   r_wal_reset : bool;  (** a stale or unreadable WAL was discarded *)
+  r_migrated : bool;  (** a snapshot+WAL directory became this store *)
 }
 
 let with_lock t f =
@@ -657,7 +681,10 @@ let open_runs ~verify dir names =
     raise e
 
 let open_internal ~read_only ~verify ~threshold dir =
-  if not (is_store dir) then fail "%s: not a tiered store (no manifest.wtx)" dir;
+  if not (is_store dir) then begin
+    refuse_legacy dir;
+    fail "%s: not a tiered store (no manifest.wtx)" dir
+  end;
   if not read_only then Container.cleanup_tmp dir;
   let rec load attempt =
     let manifest = read_manifest dir in
@@ -705,15 +732,17 @@ let open_internal ~read_only ~verify ~threshold dir =
   let generation, run_names, next_run, scan, rolled_forward, runs = load 0 in
   (* Runs adopted; anything else named run-*.wtx is an orphan: a run a
      merge replaced, or a pending run from a crash between the run write
-     and the WAL rotation. *)
+     and the WAL rotation.  So is a snapshot a migration did not get to
+     delete. *)
   if not read_only then
     Array.iter
       (fun f ->
         if
-          String.length f > 4
+          (String.length f > 4
           && String.sub f 0 4 = "run-"
           && Filename.check_suffix f ".wtx"
-          && not (List.mem f run_names)
+          && not (List.mem f run_names))
+          || f = legacy_snapshot
         then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       (Sys.readdir dir);
   let wal_reset =
@@ -790,6 +819,7 @@ let open_internal ~read_only ~verify ~threshold dir =
       r_dropped_bytes = dropped;
       r_rolled_forward = rolled_forward;
       r_wal_reset = wal_reset;
+      r_migrated = false;
     }
   in
   (t, recovery)
@@ -798,6 +828,7 @@ let create ?(threshold = default_threshold) dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   if Sys.file_exists (manifest_path dir) then
     fail "%s: already a tiered store" dir;
+  refuse_legacy dir;
   write_manifest dir ~generation:0 ~runs:[] ~next_run:0;
   Wal.create ~tag:wal_tag ~generation:0 (wal_path dir);
   fst (open_internal ~read_only:false ~verify:false ~threshold dir)
@@ -1142,10 +1173,97 @@ let verify dir =
           (not r.r_rolled_forward) && (not r.r_wal_reset) && r.r_dropped_bytes = 0;
       })
 
+(* ------------------------------------------------------------------ *)
+(* Migrating a snapshot+WAL directory
+
+   Before the tiered store was the only writable one, a store could be
+   a directory holding [snapshot.wtx] — a format-v2 container, tag
+   ["durable-append"] or ["durable-dynamic"], whose payload is the
+   Marshal of [(generation, trie)] — and a WAL for that generation, of
+   append records and, on the dynamic variant, insert and delete
+   records.  Its content is the snapshot with the WAL's verified prefix
+   replayed, under the rules it was written with: a stale-generation
+   WAL is already absorbed, a future-generation one is impossible. *)
+
+let legacy_content dir =
+  let tag, payload = Container.read_tagged (Filename.concat dir legacy_snapshot) in
+  let decode () =
+    match Marshal.from_string payload 0 with
+    | v -> v
+    | exception (Failure _ | Invalid_argument _ | End_of_file) ->
+        fail "%s: corrupted snapshot payload (marshal decode failed)" dir
+  in
+  (* the trie, how to replay one record on it, and the finished run *)
+  let generation, apply, build =
+    match tag with
+    | "durable-append" ->
+        let g, (wt : Append_wt.t) = decode () in
+        ( g,
+          (function
+          | Wal.Append s -> Append_wt.append wt (Binarize.of_bytes s)
+          | Wal.Insert _ | Wal.Delete _ ->
+              fail "%s: append-only store contains an insert/delete WAL record" dir),
+          fun () ->
+            Append_wt.check_invariants wt;
+            Flat_wt.of_trie (module Append_wt.Node) wt )
+    | "durable-dynamic" ->
+        let g, (wt : Dynamic_wt.t) = decode () in
+        ( g,
+          (function
+          | Wal.Append s -> Dynamic_wt.append wt (Binarize.of_bytes s)
+          | Wal.Insert (pos, s) -> Dynamic_wt.insert wt pos (Binarize.of_bytes s)
+          | Wal.Delete pos -> Dynamic_wt.delete wt pos),
+          fun () ->
+            Dynamic_wt.check_invariants wt;
+            Flat_wt.of_trie (module Dynamic_wt.Node) wt )
+    | _ -> fail "%s: not a snapshot+WAL store (tag %S)" dir tag
+  in
+  if generation < 0 then fail "%s: corrupted snapshot (negative generation)" dir;
+  let scan = Wal.scan (wal_path dir) in
+  if scan.s_header_ok && scan.s_generation > generation then
+    fail "%s: WAL generation %d is ahead of snapshot generation %d" dir scan.s_generation
+      generation;
+  let live = scan.s_header_ok && scan.s_tag = tag && scan.s_generation = generation in
+  (* an out-of-bounds insert or delete raises before it mutates *)
+  if live then
+    List.iter
+      (fun op ->
+        try apply op
+        with Failure m | Invalid_argument m ->
+          fail "%s: WAL record could not be replayed on the snapshot: %s" dir m)
+      scan.s_ops;
+  let flat =
+    try build () with Failure m -> fail "%s: recovered index fails invariants: %s" dir m
+  in
+  let replayed = if live then scan.s_records else 0 in
+  let dropped = if live || not scan.s_header_ok then scan.s_dropped_bytes else 0 in
+  (flat, replayed, dropped)
+
+(* The migration commits in four steps, each atomic: the content as the
+   first run, the manifest naming it at generation 0, a fresh tiered
+   WAL, then the snapshot deleted.  A crash before the manifest leaves
+   the legacy directory (and perhaps a run file the rerun rewrites);
+   after it, a tiered store with the same content: until the third step
+   its WAL still carries a legacy tag, so it is stale and resets, and
+   until the fourth the writable open's sweep deletes the snapshot. *)
+let migrate dir =
+  let flat, replayed, dropped = legacy_content dir in
+  Container.cleanup_tmp dir;
+  let run = run_file 0 in
+  Flat_wt.save_file flat (Filename.concat dir run);
+  write_manifest dir ~generation:0 ~runs:[ run ] ~next_run:1;
+  Wal.create ~tag:wal_tag ~generation:0 (wal_path dir);
+  Sys.remove (Filename.concat dir legacy_snapshot);
+  (replayed, dropped)
+
 let recover ?threshold dir =
+  let migrated = if is_legacy dir then Some (migrate dir) else None in
   let t, r = open_ ?threshold ~verify:true dir in
   Fun.protect
     ~finally:(fun () -> close t)
     (fun () ->
       compact t;
-      r)
+      match migrated with
+      | None -> r
+      | Some (replayed, dropped) ->
+          { r with r_replayed = replayed; r_dropped_bytes = dropped; r_migrated = true })

@@ -1,5 +1,5 @@
 (* Fault-injection harness for the durability layer (the crash-safety
-   contract of {!Durable} and format v2):
+   contract of the tiered store and format v2):
 
    - bit-flip and truncation sweeps over a snapshot container: every
      corrupted byte must surface as [Format_error], never a crash and
@@ -7,12 +7,10 @@
    - truncation and bit-flip sweeps over the WAL at every byte offset:
      recovery must yield exactly the records fully contained in the
      intact prefix, then the store must keep working;
-   - injected crashes (byte-budget) during live appends and during
-     checkpoints: every op that returned successfully must survive
-     recovery, and a crash anywhere inside a checkpoint must lose
-     nothing;
-   - a randomized dynamic-variant workload with periodic crashes,
-     checked against an in-memory oracle;
+   - injected crashes (byte-budget) during live ingests and inside the
+     compaction commit: every acknowledged string must survive
+     recovery, none may be duplicated;
+   - bit-flip and truncation sweeps over the manifest and run files;
    - recover -> verify must round-trip any injected fault to a clean
      store. *)
 
@@ -47,21 +45,26 @@ let fresh_dir name =
   Sys.mkdir d 0o755;
   d
 
-let copy_store src dst =
+let copy_dir src dst =
   rm_rf dst;
   Sys.mkdir dst 0o755;
-  List.iter
+  Array.iter
     (fun f -> write_file (Filename.concat dst f) (read_file (Filename.concat src f)))
-    [ "snapshot.wtx"; "wal.log" ]
+    (Sys.readdir src)
 
 let flip_bit s off bit =
   let b = Bytes.of_string s in
   Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor (1 lsl bit)));
   Bytes.to_string b
 
-let store_contents dir =
-  let t, _ = Durable.open_read_only ~verify:true dir in
-  List.init (Durable.length t) (Durable.access t)
+module Tiered = Wtrie.Tiered
+
+let tiered_contents dir =
+  let t, _ = Tiered.open_read_only ~verify:true dir in
+  Fun.protect
+    ~finally:(fun () -> Tiered.close t)
+    (fun () ->
+      List.init (Tiered.length t) (fun pos -> Result.get_ok (Tiered.access t ~pos)))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot container sweeps *)
@@ -210,7 +213,7 @@ let test_v3_truncations () =
 
 let base_inputs = List.init 10 (fun i -> Printf.sprintf "input-%02d-%s" i (String.make (i mod 5) 'x'))
 
-let wal_tag = "durable-append"
+let wal_tag = "tiered"
 
 (* End offset (within wal.log) of each record, in order. *)
 let record_ends inputs =
@@ -223,15 +226,18 @@ let record_ends inputs =
             (off', off' :: acc))
           (hs, []) inputs))
 
+(* A store whose every string is still in the delta: the WAL holds all
+   of [base_inputs], flushed. *)
 let build_base_store dir =
   rm_rf dir;
-  let t = Durable.create ~checkpoint_bytes:max_int ~variant:`Append dir in
-  List.iter (Durable.append t) base_inputs;
-  Durable.close t
+  let t = Tiered.create ~threshold:max_int dir in
+  List.iter (Tiered.ingest t) base_inputs;
+  Tiered.flush t;
+  Tiered.close t
 
 (* Truncate the WAL at EVERY byte offset: recovery must see exactly the
    records wholly inside the prefix, the store must reopen, accept an
-   append, and verify clean. *)
+   ingest, and verify clean. *)
 let test_wal_truncation_sweep () =
   let base = fresh_dir "wal_cut_base" in
   build_base_store base;
@@ -242,30 +248,33 @@ let test_wal_truncation_sweep () =
   let w = String.length pristine_wal in
   check_int "wal length matches record arithmetic" (List.nth ends (List.length ends - 1)) w;
   for cut = 0 to w do
-    copy_store base dir;
+    copy_dir base dir;
     write_file (Filename.concat dir "wal.log") (String.sub pristine_wal 0 cut);
     let expected =
       if cut < hs then 0 else List.length (List.filter (fun e -> e <= cut) ends)
     in
     let ctx fmt = Printf.ksprintf (fun m -> Printf.sprintf "cut %d/%d: %s" cut w m) fmt in
     (* read-only verification first *)
-    let rep = Durable.verify dir in
-    check_int (ctx "verified length") expected rep.Durable.v_length;
-    check_bool (ctx "wal reset flag") (cut < hs) rep.Durable.v_wal_reset;
+    let rep = Tiered.verify dir in
+    check_int (ctx "verified length") expected rep.Tiered.v_length;
+    check_bool (ctx "wal reset flag") (cut < hs) rep.Tiered.v_wal_reset;
     let boundary = cut >= hs && (cut = hs || List.mem cut ends) in
-    check_bool (ctx "clean flag") boundary rep.Durable.v_clean;
+    check_bool (ctx "clean flag") boundary rep.Tiered.v_clean;
     (* then a real recovery: truncate the tail, keep working *)
-    let t, r = Durable.open_ ~checkpoint_bytes:max_int dir in
-    check_int (ctx "replayed") expected r.Durable.replayed;
-    check_int (ctx "recovered length") expected (Durable.length t);
+    let t, r = Tiered.open_ ~threshold:max_int dir in
+    check_int (ctx "replayed") expected r.Tiered.r_replayed;
+    check_int (ctx "recovered length") expected (Tiered.length t);
     List.iteri
-      (fun i s -> if i < expected then check_string (ctx "content %d" i) s (Durable.access t i))
+      (fun i s ->
+        if i < expected then
+          check_string (ctx "content %d" i) s (Result.get_ok (Tiered.access t ~pos:i)))
       base_inputs;
-    Durable.append t "post-recovery";
-    Durable.close t;
-    let rep' = Durable.verify dir in
-    check_bool (ctx "clean after recovery") true rep'.Durable.v_clean;
-    check_int (ctx "length after recovery") (expected + 1) rep'.Durable.v_length
+    Tiered.ingest t "post-recovery";
+    Tiered.flush t;
+    Tiered.close t;
+    let rep' = Tiered.verify dir in
+    check_bool (ctx "clean after recovery") true rep'.Tiered.v_clean;
+    check_int (ctx "length after recovery") (expected + 1) rep'.Tiered.v_length
   done;
   rm_rf dir;
   rm_rf base
@@ -282,7 +291,7 @@ let test_wal_bit_flip_sweep () =
   let pristine_wal = read_file (Filename.concat base "wal.log") in
   let w = String.length pristine_wal in
   for off = 0 to w - 1 do
-    copy_store base dir;
+    copy_dir base dir;
     write_file (Filename.concat dir "wal.log") (flip_bit pristine_wal off (off mod 8));
     let expected =
       if off < hs then 0
@@ -290,17 +299,17 @@ let test_wal_bit_flip_sweep () =
       (* = index of the record containing [off]: all records before it *)
     in
     let ctx m = Printf.sprintf "flip at %d/%d: %s" off w m in
-    let rep = Durable.verify dir in
-    check_bool (ctx "wal reset flag") (off < hs) rep.Durable.v_wal_reset;
-    check_int (ctx "verified length") expected rep.Durable.v_length;
-    check_bool (ctx "not clean") false rep.Durable.v_clean;
-    (* recover -> verify round-trips to clean *)
-    let r = Durable.recover dir in
-    check_int (ctx "replayed") expected r.Durable.replayed;
-    check_bool (ctx "checkpointed") true r.Durable.checkpointed;
-    let rep' = Durable.verify dir in
-    check_bool (ctx "clean after recover") true rep'.Durable.v_clean;
-    check_int (ctx "length after recover") expected rep'.Durable.v_length
+    let rep = Tiered.verify dir in
+    check_bool (ctx "wal reset flag") (off < hs) rep.Tiered.v_wal_reset;
+    check_int (ctx "verified length") expected rep.Tiered.v_length;
+    check_bool (ctx "not clean") false rep.Tiered.v_clean;
+    (* recover -> verify round-trips to clean, the prefix in a run *)
+    let r = Tiered.recover dir in
+    check_int (ctx "replayed") expected r.Tiered.r_replayed;
+    let rep' = Tiered.verify dir in
+    check_bool (ctx "clean after recover") true rep'.Tiered.v_clean;
+    check_int (ctx "length after recover") expected rep'.Tiered.v_length;
+    check_int (ctx "delta compacted") 0 rep'.Tiered.v_wal_records
   done;
   rm_rf dir;
   rm_rf base
@@ -308,9 +317,10 @@ let test_wal_bit_flip_sweep () =
 (* ------------------------------------------------------------------ *)
 (* Injected crashes *)
 
-(* Crash after every possible byte budget while appending: every append
-   that returned must survive recovery, the torn one must vanish, and
-   the store must stay appendable. *)
+(* Crash after every possible byte budget while ingesting, each string
+   flushed (acknowledged) before the next: every acknowledged string
+   must survive recovery, in order, the torn one must vanish, and the
+   store must stay writable. *)
 let test_crash_during_appends () =
   let base = fresh_dir "crash_app_base" in
   build_base_store base;
@@ -321,223 +331,101 @@ let test_crash_during_appends () =
   in
   let n_base = List.length base_inputs in
   for budget = 0 to extra_bytes + 4 do
-    copy_store base dir;
-    let t, _ = Durable.open_ ~checkpoint_bytes:max_int dir in
+    copy_dir base dir;
+    let t, _ = Tiered.open_ ~threshold:max_int dir in
     Fault.arm_crash_after_bytes budget;
-    let successes = ref 0 in
-    (try List.iter (fun s -> Durable.append t s; incr successes) extra
+    let acked = ref 0 in
+    (try
+       List.iter
+         (fun s ->
+           Tiered.ingest t s;
+           Tiered.flush t;
+           incr acked)
+         extra
      with Fault.Injected_crash _ -> ());
     Fault.disarm ();
     (* releasing the fd writes nothing further; the torn tail stays *)
-    Durable.close t;
+    Tiered.close t;
     let ctx m = Printf.sprintf "budget %d: %s" budget m in
-    let rep = Durable.verify dir in
-    check_int (ctx "durable prefix") (n_base + !successes) rep.Durable.v_length;
-    let r = Durable.recover dir in
-    check_int (ctx "replayed") (n_base + !successes) r.Durable.replayed;
-    let rep' = Durable.verify dir in
-    check_bool (ctx "clean after recover") true rep'.Durable.v_clean;
-    check_int (ctx "length after recover") (n_base + !successes) rep'.Durable.v_length;
-    (* contents: base then the surviving extras, in order *)
-    let got = store_contents dir in
-    let want = base_inputs @ List.filteri (fun i _ -> i < !successes) extra in
-    check_bool (ctx "contents") true (got = want)
-  done;
-  rm_rf dir;
-  rm_rf base
-
-(* Crash at a sweep of byte budgets inside [checkpoint]: whether the
-   crash lands in the snapshot temp file, between snapshot and WAL
-   reset, or inside the new WAL header, recovery must produce the full
-   pre-checkpoint state.  This is the no-lost-updates core guarantee. *)
-let test_crash_during_checkpoint () =
-  let base = fresh_dir "crash_ckpt_base" in
-  build_base_store base;
-  (* measure how many budgeted bytes a full checkpoint writes *)
-  let measure = fresh_dir "crash_ckpt_measure" in
-  copy_store base measure;
-  let tm, _ = Durable.open_ ~checkpoint_bytes:max_int measure in
-  Durable.checkpoint tm;
-  Durable.close tm;
-  let snap_bytes = (Unix.stat (Filename.concat measure "snapshot.wtx")).Unix.st_size in
-  rm_rf measure;
-  let total = snap_bytes + Wal.header_size ~tag:wal_tag in
-  let dir = fresh_dir "crash_ckpt" in
-  let step = max 1 (total / 61) in
-  let budget = ref 0 in
-  while !budget <= total + step do
-    copy_store base dir;
-    let t, _ = Durable.open_ ~checkpoint_bytes:max_int dir in
-    Fault.arm_crash_after_bytes !budget;
-    let crashed =
-      match Durable.checkpoint t with
-      | () -> false
-      | exception Fault.Injected_crash _ -> true
-    in
-    Fault.disarm ();
-    Durable.close t;
-    let ctx m = Printf.sprintf "budget %d/%d (crashed=%b): %s" !budget total crashed m in
-    ignore (Durable.recover dir : Durable.recovery);
-    let rep = Durable.verify dir in
-    check_bool (ctx "clean after recover") true rep.Durable.v_clean;
-    check_int (ctx "no lost updates") (List.length base_inputs) rep.Durable.v_length;
-    check_bool (ctx "contents intact") true (store_contents dir = base_inputs);
-    budget := !budget + step
+    let rep = Tiered.verify dir in
+    check_int (ctx "acknowledged prefix") (n_base + !acked) rep.Tiered.v_length;
+    let r = Tiered.recover dir in
+    check_int (ctx "replayed") (n_base + !acked) r.Tiered.r_replayed;
+    let rep' = Tiered.verify dir in
+    check_bool (ctx "clean after recover") true rep'.Tiered.v_clean;
+    check_int (ctx "length after recover") (n_base + !acked) rep'.Tiered.v_length;
+    (* contents: base then the acknowledged extras, in order *)
+    let want = base_inputs @ List.filteri (fun i _ -> i < !acked) extra in
+    check_bool (ctx "contents") true (tiered_contents dir = want)
   done;
   rm_rf dir;
   rm_rf base
 
 (* ------------------------------------------------------------------ *)
-(* Randomized dynamic workload vs. an in-memory oracle *)
-
-type sim_op = S_append of string | S_insert of int * string | S_delete of int
-
-let rec insert_at l pos x =
-  if pos = 0 then x :: l
-  else match l with [] -> invalid_arg "insert_at" | y :: tl -> y :: insert_at tl (pos - 1) x
-
-let rec delete_at l pos =
-  match l with
-  | [] -> invalid_arg "delete_at"
-  | y :: tl -> if pos = 0 then tl else y :: delete_at tl (pos - 1)
-
-let apply_sim oracle = function
-  | S_append s -> oracle @ [ s ]
-  | S_insert (p, s) -> insert_at oracle p s
-  | S_delete p -> delete_at oracle p
-
-let apply_durable t = function
-  | S_append s -> Durable.append t s
-  | S_insert (p, s) -> Durable.insert t p s
-  | S_delete p -> Durable.delete t p
-
-(* Mixed append/insert/delete on a dynamic store with a small checkpoint
-   threshold (so crashes also land inside automatic checkpoints), a
-   crash armed every round.  A crashed op is allowed to be either torn
-   (absent) or durable (present, when the crash hit the checkpoint after
-   the op was logged) — anything else fails the test. *)
-let test_dynamic_oracle_crashes () =
-  let rng = Xoshiro.create 99 in
-  let dir = fresh_dir "oracle" in
-  let t = ref (Durable.create ~checkpoint_bytes:512 ~variant:`Dynamic dir) in
-  let oracle = ref [] in
-  let counter = ref 0 in
-  let gen_op () =
-    let len = List.length !oracle in
-    incr counter;
-    let s = Printf.sprintf "dyn-%04d" !counter in
-    match Xoshiro.int rng 10 with
-    | 0 | 1 | 2 | 3 | 4 -> S_append s
-    | 5 | 6 -> S_insert (Xoshiro.int rng (len + 1), s)
-    | _ -> if len = 0 then S_append s else S_delete (Xoshiro.int rng len)
-  in
-  for round = 1 to 12 do
-    for _ = 1 to 10 do
-      let op = gen_op () in
-      apply_durable !t op;
-      oracle := apply_sim !oracle op
-    done;
-    Fault.arm_crash_after_bytes (1 + Xoshiro.int rng 96);
-    let pending = ref None in
-    (try
-       while true do
-         let op = gen_op () in
-         pending := Some op;
-         apply_durable !t op;
-         oracle := apply_sim !oracle op;
-         pending := None
-       done
-     with Fault.Injected_crash _ -> ());
-    Fault.disarm ();
-    Durable.close !t;
-    ignore (Durable.recover dir : Durable.recovery);
-    let rep = Durable.verify dir in
-    check_bool (Printf.sprintf "round %d: clean after recover" round) true rep.Durable.v_clean;
-    let t', _ = Durable.open_ ~checkpoint_bytes:512 dir in
-    t := t';
-    let got = List.init (Durable.length t') (Durable.access t') in
-    let candidates =
-      !oracle
-      ::
-      (match !pending with
-      | None -> []
-      | Some op -> ( match apply_sim !oracle op with l -> [ l ] | exception _ -> []))
-    in
-    (match List.find_opt (fun c -> c = got) candidates with
-    | Some c -> oracle := c
-    | None ->
-        Alcotest.fail
-          (Printf.sprintf "round %d: recovered state (len %d) matches neither oracle (len %d)"
-             round (List.length got) (List.length !oracle)))
-  done;
-  Durable.close !t;
-  check_bool "final contents" true (store_contents dir = !oracle);
-  rm_rf dir
-
-(* ------------------------------------------------------------------ *)
-(* Edge cases: garbage, missing files, future generations, probes *)
+(* Edge cases: missing files, future generations, probes *)
 
 let test_edge_cases () =
   let base = fresh_dir "edge_base" in
   rm_rf base;
-  let t = Durable.create ~variant:`Append base in
-  Durable.append t "alpha";
-  Durable.append t "beta";
-  Durable.close t;
+  let t = Tiered.create ~threshold:max_int base in
+  Tiered.ingest t "alpha";
+  Tiered.ingest t "beta";
+  Tiered.flush t;
+  Tiered.close t;
   let dir = fresh_dir "edge" in
   let expect_fe what f =
     match f () with
-    | exception Durable.Format_error _ -> ()
+    | exception Wt_durable.Container.Format_error _ -> ()
     | exception e ->
         Alcotest.fail (Printf.sprintf "%s: unexpected exception %s" what (Printexc.to_string e))
     | _ -> Alcotest.fail (Printf.sprintf "%s: expected Format_error" what)
   in
-  (* a deleted WAL is recoverable: the log resets, the snapshot stands *)
-  copy_store base dir;
+  (* a deleted WAL is recoverable: the log resets, the runs stand *)
+  copy_dir base dir;
   Sys.remove (Filename.concat dir "wal.log");
-  let rep = Durable.verify dir in
-  check_bool "missing wal -> reset" true rep.Durable.v_wal_reset;
-  check_int "missing wal -> snapshot state" 0 rep.Durable.v_length;
-  let t, r = Durable.open_ dir in
-  check_bool "missing wal -> reset on open" true r.Durable.wal_reset;
-  Durable.append t "fresh";
-  Durable.close t;
-  check_bool "recreated wal -> clean" true (Durable.verify dir).Durable.v_clean;
-  (* garbage where the snapshot should be fails loudly *)
-  copy_store base dir;
-  write_file (Filename.concat dir "snapshot.wtx") "garbage, not a container";
-  expect_fe "garbage snapshot" (fun () -> ignore (Durable.verify dir : Durable.verify_report));
-  (* a WAL from the future (generation ahead of the snapshot) is corrupt *)
-  copy_store base dir;
+  let rep = Tiered.verify dir in
+  check_bool "missing wal -> reset" true rep.Tiered.v_wal_reset;
+  check_int "missing wal -> run state" 0 rep.Tiered.v_length;
+  let t, r = Tiered.open_ dir in
+  check_bool "missing wal -> reset on open" true r.Tiered.r_wal_reset;
+  Tiered.ingest t "fresh";
+  Tiered.flush t;
+  Tiered.close t;
+  check_bool "recreated wal -> clean" true (Tiered.verify dir).Tiered.v_clean;
+  (* garbage where the manifest should be fails loudly *)
+  copy_dir base dir;
+  write_file (Filename.concat dir "manifest.wtx") "garbage, not a container";
+  expect_fe "garbage manifest" (fun () -> ignore (Tiered.verify dir : Tiered.verify_report));
+  (* a WAL from the future (generation past the manifest's next) is corrupt *)
+  copy_dir base dir;
   Wal.create ~tag:wal_tag ~generation:7 (Filename.concat dir "wal.log");
-  expect_fe "future-generation wal" (fun () -> ignore (Durable.verify dir : Durable.verify_report));
+  expect_fe "future-generation wal" (fun () ->
+      ignore (Tiered.verify dir : Tiered.verify_report));
   (* a stale-generation WAL is discarded, never replayed twice *)
-  copy_store base dir;
-  let t, _ = Durable.open_ ~checkpoint_bytes:max_int dir in
-  Durable.checkpoint t;
-  Durable.close t;
+  copy_dir base dir;
+  ignore (Tiered.recover dir : Tiered.recovery);
   write_file (Filename.concat dir "wal.log") (read_file (Filename.concat base "wal.log"));
-  let rep = Durable.verify dir in
-  check_bool "stale wal -> reset" true rep.Durable.v_wal_reset;
-  check_int "stale wal -> not replayed" 2 rep.Durable.v_length;
-  check_int "stale wal -> zero records counted" 0 rep.Durable.v_wal_records;
+  let rep = Tiered.verify dir in
+  check_bool "stale wal -> reset" true rep.Tiered.v_wal_reset;
+  check_int "stale wal -> not replayed" 2 rep.Tiered.v_length;
+  check_int "stale wal -> zero records counted" 0 rep.Tiered.v_wal_records;
   (* not a store at all *)
   rm_rf dir;
   Sys.mkdir dir 0o755;
-  check_bool "empty dir is not a store" false (Durable.is_store dir);
-  expect_fe "empty dir" (fun () -> ignore (Durable.verify dir : Durable.verify_report));
+  check_bool "empty dir is not a store" false (Tiered.is_store dir);
+  expect_fe "empty dir" (fun () -> ignore (Tiered.verify dir : Tiered.verify_report));
   (* recovery work lands in the obs probes *)
-  copy_store base dir;
+  copy_dir base dir;
   let wal = read_file (Filename.concat dir "wal.log") in
   write_file (Filename.concat dir "wal.log") (String.sub wal 0 (String.length wal - 3));
   Wt_obs.Probe.enable ();
   Wt_obs.Probe.reset ();
-  let t, r = Durable.open_ dir in
+  let t, r = Tiered.open_ dir in
   check_int "probe: replayed records" 1 (Wt_obs.Probe.counter Wt_obs.Metric.Durable_wal_replay);
   check_bool "probe: dropped bytes" true
-    (Wt_obs.Probe.counter Wt_obs.Metric.Durable_wal_dropped_bytes = r.Durable.dropped_bytes
-    && r.Durable.dropped_bytes > 0);
-  Durable.close t;
+    (Wt_obs.Probe.counter Wt_obs.Metric.Durable_wal_dropped_bytes = r.Tiered.r_dropped_bytes
+    && r.Tiered.r_dropped_bytes > 0);
+  Tiered.close t;
   Wt_obs.Probe.disable ();
   rm_rf dir;
   rm_rf base
@@ -552,16 +440,7 @@ let test_edge_cases () =
    full acknowledged ingest set: no lost string, no duplicate, and
    [recover] -> [verify] must round-trip to a clean store. *)
 
-module Tiered = Wtrie.Tiered
-
 let tiered_inputs = List.init 12 (fun i -> Printf.sprintf "t-%02d-%s" i (String.make (i mod 4) 'y'))
-
-let copy_dir src dst =
-  rm_rf dst;
-  Sys.mkdir dst 0o755;
-  Array.iter
-    (fun f -> write_file (Filename.concat dst f) (read_file (Filename.concat src f)))
-    (Sys.readdir src)
 
 (* A base store with everything still in the delta (threshold never
    reached), flushed and closed: the compaction under test does all
@@ -572,13 +451,6 @@ let build_tiered_base dir =
   List.iter (Tiered.ingest t) tiered_inputs;
   Tiered.flush t;
   Tiered.close t
-
-let tiered_contents dir =
-  let t, _ = Tiered.open_read_only ~verify:true dir in
-  Fun.protect
-    ~finally:(fun () -> Tiered.close t)
-    (fun () ->
-      List.init (Tiered.length t) (fun pos -> Result.get_ok (Tiered.access t ~pos)))
 
 (* A base store whose next compaction merges: two runs of 8 and 4
    strings (the second compaction does not absorb the larger first run)
@@ -888,6 +760,250 @@ let test_tiered_fsync_failure () =
   Tiered.close t;
   rm_rf dir
 
+(* ------------------------------------------------------------------ *)
+(* Migrating a snapshot+WAL directory
+
+   Earlier versions wrote a second kind of store: [snapshot.wtx], a
+   container tagged "durable-append" or "durable-dynamic" holding the
+   Marshal of [(generation, trie)], plus a WAL of that tag and
+   generation.  These tests write such directories by hand, in that
+   layout, and check that [Tiered.recover] turns each into a tiered
+   store with exactly the snapshot plus its WAL's verified prefix. *)
+
+module Dynamic_wt = Wt_core.Dynamic_wt
+
+let bits = List.map Binarize.of_bytes
+
+let write_legacy dir ~tag ~generation ?(wal_generation = generation) trie ops =
+  rm_rf dir;
+  Sys.mkdir dir 0o755;
+  Wt_durable.Container.write ~tag
+    ~payload:(Marshal.to_string (generation, trie) [])
+    (Filename.concat dir "snapshot.wtx");
+  Wal.create_with ~tag ~generation:wal_generation ops (Filename.concat dir "wal.log")
+
+let legacy_strings =
+  List.init 20 (fun i -> Printf.sprintf "old-%02d/%s" (i mod 7) (String.make (i mod 3) 'q'))
+
+(* An append store whose WAL holds five more strings. *)
+let write_legacy_append dir =
+  write_legacy dir ~tag:"durable-append" ~generation:3
+    (Append_wt.of_array (Array.of_list (bits legacy_strings)))
+    (List.init 5 (fun i -> Wal.Append (Printf.sprintf "logged-%d" i)))
+
+let legacy_append_contents = legacy_strings @ List.init 5 (Printf.sprintf "logged-%d")
+
+let names_recover msg =
+  let sub = "wtrie recover" in
+  let k = String.length sub in
+  let rec go i = i + k <= String.length msg && (String.sub msg i k = sub || go (i + 1)) in
+  go 0
+
+let dir_listing dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let snapshot_of dir = List.map (fun f -> (f, read_file (Filename.concat dir f))) (dir_listing dir)
+
+(* Every tiered entry point but [recover] refuses the directory, names
+   the migration and writes nothing. *)
+let check_refused ctx dir =
+  let before = snapshot_of dir in
+  let refused what f =
+    match f () with
+    | exception Wt_durable.Container.Format_error m ->
+        check_bool (ctx (what ^ " names wtrie recover")) true (names_recover m)
+    | exception e -> Alcotest.failf "%s: unexpected %s" (ctx what) (Printexc.to_string e)
+    | _ -> Alcotest.fail (ctx (what ^ " opened a legacy directory"))
+  in
+  refused "verify" (fun () -> ignore (Tiered.verify dir : Tiered.verify_report));
+  refused "open_" (fun () -> Tiered.close (fst (Tiered.open_ dir)));
+  refused "open_read_only" (fun () -> Tiered.close (fst (Tiered.open_read_only dir)));
+  refused "create" (fun () -> Tiered.close (Tiered.create dir));
+  check_bool (ctx "refusals touch nothing") true (snapshot_of dir = before)
+
+(* [recover] migrates; the store then reads back [want], verifies clean,
+   holds no snapshot, and takes a later ingest. *)
+let check_migrated ctx dir ~replayed want =
+  let r = Tiered.recover dir in
+  check_bool (ctx "migrated") true r.Tiered.r_migrated;
+  check_bool (ctx "the migration leaves a tiered WAL") false r.Tiered.r_wal_reset;
+  check_int (ctx "legacy records replayed") replayed r.Tiered.r_replayed;
+  check_bool (ctx "contents") true (tiered_contents dir = want);
+  let rep = Tiered.verify dir in
+  check_bool (ctx "clean") true rep.Tiered.v_clean;
+  check_int (ctx "one run") 1 rep.Tiered.v_runs;
+  Alcotest.(check (list string))
+    (ctx "files") [ "manifest.wtx"; "run-000000.wtx"; "wal.log" ] (dir_listing dir);
+  let t, _ = Tiered.open_ dir in
+  Tiered.ingest t "later";
+  Tiered.flush t;
+  Tiered.close t;
+  check_bool (ctx "a later ingest") true (tiered_contents dir = want @ [ "later" ])
+
+let test_migration_cases () =
+  let dir = fresh_dir "legacy" in
+  let case name ~replayed want =
+    let ctx m = Printf.sprintf "%s: %s" name m in
+    check_refused ctx dir;
+    check_migrated ctx dir ~replayed want
+  in
+  (* an append trie *)
+  write_legacy_append dir;
+  case "append" ~replayed:5 legacy_append_contents;
+  (* a dynamic trie whose WAL inserts and deletes *)
+  let ops =
+    [ Wal.Insert (0, "head"); Wal.Delete 4; Wal.Append "tail"; Wal.Insert (7, "mid");
+      Wal.Delete 0; Wal.Insert (3, "old-01/q") ]
+  in
+  write_legacy dir ~tag:"durable-dynamic" ~generation:1
+    (Dynamic_wt.of_array (Array.of_list (bits legacy_strings)))
+    ops;
+  let apply l = function
+    | Wal.Append s -> l @ [ s ]
+    | Wal.Insert (p, s) -> List.filteri (fun i _ -> i < p) l @ (s :: List.filteri (fun i _ -> i >= p) l)
+    | Wal.Delete p -> List.filteri (fun i _ -> i <> p) l
+  in
+  case "dynamic" ~replayed:(List.length ops) (List.fold_left apply legacy_strings ops);
+  (* an empty store *)
+  write_legacy dir ~tag:"durable-append" ~generation:0 (Append_wt.create ()) [];
+  case "empty" ~replayed:0 [];
+  (* a torn WAL tail: the verified prefix only *)
+  write_legacy_append dir;
+  let wal = read_file (Filename.concat dir "wal.log") in
+  write_file (Filename.concat dir "wal.log") (String.sub wal 0 (String.length wal - 3));
+  case "torn tail" ~replayed:4
+    (List.filteri (fun i _ -> i < List.length legacy_append_contents - 1) legacy_append_contents);
+  (* a stale-generation WAL was absorbed by the snapshot already *)
+  write_legacy dir ~tag:"durable-append" ~generation:3 ~wal_generation:2
+    (Append_wt.of_array (Array.of_list (bits legacy_strings)))
+    [ Wal.Append "absorbed" ];
+  case "stale wal" ~replayed:0 legacy_strings;
+  (* a future-generation WAL is impossible: refused, nothing touched *)
+  write_legacy dir ~tag:"durable-append" ~generation:3 ~wal_generation:4
+    (Append_wt.of_array (Array.of_list (bits legacy_strings)))
+    [ Wal.Append "future" ];
+  let before = snapshot_of dir in
+  expect_format_error "future-generation wal" (fun () ->
+      ignore (Tiered.recover dir : Tiered.recovery));
+  check_bool "future-generation wal leaves the directory untouched" true
+    (snapshot_of dir = before);
+  (* so are an insert or a delete past the end *)
+  List.iter
+    (fun op ->
+      write_legacy dir ~tag:"durable-dynamic" ~generation:0
+        (Dynamic_wt.of_array (Array.of_list (bits legacy_strings)))
+        [ op ];
+      expect_format_error "out-of-bounds record" (fun () ->
+          ignore (Tiered.recover dir : Tiered.recovery)))
+    [ Wal.Insert (21, "past the end"); Wal.Delete 20 ];
+  rm_rf dir
+
+(* Crash the migration at every budget of a stride plus pinned budgets
+   inside its three writing steps; the fourth step (deleting the
+   snapshot) writes nothing, so its window is built by hand.  A crash
+   leaves either the legacy directory or a tiered store with the same
+   contents, and one more [recover] always lands on the migrated
+   store. *)
+let test_migration_crash_sweep () =
+  let base = fresh_dir "legacy_crash_base" in
+  write_legacy_append base;
+  let want = legacy_append_contents in
+  let measure = fresh_dir "legacy_crash_measure" in
+  copy_dir base measure;
+  ignore (Tiered.recover measure : Tiered.recovery);
+  let sz f = (Unix.stat (Filename.concat measure f)).Unix.st_size in
+  let run_b = sz "run-000000.wtx" and man_b = sz "manifest.wtx" and wal_b = sz "wal.log" in
+  let total = run_b + man_b + wal_b in
+  let dir = fresh_dir "legacy_crash" in
+  let legacy = ref 0 and tiered = ref 0 and completions = ref 0 in
+  let budgets =
+    List.sort_uniq compare
+      (List.init 62 (fun i -> i * max 1 (total / 60))
+      @ [ 0; run_b - 1; run_b; run_b + 1; run_b + man_b - 1; run_b + man_b;
+          run_b + man_b + 1; total - 1; total; total + 64 ])
+  in
+  let check_final ctx =
+    ignore (Tiered.recover dir : Tiered.recovery);
+    check_bool (ctx "recover leaves a clean store") true (Tiered.verify dir).Tiered.v_clean;
+    check_bool (ctx "contents") true (tiered_contents dir = want);
+    Alcotest.(check (list string))
+      (ctx "files") [ "manifest.wtx"; "run-000000.wtx"; "wal.log" ] (dir_listing dir)
+  in
+  List.iter
+    (fun budget ->
+      copy_dir base dir;
+      Fault.arm_crash_after_bytes budget;
+      let crashed =
+        match Tiered.recover dir with
+        | _ -> false
+        | exception Fault.Injected_crash _ -> true
+      in
+      Fault.disarm ();
+      let ctx m = Printf.sprintf "budget %d/%d (crashed=%b): %s" budget total crashed m in
+      if not crashed then incr completions
+      else if Tiered.is_store dir then begin
+        incr tiered;
+        check_bool (ctx "a tiered store with the legacy contents") true
+          (tiered_contents dir = want)
+      end
+      else begin
+        incr legacy;
+        check_bool (ctx "the legacy directory") true
+          (Sys.file_exists (Filename.concat dir "snapshot.wtx"))
+      end;
+      check_final ctx)
+    budgets;
+  check_bool "sweep saw legacy crashes" true (!legacy > 0);
+  check_bool "sweep saw tiered crashes" true (!tiered > 0);
+  check_bool "sweep saw completions" true (!completions > 0);
+  (* the fourth window: migrated, snapshot not yet deleted *)
+  copy_dir measure dir;
+  write_file (Filename.concat dir "snapshot.wtx") (read_file (Filename.concat base "snapshot.wtx"));
+  check_bool "leftover snapshot: contents" true (tiered_contents dir = want);
+  Tiered.close (fst (Tiered.open_ dir));
+  check_bool "leftover snapshot swept by a writable open" false
+    (Sys.file_exists (Filename.concat dir "snapshot.wtx"));
+  check_final (Printf.sprintf "leftover snapshot: %s");
+  rm_rf dir;
+  rm_rf measure;
+  rm_rf base
+
+(* The CLI has no legacy branch of its own: the store's refusal reaches
+   the user as exit 2 naming the migration, and nothing is written. *)
+let test_migration_cli () =
+  let exe =
+    List.find Sys.file_exists [ "../bin/wtrie_cli.exe"; "_build/default/bin/wtrie_cli.exe" ]
+  in
+  let dir = fresh_dir "legacy_cli" in
+  write_legacy_append dir;
+  let input = tmp "legacy_cli_input.txt" in
+  write_file input "fresh\n";
+  let err = tmp "legacy_cli_err.txt" in
+  let wtrie args =
+    Sys.command
+      (Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote exe) args (Filename.quote err))
+  in
+  let q = Filename.quote in
+  List.iter
+    (fun (what, args) ->
+      check_int (what ^ " exits 2") 2 (wtrie args);
+      let msg = read_file err in
+      check_bool (what ^ " names wtrie recover") true (names_recover msg);
+      check_bool (what ^ " writes no manifest") false
+        (Sys.file_exists (Filename.concat dir "manifest.wtx")))
+    [
+      ("ingest", Printf.sprintf "ingest %s %s" (q dir) (q input));
+      ("verify", Printf.sprintf "verify %s" (q dir));
+      ("rank", Printf.sprintf "rank %s old-00/" (q dir));
+    ];
+  check_int "recover migrates" 0 (wtrie (Printf.sprintf "recover %s" (q dir)));
+  check_int "ingest after the migration" 0
+    (wtrie (Printf.sprintf "ingest %s %s" (q dir) (q input)));
+  check_bool "contents after the migration" true
+    (tiered_contents dir = legacy_append_contents @ [ "fresh" ]);
+  Sys.remove input;
+  Sys.remove err;
+  rm_rf dir
+
 let () =
   Alcotest.run "wt_faults"
     [
@@ -907,11 +1023,7 @@ let () =
           Alcotest.test_case "bit-flip sweep (every offset)" `Quick test_wal_bit_flip_sweep;
         ] );
       ( "crash",
-        [
-          Alcotest.test_case "torn appends (every budget)" `Quick test_crash_during_appends;
-          Alcotest.test_case "checkpoint crash sweep" `Quick test_crash_during_checkpoint;
-          Alcotest.test_case "dynamic workload vs oracle" `Quick test_dynamic_oracle_crashes;
-        ] );
+        [ Alcotest.test_case "torn appends (every budget)" `Quick test_crash_during_appends ] );
       ("edges", [ Alcotest.test_case "garbage, stale, probes" `Quick test_edge_cases ]);
       ( "tiered",
         [
@@ -921,5 +1033,11 @@ let () =
           Alcotest.test_case "run corruption sweeps" `Quick test_tiered_run_sweeps;
           Alcotest.test_case "recovery classes" `Quick test_tiered_recovery_classes;
           Alcotest.test_case "failed WAL fsync is not an ack" `Quick test_tiered_fsync_failure;
+        ] );
+      ( "migration",
+        [
+          Alcotest.test_case "legacy directories read back" `Quick test_migration_cases;
+          Alcotest.test_case "migration crash sweep" `Quick test_migration_crash_sweep;
+          Alcotest.test_case "CLI refuses a legacy directory" `Quick test_migration_cli;
         ] );
     ]

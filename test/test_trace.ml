@@ -205,22 +205,23 @@ let test_flight_wraparound () =
 
 (* The injected-crash path drops a [Crash] marker after the WAL appends
    that led up to it — the "what happened just before" story the dump
-   exists to tell. *)
+   exists to tell.  The tiered store arms that marker; without it the
+   ring holds no crash event. *)
 let test_flight_crash_dump () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "wt_trace_crash_%d" (Hashtbl.hash (Sys.time ())))
   in
-  let t = Durable.create ~variant:`Append dir in
+  let t = Wtrie.Tiered.create ~threshold:max_int dir in
   Flight.clear ();
-  Durable.append t "alpha";
-  Durable.append t "beta";
+  Wtrie.Tiered.ingest t "alpha";
+  Wtrie.Tiered.ingest t "beta";
   Fault.arm_crash_after_bytes 4;
-  (match Durable.append t "gamma" with
+  (match Wtrie.Tiered.ingest t "gamma" with
   | () -> Alcotest.fail "armed fault did not fire"
   | exception Fault.Injected_crash _ -> ());
   Fault.disarm ();
-  (try Durable.close t with Fault.Injected_crash _ -> ());
+  Wtrie.Tiered.close t;
   let evs = Flight.dump () in
   let appends = List.filter (fun (e : Flight.event) -> e.kind = Flight.Wal_append) evs in
   check_int "both clean appends in the ring" 2 (List.length appends);
