@@ -1063,6 +1063,63 @@ let batch_block () =
       per "rank" scalar_rank batch_rank;
     ]
 
+(* The arena's β coder alone ([Rrr.Flat]): ns per rank, select and
+   access at random positions on a 2^20-bit blob at densities 0.5, 0.1
+   and 0.01, and ns per rank over one-block blobs (2 to 62 bits, about
+   90% of a wide arena's internal nodes).  Best of five passes of 2^18
+   queries each. *)
+let rrr_rows () =
+  let module Rrr = Wt_bitvector.Rrr in
+  let rng = Xoshiro.create 61 in
+  let blob len density =
+    let blocks = Array.make ((len / Rrr.block_bits) + 1) 0 in
+    for i = 0 to len - 1 do
+      if Xoshiro.float rng < density then
+        blocks.(i / Rrr.block_bits) <-
+          blocks.(i / Rrr.block_bits) lor (1 lsl (i mod Rrr.block_bits))
+    done;
+    let bb = Wt_bits.Bitbuf.create () in
+    Rrr.Flat.append_blocks bb blocks ~len;
+    let buf = Buffer.create 64 in
+    Wt_bits.Bitbuf.add_to_buffer buf bb;
+    Rrr.Flat.of_membuf (Wt_bits.Membuf.of_string (Buffer.contents buf)) 0 ~len ~padded_tail:false
+  in
+  let q = 1 lsl 18 in
+  let row name f =
+    let d = ref infinity in
+    for _ = 1 to 5 do
+      d := min !d (time_batch f)
+    done;
+    (name, Json.Float (!d *. 1e9 /. float_of_int q))
+  in
+  let sink = ref 0 in
+  let per_density name density =
+    let len = 1 lsl 20 in
+    let bv = blob len density in
+    let pos = Array.init q (fun _ -> Xoshiro.int rng len) in
+    let ks = Array.init q (fun _ -> Xoshiro.int rng (Rrr.Flat.ones bv)) in
+    [
+      row ("rrr_rank_ns_" ^ name) (fun () ->
+          Array.iter (fun p -> sink := !sink + Rrr.Flat.rank bv true p) pos);
+      row ("rrr_select_ns_" ^ name) (fun () ->
+          Array.iter (fun k -> sink := !sink + Rrr.Flat.select bv true k) ks);
+      row ("rrr_access_ns_" ^ name) (fun () ->
+          Array.iter (fun p -> if Rrr.Flat.access bv p then incr sink) pos);
+    ]
+  in
+  let short = Array.init 4096 (fun _ -> blob (2 + Xoshiro.int rng 61) (Xoshiro.float rng)) in
+  let probes =
+    Array.init q (fun _ ->
+        let bv = short.(Xoshiro.int rng (Array.length short)) in
+        (bv, Xoshiro.int rng (Rrr.Flat.length bv + 1)))
+  in
+  let one_block =
+    row "rrr_one_block_rank_ns" (fun () ->
+        Array.iter (fun (bv, p) -> sink := !sink + Rrr.Flat.rank bv true p) probes)
+  in
+  ignore (Sys.opaque_identity !sink);
+  per_density "d50" 0.5 @ per_density "d10" 0.1 @ per_density "d1" 0.01 @ [ one_block ]
+
 (* Restart economics of the format-v3 flat arena: one v2 pointer-tree
    deserialize vs the v3 checksum-plus-mmap open of the same ~131k-URL
    sequence, and the batch engine on the arena vs the pointer trie.
@@ -1122,7 +1179,7 @@ let flat_block () =
   let pointer_batch = best (fun () -> ignore (Wt_exec.Exec.Pointer.query_batch pwt ops)) in
   let ns dt = dt *. 1e9 /. float_of_int b in
   Json.Obj
-    [
+    ([
       ("n", Json.Int n);
       ("build_ns_per_string", Json.Float (build *. 1e9 /. float_of_int n));
       ("build_words_per_string", Json.Float (build_words /. float_of_int n));
@@ -1135,6 +1192,7 @@ let flat_block () =
       ("pointer_batch_ns_per_op", Json.Float (ns pointer_batch));
       ("batch_vs_pointer_ratio", Json.Float (flat_batch /. pointer_batch));
     ]
+    @ rrr_rows ())
 
 (* Parallel scaling of the batched engine: the identical Zipf URL batch
    executed sequentially and sharded over explicit pools of 2 and 4

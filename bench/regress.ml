@@ -90,6 +90,18 @@ let gated =
     (Higher_better, "flat.open_speedup_vs_v2");
     (Lower_better, "flat.flat_batch_ns_per_op");
     (Lower_better, "flat.build_ns_per_string");
+    (* the arena's β coder alone, at three densities and on one-block
+       blobs *)
+    (Lower_better, "flat.rrr_rank_ns_d50");
+    (Lower_better, "flat.rrr_select_ns_d50");
+    (Lower_better, "flat.rrr_access_ns_d50");
+    (Lower_better, "flat.rrr_rank_ns_d10");
+    (Lower_better, "flat.rrr_select_ns_d10");
+    (Lower_better, "flat.rrr_access_ns_d10");
+    (Lower_better, "flat.rrr_rank_ns_d1");
+    (Lower_better, "flat.rrr_select_ns_d1");
+    (Lower_better, "flat.rrr_access_ns_d1");
+    (Lower_better, "flat.rrr_one_block_rank_ns");
     (* tiered store: sustained WAL-backed ingest rate and the merged
        run+delta read path's tail latency *)
     (Higher_better, "tiered.ingest_strings_per_s");

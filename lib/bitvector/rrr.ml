@@ -7,48 +7,70 @@ let class_bits = 6
 let sb_blocks = 16
 let sb_bits = block_bits * sb_blocks
 
-(* Pascal's triangle up to n = 62.  C(62,31) = 4.7e17 < max_int. *)
+(* Pascal's triangle up to n = 62, flat: [binom.((n lsl 6) lor k)] is
+   C(n, k) for k <= 63, 0 when k > n.  C(62,31) = 4.7e17 < max_int. *)
 let binom =
-  let t = Array.make_matrix (block_bits + 1) (block_bits + 1) 0 in
+  let t = Array.make ((block_bits + 1) lsl 6) 0 in
   for n = 0 to block_bits do
-    t.(n).(0) <- 1;
+    t.(n lsl 6) <- 1;
     for k = 1 to n do
-      t.(n).(k) <- t.(n - 1).(k - 1) + (if k <= n - 1 then t.(n - 1).(k) else 0)
+      t.((n lsl 6) lor k) <- t.(((n - 1) lsl 6) lor (k - 1)) + t.(((n - 1) lsl 6) lor k)
     done
   done;
   t
 
-(* Offset field width for each class: ceil(log2 C(62, c)), 0 for the
-   singleton classes. *)
-let offset_width =
-  Array.init (block_bits + 1) (fun c ->
-      let count = binom.(block_bits).(c) in
-      if count <= 1 then 0 else Broadword.bit_width (count - 1))
+(* Every caller keeps [n] in [0, 62] and [k] in [0, 63]. *)
+let[@inline] choose n k = Array.unsafe_get binom ((n lsl 6) lor k)
 
-(* Rank of [bits] (a 62-bit pattern with popcount [c]) in the combinatorial
-   enumeration: scanning positions from 0, a set bit at position i with r
-   ones still to place skips C(62-1-i, r) patterns (those with a 0 there
-   and r ones in the remaining 61-i bits).  Only the set bits are
-   visited. *)
-let encode_offset bits c =
+(* A width no blob can hold: see [widths]. *)
+let bad_width = 1 lsl 40
+
+(* [widths.((m lsl 6) lor c)]: the offset width of a class-[c] block
+   coded over [m] positions, ceil(log2 C(m, c)), 0 for the singleton
+   classes.  A class above [m] occurs only in a corrupt blob; it gets
+   [bad_width], so reading its offset or adding it to a stream length
+   fails a bounds check instead of decoding. *)
+let widths =
+  Array.init ((block_bits + 1) lsl 6) (fun i ->
+      let m = i lsr 6 and c = i land 63 in
+      if c > m then bad_width
+      else
+        let count = choose m c in
+        if count <= 1 then 0 else Broadword.bit_width (count - 1))
+
+(* [m] in [0, 62], [c] in [0, 63]. *)
+let[@inline] width m c = Array.unsafe_get widths ((m lsl 6) lor c)
+let[@inline] offset_width c = width block_bits c
+
+(* Rank of [bits] (an [m]-bit pattern with popcount [c]) in the
+   combinatorial enumeration: scanning positions from 0, a set bit at
+   position i with r ones still to place skips C(m-1-i, r) patterns
+   (those with a 0 there and r ones in the remaining m-1-i bits).  Only
+   the set bits are visited, the lowest found as the popcount below
+   it. *)
+let encode_offset m bits c =
   let off = ref 0 in
   let r = ref c in
   let bits = ref bits in
   while !r > 0 do
-    let i = Broadword.lowest_bit !bits in
-    off := !off + binom.(block_bits - 1 - i).(!r);
+    let low = !bits land - !bits in
+    off := !off + choose (m - 1 - Broadword.popcount (low - 1)) !r;
     decr r;
-    bits := !bits land (!bits - 1)
+    bits := !bits lxor low
   done;
   !off
 
-let decode_offset off c =
+(* The inverse over [m] positions.  At a position with as many ones
+   left to place as positions left, the skip is C(n, r) = 0 with n < r
+   and the position takes a one, so even an out-of-range offset stops
+   before position m. *)
+let decode_offset m off c =
   let bits = ref 0 in
   let off = ref off in
   let r = ref c in
   let i = ref 0 in
   while !r > 0 do
-    let skip = binom.(block_bits - 1 - !i).(!r) in
+    let skip = choose (m - 1 - !i) !r in
     if !off >= skip then begin
       off := !off - skip;
       bits := !bits lor (1 lsl !i);
@@ -57,6 +79,24 @@ let decode_offset off c =
     incr i
   done;
   !bits
+
+(* The same unranking stopped at position [r] of [m] (cheaper than
+   decoding the whole block): the ones before [r], times two, plus the
+   bit at [r] (0 when [r = m]). *)
+let unrank_to m off c r =
+  let off = ref off in
+  let rem = ref c in
+  let i = ref 0 in
+  while !i < r && !rem > 0 do
+    let skip = choose (m - 1 - !i) !rem in
+    if !off >= skip then begin
+      off := !off - skip;
+      decr rem
+    end;
+    incr i
+  done;
+  let bit = !rem > 0 && r < m && !off >= choose (m - 1 - r) !rem in
+  ((c - !rem) lsl 1) lor Bool.to_int bit
 
 type t = {
   len : int;
@@ -93,8 +133,8 @@ let of_bitbuf buf =
     let bits = Bitbuf.get_bits buf pos blen in
     let c = Broadword.popcount bits in
     Bitbuf.add_bits classes class_bits c;
-    let w = offset_width.(c) in
-    if w > 0 then Bitbuf.add_bits offsets w (encode_offset bits c);
+    let w = offset_width c in
+    if w > 0 then Bitbuf.add_bits offsets w (encode_offset block_bits bits c);
     total := !total + c
   done;
   sb_ones.(nsb) <- !total;
@@ -106,67 +146,16 @@ let of_string s = of_bitbuf (Bitbuf.of_string s)
 let class_of t blk = Bitbuf.get_bits t.classes (blk * class_bits) class_bits
 
 let decode_block t off_pos c =
-  let w = offset_width.(c) in
+  let w = offset_width c in
   if w = 0 then if c = 0 then 0 else Broadword.mask block_bits
-  else decode_offset (Bitbuf.get_bits t.offsets off_pos w) c
+  else decode_offset block_bits (Bitbuf.get_bits t.offsets off_pos w) c
 
-(* Ones among the first [r] positions of a block with class [c] and
-   offset stream position [off_pos], stopping the unranking at position
-   [r] (cheaper than decoding the whole block). *)
-let rank1_in_block t off_pos c r =
-  let w = offset_width.(c) in
-  if w = 0 then if c = 0 then 0 else min r c
-  else begin
-    let off = ref (Bitbuf.get_bits t.offsets off_pos w) in
-    let rem = ref c in
-    let ones = ref 0 in
-    let i = ref 0 in
-    while !i < r && !rem > 0 do
-      let skip = binom.(block_bits - 1 - !i).(!rem) in
-      if !off >= skip then begin
-        off := !off - skip;
-        incr ones;
-        decr rem
-      end;
-      incr i
-    done;
-    !ones
-  end
-
-(* Bit at position [r] of a block (same early exit). *)
-let access_in_block t off_pos c r =
-  let w = offset_width.(c) in
-  if w = 0 then c <> 0
-  else begin
-    let off = ref (Bitbuf.get_bits t.offsets off_pos w) in
-    let rem = ref c in
-    let i = ref 0 in
-    let bit = ref false in
-    let continue = ref true in
-    while !continue do
-      let hit =
-        !rem > 0
-        &&
-        let skip = binom.(block_bits - 1 - !i).(!rem) in
-        if !off >= skip then begin
-          off := !off - skip;
-          decr rem;
-          true
-        end
-        else false
-      in
-      if !i = r then begin
-        bit := hit;
-        continue := false
-      end
-      else if !rem = 0 then begin
-        bit := false;
-        continue := false
-      end
-      else incr i
-    done;
-    !bit
-  end
+(* [unrank_to] on a block: ones before position [r] times two, plus the
+   bit at [r]. *)
+let unrank_block t off_pos c r =
+  let w = offset_width c in
+  if w = 0 then if c = 0 then 0 else (r lsl 1) lor 1
+  else unrank_to block_bits (Bitbuf.get_bits t.offsets off_pos w) c r
 
 (* Walk blocks of superblock [sb] up to block [target]; returns
    (ones before target within walk + sb base, offset position of target). *)
@@ -177,7 +166,7 @@ let walk_to_block t target =
   for blk = sb * sb_blocks to target - 1 do
     let c = class_of t blk in
     ones := !ones + c;
-    off := !off + offset_width.(c)
+    off := !off + offset_width c
   done;
   (!ones, !off)
 
@@ -192,7 +181,7 @@ let rank1 t pos =
     else begin
       let ones, off = walk_to_block t blk in
       let r = pos mod block_bits in
-      if r = 0 then ones else ones + rank1_in_block t off (class_of t blk) r
+      if r = 0 then ones else ones + (unrank_block t off (class_of t blk) r lsr 1)
     end
   end
 
@@ -206,7 +195,7 @@ let access t pos =
   Probe.hit Rrr_access;
   let blk = pos / block_bits in
   let _, off = walk_to_block t blk in
-  access_in_block t off (class_of t blk) (pos mod block_bits)
+  unrank_block t off (class_of t blk) (pos mod block_bits) land 1 = 1
 
 (* (bit at pos, rank of that bit before pos): one walk + one partial
    unranking that also captures the bit at [pos]. *)
@@ -214,48 +203,10 @@ let access_rank t pos =
   Fid.check_access_pos ~who:"Rrr" ~len:t.len pos;
   Probe.hit Rrr_access;
   let blk = pos / block_bits in
-  let ones, off_pos = walk_to_block t blk in
-  let c = class_of t blk in
-  let r = pos mod block_bits in
-  let w = offset_width.(c) in
-  let b, in_block =
-    if w = 0 then (c <> 0, if c = 0 then 0 else r)
-    else begin
-      let off = ref (Bitbuf.get_bits t.offsets off_pos w) in
-      let rem = ref c in
-      let cnt = ref 0 in
-      let i = ref 0 in
-      let bit = ref false in
-      let continue = ref true in
-      while !continue do
-        let hit =
-          !rem > 0
-          &&
-          let skip = binom.(block_bits - 1 - !i).(!rem) in
-          if !off >= skip then begin
-            off := !off - skip;
-            decr rem;
-            true
-          end
-          else false
-        in
-        if !i = r then begin
-          bit := hit;
-          continue := false
-        end
-        else begin
-          if hit then incr cnt;
-          if !rem = 0 then begin
-            bit := false;
-            continue := false
-          end
-          else incr i
-        end
-      done;
-      (!bit, !cnt)
-    end
-  in
-  let r1 = ones + in_block in
+  let ones, off = walk_to_block t blk in
+  let x = unrank_block t off (class_of t blk) (pos mod block_bits) in
+  let b = x land 1 = 1 in
+  let r1 = ones + (x lsr 1) in
   (b, if b then r1 else pos - r1)
 
 let select t b k =
@@ -283,7 +234,7 @@ let select t b k =
   let c = ref (block_count !blk) in
   while !remaining >= !c do
     remaining := !remaining - !c;
-    off := !off + offset_width.(class_of t !blk);
+    off := !off + offset_width (class_of t !blk);
     incr blk;
     c := block_count !blk
   done;
@@ -302,7 +253,7 @@ let to_bitbuf t =
   for blk = 0 to nblocks - 1 do
     let c = class_of t blk in
     let bits = decode_block t !off c in
-    off := !off + offset_width.(c);
+    off := !off + offset_width c;
     Bitbuf.add_bits out (block_len t blk) bits
   done;
   out
@@ -363,8 +314,8 @@ module Builder = struct
       let bits = Bitbuf.get_bits b.src pos blen in
       let c = Broadword.popcount bits in
       Bitbuf.add_bits b.classes class_bits c;
-      let w = offset_width.(c) in
-      if w > 0 then Bitbuf.add_bits b.offsets w (encode_offset bits c);
+      let w = offset_width c in
+      if w > 0 then Bitbuf.add_bits b.offsets w (encode_offset block_bits bits c);
       b.total <- b.total + c;
       b.blk <- blk + 1
     done
@@ -411,7 +362,7 @@ module Cursor = struct
          for b = t.blk to blk - 1 do
            let c = class_of t.bv b in
            t.ones_before <- t.ones_before + c;
-           t.off <- t.off + offset_width.(c)
+           t.off <- t.off + offset_width c
          done
        end
        else begin
@@ -484,7 +435,7 @@ module Iter = struct
     if blk <> t.blk then begin
       (* Crossed into the next block: advance the offset cursor. *)
       if t.blk >= 0 && blk = t.blk + 1 then
-        t.off <- t.off + offset_width.(class_of t.bv t.blk)
+        t.off <- t.off + offset_width (class_of t.bv t.blk)
       else begin
         let _, off = walk_to_block t.bv blk in
         t.off <- off
@@ -508,19 +459,27 @@ let pp fmt t = Format.fprintf fmt "%s" (Bitbuf.to_string (to_bitbuf t))
 
    The blob has no header and no alignment.  Its length [len] is known
    to its owner (an arena node's count), and [nblocks]/[nsb] follow from
-   it.  One LSB-first bit stream:
+   it, as does the tail r = len - 62 (nblocks - 1), the length of the
+   last block.  One LSB-first bit stream:
 
      directory   only when nsb > 1: for sb = 1 .. nsb, two fields of
                  w = bit_width (64 * nblocks) bits: the ones before
                  superblock sb and the offset-stream bit position of
                  superblock sb (sb = nsb holds the totals; sb = 0 is
                  implicitly (0, 0))
-     classes     nblocks x 6 bits
-     offsets     variable-width offsets, concatenated
+     classes     nblocks x 6 bits; a one-block blob's single class
+                 takes bit_width r bits
+     offsets     variable-width offsets, concatenated: a full block's
+                 over 62 positions, the last block's over its r
 
    A blob of at most [sb_bits] bits is exactly its RRR payload; its
    total ones and offset-stream length are the sums over its (at most
-   16) classes, taken when the view is opened. *)
+   16) classes, taken when the view is opened.
+
+   Arena version 2 coded the last block over 62 positions like the
+   others (so a one-block blob's class took 6 bits).  Such a blob is
+   read as one whose tail is 62 long: the view keeps the length its
+   last block is coded over, and nothing else differs. *)
 module Flat = struct
   module Membuf = Wt_bits.Membuf
 
@@ -529,6 +488,7 @@ module Flat = struct
     len : int;
     total_ones : int;
     nblocks : int;
+    tail : int; (* positions the last block is coded over *)
     dir_bit : int; (* bit offset of the superblock directory *)
     dir_w : int; (* directory field width; 0 when there is none *)
     classes_bit : int; (* bit offset of the classes stream *)
@@ -543,6 +503,14 @@ module Flat = struct
   let dir_width nblocks =
     if nsb_of_nblocks nblocks > 1 then Broadword.bit_width (64 * nblocks) else 0
 
+  (* The class width of a one-block blob whose tail is [r] bits long:
+     [bit_width r]. *)
+  let tail_class_bits = Array.init (block_bits + 1) Broadword.bit_width
+
+  (* The popcounts of the blocks a blob is being encoded from, one
+     scratch array per domain. *)
+  let scratch = Domain.DLS.new_key (fun () -> ref [||])
+
   (* The blob of a [len]-bit bitvector given as its 62-bit blocks:
      [blocks.(i)] holds bits [62i, 62i + 62), LSB first, zero past
      [len].  Directory (cumulative ones and offset bits at the end of
@@ -550,38 +518,52 @@ module Flat = struct
      offsets. *)
   let append_blocks bb blocks ~len =
     let nblocks = nblocks_of_len len in
+    let last = nblocks - 1 in
+    let tail = len - (block_bits * last) in
+    let cls =
+      let r = Domain.DLS.get scratch in
+      if Array.length !r < nblocks then r := Array.make (2 * nblocks) 0;
+      !r
+    in
+    if nblocks > 0 && blocks.(last) lsr tail <> 0 then
+      invalid_arg "Rrr.Flat.append_blocks: bits past the length";
+    for blk = 0 to last do
+      cls.(blk) <- Broadword.popcount blocks.(blk)
+    done;
     let w = dir_width nblocks in
     if w > 0 then begin
       let ones = ref 0 and off = ref 0 in
-      for blk = 0 to nblocks - 1 do
-        let c = Broadword.popcount blocks.(blk) in
+      for blk = 0 to last do
+        let c = cls.(blk) in
         ones := !ones + c;
-        off := !off + offset_width.(c);
-        if (blk + 1) mod sb_blocks = 0 || blk = nblocks - 1 then begin
+        off := !off + width (if blk = last then tail else block_bits) c;
+        if (blk + 1) mod sb_blocks = 0 || blk = last then begin
           Bitbuf.add_bits bb w !ones;
           Bitbuf.add_bits bb w !off
         end
       done
     end;
-    let blk = ref 0 in
-    while !blk < nblocks do
-      let k = min 10 (nblocks - !blk) in
-      let word = ref 0 in
-      for i = k - 1 downto 0 do
-        word := (!word lsl class_bits) lor Broadword.popcount blocks.(!blk + i)
-      done;
-      Bitbuf.add_bits bb (k * class_bits) !word;
-      blk := !blk + k
-    done;
-    for blk = 0 to nblocks - 1 do
-      let bits = blocks.(blk) in
-      let c = Broadword.popcount bits in
-      let w = offset_width.(c) in
-      if w > 0 then Bitbuf.add_bits bb w (encode_offset bits c)
+    if nblocks = 1 then Bitbuf.add_bits bb tail_class_bits.(tail) cls.(0)
+    else begin
+      let blk = ref 0 in
+      while !blk < nblocks do
+        let k = min 10 (nblocks - !blk) in
+        let word = ref 0 in
+        for i = k - 1 downto 0 do
+          word := (!word lsl class_bits) lor cls.(!blk + i)
+        done;
+        Bitbuf.add_bits bb (k * class_bits) !word;
+        blk := !blk + k
+      done
+    end;
+    for blk = 0 to last do
+      let c = cls.(blk) and m = if blk = last then tail else block_bits in
+      let w = width m c in
+      if w > 0 then Bitbuf.add_bits bb w (encode_offset m blocks.(blk) c)
     done
 
-  (* Ones and offset-stream bits of blocks [lo, hi), added to [ones] and
-     [off]: ten 6-bit classes per Membuf read. *)
+  (* Ones and offset-stream bits of full blocks [lo, hi), added to
+     [ones] and [off]: ten 6-bit classes per Membuf read. *)
   let walk_classes mb classes_bit lo hi ones off =
     let ones = ref ones and off = ref off and blk = ref lo in
     while !blk < hi do
@@ -590,7 +572,7 @@ module Flat = struct
       for _ = 1 to k do
         let c = !w land 63 in
         ones := !ones + c;
-        off := !off + offset_width.(c);
+        off := !off + offset_width c;
         w := !w lsr class_bits
       done;
       blk := !blk + k
@@ -604,111 +586,87 @@ module Flat = struct
     if sb = 0 then 0
     else Membuf.get_bits t.mb (t.dir_bit + ((sb - 1) * 2 * t.dir_w) + t.dir_w) t.dir_w
 
-  (* [of_membuf mb bit ~len]: a view of the [len]-bit blob starting at
-     bit [bit].  Reads at most two words (the directory totals, or the
-     classes of a single-superblock blob); every later read is
-     bounds-checked by [Membuf], so a corrupt blob raises
+  (* [of_membuf mb bit ~len ~padded_tail]: a view of the [len]-bit blob
+     starting at bit [bit].  Reads at most three words (the directory
+     totals, or the classes of a single-superblock blob); every later
+     read is bounds-checked by [Membuf], so a corrupt blob raises
      [Invalid_argument] instead of reading out of range. *)
-  let of_membuf mb bit ~len =
+  let of_membuf mb bit ~len ~padded_tail =
     if len < 0 || bit < 0 then invalid_arg "Rrr.Flat: negative length or offset";
     let nblocks = nblocks_of_len len in
+    let last = nblocks - 1 in
+    let tail = if padded_tail then block_bits else len - (block_bits * last) in
+    let cw = if nblocks = 1 then tail_class_bits.(tail) else class_bits in
     let nsb = nsb_of_nblocks nblocks in
     let dir_w = dir_width nblocks in
     let classes_bit = bit + (if dir_w > 0 then 2 * dir_w * nsb else 0) in
-    let offsets_bit = classes_bit + (nblocks * class_bits) in
+    let offsets_bit = classes_bit + (nblocks * cw) in
     let total_ones, off_bits =
       if dir_w > 0 then begin
         let last = bit + ((nsb - 1) * 2 * dir_w) in
         (Membuf.get_bits mb last dir_w, Membuf.get_bits mb (last + dir_w) dir_w)
       end
-      else walk_classes mb classes_bit 0 nblocks 0 0
+      else if nblocks = 0 then (0, 0)
+      else begin
+        let ones, off = walk_classes mb classes_bit 0 last 0 0 in
+        let c = Membuf.get_bits mb (classes_bit + (last * cw)) cw in
+        (ones + c, off + width tail c)
+      end
     in
     if total_ones > len then invalid_arg "Rrr.Flat: ones exceed length";
     let bits = offsets_bit + off_bits - bit in
     if bit + bits > 8 * Membuf.length mb then invalid_arg "Rrr.Flat: blob truncated";
-    { mb; len; total_ones; nblocks; dir_bit = bit; dir_w; classes_bit; offsets_bit; bits }
+    {
+      mb;
+      len;
+      total_ones;
+      nblocks;
+      tail;
+      dir_bit = bit;
+      dir_w;
+      classes_bit;
+      offsets_bit;
+      bits;
+    }
 
   let length t = t.len
   let ones t = t.total_ones
   let zeros t = t.len - t.total_ones
   let space_bits t = t.bits
 
-  let class_of t blk = Membuf.get_bits t.mb (t.classes_bit + (blk * class_bits)) class_bits
-  let off_bits t pos w = Membuf.get_bits t.mb (t.offsets_bit + pos) w
+  (* A one-block blob's class fills everything before its offset. *)
+  let class_of t blk =
+    if t.nblocks = 1 then Membuf.get_bits t.mb t.classes_bit (t.offsets_bit - t.classes_bit)
+    else Membuf.get_bits t.mb (t.classes_bit + (blk * class_bits)) class_bits
 
-  let decode_block t off_pos c =
-    let w = offset_width.(c) in
-    if w = 0 then if c = 0 then 0 else Broadword.mask block_bits
-    else decode_offset (off_bits t off_pos w) c
+  (* Positions block [blk] is coded over. *)
+  let block_m t blk = if blk = t.nblocks - 1 then t.tail else block_bits
 
-  let rank1_in_block t off_pos c r =
-    let w = offset_width.(c) in
-    if w = 0 then if c = 0 then 0 else min r c
-    else begin
-      let off = ref (off_bits t off_pos w) in
-      let rem = ref c in
-      let ones = ref 0 in
-      let i = ref 0 in
-      while !i < r && !rem > 0 do
-        let skip = binom.(block_bits - 1 - !i).(!rem) in
-        if !off >= skip then begin
-          off := !off - skip;
-          incr ones;
-          decr rem
-        end;
-        incr i
-      done;
-      !ones
-    end
+  (* Block [blk], of class [c], with its offset at [off_pos]: decoded
+     ([decode_block]), or unranked up to position [r] ([unrank_block],
+     as [unrank_to]). *)
+  let decode_block t blk off_pos c =
+    let m = block_m t blk in
+    let w = width m c in
+    if w = 0 then if c = 0 then 0 else Broadword.mask m
+    else decode_offset m (Membuf.get_bits t.mb (t.offsets_bit + off_pos) w) c
 
-  let access_in_block t off_pos c r =
-    let w = offset_width.(c) in
-    if w = 0 then c <> 0
-    else begin
-      let off = ref (off_bits t off_pos w) in
-      let rem = ref c in
-      let i = ref 0 in
-      let bit = ref false in
-      let continue = ref true in
-      while !continue do
-        let hit =
-          !rem > 0
-          &&
-          let skip = binom.(block_bits - 1 - !i).(!rem) in
-          if !off >= skip then begin
-            off := !off - skip;
-            decr rem;
-            true
-          end
-          else false
-        in
-        if !i = r then begin
-          bit := hit;
-          continue := false
-        end
-        else if !rem = 0 then begin
-          bit := false;
-          continue := false
-        end
-        else incr i
-      done;
-      !bit
-    end
+  let unrank_block t blk off_pos c r =
+    let m = block_m t blk in
+    let w = width m c in
+    if w = 0 then if c = 0 then 0 else (r lsl 1) lor 1
+    else unrank_to m (Membuf.get_bits t.mb (t.offsets_bit + off_pos) w) c r
 
   let iter_blocks t f =
-    let off = ref 0 and blk = ref 0 in
-    while !blk < t.nblocks do
-      let k = min 10 (t.nblocks - !blk) in
-      let w = ref (Membuf.get_bits t.mb (t.classes_bit + (!blk * class_bits)) (k * class_bits)) in
-      for _ = 1 to k do
-        let c = !w land 63 in
-        f (decode_block t !off c);
-        off := !off + offset_width.(c);
-        w := !w lsr class_bits
-      done;
-      blk := !blk + k
+    let off = ref 0 in
+    for blk = 0 to t.nblocks - 1 do
+      let c = class_of t blk in
+      f (decode_block t blk !off c);
+      off := !off + width (block_m t blk) c
     done
 
+  (* Ones before block [target] and its offset-stream position; only
+     full blocks precede it. *)
   let walk_to_block t target =
     let sb = target / sb_blocks in
     walk_classes t.mb t.classes_bit (sb * sb_blocks) target (dir_ones t sb) (dir_off t sb)
@@ -717,14 +675,12 @@ module Flat = struct
 
   let rank1 t pos =
     if pos = 0 then 0
+    else if pos = t.len then t.total_ones
     else begin
       let blk = pos / block_bits in
-      if blk >= t.nblocks then t.total_ones
-      else begin
-        let ones, off = walk_to_block t blk in
-        let r = pos mod block_bits in
-        if r = 0 then ones else ones + rank1_in_block t off (class_of t blk) r
-      end
+      let ones, off = walk_to_block t blk in
+      let r = pos mod block_bits in
+      if r = 0 then ones else ones + (unrank_block t blk off (class_of t blk) r lsr 1)
     end
 
   let rank t b pos =
@@ -737,54 +693,16 @@ module Flat = struct
     Probe.hit Rrr_access;
     let blk = pos / block_bits in
     let _, off = walk_to_block t blk in
-    access_in_block t off (class_of t blk) (pos mod block_bits)
+    unrank_block t blk off (class_of t blk) (pos mod block_bits) land 1 = 1
 
   let access_rank t pos =
     Fid.check_access_pos ~who:"Rrr.Flat" ~len:t.len pos;
     Probe.hit Rrr_access;
     let blk = pos / block_bits in
-    let ones, off_pos = walk_to_block t blk in
-    let c = class_of t blk in
-    let r = pos mod block_bits in
-    let w = offset_width.(c) in
-    let b, in_block =
-      if w = 0 then (c <> 0, if c = 0 then 0 else r)
-      else begin
-        let off = ref (off_bits t off_pos w) in
-        let rem = ref c in
-        let cnt = ref 0 in
-        let i = ref 0 in
-        let bit = ref false in
-        let continue = ref true in
-        while !continue do
-          let hit =
-            !rem > 0
-            &&
-            let skip = binom.(block_bits - 1 - !i).(!rem) in
-            if !off >= skip then begin
-              off := !off - skip;
-              decr rem;
-              true
-            end
-            else false
-          in
-          if !i = r then begin
-            bit := hit;
-            continue := false
-          end
-          else begin
-            if hit then incr cnt;
-            if !rem = 0 then begin
-              bit := false;
-              continue := false
-            end
-            else incr i
-          end
-        done;
-        (!bit, !cnt)
-      end
-    in
-    let r1 = ones + in_block in
+    let ones, off = walk_to_block t blk in
+    let x = unrank_block t blk off (class_of t blk) (pos mod block_bits) in
+    let b = x land 1 = 1 in
+    let r1 = ones + (x lsr 1) in
     (b, if b then r1 else pos - r1)
 
   let select t b k =
@@ -811,12 +729,11 @@ module Flat = struct
     let c = ref (block_count !blk) in
     while !remaining >= !c do
       remaining := !remaining - !c;
-      off := !off + offset_width.(class_of t !blk);
+      off := !off + width (block_m t !blk) (class_of t !blk);
       incr blk;
       c := block_count !blk
     done;
-    let cls = class_of t !blk in
-    let bits = decode_block t !off cls in
+    let bits = decode_block t !blk !off (class_of t !blk) in
     let inblock =
       if b then Broadword.select_in_word bits !remaining
       else Broadword.select0_in_word bits (block_len t !blk) !remaining
@@ -855,7 +772,7 @@ module Flat = struct
         t.ones_before <- ones;
         t.off <- off;
         t.blk <- blk;
-        t.bits <- decode_block t.bv t.off (class_of t.bv blk)
+        t.bits <- decode_block t.bv blk t.off (class_of t.bv blk)
       end
 
     let rank1 t pos =
@@ -903,8 +820,7 @@ module Flat = struct
       else begin
         let blk = pos / block_bits in
         let _, off = walk_to_block bv blk in
-        let c = class_of bv blk in
-        let bits = decode_block bv off c in
+        let bits = decode_block bv blk off (class_of bv blk) in
         { bv; cursor = pos; blk; bits; off }
       end
 
@@ -916,13 +832,13 @@ module Flat = struct
       let blk = t.cursor / block_bits in
       if blk <> t.blk then begin
         if t.blk >= 0 && blk = t.blk + 1 then
-          t.off <- t.off + offset_width.(class_of t.bv t.blk)
+          t.off <- t.off + offset_width (class_of t.bv t.blk)
         else begin
           let _, off = walk_to_block t.bv blk in
           t.off <- off
         end;
         t.blk <- blk;
-        t.bits <- decode_block t.bv t.off (class_of t.bv blk)
+        t.bits <- decode_block t.bv blk t.off (class_of t.bv blk)
       end;
       let b = t.bits land (1 lsl (t.cursor mod block_bits)) <> 0 in
       t.cursor <- t.cursor + 1;

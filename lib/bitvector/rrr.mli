@@ -96,10 +96,12 @@ val pp : Format.formatter -> t -> unit
     encoding of the format-v3 arena.  The blob stores no length,
     popcount or padding: its owner supplies the length, and a blob of at
     most 16 blocks carries no superblock directory, so it is exactly its
-    RRR payload.  [append_blocks] encodes a bitvector straight into a
-    blob; [of_membuf] opens a view at a bit offset with no decoding.
-    Queries hit the same [Rrr_*] / [Bv_cursor_*] probes as the pointer
-    form. *)
+    RRR payload.  The last block is coded over its real length [r]: its
+    offset takes ceil(log2 C(r, c)) bits, and a one-block blob's class
+    takes [bit_width r] bits.  [append_blocks] encodes a bitvector
+    straight into a blob; [of_membuf] opens a view at a bit offset with
+    no decoding.  Queries hit the same [Rrr_*] / [Bv_cursor_*] probes as
+    the pointer form. *)
 module Flat : sig
   type t
 
@@ -108,9 +110,12 @@ module Flat : sig
       bitvector whose bits [62i, 62i + 62) are [blocks.(i)], LSB first
       and zero past [len] (self-delimiting given [len]). *)
 
-  val of_membuf : Wt_bits.Membuf.t -> int -> len:int -> t
-  (** [of_membuf mb bit ~len] views the [len]-bit blob starting at bit
-      [bit], reading at most two words.  Raises [Invalid_argument] on a
+  val of_membuf : Wt_bits.Membuf.t -> int -> len:int -> padded_tail:bool -> t
+  (** [of_membuf mb bit ~len ~padded_tail] views the [len]-bit blob
+      starting at bit [bit], reading at most three words.  A blob
+      [append_blocks] wrote has [~padded_tail:false]; [true] reads one
+      whose last block is coded over 62 positions like the others, as
+      arena version 2 wrote them.  Raises [Invalid_argument] on a
       structurally corrupt blob; all subsequent reads are
       bounds-checked. *)
 

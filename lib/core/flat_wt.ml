@@ -18,7 +18,7 @@
 
      header (56 bytes):
        off  0  magic "WTF3" (4 bytes)
-       off  4  u32 arena version (= 2)
+       off  4  u32 arena version (= 3; version 2 is read too)
        off  8  u64 n               sequence length (the root's count)
        off 16  u64 node_count      N
        off 24  u64 labels_bits     total label length in bits
@@ -41,6 +41,11 @@
        [off i, off (i + 1)): an internal node's β blob (length = its
        count), then its label; a leaf's label alone.  A label's length
        is its extent minus the blob's.
+
+   Version 3 codes each β blob's last RRR block over its real length;
+   version 2 coded it over 62 bits like the others.  Both open through
+   the one blob decoder ({!Wt_bitvector.Rrr.Flat}), told which by
+   [padded_tail]; the builders write version 3 only.
 
    Safety: every arena read is bounds-checked by [Membuf], so a corrupt
    blob raises [Invalid_argument] (or {!Wt_durable.Container.Format_error}
@@ -67,7 +72,7 @@ module Trace = Wt_obs.Trace
 exception Closed
 
 let arena_magic = "WTF3"
-let arena_version = 2
+let arena_version = 3
 let header_len = 56
 
 let tag = "static"
@@ -82,6 +87,7 @@ type t = {
   content_bits : int;
   offs : Offsets.t; (* node extents in the content stream *)
   content_bit : int; (* bit offset of the content stream *)
+  padded_tail : bool; (* a version-2 arena: β tails coded over 62 bits *)
   source : string; (* file path when opened from storage, for errors *)
   mutable closed : bool;
   release : unit -> unit; (* backing fd, when mmap-opened *)
@@ -344,8 +350,8 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
   in
   if not magic_ok then fail "flat arena: bad magic";
   let v = Membuf.get_u32 mb 4 in
-  if v <> arena_version then
-    fail "flat arena: version %d, expected %d (rebuild the index from its source)" v
+  if v <> arena_version && v <> 2 then
+    fail "flat arena: version %d, expected 2 or %d (rebuild the index from its source)" v
       arena_version;
   if len < header_len then fail "flat arena: truncated header (%d bytes)" len;
   match
@@ -367,8 +373,9 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
         fail "flat arena: length and node count disagree on emptiness";
       if node_count > 0 && node_count land 1 = 0 then
         fail "flat arena: even node count %d (not a binary trie)" node_count;
-      (* the root's β has n bits, hence 6 class bits per 62 of them *)
-      if node_count > 1 && n > Rrr.block_bits * (content_bits / 6) then
+      (* a root β of more than one block has 6 class bits per 62 of its
+         n bits; a one-block root has at most 62 *)
+      if node_count > 1 && n > Rrr.block_bits * max 1 (content_bits / 6) then
         fail "flat arena: length %d exceeds what the content stream can hold" n;
       let offs, content, end_ = sections ~node_count ~offsets_bits ~content_bits in
       if end_ <> len then fail "flat arena: sections end at %d, blob is %d bytes" end_ len;
@@ -381,6 +388,7 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
         offs =
           Offsets.of_membuf mb ~bit:(8 * offs) ~count:(node_count + 1) ~universe:content_bits;
         content_bit = 8 * content;
+        padded_tail = v = 2;
         source;
         closed = false;
         release;
@@ -450,7 +458,10 @@ module Node = struct
     | None ->
         if node.irank < 0 then invalid_arg "Flat_wt.Node: leaf has no bitvector";
         extent node;
-        let bv = Rrr.Flat.of_membuf node.t.mb (node.t.content_bit + node.lo) ~len:node.count in
+        let bv =
+          Rrr.Flat.of_membuf node.t.mb (node.t.content_bit + node.lo) ~len:node.count
+            ~padded_tail:node.t.padded_tail
+        in
         if node.lo + Rrr.Flat.space_bits bv > node.hi then
           invalid_arg "Flat_wt.Node: β overruns its node extent";
         node.bv_memo <- Some bv;
@@ -601,6 +612,7 @@ type reader = {
 let arena_reader t =
   if t.closed then raise Closed;
   let irank = irank t in
+  let blob_view blob count = Rrr.Flat.of_membuf t.mb blob ~len:count ~padded_tail:t.padded_tail in
   (* each merged node reads one node per source: keep the last one's
      β blob and label *)
   let at = ref (-1) and blob = ref 0 and blob_bits = ref 0 and ones = ref 0 in
@@ -615,7 +627,7 @@ let arena_reader t =
         ones := 0
       end
       else begin
-        let bv = Rrr.Flat.of_membuf t.mb !blob ~len:count in
+        let bv = blob_view !blob count in
         blob_bits := Rrr.Flat.space_bits bv;
         ones := Rrr.Flat.ones bv
       end;
@@ -624,6 +636,14 @@ let arena_reader t =
       label_len := hi - lo - !blob_bits;
       at := idx
     end
+  in
+  let beta w idx count =
+    locate idx count;
+    let rest = ref count in
+    Rrr.Flat.iter_blocks (blob_view !blob count) (fun block ->
+        add_bits w (min Rrr.block_bits !rest) block;
+        rest := !rest - Rrr.block_bits);
+    !ones
   in
   if t.node_count = 0 then None
   else
@@ -650,20 +670,21 @@ let arena_reader t =
             locate idx count;
             copy_bits w t.mb (!label + off) len;
             w.label_total <- w.label_total + len);
-        beta =
-          (fun w idx count ->
-            locate idx count;
-            let rest = ref count in
-            Rrr.Flat.iter_blocks (Rrr.Flat.of_membuf t.mb !blob ~len:count) (fun block ->
-                add_bits w (min Rrr.block_bits !rest) block;
-                rest := !rest - Rrr.block_bits);
-            !ones);
-        (* the same bits at the same length: the same blob *)
+        beta;
+        (* the same bits at the same length: the same blob, when it is
+           coded the way the writer codes it *)
         whole_beta =
           (fun w idx count ->
-            locate idx count;
-            copy_bits w t.mb !blob !blob_bits;
-            !ones);
+            if t.padded_tail then begin
+              let ones = beta w idx count in
+              end_beta w ~len:count;
+              ones
+            end
+            else begin
+              locate idx count;
+              copy_bits w t.mb !blob !blob_bits;
+              !ones
+            end);
       }
 
 (* Any trie through its node view: handles index the nodes reached so

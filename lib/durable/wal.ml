@@ -98,7 +98,12 @@ let frame_bytes op =
   Buffer.add_string buf body;
   Buffer.contents buf
 
-let record_size op = String.length (frame_bytes op)
+(* The frame is 8 bytes, the body an op byte, a u64 position for
+   Insert and Delete, and the string. *)
+let record_size = function
+  | Append s -> 8 + 1 + String.length s
+  | Insert (_, s) -> 8 + 9 + String.length s
+  | Delete _ -> 8 + 9
 
 (* Atomic header+records replacement: the whole new log (fresh header
    plus every given record) lands via temp + fsync + rename, so a crash
@@ -111,10 +116,13 @@ let create_with ~tag ~generation ops path =
       Fault.output_string oc (header_bytes ~tag ~generation);
       List.iter (fun op -> Fault.output_string oc (frame_bytes op)) ops)
 
+(* Buffered, not flushed: the owner flushes the channel when it
+   acknowledges (the tiered store's [flush] is the ack) and when it
+   closes or rotates the log.  A torn write flushes the records before
+   it together with its own partial bytes ({!Fault.output}). *)
 let append_op oc op =
   let frame = frame_bytes op in
   Fault.output_string oc frame;
-  flush oc;
   String.length frame
 
 (* ------------------------------------------------------------------ *)

@@ -25,10 +25,14 @@ val create_with : tag:string -> generation:int -> op list -> string -> unit
 val header_size : tag:string -> int
 
 val append_op : out_channel -> op -> int
-(** Frame and append one record, flush, return the bytes written. *)
+(** Frame and append one record to the channel's buffer, return the
+    bytes written.  It does not flush: the record reaches the file when
+    the caller flushes or closes the channel (or its buffer fills), and
+    is durable only after a flush and an fsync. *)
 
 val record_size : op -> int
-(** On-disk size of the record [append_op] would write. *)
+(** On-disk size of the record [append_op] would write, computed
+    without framing it. *)
 
 type scan = {
   s_tag : string;

@@ -11,10 +11,10 @@
     periodically, here with logarithmically many parts.  The moving
     parts:
 
-    - {b Ingest} appends the raw byte string to the WAL, then to the
-      in-memory [Append_wt] delta; {!flush} (the fsync) is the ack
-      point.  The WAL is the delta's replay source — there is no
-      separate delta snapshot file.
+    - {b Ingest} appends the raw byte string to the WAL channel's
+      buffer, then to the in-memory [Append_wt] delta; {!flush} (the
+      write and the fsync) is the ack point.  The WAL is the delta's
+      replay source — there is no separate delta snapshot file.
     - {b Reads} go through a {!View}: the tier list
       [runs…; sealed?; delta] with prefix-sum offsets.  The view
       implements the whole query surface — scalar access/rank/select

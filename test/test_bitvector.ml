@@ -198,7 +198,7 @@ let test_rrr_flat_blocks () =
           let out = Buffer.create 64 in
           Bitbuf.add_to_buffer out stream;
           let mb = Wt_bits.Membuf.of_string (Buffer.contents out) in
-          let bv = Rrr.Flat.of_membuf mb 5 ~len:n in
+          let bv = Rrr.Flat.of_membuf mb 5 ~len:n ~padded_tail:false in
           check_int "blob length" blob_bits (Rrr.Flat.space_bits bv);
           agree
             ~name:(Printf.sprintf "rrr-flat/%s/%d" pname n)
@@ -214,6 +214,160 @@ let test_rrr_flat_blocks () =
             (List.rev !decoded))
         (patterns rng n))
     [ 0; 1; 61; 62; 63; 991; 992; 993; 3000 ]
+
+(* The flat blob over every tail length: lengths 62q + r for every r
+   in 1..62 and q in {0, 1, 15, 16, 17} — one block, two, and both sides
+   of the superblock boundary where the directory appears — plus exact
+   multiples of 62, each at five densities.  Every query, the cursor,
+   the iterator and the block decoder agree with [Plain] over the same
+   bits, and the blob is exactly as long as its parts computed here
+   from the bits: the directory, the classes (6 bits per block, or
+   bit_width r for a one-block blob) and each block's offset, ceil
+   (log2 C(m, c)) bits over its m coded positions (62, or r for the
+   last block). *)
+
+let flat_lengths =
+  List.concat_map (fun q -> List.init 62 (fun r -> (62 * q) + r + 1)) [ 0; 1; 15; 16; 17 ]
+  @ [ 0; 992; 1984 ]
+
+type density = Zeros | One_set | Half | All_but_one | Ones
+
+let densities = [ Zeros; One_set; Half; All_but_one; Ones ]
+
+let flat_bits len density seed =
+  let rng = Xoshiro.create seed in
+  let pick = if len = 0 then -1 else Xoshiro.int rng len in
+  Array.init len (fun i ->
+      match density with
+      | Zeros -> false
+      | One_set -> i = pick
+      | Half -> Xoshiro.bool rng
+      | All_but_one -> i <> pick
+      | Ones -> true)
+
+(* Pascal's triangle and bit widths, apart from the coder's own. *)
+let pascal =
+  let t = Array.make_matrix 63 63 0 in
+  for n = 0 to 62 do
+    t.(n).(0) <- 1;
+    for k = 1 to n do
+      t.(n).(k) <- t.(n - 1).(k - 1) + if k < n then t.(n - 1).(k) else 0
+    done
+  done;
+  t
+
+let rec bits_for x = if x = 0 then 0 else 1 + bits_for (x lsr 1)
+let ceil_log2 x = if x <= 1 then 0 else bits_for (x - 1)
+
+let expected_blob_bits bits =
+  let len = Array.length bits in
+  let nblocks = (len + 61) / 62 in
+  let nsb = (nblocks + 15) / 16 in
+  let dir = if nsb > 1 then 2 * nsb * bits_for (64 * nblocks) else 0 in
+  let tail = len - (62 * (nblocks - 1)) in
+  let classes = if nblocks = 1 then bits_for tail else 6 * nblocks in
+  let offsets = ref 0 in
+  for blk = 0 to nblocks - 1 do
+    let m = if blk = nblocks - 1 then tail else 62 in
+    let c = ref 0 in
+    for i = 0 to m - 1 do
+      if bits.((62 * blk) + i) then incr c
+    done;
+    offsets := !offsets + ceil_log2 pascal.(m).(!c)
+  done;
+  dir + classes + !offsets
+
+let check_flat_blob bits =
+  let len = Array.length bits in
+  let blocks = Array.make ((len / 62) + 1) 0 in
+  Array.iteri (fun i b -> if b then blocks.(i / 62) <- blocks.(i / 62) lor (1 lsl (i mod 62))) bits;
+  let stream = Bitbuf.create () in
+  Bitbuf.add_bits stream 3 0b101;
+  Rrr.Flat.append_blocks stream blocks ~len;
+  let blob_bits = Bitbuf.length stream - 3 in
+  Bitbuf.add_bits stream 9 0b110011101;
+  let out = Buffer.create 64 in
+  Bitbuf.add_to_buffer out stream;
+  let bv =
+    Rrr.Flat.of_membuf (Wt_bits.Membuf.of_string (Buffer.contents out)) 3 ~len ~padded_tail:false
+  in
+  let buf = Bitbuf.create () in
+  Array.iter (Bitbuf.add buf) bits;
+  let plain = Plain.of_bitbuf buf in
+  (* formats only on a failure: this runs millions of times *)
+  let expect what pos want got =
+    if want <> got then
+      Alcotest.failf "len %d, %d ones: %s at %d: expected %d, got %d" len (Plain.ones plain)
+        what pos want got
+  in
+  let pair (b, r) = (2 * r) + Bool.to_int b in
+  expect "space_bits = computed" 0 (expected_blob_bits bits) (Rrr.Flat.space_bits bv);
+  expect "space_bits = appended" 0 blob_bits (Rrr.Flat.space_bits bv);
+  expect "length" 0 len (Rrr.Flat.length bv);
+  expect "ones" 0 (Plain.ones plain) (Rrr.Flat.ones bv);
+  expect "zeros" 0 (Plain.zeros plain) (Rrr.Flat.zeros bv);
+  let cursor = Rrr.Flat.Cursor.create bv in
+  for pos = 0 to len do
+    List.iter
+      (fun b ->
+        let want = Plain.rank plain b pos in
+        expect "rank" pos want (Rrr.Flat.rank bv b pos);
+        expect "cursor rank" pos want (Rrr.Flat.Cursor.rank cursor b pos))
+      [ true; false ];
+    if pos < len then begin
+      let b = Plain.access plain pos in
+      let want = pair (b, Plain.rank plain b pos) in
+      expect "access" pos (Bool.to_int b) (Bool.to_int (Rrr.Flat.access bv pos));
+      expect "access_rank" pos want (pair (Rrr.Flat.access_rank bv pos));
+      expect "cursor access_rank" pos want (pair (Rrr.Flat.Cursor.access_rank cursor pos))
+    end
+  done;
+  (* a second cursor, descending: every step repositions *)
+  let cursor = Rrr.Flat.Cursor.create bv in
+  for pos = len - 1 downto 0 do
+    let b = Plain.access plain pos in
+    expect "cursor access_rank, descending" pos
+      (pair (b, Plain.rank plain b pos))
+      (pair (Rrr.Flat.Cursor.access_rank cursor pos))
+  done;
+  List.iter
+    (fun b ->
+      for k = 0 to (if b then Plain.ones plain else Plain.zeros plain) - 1 do
+        expect "select" k (Plain.select plain b k) (Rrr.Flat.select bv b k)
+      done)
+    [ true; false ];
+  List.iter
+    (fun start ->
+      let it = Rrr.Flat.Iter.create bv start in
+      for pos = start to len - 1 do
+        expect "iter pos" pos pos (Rrr.Flat.Iter.pos it);
+        expect "iter bit" pos (Bool.to_int (Plain.access plain pos))
+          (Bool.to_int (Rrr.Flat.Iter.next it))
+      done;
+      expect "iter exhausted" len 0 (Bool.to_int (Rrr.Flat.Iter.has_next it)))
+    [ 0; len / 2; len ];
+  let blk = ref 0 in
+  Rrr.Flat.iter_blocks bv (fun block ->
+      expect "iter_blocks" !blk blocks.(!blk) block;
+      incr blk);
+  expect "iter_blocks count" 0 ((len + 61) / 62) !blk
+
+let test_rrr_flat_every_tail () =
+  List.iter
+    (fun len -> List.iter (fun d -> check_flat_blob (flat_bits len d len)) densities)
+    flat_lengths
+
+let qcheck_flat_blob =
+  let gen = QCheck.Gen.(triple (oneofl flat_lengths) (oneofl densities) nat) in
+  let print (len, d, seed) =
+    Printf.sprintf "len %d, density %d, seed %d" len
+      (match d with Zeros -> 0 | One_set -> 1 | Half -> 2 | All_but_one -> 3 | Ones -> 4)
+      seed
+  in
+  QCheck.Test.make ~name:"rrr flat blob = plain at every tail length" ~count:300
+    (QCheck.make ~print gen) (fun (len, d, seed) ->
+      check_flat_blob (flat_bits len d seed);
+      true)
 
 let test_rrr_compression () =
   (* A sparse bitvector must compress far below its plain length. *)
@@ -640,6 +794,8 @@ let () =
         [
           Alcotest.test_case "patterns vs model" `Quick test_rrr_patterns;
           Alcotest.test_case "flat blob from blocks" `Quick test_rrr_flat_blocks;
+          Alcotest.test_case "flat blob at every tail length" `Quick test_rrr_flat_every_tail;
+          QCheck_alcotest.to_alcotest qcheck_flat_blob;
           Alcotest.test_case "compression" `Quick test_rrr_compression;
           Alcotest.test_case "iterator" `Quick test_rrr_iterator;
         ] );

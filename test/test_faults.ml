@@ -314,6 +314,84 @@ let test_wal_bit_flip_sweep () =
   rm_rf dir;
   rm_rf base
 
+(* Records wait in the WAL channel's buffer until the ack: ingests with
+   no flush leave the file at its header, and [close] writes them, so a
+   reopen replays every one. *)
+let test_wal_close_without_flush () =
+  let dir = fresh_dir "wal_noflush" in
+  rm_rf dir;
+  let wal = Filename.concat dir "wal.log" in
+  let t = Tiered.create ~threshold:max_int dir in
+  List.iter (Tiered.ingest t) base_inputs;
+  check_int "records buffered until the ack" (Wal.header_size ~tag:wal_tag)
+    (Unix.stat wal).Unix.st_size;
+  Tiered.close t;
+  let ends = record_ends base_inputs in
+  check_int "close writes them" (List.nth ends (List.length ends - 1)) (Unix.stat wal).Unix.st_size;
+  let t, r = Tiered.open_ ~threshold:max_int dir in
+  check_int "replayed" (List.length base_inputs) r.Tiered.r_replayed;
+  List.iteri
+    (fun pos s -> check_string "reopened content" s (Result.get_ok (Tiered.access t ~pos)))
+    base_inputs;
+  Tiered.close t;
+  rm_rf dir
+
+(* Unflushed records, then a torn write: the torn write flushes the
+   records buffered before it with its own partial bytes, and recovery
+   keeps exactly the complete records. *)
+let test_wal_torn_after_unflushed () =
+  let dir = fresh_dir "wal_torn_buffered" in
+  rm_rf dir;
+  let wal = Filename.concat dir "wal.log" in
+  let hs = Wal.header_size ~tag:wal_tag in
+  let ends = Array.of_list (record_ends base_inputs) in
+  let whole = Array.length ends - 3 and partial = 5 in
+  let t = Tiered.create ~threshold:max_int dir in
+  Fault.arm_crash_after_bytes (ends.(whole - 1) - hs + partial);
+  (match List.iter (Tiered.ingest t) base_inputs with
+  | () -> Alcotest.fail "no torn write"
+  | exception Fault.Injected_crash _ -> ());
+  Fault.disarm ();
+  check_int "earlier records plus the partial bytes" (ends.(whole - 1) + partial)
+    (Unix.stat wal).Unix.st_size;
+  let scan = Wal.scan wal in
+  check_int "complete records" whole scan.Wal.s_records;
+  check_int "torn bytes" partial scan.Wal.s_dropped_bytes;
+  Tiered.close t;
+  let r = Tiered.recover dir in
+  check_int "replayed" whole r.Tiered.r_replayed;
+  check_int "dropped" partial r.Tiered.r_dropped_bytes;
+  check_bool "clean after recover" true (Tiered.verify dir).Tiered.v_clean;
+  check_bool "contents" true
+    (tiered_contents dir = List.filteri (fun i _ -> i < whole) base_inputs);
+  rm_rf dir
+
+(* [record_size] is the framed length [append_op] writes, for every op
+   kind, the empty string and 0xFF bytes included; the records scan
+   back as written. *)
+let test_wal_record_size () =
+  let path = tmp "wal_sizes.log" in
+  Wal.create ~tag:wal_tag ~generation:0 path;
+  let ops =
+    [
+      Wal.Append ""; Wal.Append "\xff"; Wal.Append (String.make 300 '\xff');
+      Wal.Insert (0, ""); Wal.Insert (max_int, "\xff\x00\xff"); Wal.Delete 0; Wal.Delete 12345;
+    ]
+  in
+  let oc = Wal.open_append path in
+  let size = ref (Wal.header_size ~tag:wal_tag) in
+  List.iter
+    (fun op ->
+      let n = Wal.append_op oc op in
+      check_int "record_size = bytes written" n (Wal.record_size op);
+      flush oc;
+      size := !size + n;
+      check_int "file grows by record_size" !size (Unix.stat path).Unix.st_size)
+    ops;
+  close_out oc;
+  check_bool "records scan back" true ((Wal.scan path).Wal.s_ops = ops);
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Injected crashes *)
 
@@ -1021,6 +1099,10 @@ let () =
         [
           Alcotest.test_case "truncation sweep (every offset)" `Quick test_wal_truncation_sweep;
           Alcotest.test_case "bit-flip sweep (every offset)" `Quick test_wal_bit_flip_sweep;
+          Alcotest.test_case "close writes unflushed records" `Quick test_wal_close_without_flush;
+          Alcotest.test_case "torn write after unflushed records" `Quick
+            test_wal_torn_after_unflushed;
+          Alcotest.test_case "record_size = framed length" `Quick test_wal_record_size;
         ] );
       ( "crash",
         [ Alcotest.test_case "torn appends (every budget)" `Quick test_crash_during_appends ] );

@@ -280,16 +280,17 @@ let test_space_bound () =
         (Flat_wt.label_bits fwt + Flat_wt.bv_bits fwt + Flat_wt.directory_bits fwt))
     [ 1; 13; 300; 4000 ]
 
-(* An index written by the previous arena layout (version 1: a 64-byte
-   header and 32-byte node records) fails closed, naming its version,
-   whichever way it is opened. *)
-let test_v1_arena_rejected () =
+(* An index written by the first arena layout (version 1: a 64-byte
+   header and 32-byte node records) or by a later one (version 4) fails
+   closed, naming its version, whichever way it is opened. *)
+let test_arena_version_rejected version () =
   let header = Buffer.create 64 in
   Buffer.add_string header "WTF3";
-  Buffer.add_int32_le header 1l;
+  Buffer.add_int32_le header (Int32.of_int version);
   List.iter (fun v -> Buffer.add_int64_le header (Int64.of_int v)) [ 1; 1; 64; 96; 0; 97; 0 ];
   let payload = Buffer.contents header ^ String.make 33 '\000' in
-  let path = Filename.temp_file "wt_flat_v1" ".wtx" in
+  let path = Filename.temp_file "wt_flat_version" ".wtx" in
+  let name = Printf.sprintf "version %d" version in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -303,9 +304,39 @@ let test_v1_arena_rejected () =
                 let rec go i = i + m <= n && (String.sub reason i m = sub || go (i + 1)) in
                 go 0
               in
-              check_bool ("names version 1: " ^ reason) true (has "version 1")
+              check_bool ("names " ^ name ^ ": " ^ reason) true (has name)
           | Error e -> Alcotest.failf "expected Storage_error, got %a" Wtrie.pp_error e
-          | Ok _ -> Alcotest.fail "opened a version-1 arena")
+          | Ok _ -> Alcotest.failf "opened an arena of %s" name)
+        [ `Copy; `Mmap ])
+
+(* Two-string sequences, whose root β is one 2-bit block: 2 class
+   bits and a 1-bit offset.  The byte strings "" and "\x00" open like
+   any other; the bitstrings 0 and 1 have empty labels, so their whole
+   content stream is those 3 bits, under the 6 class bits a 62-bit
+   block would need, and the open-time length bound must still admit
+   it. *)
+let test_two_string_root () =
+  let arr = [| ""; "\x00" |] in
+  let pwt = Str_pointer.of_array arr in
+  with_saved (Wtrie.Static.of_array arr) (fun path ->
+      List.iter
+        (fun mode ->
+          let t = Wtrie.Static.open_file_exn ~mode path in
+          check_equiv "\"\" and \"\\x00\"" arr pwt t;
+          Wtrie.Static.close t)
+        [ `Copy; `Mmap ]);
+  let bits = [| bs "1"; bs "0" |] in
+  let fwt = Flat_wt.of_array bits in
+  check_int "3-bit content stream" 3 fwt.Flat_wt.content_bits;
+  with_saved fwt (fun path ->
+      List.iter
+        (fun mode ->
+          let t = Flat_wt.open_file ~mode path in
+          Alcotest.(check (list string)) "bitstrings 0 and 1" [ "1"; "0" ]
+            (List.map Bitstring.to_string (Array.to_list (Flat_wt.to_array t)));
+          check_bool "rank 1" true (Flat_wt.rank t (bs "1") 2 = 1);
+          check_bool "select 0" true (Flat_wt.select t (bs "0") 0 = Some 1);
+          Flat_wt.close t)
         [ `Copy; `Mmap ])
 
 (* ------------------------------------------------------------------ *)
@@ -340,6 +371,144 @@ let test_v2_migration () =
       let fwt = Wtrie.Static.open_file_exn v3 in
       check_equiv "converted" arr pwt fwt;
       Wtrie.Static.close fwt)
+
+(* ------------------------------------------------------------------ *)
+(* Version 2.  [fixtures/v2] holds a static index and a tiered store
+   written by [wtrie] at commit 96ba348, the last to write arena
+   version 2 (each β blob's last block coded over 62 bits):
+
+     wtrie index input.txt index.wt
+     head -64 input.txt > part1.txt
+     sed -n 65,104p input.txt > part2.txt
+     wtrie ingest store.d part1.txt --compact-strings 64
+     wtrie ingest store.d part2.txt --compact-strings 32
+
+   The store holds the first 104 lines: a run of 64, a run of 32 and 8
+   strings in its WAL.  Both open through the one blob decoder; a
+   compaction that absorbs the store's runs writes them at version 3. *)
+
+let fixture name = Filename.concat "fixtures/v2" name
+
+let arena_version payload = Int32.to_int (String.get_int32_le payload 4)
+
+let run_versions dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> String.starts_with ~prefix:"run-" f)
+  |> List.map (fun f ->
+         arena_version (Container.read_v3 ~expect_tag:Flat_wt.tag (Filename.concat dir f)))
+
+let test_v2_fixtures () =
+  let lines =
+    In_channel.with_open_bin (fixture "input.txt") In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> Array.of_list
+  in
+  check_int "input lines" 150 (Array.length lines);
+  check_int "index is version 2" 2
+    (arena_version (Container.read_v3 ~expect_tag:Flat_wt.tag (fixture "index.wt")));
+  let pwt = Str_pointer.of_array lines in
+  List.iter
+    (fun mode ->
+      let t = Wtrie.Static.open_file_exn ~mode (fixture "index.wt") in
+      check_equiv "v2 index" lines pwt t;
+      Wtrie.Static.close t)
+    [ `Copy; `Mmap ];
+  (* the store, on a copy: every string, then ingest the rest of the
+     input and compact; the new run absorbs both version-2 runs *)
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "wt_flat_v2_store" in
+  if Sys.file_exists dir then begin
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end;
+  Sys.mkdir dir 0o755;
+  Array.iter
+    (fun f ->
+      let data = In_channel.with_open_bin (fixture ("store.d/" ^ f)) In_channel.input_all in
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc -> output_string oc data))
+    (Sys.readdir (fixture "store.d"));
+  Alcotest.(check (list int)) "two version-2 runs" [ 2; 2 ] (run_versions dir);
+  let module T = Wtrie.Tiered in
+  let check_store ctx t n =
+    check_int (ctx ^ " length") n (T.length t);
+    for pos = 0 to n - 1 do
+      Alcotest.check str_result (Printf.sprintf "%s access %d" ctx pos) (Ok lines.(pos))
+        (T.access t ~pos)
+    done;
+    let prefix = Array.sub lines 0 n in
+    let pwt = Str_pointer.of_array prefix in
+    Array.iter
+      (fun s ->
+        Alcotest.check int_result (ctx ^ " rank " ^ s) (Str_pointer.rank pwt s ~pos:n)
+          (T.rank t s ~pos:n);
+        Alcotest.check int_result (ctx ^ " select " ^ s) (Str_pointer.select pwt s ~count:0)
+          (T.select t s ~count:0))
+      prefix
+  in
+  let t, r = T.open_ ~threshold:max_int dir in
+  check_int "WAL records replayed" 8 r.T.r_replayed;
+  check_store "v2 store" t 104;
+  Array.iter (T.ingest t) (Array.sub lines 104 46);
+  T.flush t;
+  T.compact t;
+  check_int "one run" 1 (T.run_count t);
+  check_store "compacted" t 150;
+  T.close t;
+  Alcotest.(check (list int)) "runs rewritten at version 3" [ 3 ] (run_versions dir);
+  let t, _ = T.open_ dir in
+  check_store "reopened" t 150;
+  T.close t
+
+(* Corrupt version-3 β blobs under [`Mmap], which skips the payload
+   checksum: a bit flipped anywhere in the content stream of an arena
+   with one-block βs of every kind of tail and a root β long enough
+   for a superblock directory either fails the open or leaves every
+   query answering or raising [Invalid_argument] — never a crash and
+   never another exception. *)
+let test_v3_blob_corruption () =
+  let rng = Xoshiro.create 77 in
+  let distinct = Array.init 24 (fun i -> Printf.sprintf "h%d.ex/%s" (i mod 5) (String.make i 'q')) in
+  let arr = Array.init 1100 (fun i -> distinct.((i * 7 + Xoshiro.int rng 3) mod 24)) in
+  let fwt = Wtrie.Static.of_array arr in
+  let keys = Array.map Wt_core.String_api.encode distinct in
+  with_saved fwt (fun path ->
+      let pristine = In_channel.with_open_bin path In_channel.input_all in
+      let rec find i = if String.sub pristine i 4 = "WTF3" then i else find (i + 1) in
+      let payload = find 0 in
+      let first = payload + (fwt.Flat_wt.content_bit / 8) in
+      let last = first + ((fwt.Flat_wt.content_bits + 7) / 8) in
+      let bounded what f =
+        match f () with
+        | _ -> ()
+        | exception Invalid_argument _ -> ()
+        | exception e -> Alcotest.failf "%s: %s escaped" what (Printexc.to_string e)
+      in
+      for bit = 8 * first to (8 * last) - 1 do
+        let b = Bytes.of_string pristine in
+        let byte = bit / 8 in
+        Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl (bit mod 8))));
+        Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+        match Flat_wt.open_file ~mode:`Mmap path with
+        | exception Container.Format_error _ -> ()
+        | exception e -> Alcotest.failf "flip %d: open raised %s" bit (Printexc.to_string e)
+        | t ->
+            let what = Printf.sprintf "flip %d" bit in
+            let n = Flat_wt.length t in
+            let pos = ref 0 in
+            while !pos < n do
+              bounded what (fun () -> ignore (Flat_wt.access t !pos));
+              pos := !pos + 37
+            done;
+            Array.iter
+              (fun k ->
+                bounded what (fun () -> ignore (Flat_wt.rank t k (n / 2)));
+                bounded what (fun () -> ignore (Flat_wt.select t k 3)))
+              keys;
+            bounded what (fun () ->
+                ignore (Wt_exec.Exec.Static.query_batch t [| Wtrie.Access { pos = 5 }; Wtrie.Rank { s = distinct.(3); pos = n } |]));
+            bounded what (fun () -> ignore (Wtrie.Static.range_distinct t));
+            Flat_wt.close t
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Closed handles: after [close], every result-returning operation
@@ -550,12 +719,19 @@ let () =
           qcheck_merge;
           Alcotest.test_case "bitstring input not prefix-free" `Quick test_not_prefix_free;
         ] );
-      ("space", [ Alcotest.test_case "directory within 32 bits per node" `Quick test_space_bound ]);
+      ( "space",
+        [
+          Alcotest.test_case "directory within 32 bits per node" `Quick test_space_bound;
+          Alcotest.test_case "two strings, 2-bit root" `Quick test_two_string_root;
+        ] );
       ( "storage",
         [
           Alcotest.test_case "v2 load + convert to v3" `Quick test_v2_migration;
           Alcotest.test_case "errors are data" `Quick test_storage_errors;
-          Alcotest.test_case "arena v1 fails closed" `Quick test_v1_arena_rejected;
+          Alcotest.test_case "arena v1 fails closed" `Quick (test_arena_version_rejected 1);
+          Alcotest.test_case "arena v4 fails closed" `Quick (test_arena_version_rejected 4);
+          Alcotest.test_case "version-2 index and store" `Quick test_v2_fixtures;
+          Alcotest.test_case "corrupt v3 β blobs stay bounded" `Quick test_v3_blob_corruption;
         ] );
       ("close", [ Alcotest.test_case "deterministic after close" `Quick test_close ]);
     ]
