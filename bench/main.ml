@@ -1176,7 +1176,8 @@ let flat_block () =
             { s = strings.(Xoshiro.int rng n); pos = Xoshiro.int rng (n + 1) })
   in
   let flat_batch = best (fun () -> ignore (Wt_exec.Exec.Static.query_batch fwt ops)) in
-  let pointer_batch = best (fun () -> ignore (Wt_exec.Exec.Pointer.query_batch pwt ops)) in
+  let module Pointer = Wt_exec.Exec.Make_string (Wt_core.Wavelet_trie.Node) in
+  let pointer_batch = best (fun () -> ignore (Pointer.query_batch pwt ops)) in
   let ns dt = dt *. 1e9 /. float_of_int b in
   Json.Obj
     ([

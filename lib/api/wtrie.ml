@@ -103,12 +103,8 @@ module Static : STATIC_API with type t = Wt_core.Flat_wt.t = struct
     protect t (fun () -> R.range_quantile ?prefix ?lo ?hi t ~k)
 
   let query_batch ?domains t ops =
-    match
-      protect t (fun () ->
-          Ok (Wt_par.Par_exec.query_batch ?domains Wt_exec.Exec.Static.query_batch t ops))
-    with
-    | Ok results -> results
-    | Error e -> Array.map (fun _ -> Error e) ops
+    Wt_core.Indexed_sequence.protect_batch (protect t) ops (fun () ->
+        Wt_par.Par_exec.query_batch ?domains Wt_exec.Exec.Static.query_batch t ops)
 end
 
 module Append : APPEND_API with type t = Wt_core.Append_wt.t = struct

@@ -71,6 +71,14 @@ let pp_error fmt = function
   | Trie_closed -> Format.fprintf fmt "trie is closed"
   | Storage_error { path; reason } -> Format.fprintf fmt "%s: %s" path reason
 
+(** [protect_batch protect ops f]: [f ()] answers the batch [ops] under
+    [protect], which maps a closed handle or a corrupt store to an
+    {!error}; such a failure answers every op with that error. *)
+let protect_batch protect ops f =
+  match protect (fun () -> Ok (f ())) with
+  | Ok results -> results
+  | Error e -> Array.map (fun _ -> Error e) ops
+
 (** One operation of a query batch.  Strings and prefixes are byte
     strings, exactly as in the scalar API. *)
 type op =

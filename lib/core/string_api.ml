@@ -133,13 +133,6 @@ module Make_dynamic (I : Indexed_sequence.DYNAMIC) = struct
   let append_batch t ss = Array.iter (append t) ss
 end
 
-module Pointer = struct
-  include Make (Wavelet_trie)
-
-  let of_list l = Wavelet_trie.of_list (List.map encode l)
-  let of_array a = Wavelet_trie.of_array (Array.map encode a)
-end
-
 module Static = struct
   module M = Make (Flat_wt)
   include M

@@ -430,6 +430,5 @@ module Make_string (N : Wt_core.Node_view.CURSORED) = struct
 end
 
 module Static = Make_string (Wt_core.Flat_wt.Node)
-module Pointer = Make_string (Wt_core.Wavelet_trie.Node)
 module Append = Make_string (Wt_core.Append_wt.Node)
 module Dynamic = Make_string (Wt_core.Dynamic_wt.Node)

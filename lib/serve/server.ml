@@ -65,13 +65,17 @@ let append_backend =
     gauges = [];
   }
 
+(* A closed or corrupt arena answers each op as [Wtrie.Static.query_batch]
+   does, with [Trie_closed] or [Storage_error], instead of raising out of
+   the serve loop. *)
 let static_backend =
   {
     length = Wt_core.Flat_wt.length;
     engine =
       (fun ?pool ?domains trie ops ->
-        Wt_par.Par_exec.query_batch ?pool ?domains Wt_exec.Exec.Static.query_batch trie
-          ops);
+        Is.protect_batch (Wt_core.String_api.Static.protect trie) ops (fun () ->
+            Wt_par.Par_exec.query_batch ?pool ?domains Wt_exec.Exec.Static.query_batch trie
+              ops));
     (* the arena's space split: labels, β blobs, and the directory
        (header, topology, node offsets, padding) *)
     gauges =
@@ -85,13 +89,17 @@ let static_backend =
 
 (* Serves the tiered store's epoch-published merged views ([runs…;
    delta]); the per-tier sub-batches go through the pool exactly like
-   the single-trie backends.  Pair it with [Wt_tiered.Tiered.handle]. *)
+   the single-trie backends, and a closed or corrupt tier answers as
+   [Wt_tiered.Tiered.query_batch] does.  Pair it with
+   [Wt_tiered.Tiered.handle]. *)
 let tiered_backend =
   {
     length = Wt_tiered.Tiered.View.length;
     engine =
       (fun ?pool ?domains view ops ->
-        Wt_tiered.Tiered.View.query_batch ?pool ?domains view ops);
+        let module V = Wt_tiered.Tiered.View in
+        Is.protect_batch (V.protect ~dir:view.V.dir) ops (fun () ->
+            V.query_batch ?pool ?domains view ops));
     gauges = [];
   }
 

@@ -121,19 +121,20 @@ module View = struct
   type t = {
     tiers : tier array;
     offsets : int array;  (** |tiers|+1 prefix sums of tier lengths *)
+    dir : string;  (** the store's directory, named in read errors *)
   }
 
   let tier_length = function
     | Run f -> Flat_wt.length f
     | App d -> Append_wt.length d
 
-  let make tiers =
+  let make ~dir tiers =
     let n = Array.length tiers in
     let offsets = Array.make (n + 1) 0 in
     for i = 0 to n - 1 do
       offsets.(i + 1) <- offsets.(i) + tier_length tiers.(i)
     done;
-    { tiers; offsets }
+    { tiers; offsets; dir }
 
   let length v = v.offsets.(Array.length v.tiers)
   let tier_count v = Array.length v.tiers
@@ -503,6 +504,18 @@ module View = struct
             | _ -> ()))
       ops;
     out
+
+  (* A read that trips over a closed or corrupt tier answers with the
+     error, never the exception: [Trie_closed], or [Storage_error]
+     naming the store's directory [dir]. *)
+  let protect ~dir f =
+    match f () with
+    | r -> r
+    | exception Flat_wt.Closed -> Error Iseq.Trie_closed
+    | exception Container.Format_error reason ->
+        Error (Iseq.Storage_error { path = dir; reason })
+    | exception (Invalid_argument reason | Failure reason) ->
+        Error (Iseq.Storage_error { path = dir; reason = "corrupt tier: " ^ reason })
 end
 
 (* The scalar byte façade over a view: same functor as every variant,
@@ -651,10 +664,10 @@ let tiers_locked t ~frozen =
   Array.of_list (runs @ sealed @ [ View.App delta ])
 
 let publish_locked t =
-  ignore (Snapshot.publish t.view (View.make (tiers_locked t ~frozen:true)))
+  ignore (Snapshot.publish t.view (View.make ~dir:t.dir (tiers_locked t ~frozen:true)))
 
 let current_view t =
-  with_lock t (fun () -> View.make (tiers_locked t ~frozen:false))
+  with_lock t (fun () -> View.make ~dir:t.dir (tiers_locked t ~frozen:false))
 
 let publish t = with_lock t (fun () -> publish_locked t)
 let handle t = t.view
@@ -800,7 +813,7 @@ let open_internal ~read_only ~verify ~threshold dir =
       compactor = None;
       poison = None;
       closed = false;
-      view = Snapshot.create (View.make tiers);
+      view = Snapshot.create (View.make ~dir tiers);
     }
   in
   (* compaction-progress gauges for the metrics scrape: replaced by
@@ -1078,17 +1091,7 @@ let stats t : Stats.t =
    owner's always-fresh view, with the same protective error mapping as
    the static variant's storage layer. *)
 
-let protect t f =
-  if t.closed then Error Iseq.Trie_closed
-  else
-    match f () with
-    | r -> r
-    | exception Flat_wt.Closed -> Error Iseq.Trie_closed
-    | exception Container.Format_error reason ->
-        Error (Iseq.Storage_error { path = t.dir; reason })
-    | exception Invalid_argument reason | (exception Failure reason) ->
-        Error
-          (Iseq.Storage_error { path = t.dir; reason = "corrupt tier: " ^ reason })
+let protect t f = if t.closed then Error Iseq.Trie_closed else View.protect ~dir:t.dir f
 
 let length t = View.length (current_view t)
 let distinct_count t = View.Seq.distinct_count (current_view t)
@@ -1107,12 +1110,8 @@ let count t s = F.count (current_view t) s
 let count_prefix t ~prefix = F.count_prefix (current_view t) ~prefix
 
 let query_batch ?domains t ops =
-  match
-    protect t (fun () ->
-        Ok (View.query_batch ?domains (current_view t) ops))
-  with
-  | Ok res -> res
-  | Error e -> Array.map (fun _ -> Error e) ops
+  Iseq.protect_batch (protect t) ops (fun () ->
+      View.query_batch ?domains (current_view t) ops)
 
 (* The range suite: the shared byte façade over the merged view, so
    validation, errors and observability (one counter hit, one latency

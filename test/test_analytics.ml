@@ -1,7 +1,7 @@
-(* The range suite's byte façade (Wt_core.Range): oracle equivalence of
-   select_all / range_count / range_distinct / range_topk /
-   range_majority / range_at_least / range_quantile against the naive
-   scalar-loop over a plain array, QCheck-driven on all three variants;
+(* The range suite's byte façade (Wt_core.Range): select_all /
+   range_count / range_distinct / range_topk / range_majority /
+   range_at_least / range_quantile against the one oracle (oracle.ml),
+   QCheck-driven on all three variants;
    interleaved dynamic inserts/deletes; frozen-snapshot reads while the
    owner mutates; the window/argument error contract; and the
    Analytics_* probe counters. *)
@@ -14,106 +14,18 @@ let check_int = Alcotest.(check int)
 let positions = Alcotest.(array int)
 let tallies = Alcotest.(array (pair string int))
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-(* ------------------------------------------------------------------ *)
-(* Naive oracles: the k-scalar-query loop over the window [lo, hi).
-   Binarization is order-preserving (MSB-first, marker bits), so the
-   implementation's path order is plain byte-lexicographic order here. *)
-
-let o_select_all arr ?(prefix = "") ~lo ~hi () =
-  let out = ref [] in
-  for i = hi - 1 downto lo do
-    if starts_with ~prefix arr.(i) then out := i :: !out
-  done;
-  Array.of_list !out
-
-let o_tally arr ?(prefix = "") ~lo ~hi () =
-  let tbl = Hashtbl.create 16 in
-  for i = lo to hi - 1 do
-    let s = arr.(i) in
-    if starts_with ~prefix s then
-      Hashtbl.replace tbl s (1 + Option.value (Hashtbl.find_opt tbl s) ~default:0)
-  done;
-  Hashtbl.fold (fun s c acc -> (s, c) :: acc) tbl []
-
-let o_distinct arr ?prefix ~lo ~hi () =
-  Array.of_list
-    (List.sort
-       (fun (a, _) (b, _) -> String.compare a b)
-       (o_tally arr ?prefix ~lo ~hi ()))
-
-let o_topk arr ?prefix ~lo ~hi ~k () =
-  let l =
-    List.sort
-      (fun (a, ca) (b, cb) -> if ca <> cb then compare cb ca else String.compare a b)
-      (o_tally arr ?prefix ~lo ~hi ())
-  in
-  Array.of_list (List.filteri (fun i _ -> i < k) l)
-
-let o_majority arr ?prefix ~lo ~hi () =
-  let l = o_tally arr ?prefix ~lo ~hi () in
-  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 l in
-  List.find_opt (fun (_, c) -> 2 * c > total) l
-
-let o_at_least arr ?prefix ~lo ~hi ~threshold () =
-  Array.of_list
-    (List.filter
-       (fun (_, c) -> c >= max 1 threshold)
-       (Array.to_list (o_distinct arr ?prefix ~lo ~hi ())))
-
-let o_quantile arr ?(prefix = "") ~lo ~hi ~k () =
-  let l = List.filter (starts_with ~prefix) (Array.to_list (Array.sub arr lo (hi - lo))) in
-  if k < 0 then None else List.nth_opt (List.sort String.compare l) k
-
 let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected error: %s" (Format.asprintf "%a" I.pp_error e)
 
-(* One full cross-check of a variant against the oracles, for one
-   (prefix, window, k) case. *)
-let check_case (type a) name (module V : Wtrie.STRING_API with type t = a) (wt : a) arr
-    ?prefix ~lo ~hi ~k () =
-  let ctx = Printf.sprintf "%s prefix=%s lo=%d hi=%d k=%d" name
-      (match prefix with None -> "<none>" | Some p -> p) lo hi k
-  in
-  Alcotest.check positions (ctx ^ " select_all")
-    (o_select_all arr ?prefix ~lo ~hi ())
-    (ok (V.select_all ?prefix ~lo ~hi wt));
-  check_int (ctx ^ " range_count")
-    (Array.length (o_select_all arr ?prefix ~lo ~hi ()))
-    (ok (V.range_count ?prefix wt ~lo ~hi));
-  Alcotest.check tallies (ctx ^ " range_distinct")
-    (o_distinct arr ?prefix ~lo ~hi ())
-    (ok (V.range_distinct ?prefix ~lo ~hi wt));
-  Alcotest.check tallies (ctx ^ " range_topk")
-    (o_topk arr ?prefix ~lo ~hi ~k ())
-    (ok (V.range_topk ?prefix ~lo ~hi wt ~k));
-  Alcotest.(check (option (pair string int)))
-    (ctx ^ " range_majority")
-    (o_majority arr ?prefix ~lo ~hi ())
-    (ok (V.range_majority ?prefix ~lo ~hi wt));
-  (* k doubles as the threshold, so 0 exercises the clamp to 1 *)
-  Alcotest.check tallies (ctx ^ " range_at_least")
-    (o_at_least arr ?prefix ~lo ~hi ~threshold:k ())
-    (ok (V.range_at_least ?prefix ~lo ~hi wt ~threshold:k));
-  List.iter
-    (fun k ->
-      Alcotest.(check (option string))
-        (Printf.sprintf "%s range_quantile %d" ctx k)
-        (o_quantile arr ?prefix ~lo ~hi ~k ())
-        (ok (V.range_quantile ?prefix ~lo ~hi wt ~k)))
-    [ 0; k; (hi - lo) / 2; hi - lo ]
+module Static_check = Oracle.Check (Wtrie.Static)
+module Append_check = Oracle.Check (Wtrie.Append)
+module Dynamic_check = Oracle.Check (Wtrie.Dynamic)
 
-let check_all_variants arr ?prefix ~lo ~hi ~k () =
-  check_case "static" (module Wtrie.Static) (Wtrie.Static.of_array arr) arr ?prefix ~lo
-    ~hi ~k ();
-  check_case "append" (module Wtrie.Append) (Wtrie.Append.of_array arr) arr ?prefix ~lo
-    ~hi ~k ();
-  check_case "dynamic" (module Wtrie.Dynamic) (Wtrie.Dynamic.of_array arr) arr ?prefix
-    ~lo ~hi ~k ()
+(* One (window, prefix, k) case of every range op against the oracle. *)
+let check_dynamic ctx wt arr ?prefix ~lo ~hi ~k () =
+  Dynamic_check.range ~ctx ~windows:[ (lo, hi) ] ~prefixes:[ prefix ] ~ks:[ k ] wt
+    (Oracle.model arr)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck property: random short-alphabet sequences (heavy collisions,
@@ -146,7 +58,11 @@ let qcheck_oracle =
     (QCheck.make ~print:case_print case_gen)
     (fun (xs, lo, hi, prefix, k) ->
       let arr = Array.of_list xs in
-      check_all_variants arr ?prefix ~lo ~hi ~k ();
+      let m = Oracle.model arr in
+      let windows = [ (lo, hi) ] and prefixes = [ prefix ] and ks = [ k ] in
+      Static_check.range ~ctx:"static" ~windows ~prefixes ~ks (Wtrie.Static.of_array arr) m;
+      Append_check.range ~ctx:"append" ~windows ~prefixes ~ks (Wtrie.Append.of_array arr) m;
+      Dynamic_check.range ~ctx:"dynamic" ~windows ~prefixes ~ks (Wtrie.Dynamic.of_array arr) m;
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -184,34 +100,31 @@ let test_golden () =
 
 let test_dynamic_interleaved () =
   let rng = Xoshiro.create 77 in
-  let wt = Wtrie.Dynamic.create () in
-  let naive = ref [] in
-  let word () =
-    Printf.sprintf "h%d.net/%d" (Xoshiro.int rng 5) (Xoshiro.int rng 13)
-  in
-  let insert_at pos s =
-    Wtrie.Dynamic.insert wt ~pos s;
-    let l = !naive in
-    naive := List.filteri (fun i _ -> i < pos) l @ (s :: List.filteri (fun i _ -> i >= pos) l)
-  in
-  let delete_at pos =
-    Wtrie.Dynamic.delete wt ~pos;
-    naive := List.filteri (fun i _ -> i <> pos) !naive
-  in
+  let wt = Wtrie.Dynamic.create () and mirror = ref [||] in
+  let word () = Printf.sprintf "h%d.net/%d" (Xoshiro.int rng 5) (Xoshiro.int rng 13) in
   for step = 1 to 240 do
-    let n = List.length !naive in
+    let n = Array.length !mirror in
     (match Xoshiro.int rng 3 with
-    | 0 when n > 4 -> delete_at (Xoshiro.int rng n)
-    | 1 -> Wtrie.Dynamic.append wt (let s = word () in naive := !naive @ [ s ]; s) |> ignore
-    | _ -> insert_at (Xoshiro.int rng (n + 1)) (word ()));
+    | 0 when n > 4 ->
+        let pos = Xoshiro.int rng n in
+        Wtrie.Dynamic.delete wt ~pos;
+        mirror := Oracle.delete !mirror pos
+    | 1 ->
+        let s = word () in
+        Wtrie.Dynamic.append wt s;
+        mirror := Oracle.insert !mirror n s
+    | _ ->
+        let s = word () in
+        let pos = Xoshiro.int rng (n + 1) in
+        Wtrie.Dynamic.insert wt ~pos s;
+        mirror := Oracle.insert !mirror pos s);
     if step mod 20 = 0 then begin
-      let arr = Array.of_list !naive in
+      let arr = !mirror in
       let n = Array.length arr in
       let lo = Xoshiro.int rng (n + 1) in
       let hi = lo + Xoshiro.int rng (n - lo + 1) in
       let prefix = if Xoshiro.int rng 2 = 0 then None else Some (Printf.sprintf "h%d." (Xoshiro.int rng 5)) in
-      check_case "dynamic-interleaved" (module Wtrie.Dynamic) wt arr ?prefix ~lo ~hi
-        ~k:(Xoshiro.int rng 5) ()
+      check_dynamic "dynamic-interleaved" wt arr ?prefix ~lo ~hi ~k:(Xoshiro.int rng 5) ()
     end
   done
 
@@ -226,10 +139,8 @@ let test_snapshot_reads () =
     Wtrie.Dynamic.insert wt ~pos:0 (Printf.sprintf "new%d" i)
   done;
   Wtrie.Dynamic.delete wt ~pos:3;
-  check_case "snapshot" (module Wtrie.Dynamic) snap frozen ~prefix:"site.com/" ~lo:1
-    ~hi:7 ~k:3 ();
-  check_case "snapshot-nopfx" (module Wtrie.Dynamic) snap frozen ~lo:0
-    ~hi:(Array.length frozen) ~k:2 ();
+  check_dynamic "snapshot" snap frozen ~prefix:"site.com/" ~lo:1 ~hi:7 ~k:3 ();
+  check_dynamic "snapshot-nopfx" snap frozen ~lo:0 ~hi:(Array.length frozen) ~k:2 ();
   (* and the owner answers from its mutated state *)
   check_int "owner count" 1
     (ok (Wtrie.Dynamic.range_count ~prefix:"new7" wt ~lo:0 ~hi:(Wtrie.Dynamic.length wt)))

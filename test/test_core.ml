@@ -1,5 +1,5 @@
 (* Tests for wt_core: the static, append-only and fully-dynamic Wavelet
-   Tries, validated against the Naive oracle and against the paper's
+   Tries, validated against the one oracle (oracle.ml) and against the paper's
    worked examples (Figures 2 and 3). *)
 
 module Bitstring = Wt_strings.Bitstring
@@ -86,68 +86,30 @@ let test_figure3_split () =
   Dynamic_wt.check_invariants wt
 
 (* ------------------------------------------------------------------ *)
-(* Oracle-based agreement *)
+(* Agreement with the oracle (oracle.ml) *)
 
-(* A pool of binarized words plus some raw fixed-width strings. *)
+(* A pool of words over a three-letter alphabet. *)
 let word_pool rng n_words =
   Array.init n_words (fun _ ->
-      let w =
-        String.init (1 + Xoshiro.int rng 6) (fun _ ->
-            Char.chr (Char.code 'a' + Xoshiro.int rng 3))
-      in
-      Binarize.of_bytes w)
+      String.init (1 + Xoshiro.int rng 6) (fun _ -> Char.chr (Char.code 'a' + Xoshiro.int rng 3)))
 
 let random_sequence rng pool n = Array.init n (fun _ -> pool.(Xoshiro.int rng (Array.length pool)))
 
-(* Check full agreement between an implementation and the oracle. *)
-let agree (type a) (module I : Wt_core.Indexed_sequence.S with type t = a) (wt : a)
-    (oracle : Naive.t) rng ~queries =
-  let n = Naive.length oracle in
-  check_int "length" n (I.length wt);
-  check_int "distinct" (Naive.distinct_count oracle) (I.distinct_count wt);
-  let some_string () =
-    if n > 0 && Xoshiro.bool rng then Naive.access oracle (Xoshiro.int rng n)
-    else
-      (* a string unlikely to be present *)
-      Binarize.of_bytes
-        (String.init 3 (fun _ -> Char.chr (Char.code 'a' + Xoshiro.int rng 5)))
-  in
-  for _ = 1 to queries do
-    if n > 0 then begin
-      let pos = Xoshiro.int rng n in
-      check_bool "access" true
-        (Bitstring.equal (Naive.access oracle pos) (I.access wt pos))
-    end;
-    let s = some_string () in
-    let pos = Xoshiro.int rng (n + 1) in
-    check_int "rank" (Naive.rank oracle s pos) (I.rank wt s pos);
-    let idx = Xoshiro.int rng (max 1 (n / 2)) in
-    Alcotest.(check (option int)) "select" (Naive.select oracle s idx) (I.select wt s idx);
-    (* prefix ops on bit-prefixes of present strings *)
-    let p =
-      let s = some_string () in
-      Bitstring.prefix s (Xoshiro.int rng (Bitstring.length s + 1))
-    in
-    check_int "rank_prefix" (Naive.rank_prefix oracle p pos) (I.rank_prefix wt p pos);
-    Alcotest.(check (option int))
-      "select_prefix"
-      (Naive.select_prefix oracle p idx)
-      (I.select_prefix wt p idx)
-  done
+module Pointer_check = Oracle.Check (Oracle.Pointer)
+module Append_check = Oracle.Check (Wtrie.Append)
+module Dynamic_check = Oracle.Check (Wtrie.Dynamic)
 
 let test_static_oracle () =
   let rng = Xoshiro.create 1001 in
   List.iter
     (fun (n_words, n) ->
-      let pool = word_pool rng n_words in
-      let seq = random_sequence rng pool n in
-      let oracle = Naive.of_array seq in
-      let wt = Wavelet_trie.of_array seq in
-      agree (module Wavelet_trie) wt oracle rng ~queries:150;
+      let seq = random_sequence rng (word_pool rng n_words) n in
+      let wt = Oracle.Pointer.of_array seq in
+      Pointer_check.run ~ctx:(Printf.sprintf "static n=%d" n) wt (Oracle.model seq);
       (* full decode *)
       let decoded = Wavelet_trie.to_array wt in
       Array.iteri
-        (fun i s -> check_bool "to_array" true (Bitstring.equal s decoded.(i)))
+        (fun i s -> check_bool "to_array" true (Bitstring.equal (Binarize.of_bytes s) decoded.(i)))
         seq)
     [ (1, 1); (1, 50); (5, 100); (40, 500); (200, 1000) ]
 
@@ -161,17 +123,17 @@ let test_static_empty () =
 let test_append_oracle () =
   let rng = Xoshiro.create 2002 in
   let pool = word_pool rng 60 in
-  let oracle = Naive.create () in
-  let wt = Append_wt.create () in
-  for i = 1 to 1200 do
-    let s = pool.(Xoshiro.int rng (Array.length pool)) in
-    Naive.append oracle s;
-    Append_wt.append wt s;
-    if i mod 200 = 0 then begin
-      Append_wt.check_invariants wt;
-      agree (module Append_wt) wt oracle rng ~queries:60
-    end
-  done;
+  let seq = random_sequence rng pool 1200 in
+  let wt = Wtrie.Append.create () in
+  Array.iteri
+    (fun i s ->
+      Wtrie.Append.append wt s;
+      if (i + 1) mod 200 = 0 then begin
+        Append_wt.check_invariants wt;
+        Append_check.run ~ctx:(Printf.sprintf "append n=%d" (i + 1)) wt
+          (Oracle.model (Array.sub seq 0 (i + 1)))
+      end)
+    seq;
   Append_wt.check_invariants wt
 
 (* A snapshot survives node splits.  After it is taken, unseen strings
@@ -187,17 +149,16 @@ let test_append_snapshot () =
             Char.chr (Char.code 'a' + Xoshiro.int rng 3)))
   in
   let word () = words.(Xoshiro.int rng (Array.length words)) in
-  let oracle = Naive.create () and wt = Append_wt.create () in
+  let wt = Wtrie.Append.create () and seq = ref [] in
   let add w =
-    let s = Binarize.of_bytes w in
-    Naive.append oracle s;
-    Append_wt.append wt s
+    Wtrie.Append.append wt w;
+    seq := w :: !seq
   in
   for _ = 1 to 5000 do
     add (word ())
   done;
   let snap = Append_wt.snapshot wt in
-  let seen = Naive.of_array (Array.init (Naive.length oracle) (Naive.access oracle)) in
+  let seen = Oracle.model (Array.of_list (List.rev !seq)) in
   let dump = Append_wt.dump snap in
   for i = 1 to 3000 do
     add (match i mod 3 with 0 -> word () | 1 -> word () ^ "d" | _ -> "z" ^ word ())
@@ -207,36 +168,36 @@ let test_append_snapshot () =
   Alcotest.check dump_testable "snapshot dump unchanged" dump (Append_wt.dump snap);
   Append_wt.check_invariants snap;
   Append_wt.check_invariants wt;
-  agree (module Append_wt) snap seen rng ~queries:300;
-  agree (module Append_wt) wt oracle rng ~queries:100
+  Append_check.run ~ctx:"snapshot" snap seen;
+  Append_check.run ~ctx:"appended past the snapshot" wt
+    (Oracle.model (Array.of_list (List.rev !seq)))
 
 let test_dynamic_oracle () =
   let rng = Xoshiro.create 3003 in
   let pool = word_pool rng 40 in
-  let oracle = Naive.create () in
-  let wt = Dynamic_wt.create () in
+  let mirror = ref [||] in
+  let wt = Wtrie.Dynamic.create () in
   for step = 1 to 2500 do
-    let n = Naive.length oracle in
+    let n = Array.length !mirror in
     let c = Xoshiro.int rng 10 in
+    let s = pool.(Xoshiro.int rng (Array.length pool)) in
     if c < 5 || n = 0 then begin
-      let s = pool.(Xoshiro.int rng (Array.length pool)) in
       let pos = Xoshiro.int rng (n + 1) in
-      Naive.insert oracle pos s;
-      Dynamic_wt.insert wt pos s
+      mirror := Oracle.insert !mirror pos s;
+      Wtrie.Dynamic.insert wt ~pos s
     end
     else if c < 8 then begin
       let pos = Xoshiro.int rng n in
-      Naive.delete oracle pos;
-      Dynamic_wt.delete wt pos
+      mirror := Oracle.delete !mirror pos;
+      Wtrie.Dynamic.delete wt ~pos
     end
     else begin
-      let s = pool.(Xoshiro.int rng (Array.length pool)) in
-      Naive.append oracle s;
-      Dynamic_wt.append wt s
+      mirror := Oracle.insert !mirror n s;
+      Wtrie.Dynamic.append wt s
     end;
     if step mod 250 = 0 then begin
       Dynamic_wt.check_invariants wt;
-      agree (module Dynamic_wt) wt oracle rng ~queries:50
+      Dynamic_check.run ~ctx:(Printf.sprintf "dynamic step %d" step) wt (Oracle.model !mirror)
     end
   done
 
@@ -272,7 +233,7 @@ let test_variants_agree () =
      structure dumps. *)
   let rng = Xoshiro.create 5005 in
   let pool = word_pool rng 30 in
-  let seq = random_sequence rng pool 400 in
+  let seq = Array.map Binarize.of_bytes (random_sequence rng pool 400) in
   let s = Wavelet_trie.of_array seq in
   let a = Append_wt.of_array seq in
   let d = Dynamic_wt.of_array seq in
@@ -303,7 +264,7 @@ let test_prefix_free_violations () =
 let test_stats_bounds () =
   let rng = Xoshiro.create 6006 in
   let pool = word_pool rng 50 in
-  let seq = random_sequence rng pool 3000 in
+  let seq = Array.map Binarize.of_bytes (random_sequence rng pool 3000) in
   let check_stats name (st : Wt_core.Stats.t) =
     check_int (name ^ " n") 3000 st.n;
     check_bool (name ^ " distinct") true (st.distinct <= 50 && st.distinct > 0);

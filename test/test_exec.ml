@@ -1,11 +1,10 @@
-(* Batch query engine (lib/exec): batch-vs-scalar oracle equivalence on
+(* Batch query engine (lib/exec): batches against the one oracle on
    random and golden workloads for all three variants, rank-cursor unit
    tests against the scalar bitvector operations (in arbitrary position
    order, not just monotone), bulk_append equivalence, and the Exec_*
    probe counters. *)
 
 module Bitstring = Wt_strings.Bitstring
-module Binarize = Wt_strings.Binarize
 module Xoshiro = Wt_bits.Xoshiro
 module Bitbuf = Wt_bits.Bitbuf
 module Rrr = Wt_bitvector.Rrr
@@ -13,7 +12,6 @@ module Appendable = Wt_bitvector.Appendable
 module Dyn_rle = Wt_bitvector.Dyn_rle
 module Wavelet_trie = Wt_core.Wavelet_trie
 module Append_wt = Wt_core.Append_wt
-module Dynamic_wt = Wt_core.Dynamic_wt
 module I = Wt_core.Indexed_sequence
 module Probe = Wt_obs.Probe
 
@@ -21,93 +19,13 @@ let check_int = Alcotest.(check int)
 let bs = Bitstring.of_string
 
 (* ------------------------------------------------------------------ *)
-(* String-level oracle: evaluate one op against a plain array with the
-   exact error contract of [query_batch]. *)
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let oracle (arr : string array) (op : I.op) : (I.value, I.error) result =
-  let n = Array.length arr in
-  let count_below pred pos =
-    let c = ref 0 in
-    for i = 0 to pos - 1 do
-      if pred arr.(i) then incr c
-    done;
-    !c
-  in
-  let find_nth pred k =
-    let seen = ref 0 and res = ref None in
-    (try
-       for i = 0 to n - 1 do
-         if pred arr.(i) then begin
-           if !seen = k then begin
-             res := Some i;
-             raise Exit
-           end;
-           incr seen
-         end
-       done
-     with Exit -> ());
-    !res
-  in
-  let select_like pred count =
-    if count < 0 then Error (I.Negative_count { count })
-    else
-      match find_nth pred count with
-      | Some pos -> Ok (I.Int pos)
-      | None -> Error (I.No_occurrence { count; occurrences = count_below pred n })
-  in
-  match op with
-  | I.Access { pos } ->
-      if pos < 0 || pos >= n then Error (I.Position_out_of_bounds { pos; len = n })
-      else Ok (I.Str arr.(pos))
-  | I.Rank { s; pos } ->
-      if pos < 0 || pos > n then Error (I.Position_out_of_bounds { pos; len = n })
-      else Ok (I.Int (count_below (String.equal s) pos))
-  | I.Select { s; count } -> select_like (String.equal s) count
-  | I.Rank_prefix { prefix; pos } ->
-      if pos < 0 || pos > n then Error (I.Position_out_of_bounds { pos; len = n })
-      else Ok (I.Int (count_below (starts_with ~prefix) pos))
-  | I.Select_prefix { prefix; count } -> select_like (starts_with ~prefix) count
-
-let pp_result fmt = function
-  | Ok v -> Format.fprintf fmt "Ok %a" I.pp_value v
-  | Error e -> Format.fprintf fmt "Error (%a)" I.pp_error e
+(* Batches against the one oracle (oracle.ml), which gives the exact
+   error contract of [query_batch]. *)
 
 let check_against_oracle name arr batch ops =
-  Array.iteri
-    (fun i r ->
-      let expected = oracle arr ops.(i) in
-      if r <> expected then
-        Alcotest.failf "%s op %d: batch %a, oracle %a" name i pp_result r pp_result
-          expected)
-    batch
+  Oracle.agree ~ctx:name ops ~expected:(Oracle.expected (Oracle.model arr) ops) batch
 
-(* Random op vectors: mostly valid, some out-of-range/absent, with
-   repeated select strings so trail memoization is exercised. *)
-let gen_ops rng (arr : string array) nops =
-  let n = Array.length arr in
-  let a_string () =
-    if n > 0 && Xoshiro.int rng 4 > 0 then arr.(Xoshiro.int rng n)
-    else Printf.sprintf "absent-%d" (Xoshiro.int rng 5)
-  in
-  let a_prefix () =
-    if n > 0 && Xoshiro.int rng 4 > 0 then begin
-      let s = arr.(Xoshiro.int rng n) in
-      String.sub s 0 (Xoshiro.int rng (String.length s + 1))
-    end
-    else "zz-no-such-prefix"
-  in
-  let a_pos () = Xoshiro.int rng (n + 3) - 1 in
-  Array.init nops (fun _ ->
-      match Xoshiro.int rng 5 with
-      | 0 -> I.Access { pos = a_pos () }
-      | 1 -> I.Rank { s = a_string (); pos = a_pos () }
-      | 2 -> I.Select { s = a_string (); count = Xoshiro.int rng 8 - 1 }
-      | 3 -> I.Rank_prefix { prefix = a_prefix (); pos = a_pos () }
-      | _ -> I.Select_prefix { prefix = a_prefix (); count = Xoshiro.int rng 8 - 1 })
+let gen_ops rng arr n = Oracle.Gen.ops ~n rng (Oracle.model arr)
 
 let url_strings rng n =
   Array.init n (fun _ ->

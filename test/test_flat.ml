@@ -10,9 +10,6 @@ module Wavelet_trie = Wt_core.Wavelet_trie
 module Flat_wt = Wt_core.Flat_wt
 module Append_wt = Wt_core.Append_wt
 module Dynamic_wt = Wt_core.Dynamic_wt
-module Str_pointer = Wt_core.String_api.Pointer
-(* the range suite's byte façade over the pointer trie, the reference *)
-module An_pointer = Wt_core.Range.Make_string (Wt_core.Range.Make (Wavelet_trie.Node))
 module Persist = Wt_core.Persist
 module Container = Wt_durable.Container
 
@@ -80,8 +77,9 @@ let test_figure3_flat () =
   check_bool "select 0110 #0" true (Flat_wt.select wt (bs "0110") 0 = Some 3)
 
 (* ------------------------------------------------------------------ *)
-(* Equivalence: pointer trie = flat arena = copy-opened = mmap-opened,
-   over the whole string-level QUERY_API. *)
+(* Equivalence: the flat arena, freshly built, copy-opened and
+   mmap-opened, answers the whole QUERY_API as the oracle (oracle.ml)
+   does, as the pointer trie does there. *)
 
 let words =
   [|
@@ -91,145 +89,29 @@ let words =
 
 let make_seq rng n = Array.init n (fun _ -> words.(Xoshiro.int rng (Array.length words)))
 
-let result_t =
-  let pp ppf = function
-    | Ok v -> Format.fprintf ppf "Ok %a" Wtrie.pp_value v
-    | Error e -> Format.fprintf ppf "Error (%a)" Wtrie.pp_error e
-  in
-  Alcotest.testable pp ( = )
+module Static_check = Oracle.Check (Wtrie.Static)
 
-let int_result = Alcotest.(result int (testable Wtrie.pp_error ( = )))
-let str_result = Alcotest.(result string (testable Wtrie.pp_error ( = )))
-
-(* Exercise one reopened/rebuilt arena against the pointer trie built
-   from the same strings.  [ctx] labels the variant under test. *)
-let check_equiv ctx arr pwt fwt =
-  let n = Array.length arr in
-  check_int (ctx ^ " length") (Str_pointer.length pwt) (Wtrie.Static.length fwt);
-  check_int (ctx ^ " distinct")
-    (Str_pointer.distinct_count pwt)
-    (Wtrie.Static.distinct_count fwt);
-  for pos = -1 to n do
-    Alcotest.check str_result
-      (Printf.sprintf "%s access %d" ctx pos)
-      (Str_pointer.access pwt ~pos)
-      (Wtrie.Static.access fwt ~pos)
-  done;
-  let sample = Array.to_list (Array.sub arr 0 (min n 6)) @ [ "absent!"; "" ] in
-  List.iter
-    (fun s ->
-      check_int (ctx ^ " count " ^ s) (Str_pointer.count pwt s) (Wtrie.Static.count fwt s);
-      List.iter
-        (fun pos ->
-          Alcotest.check int_result
-            (Printf.sprintf "%s rank %s @%d" ctx s pos)
-            (Str_pointer.rank pwt s ~pos)
-            (Wtrie.Static.rank fwt s ~pos))
-        [ -1; 0; n / 2; n; n + 1 ];
-      for count = -1 to Str_pointer.count pwt s + 1 do
-        Alcotest.check int_result
-          (Printf.sprintf "%s select %s #%d" ctx s count)
-          (Str_pointer.select pwt s ~count)
-          (Wtrie.Static.select fwt s ~count)
-      done;
-      let prefix = if String.length s > 1 then String.sub s 0 1 else s in
-      check_int
-        (ctx ^ " count_prefix " ^ prefix)
-        (Str_pointer.count_prefix pwt ~prefix)
-        (Wtrie.Static.count_prefix fwt ~prefix);
-      Alcotest.check int_result
-        (ctx ^ " rank_prefix " ^ prefix)
-        (Str_pointer.rank_prefix pwt ~prefix ~pos:(n / 2))
-        (Wtrie.Static.rank_prefix fwt ~prefix ~pos:(n / 2));
-      for count = -1 to Str_pointer.count_prefix pwt ~prefix + 1 do
-        Alcotest.check int_result
-          (Printf.sprintf "%s select_prefix %s #%d" ctx prefix count)
-          (Str_pointer.select_prefix pwt ~prefix ~count)
-          (Wtrie.Static.select_prefix fwt ~prefix ~count)
-      done)
-    sample;
-  (* range analytics, pointer instance vs the arena instance *)
-  let lo = n / 4 and hi = n - (n / 4) in
-  let tallies = Alcotest.(result (array (pair string int)) (testable Wtrie.pp_error ( = ))) in
-  Alcotest.check
-    Alcotest.(result (array int) (testable Wtrie.pp_error ( = )))
-    (ctx ^ " select_all")
-    (An_pointer.select_all ~lo ~hi pwt)
-    (Wtrie.Static.select_all ~lo ~hi fwt);
-  Alcotest.check int_result (ctx ^ " range_count")
-    (An_pointer.range_count pwt ~lo ~hi)
-    (Wtrie.Static.range_count fwt ~lo ~hi);
-  Alcotest.check tallies (ctx ^ " range_distinct")
-    (An_pointer.range_distinct ~lo ~hi pwt)
-    (Wtrie.Static.range_distinct ~lo ~hi fwt);
-  Alcotest.check tallies (ctx ^ " range_topk")
-    (An_pointer.range_topk ~lo ~hi pwt ~k:3)
-    (Wtrie.Static.range_topk ~lo ~hi fwt ~k:3);
-  Alcotest.check
-    Alcotest.(result (option (pair string int)) (testable Wtrie.pp_error ( = )))
-    (ctx ^ " range_majority")
-    (An_pointer.range_majority ~lo ~hi pwt)
-    (Wtrie.Static.range_majority ~lo ~hi fwt);
-  Alcotest.check tallies (ctx ^ " range_at_least")
-    (An_pointer.range_at_least ~lo ~hi pwt ~threshold:2)
-    (Wtrie.Static.range_at_least ~lo ~hi fwt ~threshold:2);
-  for k = -1 to hi - lo do
-    Alcotest.check
-      Alcotest.(result (option string) (testable Wtrie.pp_error ( = )))
-      (Printf.sprintf "%s range_quantile %d" ctx k)
-      (An_pointer.range_quantile ~lo ~hi pwt ~k)
-      (Wtrie.Static.range_quantile ~lo ~hi fwt ~k)
-  done;
-  (* the batch engine over the arena agrees with the scalar answers *)
-  if n > 0 then begin
-  let ops =
-    Array.init n (fun i ->
-        let s = arr.(i mod n) in
-        match i mod 5 with
-        | 0 -> Wtrie.Access { pos = i }
-        | 1 -> Wtrie.Rank { s; pos = i }
-        | 2 -> Wtrie.Select { s; count = i mod 3 }
-        | 3 -> Wtrie.Rank_prefix { prefix = (if s = "" then s else String.sub s 0 1); pos = i }
-        | _ -> Wtrie.Select_prefix { prefix = s; count = i mod 3 })
-  in
-  let scalar = function
-    | Wtrie.Access { pos } -> Result.map (fun s -> Wtrie.Str s) (Str_pointer.access pwt ~pos)
-    | Wtrie.Rank { s; pos } -> Result.map (fun v -> Wtrie.Int v) (Str_pointer.rank pwt s ~pos)
-    | Wtrie.Select { s; count } ->
-        Result.map (fun v -> Wtrie.Int v) (Str_pointer.select pwt s ~count)
-    | Wtrie.Rank_prefix { prefix; pos } ->
-        Result.map (fun v -> Wtrie.Int v) (Str_pointer.rank_prefix pwt ~prefix ~pos)
-    | Wtrie.Select_prefix { prefix; count } ->
-        Result.map (fun v -> Wtrie.Int v) (Str_pointer.select_prefix pwt ~prefix ~count)
-  in
-  Array.iteri
-    (fun i r ->
-      Alcotest.check result_t (Printf.sprintf "%s batch[%d]" ctx i) (scalar ops.(i)) r)
-    (Wtrie.Static.query_batch fwt ops)
-  end
-
-let with_saved fwt f =
-  let path = Filename.temp_file "wt_flat" ".wtx" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Wtrie.Static.save_file_exn fwt path;
-      f path)
+(* The whole surface, then every position, every occurrence and every
+   quantile of one window, so a decode bug at one block boundary cannot
+   hide between sampled ops. *)
+let check ~ctx t m =
+  Static_check.run ~ctx t m;
+  Static_check.exhaustive ~ctx t m
 
 let test_equivalence () =
   let rng = Xoshiro.create 7 in
   List.iter
     (fun n ->
       let arr = make_seq rng n in
-      let pwt = Str_pointer.of_array arr in
+      let m = Oracle.model arr in
       let fwt = Wtrie.Static.of_array arr in
-      check_equiv "fresh" arr pwt fwt;
+      check ~ctx:"fresh" fwt m;
       Wt_core.Flat_wt.check_invariants fwt;
-      with_saved fwt (fun path ->
+      Oracle.with_saved fwt (fun path ->
           let copy = Wtrie.Static.open_file_exn ~mode:`Copy path in
-          check_equiv "copy" arr pwt copy;
+          check ~ctx:"copy" copy m;
           let mmap = Wtrie.Static.open_file_exn ~mode:`Mmap path in
-          check_equiv "mmap" arr pwt mmap;
+          check ~ctx:"mmap" mmap m;
           Wtrie.Static.close copy;
           Wtrie.Static.close mmap))
     [ 0; 1; 2; 13; 64; 257 ]
@@ -241,16 +123,16 @@ let test_multi_block () =
   let rng = Xoshiro.create 31 in
   let distinct = Array.init 40 (fun i -> Printf.sprintf "host%02d.example/p%d" i (i * 7)) in
   let arr = Array.init 2500 (fun _ -> distinct.(Xoshiro.int rng (Array.length distinct))) in
-  let pwt = Str_pointer.of_array arr in
+  let m = Oracle.model arr in
   let fwt = Wtrie.Static.of_array arr in
   check_bool "more nodes than one directory block" true (fwt.Flat_wt.node_count > 64);
   Flat_wt.check_invariants fwt;
-  check_equiv "multi-block fresh" arr pwt fwt;
-  with_saved fwt (fun path ->
+  check ~ctx:"multi-block fresh" fwt m;
+  Oracle.with_saved fwt (fun path ->
       List.iter
         (fun mode ->
           let t = Wtrie.Static.open_file_exn ~mode path in
-          check_equiv "multi-block reopened" arr pwt t;
+          check ~ctx:"multi-block reopened" t m;
           Wtrie.Static.close t)
         [ `Copy; `Mmap ])
 
@@ -317,18 +199,17 @@ let test_arena_version_rejected version () =
    it. *)
 let test_two_string_root () =
   let arr = [| ""; "\x00" |] in
-  let pwt = Str_pointer.of_array arr in
-  with_saved (Wtrie.Static.of_array arr) (fun path ->
+  Oracle.with_saved (Wtrie.Static.of_array arr) (fun path ->
       List.iter
         (fun mode ->
           let t = Wtrie.Static.open_file_exn ~mode path in
-          check_equiv "\"\" and \"\\x00\"" arr pwt t;
+          check ~ctx:"\"\" and \"\\x00\"" t (Oracle.model arr);
           Wtrie.Static.close t)
         [ `Copy; `Mmap ]);
   let bits = [| bs "1"; bs "0" |] in
   let fwt = Flat_wt.of_array bits in
   check_int "3-bit content stream" 3 fwt.Flat_wt.content_bits;
-  with_saved fwt (fun path ->
+  Oracle.with_saved fwt (fun path ->
       List.iter
         (fun mode ->
           let t = Flat_wt.open_file ~mode path in
@@ -347,7 +228,7 @@ let test_two_string_root () =
 let test_v2_migration () =
   let rng = Xoshiro.create 23 in
   let arr = make_seq rng 97 in
-  let pwt = Str_pointer.of_array arr in
+  let m = Oracle.model arr in
   let raw = Wavelet_trie.of_array (Array.map Wt_core.String_api.encode arr) in
   let v2 = Filename.temp_file "wt_flat_v2" ".wtx" in
   let v3 = Filename.temp_file "wt_flat_v3" ".wtx" in
@@ -361,7 +242,7 @@ let test_v2_migration () =
         (Container.version_of_file v2 <> Some Container.version_v3);
       (* load_index flattens the v2 pointer payload on load *)
       (match Wtrie.Storage.load_index v2 with
-      | Wtrie.Storage.Static fwt -> check_equiv "v2-load" arr pwt fwt
+      | Wtrie.Storage.Static fwt -> check ~ctx:"v2-load" fwt m
       | _ -> Alcotest.fail "v2 static index did not load as Static");
       let variant, n = Wtrie.Storage.convert v2 v3 in
       Alcotest.(check string) "source variant" "static" variant;
@@ -369,7 +250,7 @@ let test_v2_migration () =
       check_bool "converted file is v3" true
         (Container.version_of_file v3 = Some Container.version_v3);
       let fwt = Wtrie.Static.open_file_exn v3 in
-      check_equiv "converted" arr pwt fwt;
+      check ~ctx:"converted" fwt m;
       Wtrie.Static.close fwt)
 
 (* ------------------------------------------------------------------ *)
@@ -405,45 +286,19 @@ let test_v2_fixtures () =
     |> Array.of_list
   in
   check_int "input lines" 150 (Array.length lines);
+  (* test_oracle checks the index's answers *)
   check_int "index is version 2" 2
     (arena_version (Container.read_v3 ~expect_tag:Flat_wt.tag (fixture "index.wt")));
-  let pwt = Str_pointer.of_array lines in
-  List.iter
-    (fun mode ->
-      let t = Wtrie.Static.open_file_exn ~mode (fixture "index.wt") in
-      check_equiv "v2 index" lines pwt t;
-      Wtrie.Static.close t)
-    [ `Copy; `Mmap ];
   (* the store, on a copy: every string, then ingest the rest of the
      input and compact; the new run absorbs both version-2 runs *)
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "wt_flat_v2_store" in
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end;
-  Sys.mkdir dir 0o755;
-  Array.iter
-    (fun f ->
-      let data = In_channel.with_open_bin (fixture ("store.d/" ^ f)) In_channel.input_all in
-      Out_channel.with_open_bin (Filename.concat dir f) (fun oc -> output_string oc data))
-    (Sys.readdir (fixture "store.d"));
+  let dir = Oracle.copy_dir (fixture "store.d") "flat_v2_store" in
   Alcotest.(check (list int)) "two version-2 runs" [ 2; 2 ] (run_versions dir);
   let module T = Wtrie.Tiered in
+  let module C = Oracle.Check (T) in
   let check_store ctx t n =
-    check_int (ctx ^ " length") n (T.length t);
-    for pos = 0 to n - 1 do
-      Alcotest.check str_result (Printf.sprintf "%s access %d" ctx pos) (Ok lines.(pos))
-        (T.access t ~pos)
-    done;
-    let prefix = Array.sub lines 0 n in
-    let pwt = Str_pointer.of_array prefix in
-    Array.iter
-      (fun s ->
-        Alcotest.check int_result (ctx ^ " rank " ^ s) (Str_pointer.rank pwt s ~pos:n)
-          (T.rank t s ~pos:n);
-        Alcotest.check int_result (ctx ^ " select " ^ s) (Str_pointer.select pwt s ~count:0)
-          (T.select t s ~count:0))
-      prefix
+    let m = Oracle.model (Array.sub lines 0 n) in
+    C.run ~ctx t m;
+    C.point ~ctx t m (Oracle.Gen.every m)
   in
   let t, r = T.open_ ~threshold:max_int dir in
   check_int "WAL records replayed" 8 r.T.r_replayed;
@@ -471,7 +326,7 @@ let test_v3_blob_corruption () =
   let arr = Array.init 1100 (fun i -> distinct.((i * 7 + Xoshiro.int rng 3) mod 24)) in
   let fwt = Wtrie.Static.of_array arr in
   let keys = Array.map Wt_core.String_api.encode distinct in
-  with_saved fwt (fun path ->
+  Oracle.with_saved fwt (fun path ->
       let pristine = In_channel.with_open_bin path In_channel.input_all in
       let rec find i = if String.sub pristine i 4 = "WTF3" then i else find (i + 1) in
       let payload = find 0 in
@@ -518,7 +373,7 @@ let test_v3_blob_corruption () =
 let test_close () =
   let arr = [| "a"; "b"; "a"; "c" |] in
   let built = Wtrie.Static.of_array arr in
-  with_saved built (fun path ->
+  Oracle.with_saved built (fun path ->
       let wt = Wtrie.Static.open_file_exn path in
       check_int "open answers" 4 (Wtrie.Static.length wt);
       Wtrie.Static.close wt;

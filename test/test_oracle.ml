@@ -1,0 +1,216 @@
+(* The one differential oracle (oracle.ml), instantiated for every
+   backend: the §3 pointer reference, the static arena (built, reopened
+   by copy and by mmap, and an arena-version-2 file), the append-only
+   and dynamic tries, the tiered store through scenarios with injected
+   crashes, and the served append, static and tiered backends over the
+   wire at one and two execution domains. *)
+
+module Xoshiro = Wt_bits.Xoshiro
+module Server = Wt_serve.Server
+module Snapshot = Wt_par.Snapshot
+module T = Wtrie.Tiered
+
+(* Few distinct strings with shared and proper prefixes, the empty
+   string and the extreme bytes. *)
+let corpus seed n =
+  let rng = Xoshiro.create seed in
+  let atoms = [| ""; "a"; "ab"; "site.com/"; "home"; "blog.net/p"; "\x00"; "\xff" |] in
+  let atom () = atoms.(Xoshiro.int rng (Array.length atoms)) in
+  Array.init n (fun _ -> atom () ^ atom ())
+
+module C_static = Oracle.Check (Wtrie.Static)
+module C_append = Oracle.Check (Wtrie.Append)
+module C_dynamic = Oracle.Check (Wtrie.Dynamic)
+
+let test_pointer () =
+  let a = corpus 1 400 in
+  let module C = Oracle.Check (Oracle.Pointer) in
+  C.run ~ctx:"pointer" (Oracle.Pointer.of_array a) (Oracle.model a)
+
+let test_static () =
+  let a = corpus 2 500 in
+  let m = Oracle.model a in
+  let t = Wtrie.Static.of_array a in
+  C_static.run ~ctx:"static" t m;
+  Oracle.with_saved t (fun path ->
+      List.iter
+        (fun (ctx, mode) ->
+          let t = Wtrie.Static.open_file_exn ~mode path in
+          C_static.run ~ctx t m;
+          C_static.exhaustive ~ctx t m;
+          Wtrie.Static.close t)
+        [ ("static, copy", `Copy); ("static, mmap", `Mmap) ])
+
+(* [fixtures/v2/index.wt]: arena version 2, written from input.txt. *)
+let test_static_v2 () =
+  let lines =
+    In_channel.with_open_bin "fixtures/v2/input.txt" In_channel.input_lines |> Array.of_list
+  in
+  List.iter
+    (fun mode ->
+      let t = Wtrie.Static.open_file_exn ~mode "fixtures/v2/index.wt" and m = Oracle.model lines in
+      C_static.run ~ctx:"arena version 2" t m;
+      C_static.exhaustive ~ctx:"arena version 2" t m;
+      Wtrie.Static.close t)
+    [ `Copy; `Mmap ]
+
+let test_append () =
+  let a = corpus 3 700 in
+  let t = Wtrie.Append.create () in
+  Array.iteri
+    (fun i s ->
+      if i = 350 then C_append.run ~ctx:"append, half" t (Oracle.model (Array.sub a 0 i));
+      Wtrie.Append.append t s)
+    a;
+  C_append.run ~ctx:"append" t (Oracle.model a)
+
+(* Random inserts, deletes and appends; then a snapshot keeps the state
+   it saw while the owner goes on. *)
+let test_dynamic () =
+  let rng = Xoshiro.create 4 in
+  let pool = corpus 5 40 in
+  let t = Wtrie.Dynamic.create () in
+  let mirror = ref [||] in
+  let churn steps =
+    for _ = 1 to steps do
+      let n = Array.length !mirror in
+      let s = pool.(Xoshiro.int rng (Array.length pool)) in
+      match Xoshiro.int rng 4 with
+      | 0 when n > 0 ->
+          let pos = Xoshiro.int rng n in
+          Wtrie.Dynamic.delete t ~pos;
+          mirror := Oracle.delete !mirror pos
+      | 1 ->
+          Wtrie.Dynamic.append t s;
+          mirror := Oracle.insert !mirror n s
+      | _ ->
+          let pos = Xoshiro.int rng (n + 1) in
+          Wtrie.Dynamic.insert t ~pos s;
+          mirror := Oracle.insert !mirror pos s
+    done
+  in
+  churn 600;
+  C_dynamic.run ~ctx:"dynamic" t (Oracle.model !mirror);
+  let snap = Wtrie.Dynamic.snapshot t and seen = Oracle.model !mirror in
+  churn 300;
+  C_dynamic.run ~ctx:"dynamic snapshot" snap seen;
+  C_dynamic.run ~ctx:"dynamic after the snapshot" t (Oracle.model !mirror)
+
+let scenario_id = ref 0
+
+let tiered_scenarios =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:6 ~name:"tiered: scenarios with crashes and recovery"
+       (Oracle.Scenario.arb ~steps:60 ())
+       (fun steps ->
+         incr scenario_id;
+         let dir = Oracle.temp_dir (Printf.sprintf "oracle_%d" !scenario_id) in
+         Oracle.Scenario.run ~dir steps;
+         true))
+
+(* ------------------------------------------------------------------ *)
+(* Legacy Marshal-based fixtures (fixtures/legacy/README.md): format-v2
+   indexes load and convert, and snapshot+WAL directories migrate, with
+   the contents of the README's formula. *)
+
+let legacy name = Filename.concat "fixtures/legacy" name
+let legacy_s i = Printf.sprintf "h%d.example/p%d" (i mod 5) (i mod 3)
+
+let test_legacy_indexes () =
+  let m = Oracle.model (Array.init 4500 legacy_s) in
+  let ops = Oracle.Gen.ops (Xoshiro.create 10) m in
+  List.iter
+    (fun variant ->
+      let file = legacy (variant ^ ".wt") in
+      (match Wtrie.Storage.load_index file with
+      | Wtrie.Storage.Static t -> C_static.run ~ctx:file t m
+      | Wtrie.Storage.Append t -> C_append.run ~ctx:file t m
+      | Wtrie.Storage.Dynamic t -> C_dynamic.run ~ctx:file t m);
+      let v3 = Filename.temp_file "wt_oracle_legacy" ".wtx" in
+      Fun.protect ~finally:(fun () -> Sys.remove v3) @@ fun () ->
+      Alcotest.(check (pair string int)) "convert" (variant, 4500) (Wtrie.Storage.convert file v3);
+      let t = Wtrie.Static.open_file_exn v3 in
+      C_static.point ~ctx:(file ^ ", converted") t m ops;
+      Wtrie.Static.close t)
+    [ "static"; "append"; "dynamic" ]
+
+let test_legacy_directories () =
+  let module C = Oracle.Check (T) in
+  let dynamic = ref (Array.init 4400 legacy_s) in
+  for j = 0 to 59 do
+    let len = Array.length !dynamic in
+    let d = Oracle.insert !dynamic (j * 37 mod (len + 1)) (legacy_s (j + 7)) in
+    dynamic := Oracle.insert (Oracle.delete d (j * 53 mod (len + 1))) len (legacy_s j)
+  done;
+  List.iter
+    (fun (name, replayed, want) ->
+      let dir = Oracle.copy_dir (legacy name) ("oracle_" ^ name) in
+      let r = T.recover dir in
+      Alcotest.(check (pair bool int)) (name ^ " migrated, records replayed") (true, replayed)
+        (r.T.r_migrated, r.T.r_replayed);
+      let t, _ = T.open_ dir in
+      C.run ~ctx:name t (Oracle.model want);
+      T.close t;
+      Oracle.rm_rf dir)
+    [ ("append.d", 99, Array.init 4500 legacy_s); ("dynamic.d", 180, !dynamic) ]
+
+(* ------------------------------------------------------------------ *)
+(* Served backends *)
+
+let served ?(extra = [||]) ctx backend snap m =
+  let ops = Array.append (Oracle.Gen.ops (Xoshiro.create 6) m) extra in
+  List.iter
+    (fun (domains, name) ->
+      Oracle.serving ?domains backend snap (fun port ->
+          Oracle.wire ~ctx:(Printf.sprintf "%s, domains %s" ctx name) ~port m ops))
+    [ (None, "none"); (Some 2, "2") ]
+
+let test_served_append () =
+  let a = corpus 7 300 in
+  served "served append" Server.append_backend
+    (Snapshot.create (Wtrie.Append.of_array a))
+    (Oracle.model a)
+
+let test_served_static () =
+  let a = corpus 8 300 in
+  Oracle.with_saved (Wtrie.Static.of_array a) (fun path ->
+      let t = Wtrie.Static.open_file_exn ~mode:`Mmap path in
+      served "served static" Server.static_backend (Snapshot.create t) (Oracle.model a);
+      Wtrie.Static.close t)
+
+(* Runs and a delta: the published view is what the server reads. *)
+let test_served_tiered () =
+  let a = corpus 9 300 in
+  let dir = Oracle.temp_dir "oracle_served" in
+  let t = T.create ~threshold:64 dir in
+  Array.iter (T.ingest t) a;
+  T.wait_compaction t;
+  T.publish t;
+  Alcotest.(check bool) "runs and a delta" true (T.run_count t > 0 && T.delta_length t > 0);
+  let m = Oracle.model a and bounds = Oracle.Scenario.tier_bounds (Snapshot.read (T.handle t)) in
+  let extra = Oracle.Gen.ranks m (Oracle.Gen.sides bounds) in
+  served ~extra "served tiered" Server.tiered_backend (T.handle t) m;
+  T.close t;
+  Oracle.rm_rf dir
+
+let () =
+  Alcotest.run "wt_oracle"
+    [
+      ( "in-process",
+        [
+          Alcotest.test_case "pointer reference" `Quick test_pointer;
+          Alcotest.test_case "static: built, copy, mmap" `Quick test_static;
+          Alcotest.test_case "static: arena version 2" `Quick test_static_v2;
+          Alcotest.test_case "append-only" `Quick test_append;
+          Alcotest.test_case "dynamic and its snapshot" `Quick test_dynamic;
+          tiered_scenarios;
+          Alcotest.test_case "legacy v2 indexes load and convert" `Quick test_legacy_indexes;
+          Alcotest.test_case "legacy directories migrate" `Quick test_legacy_directories;
+        ] );
+      ( "wire",
+        [
+          Alcotest.test_case "served append" `Quick test_served_append;
+          Alcotest.test_case "served static" `Quick test_served_static;
+          Alcotest.test_case "served tiered" `Quick test_served_tiered;
+        ] );
+    ]

@@ -1,8 +1,8 @@
-(* Differential harness for the multicore serving layer (lib/par): every
-   generated workload runs through (a) the scalar front-door ops, (b) the
-   single-domain batch engine, and (c) the parallel sharded executor at 2
-   and 4 domains, and all four result vectors must be byte-identical, for
-   all three trie variants.  The dynamic variant is additionally hammered
+(* The multicore serving layer (lib/par): every generated workload runs
+   through (a) the scalar front-door ops, (b) the single-domain batch
+   engine, and (c) the parallel sharded executor at 2 and 4 domains, and
+   every result vector must equal the one oracle's (oracle.ml), for all
+   three trie variants.  The dynamic variant is additionally hammered
    through an epoch-published snapshot while an owner domain concurrently
    applies appends/inserts/deletes to the working trie — readers must see
    exactly the sequence frozen at the epoch they grabbed.  Pool mechanics
@@ -21,63 +21,9 @@ let pool4 = Pool.create ~size:4 ()
 let () = at_exit (fun () -> Pool.shutdown pool2; Pool.shutdown pool4)
 
 (* ------------------------------------------------------------------ *)
-(* Scalar evaluation of one batch op through the front-door API — the
-   (a) leg of the differential. *)
-
-let scalar_eval (type a) (module V : Wtrie.STRING_API with type t = a) (wt : a)
-    (op : I.op) : (I.value, I.error) result =
-  match op with
-  | I.Access { pos } -> Result.map (fun s -> I.Str s) (V.access wt ~pos)
-  | I.Rank { s; pos } -> Result.map (fun c -> I.Int c) (V.rank wt s ~pos)
-  | I.Select { s; count } -> Result.map (fun p -> I.Int p) (V.select wt s ~count)
-  | I.Rank_prefix { prefix; pos } ->
-      Result.map (fun c -> I.Int c) (V.rank_prefix wt ~prefix ~pos)
-  | I.Select_prefix { prefix; count } ->
-      Result.map (fun p -> I.Int p) (V.select_prefix wt ~prefix ~count)
-
-(* Random op vectors: mostly valid, some out-of-range/absent (error slots
-   must survive sharding at the right indices too). *)
-let gen_ops rng (arr : string array) nops =
-  let n = Array.length arr in
-  let a_string () =
-    if n > 0 && Xoshiro.int rng 4 > 0 then arr.(Xoshiro.int rng n)
-    else Printf.sprintf "absent-%d" (Xoshiro.int rng 5)
-  in
-  let a_prefix () =
-    if n > 0 && Xoshiro.int rng 4 > 0 then begin
-      let s = arr.(Xoshiro.int rng n) in
-      String.sub s 0 (Xoshiro.int rng (String.length s + 1))
-    end
-    else "zz-no-such-prefix"
-  in
-  let a_pos () = Xoshiro.int rng (n + 3) - 1 in
-  Array.init nops (fun _ ->
-      match Xoshiro.int rng 5 with
-      | 0 -> I.Access { pos = a_pos () }
-      | 1 -> I.Rank { s = a_string (); pos = a_pos () }
-      | 2 -> I.Select { s = a_string (); count = Xoshiro.int rng 8 - 1 }
-      | 3 -> I.Rank_prefix { prefix = a_prefix (); pos = a_pos () }
-      | _ -> I.Select_prefix { prefix = a_prefix (); count = Xoshiro.int rng 8 - 1 })
-
-let pp_result fmt = function
-  | Ok v -> Format.fprintf fmt "Ok %a" I.pp_value v
-  | Error e -> Format.fprintf fmt "Error (%a)" I.pp_error e
-
-let check_same name ops expected got =
-  Array.iteri
-    (fun i r ->
-      if r <> expected.(i) then
-        Alcotest.failf "%s: op %d differs: got %a, expected %a" name i pp_result r
-          pp_result expected.(i))
-    got;
-  if Array.length got <> Array.length ops then
-    Alcotest.failf "%s: %d results for %d ops" name (Array.length got)
-      (Array.length ops)
-
-(* ------------------------------------------------------------------ *)
-(* (a) = (b) = (c) on generated workloads, all three variants.
-   [~min_shard:1] forces genuine multi-shard execution even for the
-   small batches qcheck generates. *)
+(* Scalar, batch and parallel legs against the one oracle (oracle.ml),
+   all three variants.  [~min_shard:1] forces genuine multi-shard
+   execution even for the small batches qcheck generates. *)
 
 let word_gen = QCheck.Gen.(string_size ~gen:(char_range 'a' 'c') (int_range 1 5))
 let seq_gen = QCheck.Gen.(list_size (int_range 1 120) word_gen)
@@ -87,18 +33,22 @@ let workload_arb =
     ~print:(fun (l, seed) -> Printf.sprintf "seed %d: %s" seed (String.concat "," l))
     QCheck.Gen.(pair seq_gen (int_bound 1_000_000))
 
+let parallel_legs ~ctx engine wt ops ~expected =
+  List.iter
+    (fun (pool, d) ->
+      Oracle.agree ~ctx:(Printf.sprintf "%s parallel x%d" ctx d) ops ~expected
+        (Par_exec.query_batch ~pool ~min_shard:1 ~domains:d engine wt ops))
+    [ (pool2, 2); (pool4, 4) ]
+
 let differential (type a) (module V : Wtrie.STRING_API with type t = a)
     ~(engine : a -> I.op array -> (I.value, I.error) result array) variant
     (words, seed) =
+  let module C = Oracle.Check (V) in
   let arr = Array.of_list words in
-  let wt = V.of_array arr in
-  let ops = gen_ops (Xoshiro.create seed) arr 160 in
-  let scalar = Array.map (scalar_eval (module V) wt) ops in
-  check_same (variant ^ " sequential batch") ops scalar (V.query_batch wt ops);
-  check_same (variant ^ " parallel x2") ops scalar
-    (Par_exec.query_batch ~pool:pool2 ~min_shard:1 ~domains:2 engine wt ops);
-  check_same (variant ^ " parallel x4") ops scalar
-    (Par_exec.query_batch ~pool:pool4 ~min_shard:1 ~domains:4 engine wt ops);
+  let m = Oracle.model arr and wt = V.of_array arr in
+  let ops = Oracle.Gen.ops ~n:160 (Xoshiro.create seed) m in
+  C.point ~ctx:variant wt m ops;
+  parallel_legs ~ctx:variant engine wt ops ~expected:(Oracle.expected m ops);
   true
 
 let qcheck_tests =
@@ -138,22 +88,26 @@ let test_front_door () =
         "error slot" true
         (bad = [| Error (I.Position_out_of_bounds { pos = -1; len = 500 }) |]))
     [ None; Some 1; Some 2; Some 4 ];
-  let ops = gen_ops rng arr 4096 in
-  let seq = Wtrie.Static.query_batch wt ops in
-  check_same "front door ~domains:4" ops seq (Wtrie.Static.query_batch ~domains:4 wt ops);
-  check_same "front door ~domains:2" ops seq (Wtrie.Static.query_batch ~domains:2 wt ops)
+  let ops = Oracle.Gen.ops ~n:4096 rng (Oracle.model arr) in
+  let expected = Wtrie.Static.query_batch wt ops in
+  List.iter
+    (fun domains ->
+      Oracle.agree ~ctx:(Printf.sprintf "front door ~domains:%d" domains) ops ~expected
+        (Wtrie.Static.query_batch ~domains wt ops))
+    [ 4; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot isolation under concurrent updates: an owner domain applies
    appends/inserts/deletes and publishes an epoch-stamped
-   [Dynamic.snapshot] after each round, writing the matching oracle
+   [Dynamic.snapshot] after each round, writing the matching mirror
    array to [mirrors.(epoch)] *before* publishing (the atomic swap in
    [Snapshot.publish] is the happens-before edge that makes both
    visible together).  Meanwhile this domain keeps grabbing the current
-   (epoch, snapshot) pair and running differential batches — sequential
-   engine and parallel x2/x4 — against the frozen trie; every result
-   must match the mirror of that exact epoch, no matter how many
-   updates have landed since. *)
+   (epoch, snapshot) pair and checking it against the oracle of that
+   epoch's mirror — scalar ops, sequential engine and parallel x2/x4 —
+   no matter how many updates have landed since.  After every tenth
+   publish the owner waits for the checker to finish a round, so at
+   least four rounds run while it mutates. *)
 
 let test_snapshot_isolation () =
   let epochs = 40 in
@@ -165,8 +119,18 @@ let test_snapshot_isolation () =
   let mirrors = Array.make (epochs + 1) [||] in
   mirrors.(0) <- initial;
   let handle = Snapshot.create (Wtrie.Dynamic.snapshot wt) in
+  let rounds = Atomic.make 0 and owner_done = Atomic.make false in
+  let await_round () =
+    let seen = Atomic.get rounds and deadline = Unix.gettimeofday () +. 10. in
+    while Atomic.get rounds = seen do
+      if Unix.gettimeofday () > deadline then
+        failwith "snapshot isolation: the checker finished no round in 10 s";
+      Domain.cpu_relax ()
+    done
+  in
   let owner =
     Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.set owner_done true) @@ fun () ->
         let rng = Xoshiro.create 23 in
         let mirror = ref (Array.to_list initial) in
         for e = 1 to epochs do
@@ -191,53 +155,34 @@ let test_snapshot_isolation () =
                 end
           done;
           mirrors.(e) <- Array.of_list !mirror;
-          ignore (Snapshot.publish handle (Wtrie.Dynamic.snapshot wt))
+          ignore (Snapshot.publish handle (Wtrie.Dynamic.snapshot wt));
+          if e mod 10 = 0 then await_round ()
         done)
   in
   let rng = Xoshiro.create 97 in
-  let rounds = ref 0 in
   let check_current () =
-    incr rounds;
     let e, frozen = Snapshot.pair handle in
-    let arr = mirrors.(e) in
-    if Array.length arr <> Wtrie.Dynamic.length frozen then
-      Alcotest.failf "epoch %d: mirror %d strings, snapshot %d" e (Array.length arr)
-        (Wtrie.Dynamic.length frozen);
-    let ops = gen_ops rng arr 120 in
-    let expected = Array.map (scalar_eval (module Wtrie.Dynamic) frozen) ops in
-    (* the scalar leg itself must agree with the plain-array mirror *)
-    Array.iteri
-      (fun i op ->
-        match (op, expected.(i)) with
-        | I.Access { pos }, Ok (I.Str s) ->
-            if s <> arr.(pos) then
-              Alcotest.failf "epoch %d: access %d read %S, mirror %S" e pos s arr.(pos)
-        | _ -> ())
-      ops;
-    check_same
-      (Printf.sprintf "epoch %d sequential" e)
-      ops expected
+    let ctx = Printf.sprintf "epoch %d" e in
+    let m = Oracle.model mirrors.(e) in
+    Oracle.same (ctx ^ ": length") (Array.length mirrors.(e)) (Wtrie.Dynamic.length frozen);
+    let ops = Oracle.Gen.ops ~n:120 rng m in
+    let expected = Oracle.expected m ops in
+    Oracle.agree ~ctx:(ctx ^ " scalar") ops ~expected
+      (Array.map (Oracle.scalar (module Wtrie.Dynamic) frozen) ops);
+    Oracle.agree ~ctx:(ctx ^ " sequential") ops ~expected
       (Wt_exec.Exec.Dynamic.query_batch frozen ops);
-    check_same
-      (Printf.sprintf "epoch %d parallel x2" e)
-      ops expected
-      (Par_exec.query_batch ~pool:pool2 ~min_shard:1 ~domains:2
-         Wt_exec.Exec.Dynamic.query_batch frozen ops);
-    check_same
-      (Printf.sprintf "epoch %d parallel x4" e)
-      ops expected
-      (Par_exec.query_batch ~pool:pool4 ~min_shard:1 ~domains:4
-         Wt_exec.Exec.Dynamic.query_batch frozen ops)
+    parallel_legs ~ctx Wt_exec.Exec.Dynamic.query_batch frozen ops ~expected;
+    Atomic.incr rounds
   in
   (* race with the owner, then drain: the final epochs are always
      validated even if the owner outpaced us *)
-  while Snapshot.epoch handle < epochs do
+  while not (Atomic.get owner_done) do
     check_current ()
   done;
   Domain.join owner;
   check_current ();
   Alcotest.(check int) "final epoch" epochs (Snapshot.epoch handle);
-  if !rounds < 2 then Alcotest.fail "snapshot soak: no concurrent rounds ran"
+  if Atomic.get rounds < 4 then Alcotest.fail "snapshot soak: fewer than 4 concurrent rounds ran"
 
 (* The owner's updates must never leak into an already-taken snapshot:
    pin one epoch-0 snapshot, rewrite the working trie completely, and
@@ -255,7 +200,7 @@ let test_snapshot_frozen () =
     (fun pos s ->
       match Wtrie.Dynamic.access frozen ~pos with
       | Ok s' when s' = s -> ()
-      | r -> Alcotest.failf "frozen access %d: %a, expected %S" pos pp_result
+      | r -> Alcotest.failf "frozen access %d: %a, expected %S" pos Oracle.pp_result
                (Result.map (fun s -> I.Str s) r) s)
     initial;
   (* and the rewritten working trie is intact too *)

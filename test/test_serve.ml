@@ -1,8 +1,8 @@
 (* The serving front-end under test: the wire codec is fuzzed (random
    bytes, truncations, bit flips — decode must be total; encode∘decode
    must be the identity), and a live server on a loopback socket is
-   held to an oracle — every reply must equal what the in-process batch
-   engine returns for the same operation — while clients misbehave
+   held to the one oracle (oracle.ml) — every reply must equal its
+   answer for the same operation — while clients misbehave
    around it: garbage frames, absurd declared lengths, mid-frame
    disconnects, overload past the admission watermark, and deadlines
    shorter than the batching window.  The server must shed and expire
@@ -235,45 +235,19 @@ let with_server ?(tweak = fun c -> c) f =
       Domain.join d)
     (fun () -> f wt srv)
 
-let oracle wt op = (Wt_exec.Exec.Append.query_batch wt [| op |]).(0)
+let model = Oracle.model strings
 
-let status_of_result = function
-  | Ok v -> Wire.Ok_value v
-  | Error e -> Wire.Query_error e
-
-(* every socket reply equals the in-process engine's answer, including
+(* every socket reply equals the oracle's answer (oracle.ml), including
    the error cases *)
 let test_oracle_sequential () =
-  with_server (fun wt srv ->
-      let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port srv) () in
-      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      Alcotest.(check bool) "ping" true (Client.ping c);
-      Alcotest.(check int) "length" (Array.length strings) (Client.length c);
-      let rng = Xoshiro.create 21 in
-      for _ = 1 to 300 do
-        let op = gen_op rng in
-        let got = Client.call c (Wire.Query op) in
-        Alcotest.(check bool) "socket reply = engine result" true
-          (got = status_of_result (oracle wt op))
-      done)
+  with_server (fun _wt srv ->
+      Oracle.wire ~clients:1 ~ctx:"append" ~port:(Server.port srv) model
+        (Oracle.Gen.ops (Xoshiro.create 21) model))
 
 let test_oracle_concurrent_clients () =
-  with_server ~tweak:(fun c -> { c with domains = Some 2 }) (fun wt srv ->
-      let port = Server.port srv in
-      let worker seed () =
-        let c = Client.connect ~host:"127.0.0.1" ~port () in
-        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-        let rng = Xoshiro.create seed in
-        let bad = ref 0 in
-        for _ = 1 to 200 do
-          let op = gen_op rng in
-          if Client.call c (Wire.Query op) <> status_of_result (oracle wt op) then incr bad
-        done;
-        !bad
-      in
-      let ds = List.map (fun s -> Domain.spawn (worker s)) [ 31; 32; 33 ] in
-      let bad = List.fold_left (fun acc d -> acc + Domain.join d) 0 ds in
-      Alcotest.(check int) "all concurrent replies match the oracle" 0 bad)
+  with_server ~tweak:(fun c -> { c with domains = Some 2 }) (fun _wt srv ->
+      Oracle.wire ~clients:3 ~ctx:"append, 2 domains" ~port:(Server.port srv) model
+        (Oracle.Gen.ops (Xoshiro.create 31) model))
 
 (* ------------------------------------------------------------------ *)
 (* Defensive handling *)
@@ -358,7 +332,7 @@ let test_slow_loris_reaped () =
 let test_overload_sheds_and_recovers () =
   with_server
     ~tweak:(fun c -> { c with queue_max = 4; batch_max = 256; window_us = 20_000 })
-    (fun wt srv ->
+    (fun _wt srv ->
       let rng = Xoshiro.create 41 in
       let ops = Array.init 2_000 (fun _ -> gen_op rng) in
       let r =
@@ -377,7 +351,7 @@ let test_overload_sheds_and_recovers () =
       (* and correctness is intact after the storm *)
       let op = Is.Rank { s = "common"; pos = Array.length strings } in
       Alcotest.(check bool) "still correct after overload" true
-        (Client.call c (Wire.Query op) = status_of_result (oracle wt op));
+        (Client.call c (Wire.Query op) = Oracle.status (Oracle.expected model [| op |]).(0));
       Client.close c)
 
 let test_deadline_beats_window () =
@@ -453,6 +427,104 @@ let test_drain_answers_admitted () =
       | Wire.Ok_value (Is.Str s) ->
           Alcotest.(check string) "drained reply value" strings.(3) s
       | _ -> Alcotest.fail "expected the queued query's answer at drain")
+
+(* ------------------------------------------------------------------ *)
+(* Corrupt indexes: an mmap-served arena skips the payload checksum, so
+   a flipped bit reaches the engine.  The served reply to the op it
+   breaks must be the in-process front door's answer ([Storage_error]),
+   and the server must keep answering.  The flip is found by search:
+   the first bit of the content stream whose flip opens and breaks one
+   of [corrupt_ops]. *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let write_file path s = Out_channel.with_open_bin path (fun oc -> output_string oc s)
+
+let corrupt_strings =
+  Array.init 24 (fun i -> Printf.sprintf "h%d.ex/%s" (i mod 5) (String.make i 'q'))
+
+let corrupt_input = Array.init 1100 (fun i -> corrupt_strings.(i * 7 mod 24))
+
+let corrupt_ops =
+  Array.concat
+    [
+      Array.init 30 (fun i -> Is.Access { pos = i * 37 });
+      Array.map (fun s -> Is.Rank { s; pos = 550 }) corrupt_strings;
+      Array.map (fun s -> Is.Select { s; count = 3 }) corrupt_strings;
+    ]
+
+(* Flips bits of the arena in [path] one at a time, from its content
+   stream on, until [probe] returns [Some]; the file keeps that flip. *)
+let find_flip path probe =
+  let pristine = read_file path in
+  let rec find i = if String.sub pristine i 4 = "WTF3" then i else find (i + 1) in
+  let t = Wt_core.Flat_wt.open_file ~mode:`Copy path in
+  let first = find 0 + (t.Wt_core.Flat_wt.content_bit / 8) in
+  let last = first + ((t.Wt_core.Flat_wt.content_bits + 7) / 8) in
+  Wt_core.Flat_wt.close t;
+  let rec go bit =
+    if bit >= 8 * last then Alcotest.fail "no flipped bit broke a query";
+    let b = Bytes.of_string pristine in
+    Bytes.set b (bit / 8) (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
+    write_file path (Bytes.to_string b);
+    match probe () with Some r -> r | None -> go (bit + 1)
+  in
+  go (8 * first)
+
+(* The first op [batch] answers with a [Storage_error], with that answer. *)
+let broken_op batch =
+  Array.find_map
+    (fun op ->
+      match (batch [| op |]).(0) with
+      | Error (Is.Storage_error _) as answer -> Some (op, answer)
+      | _ -> None)
+    corrupt_ops
+
+let check_served_corruption backend snap (op, answer) =
+  Oracle.serving backend snap (fun port ->
+      let c = Client.connect ~host:"127.0.0.1" ~port () in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      Alcotest.(check bool) "the broken op answers as in process" true
+        (Client.call c (Wire.Query op) = Oracle.status answer);
+      Alcotest.(check bool) "ping after it" true (Client.ping c);
+      Alcotest.(check int) "Length after it" (Array.length corrupt_input) (Client.length c))
+
+let test_corrupt_static () =
+  Oracle.with_saved (Wtrie.Static.of_array corrupt_input) @@ fun path ->
+  let t, broken =
+    find_flip path (fun () ->
+        match Wtrie.Static.open_file ~mode:`Mmap path with
+        | Error _ -> None
+        | Ok t -> (
+            match broken_op (Wtrie.Static.query_batch t) with
+            | Some b -> Some (t, b)
+            | None ->
+                Wtrie.Static.close t;
+                None))
+  in
+  check_served_corruption Server.static_backend (Snapshot.create t) broken;
+  Wtrie.Static.close t
+
+let test_corrupt_tiered () =
+  let module T = Wtrie.Tiered in
+  let dir = Oracle.temp_dir "serve_corrupt" in
+  let t = T.create ~threshold:max_int dir in
+  Array.iter (T.ingest t) corrupt_input;
+  T.compact t;
+  T.close t;
+  let t, broken =
+    find_flip (Filename.concat dir "run-000000.wtx") (fun () ->
+        match T.open_ dir with
+        | exception Wt_durable.Container.Format_error _ -> None
+        | t, _ -> (
+            match broken_op (T.query_batch t) with
+            | Some b -> Some (t, b)
+            | None ->
+                T.close t;
+                None))
+  in
+  check_served_corruption Server.tiered_backend (T.handle t) broken;
+  T.close t;
+  Oracle.rm_rf dir
 
 (* ------------------------------------------------------------------ *)
 (* The live telemetry plane: Stats/Scrape wire ops, slow-query
@@ -650,6 +722,8 @@ let () =
             test_expired_never_executed;
           Alcotest.test_case "contended p99 bounded" `Quick test_contended_latency_bounded;
           Alcotest.test_case "drain answers admitted work" `Quick test_drain_answers_admitted;
+          Alcotest.test_case "corrupt mmap arena answers per op" `Quick test_corrupt_static;
+          Alcotest.test_case "corrupt tiered run answers per op" `Quick test_corrupt_tiered;
         ] );
       ( "telemetry",
         [

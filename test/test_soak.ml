@@ -1,5 +1,5 @@
 (* End-to-end soak: a long randomized session mixing every operation the
-   library offers against the Naive oracle, on a workload resembling the
+   library offers, checked by the one oracle (oracle.ml), on a workload resembling the
    paper's motivation (skewed URL log with a growing alphabet).  Catches
    interaction bugs that per-module tests cannot. *)
 
@@ -9,11 +9,13 @@ module Xoshiro = Wt_bits.Xoshiro
 module Naive = Wt_core.Indexed_sequence.Naive
 module Dynamic_wt = Wt_core.Dynamic_wt
 module Append_wt = Wt_core.Append_wt
-module Range = Wt_core.Range
 module Urls = Wt_workload.Urls
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+
+module Dynamic_check = Oracle.Check (Wtrie.Dynamic)
+module Append_check = Oracle.Check (Wtrie.Append)
 
 let test_dynamic_soak () =
   let rng = Xoshiro.create 31337 in
@@ -55,66 +57,43 @@ let test_dynamic_soak () =
     (* periodic deep checks *)
     if step mod 1500 = 0 then begin
       Dynamic_wt.check_invariants wt;
+      let m = Oracle.model (Array.map Binarize.to_bytes (Naive.to_array oracle)) in
+      let ctx = Printf.sprintf "dynamic soak step %d" step in
+      let rng = Xoshiro.create step in
+      Dynamic_check.point ~ctx wt m (Oracle.Gen.ops rng m);
+      Dynamic_check.totals ~ctx wt m;
+      (* one random window: its tally, top-1, majority and quantiles *)
       let n = Naive.length oracle in
-      check_int "length" n (Dynamic_wt.length wt);
-      check_int "distinct" (Naive.distinct_count oracle) (Dynamic_wt.distinct_count wt);
-      if n > 4 then begin
-        let lo = Xoshiro.int rng (n / 2) in
-        let hi = lo + Xoshiro.int rng (n - lo) in
-        (* distinct in range agrees with a scan *)
-        let tbl = Hashtbl.create 16 in
-        for i = lo to hi - 1 do
-          let w = Bitstring.to_string (Naive.access oracle i) in
-          Hashtbl.replace tbl w (1 + Option.value ~default:0 (Hashtbl.find_opt tbl w))
-        done;
-        let got = Range.Dynamic.range_distinct wt ~lo ~hi in
-        check_int "range distinct count" (Hashtbl.length tbl) (Array.length got);
-        Array.iter
-          (fun (s, c) ->
-            check_int "range count" (Option.value ~default:(-1)
-              (Hashtbl.find_opt tbl (Bitstring.to_string s))) c)
-          got;
-        (* top-1 equals max count *)
-        (match Range.Dynamic.range_topk wt ~lo ~hi ~k:1 with
-        | [| (_, c) |] ->
-            let m = Hashtbl.fold (fun _ c m -> max c m) tbl 0 in
-            check_int "top-1" m c
-        | [||] -> check_int "top-1 empty" 0 (hi - lo)
-        | _ -> Alcotest.fail "top_k 1 returned several")
-      end
+      let lo = Xoshiro.int rng ((n / 2) + 1) in
+      let hi = lo + Xoshiro.int rng (n - lo + 1) in
+      Dynamic_check.range ~ctx ~windows:[ (lo, hi) ] ~prefixes:[ None ] ~ks:[ 1 ] wt m
     end
   done;
   Dynamic_wt.check_invariants wt
 
 let test_append_soak () =
-  (* long streaming session with periodic full verification *)
+  (* a long stream of appends, verified periodically *)
   let gen = Urls.create ~seed:555 ~hosts:20 () in
-  let rng = Xoshiro.create 555 in
-  let oracle = Naive.create () in
-  let wt = Append_wt.create () in
-  for step = 1 to 30_000 do
-    let s = Urls.next_encoded gen in
-    Naive.append oracle s;
-    Append_wt.append wt s;
-    if step mod 6000 = 0 then begin
-      Append_wt.check_invariants wt;
-      for _ = 1 to 100 do
-        let pos = Xoshiro.int rng step in
-        check_bool "access" true
-          (Bitstring.equal (Naive.access oracle pos) (Append_wt.access wt pos));
-        let s = Naive.access oracle (Xoshiro.int rng step) in
-        check_int "rank" (Naive.rank oracle s pos) (Append_wt.rank wt s pos)
-      done;
-      (* per-host prefix counts agree with a scan *)
-      for h = 0 to Urls.host_count gen - 1 do
-        let p = Urls.host_prefix gen h in
-        check_int
-          (Printf.sprintf "host %d prefix count" h)
-          (Naive.rank_prefix oracle p step)
-          (Append_wt.rank_prefix wt p step)
-      done
-    end
-  done
+  let strings = Urls.raw_sequence gen 30_000 in
+  let wt = Wtrie.Append.create () in
+  Array.iteri
+    (fun i s ->
+      Wtrie.Append.append wt s;
+      let step = i + 1 in
+      if step mod 6000 = 0 then begin
+        Append_wt.check_invariants wt;
+        let m = Oracle.model (Array.sub strings 0 step) in
+        let ctx = Printf.sprintf "append soak step %d" step in
+        (* every host's prefix ("http://NAME.example.com/") counted *)
+        let host s = String.sub s 0 (String.index_from s 7 '/' + 1) in
+        let hosts = List.sort_uniq compare (List.init step (fun i -> host strings.(i))) in
+        check_int "every host seen" (Urls.host_count gen) (List.length hosts);
+        let host_ops = List.map (fun prefix -> Wtrie.Rank_prefix { prefix; pos = step }) hosts in
+        Append_check.point ~ctx wt m
+          (Array.append (Oracle.Gen.ops ~n:256 (Xoshiro.create step) m) (Array.of_list host_ops));
+        Append_check.totals ~ctx wt m
+      end)
+    strings
 
 (* Deterministic concurrency stress: hammer one 4-way domain pool with a
    fixed-seed stream of mixed-size batches — empty, size-1, and up to a
