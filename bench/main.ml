@@ -1014,7 +1014,13 @@ let metrics_queries (type a)
 (* Batch vs scalar on the Zipf URL workload: the tentpole number.  Same
    operations through the scalar front door and through [query_batch];
    the engine's level-by-level execution with per-node rank cursors
-   should amortize the per-node directory walks away. *)
+   should amortize the per-node directory walks away.  Each leg also
+   reports the words it allocates and its traversal work (trie nodes
+   visited, RRR ranks and accesses) per op, each from one more pass
+   after the timed ones: neither depends on the machine's speed or
+   load.  Between minor collections OCaml 5's minor-word counter lags
+   the allocation, while a collection books it exactly, so a words pass
+   is bracketed by two. *)
 let batch_block () =
   let n = 131072 in
   let g = Urls.create ~seed:42 () in
@@ -1026,42 +1032,73 @@ let batch_block () =
   let rank_args =
     Array.init b (fun _ -> (strings.(Xoshiro.int rng n), Xoshiro.int rng (n + 1)))
   in
+  let access_ops = Array.map (fun pos -> Wtrie.Access { pos }) positions in
+  let rank_ops = Array.map (fun (s, pos) -> Wtrie.Rank { s; pos }) rank_args in
   let best f =
     let d = ref infinity in
     for _ = 1 to 3 do
       d := min !d (time_batch f)
     done;
-    !d
+    !d *. 1e9 /. float_of_int b
   in
-  let scalar_access =
-    best (fun () ->
-        Array.iter (fun pos -> ignore (Wtrie.Static.access wt ~pos)) positions)
+  let words f =
+    Gc.minor ();
+    let w0 = allocated_words () in
+    f ();
+    Gc.minor ();
+    (allocated_words () -. w0) /. float_of_int b
   in
-  let access_ops = Array.map (fun pos -> Wtrie.Access { pos }) positions in
-  let batch_access = best (fun () -> ignore (Wtrie.Static.query_batch wt access_ops)) in
-  let scalar_rank =
-    best (fun () ->
-        Array.iter (fun (s, pos) -> ignore (Wtrie.Static.rank wt s ~pos)) rank_args)
+  let work leg f =
+    Probe.reset ();
+    Probe.enable ();
+    f ();
+    Probe.disable ();
+    let row name m =
+      ( Printf.sprintf "%s_%s_per_op" leg name,
+        Json.Float (float_of_int (Probe.counter m) /. float_of_int b) )
+    in
+    let rows =
+      [ row "nodes" Wt_obs.Metric.Wt_nodes_visited; row "rrr_rank" Rrr_rank; row "rrr_access" Rrr_access ]
+    in
+    Probe.reset ();
+    rows
   in
-  let rank_ops = Array.map (fun (s, pos) -> Wtrie.Rank { s; pos }) rank_args in
-  let batch_rank = best (fun () -> ignore (Wtrie.Static.query_batch wt rank_ops)) in
-  let per op scalar batch =
-    let ns dt = dt *. 1e9 /. float_of_int b in
-    ( op,
-      Json.Obj
-        [
-          ("scalar_ns_per_op", Json.Float (ns scalar));
-          ("batch_ns_per_op", Json.Float (ns batch));
-          ("speedup", Json.Float (scalar /. batch));
-        ] )
+  let per ~scalar ~batch =
+    let scalar () =
+      for i = 0 to b - 1 do
+        scalar i
+      done
+    in
+    let scalar_ns = best scalar in
+    let batch_ns = best batch in
+    let scalar_words = words scalar in
+    let batch_words = words batch in
+    let scalar_work = work "scalar" scalar in
+    let batch_work = work "batch" batch in
+    Json.Obj
+      ([
+         ("scalar_ns_per_op", Json.Float scalar_ns);
+         ("batch_ns_per_op", Json.Float batch_ns);
+         ("speedup", Json.Float (scalar_ns /. batch_ns));
+         ("scalar_words_per_op", Json.Float scalar_words);
+         ("batch_words_per_op", Json.Float batch_words);
+       ]
+      @ scalar_work @ batch_work)
+  in
+  let access =
+    per
+      ~scalar:(fun i -> ignore (Wtrie.Static.access wt ~pos:positions.(i)))
+      ~batch:(fun () -> ignore (Wtrie.Static.query_batch wt access_ops))
+  in
+  let rank =
+    per
+      ~scalar:(fun i ->
+        let s, pos = rank_args.(i) in
+        ignore (Wtrie.Static.rank wt s ~pos))
+      ~batch:(fun () -> ignore (Wtrie.Static.query_batch wt rank_ops))
   in
   Json.Obj
-    [
-      ("n", Json.Int n);
-      ("batch_ops", Json.Int b);
-      per "access" scalar_access batch_access;
-      per "rank" scalar_rank batch_rank;
-    ]
+    [ ("n", Json.Int n); ("batch_ops", Json.Int b); ("access", access); ("rank", rank) ]
 
 (* The arena's β coder alone ([Rrr.Flat]): ns per rank, select and
    access at random positions on a 2^20-bit blob at densities 0.5, 0.1

@@ -25,12 +25,21 @@
 
    - Allocation: the words one static build allocates per string
      ([flat.build_words_per_string]), the words one tiered ingest
-     allocates ([tiered.ingest_words_per_string]) and the words one
+     allocates ([tiered.ingest_words_per_string]), the words one
      merging tiered compaction allocates per string of its run
-     ([tiered.merge_words_per_string]) may not exceed the baseline by
-     more than 10%.  Allocation does not depend on the
+     ([tiered.merge_words_per_string]) and the words per access and
+     rank op through the scalar façade and in a 16,384-op batch
+     ([batch.{access,rank}.{scalar,batch}_words_per_op]) may not exceed
+     the baseline by more than 10%.  Allocation does not depend on the
      runner's speed or load (repeat runs agree to 0.01%), so this gate
      also fails under --soft.
+
+   - Work: the trie nodes visited and the RRR ranks and accesses per
+     access and rank op, on the scalar and the batched leg
+     ([batch.{access,rank}.{scalar,batch}_{nodes,rrr_rank,rrr_access}_per_op]),
+     must equal the baseline.  They are counts on fixed inputs, so this
+     gate is exact and fails even under --soft: a change to the work a
+     query does must come with a regenerated baseline.
 
    Exit 0 when clean, 1 on any regression; --soft reports timing
    regressions but does not fail on them (for CI runners whose core
@@ -67,6 +76,8 @@ type dir = Lower_better | Higher_better
 
 let gated =
   [
+    (Lower_better, "batch.access.scalar_ns_per_op");
+    (Lower_better, "batch.rank.scalar_ns_per_op");
     (Lower_better, "batch.access.batch_ns_per_op");
     (Lower_better, "batch.rank.batch_ns_per_op");
     (Higher_better, "batch.access.speedup");
@@ -214,6 +225,12 @@ let space_exact base cur =
           fail "%s missing from one side" name)
     [ "ratio_to_lb"; "overhead_bits" ]
 
+(* "batch.<op>.<row>_per_op" for the access and rank legs. *)
+let batch_rows rows =
+  List.concat_map
+    (fun op -> List.map (fun row -> Printf.sprintf "batch.%s.%s_per_op" op row) rows)
+    [ "access"; "rank" ]
+
 let alloc_gate base cur =
   List.iter
     (fun path ->
@@ -226,11 +243,34 @@ let alloc_gate base cur =
       | _ ->
           incr hard_failures;
           fail "%s missing from one side" path)
-    [
-      "flat.build_words_per_string";
-      "tiered.ingest_words_per_string";
-      "tiered.merge_words_per_string";
-    ]
+    ([
+       "flat.build_words_per_string";
+       "tiered.ingest_words_per_string";
+       "tiered.merge_words_per_string";
+     ]
+    @ batch_rows [ "scalar_words"; "batch_words" ])
+
+let work_exact base cur =
+  List.iter
+    (fun path ->
+      match (number base path, number cur path) with
+      | Some b, Some c when c = b -> Printf.printf "ok    %-45s %12.4f  (exact)\n" path c
+      | Some b, Some c ->
+          incr hard_failures;
+          fail "%-45s %12.4f -> %12.4f  (work per op is deterministic: regenerate the baseline)"
+            path b c
+      | _ ->
+          incr hard_failures;
+          fail "%s missing from one side" path)
+    (batch_rows
+       [
+         "scalar_nodes";
+         "scalar_rrr_rank";
+         "scalar_rrr_access";
+         "batch_nodes";
+         "batch_rrr_rank";
+         "batch_rrr_access";
+       ])
 
 let throughput ~threshold base cur =
   List.iter
@@ -279,13 +319,15 @@ let () =
       structural base cur;
       space_exact base cur;
       alloc_gate base cur;
+      work_exact base cur;
       throughput ~threshold:!threshold base cur;
       absolute ~threshold:!threshold cur;
       if !failures = 0 then print_endline "regress: clean"
       else begin
         Printf.printf "regress: %d failure(s)\n" !failures;
         if !hard_failures > 0 then begin
-          Printf.printf "regress: %d space or allocation failure(s), failing even in soft mode\n"
+          Printf.printf
+            "regress: %d space, allocation or work failure(s), failing even in soft mode\n"
             !hard_failures;
           exit 1
         end

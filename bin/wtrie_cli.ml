@@ -442,7 +442,7 @@ let prefix_count_cmd =
     let src = build file in
     let (Packed ((module Q), wt)) = pack src in
     (match at with
-    | None -> Printf.printf "%d\n" (Q.count_prefix wt ~prefix:p)
+    | None -> Printf.printf "%d\n" (or_fail (Q.rank_prefix wt ~prefix:p ~pos:(Q.length wt)))
     | Some pos -> Printf.printf "%d\n" (or_fail (Q.rank_prefix wt ~prefix:p ~pos)));
     src
   in
@@ -457,17 +457,22 @@ let prefix_list_cmd =
     let src = build file in
     let (Packed ((module Q), wt)) = pack src in
     let limit = match count with None -> 20 | Some k -> k in
-    (* one batch: the k-th SelectPrefix and the Access at its position
-       share trie traversals with all the others *)
-    let rec go k =
-      if k < limit then
-        match Q.select_prefix wt ~prefix:p ~count:k with
-        | Ok pos ->
-            Printf.printf "%8d  %s\n" pos (or_fail (Q.access wt ~pos));
-            go (k + 1)
-        | Error _ -> ()
+    (* two batches: the SelectPrefix of every match listed, then the
+       Access at each position found; sized by the matches, so a huge
+       --count allocates nothing extra *)
+    let k = max 0 (min limit (or_fail (Q.rank_prefix wt ~prefix:p ~pos:(Q.length wt)))) in
+    let batch ops value = Array.map (fun r -> value (or_fail r)) (Q.query_batch wt ops) in
+    let positions =
+      batch
+        (Array.init k (fun count -> Wtrie.Select_prefix { prefix = p; count }))
+        (function Wtrie.Int pos -> pos | Wtrie.Str _ -> assert false)
     in
-    go 0;
+    let strings =
+      batch
+        (Array.map (fun pos -> Wtrie.Access { pos }) positions)
+        (function Wtrie.Str s -> s | Wtrie.Int _ -> assert false)
+    in
+    Array.iter2 (fun pos s -> Printf.printf "%8d  %s\n" pos s) positions strings;
     src
   in
   Cmd.v

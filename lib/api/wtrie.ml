@@ -28,12 +28,14 @@
     ([select_all], [range_count], [range_distinct], [range_topk],
     [range_majority], [range_at_least], [range_quantile], written once
     in {!Wt_core.Range}), is declared once and behaves identically
-    across variants.  {!module-type-STRING_API} adds construction; the mutable
-    ones extend it ({!module-type-APPEND_API},
-    {!module-type-DYNAMIC_API}).  Each operation comes in exactly one
-    shape — labelled arguments, [(_, {!error}) result] for everything
-    partial; the pre-batch alias shapes ([access_exn], [select_opt],
-    ...) are gone (see docs/observability.md for the migration table).
+    across variants.  A scalar point op is [query_batch] on a batch of
+    one, so the two cannot disagree.  {!module-type-STRING_API} adds
+    construction; the mutable ones extend it
+    ({!module-type-APPEND_API}, {!module-type-DYNAMIC_API}).  Each
+    operation comes in exactly one shape — labelled arguments,
+    [(_, {!error}) result] for everything partial; the pre-batch alias
+    shapes ([access_exn], [select_opt], ...) are gone (see
+    docs/observability.md for the migration table).
 
     {!Static} runs on the pointer-free flat arena ({!Wt_core.Flat_wt}):
     the format-v3 container payload queried in place, so
@@ -71,18 +73,23 @@ module type STATIC_API = Wt_core.Indexed_sequence.STATIC_API
 module type APPEND_API = Wt_core.Indexed_sequence.APPEND_API
 module type DYNAMIC_API = Wt_core.Indexed_sequence.DYNAMIC_API
 
-(* Sealing with the API signatures attaches the batch entry points from
-   the engine — routed through the domain pool when [~domains] is given —
-   and the range suite's byte façade ({!Wt_core.Range.Make_string}),
-   then hides every helper outside QUERY_API and the variant's
-   constructors/mutators. *)
+(* Each variant is its construction ({!Wt_core.String_api}), the batch
+   engine's [query_batch] — routed through the domain pool when
+   [~domains] is given — with the scalar point ops derived from it as
+   batches of one ({!Wt_core.Indexed_sequence.Point}), and the range
+   suite's byte façade ({!Wt_core.Range.Make_string}).  Sealing with the
+   API signatures hides every helper outside QUERY_API and the
+   variant's constructors/mutators. *)
+
+open struct
+  module Point = Wt_core.Indexed_sequence.Point
+end
 
 module Static : STATIC_API with type t = Wt_core.Flat_wt.t = struct
   include Wt_core.String_api.Static
   module R = Wt_core.Range.Make_string (Wt_core.Range.Static)
 
-  (* The range and batch entry points bypass the scalar façade, so
-     they repeat its guards: a closed trie reports [Trie_closed] and a
+  (* Every read is guarded: a closed trie reports [Trie_closed] and a
      corrupted arena [Storage_error] through the result, never an
      exception ([protect] comes from {!Wt_core.String_api.Static}). *)
   let select_all ?prefix ?lo ?hi t = protect t (fun () -> R.select_all ?prefix ?lo ?hi t)
@@ -105,6 +112,8 @@ module Static : STATIC_API with type t = Wt_core.Flat_wt.t = struct
   let query_batch ?domains t ops =
     Wt_core.Indexed_sequence.protect_batch (protect t) ops (fun () ->
         Wt_par.Par_exec.query_batch ?domains Wt_exec.Exec.Static.query_batch t ops)
+
+  include Point (struct type nonrec t = t let length = length let query_batch = query_batch end)
 end
 
 module Append : APPEND_API with type t = Wt_core.Append_wt.t = struct
@@ -113,6 +122,8 @@ module Append : APPEND_API with type t = Wt_core.Append_wt.t = struct
 
   let query_batch ?domains t ops =
     Wt_par.Par_exec.query_batch ?domains Wt_exec.Exec.Append.query_batch t ops
+
+  include Point (struct type nonrec t = t let length = length let query_batch = query_batch end)
 end
 
 module Dynamic : DYNAMIC_API with type t = Wt_core.Dynamic_wt.t = struct
@@ -121,6 +132,8 @@ module Dynamic : DYNAMIC_API with type t = Wt_core.Dynamic_wt.t = struct
 
   let query_batch ?domains t ops =
     Wt_par.Par_exec.query_batch ?domains Wt_exec.Exec.Dynamic.query_batch t ops
+
+  include Point (struct type nonrec t = t let length = length let query_batch = query_batch end)
 end
 
 (** The one writable store, write-optimized and tiered ([lib/tiered]):

@@ -474,7 +474,9 @@ module Node = struct
     in
     let len = node.hi - start in
     let bitpos = node.t.content_bit + start in
-    let out = Bitbuf.create ~capacity_bits:len () in
+    (* at least eight bytes, so every comparison against the label takes
+       the one-load path of [Bitbuf.get_bits] *)
+    let out = Bitbuf.create ~capacity_bits:(max 64 len) () in
     let i = ref 0 in
     while !i < len do
       let take = min 56 (len - !i) in

@@ -10,6 +10,7 @@
       with the given prefix. *)
 
 module Bitstring = Wt_strings.Bitstring
+module Probe = Wt_obs.Probe
 
 module type S = sig
   type t
@@ -38,10 +39,10 @@ module type DYNAMIC = sig
 end
 
 (* ------------------------------------------------------------------ *)
-(* Byte-string front-door signatures, implemented by {!String_api} plus
-   the batch engine ([lib/exec]) and re-exported as the [Wtrie] entry
-   module.  Every variant presents the same uniform surface; the
-   mutating tiers extend it. *)
+(* Byte-string front-door signatures, implemented by the batch engine
+   ([lib/exec]), {!Point} and {!String_api} and re-exported as the
+   [Wtrie] entry module.  Every variant presents the same uniform
+   surface; the mutating tiers extend it. *)
 
 (** The one error shape shared by every front-door query. *)
 type error =
@@ -97,6 +98,46 @@ let pp_value fmt = function
   | Str s -> Format.fprintf fmt "%s" s
   | Int n -> Format.fprintf fmt "%d" n
 
+(** The error [op] answers on a sequence of length [n] before any
+    lookup: a position out of range or a negative occurrence index. *)
+let check n = function
+  | Access { pos } when pos < 0 || pos >= n -> Some (Position_out_of_bounds { pos; len = n })
+  | (Rank { pos; _ } | Rank_prefix { pos; _ }) when pos < 0 || pos > n ->
+      Some (Position_out_of_bounds { pos; len = n })
+  | (Select { count; _ } | Select_prefix { count; _ }) when count < 0 ->
+      Some (Negative_count { count })
+  | Access _ | Rank _ | Rank_prefix _ | Select _ | Select_prefix _ -> None
+
+(** The scalar point ops of {!QUERY_API}, each a batch of one through
+    [B.query_batch], so scalar and batched answers agree by construction;
+    one [Wt_<op>] latency sample per call.  [count] and [count_prefix]
+    raise [Failure] (the {!pp_error} rendering) where [rank] answers an
+    error; a closed static handle's [B.length] raises [Flat_wt.Closed]. *)
+module Point (B : sig
+  type t
+
+  val length : t -> int
+  val query_batch : ?domains:int -> t -> op array -> (value, error) result array
+end) =
+struct
+  let one t op = (B.query_batch t [| op |]).(0)
+  let str = function Ok (Str s) -> Ok s | Ok (Int _) -> assert false | Error e -> Error e
+  let int = function Ok (Int c) -> Ok c | Ok (Str _) -> assert false | Error e -> Error e
+  let access t ~pos = Probe.time Wt_access (fun () -> str (one t (Access { pos })))
+  let rank t s ~pos = Probe.time Wt_rank (fun () -> int (one t (Rank { s; pos })))
+  let select t s ~count = Probe.time Wt_select (fun () -> int (one t (Select { s; count })))
+
+  let rank_prefix t ~prefix ~pos =
+    Probe.time Wt_rank_prefix (fun () -> int (one t (Rank_prefix { prefix; pos })))
+
+  let select_prefix t ~prefix ~count =
+    Probe.time Wt_select_prefix (fun () -> int (one t (Select_prefix { prefix; count })))
+
+  let total = function Ok c -> c | Error e -> failwith (Format.asprintf "%a" pp_error e)
+  let count t s = total (rank t s ~pos:(B.length t))
+  let count_prefix t ~prefix = total (rank_prefix t ~prefix ~pos:(B.length t))
+end
+
 (** The read side shared verbatim by every variant.
 
     One signature, included by {!STRING_API} (and therefore by the
@@ -143,10 +184,12 @@ module type QUERY_API = sig
   (** Position of the [count]-th stored string starting with [prefix]. *)
 
   val count : t -> string -> int
-  (** Total occurrences of the string. *)
+  (** Total occurrences of the string.  Raises [Failure] where [rank]
+      answers an error (see {!Point}). *)
 
   val count_prefix : t -> prefix:string -> int
-  (** Total number of stored strings starting with the byte prefix. *)
+  (** Total number of stored strings starting with the byte prefix.
+      Raises [Failure] where [rank_prefix] answers an error. *)
 
   val query_batch : ?domains:int -> t -> op array -> (value, error) result array
   (** Evaluate a whole vector of operations, grouping them by trie path

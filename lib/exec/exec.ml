@@ -1,41 +1,32 @@
-(** Batch query execution engine.
+(** Batch query execution engine: the one implementation of every point
+    op.  A scalar op is a batch of one ({!Wt_core.Indexed_sequence.Point}).
 
-    A query batch is executed level-by-level over the trie instead of
-    one root-to-leaf walk per operation.  The downward operations
-    (access / rank / rank_prefix) are sorted by position once at the
-    root and carried through the trie as a frontier of
-    [(node, item range)] groups; every visited node answers all of its
-    items with a single rank cursor ({!Wt_core.Node_view.CURSORED})
-    before its children are expanded.
+    A batch is executed level-by-level over the trie instead of one
+    root-to-leaf walk per operation.  The downward operations (access /
+    rank / rank_prefix) are sorted by position once at the root and
+    carried as a frontier of [(node, item range)] groups; every visited
+    node answers all of its items before its children are expanded.
+    Each item still walks its own path as Lemmas 3.2–3.3 do: an access
+    item reads its branch bit from β; a rank item compares the node's
+    label with the rest of its binarized string (past the node's bit
+    depth) by one [lcp], then branches or answers there.
 
-    Why one cursor per node suffices: for a fixed bit [b],
-    [rank b] is monotone in the position, so if a node receives its
-    items in non-decreasing position order, the positions it forwards to
-    each child are again non-decreasing — sortedness is preserved all
-    the way down, and every bitvector query after the first lands in (or
-    just after) the cursor's cached block.
+    A node reached by several items answers them with one rank cursor
+    ({!Wt_core.Node_view.CURSORED}): for a fixed bit [b], [rank b] is
+    monotone in the position, so sorted positions stay sorted all the
+    way down and every bitvector query after the first lands in (or just
+    after) the cursor's cached block.  A node reached by one item ranks
+    directly: a cold cursor's first query decodes a whole block, a
+    direct rank only the bits up to the position.  Access items share
+    their path prefix per node, and items on one leaf share one
+    materialized bitstring.  The select family shares one descent per
+    distinct string; each occurrence index pays one [bv_select] fold.
 
-    Work that depends only on the query *string* — not the position —
-    is shared across the batch instead of repeated per item:
-
-    - rank / rank_prefix items resolve their Patricia descent (label
-      comparisons, branching bits) once per distinct string, via the
-      same memoized trails the select family uses.  In the hot loop a
-      rank item is just a position plus an index into its precomputed
-      branch-bit array: no label [lcp], no suffix bookkeeping.
-    - access items share the path prefix per *node* (the frontier group
-      carries the reversed label pieces); items landing on the same leaf
-      share one materialized bitstring.
-
-    The frontier itself is struct-of-arrays — parallel [id]/[pos]/
-    [trail] arrays, double-buffered between levels — so a level is a
-    few sequential passes rather than pointer chasing through per-item
-    records.  The upward operations (select / select_prefix) share one
-    Patricia descent per distinct query string; each occurrence index
-    pays only the [bv_select] fold.
-
-    The per-operation results are exactly those of the scalar {!Query}
-    algorithms, errors included. *)
+    The frontier is a few int arrays, double-buffered between levels,
+    made only for the op families a batch holds.  Results, errors
+    included, are exactly those of the §3 reference algorithms
+    ({!Wt_core.Query}), and so are the traversal counters of a batch of
+    one. *)
 
 module Bitstring = Wt_strings.Bitstring
 module Binarize = Wt_strings.Binarize
@@ -43,10 +34,17 @@ module Probe = Wt_obs.Probe
 module Trace = Wt_obs.Trace
 module Iseq = Wt_core.Indexed_sequence
 
+(* [memo tbl f k]: [f k], computed once per key of [tbl]. *)
+let memo tbl f k =
+  match Hashtbl.find_opt tbl k with
+  | Some v -> v
+  | None ->
+      let v = f k in
+      Hashtbl.add tbl k v;
+      v
+
 (* The bitstring-level engine, shared by the three variants. *)
 module Make (N : Wt_core.Node_view.CURSORED) = struct
-  module Q = Wt_core.Query.Make (N)
-
   type bitop =
     | Access of int
     | Rank of Bitstring.t * int
@@ -64,286 +62,281 @@ module Make (N : Wt_core.Node_view.CURSORED) = struct
   let bit0 = Bitstring.of_bool_list [ false ]
   let bit1 = Bitstring.of_bool_list [ true ]
 
-  (* A downward item is four parallel-array slots:
-     [id]    result index;
-     [pos]   position within the current node's subsequence;
-     [trail] branch bits of the item's fixed root-to-target path
-             (rank / rank_prefix; shared per distinct string);
-     [tix]   next trail index, or -1 for access items (which read
-             their branch bit from the bitvector instead). *)
-  let no_trail : bool array = [||]
+  (* One step of a rank descent (Lemmas 3.2–3.3) for the string, or with
+     [~prefix] the prefix, [s] at a node labelled [label], [off] bits of
+     [s] consumed: [all] when every string below the node matches (the
+     answer is the position), [none] when none does, or else the label's
+     [lcp] [l] with the rest, after which the walk branches on bit
+     [off + l] of [s]. *)
+  let all = -1
+  let none = -2
+
+  let step ~prefix ~leaf label s off =
+    let rest = Bitstring.length s - off in
+    if prefix && rest = 0 then all
+    else begin
+      let llen = Bitstring.length label in
+      let l = Bitstring.lcp_from label s off in
+      if prefix && l = rest then begin
+        Probe.record Wt_bits_consumed l;
+        all
+      end
+      else if leaf || l < llen || l >= rest then begin
+        Probe.record Wt_bits_consumed l;
+        if leaf && (not prefix) && l = llen && l = rest then all else none
+      end
+      else begin
+        Probe.record Wt_bits_consumed (l + 1);
+        l
+      end
+    end
+
+  (* The descent to the leaf spelling [s] or, with [~prefix], to the
+     node covering it: that node's count and the (node, bit) trail,
+     deepest node first. *)
+  let trail trie ~prefix s =
+    let rec go node off acc =
+      Probe.hit Wt_nodes_visited;
+      let l = step ~prefix ~leaf:(N.is_leaf node) (N.label node) s off in
+      if l = all then Some (N.count node, acc)
+      else if l = none then None
+      else
+        let b = Bitstring.get s (off + l) in
+        go (N.child node b) (off + l + 1) ((node, b) :: acc)
+    in
+    match N.root trie with None -> None | Some root -> go root 0 []
+
+  (* Upward family: the selects grouped by string, then one descent per
+     group, folded for each of its occurrence indices and dropped. *)
+  let selects trie ops results =
+    let groups = Hashtbl.create 8 in
+    Array.iteri
+      (fun i op ->
+        match op with
+        | Select (s, k) | Select_prefix (s, k) ->
+            let key = ((match op with Select_prefix _ -> true | _ -> false), s) in
+            Hashtbl.replace groups key
+              ((i, k) :: Option.value (Hashtbl.find_opt groups key) ~default:[])
+        | Access _ | Rank _ | Rank_prefix _ -> ())
+      ops;
+    Hashtbl.iter
+      (fun (prefix, s) group ->
+        let tr = trail trie ~prefix s in
+        List.iter
+          (fun (i, k) ->
+            results.(i) <-
+              (match tr with
+              | None -> Missing 0
+              | Some (cnt, _) when k >= cnt -> Missing cnt
+              | Some (_, tr) ->
+                  Found (List.fold_left (fun j (node, b) -> N.bv_select node b j) k tr)))
+          group)
+      groups
+
+  (* Downward family.  An item is an op's index and its position in the
+     node's subsequence, in parallel buffers.  A group is the items
+     [lo, hi) of one node at bit depth [depth] (what a rank string
+     reaching it has consumed), with its reversed access path if it
+     holds an access item. *)
+  type group = { node : N.node; path : Bitstring.t list; depth : int; lo : int; hi : int }
+
+  type frontier = {
+    ops : bitop array;
+    results : bitres array;
+    ids : int array array;  (** this level's buffer, the next level's *)
+    poss : int array array;  (** likewise *)
+    mutable cur : int;  (** which buffer is this level's *)
+    mutable fill : int;  (** items in the next level's so far *)
+  }
+
+  (* Answer or route the items of [groups] ([ids]/[poss]) into the next
+     level's buffers ([nids]/[nposs]) and groups ([acc]): per node the
+     zeros go in place, the ones wait in the node's read slots and follow
+     the zeros. *)
+  let rec level f ids poss nids nposs groups acc =
+    match groups with
+    | [] -> acc
+    | { node; path; depth; lo; hi } :: groups ->
+        let leaf = N.is_leaf node in
+        let label = N.label node in
+        let llen = Bitstring.length label in
+        let cursor = if leaf || hi - lo = 1 then None else Some (N.bv_cursor node) in
+        let visited = ref 0 and consumed = ref 0 in
+        let zacc = ref false and oacc = ref false and full = ref None in
+        let zlo = f.fill and ones = ref 0 in
+        (* an item going on to child [b] at position [pos'] *)
+        let go = ref false and b = ref false and pos' = ref 0 in
+        for k = lo to hi - 1 do
+          let id = ids.(k) and pos = poss.(k) in
+          go := false;
+          (match f.ops.(id) with
+          | Access _ ->
+              incr visited;
+              if leaf then begin
+                consumed := !consumed + llen;
+                let s =
+                  match !full with
+                  | Some s -> s
+                  | None ->
+                      let s = Bitstring.concat (List.rev (label :: path)) in
+                      full := Some s;
+                      s
+                in
+                f.results.(id) <- Bits s
+              end
+              else begin
+                consumed := !consumed + llen + 1;
+                let bit, p =
+                  match cursor with
+                  | None -> N.bv_access_rank node pos
+                  | Some c -> N.cursor_access_rank c pos
+                in
+                if bit then oacc := true else zacc := true;
+                go := true;
+                b := bit;
+                pos' := p
+              end
+          | (Rank (s, _) | Rank_prefix (s, _)) as op ->
+              if pos = 0 then f.results.(id) <- Count 0
+              else begin
+                incr visited;
+                let prefix = match op with Rank_prefix _ -> true | _ -> false in
+                let l = step ~prefix ~leaf label s depth in
+                if l = all then f.results.(id) <- Count pos
+                else if l = none then f.results.(id) <- Count 0
+                else begin
+                  let bit = Bitstring.get s (depth + l) in
+                  go := true;
+                  b := bit;
+                  pos' :=
+                    (match cursor with
+                    | None -> N.bv_rank node bit pos
+                    | Some c -> N.cursor_rank c bit pos)
+                end
+              end
+          | Select _ | Select_prefix _ -> assert false);
+          if !go then begin
+            let i = if !b then lo + !ones else f.fill in
+            (if !b then ids else nids).(i) <- id;
+            (if !b then poss else nposs).(i) <- !pos';
+            if !b then incr ones else f.fill <- i + 1
+          end
+        done;
+        Probe.record Wt_nodes_visited !visited;
+        Probe.record Wt_bits_consumed !consumed;
+        let zhi = f.fill and ones = !ones and depth = depth + llen + 1 in
+        let acc =
+          if zhi = zlo then acc
+          else
+            let path = if !zacc then bit0 :: label :: path else [] in
+            { node = N.child node false; path; depth; lo = zlo; hi = zhi } :: acc
+        in
+        let acc =
+          if ones = 0 then acc
+          else begin
+            for i = 0 to ones - 1 do
+              nids.(zhi + i) <- ids.(lo + i);
+              nposs.(zhi + i) <- poss.(lo + i)
+            done;
+            f.fill <- zhi + ones;
+            let path = if !oacc then bit1 :: label :: path else [] in
+            { node = N.child node true; path; depth; lo = zhi; hi = f.fill } :: acc
+          end
+        in
+        level f ids poss nids nposs groups acc
+
+  (* an int buffer; a batch of one makes its one-slot buffers inline *)
+  let ints m = if m = 1 then [| 0 |] else Array.make m 0
+
+  let position = function
+    | Access p | Rank (_, p) | Rank_prefix (_, p) -> p
+    | Select _ | Select_prefix _ -> assert false
+
+  (* The [m] downward items of [ops] (positions at most [n]) from
+     [root], sorted by position once (as the ints [position lsl w +
+     op]), walked level by level. *)
+  let descend root ops results m n =
+    let ids = ints m and j = ref 0 and sorted = ref true in
+    for i = 0 to Array.length ops - 1 do
+      match ops.(i) with
+      | (Access _ | Rank _ | Rank_prefix _) as op ->
+          if !j > 0 && position op < position ops.(ids.(!j - 1)) then sorted := false;
+          ids.(!j) <- i;
+          incr j
+      | Select _ | Select_prefix _ -> ()
+    done;
+    let rec width x = if x = 0 then 0 else 1 + width (x lsr 1) in
+    let w = width (Array.length ops) in
+    if not !sorted then begin
+      assert (width n + w < Sys.int_size);
+      Array.iteri (fun k id -> ids.(k) <- (position ops.(id) lsl w) lor id) ids;
+      Array.sort Int.compare ids;
+      Array.iteri (fun k key -> ids.(k) <- key land ((1 lsl w) - 1)) ids
+    end;
+    let poss = ints m in
+    for k = 0 to m - 1 do
+      poss.(k) <- position ops.(ids.(k))
+    done;
+    let f =
+      let ids = [| ids; ints m |] and poss = [| poss; ints m |] in
+      { ops; results; ids; poss; cur = 0; fill = 0 }
+    in
+    (* one level: this level's groups in, the next level's out *)
+    let next_level groups =
+      let c = f.cur in
+      f.fill <- 0;
+      f.cur <- 1 - c;
+      level f f.ids.(c) f.poss.(c) f.ids.(1 - c) f.poss.(1 - c) groups []
+    in
+    let rec walk lvl groups =
+      if groups != [] then
+        walk (lvl + 1)
+          (if Trace.enabled () then
+             Trace.with_span
+               ~args:[ ("level", lvl); ("groups", List.length groups) ]
+               "exec.level"
+               (fun () -> Probe.time Exec_level (fun () -> next_level groups))
+           else if Probe.enabled () then Probe.time Exec_level (fun () -> next_level groups)
+           else next_level groups)
+    in
+    walk 0 [ { node = root; path = []; depth = 0; lo = 0; hi = m } ]
+
+  let batch trie ops results =
+    let n = N.length trie in
+    Probe.hit Exec_batch;
+    Probe.record Exec_batch_ops (Array.length ops);
+    let m = ref 0 and sel = ref false in
+    for i = 0 to Array.length ops - 1 do
+      let op = ops.(i) in
+      if
+        match op with
+        | Access pos -> pos < 0 || pos >= n
+        | Rank (_, pos) | Rank_prefix (_, pos) -> pos < 0 || pos > n
+        | Select (_, k) | Select_prefix (_, k) -> k < 0
+      then invalid_arg "Exec.run: position or occurrence index out of range";
+      Probe.hit
+        (match op with
+        | Access _ -> Wt_access
+        | Rank _ -> Wt_rank
+        | Rank_prefix _ -> Wt_rank_prefix
+        | Select _ -> Wt_select
+        | Select_prefix _ -> Wt_select_prefix);
+      match op with
+      | Access _ | Rank _ | Rank_prefix _ -> incr m
+      | Select _ | Select_prefix _ -> sel := true
+    done;
+    if !sel then selects trie ops results;
+    match N.root trie with
+    | Some root when !m > 0 -> descend root ops results !m n
+    | _ -> ()
 
   let run trie (ops : bitop array) : bitres array =
-    let n = N.length trie in
     let nops = Array.length ops in
     let results = Array.make nops (Count 0) in
     if nops > 0 then
-      Trace.with_span ~args:[ ("ops", nops) ] "exec.batch" (fun () ->
-    begin
-      Probe.hit Exec_batch;
-      Probe.record Exec_batch_ops nops;
-      (* Memoized descents, one per distinct string: select groups keyed
-         by (is_prefix, string), and branch-bit trails for the rank
-         family. *)
-      let selects = Hashtbl.create 16 in
-      let rank_trails = Hashtbl.create 16 in
-      let prefix_trails = Hashtbl.create 16 in
-      let trail_bits tbl is_prefix s =
-        match Hashtbl.find_opt tbl s with
-        | Some t -> t
-        | None ->
-            let tr =
-              if is_prefix then Option.map snd (Q.prefix_trail trie s)
-              else Option.map snd (Q.trail_of trie s)
-            in
-            (* trails are deepest-first; the engine consumes them
-               root-first *)
-            let t = Option.map (fun l -> Array.of_list (List.rev_map snd l)) tr in
-            Hashtbl.add tbl s t;
-            t
-      in
-      let down = ref [] in
-      let m = ref 0 in
-      let push id pos trail tix =
-        incr m;
-        down := (id, pos, trail, tix) :: !down
-      in
-      Array.iteri
-        (fun i op ->
-          match op with
-          | Access pos ->
-              if pos < 0 || pos >= n then invalid_arg "Exec.run: access out of bounds";
-              Probe.hit Wt_access;
-              push i pos no_trail (-1)
-          | Rank (s, pos) ->
-              if pos < 0 || pos > n then invalid_arg "Exec.run: rank out of bounds";
-              Probe.hit Wt_rank;
-              (match trail_bits rank_trails false s with
-              | None -> results.(i) <- Count 0 (* absent string *)
-              | Some bits -> push i pos bits 0)
-          | Rank_prefix (p, pos) ->
-              if pos < 0 || pos > n then
-                invalid_arg "Exec.run: rank_prefix out of bounds";
-              Probe.hit Wt_rank_prefix;
-              (match trail_bits prefix_trails true p with
-              | None -> results.(i) <- Count 0 (* prefix matches nothing *)
-              | Some bits -> push i pos bits 0)
-          | Select (s, k) ->
-              if k < 0 then invalid_arg "Exec.run: negative select index";
-              Probe.hit Wt_select;
-              let key = (false, s) in
-              let group =
-                match Hashtbl.find_opt selects key with
-                | Some g -> g
-                | None ->
-                    let g = ref [] in
-                    Hashtbl.add selects key g;
-                    g
-              in
-              group := (i, k) :: !group
-          | Select_prefix (p, k) ->
-              if k < 0 then invalid_arg "Exec.run: negative select_prefix index";
-              Probe.hit Wt_select_prefix;
-              let key = (true, p) in
-              let group =
-                match Hashtbl.find_opt selects key with
-                | Some g -> g
-                | None ->
-                    let g = ref [] in
-                    Hashtbl.add selects key g;
-                    g
-              in
-              group := (i, k) :: !group)
-        ops;
-      (* Upward family: one memoized trail per distinct string, then a
-         select fold per occurrence index. *)
-      Hashtbl.iter
-        (fun (is_prefix, s) group ->
-          let trail =
-            if is_prefix then
-              match Q.prefix_trail trie s with
-              | None -> None
-              | Some (np, tr) -> Some (N.count np, tr)
-            else Q.trail_of trie s
-          in
-          match trail with
-          | None -> List.iter (fun (i, _) -> results.(i) <- Missing 0) !group
-          | Some (cnt, tr) ->
-              List.iter
-                (fun (i, k) ->
-                  if k >= cnt then results.(i) <- Missing cnt
-                  else
-                    results.(i) <-
-                      Found
-                        (List.fold_left (fun j (node, b) -> N.bv_select node b j) k tr))
-                !group)
-        selects;
-      (* Downward family: level-by-level frontier over parallel arrays. *)
-      (match N.root trie with
-      | Some root when !m > 0 ->
-          let m = !m in
-          (* materialize, then sort by root position (one sort total) *)
-          let uid = Array.make m 0
-          and upos = Array.make m 0
-          and utix = Array.make m 0
-          and utrl = Array.make m no_trail in
-          let j = ref m in
-          List.iter
-            (fun (id, pos, trl, tix) ->
-              decr j;
-              uid.(!j) <- id;
-              upos.(!j) <- pos;
-              utix.(!j) <- tix;
-              utrl.(!j) <- trl)
-            !down;
-          let perm = Array.init m Fun.id in
-          Array.sort (fun a b -> Stdlib.compare (upos.(a) : int) upos.(b)) perm;
-          let pick src = Array.map (fun k -> src.(k)) perm in
-          (* double-buffered item arrays + per-level scratch for the
-             one-branch items (zeros are written in place, ones after) *)
-          let cid = ref (pick uid)
-          and cpos = ref (pick upos)
-          and ctix = ref (pick utix)
-          and ctrl = ref (pick utrl) in
-          let nid = ref (Array.make m 0)
-          and npos = ref (Array.make m 0)
-          and ntix = ref (Array.make m 0)
-          and ntrl = ref (Array.make m no_trail) in
-          let oid = Array.make m 0
-          and opos = Array.make m 0
-          and otix = Array.make m 0
-          and otrl = Array.make m no_trail in
-          let groups = ref [ (root, [], 0, m) ] in
-          let lvl = ref 0 in
-          while !groups <> [] do
-            let level = !groups in
-            groups := [];
-            let fill = ref 0 in
-            Trace.with_span
-              ~args:[ ("level", !lvl); ("groups", List.length level) ]
-              "exec.level"
-              (fun () ->
-            Probe.time Exec_level (fun () ->
-                List.iter
-                  (fun (node, pfx, lo, hi) ->
-                    let cid = !cid and cpos = !cpos and ctix = !ctix and ctrl = !ctrl in
-                    let nid = !nid and npos = !npos and ntix = !ntix and ntrl = !ntrl in
-                    let label = N.label node in
-                    let llen = Bitstring.length label in
-                    if N.is_leaf node then begin
-                      Probe.record Wt_nodes_visited (hi - lo);
-                      (* all access items here spell the same string *)
-                      let full =
-                        lazy (Bitstring.concat (List.rev (label :: pfx)))
-                      in
-                      for k = lo to hi - 1 do
-                        if ctix.(k) < 0 then begin
-                          Probe.record Wt_bits_consumed llen;
-                          results.(cid.(k)) <- Bits (Lazy.force full)
-                        end
-                        else
-                          (* a trail ending at a leaf is fully consumed:
-                             the remaining count is the answer *)
-                          results.(cid.(k)) <- Count cpos.(k)
-                      done
-                    end
-                    else begin
-                      let cursor = N.bv_cursor node in
-                      let visited = ref 0 and consumed = ref 0 in
-                      let zlo = !fill in
-                      let ones = ref 0 in
-                      for k = lo to hi - 1 do
-                        let tix = ctix.(k) and pos = cpos.(k) in
-                        if tix < 0 then begin
-                          incr visited;
-                          consumed := !consumed + llen + 1;
-                          let b, pos' = N.cursor_access_rank cursor pos in
-                          if b then begin
-                            let o = !ones in
-                            oid.(o) <- cid.(k);
-                            opos.(o) <- pos';
-                            otix.(o) <- -1;
-                            otrl.(o) <- no_trail;
-                            ones := o + 1
-                          end
-                          else begin
-                            let f = !fill in
-                            nid.(f) <- cid.(k);
-                            npos.(f) <- pos';
-                            ntix.(f) <- -1;
-                            ntrl.(f) <- no_trail;
-                            fill := f + 1
-                          end
-                        end
-                        else begin
-                          let trl = ctrl.(k) in
-                          if tix = Array.length trl then
-                            (* descent complete at an internal node
-                               (rank_prefix whose p ends here) *)
-                            results.(cid.(k)) <- Count pos
-                          else if pos = 0 then results.(cid.(k)) <- Count 0
-                          else begin
-                            incr visited;
-                            consumed := !consumed + llen + 1;
-                            let b = trl.(tix) in
-                            let pos' = N.cursor_rank cursor b pos in
-                            if b then begin
-                              let o = !ones in
-                              oid.(o) <- cid.(k);
-                              opos.(o) <- pos';
-                              otix.(o) <- tix + 1;
-                              otrl.(o) <- trl;
-                              ones := o + 1
-                            end
-                            else begin
-                              let f = !fill in
-                              nid.(f) <- cid.(k);
-                              npos.(f) <- pos';
-                              ntix.(f) <- tix + 1;
-                              ntrl.(f) <- trl;
-                              fill := f + 1
-                            end
-                          end
-                        end
-                      done;
-                      Probe.record Wt_nodes_visited !visited;
-                      Probe.record Wt_bits_consumed !consumed;
-                      let zhi = !fill in
-                      let ones = !ones in
-                      if ones > 0 then begin
-                        Array.blit oid 0 nid zhi ones;
-                        Array.blit opos 0 npos zhi ones;
-                        Array.blit otix 0 ntix zhi ones;
-                        Array.blit otrl 0 ntrl zhi ones;
-                        fill := zhi + ones
-                      end;
-                      if zhi > zlo then
-                        groups :=
-                          (N.child node false, bit0 :: label :: pfx, zlo, zhi)
-                          :: !groups;
-                      if ones > 0 then
-                        groups :=
-                          (N.child node true, bit1 :: label :: pfx, zhi, zhi + ones)
-                          :: !groups
-                    end)
-                  level));
-            incr lvl;
-            (* swap the frontier buffers *)
-            let t = !cid in
-            cid := !nid;
-            nid := t;
-            let t = !cpos in
-            cpos := !npos;
-            npos := t;
-            let t = !ctix in
-            ctix := !ntix;
-            ntix := t;
-            let t = !ctrl in
-            ctrl := !ntrl;
-            ntrl := t
-          done
-      | _ -> ())
-    end);
+      if Trace.enabled () then
+        Trace.with_span ~args:[ ("ops", nops) ] "exec.batch" (fun () -> batch trie ops results)
+      else batch trie ops results;
     results
 end
 
@@ -356,76 +349,47 @@ end
 module Make_string (N : Wt_core.Node_view.CURSORED) = struct
   module E = Make (N)
 
+  (* A batch of several ops binarizes each distinct string, and decodes
+     each leaf's access result (one bitstring per leaf), once. *)
+  let shared nops f = if nops <= 1 then f else memo (Hashtbl.create 16) f
+
   let query_batch (trie : N.trie) (ops : Iseq.op array) :
       (Iseq.value, Iseq.error) result array =
     let n = N.length trie in
     let nops = Array.length ops in
+    let encode = shared nops Wt_core.String_api.encode in
+    let encode_prefix = shared nops Wt_core.String_api.encode_prefix in
     let out = Array.make nops (Ok (Iseq.Int 0)) in
-    (* binarization is shared across duplicate strings in the batch *)
-    let strs = Hashtbl.create 16 and prefs = Hashtbl.create 16 in
-    let memo tbl f s =
-      match Hashtbl.find_opt tbl s with
-      | Some b -> b
+    (* the valid ops, in order, as engine ops *)
+    let bitops = Array.make nops (E.Access 0) and m = ref 0 in
+    for i = 0 to nops - 1 do
+      match Iseq.check n ops.(i) with
+      | Some e -> out.(i) <- Error e
       | None ->
-          let b = f s in
-          Hashtbl.add tbl s b;
-          b
-    in
-    let encode = memo strs Wt_core.String_api.encode in
-    let encode_prefix = memo prefs Wt_core.String_api.encode_prefix in
-    let idxs = ref [] and bitops = ref [] in
-    let push i bop =
-      idxs := i :: !idxs;
-      bitops := bop :: !bitops
-    in
-    Array.iteri
-      (fun i op ->
-        match op with
-        | Iseq.Access { pos } ->
-            if pos < 0 || pos >= n then
-              out.(i) <- Error (Iseq.Position_out_of_bounds { pos; len = n })
-            else push i (E.Access pos)
-        | Iseq.Rank { s; pos } ->
-            if pos < 0 || pos > n then
-              out.(i) <- Error (Iseq.Position_out_of_bounds { pos; len = n })
-            else push i (E.Rank (encode s, pos))
-        | Iseq.Select { s; count } ->
-            if count < 0 then out.(i) <- Error (Iseq.Negative_count { count })
-            else push i (E.Select (encode s, count))
-        | Iseq.Rank_prefix { prefix; pos } ->
-            if pos < 0 || pos > n then
-              out.(i) <- Error (Iseq.Position_out_of_bounds { pos; len = n })
-            else push i (E.Rank_prefix (encode_prefix prefix, pos))
-        | Iseq.Select_prefix { prefix; count } ->
-            if count < 0 then out.(i) <- Error (Iseq.Negative_count { count })
-            else push i (E.Select_prefix (encode_prefix prefix, count)))
-      ops;
-    let idxs = Array.of_list (List.rev !idxs) in
-    let bitops = Array.of_list (List.rev !bitops) in
-    let res = E.run trie bitops in
-    (* access items landing on the same leaf share one bitstring; decode
-       each distinct one once *)
-    let decoded = Hashtbl.create 16 in
-    let decode bs =
-      match Hashtbl.find_opt decoded bs with
-      | Some s -> s
-      | None ->
-          let s = Binarize.to_bytes bs in
-          Hashtbl.add decoded bs s;
-          s
-    in
-    Array.iteri
-      (fun j r ->
-        let i = idxs.(j) in
+          bitops.(!m) <-
+            (match ops.(i) with
+            | Iseq.Access { pos } -> E.Access pos
+            | Iseq.Rank { s; pos } -> E.Rank (encode s, pos)
+            | Iseq.Select { s; count } -> E.Select (encode s, count)
+            | Iseq.Rank_prefix { prefix; pos } -> E.Rank_prefix (encode_prefix prefix, pos)
+            | Iseq.Select_prefix { prefix; count } ->
+                E.Select_prefix (encode_prefix prefix, count));
+          incr m
+    done;
+    let bitops = if !m = nops then bitops else Array.sub bitops 0 !m in
+    let res = E.run trie bitops and decode = shared nops Binarize.to_bytes and j = ref 0 in
+    for i = 0 to nops - 1 do
+      if Result.is_ok out.(i) then begin
         out.(i) <-
-          (match (r, bitops.(j)) with
+          (match (res.(!j), bitops.(!j)) with
           | E.Bits bs, _ -> Ok (Iseq.Str (decode bs))
-          | E.Count c, _ -> Ok (Iseq.Int c)
-          | E.Found p, _ -> Ok (Iseq.Int p)
+          | (E.Count c | E.Found c), _ -> Ok (Iseq.Int c)
           | E.Missing occ, (E.Select (_, k) | E.Select_prefix (_, k)) ->
               Error (Iseq.No_occurrence { count = k; occurrences = occ })
-          | E.Missing _, _ -> assert false))
-      res;
+          | E.Missing _, _ -> assert false);
+        incr j
+      end
+    done;
     out
 end
 

@@ -13,7 +13,9 @@ let code_at s i = code.(Char.code (String.unsafe_get s i))
 
 let of_bytes s =
   let n = String.length s in
-  let out = Bitbuf.create ~capacity_bits:((9 * n) + 1) () in
+  (* 63 bits of slack past the terminator: reads near the end take the
+     one-load path of [Bitbuf.get_bits] too *)
+  let out = Bitbuf.create ~capacity_bits:((9 * n) + 64) () in
   let i = ref 0 in
   (* six codes (54 bits) per append *)
   while !i + 6 <= n do

@@ -56,19 +56,22 @@ let snoc t b =
   Bitbuf.add out b;
   { buf = out; off = 0; len = t.len + 1 }
 
-let lcp a b =
-  let n = min a.len b.len in
-  let rec go pos =
-    if pos >= n then n
-    else begin
-      let chunk = min 56 (n - pos) in
-      let wa = Bitbuf.get_bits a.buf (a.off + pos) chunk in
-      let wb = Bitbuf.get_bits b.buf (b.off + pos) chunk in
-      let x = wa lxor wb in
-      if x = 0 then go (pos + chunk) else pos + Broadword.lowest_bit x
-    end
-  in
-  go 0
+(* A loop, not a local recursive function: a closure per call would
+   allocate on every label comparison of a trie walk. *)
+let lcp_from a b off =
+  let n = min a.len (b.len - off) in
+  let pos = ref 0 and l = ref n in
+  while !pos < !l do
+    let chunk = min 56 (n - !pos) in
+    let wa = Bitbuf.get_bits a.buf (a.off + !pos) chunk in
+    let wb = Bitbuf.get_bits b.buf (b.off + off + !pos) chunk in
+    let x = wa lxor wb in
+    if x <> 0 then l := !pos + Broadword.lowest_bit x;
+    pos := !pos + chunk
+  done;
+  !l
+
+let lcp a b = lcp_from a b 0
 
 let is_prefix ~prefix t = prefix.len <= t.len && lcp prefix t = prefix.len
 

@@ -45,6 +45,10 @@ val snoc : t -> bool -> t
 val lcp : t -> t -> int
 (** Length of the longest common prefix, in bits.  Word-parallel. *)
 
+val lcp_from : t -> t -> int -> int
+(** [lcp_from a b off] is [lcp a (drop b off)], without allocating.
+    Requires [0 <= off <= length b]. *)
+
 val is_prefix : prefix:t -> t -> bool
 
 val compare : t -> t -> int

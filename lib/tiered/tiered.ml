@@ -17,11 +17,11 @@
       replay source — there is no separate delta snapshot file.
     - {b Reads} go through a {!View}: the tier list
       [runs…; sealed?; delta] with prefix-sum offsets.  The view
-      implements the whole query surface — scalar access/rank/select
-      via per-tier decomposition, the range suite via per-tier windows
-      merged into one tally by string, and [query_batch] via a
-      two-phase per-tier batch decomposition that reuses the batch
-      engine and the domain pool on every tier.
+      implements the whole query surface — the point ops through
+      [query_batch], a two-phase per-tier batch decomposition that
+      reuses the batch engine and the domain pool on every tier (a
+      scalar op is a batch of one, as for every variant), and the range
+      suite via per-tier windows merged into one tally by string.
     - {b Compaction}: the writer seals the delta the moment it reaches
       the threshold, waiting first for a compaction still running (at
       most one sealed delta, so every seal adds exactly [threshold]
@@ -137,7 +137,6 @@ module View = struct
     { tiers; offsets; dir }
 
   let length v = v.offsets.(Array.length v.tiers)
-  let tier_count v = Array.length v.tiers
   let tier_len v i = v.offsets.(i + 1) - v.offsets.(i)
 
   (* The tier holding global position [pos] (valid: 0 <= pos < length):
@@ -151,30 +150,6 @@ module View = struct
       if v.offsets.(mid) <= pos then lo := mid else hi := mid - 1
     done;
     !lo
-
-  (* Per-tier scalar primitives. *)
-  let t_access t p =
-    match t with Run f -> Flat_wt.access f p | App d -> Append_wt.access d p
-
-  let t_rank t s p =
-    match t with Run f -> Flat_wt.rank f s p | App d -> Append_wt.rank d s p
-
-  let t_rank_prefix t s p =
-    match t with
-    | Run f -> Flat_wt.rank_prefix f s p
-    | App d -> Append_wt.rank_prefix d s p
-
-  let t_select t s k =
-    match t with Run f -> Flat_wt.select f s k | App d -> Append_wt.select d s k
-
-  let t_select_prefix t s k =
-    match t with
-    | Run f -> Flat_wt.select_prefix f s k
-    | App d -> Append_wt.select_prefix d s k
-
-  let t_space_bits = function
-    | Run f -> Flat_wt.space_bits f
-    | App d -> Append_wt.space_bits d
 
   let t_stats = function Run f -> Flat_wt.stats f | App d -> Append_wt.stats d
 
@@ -283,56 +258,14 @@ module View = struct
       walk 0 k
   end
 
-  (* The merged view as an {!Iseq.S} indexed sequence, so the standard
-     byte façade ({!Wt_core.String_api.Make}) applies verbatim and the
-     merged scalar API reports byte-for-byte the same errors as every
-     other variant. *)
-  module Seq = struct
-    type nonrec t = t
+  let distinct_count v = Array.length (tally v ~lo:0 ~hi:(length v))
 
-    let length = length
-    let access v pos =
-      let i = locate v pos in
-      t_access v.tiers.(i) (pos - v.offsets.(i))
-
-    (* rank over [0, pos): sum of per-tier ranks over clipped windows. *)
-    let fold_rank rank1 v s pos =
-      let acc = ref 0 and i = ref 0 in
-      let nt = Array.length v.tiers in
-      while !i < nt && v.offsets.(!i) < pos do
-        let upto = min (tier_len v !i) (pos - v.offsets.(!i)) in
-        if upto > 0 then acc := !acc + rank1 v.tiers.(!i) s upto;
-        incr i
-      done;
-      !acc
-
-    let rank v s pos = fold_rank t_rank v s pos
-    let rank_prefix v s pos = fold_rank t_rank_prefix v s pos
-
-    (* select: walk tiers subtracting each tier's total occurrence
-       count until the residual index lands inside one. *)
-    let fold_select count1 sel1 v s idx =
-      let nt = Array.length v.tiers in
-      let rec go i idx =
-        if i >= nt then None
-        else
-          let len = tier_len v i in
-          let c = if len = 0 then 0 else count1 v.tiers.(i) s len in
-          if idx < c then
-            Option.map (fun p -> v.offsets.(i) + p) (sel1 v.tiers.(i) s idx)
-          else go (i + 1) (idx - c)
-      in
-      go 0 idx
-
-    let select v s idx = fold_select t_rank t_select v s idx
-    let select_prefix v s idx = fold_select t_rank_prefix t_select_prefix v s idx
-
-    let distinct_count v = Array.length (tally v ~lo:0 ~hi:(length v))
-
-    let space_bits v =
-      Array.fold_left (fun acc t -> acc + t_space_bits t) 0 v.tiers
-      + (64 * (Array.length v.tiers + 1))
-  end
+  let space_bits v =
+    Array.fold_left
+      (fun acc t ->
+        acc + match t with Run f -> Flat_wt.space_bits f | App d -> Append_wt.space_bits d)
+      (64 * (Array.length v.tiers + 1))
+      v.tiers
 
   (* ---------------------------------------------------------------- *)
   (* Batched queries: two-phase per-tier decomposition.
@@ -362,8 +295,8 @@ module View = struct
     let n = length v in
     let nops = Array.length ops in
     let out = Array.make nops (Ok (Iseq.Int 0)) in
-    let errs = Array.make nops None in
-    let err i e = if errs.(i) = None then errs.(i) <- Some e in
+    (* an op's first error is its answer *)
+    let err i e = match out.(i) with Error _ -> () | Ok _ -> out.(i) <- Error e in
     let sums = Array.make nops 0 in
     let sel_counts = Hashtbl.create 16 in
     (* phase-A op lists per tier, accumulated in reverse *)
@@ -377,50 +310,28 @@ module View = struct
         if tier_len v j > 0 then f j (tier_len v j)
       done
     in
+    (* a rank-family op counting [op]'s string or prefix before [pos] *)
+    let rank_at op pos =
+      match op with
+      | Iseq.Rank { s; _ } | Iseq.Select { s; _ } -> Iseq.Rank { s; pos }
+      | Iseq.Rank_prefix { prefix; _ } | Iseq.Select_prefix { prefix; _ } ->
+          Iseq.Rank_prefix { prefix; pos }
+      | Iseq.Access _ -> assert false
+    in
     Array.iteri
       (fun i op ->
-        match op with
-        | Iseq.Access { pos } ->
-            if pos < 0 || pos >= n then
-              err i (Iseq.Position_out_of_bounds { pos; len = n })
-            else
-              let j = locate v pos in
-              push_a j (Iseq.Access { pos = pos - v.offsets.(j) }) (Direct i)
-        | Iseq.Rank { s; pos } ->
-            if pos < 0 || pos > n then
-              err i (Iseq.Position_out_of_bounds { pos; len = n })
-            else
-              each_tier (fun j len ->
-                  if v.offsets.(j) < pos then
-                    push_a j
-                      (Iseq.Rank { s; pos = min len (pos - v.offsets.(j)) })
-                      (Sum i))
-        | Iseq.Rank_prefix { prefix; pos } ->
-            if pos < 0 || pos > n then
-              err i (Iseq.Position_out_of_bounds { pos; len = n })
-            else
-              each_tier (fun j len ->
-                  if v.offsets.(j) < pos then
-                    push_a j
-                      (Iseq.Rank_prefix
-                         { prefix; pos = min len (pos - v.offsets.(j)) })
-                      (Sum i))
-        | Iseq.Select { s; count } ->
-            if count < 0 then err i (Iseq.Negative_count { count })
-            else begin
-              Hashtbl.replace sel_counts i (Array.make nt 0);
-              each_tier (fun j len ->
-                  push_a j (Iseq.Rank { s; pos = len }) (Sel_count (i, j)))
-            end
-        | Iseq.Select_prefix { prefix; count } ->
-            if count < 0 then err i (Iseq.Negative_count { count })
-            else begin
-              Hashtbl.replace sel_counts i (Array.make nt 0);
-              each_tier (fun j len ->
-                  push_a j
-                    (Iseq.Rank_prefix { prefix; pos = len })
-                    (Sel_count (i, j)))
-            end)
+        match (Iseq.check n op, op) with
+        | Some e, _ -> err i e
+        | None, Iseq.Access { pos } ->
+            let j = locate v pos in
+            push_a j (Iseq.Access { pos = pos - v.offsets.(j) }) (Direct i)
+        | None, (Iseq.Rank { pos; _ } | Iseq.Rank_prefix { pos; _ }) ->
+            each_tier (fun j len ->
+                if v.offsets.(j) < pos then
+                  push_a j (rank_at op (min len (pos - v.offsets.(j)))) (Sum i))
+        | None, (Iseq.Select _ | Iseq.Select_prefix _) ->
+            Hashtbl.replace sel_counts i (Array.make nt 0);
+            each_tier (fun j len -> push_a j (rank_at op len) (Sel_count (i, j))))
       ops;
     let run_phase ops_per_tier consume =
       Array.iteri
@@ -444,64 +355,55 @@ module View = struct
             | _, Error e -> err i e
             | Direct _, Ok value -> out.(i) <- Ok value
             | Sum _, Ok (Iseq.Int c) -> sums.(i) <- sums.(i) + c
-            | Sel_count (_, j'), Ok (Iseq.Int c) ->
-                (Hashtbl.find sel_counts i).(j') <- c
-            | (Sum _ | Sel_count _), Ok (Iseq.Str _) ->
-                (* engine shape violation; not reachable *)
-                err i
-                  (Iseq.Storage_error
-                     { path = "<tiered>"; reason = "batch result shape mismatch" }))
+            | Sel_count (_, j'), Ok (Iseq.Int c) -> (Hashtbl.find sel_counts i).(j') <- c
+            | (Sum _ | Sel_count _), Ok (Iseq.Str _) -> assert false)
           res);
     (* phase B: one select per op, in the tier owning the residual *)
-    let b_ops = Array.make nt [] and b_idx = Array.make nt [] in
-    Array.iteri
-      (fun i op ->
-        if errs.(i) = None then
-          match op with
-          | Iseq.Select { s = _; count } | Iseq.Select_prefix { prefix = _; count }
-            -> (
-              let counts = Hashtbl.find sel_counts i in
-              let total = Array.fold_left ( + ) 0 counts in
-              if count >= total then
-                err i (Iseq.No_occurrence { count; occurrences = total })
-              else begin
-                let j = ref 0 and rem = ref count in
-                while !rem >= counts.(!j) do
-                  rem := !rem - counts.(!j);
-                  incr j
-                done;
-                let sub =
-                  match op with
-                  | Iseq.Select { s; _ } -> Iseq.Select { s; count = !rem }
-                  | Iseq.Select_prefix { prefix; _ } ->
-                      Iseq.Select_prefix { prefix; count = !rem }
-                  | _ -> assert false
-                in
-                b_ops.(!j) <- sub :: b_ops.(!j);
-                b_idx.(!j) <- i :: b_idx.(!j)
-              end)
-          | _ -> ())
-      ops;
-    run_phase b_ops (fun j res ->
-        let idx = Array.of_list (List.rev b_idx.(j)) in
-        Array.iteri
-          (fun k r ->
-            match r with
-            | Error e -> err idx.(k) e
-            | Ok (Iseq.Int p) -> out.(idx.(k)) <- Ok (Iseq.Int (v.offsets.(j) + p))
-            | Ok (Iseq.Str _) ->
-                err idx.(k)
-                  (Iseq.Storage_error
-                     { path = "<tiered>"; reason = "batch result shape mismatch" }))
-          res);
-    Array.iteri
-      (fun i op ->
-        match errs.(i) with
-        | Some e -> out.(i) <- Error e
-        | None -> (
+    if Hashtbl.length sel_counts > 0 then begin
+      let b_ops = Array.make nt [] and b_idx = Array.make nt [] in
+      Array.iteri
+        (fun i op ->
+          if Result.is_ok out.(i) then
             match op with
-            | Iseq.Rank _ | Iseq.Rank_prefix _ -> out.(i) <- Ok (Iseq.Int sums.(i))
-            | _ -> ()))
+            | Iseq.Select { s = _; count } | Iseq.Select_prefix { prefix = _; count }
+              -> (
+                let counts = Hashtbl.find sel_counts i in
+                let total = Array.fold_left ( + ) 0 counts in
+                if count >= total then
+                  err i (Iseq.No_occurrence { count; occurrences = total })
+                else begin
+                  let j = ref 0 and rem = ref count in
+                  while !rem >= counts.(!j) do
+                    rem := !rem - counts.(!j);
+                    incr j
+                  done;
+                  let sub =
+                    match op with
+                    | Iseq.Select { s; _ } -> Iseq.Select { s; count = !rem }
+                    | Iseq.Select_prefix { prefix; _ } ->
+                        Iseq.Select_prefix { prefix; count = !rem }
+                    | _ -> assert false
+                  in
+                  b_ops.(!j) <- sub :: b_ops.(!j);
+                  b_idx.(!j) <- i :: b_idx.(!j)
+                end)
+            | _ -> ())
+        ops;
+      run_phase b_ops (fun j res ->
+          let idx = Array.of_list (List.rev b_idx.(j)) in
+          Array.iteri
+            (fun k r ->
+              match r with
+              | Error e -> err idx.(k) e
+              | Ok (Iseq.Int p) -> out.(idx.(k)) <- Ok (Iseq.Int (v.offsets.(j) + p))
+              | Ok (Iseq.Str _) -> assert false)
+            res)
+    end;
+    Array.iteri
+      (fun i op ->
+        match (op, out.(i)) with
+        | (Iseq.Rank _ | Iseq.Rank_prefix _), Ok _ -> out.(i) <- Ok (Iseq.Int sums.(i))
+        | _ -> ())
       ops;
     out
 
@@ -517,10 +419,6 @@ module View = struct
     | exception (Invalid_argument reason | Failure reason) ->
         Error (Iseq.Storage_error { path = dir; reason = "corrupt tier: " ^ reason })
 end
-
-(* The scalar byte façade over a view: same functor as every variant,
-   so error semantics cannot drift. *)
-module F = Wt_core.String_api.Make (View.Seq)
 
 (* ------------------------------------------------------------------ *)
 (* On-disk manifest *)
@@ -1075,7 +973,7 @@ let stats t : Stats.t =
   let foldi f = Array.fold_left (fun acc (s : Stats.t) -> acc + f s) 0 per in
   {
     n;
-    distinct = View.Seq.distinct_count v;
+    distinct = View.distinct_count v;
     avg_height =
       (if n = 0 then 0.
        else fold (fun s -> s.avg_height *. float_of_int s.n) /. float_of_int n);
@@ -1094,24 +992,15 @@ let stats t : Stats.t =
 let protect t f = if t.closed then Error Iseq.Trie_closed else View.protect ~dir:t.dir f
 
 let length t = View.length (current_view t)
-let distinct_count t = View.Seq.distinct_count (current_view t)
-let space_bits t = View.Seq.space_bits (current_view t)
-let access t ~pos = protect t (fun () -> F.access (current_view t) ~pos)
-let rank t s ~pos = protect t (fun () -> F.rank (current_view t) s ~pos)
-let select t s ~count = protect t (fun () -> F.select (current_view t) s ~count)
-
-let rank_prefix t ~prefix ~pos =
-  protect t (fun () -> F.rank_prefix (current_view t) ~prefix ~pos)
-
-let select_prefix t ~prefix ~count =
-  protect t (fun () -> F.select_prefix (current_view t) ~prefix ~count)
-
-let count t s = F.count (current_view t) s
-let count_prefix t ~prefix = F.count_prefix (current_view t) ~prefix
+let distinct_count t = View.distinct_count (current_view t)
+let space_bits t = View.space_bits (current_view t)
 
 let query_batch ?domains t ops =
   Iseq.protect_batch (protect t) ops (fun () ->
       View.query_batch ?domains (current_view t) ops)
+
+(* The scalar point ops: batches of one, as for every variant. *)
+include Iseq.Point (struct type nonrec t = t let length = length let query_batch = query_batch end)
 
 (* The range suite: the shared byte façade over the merged view, so
    validation, errors and observability (one counter hit, one latency

@@ -36,11 +36,18 @@ let encode_prefix = Wt_core.String_api.encode_prefix
    reference instance. *)
 module Pointer = struct
   module W = Wt_core.Wavelet_trie
-  include Wt_core.String_api.Make (W)
   include Wt_core.Range.Make_string (Wt_core.Range.Make (W.Node))
   module E = Wt_exec.Exec.Make_string (W.Node)
 
+  type t = W.t
+
+  let length = W.length
+  let distinct_count = W.distinct_count
+  let space_bits = W.space_bits
   let query_batch ?domains t ops = Wt_par.Par_exec.query_batch ?domains E.query_batch t ops
+
+  include I.Point (struct type nonrec t = t let length = length let query_batch = query_batch end)
+
   let of_array a = W.of_array (Array.map encode a)
 end
 

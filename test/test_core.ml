@@ -9,7 +9,6 @@ module Naive = Wt_core.Indexed_sequence.Naive
 module Wavelet_trie = Wt_core.Wavelet_trie
 module Append_wt = Wt_core.Append_wt
 module Dynamic_wt = Wt_core.Dynamic_wt
-module Str_api = Wt_core.String_api
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -350,52 +349,52 @@ let qcheck_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* String_api facade *)
+(* The byte-string front door ([Wtrie]) *)
 
 let test_string_api_static () =
-  let wt = Str_api.Static.of_list [ "a.com/x"; "b.org/y"; "a.com/x"; "a.com/z" ] in
-  check_int "length" 4 (Str_api.Static.length wt);
+  let wt = Wtrie.Static.of_list [ "a.com/x"; "b.org/y"; "a.com/x"; "a.com/z" ] in
+  check_int "length" 4 (Wtrie.Static.length wt);
   Alcotest.(check string) "access" "b.org/y"
-    (Result.get_ok (Str_api.Static.access wt ~pos:1));
-  check_int "rank" 2 (Result.get_ok (Str_api.Static.rank wt "a.com/x" ~pos:4));
+    (Result.get_ok (Wtrie.Static.access wt ~pos:1));
+  check_int "rank" 2 (Result.get_ok (Wtrie.Static.rank wt "a.com/x" ~pos:4));
   Alcotest.(check bool)
     "rank out of bounds" true
-    (Str_api.Static.rank wt "a.com/x" ~pos:99
+    (Wtrie.Static.rank wt "a.com/x" ~pos:99
     = Error (Wt_core.Indexed_sequence.Position_out_of_bounds { pos = 99; len = 4 }));
-  check_int "count" 2 (Str_api.Static.count wt "a.com/x");
-  check_int "select" 2 (Result.get_ok (Str_api.Static.select wt "a.com/x" ~count:1));
-  check_int "prefix count" 3 (Str_api.Static.count_prefix wt ~prefix:"a.com/");
+  check_int "count" 2 (Wtrie.Static.count wt "a.com/x");
+  check_int "select" 2 (Result.get_ok (Wtrie.Static.select wt "a.com/x" ~count:1));
+  check_int "prefix count" 3 (Wtrie.Static.count_prefix wt ~prefix:"a.com/");
   check_int "prefix rank" 1
-    (Result.get_ok (Str_api.Static.rank_prefix wt ~prefix:"a.com/" ~pos:1));
+    (Result.get_ok (Wtrie.Static.rank_prefix wt ~prefix:"a.com/" ~pos:1));
   check_int "prefix select" 3
-    (Result.get_ok (Str_api.Static.select_prefix wt ~prefix:"a.com/" ~count:2));
+    (Result.get_ok (Wtrie.Static.select_prefix wt ~prefix:"a.com/" ~count:2));
   Alcotest.(check bool)
     "absent select reports the occurrence count" true
-    (Str_api.Static.select wt "nope" ~count:0
+    (Wtrie.Static.select wt "nope" ~count:0
     = Error (Wt_core.Indexed_sequence.No_occurrence { count = 0; occurrences = 0 }));
-  check_int "absent" 0 (Str_api.Static.count wt "nope")
+  check_int "absent" 0 (Wtrie.Static.count wt "nope")
 
 let test_string_api_dynamic () =
-  let wt = Str_api.Dynamic.create () in
-  Str_api.Dynamic.append wt "one";
-  Str_api.Dynamic.append wt "two";
-  Str_api.Dynamic.insert wt ~pos:1 "one-and-a-half";
+  let wt = Wtrie.Dynamic.create () in
+  Wtrie.Dynamic.append wt "one";
+  Wtrie.Dynamic.append wt "two";
+  Wtrie.Dynamic.insert wt ~pos:1 "one-and-a-half";
   Alcotest.(check string) "order" "one-and-a-half"
-    (Result.get_ok (Str_api.Dynamic.access wt ~pos:1));
-  check_int "distinct" 3 (Str_api.Dynamic.distinct_count wt);
-  Str_api.Dynamic.delete wt ~pos:1;
-  check_int "after delete" 2 (Str_api.Dynamic.distinct_count wt);
+    (Result.get_ok (Wtrie.Dynamic.access wt ~pos:1));
+  check_int "distinct" 3 (Wtrie.Dynamic.distinct_count wt);
+  Wtrie.Dynamic.delete wt ~pos:1;
+  check_int "after delete" 2 (Wtrie.Dynamic.distinct_count wt);
   Alcotest.(check string) "shifted" "two"
-    (Result.get_ok (Str_api.Dynamic.access wt ~pos:1))
+    (Result.get_ok (Wtrie.Dynamic.access wt ~pos:1))
 
 let test_string_api_append () =
-  let wt = Str_api.Append.create () in
-  List.iter (Str_api.Append.append wt) [ "x"; "y" ];
-  Str_api.Append.append_batch wt [| "x"; "xy" |];
-  check_int "rank x" 2 (Str_api.Append.count wt "x");
-  check_int "prefix x" 3 (Str_api.Append.count_prefix wt ~prefix:"x");
+  let wt = Wtrie.Append.create () in
+  List.iter (Wtrie.Append.append wt) [ "x"; "y" ];
+  Wtrie.Append.append_batch wt [| "x"; "xy" |];
+  check_int "rank x" 2 (Wtrie.Append.count wt "x");
+  check_int "prefix x" 3 (Wtrie.Append.count_prefix wt ~prefix:"x");
   Alcotest.(check string) "access" "xy"
-    (Result.get_ok (Str_api.Append.access wt ~pos:3))
+    (Result.get_ok (Wtrie.Append.access wt ~pos:3))
 
 let () =
   Alcotest.run "wt_core"

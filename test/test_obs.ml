@@ -11,7 +11,6 @@ module Metric = Wt_obs.Metric
 module Histogram = Wt_obs.Histogram
 module Json = Wt_obs.Json
 module Report = Wt_obs.Report
-module Str = Wt_core.String_api
 
 let check_int = Alcotest.(check int)
 
@@ -91,7 +90,7 @@ let test_mutation_counters () =
 
 (* ------------------------------------------------------------------ *)
 (* (b) JSON round-trips, with deterministic latencies via the injected
-   clock: every timed section lasts exactly 1000 "ns". *)
+   clock: every clock read advances it by exactly 1000 "ns". *)
 
 let test_report_roundtrip () =
   let ticks = ref 0 in
@@ -100,21 +99,28 @@ let test_report_roundtrip () =
       !ticks);
   Fun.protect ~finally:(fun () -> Probe.set_clock Probe.default_clock) @@ fun () ->
   probed (fun () ->
-      let wt = Str.Static.of_list [ "a"; "b"; "a"; "ab" ] in
-      check_int "count" 2 (Str.Static.count wt "a");
-      ignore (Str.Static.access wt ~pos:3);
-      ignore (Str.Static.select wt "b" ~count:0);
+      let wt = Wtrie.Static.of_list [ "a"; "b"; "a"; "ab" ] in
+      check_int "count" 2 (Wtrie.Static.count wt "a");
+      (* the count is a batch of one through the engine, which times
+         every trie level it walks: one level per node visited *)
+      let levels = Probe.counter Wt_nodes_visited in
+      check_int "one level timing per node" levels (Probe.histogram Exec_level).Histogram.count;
+      ignore (Wtrie.Static.access wt ~pos:3);
+      ignore (Wtrie.Static.select wt "b" ~count:0);
       let report =
         Report.capture
           ~space:
             [ Wt_core.Stats.to_breakdown ~variant:"static" (Wt_core.Flat_wt.stats wt) ]
           ()
       in
-      (* deterministic clock: 1000 ns lands in the [512, 1024) bucket *)
+      (* deterministic clock: the [wt_rank] section spans two clock
+         reads per level timing plus its own closing read, 1000 ns
+         each, and lands in the power-of-two bucket below that *)
+      let rank_ns = 1000 * ((2 * levels) + 1) in
       let lat = List.find (fun l -> l.Report.op = "wt_rank") report.Report.latencies in
       check_int "lat count" 1 lat.Report.count;
-      check_int "lat p50 lower bound" 512 lat.Report.p50_ns;
-      check_int "lat max exact" 1000 lat.Report.max_ns;
+      check_int "lat p50 lower bound" (1 lsl Histogram.bucket_of rank_ns) lat.Report.p50_ns;
+      check_int "lat max exact" rank_ns lat.Report.max_ns;
       (* to_json -> of_json -> to_json is the identity on the JSON form *)
       let j1 = Report.to_json_string report in
       (match Report.of_json_string j1 with
@@ -223,14 +229,14 @@ let test_disabled_zero_cost () =
 (* Enabling probes must not change any result either. *)
 let test_enabled_same_results () =
   let strings = Array.init 64 (fun i -> Printf.sprintf "s/%d" (i mod 10)) in
-  let wt = Str.Static.of_array strings in
+  let wt = Wtrie.Static.of_array strings in
   let run () =
     Array.to_list
       (Array.mapi
          (fun i s ->
-           ( Str.Static.access wt ~pos:i,
-             Str.Static.count wt s,
-             Str.Static.select wt s ~count:0 ))
+           ( Wtrie.Static.access wt ~pos:i,
+             Wtrie.Static.count wt s,
+             Wtrie.Static.select wt s ~count:0 ))
          strings)
   in
   let off = run () in

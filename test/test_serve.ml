@@ -374,12 +374,21 @@ let test_deadline_beats_window () =
         true (dt < 0.25))
 
 let test_expired_never_executed () =
+  (* The server stamps a request at admission and reads the clock again
+     at the flush; a loop that gets there in under 1us would still find
+     the request live.  Every clock read here steps 2us past the real
+     clock, so the flush always reads a time past the deadline. *)
+  let reads = Atomic.make 0 in
+  Wt_obs.Probe.set_clock (fun () ->
+      Wt_obs.Probe.default_clock () + (2_000 * Atomic.fetch_and_add reads 1));
+  Fun.protect ~finally:(fun () -> Wt_obs.Probe.set_clock Wt_obs.Probe.default_clock)
+  @@ fun () ->
   with_server
     ~tweak:(fun c -> { c with window_us = 50_000; batch_max = 1_000_000 })
     (fun _wt srv ->
       let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port srv) () in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      (* 1us deadline, 50ms window: expired long before any flush *)
+      (* 1us deadline, 50ms window: expired before any flush *)
       let got = Client.call ~timeout_us:1 c (Wire.Query (Is.Access { pos = 0 })) in
       Alcotest.(check bool) "expired request reports Deadline_exceeded" true
         (got = Wire.Deadline_exceeded);

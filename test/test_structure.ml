@@ -1,6 +1,6 @@
 (* Structural validation of the Wavelet Trie invariants through the
    public Node view, generically over all variants, plus golden tests for
-   the pretty-printer and the String_api facade's corner cases. *)
+   the pretty-printer and the Wtrie front door's corner cases. *)
 
 module Bitstring = Wt_strings.Bitstring
 module Binarize = Wt_strings.Binarize
@@ -8,7 +8,6 @@ module Xoshiro = Wt_bits.Xoshiro
 module Wavelet_trie = Wt_core.Wavelet_trie
 module Append_wt = Wt_core.Append_wt
 module Dynamic_wt = Wt_core.Dynamic_wt
-module Str = Wt_core.String_api
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -130,17 +129,17 @@ let test_pp_golden () =
     (Format.asprintf "%a" Wavelet_trie.pp (Wavelet_trie.of_array [||]))
 
 let test_string_api_empty_prefix () =
-  let wt = Str.Static.of_list [ "a"; "b"; "a" ] in
+  let wt = Wtrie.Static.of_list [ "a"; "b"; "a" ] in
   (* the empty byte prefix matches every stored string *)
-  check_int "empty prefix counts all" 3 (Str.Static.count_prefix wt ~prefix:"");
+  check_int "empty prefix counts all" 3 (Wtrie.Static.count_prefix wt ~prefix:"");
   Alcotest.(check (result int reject)) "empty prefix select" (Ok 1)
-    (Str.Static.select_prefix wt ~prefix:"" ~count:1);
+    (Wtrie.Static.select_prefix wt ~prefix:"" ~count:1);
   (* and the empty *string* is storable and distinct from the prefix *)
-  let wt = Str.Static.of_list [ ""; "x"; "" ] in
-  check_int "empty string count" 2 (Str.Static.count wt "");
+  let wt = Wtrie.Static.of_list [ ""; "x"; "" ] in
+  check_int "empty string count" 2 (Wtrie.Static.count wt "");
   Alcotest.(check string) "empty string access" ""
-    (Result.get_ok (Str.Static.access wt ~pos:0));
-  check_int "empty prefix still counts all" 3 (Str.Static.count_prefix wt ~prefix:"")
+    (Result.get_ok (Wtrie.Static.access wt ~pos:0));
+  check_int "empty prefix still counts all" 3 (Wtrie.Static.count_prefix wt ~prefix:"")
 
 let test_wavelet_tree_backends_agree () =
   let rng = Xoshiro.create 26 in

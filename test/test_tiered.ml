@@ -51,8 +51,9 @@ let test_concurrent_readers () =
       if len > limit then Atomic.incr failures
       else if len > 0 then begin
         let probe pos =
-          let got = T.View.Seq.access v pos in
-          if Wt_strings.Binarize.to_bytes got <> oracle.(pos) then Atomic.incr failures
+          match T.View.query_batch v [| Wtrie.Access { pos } |] with
+          | [| Ok (Wtrie.Str got) |] -> if got <> oracle.(pos) then Atomic.incr failures
+          | _ -> Atomic.incr failures
         in
         probe (Random.State.int rng len);
         probe (len - 1);
@@ -145,7 +146,11 @@ let test_retired_runs () =
   T.compact t;
   check_int "one merged run" 1 (T.run_count t);
   check_bool "replaced file deleted" false (Sys.file_exists (Filename.concat dir "run-000000.wtx"));
-  let read v pos = Wt_strings.Binarize.to_bytes (T.View.Seq.access v pos) in
+  let read v pos =
+    match T.View.query_batch v [| Wtrie.Access { pos } |] with
+    | [| Ok (Wtrie.Str s) |] -> s
+    | _ -> Alcotest.fail "access through the view failed"
+  in
   check_bool "older view reads the replaced run" true
     (List.init 8 (read before) = [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]);
   T.close t;
