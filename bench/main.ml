@@ -81,6 +81,16 @@ let allocated_words () =
   let minor, promoted, major = Gc.counters () in
   minor +. major -. promoted
 
+(* The words [f] allocates.  Between minor collections OCaml 5's
+   minor-word counter lags the allocation, while a collection books it
+   exactly, so the count is bracketed by two. *)
+let words_of f =
+  Gc.minor ();
+  let w0 = allocated_words () in
+  let r = f () in
+  Gc.minor ();
+  (r, allocated_words () -. w0)
+
 (* ------------------------------------------------------------------ *)
 (* Shared workloads *)
 
@@ -898,9 +908,7 @@ let tiered_block () =
     let dir = dir ^ "_alloc" in
     rm_store dir;
     let t = T.create ~threshold:(n + 1) dir in
-    let w0 = allocated_words () in
-    Array.iter (T.ingest t) strings;
-    let words = allocated_words () -. w0 in
+    let (), words = words_of (fun () -> Array.iter (T.ingest t) strings) in
     T.close t;
     rm_store dir;
     words /. float_of_int n
@@ -916,9 +924,7 @@ let tiered_block () =
     T.close t;
     let t, _ = T.open_ ~threshold:(n + 1) dir in
     Array.iter (T.ingest t) (Array.sub strings 12288 4096);
-    let w0 = allocated_words () in
-    T.compact t;
-    let words = allocated_words () -. w0 in
+    let (), words = words_of (fun () -> T.compact t) in
     assert (T.run_count t = 1);
     T.close t;
     rm_store dir;
@@ -1015,12 +1021,13 @@ let metrics_queries (type a)
    operations through the scalar front door and through [query_batch];
    the engine's level-by-level execution with per-node rank cursors
    should amortize the per-node directory walks away.  Each leg also
-   reports the words it allocates and its traversal work (trie nodes
-   visited, RRR ranks and accesses) per op, each from one more pass
-   after the timed ones: neither depends on the machine's speed or
-   load.  Between minor collections OCaml 5's minor-word counter lags
-   the allocation, while a collection books it exactly, so a words pass
-   is bracketed by two. *)
+   reports the words it allocates (between two [Gc.minor] calls, see
+   [words_of]) and its traversal work per op — trie nodes visited, and
+   the RRR ranks and, for access, accesses or, for select and
+   rank_prefix, selects — each from one more pass after the timed ones:
+   neither depends on the machine's speed or load.  Select asks for an
+   occurrence that exists; a prefix is a random cut of a stored
+   string. *)
 let batch_block () =
   let n = 131072 in
   let g = Urls.create ~seed:42 () in
@@ -1032,8 +1039,20 @@ let batch_block () =
   let rank_args =
     Array.init b (fun _ -> (strings.(Xoshiro.int rng n), Xoshiro.int rng (n + 1)))
   in
-  let access_ops = Array.map (fun pos -> Wtrie.Access { pos }) positions in
-  let rank_ops = Array.map (fun (s, pos) -> Wtrie.Rank { s; pos }) rank_args in
+  let occurrences = Hashtbl.create 4096 in
+  Array.iter
+    (fun s -> Hashtbl.replace occurrences s (1 + Option.value ~default:0 (Hashtbl.find_opt occurrences s)))
+    strings;
+  let select_args =
+    Array.init b (fun _ ->
+        let s = strings.(Xoshiro.int rng n) in
+        (s, Xoshiro.int rng (Hashtbl.find occurrences s)))
+  in
+  let prefix_args =
+    Array.init b (fun _ ->
+        let s = strings.(Xoshiro.int rng n) in
+        (String.sub s 0 (1 + Xoshiro.int rng (String.length s)), Xoshiro.int rng (n + 1)))
+  in
   let best f =
     let d = ref infinity in
     for _ = 1 to 3 do
@@ -1041,40 +1060,34 @@ let batch_block () =
     done;
     !d *. 1e9 /. float_of_int b
   in
-  let words f =
-    Gc.minor ();
-    let w0 = allocated_words () in
-    f ();
-    Gc.minor ();
-    (allocated_words () -. w0) /. float_of_int b
-  in
-  let work leg f =
+  let words f = snd (words_of f) /. float_of_int b in
+  let work leg counted f =
     Probe.reset ();
     Probe.enable ();
     f ();
     Probe.disable ();
-    let row name m =
+    let row (name, m) =
       ( Printf.sprintf "%s_%s_per_op" leg name,
         Json.Float (float_of_int (Probe.counter m) /. float_of_int b) )
     in
-    let rows =
-      [ row "nodes" Wt_obs.Metric.Wt_nodes_visited; row "rrr_rank" Rrr_rank; row "rrr_access" Rrr_access ]
-    in
+    let rows = List.map row counted in
     Probe.reset ();
     rows
   in
-  let per ~scalar ~batch =
+  let per ~counted ~scalar ops =
     let scalar () =
       for i = 0 to b - 1 do
         scalar i
       done
     in
+    let batch () = ignore (Wtrie.Static.query_batch wt ops) in
     let scalar_ns = best scalar in
     let batch_ns = best batch in
     let scalar_words = words scalar in
     let batch_words = words batch in
-    let scalar_work = work "scalar" scalar in
-    let batch_work = work "batch" batch in
+    let counted = ("nodes", Wt_obs.Metric.Wt_nodes_visited) :: ("rrr_rank", Rrr_rank) :: counted in
+    let scalar_work = work "scalar" counted scalar in
+    let batch_work = work "batch" counted batch in
     Json.Obj
       ([
          ("scalar_ns_per_op", Json.Float scalar_ns);
@@ -1087,18 +1100,43 @@ let batch_block () =
   in
   let access =
     per
+      ~counted:[ ("rrr_access", Rrr_access) ]
       ~scalar:(fun i -> ignore (Wtrie.Static.access wt ~pos:positions.(i)))
-      ~batch:(fun () -> ignore (Wtrie.Static.query_batch wt access_ops))
+      (Array.map (fun pos -> Wtrie.Access { pos }) positions)
   in
   let rank =
     per
+      ~counted:[ ("rrr_access", Rrr_access) ]
       ~scalar:(fun i ->
         let s, pos = rank_args.(i) in
         ignore (Wtrie.Static.rank wt s ~pos))
-      ~batch:(fun () -> ignore (Wtrie.Static.query_batch wt rank_ops))
+      (Array.map (fun (s, pos) -> Wtrie.Rank { s; pos }) rank_args)
+  in
+  let select =
+    per
+      ~counted:[ ("rrr_select", Rrr_select) ]
+      ~scalar:(fun i ->
+        let s, count = select_args.(i) in
+        ignore (Wtrie.Static.select wt s ~count))
+      (Array.map (fun (s, count) -> Wtrie.Select { s; count }) select_args)
+  in
+  let rank_prefix =
+    per
+      ~counted:[ ("rrr_select", Rrr_select) ]
+      ~scalar:(fun i ->
+        let prefix, pos = prefix_args.(i) in
+        ignore (Wtrie.Static.rank_prefix wt ~prefix ~pos))
+      (Array.map (fun (prefix, pos) -> Wtrie.Rank_prefix { prefix; pos }) prefix_args)
   in
   Json.Obj
-    [ ("n", Json.Int n); ("batch_ops", Json.Int b); ("access", access); ("rank", rank) ]
+    [
+      ("n", Json.Int n);
+      ("batch_ops", Json.Int b);
+      ("access", access);
+      ("rank", rank);
+      ("select", select);
+      ("rank_prefix", rank_prefix);
+    ]
 
 (* The arena's β coder alone ([Rrr.Flat]): ns per rank, select and
    access at random positions on a 2^20-bit blob at densities 0.5, 0.1
@@ -1157,6 +1195,52 @@ let rrr_rows () =
   ignore (Sys.opaque_identity !sink);
   per_density "d50" 0.5 @ per_density "d10" 0.1 @ per_density "d1" 0.01 @ [ one_block ]
 
+(* The arena's node directory alone, on a serve_wide-shape arena
+   (262,144 URLs over 2,000 hosts x 200 paths, about 56,000 distinct):
+   its bits per node — exact, since the arena is a function of the
+   input — and ns per fused directory read ([Flat_wt.node_entry]: a
+   node's internal rank and content extent) over the nodes of 4,096
+   random root-to-leaf paths, those of [access] at random positions.
+   Best of five passes. *)
+let directory_rows () =
+  let n = 262144 in
+  let strings = Urls.raw_sequence (Urls.create ~seed:1 ~hosts:2000 ~paths_per_host:200 ()) n in
+  let t = Wtrie.Static.of_array strings in
+  let module N = Wt_core.Flat_wt.Node in
+  let rng = Xoshiro.create 71 in
+  let visits = ref [] in
+  for _ = 1 to 4096 do
+    let rec walk node pos =
+      visits := node.N.idx :: !visits;
+      if not (N.is_leaf node) then begin
+        let b, r = N.bv_access_rank node pos in
+        walk (N.child node b) r
+      end
+    in
+    walk (Option.get (N.root t)) (Xoshiro.int rng n)
+  done;
+  let visits = Array.of_list (List.rev !visits) in
+  let sink = ref 0 in
+  let d = ref infinity in
+  for _ = 1 to 5 do
+    d :=
+      min !d
+        (time_batch (fun () ->
+             Array.iter
+               (fun idx ->
+                 let _, lo, hi = Wt_core.Flat_wt.node_entry t idx in
+                 sink := !sink + lo + hi)
+               visits))
+  done;
+  ignore (Sys.opaque_identity !sink);
+  [
+    ( "directory_bits_per_node",
+      Json.Float
+        (float_of_int (Wt_core.Flat_wt.directory_bits t) /. float_of_int t.Wt_core.Flat_wt.node_count)
+    );
+    ("directory_ns", Json.Float (!d *. 1e9 /. float_of_int (Array.length visits)));
+  ]
+
 (* Restart economics of the format-v3 flat arena: one v2 pointer-tree
    deserialize vs the v3 checksum-plus-mmap open of the same ~131k-URL
    sequence, and the batch engine on the arena vs the pointer trie.
@@ -1169,9 +1253,7 @@ let flat_block () =
   let n = 131072 in
   let g = Urls.create ~seed:42 () in
   let strings = Urls.raw_sequence g n in
-  let w0 = allocated_words () in
-  let fwt = Wtrie.Static.of_array strings in
-  let build_words = allocated_words () -. w0 in
+  let fwt, build_words = words_of (fun () -> Wtrie.Static.of_array strings) in
   let build =
     List.fold_left min infinity
       (List.init 3 (fun _ -> time_batch (fun () -> ignore (Wtrie.Static.of_array strings))))
@@ -1230,7 +1312,7 @@ let flat_block () =
       ("pointer_batch_ns_per_op", Json.Float (ns pointer_batch));
       ("batch_vs_pointer_ratio", Json.Float (flat_batch /. pointer_batch));
     ]
-    @ rrr_rows ())
+    @ rrr_rows () @ directory_rows ())
 
 (* Parallel scaling of the batched engine: the identical Zipf URL batch
    executed sequentially and sharded over explicit pools of 2 and 4

@@ -18,25 +18,31 @@
      MB/s must not fall.  Improvements are reported, never gated.
 
    - Space: the static variant's space against the lower bound
-     ([ratio_to_lb]) and its node/directory overhead ([overhead_bits])
-     must equal the baseline.  Space is deterministic (fixed seed,
-     fixed n), so this gate is exact and fails even under --soft: a
-     layout change must come with a regenerated baseline.
+     ([ratio_to_lb]), its node/directory overhead ([overhead_bits]) and
+     the arena directory's bits per node on a serve_wide-shape arena
+     ([flat.directory_bits_per_node]) must equal the baseline.  Space is
+     deterministic (fixed seed, fixed n), so this gate is exact and
+     fails even under --soft: a layout change must come with a
+     regenerated baseline.
 
    - Allocation: the words one static build allocates per string
      ([flat.build_words_per_string]), the words one tiered ingest
      allocates ([tiered.ingest_words_per_string]), the words one
      merging tiered compaction allocates per string of its run
-     ([tiered.merge_words_per_string]) and the words per access and
-     rank op through the scalar façade and in a 16,384-op batch
-     ([batch.{access,rank}.{scalar,batch}_words_per_op]) may not exceed
-     the baseline by more than 10%.  Allocation does not depend on the
-     runner's speed or load (repeat runs agree to 0.01%), so this gate
-     also fails under --soft.
+     ([tiered.merge_words_per_string]) and the words per access, rank,
+     select and rank_prefix op through the scalar façade and in a
+     16,384-op batch
+     ([batch.{access,rank,select,rank_prefix}.{scalar,batch}_words_per_op])
+     may not exceed the baseline by more than 10%.  Each is counted
+     between two [Gc.minor] calls, so it does not depend on the
+     runner's speed, load or heap state, and this gate also fails under
+     --soft.
 
-   - Work: the trie nodes visited and the RRR ranks and accesses per
-     access and rank op, on the scalar and the batched leg
-     ([batch.{access,rank}.{scalar,batch}_{nodes,rrr_rank,rrr_access}_per_op]),
+   - Work: the trie nodes visited, and the RRR ranks and accesses per
+     access and rank op or ranks and selects per select and rank_prefix
+     op, on the scalar and the batched leg
+     ([batch.{access,rank}.{scalar,batch}_{nodes,rrr_rank,rrr_access}_per_op],
+     [batch.{select,rank_prefix}.{scalar,batch}_{nodes,rrr_rank,rrr_select}_per_op]),
      must equal the baseline.  They are counts on fixed inputs, so this
      gate is exact and fails even under --soft: a change to the work a
      query does must come with a regenerated baseline.
@@ -113,6 +119,8 @@ let gated =
     (Lower_better, "flat.rrr_select_ns_d1");
     (Lower_better, "flat.rrr_access_ns_d1");
     (Lower_better, "flat.rrr_one_block_rank_ns");
+    (* the arena's node directory alone: one fused read *)
+    (Lower_better, "flat.directory_ns");
     (* tiered store: sustained WAL-backed ingest rate and the merged
        run+delta read path's tail latency *)
     (Higher_better, "tiered.ingest_strings_per_s");
@@ -200,6 +208,17 @@ let structural base cur =
 
 let hard_failures = ref 0
 
+let exact ~why name b c =
+  match (b, c) with
+  | Some b, Some c when Float.abs (c -. b) <= 1e-9 *. Float.abs b ->
+      Printf.printf "ok    %-45s %12.4f  (exact)\n" name c
+  | Some b, Some c ->
+      incr hard_failures;
+      fail "%-45s %12.4f -> %12.4f  (%s: regenerate the baseline)" name b c why
+  | _ ->
+      incr hard_failures;
+      fail "%s missing from one side" name
+
 let space_exact base cur =
   let field j key =
     match lookup j "metrics.static.space" with
@@ -210,26 +229,25 @@ let space_exact base cur =
         | _ -> None)
     | _ -> None
   in
+  let why = "space is deterministic" in
   List.iter
-    (fun key ->
-      let name = "metrics.static.space." ^ key in
-      match (field base key, field cur key) with
-      | Some b, Some c when Float.abs (c -. b) <= 1e-9 *. Float.abs b ->
-          Printf.printf "ok    %-45s %12.4f  (exact)\n" name c
-      | Some b, Some c ->
-          incr hard_failures;
-          fail "%-45s %12.4f -> %12.4f  (space is deterministic: regenerate the baseline)"
-            name b c
-      | _ ->
-          incr hard_failures;
-          fail "%s missing from one side" name)
-    [ "ratio_to_lb"; "overhead_bits" ]
+    (fun key -> exact ~why ("metrics.static.space." ^ key) (field base key) (field cur key))
+    [ "ratio_to_lb"; "overhead_bits" ];
+  let path = "flat.directory_bits_per_node" in
+  exact ~why path (number base path) (number cur path)
 
-(* "batch.<op>.<row>_per_op" for the access and rank legs. *)
-let batch_rows rows =
+(* "batch.<op>.<row>_per_op" for the given legs. *)
+let batch_rows ?(ops = [ "access"; "rank"; "select"; "rank_prefix" ]) rows =
   List.concat_map
     (fun op -> List.map (fun row -> Printf.sprintf "batch.%s.%s_per_op" op row) rows)
-    [ "access"; "rank" ]
+    ops
+
+(* The exact work rows of a leg: nodes and RRR ranks, then accesses or
+   selects. *)
+let work_rows third =
+  List.concat_map
+    (fun leg -> List.map (Printf.sprintf "%s_%s" leg) [ "nodes"; "rrr_rank"; third ])
+    [ "scalar"; "batch" ]
 
 let alloc_gate base cur =
   List.iter
@@ -262,15 +280,8 @@ let work_exact base cur =
       | _ ->
           incr hard_failures;
           fail "%s missing from one side" path)
-    (batch_rows
-       [
-         "scalar_nodes";
-         "scalar_rrr_rank";
-         "scalar_rrr_access";
-         "batch_nodes";
-         "batch_rrr_rank";
-         "batch_rrr_access";
-       ])
+    (batch_rows ~ops:[ "access"; "rank" ] (work_rows "rrr_access")
+    @ batch_rows ~ops:[ "select"; "rank_prefix" ] (work_rows "rrr_select"))
 
 let throughput ~threshold base cur =
   List.iter

@@ -273,6 +273,8 @@ let verify_cmd =
               ("variant", Json.Str "tiered");
               ("generation", Json.Int r.T.v_generation);
               ("runs", Json.Int r.T.v_runs);
+              ( "run_arena_versions",
+                Json.Obj (List.map (fun (v, k) -> (string_of_int v, Json.Int k)) r.T.v_run_versions) );
               ("length", Json.Int r.T.v_length);
               ("distinct", Json.Int r.T.v_distinct);
               ("wal_records", Json.Int r.T.v_wal_records);
@@ -282,8 +284,15 @@ let verify_cmd =
             ]
         else if r.T.v_clean then
           Printf.printf
-            "%s: ok (tiered store, generation %d, %d runs, length %d, wal records %d)\n"
-            path r.T.v_generation r.T.v_runs r.T.v_length r.T.v_wal_records
+            "%s: ok (tiered store, generation %d, %d runs%s, length %d, wal records %d)\n"
+            path r.T.v_generation r.T.v_runs
+            (if r.T.v_run_versions = [] then ""
+             else
+               Printf.sprintf " (%s)"
+                 (String.concat ", "
+                    (List.map (fun (v, k) -> Printf.sprintf "%d at arena version %d" k v)
+                       r.T.v_run_versions)))
+            r.T.v_length r.T.v_wal_records
         else
           Printf.printf
             "%s: recoverable (tiered store, %d wal records intact, %d bytes torn%s%s); run 'wtrie recover %s'\n"
@@ -294,7 +303,7 @@ let verify_cmd =
         r.T.v_clean
       end
       else begin
-        let tag, length = Storage.verify_index path in
+        let tag, length, version = Storage.verify_index path in
         if json then
           emit
             [
@@ -302,8 +311,12 @@ let verify_cmd =
               ("kind", Json.Str "file");
               ("variant", Json.Str tag);
               ("length", Json.Int length);
+              ("arena_version", match version with Some v -> Json.Int v | None -> Json.Null);
             ]
-        else Printf.printf "%s: ok (%s index, length %d)\n" path tag length;
+        else
+          Printf.printf "%s: ok (%s index%s, length %d)\n" path tag
+            (match version with Some v -> Printf.sprintf ", arena version %d" v | None -> "")
+            length;
         true
       end
     with

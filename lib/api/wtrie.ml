@@ -212,7 +212,8 @@ module Storage = struct
             raise (Format_error (Printf.sprintf "unknown index variant %S" tag)))
 
   (* Deep verification for [wtrie verify]: full checksums, then the
-     variant's structural invariants.  Returns (variant, length). *)
+     variant's structural invariants.  Returns (variant, length, arena
+     version), the version [None] for a format-v2 file. *)
   let verify_index path =
     match index_version path with
     | Some v when v = Wt_durable.Container.version_v3 -> (
@@ -223,7 +224,7 @@ module Storage = struct
         | Ok t ->
             (try Wt_core.Flat_wt.check_invariants t
              with Failure m -> raise (Format_error ("index fails invariants: " ^ m)));
-            ("static", Static.length t))
+            ("static", Static.length t, Some (Wt_core.Flat_wt.version t)))
     | _ -> (
         let tag, _payload = Wt_durable.Container.read_tagged path in
         match tag with
@@ -239,17 +240,17 @@ module Storage = struct
               ignore (Wt_core.Wavelet_trie.access wt !i);
               i := !i + step
             done;
-            ("static", n)
+            ("static", n, None)
         | "append" ->
             let wt = Wt_core.Persist.load_append path in
             (try Wt_core.Append_wt.check_invariants wt
              with Failure m -> raise (Format_error ("index fails invariants: " ^ m)));
-            ("append", Wt_core.Append_wt.length wt)
+            ("append", Wt_core.Append_wt.length wt, None)
         | "dynamic" ->
             let wt = Wt_core.Persist.load_dynamic path in
             (try Wt_core.Dynamic_wt.check_invariants wt
              with Failure m -> raise (Format_error ("index fails invariants: " ^ m)));
-            ("dynamic", Wt_core.Dynamic_wt.length wt)
+            ("dynamic", Wt_core.Dynamic_wt.length wt, None)
         | t -> raise (Format_error (Printf.sprintf "unknown index variant %S" t)))
 
   (* [convert src dst] rewrites any readable index as a format-v3

@@ -35,24 +35,37 @@ let popcount_byte b =
 (* SWAR over 62 bits: pair, nibble and byte sums, then one multiply
    gathers the byte sums in bits 56..62 (the total, at most 62, fits in
    the 7 bits the 63-bit product keeps there). *)
-let popcount x =
+let[@inline] popcount x =
   if x < 0 then invalid_arg "Broadword.popcount: negative argument";
   let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
   let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
   let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
   (x * 0x0101_0101_0101_0101) lsr 56
 
-let select_in_word x k =
+(* Broadword select (after Vigna, "Broadword implementation of
+   rank/select queries", 2008): byte popcounts as in [popcount], their
+   prefix sums in one multiply (byte i holds the ones in bytes 0..i, at
+   most 62, so no byte carries and the top byte fits its 7 bits), the
+   number of bytes whose prefix is at most [k] — the byte holding the
+   [k]-th one — by one byte-parallel subtraction of the prefixes from
+   [k + 64] (bit 6 of each difference is set iff prefix <= k), then one
+   table lookup inside that byte. *)
+let l8 = 0x0101_0101_0101_0101
+
+let[@inline] select_in_word x k =
   if k < 0 then invalid_arg "Broadword.select_in_word: negative index";
-  let rec go x k base =
-    if x = 0 then invalid_arg "Broadword.select_in_word: index out of range"
-    else
-      let c = popcount_byte (x land 0xff) in
-      if k < c then
-        base + Char.code (Bytes.unsafe_get select_table (((x land 0xff) lsl 3) lor k))
-      else go (x lsr 8) (k - c) (base + 8)
-  in
-  go x k 0
+  if x < 0 then invalid_arg "Broadword.select_in_word: negative word";
+  let s = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let s = (s land 0x3333_3333_3333_3333) + ((s lsr 2) land 0x3333_3333_3333_3333) in
+  let s = (s + (s lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  let prefix = s * l8 in
+  if k >= prefix lsr 56 then invalid_arg "Broadword.select_in_word: index out of range";
+  (* bytes 0..6 only: the top byte's prefix, the total, exceeds k *)
+  let le = (((k + 64) * l8) - prefix) land 0x0040_4040_4040_4040 in
+  let i = ((le lsr 6) * l8) lsr 56 in
+  let before = ((prefix lsl 8) lsr (8 * i)) land 0xff in
+  (8 * i)
+  + Char.code (Bytes.unsafe_get select_table ((((x lsr (8 * i)) land 0xff) lsl 3) lor (k - before)))
 
 let mask n =
   if n < 0 || n > 62 then invalid_arg "Broadword.mask"

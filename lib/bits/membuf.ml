@@ -30,9 +30,11 @@ let of_string s =
 
 let to_string t = String.init t.len (fun i -> Bigarray.Array1.unsafe_get t.ba i)
 
-let check t off n what =
-  if off < 0 || n < 0 || off > t.len - n then
-    invalid_arg (Printf.sprintf "Membuf.%s: [%d, %d) outside [0, %d)" what off (off + n) t.len)
+let outside t off n what =
+  invalid_arg (Printf.sprintf "Membuf.%s: [%d, %d) outside [0, %d)" what off (off + n) t.len)
+
+(* Inlined, so a read in bounds pays two comparisons and no call. *)
+let[@inline] check t off n what = if off < 0 || n < 0 || off > t.len - n then outside t off n what
 
 let sub t off len =
   check t off len "sub";
@@ -66,13 +68,11 @@ let get_bit t pos =
 (* Unaligned native-endian 64-bit load; the caller bounds-checks. *)
 external unsafe_get64 : ba -> int -> int64 = "%caml_bigstring_get64u"
 
-(* [get_bits t pos len] reads [len <= 62] bits starting at bit [pos],
-   LSB-first, mirroring [Bitbuf.get_bits].  When the eight bytes from
-   the first one lie inside the window (and the host is little-endian)
-   one 64-bit load covers every read of at most 56 bits; otherwise the
-   bits are accumulated in <= 8-bit chunks so no intermediate shift
-   exceeds 61 (OCaml ints are 63-bit). *)
-let get_bits t pos len =
+(* The reads [get_bits] leaves out of line: a bad length, one outside
+   the window (which raises), and one ending within eight bytes of the
+   window's end or on a big-endian host, accumulated in <= 8-bit chunks
+   so no intermediate shift exceeds 61 (OCaml ints are 63-bit). *)
+let get_bits_slow t pos len =
   if len < 0 || len > 62 then invalid_arg "Membuf.get_bits: len outside [0, 62]";
   if len = 0 then 0
   else begin
@@ -80,22 +80,36 @@ let get_bits t pos len =
     let last_byte = (pos + len - 1) lsr 3 in
     check t first_byte (last_byte - first_byte + 1) "get_bits";
     let sh = pos land 7 in
-    if len <= 56 && first_byte <= t.len - 8 && not Sys.big_endian then
-      Int64.to_int (Int64.shift_right_logical (unsafe_get64 t.ba first_byte) sh)
-      land ((1 lsl len) - 1)
-    else begin
-      let take = min len (8 - sh) in
-      let acc = ref ((Char.code (Bigarray.Array1.unsafe_get t.ba first_byte) lsr sh)
-                     land ((1 lsl take) - 1)) in
-      let got = ref take in
-      let byte = ref (first_byte + 1) in
-      while !got < len do
-        let take = min 8 (len - !got) in
-        let v = Char.code (Bigarray.Array1.unsafe_get t.ba !byte) land ((1 lsl take) - 1) in
-        acc := !acc lor (v lsl !got);
-        got := !got + take;
-        incr byte
-      done;
-      !acc
-    end
+    let take = Int.min len (8 - sh) in
+    let acc = ref ((Char.code (Bigarray.Array1.unsafe_get t.ba first_byte) lsr sh)
+                   land ((1 lsl take) - 1)) in
+    let got = ref take in
+    let byte = ref (first_byte + 1) in
+    while !got < len do
+      let take = Int.min 8 (len - !got) in
+      let v = Char.code (Bigarray.Array1.unsafe_get t.ba !byte) land ((1 lsl take) - 1) in
+      acc := !acc lor (v lsl !got);
+      got := !got + take;
+      incr byte
+    done;
+    !acc
   end
+
+(* [get_bits t pos len] reads [len <= 62] bits starting at bit [pos],
+   LSB-first, mirroring [Bitbuf.get_bits].  When the eight bytes from
+   the first one lie inside the window (and the host is little-endian)
+   one 64-bit load covers a read of up to 64 - (pos mod 8) bits — every
+   read of at most 56 — and a longer one adds the ninth byte.  That path
+   is inlined into the caller. *)
+let[@inline] get_bits t pos len =
+  let first_byte = pos lsr 3 in
+  if len <= 0 || len > 62 || first_byte > t.len - 8
+     || (pos + len - 1) lsr 3 >= t.len || Sys.big_endian
+  then get_bits_slow t pos len
+  else
+    let sh = pos land 7 in
+    let x = Int64.to_int (Int64.shift_right_logical (unsafe_get64 t.ba first_byte) sh) in
+    if len <= 64 - sh then x land ((1 lsl len) - 1)
+    else
+      (x lor (Char.code (Bigarray.Array1.unsafe_get t.ba (first_byte + 8)) lsl (64 - sh)))
+      land ((1 lsl len) - 1)

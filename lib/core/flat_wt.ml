@@ -1,51 +1,61 @@
-(* Pointer-free flat static Wavelet Trie — the format-v3 arena.
+(* Pointer-free flat static Wavelet Trie — the arena.
 
    The whole trie lives in one contiguous byte blob: a 56-byte header, a
-   succinct node directory (topology bits with a rank sample per 32
-   nodes, and one monotone sequence of node offsets), then every
-   node's content — its header-free RRR bitvector blob
-   ({!Wt_bitvector.Rrr.Flat}) followed by its label — as one bit
-   stream.  Node counts are not stored: a child's count is its parent's
-   β zeros or ones, and the root's is the sequence length.  Queries run
-   directly against the blob through {!Wt_bits.Membuf} — the on-disk
-   container payload *is* the in-memory query structure, so [open] is a
-   checksummed header read plus an [mmap] (zero-copy, one read-only
-   mapping shareable across serving processes).
+   succinct node directory (per node, whether it is internal and where
+   its content starts), then every node's content — its header-free RRR
+   bitvector blob ({!Wt_bitvector.Rrr.Flat}) followed by its label — as
+   one bit stream.  Node counts are not stored: a child's count is its
+   parent's β zeros or ones, and the root's is the sequence length.
+   Queries run directly against the blob through {!Wt_bits.Membuf} — the
+   on-disk container payload *is* the in-memory query structure, so
+   [open] is a checksummed header read plus an [mmap] (zero-copy, one
+   read-only mapping shareable across serving processes).
 
-   Arena layout (integers little-endian, bit streams LSB-first; N nodes
-   in BFS order, I = (N - 1) / 2 of them internal; every section is
-   byte-aligned and its size derived from the header):
+   Arena layout, version 4 (integers little-endian, bit streams
+   LSB-first; N nodes in BFS order, I = (N - 1) / 2 of them internal;
+   every section is byte-aligned and its size derived from the header):
 
      header (56 bytes):
        off  0  magic "WTF3" (4 bytes)
-       off  4  u32 arena version (= 3; version 2 is read too)
+       off  4  u32 arena version (= 4; versions 2 and 3 are read too)
        off  8  u64 n               sequence length (the root's count)
        off 16  u64 node_count      N
        off 24  u64 labels_bits     total label length in bits
-       off 32  u64 offsets_bits    node offset stream length in bits
+       off 32  u64 directory_bits  node directory length in bits
        off 40  u64 content_bits    content stream length in bits
        off 48  u64 arena_len       total blob size in bytes
 
-     topology: ceil (N / 32) records of 8 bytes:
-       u32 internal nodes before the record's first node
-       u32 bit j set iff node 32r + j is internal
-     The children of internal node i are the consecutive nodes
-     [c, c + 1] with c = 2 * rank1 (internal, i) + 1.
-
-     node offsets: N + 1 bit offsets into the content stream
-       ({!Wt_succinct.Flat_offsets}: per block of 32, the first offset
-       and fixed-width differences at the block's own width),
-       offsets_bits bits, byte-padded.
+     node directory: directory_bits bits, byte-padded
+       ({!Wt_succinct.Flat_directory}, a partitioned Elias–Fano
+       sequence): per block of 32 nodes one record — internal nodes
+       before the block, its 32 topology bits, its first content offset,
+       its body's position, low-bit width and high-part length — then
+       per block a body with its other 31 offsets as a unary high part
+       of at most 62 bits and fixed-width low parts.  The children of
+       internal node i are the consecutive nodes [c, c + 1] with
+       c = 2 * rank1 (internal, i) + 1, and node i owns content
+       [off i, off (i + 1)), off N being content_bits.  One node visit
+       is two record reads and two body reads ([node_entry]).
 
      content: content_bits bits, byte-padded.  Node i owns
        [off i, off (i + 1)): an internal node's β blob (length = its
        count), then its label; a leaf's label alone.  A label's length
        is its extent minus the blob's.
 
-   Version 3 codes each β blob's last RRR block over its real length;
-   version 2 coded it over 62 bits like the others.  Both open through
-   the one blob decoder ({!Wt_bitvector.Rrr.Flat}), told which by
-   [padded_tail]; the builders write version 3 only.
+   Versions 2 and 3 have the same header, with offsets_bits at off 32,
+   and a two-part directory: ceil (N / 32) topology records of 8 bytes
+   (u32 internal nodes before the record's first node, u32 bit j set
+   iff node 32r + j is internal), then the N + 1 offsets in
+   offsets_bits bits ({!Wt_succinct.Flat_offsets}: per block of 32, the
+   first offset and fixed-width differences at the block's own width).
+   On a URL log of 262,144 strings, 55,741 distinct (111,481 nodes),
+   that directory takes 14.41 bits per node (2.00 of topology, 12.41 of
+   offsets) and version 4's 10.86.  Version 3 codes each β blob's last
+   RRR block over its real length, as version 4 does; version 2 coded it
+   over 62 bits like the others.  All open through the one blob decoder
+   ({!Wt_bitvector.Rrr.Flat}), told which by [padded_tail]; the builders
+   write version 4 only, and [merge] copies β blobs and labels of
+   version 3 and 4 verbatim.
 
    Safety: every arena read is bounds-checked by [Membuf], so a corrupt
    blob raises [Invalid_argument] (or {!Wt_durable.Container.Format_error}
@@ -65,6 +75,7 @@ module Broadword = Wt_bits.Broadword
 module Membuf = Wt_bits.Membuf
 module Rrr = Wt_bitvector.Rrr
 module Offsets = Wt_succinct.Flat_offsets
+module Directory = Wt_succinct.Flat_directory
 module Container = Wt_durable.Container
 module Probe = Wt_obs.Probe
 module Trace = Wt_obs.Trace
@@ -72,12 +83,16 @@ module Trace = Wt_obs.Trace
 exception Closed
 
 let arena_magic = "WTF3"
-let arena_version = 3
+let arena_version = 4
 let header_len = 56
 
 let tag = "static"
 (* Same variant tag as the v2 static container; the two are told apart
    by the container's format-version field. *)
+
+(* The node directory: version 4's, or the topology records (at byte
+   [header_len]) and node offsets of versions 2 and 3. *)
+type directory = V4 of Directory.t | V3 of Offsets.t
 
 type t = {
   mb : Membuf.t;
@@ -85,8 +100,9 @@ type t = {
   node_count : int;
   labels_bits : int;
   content_bits : int;
-  offs : Offsets.t; (* node extents in the content stream *)
+  dir : directory;
   content_bit : int; (* bit offset of the content stream *)
+  version : int;
   padded_tail : bool; (* a version-2 arena: β tails coded over 62 bits *)
   source : string; (* file path when opened from storage, for errors *)
   mutable closed : bool;
@@ -94,14 +110,15 @@ type t = {
 }
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Container.Format_error m)) fmt
-let topo_len node_count = 8 * ((node_count + 31) / 32)
+let topo_len ~version node_count = if version >= 4 then 0 else 8 * ((node_count + 31) / 32)
 
-(* Byte offsets of the node offsets and of the content stream, and the
-   arena size, all derived from the header fields. *)
-let sections ~node_count ~offsets_bits ~content_bits =
-  let offs = header_len + topo_len node_count in
-  let content = offs + ((offsets_bits + 7) / 8) in
-  (offs, content, content + ((content_bits + 7) / 8))
+(* Byte offsets of the directory's bit stream (the node offsets, before
+   version 4) and of the content stream, and the arena size, all derived
+   from the header fields. *)
+let sections ~version ~node_count ~directory_bits ~content_bits =
+  let dir = header_len + topo_len ~version node_count in
+  let content = dir + ((directory_bits + 7) / 8) in
+  (dir, content, content + ((content_bits + 7) / 8))
 
 (* ------------------------------------------------------------------ *)
 (* Building.  The trie of Definition 3.1 depends only on the distinct
@@ -118,8 +135,8 @@ let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
 (* The arena writer.  A node is started with its topology bit; an
    internal node then gets its β, accumulated 62 bits at a time into
    [blocks] and RRR-encoded straight into the content stream, and every
-   node its label.  [finish] lays out the header, the topology records
-   and the node offsets in front of the content. *)
+   node its label.  [finish] lays out the header and the node directory
+   in front of the content. *)
 type writer = {
   mutable starts : int array; (* content offset of each node started *)
   mutable nodes : int;
@@ -210,22 +227,17 @@ let finish w ~n =
     if Array.length w.starts = node_count + 1 then w.starts
     else Array.sub w.starts 0 (node_count + 1)
   in
-  let offsets = Bitbuf.create () in
-  Offsets.append offsets ~universe:content_bits offs;
-  let offsets_bits = Bitbuf.length offsets in
-  let _, _, arena_len = sections ~node_count ~offsets_bits ~content_bits in
+  let dir = Bitbuf.create () in
+  Directory.append dir ~internal:w.topo ~universe:content_bits offs;
+  let directory_bits = Bitbuf.length dir in
+  let _, _, arena_len =
+    sections ~version:arena_version ~node_count ~directory_bits ~content_bits
+  in
   let out = Buffer.create arena_len in
   Buffer.add_string out arena_magic;
   add_u32 out arena_version;
-  List.iter (add_u64 out) [ n; node_count; w.label_total; offsets_bits; content_bits; arena_len ];
-  let internal = ref 0 in
-  for r = 0 to ((node_count + 31) / 32) - 1 do
-    let bits = Bitbuf.get_bits w.topo (32 * r) (min 32 (node_count - (32 * r))) in
-    add_u32 out !internal;
-    add_u32 out bits;
-    internal := !internal + Broadword.popcount bits
-  done;
-  Bitbuf.add_to_buffer out offsets;
+  List.iter (add_u64 out) [ n; node_count; w.label_total; directory_bits; content_bits; arena_len ];
+  Bitbuf.add_to_buffer out dir;
   Bitbuf.add_to_buffer out w.content;
   assert (Buffer.length out = arena_len);
   Buffer.contents out
@@ -349,9 +361,9 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
     && Membuf.get mb 3 = Char.code '3'
   in
   if not magic_ok then fail "flat arena: bad magic";
-  let v = Membuf.get_u32 mb 4 in
-  if v <> arena_version && v <> 2 then
-    fail "flat arena: version %d, expected 2 or %d (rebuild the index from its source)" v
+  let version = Membuf.get_u32 mb 4 in
+  if version < 2 || version > arena_version then
+    fail "flat arena: version %d, expected 2 to %d (rebuild the index from its source)" version
       arena_version;
   if len < header_len then fail "flat arena: truncated header (%d bytes)" len;
   match
@@ -359,15 +371,18 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
     (u64 8, u64 16, u64 24, u64 32, u64 40, u64 48)
   with
   | exception Invalid_argument _ -> fail "flat arena: corrupt header field"
-  | n, node_count, labels_bits, offsets_bits, content_bits, arena_len ->
+  | n, node_count, labels_bits, directory_bits, content_bits, arena_len ->
       if arena_len <> len then
         fail "flat arena: declared size %d, actual %d" arena_len len;
       (* bound the sections by the blob before deriving offsets, so the
          arithmetic below cannot overflow *)
-      if node_count > 8 * len || offsets_bits > 8 * len || content_bits > 8 * len then
+      if node_count > 8 * len || directory_bits > 8 * len || content_bits > 8 * len then
         fail "flat arena: section exceeds the blob";
-      if offsets_bits < Offsets.headers_bits ~count:(node_count + 1) ~universe:content_bits
-      then fail "flat arena: node offset stream too short";
+      let fixed =
+        if version >= 4 then Directory.records_bits ~nodes:node_count ~universe:content_bits
+        else Offsets.headers_bits ~count:(node_count + 1) ~universe:content_bits
+      in
+      if directory_bits < fixed then fail "flat arena: node directory too short";
       if labels_bits > content_bits then fail "flat arena: labels exceed the content stream";
       if (n = 0) <> (node_count = 0) then
         fail "flat arena: length and node count disagree on emptiness";
@@ -377,7 +392,7 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
          n bits; a one-block root has at most 62 *)
       if node_count > 1 && n > Rrr.block_bits * max 1 (content_bits / 6) then
         fail "flat arena: length %d exceeds what the content stream can hold" n;
-      let offs, content, end_ = sections ~node_count ~offsets_bits ~content_bits in
+      let dir, content, end_ = sections ~version ~node_count ~directory_bits ~content_bits in
       if end_ <> len then fail "flat arena: sections end at %d, blob is %d bytes" end_ len;
       {
         mb;
@@ -385,10 +400,16 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
         node_count;
         labels_bits;
         content_bits;
-        offs =
-          Offsets.of_membuf mb ~bit:(8 * offs) ~count:(node_count + 1) ~universe:content_bits;
+        dir =
+          (if version >= 4 then
+             V4
+               (Directory.of_membuf mb ~bit:(8 * dir) ~bits:directory_bits ~nodes:node_count
+                  ~universe:content_bits)
+           else
+             V3 (Offsets.of_membuf mb ~bit:(8 * dir) ~count:(node_count + 1) ~universe:content_bits));
         content_bit = 8 * content;
-        padded_tail = v = 2;
+        version;
+        padded_tail = version = 2;
         source;
         closed = false;
         release;
@@ -402,16 +423,35 @@ let close t =
 
 let is_closed t = t.closed
 let source t = t.source
+let version t = t.version
 
 (* ------------------------------------------------------------------ *)
 
-(* Node [idx]'s rank among the internal nodes, -1 for a leaf. *)
-let[@inline] irank t idx =
+(* The topology record of node [idx] before version 4: its rank among
+   the internal nodes, -1 for a leaf. *)
+let v3_irank t idx =
   let rec_bit = 8 * (header_len + (8 * (idx lsr 5))) in
   let bits = Membuf.get_bits t.mb (rec_bit + 32) 32 in
   let j = idx land 31 in
   if bits land (1 lsl j) = 0 then -1
   else Membuf.get_bits t.mb rec_bit 32 + Broadword.popcount (bits land ((1 lsl j) - 1))
+
+(* Node [idx]'s rank among the internal nodes, -1 for a leaf. *)
+let irank t idx = match t.dir with V4 d -> Directory.irank d idx | V3 _ -> v3_irank t idx
+
+(* Node [idx]'s rank among the internal nodes and its extent in the
+   content stream, checked against the stream: one fused directory
+   read. *)
+let node_entry t idx =
+  let ((_, lo, hi) as e) =
+    match t.dir with
+    | V4 d -> Directory.visit d idx
+    | V3 offs ->
+        let lo, hi = Offsets.get2 offs idx in
+        (v3_irank t idx, lo, hi)
+  in
+  if lo < 0 || lo > hi || hi > t.content_bits then invalid_arg "Flat_wt: corrupt node extent";
+  e
 
 module Node = struct
   type trie = t
@@ -421,16 +461,17 @@ module Node = struct
     idx : int;
     count : int;
     irank : int; (* rank among internal nodes; -1 for a leaf *)
-    mutable lo : int; (* content extent, read on first use; -1 before *)
-    mutable hi : int;
+    lo : int; (* content extent *)
+    hi : int;
     mutable bv_memo : Rrr.Flat.t option;
   }
-  (* The mutable fields cache what the node has read: node values live
-     within one traversal (they are created by [root]/[child] and never
-     shared across domains), so the caches are domain-local by
-     construction. *)
+  (* [bv_memo] caches the β view: node values live within one traversal
+     (they are created by [root]/[child] and never shared across
+     domains), so the cache is domain-local by construction. *)
 
-  let make t idx count = { t; idx; count; irank = irank t idx; lo = -1; hi = -1; bv_memo = None }
+  let make t idx count =
+    let irank, lo, hi = node_entry t idx in
+    { t; idx; count; irank; lo; hi; bv_memo = None }
 
   let root (trie : trie) =
     if trie.closed then raise Closed;
@@ -443,21 +484,11 @@ module Node = struct
   let count node = node.count
   let is_leaf node = node.irank < 0
 
-  let extent node =
-    if node.lo < 0 then begin
-      let lo, hi = Offsets.get2 node.t.offs node.idx in
-      if lo > hi || hi > node.t.content_bits then
-        invalid_arg "Flat_wt.Node: corrupt node extent";
-      node.lo <- lo;
-      node.hi <- hi
-    end
-
   let bv_of node =
     match node.bv_memo with
     | Some bv -> bv
     | None ->
         if node.irank < 0 then invalid_arg "Flat_wt.Node: leaf has no bitvector";
-        extent node;
         let bv =
           Rrr.Flat.of_membuf node.t.mb (node.t.content_bit + node.lo) ~len:node.count
             ~padded_tail:node.t.padded_tail
@@ -468,7 +499,6 @@ module Node = struct
         bv
 
   let label node =
-    extent node;
     let start =
       if node.irank < 0 then node.lo else node.lo + Rrr.Flat.space_bits (bv_of node)
     in
@@ -621,10 +651,9 @@ let arena_reader t =
   let label = ref 0 and label_len = ref 0 in
   let locate idx count =
     if idx <> !at then begin
-      let lo, hi = Offsets.get2 t.offs idx in
-      if lo > hi || hi > t.content_bits then invalid_arg "Flat_wt.merge: corrupt node extent";
+      let r, lo, hi = node_entry t idx in
       blob := t.content_bit + lo;
-      if irank idx < 0 then begin
+      if r < 0 then begin
         blob_bits := 0;
         ones := 0
       end
@@ -929,34 +958,44 @@ let label_bits t = t.labels_bits
 let bv_bits t = t.content_bits - t.labels_bits
 let directory_bits t = (8 * Membuf.length t.mb) - t.content_bits
 
-(* Structural deep check (the [wtrie verify] walk): topology records
-   and their rank samples, node offsets monotone from 0 to the content
-   stream's end, each β blob inside its node's extent, non-empty
-   children, every node reachable, and the label total.  Raises
-   [Failure] on the first violation. *)
+(* Structural deep check (the [wtrie verify] walk): the directory's
+   topology and rank samples (and, at version 4, its records and bodies),
+   node offsets monotone from 0 to the content stream's end, each β blob
+   inside its node's extent, non-empty children, every node reachable,
+   and the label total.  Raises [Failure] on the first violation. *)
 let check_invariants t =
   if t.closed then raise Closed;
   let check cond fmt =
     Printf.ksprintf (fun m -> if not cond then failwith ("flat arena: " ^ m)) fmt
   in
   let nc = t.node_count in
-  let internal = ref 0 in
-  for r = 0 to ((nc + 31) / 32) - 1 do
-    let rec_ = header_len + (8 * r) in
-    check (Membuf.get_u32 t.mb rec_ = !internal) "topology record %d: bad rank sample" r;
-    let bits = Membuf.get_u32 t.mb (rec_ + 4) in
-    check (bits lsr min 32 (nc - (32 * r)) = 0) "topology record %d: bits past the last node" r;
-    internal := !internal + Broadword.popcount bits
-  done;
-  check (!internal = nc / 2) "%d internal nodes, expected %d" !internal (nc / 2);
+  let internal, offset =
+    match t.dir with
+    | V4 d ->
+        (try Directory.check d with Failure m -> check false "%s" m);
+        (Directory.internal_count d, Directory.get d)
+    | V3 offs ->
+        let internal = ref 0 in
+        for r = 0 to ((nc + 31) / 32) - 1 do
+          let rec_ = header_len + (8 * r) in
+          check (Membuf.get_u32 t.mb rec_ = !internal) "topology record %d: bad rank sample" r;
+          let bits = Membuf.get_u32 t.mb (rec_ + 4) in
+          check
+            (bits lsr min 32 (nc - (32 * r)) = 0)
+            "topology record %d: bits past the last node" r;
+          internal := !internal + Broadword.popcount bits
+        done;
+        (!internal, Offsets.get offs)
+  in
+  check (internal = nc / 2) "%d internal nodes, expected %d" internal (nc / 2);
   let prev = ref 0 in
   for i = 0 to nc do
-    let v = Offsets.get t.offs i in
+    let v = offset i in
     check (v >= !prev) "node offset %d decreases" i;
     prev := v
   done;
-  check (Offsets.get t.offs 0 = 0 && !prev = t.content_bits)
-    "node offsets span [%d, %d], expected [0, %d]" (Offsets.get t.offs 0) !prev t.content_bits;
+  check (offset 0 = 0 && !prev = t.content_bits)
+    "node offsets span [%d, %d], expected [0, %d]" (offset 0) !prev t.content_bits;
   match Node.root t with
   | None -> check (t.n = 0) "empty node table but length %d" t.n
   | Some root ->

@@ -1,4 +1,5 @@
-(* Block-sampled fixed-width offsets.
+(* Block-sampled fixed-width offsets (arena versions 2 and 3, read
+   only).
 
      headers   ceil (k / 32) records of wa + wp + 6 bits:
                first value (wa = bit_width u bits), bit position of the
@@ -10,7 +11,6 @@
    Both header widths follow from [count] and [universe], so a header is
    addressed by multiplication. *)
 
-module Bitbuf = Wt_bits.Bitbuf
 module Broadword = Wt_bits.Broadword
 module Membuf = Wt_bits.Membuf
 
@@ -33,34 +33,6 @@ let widths ~count ~universe =
 let headers_bits ~count ~universe =
   let wa, wp = widths ~count ~universe in
   blocks count * (wa + wp + 6)
-
-let append bb ~universe values =
-  let count = Array.length values in
-  let prev = ref 0 in
-  Array.iter
-    (fun v ->
-      if v < !prev || v > universe then
-        invalid_arg "Flat_offsets.append: not non-decreasing within the universe";
-      prev := v)
-    values;
-  let wa, wp = widths ~count ~universe in
-  let nb = blocks count in
-  let last b = min count ((b + 1) * block) - 1 in
-  let width b = Broadword.bit_width (values.(last b) - values.(b * block)) in
-  let ptr = ref 0 in
-  for b = 0 to nb - 1 do
-    let w = width b in
-    Bitbuf.add_bits bb wa values.(b * block);
-    Bitbuf.add_bits bb wp !ptr;
-    Bitbuf.add_bits bb 6 w;
-    ptr := !ptr + (w * (last b - (b * block)))
-  done;
-  for b = 0 to nb - 1 do
-    let w = width b and v0 = values.(b * block) in
-    for i = (b * block) + 1 to last b do
-      Bitbuf.add_bits bb w (values.(i) - v0)
-    done
-  done
 
 let of_membuf mb ~bit ~count ~universe =
   let wa, wp = widths ~count ~universe in

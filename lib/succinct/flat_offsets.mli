@@ -1,5 +1,9 @@
 (** A non-decreasing integer sequence in [0, u], read in place through
-    {!Wt_bits.Membuf} — the node offsets of the format-v3 arena.
+    {!Wt_bits.Membuf} — the node offsets of arena versions 2 and 3.
+    Nothing writes it any more: version 4 holds its offsets in a
+    {!Flat_directory}, and this reader keeps the older arenas (a tiered
+    store's runs are the only copy of its strings) readable until a
+    compaction rewrites them.
 
     Values are grouped in blocks of 32.  Each block stores its first
     value verbatim and the other 31 as differences from it, at the
@@ -12,10 +16,6 @@
     its own span. *)
 
 type t
-
-val append : Wt_bits.Bitbuf.t -> universe:int -> int array -> unit
-(** Append the stream for [values].  Raises [Invalid_argument] unless
-    they are non-decreasing in [0, universe]. *)
 
 val of_membuf : Wt_bits.Membuf.t -> bit:int -> count:int -> universe:int -> t
 (** View the stream of [count] values starting at bit [bit].  O(1),

@@ -1034,6 +1034,9 @@ let range_quantile ?prefix ?lo ?hi t ~k =
 type verify_report = {
   v_generation : int;
   v_runs : int;
+  v_run_versions : (int * int) list;
+      (** (arena version, runs at it), by version: compaction rewrites a
+          run at the current version, [wtrie convert] never does *)
   v_length : int;
   v_distinct : int;
   v_wal_records : int;
@@ -1051,6 +1054,10 @@ let verify dir =
       {
         v_generation = r.r_generation;
         v_runs = r.r_runs;
+        v_run_versions =
+          List.sort_uniq compare (List.map (fun r -> Flat_wt.version r.rflat) t.runs)
+          |> List.map (fun v ->
+                 (v, List.length (List.filter (fun r -> Flat_wt.version r.rflat = v) t.runs)));
         v_length = length t;
         v_distinct = distinct_count t;
         v_wal_records = r.r_replayed;

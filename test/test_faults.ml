@@ -133,12 +133,15 @@ let test_snapshot_truncations () =
    crash, whichever bytes it maps. *)
 
 (* 1,200 strings over the 64 of [sample]: the root's β spans two RRR
-   superblocks, so the sweeps also cover a blob's superblock directory. *)
+   superblocks, so the sweeps also cover a blob's superblock directory;
+   the arena is version 4, so they cover its node directory's records
+   and bodies too (127 nodes, four blocks). *)
 let v3_length = 1200
 
 let save_v3 path =
   let distinct = Array.map Binarize.to_bytes (sample 64) in
   let wt = Wtrie.Static.of_array (Array.init v3_length (fun i -> distinct.(i * 7 mod 64))) in
+  check_int "arena version" 4 (Wt_core.Flat_wt.version wt);
   Wtrie.Static.save_file_exn wt path;
   wt
 

@@ -163,7 +163,7 @@ let test_space_bound () =
     [ 1; 13; 300; 4000 ]
 
 (* An index written by the first arena layout (version 1: a 64-byte
-   header and 32-byte node records) or by a later one (version 4) fails
+   header and 32-byte node records) or by a later one (version 5) fails
    closed, naming its version, whichever way it is opened. *)
 let test_arena_version_rejected version () =
   let header = Buffer.create 64 in
@@ -254,9 +254,12 @@ let test_v2_migration () =
       Wtrie.Static.close fwt)
 
 (* ------------------------------------------------------------------ *)
-(* Version 2.  [fixtures/v2] holds a static index and a tiered store
-   written by [wtrie] at commit 96ba348, the last to write arena
-   version 2 (each β blob's last block coded over 62 bits):
+(* Versions 2 and 3.  [fixtures/v2] holds a static index and a tiered
+   store written by [wtrie] at commit 96ba348, the last to write arena
+   version 2 (each β blob's last block coded over 62 bits), and
+   [fixtures/v3] the same from the same input at commit 42bd660, the
+   last to write version 3 (topology records and block-sampled node
+   offsets):
 
      wtrie index input.txt index.wt
      head -64 input.txt > part1.txt
@@ -265,10 +268,9 @@ let test_v2_migration () =
      wtrie ingest store.d part2.txt --compact-strings 32
 
    The store holds the first 104 lines: a run of 64, a run of 32 and 8
-   strings in its WAL.  Both open through the one blob decoder; a
-   compaction that absorbs the store's runs writes them at version 3. *)
-
-let fixture name = Filename.concat "fixtures/v2" name
+   strings in its WAL.  All open through the one blob decoder and their
+   own directory reader; a compaction that absorbs the store's runs
+   writes them at version 4. *)
 
 let arena_version payload = Int32.to_int (String.get_int32_le payload 4)
 
@@ -278,7 +280,8 @@ let run_versions dir =
   |> List.map (fun f ->
          arena_version (Container.read_v3 ~expect_tag:Flat_wt.tag (Filename.concat dir f)))
 
-let test_v2_fixtures () =
+let test_fixtures version () =
+  let fixture name = Printf.sprintf "fixtures/v%d/%s" version name in
   let lines =
     In_channel.with_open_bin (fixture "input.txt") In_channel.input_all
     |> String.split_on_char '\n'
@@ -287,12 +290,12 @@ let test_v2_fixtures () =
   in
   check_int "input lines" 150 (Array.length lines);
   (* test_oracle checks the index's answers *)
-  check_int "index is version 2" 2
+  check_int "index version" version
     (arena_version (Container.read_v3 ~expect_tag:Flat_wt.tag (fixture "index.wt")));
   (* the store, on a copy: every string, then ingest the rest of the
-     input and compact; the new run absorbs both version-2 runs *)
-  let dir = Oracle.copy_dir (fixture "store.d") "flat_v2_store" in
-  Alcotest.(check (list int)) "two version-2 runs" [ 2; 2 ] (run_versions dir);
+     input and compact; the new run absorbs both old runs *)
+  let dir = Oracle.copy_dir (fixture "store.d") (Printf.sprintf "flat_v%d_store" version) in
+  Alcotest.(check (list int)) "two old runs" [ version; version ] (run_versions dir);
   let module T = Wtrie.Tiered in
   let module C = Oracle.Check (T) in
   let check_store ctx t n =
@@ -302,14 +305,14 @@ let test_v2_fixtures () =
   in
   let t, r = T.open_ ~threshold:max_int dir in
   check_int "WAL records replayed" 8 r.T.r_replayed;
-  check_store "v2 store" t 104;
+  check_store (Printf.sprintf "v%d store" version) t 104;
   Array.iter (T.ingest t) (Array.sub lines 104 46);
   T.flush t;
   T.compact t;
   check_int "one run" 1 (T.run_count t);
   check_store "compacted" t 150;
   T.close t;
-  Alcotest.(check (list int)) "runs rewritten at version 3" [ 3 ] (run_versions dir);
+  Alcotest.(check (list int)) "runs rewritten at version 4" [ 4 ] (run_versions dir);
   let t, _ = T.open_ dir in
   check_store "reopened" t 150;
   T.close t
@@ -584,8 +587,9 @@ let () =
           Alcotest.test_case "v2 load + convert to v3" `Quick test_v2_migration;
           Alcotest.test_case "errors are data" `Quick test_storage_errors;
           Alcotest.test_case "arena v1 fails closed" `Quick (test_arena_version_rejected 1);
-          Alcotest.test_case "arena v4 fails closed" `Quick (test_arena_version_rejected 4);
-          Alcotest.test_case "version-2 index and store" `Quick test_v2_fixtures;
+          Alcotest.test_case "arena v5 fails closed" `Quick (test_arena_version_rejected 5);
+          Alcotest.test_case "version-2 index and store" `Quick (test_fixtures 2);
+          Alcotest.test_case "version-3 index and store" `Quick (test_fixtures 3);
           Alcotest.test_case "corrupt v3 β blobs stay bounded" `Quick test_v3_blob_corruption;
         ] );
       ("close", [ Alcotest.test_case "deterministic after close" `Quick test_close ]);

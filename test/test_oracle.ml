@@ -41,16 +41,18 @@ let test_static () =
           Wtrie.Static.close t)
         [ ("static, copy", `Copy); ("static, mmap", `Mmap) ])
 
-(* [fixtures/v2/index.wt]: arena version 2, written from input.txt. *)
-let test_static_v2 () =
-  let lines =
-    In_channel.with_open_bin "fixtures/v2/input.txt" In_channel.input_lines |> Array.of_list
-  in
+(* [fixtures/v<version>/index.wt]: arena version 2 or 3, written from
+   input.txt. *)
+let test_static_fixture version () =
+  let fixture name = Printf.sprintf "fixtures/v%d/%s" version name in
+  let ctx = Printf.sprintf "arena version %d" version in
+  let lines = In_channel.with_open_bin (fixture "input.txt") In_channel.input_lines |> Array.of_list in
   List.iter
     (fun mode ->
-      let t = Wtrie.Static.open_file_exn ~mode "fixtures/v2/index.wt" and m = Oracle.model lines in
-      C_static.run ~ctx:"arena version 2" t m;
-      C_static.exhaustive ~ctx:"arena version 2" t m;
+      let t = Wtrie.Static.open_file_exn ~mode (fixture "index.wt") and m = Oracle.model lines in
+      Alcotest.(check int) (ctx ^ ": arena version") version (Wt_core.Flat_wt.version t);
+      C_static.run ~ctx t m;
+      C_static.exhaustive ~ctx t m;
       Wtrie.Static.close t)
     [ `Copy; `Mmap ]
 
@@ -200,7 +202,8 @@ let () =
         [
           Alcotest.test_case "pointer reference" `Quick test_pointer;
           Alcotest.test_case "static: built, copy, mmap" `Quick test_static;
-          Alcotest.test_case "static: arena version 2" `Quick test_static_v2;
+          Alcotest.test_case "static: arena version 2" `Quick (test_static_fixture 2);
+          Alcotest.test_case "static: arena version 3" `Quick (test_static_fixture 3);
           Alcotest.test_case "append-only" `Quick test_append;
           Alcotest.test_case "dynamic and its snapshot" `Quick test_dynamic;
           tiered_scenarios;

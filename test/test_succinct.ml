@@ -1,11 +1,14 @@
-(* Tests for wt_succinct: Elias-Fano, partial sums, and the succinct
-   binary tree shape, each against explicit reference structures. *)
+(* Tests for wt_succinct: Elias-Fano, partial sums, the succinct
+   binary tree shape and the arena's node directory, each against
+   explicit reference structures. *)
 
 module Bitbuf = Wt_bits.Bitbuf
 module Xoshiro = Wt_bits.Xoshiro
 module Elias_fano = Wt_succinct.Elias_fano
 module Partial_sums = Wt_succinct.Partial_sums
 module Bintree = Wt_succinct.Bintree
+module Directory = Wt_succinct.Flat_directory
+module Membuf = Wt_bits.Membuf
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -267,6 +270,127 @@ let test_bintree_left_spine () =
     v := r
   done
 
+(* ------------------------------------------------------------------ *)
+(* The arena's node directory (partitioned Elias–Fano) *)
+
+(* A directory case: [pad] bits ahead of the stream, the offsets (one
+   more than the nodes), their universe, and the internal bits. *)
+type dir_case = { pad : int; offsets : int array; universe : int; internal : bool array }
+
+(* Node counts around the block size and the one- and two-value edges;
+   gaps from runs of equal values to wide jumps, after a first gap that
+   may be huge (the root's β); universe 0 when every value is; internal
+   bits at random, at most nodes / 2 of them. *)
+let dir_cases ~max_nodes =
+  let open QCheck.Gen in
+  let nodes =
+    oneof [ oneofl [ 0; 1; 2; 31; 32; 33; 63; 64; 65 ]; int_range 0 max_nodes ]
+  in
+  let gap = oneof [ return 0; int_range 0 3; int_range 0 200; int_range 0 100_000 ] in
+  let first_gap = oneof [ return 0; int_range 0 50; int_range 100_000 5_000_000 ] in
+  nodes >>= fun n ->
+  list_repeat n gap >>= fun gaps ->
+  first_gap >>= fun g0 ->
+  int_range 0 2 >>= fun slack ->
+  int_range 0 13 >>= fun pad ->
+  list_repeat n bool >>= fun bits ->
+  let offsets = Array.make (n + 1) 0 in
+  List.iteri
+    (fun i g -> offsets.(i + 1) <- offsets.(i) + (if i = 0 then g0 + g else g))
+    gaps;
+  let internal = Array.of_list bits in
+  let set = ref 0 in
+  Array.iteri
+    (fun i b -> if b then if !set < n / 2 then incr set else internal.(i) <- false)
+    internal;
+  let universe = if offsets.(n) = 0 && slack = 0 then 0 else offsets.(n) + slack in
+  return { pad; offsets; universe; internal }
+
+let print_dir_case c =
+  Printf.sprintf "pad %d universe %d offsets [%s] internal [%s]" c.pad c.universe
+    (String.concat "; " (Array.to_list (Array.map string_of_int c.offsets)))
+    (String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") c.internal)))
+
+(* The case's stream, [pad] zero bits ahead, as bytes; and its length. *)
+let dir_bytes c =
+  let internal = Bitbuf.create () in
+  Array.iter (Bitbuf.add internal) c.internal;
+  let bb = Bitbuf.create () in
+  Bitbuf.add_bits bb c.pad 0;
+  Directory.append bb ~internal ~universe:c.universe c.offsets;
+  let buf = Buffer.create 64 in
+  Bitbuf.add_to_buffer buf bb;
+  (Buffer.contents buf, Bitbuf.length bb - c.pad)
+
+let dir_of c bytes bits =
+  Directory.of_membuf (Membuf.of_string bytes) ~bit:c.pad ~bits
+    ~nodes:(Array.length c.offsets - 1) ~universe:c.universe
+
+let prop_directory c =
+  let bytes, bits = dir_bytes c in
+  let d = dir_of c bytes bits in
+  let n = Array.length c.offsets - 1 in
+  let rank = ref 0 and ok = ref true in
+  for i = 0 to n do
+    ok := !ok && Directory.get d i = c.offsets.(i);
+    if i < n then begin
+      let expect = if c.internal.(i) then !rank else -1 in
+      ok := !ok && Directory.irank d i = expect;
+      ok := !ok && Directory.visit d i = (expect, c.offsets.(i), c.offsets.(i + 1));
+      if c.internal.(i) then incr rank
+    end
+  done;
+  Directory.check d;
+  !ok && Directory.internal_count d = !rank
+
+let qcheck_directory =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"get, irank and visit = the arrays" ~count:500
+       (QCheck.make ~print:print_dir_case (dir_cases ~max_nodes:300))
+       prop_directory)
+
+(* Every query on [d] answers or raises the codec's own
+   [Invalid_argument]: a read the bytes' window refuses ("Membuf.")
+   would have left the section. *)
+let bounded what d n =
+  let attempt f =
+    match f () with
+    | _ -> ()
+    | exception Invalid_argument m when not (String.starts_with ~prefix:"Membuf." m) -> ()
+    | exception e -> Alcotest.failf "%s: %s escaped" what (Printexc.to_string e)
+  in
+  for i = -1 to n + 1 do
+    attempt (fun () -> ignore (Directory.get d i));
+    attempt (fun () -> ignore (Directory.irank d i));
+    attempt (fun () -> ignore (Directory.visit d i))
+  done;
+  attempt (fun () -> ignore (Directory.internal_count d));
+  match Directory.check d with () -> () | exception Failure _ -> ()
+
+(* Every bit of the stream flipped, and the stream cut at every length:
+   the view opens or refuses, and then stays bounded. *)
+let prop_directory_corrupt c =
+  let bytes, bits = dir_bytes c in
+  let n = Array.length c.offsets - 1 in
+  for bit = c.pad to c.pad + bits - 1 do
+    let b = Bytes.of_string bytes in
+    Bytes.set b (bit / 8) (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))));
+    bounded (Printf.sprintf "flip %d" bit) (dir_of c (Bytes.to_string b) bits) n
+  done;
+  for cut = 0 to bits - 1 do
+    let len = (c.pad + cut + 7) / 8 in
+    match dir_of c (String.sub bytes 0 len) cut with
+    | exception Invalid_argument m when not (String.starts_with ~prefix:"Membuf." m) -> ()
+    | d -> bounded (Printf.sprintf "cut at %d" cut) d n
+  done;
+  true
+
+let qcheck_directory_corrupt =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"flipped or cut: bounded to the section" ~count:40
+       (QCheck.make ~print:print_dir_case (dir_cases ~max_nodes:70))
+       prop_directory_corrupt)
+
 let () =
   Alcotest.run "wt_succinct"
     [
@@ -292,4 +416,5 @@ let () =
           Alcotest.test_case "internal rank" `Quick test_bintree_internal_rank;
           Alcotest.test_case "deep spine" `Quick test_bintree_left_spine;
         ] );
+      ("flat_directory", [ qcheck_directory; qcheck_directory_corrupt ]);
     ]
