@@ -25,7 +25,6 @@ module Balanced = Wt_core.Balanced
 module Range = Wt_core.Range
 module Stats = Wt_core.Stats
 module Naive = Wt_core.Indexed_sequence.Naive
-module Persist = Wt_core.Persist
 module Urls = Wt_workload.Urls
 module Columns = Wt_workload.Columns
 module WTree = Wt_wavelet_tree.Wavelet_tree
@@ -726,8 +725,8 @@ let a_quad () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Durability: format-v2 snapshot save/load throughput, and the tiered
-   store's write-ahead log: logged-ingest cost and replay rate. *)
+(* Durability: the tiered store's write-ahead log, logged-ingest cost
+   and replay rate. *)
 
 let rm_store dir =
   if Sys.file_exists dir then begin
@@ -739,29 +738,8 @@ let durability_block () =
   let n = 16384 in
   let g = Urls.create ~seed:42 () in
   let strings = Urls.raw_sequence g n in
-  let wt = Append_wt.of_array (Array.map Binarize.of_bytes strings) in
-  (* snapshot: full-container save (CRC + fsync + rename) and verified load *)
-  let path = Filename.temp_file "wt_bench" ".wtx" in
-  let reps = 5 in
-  let dt_save =
-    time_batch (fun () ->
-        for _ = 1 to reps do
-          Persist.save_append wt path
-        done)
-    /. float_of_int reps
-  in
-  let bytes = (Unix.stat path).Unix.st_size in
-  let dt_load =
-    time_batch (fun () ->
-        for _ = 1 to reps do
-          ignore (Persist.load_append path : Append_wt.t)
-        done)
-    /. float_of_int reps
-  in
-  Sys.remove path;
-  let mb_s dt = float_of_int bytes /. dt /. 1048576. in
-  (* WAL: logged-ingest cost into a store that never compacts, then
-     the replay rate of the reopen that rebuilds its delta *)
+  (* logged-ingest cost into a store that never compacts, then the
+     replay rate of the reopen that rebuilds its delta *)
   let module T = Wtrie.Tiered in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "wt_bench_store" in
   rm_store dir;
@@ -780,16 +758,6 @@ let durability_block () =
   rm_store dir;
   Wt_obs.Json.Obj
     [
-      ( "snapshot",
-        Wt_obs.Json.Obj
-          [
-            ("strings", Wt_obs.Json.Int n);
-            ("bytes", Wt_obs.Json.Int bytes);
-            ("save_ms", Wt_obs.Json.Float (dt_save *. 1e3));
-            ("save_mb_per_s", Wt_obs.Json.Float (mb_s dt_save));
-            ("load_ms", Wt_obs.Json.Float (dt_load *. 1e3));
-            ("load_mb_per_s", Wt_obs.Json.Float (mb_s dt_load));
-          ] );
       ( "wal",
         Wt_obs.Json.Obj
           [
@@ -817,7 +785,7 @@ let serve_block () =
   let n = 16384 in
   let g = Urls.create ~seed:42 () in
   let strings = Urls.raw_sequence g n in
-  let wt = Append_wt.of_array (Array.map Binarize.of_bytes strings) in
+  let wt = Wtrie.Static.of_array strings in
   let module Server = Wt_serve.Server in
   let module Client = Wt_serve.Client in
   let rng = Xoshiro.create 77 in
@@ -830,7 +798,7 @@ let serve_block () =
   in
   let with_server tweak f =
     let cfg = tweak { (Server.default_config ()) with port = 0 } in
-    let srv = Server.create ~config:cfg ~backend:Server.append_backend (Wt_par.Snapshot.create wt) in
+    let srv = Server.create ~config:cfg ~backend:Server.static_backend (Wt_par.Snapshot.create wt) in
     let d = Domain.spawn (fun () -> Server.serve srv) in
     Fun.protect
       ~finally:(fun () ->
@@ -1241,14 +1209,15 @@ let directory_rows () =
     ("directory_ns", Json.Float (!d *. 1e9 /. float_of_int (Array.length visits)));
   ]
 
-(* Restart economics of the format-v3 flat arena: one v2 pointer-tree
-   deserialize vs the v3 checksum-plus-mmap open of the same ~131k-URL
-   sequence, and the batch engine on the arena vs the pointer trie.
-   The open numbers are the whole story of v3 — the arena needs no
-   decode, so reopening is independent of the payload size touched.
-   The build figures are [Wtrie.Static.of_array] on those strings: best
-   of three wall times, and the words one build allocates (minor +
-   major - promoted, so a promoted word counts once). *)
+(* Restart economics of the format-v3 flat arena: the checksum-plus-mmap
+   open of a ~131k-URL arena against the same open of an arena of its
+   first 1/16 of the strings, and the batch engine on the arena vs the
+   pointer trie.  The arena needs no decode, so an open costs the same
+   whatever the payload size: [mmap_open_ratio_16x], the first open
+   over the second, stays well below 2.  The build figures are
+   [Wtrie.Static.of_array] on those strings: best of three wall times,
+   and the words one build allocates (minor + major - promoted, so a
+   promoted word counts once). *)
 let flat_block () =
   let n = 131072 in
   let g = Urls.create ~seed:42 () in
@@ -1259,10 +1228,10 @@ let flat_block () =
       (List.init 3 (fun _ -> time_batch (fun () -> ignore (Wtrie.Static.of_array strings))))
   in
   let pwt = Wavelet_trie.of_array (Array.map Wt_core.String_api.encode strings) in
-  let v2 = Filename.temp_file "wt_bench_v2" ".wtx" in
   let v3 = Filename.temp_file "wt_bench_v3" ".wtx" in
-  Persist.save_static pwt v2;
+  let small = Filename.temp_file "wt_bench_small" ".wtx" in
   Wtrie.Static.save_file_exn fwt v3;
+  Wtrie.Static.save_file_exn (Wtrie.Static.of_array (Array.sub strings 0 (n / 16))) small;
   let best f =
     let d = ref infinity in
     for _ = 1 to 5 do
@@ -1270,20 +1239,26 @@ let flat_block () =
     done;
     !d
   in
-  let v2_load = best (fun () -> ignore (Persist.load_static v2 : Wavelet_trie.t)) in
-  let mmap_open =
-    best (fun () ->
-        let t = Wtrie.Static.open_file_exn ~mode:`Mmap v3 in
-        assert (Wtrie.Static.length t = n);
+  let mmap_open path len =
+    time_batch (fun () ->
+        let t = Wtrie.Static.open_file_exn ~mode:`Mmap path in
+        assert (Wtrie.Static.length t = len);
         Wtrie.Static.close t)
   in
+  (* an open takes tens of microseconds: best of 21 of each, the two
+     opens alternating so that a slow stretch of the host slows both *)
+  let small_open = ref infinity and big_open = ref infinity in
+  for _ = 1 to 21 do
+    small_open := Float.min !small_open (mmap_open small (n / 16));
+    big_open := Float.min !big_open (mmap_open v3 n)
+  done;
   let copy_open =
     best (fun () ->
         let t = Wtrie.Static.open_file_exn ~mode:`Copy v3 in
         assert (Wtrie.Static.length t = n);
         Wtrie.Static.close t)
   in
-  Sys.remove v2;
+  Sys.remove small;
   Sys.remove v3;
   let b = 16384 in
   let rng = Xoshiro.create 41 in
@@ -1303,10 +1278,10 @@ let flat_block () =
       ("n", Json.Int n);
       ("build_ns_per_string", Json.Float (build *. 1e9 /. float_of_int n));
       ("build_words_per_string", Json.Float (build_words /. float_of_int n));
-      ("v2_load_ms", Json.Float (v2_load *. 1e3));
-      ("v3_mmap_open_ms", Json.Float (mmap_open *. 1e3));
+      ("v3_mmap_open_ms", Json.Float (!big_open *. 1e3));
+      ("v3_mmap_open_small_ms", Json.Float (!small_open *. 1e3));
+      ("mmap_open_ratio_16x", Json.Float (!big_open /. !small_open));
       ("v3_copy_open_ms", Json.Float (copy_open *. 1e3));
-      ("open_speedup_vs_v2", Json.Float (v2_load /. mmap_open));
       ("batch_ops", Json.Int b);
       ("flat_batch_ns_per_op", Json.Float (ns flat_batch));
       ("pointer_batch_ns_per_op", Json.Float (ns pointer_batch));

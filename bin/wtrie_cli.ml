@@ -10,15 +10,17 @@
      dune exec bin/wtrie_cli.exe -- majority mylog.txt --lo 1000 --hi 2000
 
    Each line of the file is one element of the sequence, in order.
-   Sources go through one front door: a line file builds in memory, a
-   saved index opens via [Wtrie.Storage] (format v3 maps the flat arena
-   in place — O(1), zero-copy; format v2 still loads), a store
-   directory opens its runs and replays its WAL.  Pass [--stats] to any
-   query command to get the observability report (operation counters,
-   latency histograms, space-vs-LB breakdown) on stderr.
+   Sources go through one front door, and every file source is the one
+   static representation, the flat arena: a line file builds one in
+   memory, a saved index opens via [Wtrie.Storage] (format v3 maps the
+   arena in place — O(1), zero-copy; a read-only format-v2 index of any
+   variant is flattened on load), and a store directory opens its runs
+   and replays its WAL.  Pass [--stats] to any query command to get the
+   observability report (operation counters, latency histograms,
+   space-vs-LB breakdown) on stderr.
 
    Durability: [index] writes a checksummed format-v3 static index
-   atomically; [convert] upgrades any older index in place; [ingest]
+   atomically; [convert] rewrites any readable index as one; [ingest]
    appends to a crash-safe tiered store directory; [verify] deep-checks
    every form and [recover] truncates a torn WAL tail, completes an
    interrupted commit, compacts the delta, and migrates a snapshot+WAL
@@ -50,21 +52,15 @@ let read_lines path =
   if path <> "-" then close_in ic;
   Array.of_list (List.rev !lines)
 
-(* What a query command runs against: an append trie (line files, v2
-   append indexes) or a flat static arena (v3 indexes, and v2 static
-   indexes flattened on load) or a tiered store.  Every query
-   command, range queries included, goes through the uniform QUERY_API
-   via [pack]; only stats, index and the serving commands match on the
-   variant. *)
-type src =
-  | App of Wtrie.Append.t
-  | Flat of Wtrie.Static.t
-  | Tier of Wtrie.Tiered.t
+(* What a query command runs against: a flat static arena (line files
+   and every index file) or a tiered store.  Every query command, range
+   queries included, goes through the uniform QUERY_API via [pack]; only
+   stats, index and the serving commands match on the source. *)
+type src = Flat of Wtrie.Static.t | Tier of Wtrie.Tiered.t
 
 type packed = Packed : (module Wtrie.QUERY_API with type t = 'a) * 'a -> packed
 
 let pack = function
-  | App wt -> Packed ((module Wtrie.Append), wt)
   | Flat wt -> Packed ((module Wtrie.Static), wt)
   | Tier t -> Packed ((module Wtrie.Tiered), t)
 
@@ -84,27 +80,15 @@ let build path =
         path r.Wtrie.Tiered.r_dropped_bytes path;
     Tier t
   end
-  else if path <> "-" && Sys.file_exists path && Storage.is_index_file path then begin
-    match Storage.load_index path with
-    | Storage.Static wt -> Flat wt
-    | Storage.Append wt -> App wt
-    | Storage.Dynamic _ ->
-        Printf.eprintf "%s holds a dynamic index; re-save it as static or append\n" path;
-        exit 2
-  end
-  else begin
-    let lines = read_lines path in
-    let wt = Wtrie.Append.create () in
-    Array.iter (Wtrie.Append.append wt) lines;
-    App wt
-  end
+  else if path <> "-" && Sys.file_exists path && Storage.is_index_file path then
+    Flat (Storage.load_index path)
+  else Flat (Wtrie.Static.of_array (read_lines path))
 
 (* Observability plumbing: when requested, probes cover the whole
    command (build + queries) and the report lands on stderr so stdout
    stays script-friendly. *)
 
 let src_stats = function
-  | App wt -> ("append", Wt_core.Append_wt.stats wt)
   | Flat wt -> ("static", Wt_core.Flat_wt.stats wt)
   | Tier t -> ("tiered", Wtrie.Tiered.stats t)
 
@@ -156,22 +140,15 @@ let index_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"OUT" ~doc:"Output index file.")
   in
   let run file out =
-    (* Build the static trie straight from the lines when possible;
-       an existing index/store source is decoded first. *)
+    (* a line file or an index is already an arena; a store's merged
+       view is decoded and rebuilt as one *)
     let wt =
-      if file <> "-" && Sys.file_exists file
-         && (Sys.is_directory file || Storage.is_index_file file)
-      then begin
-        let src = build file in
-        let (Packed ((module Q), t)) = pack src in
-        match src with
-        | Flat wt -> wt
-        | App _ | Tier _ ->
-            Wtrie.Static.of_array
-              (Array.init (Q.length t) (fun pos ->
-                   match Q.access t ~pos with Ok s -> s | Error _ -> assert false))
-      end
-      else Wtrie.Static.of_array (read_lines file)
+      match build file with
+      | Flat wt -> wt
+      | Tier t ->
+          Wtrie.Static.of_array
+            (Array.init (Wtrie.Tiered.length t) (fun pos ->
+                 match Wtrie.Tiered.access t ~pos with Ok s -> s | Error _ -> assert false))
     in
     (* save_file writes atomically: a crash mid-save leaves any
        previous index at OUT intact.  The payload is the flat arena
@@ -522,10 +499,9 @@ let trace_cmd =
       match file with
       | Some f -> build f
       | None ->
-          let wt = Wtrie.Append.create () in
-          Wtrie.Append.append_batch wt
-            (Wt_workload.Urls.raw_sequence (Wt_workload.Urls.create ~seed:42 ()) 4096);
-          App wt
+          Flat
+            (Wtrie.Static.of_array
+               (Wt_workload.Urls.raw_sequence (Wt_workload.Urls.create ~seed:42 ()) 4096))
     in
     let (Packed ((module Q), wt)) = pack src in
     let n = Q.length wt in
@@ -880,9 +856,6 @@ let serve_cmd =
     let srv =
       try
         match src with
-        | App wt ->
-            Server.create ~config:cfg ~backend:Server.append_backend
-              (Wtrie.Snapshot.create wt)
         | Flat wt ->
             Server.create ~config:cfg ~backend:Server.static_backend
               (Wtrie.Snapshot.create wt)

@@ -37,15 +37,17 @@
     shapes ([access_exn], [select_opt], ...) are gone (see
     docs/observability.md for the migration table).
 
-    {!Static} runs on the pointer-free flat arena ({!Wt_core.Flat_wt}):
-    the format-v3 container payload queried in place, so
-    {!STATIC_API.save_file} / {!STATIC_API.open_file} round-trip through
-    disk with an O(1) [`Mmap] open (one read-only mapping, shareable
-    across serving processes).  The [t] equalities are exposed
+    {!Static} runs on the pointer-free flat arena ({!Wt_core.Flat_wt}),
+    the one static representation: the format-v3 container payload
+    queried in place, so {!STATIC_API.save_file} /
+    {!STATIC_API.open_file} round-trip through disk with an O(1)
+    [`Mmap] open (one read-only mapping, shareable across serving
+    processes).  Every index file loads as one ({!Storage}), whatever
+    variant or format version wrote it.  The [t] equalities are exposed
     ([Static.t] is [Wt_core.Flat_wt.t], [Dynamic.t] is
     [Wt_core.Dynamic_wt.t], ...) so the lower-level toolkits
-    ([Wt_core.Range]'s bitstring-level suite and sequential access,
-    [Wt_core.Persist], ...) keep working on the same values. *)
+    ([Wt_core.Range]'s bitstring-level suite and sequential access, ...)
+    keep working on the same values. *)
 
 type error = Wt_core.Indexed_sequence.error =
   | Position_out_of_bounds of { pos : int; len : int }
@@ -162,16 +164,16 @@ module _ : QUERY_API with type t = Tiered.t = Tiered
 
 (** Index files on disk, behind one front door.
 
-    A format-v3 index ({!Static.save_file}) holds the flat arena and
-    opens in O(1) via mmap; format-v2 indexes ({!Wt_core.Persist},
-    [Marshal]-based) are still readable — {!load_index} dispatches on
-    the container's version and variant tag, and {!convert} rewrites
-    any readable index as v3 static.  All failures raise
-    {!Format_error} (the shared container exception). *)
+    Every readable index loads as one flat arena ({!Static.t}).  A
+    format-v3 index ({!Static.save_file}) holds the arena itself and
+    opens in O(1) via mmap.  Format v2 ({!Wt_core.Persist}, [Marshal]
+    images of a static, append-only or dynamic pointer trie) is
+    read-only: nothing writes it, and {!load_index} flattens its payload
+    into an arena on load.  {!convert} rewrites any readable index as
+    v3.  All failures raise {!Format_error} (the shared container
+    exception). *)
 module Storage = struct
   exception Format_error = Wt_core.Persist.Format_error
-
-  type loaded = Static of Static.t | Append of Append.t | Dynamic of Dynamic.t
 
   let index_version = Wt_durable.Container.version_of_file
   (** The container format version of an index file, or [None] when the
@@ -179,92 +181,76 @@ module Storage = struct
 
   let is_index_file = Wt_core.Persist.is_index_file
 
-  let variant_name = function Static _ -> "static" | Append _ -> "append" | Dynamic _ -> "dynamic"
+  let invariants check x =
+    try check x with Failure m -> raise (Format_error ("index fails invariants: " ^ m))
 
-  let length = function
-    | Static t -> Static.length t
-    | Append t -> Append.length t
-    | Dynamic t -> Dynamic.length t
-
-  (* [load_index path] opens any readable index.  v3 maps the flat
-     arena in place ([?mode] as in {!STATIC_API.open_file}); v2 indexes
-     deserialize into their native variant, except v2 static, whose
-     pointer trie is flattened on load so every static value the
-     library hands out is the arena representation. *)
-  let load_index ?mode path =
+  (* [read ~deep path]: the variant [path] was written as, and its
+     arena.  v3 maps the arena in place ([?mode] as in
+     {!STATIC_API.open_file}); a v2 payload is unmarshalled and
+     flattened.  [~deep] first runs the v2 variant's own check: the
+     append-only and dynamic invariants, and, for the pointer static
+     trie, which has none, a decode of a sample sweep of positions, so
+     a payload that unmarshals but lies still trips. *)
+  let read ?mode ~deep path =
+    let module P = Wt_core.Persist in
     match index_version path with
-    | Some v when v = Wt_durable.Container.version_v3 ->
-        Static (Static.open_file_exn ?mode path)
+    | Some v when v = Wt_durable.Container.version_v3 -> ("static", Static.open_file_exn ?mode path)
     | _ -> (
-        match Wt_core.Persist.tag_of_file path with
-        | Some "static" ->
-            Static
-              (Wt_core.Flat_wt.of_trie
-                 (module Wt_core.Wavelet_trie.Node)
-                 (Wt_core.Persist.load_static path))
-        | Some "append" -> Append (Wt_core.Persist.load_append path)
-        | Some "dynamic" -> Dynamic (Wt_core.Persist.load_dynamic path)
-        | Some t -> raise (Format_error (Printf.sprintf "unknown index variant %S" t))
-        | None ->
-            (* not a verifiable v2 container: re-run the tagged read so
-               the precise corruption reason surfaces *)
-            let tag, _ = Wt_durable.Container.read_tagged path in
-            raise (Format_error (Printf.sprintf "unknown index variant %S" tag)))
+        (* verifies every checksum, so a corrupt file reports its
+           precise reason before the variant is looked at *)
+        let tag, _ = Wt_durable.Container.read_tagged path in
+        ( tag,
+          match tag with
+          | "static" ->
+              let wt = P.load_static path in
+              if deep then begin
+                let n = Wt_core.Wavelet_trie.length wt in
+                let step = Int.max 1 (n / 256) in
+                let i = ref 0 in
+                while !i < n do
+                  ignore (Wt_core.Wavelet_trie.access wt !i);
+                  i := !i + step
+                done
+              end;
+              Wt_core.Flat_wt.of_trie (module Wt_core.Wavelet_trie.Node) wt
+          | "append" ->
+              let wt = P.load_append path in
+              if deep then invariants Wt_core.Append_wt.check_invariants wt;
+              Wt_core.Flat_wt.of_trie (module Wt_core.Append_wt.Node) wt
+          | "dynamic" ->
+              let wt = P.load_dynamic path in
+              if deep then invariants Wt_core.Dynamic_wt.check_invariants wt;
+              Wt_core.Flat_wt.of_trie (module Wt_core.Dynamic_wt.Node) wt
+          | t -> raise (Format_error (Printf.sprintf "unknown index variant %S" t)) ))
 
-  (* Deep verification for [wtrie verify]: full checksums, then the
-     variant's structural invariants.  Returns (variant, length, arena
-     version), the version [None] for a format-v2 file. *)
+  let load_index ?mode path = snd (read ?mode ~deep:false path)
+
+  (* Deep verification for [wtrie verify]: full checksums, the v2
+     variant's own checks, then the arena's structural invariants.
+     Returns (variant, length, arena version), the version [None] for a
+     format-v2 file, whose arena is built on load. *)
   let verify_index path =
-    match index_version path with
-    | Some v when v = Wt_durable.Container.version_v3 -> (
-        (* [`Copy] re-verifies the payload checksum, unlike the mmap
-           fast path *)
-        match Static.open_file ~mode:`Copy path with
-        | Error e -> raise (Format_error (Format.asprintf "%a" pp_error e))
-        | Ok t ->
-            (try Wt_core.Flat_wt.check_invariants t
-             with Failure m -> raise (Format_error ("index fails invariants: " ^ m)));
-            ("static", Static.length t, Some (Wt_core.Flat_wt.version t)))
-    | _ -> (
-        let tag, _payload = Wt_durable.Container.read_tagged path in
-        match tag with
-        | "static" ->
-            let wt = Wt_core.Persist.load_static path in
-            let n = Wt_core.Wavelet_trie.length wt in
-            (* no check_invariants on the pointer trie: decode a sample
-               sweep instead, so a payload that unmarshals but lies
-               still trips *)
-            let step = max 1 (n / 256) in
-            let i = ref 0 in
-            while !i < n do
-              ignore (Wt_core.Wavelet_trie.access wt !i);
-              i := !i + step
-            done;
-            ("static", n, None)
-        | "append" ->
-            let wt = Wt_core.Persist.load_append path in
-            (try Wt_core.Append_wt.check_invariants wt
-             with Failure m -> raise (Format_error ("index fails invariants: " ^ m)));
-            ("append", Wt_core.Append_wt.length wt, None)
-        | "dynamic" ->
-            let wt = Wt_core.Persist.load_dynamic path in
-            (try Wt_core.Dynamic_wt.check_invariants wt
-             with Failure m -> raise (Format_error ("index fails invariants: " ^ m)));
-            ("dynamic", Wt_core.Dynamic_wt.length wt, None)
-        | t -> raise (Format_error (Printf.sprintf "unknown index variant %S" t)))
+    let variant, flat, version =
+      match index_version path with
+      | Some v when v = Wt_durable.Container.version_v3 -> (
+          (* [`Copy] re-verifies the payload checksum, unlike the mmap
+             fast path *)
+          match Static.open_file ~mode:`Copy path with
+          | Error e -> raise (Format_error (Format.asprintf "%a" pp_error e))
+          | Ok t -> ("static", t, Some (Wt_core.Flat_wt.version t)))
+      | _ ->
+          let variant, flat = read ~deep:true path in
+          (variant, flat, None)
+    in
+    invariants Wt_core.Flat_wt.check_invariants flat;
+    (variant, Static.length flat, version)
 
   (* [convert src dst] rewrites any readable index as a format-v3
      static arena.  Returns (source variant, length). *)
   let convert src dst =
-    let loaded = load_index ~mode:`Copy src in
-    let flat =
-      match loaded with
-      | Static t -> t
-      | Append t -> Wt_core.Flat_wt.of_trie (module Wt_core.Append_wt.Node) t
-      | Dynamic t -> Wt_core.Flat_wt.of_trie (module Wt_core.Dynamic_wt.Node) t
-    in
+    let variant, flat = read ~mode:`Copy ~deep:false src in
     Static.save_file_exn flat dst;
-    (variant_name loaded, length loaded)
+    (variant, Static.length flat)
 end
 
 (** The multicore serving layer behind [query_batch ~domains]:

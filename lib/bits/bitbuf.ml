@@ -107,7 +107,7 @@ let set_bits t pos len v =
   let shift = ref (pos land 7) in
   let written = ref 0 in
   while !written < len do
-    let chunk = min (8 - !shift) (len - !written) in
+    let chunk = Int.min (8 - !shift) (len - !written) in
     let m = ((1 lsl chunk) - 1) lsl !shift in
     let b = Char.code (Bytes.unsafe_get data !i) in
     let bits = ((v lsr !written) lsl !shift) land m in
@@ -134,7 +134,7 @@ let add_run t bit n =
   let v = if bit then (1 lsl 62) - 1 else 0 in
   let remaining = ref n in
   while !remaining > 0 do
-    let chunk = min 62 !remaining in
+    let chunk = Int.min 62 !remaining in
     t.len <- t.len + chunk;
     set_bits t (t.len - chunk) chunk v;
     remaining := !remaining - chunk
@@ -145,7 +145,7 @@ let blit src pos dst len =
   let remaining = ref len in
   let p = ref pos in
   while !remaining > 0 do
-    let chunk = min 56 !remaining in
+    let chunk = Int.min 56 !remaining in
     add_bits dst chunk (get_bits src !p chunk);
     p := !p + chunk;
     remaining := !remaining - chunk
@@ -182,7 +182,7 @@ let pop_count t pos len =
   let p = ref pos in
   let remaining = ref len in
   (* Align to a byte boundary, then count whole bytes, then the tail. *)
-  let head = min !remaining ((8 - (pos land 7)) land 7) in
+  let head = Int.min !remaining ((8 - (pos land 7)) land 7) in
   if head > 0 then begin
     acc := Broadword.popcount (get_bits t !p head);
     p := !p + head;
@@ -214,7 +214,7 @@ let equal a b =
   let rec go pos =
     if pos >= a.len then true
     else
-      let chunk = min 56 (a.len - pos) in
+      let chunk = Int.min 56 (a.len - pos) in
       get_bits a pos chunk = get_bits b pos chunk && go (pos + chunk)
   in
   go 0

@@ -78,14 +78,14 @@ let buf_select buf cum b k =
   let len = Bitbuf.length buf in
   let nwords = (len + word_bits - 1) / word_bits in
   let count_before w = if b then cum.(w) else (w * word_bits) - cum.(w) in
-  let lo = ref 0 and hi = ref (max nwords 1) in
+  let lo = ref 0 and hi = ref (Int.max nwords 1) in
   while !hi - !lo > 1 do
     let mid = (!lo + !hi) / 2 in
     if count_before mid <= k then lo := mid else hi := mid
   done;
   let w = !lo in
   let wpos = w * word_bits in
-  let wlen = min word_bits (len - wpos) in
+  let wlen = Int.min word_bits (len - wpos) in
   let bits = Bitbuf.get_bits buf wpos wlen in
   let k' = k - count_before w in
   wpos

@@ -129,7 +129,7 @@ let of_bitbuf buf =
       sb_off.(sb) <- Bitbuf.length offsets
     end;
     let pos = blk * block_bits in
-    let blen = min block_bits (len - pos) in
+    let blen = Int.min block_bits (len - pos) in
     let bits = Bitbuf.get_bits buf pos blen in
     let c = Broadword.popcount bits in
     Bitbuf.add_bits classes class_bits c;
@@ -170,7 +170,7 @@ let walk_to_block t target =
   done;
   (!ones, !off)
 
-let block_len t blk = min block_bits (t.len - (blk * block_bits))
+let block_len t blk = Int.min block_bits (t.len - (blk * block_bits))
 
 let rank1 t pos =
   if pos = 0 then 0
@@ -216,7 +216,7 @@ let select t b k =
   let nsb = Array.length t.sb_ones - 1 in
   (* count of b strictly before superblock sb *)
   let count_before sb =
-    if b then t.sb_ones.(sb) else min t.len (sb * sb_bits) - t.sb_ones.(sb)
+    if b then t.sb_ones.(sb) else Int.min t.len (sb * sb_bits) - t.sb_ones.(sb)
   in
   let lo = ref 0 and hi = ref nsb in
   while !hi - !lo > 1 do
@@ -301,7 +301,7 @@ module Builder = struct
   let finished b = b.blk >= b.nblocks
 
   let step b k =
-    let target = min b.nblocks (b.blk + k) in
+    let target = Int.min b.nblocks (b.blk + k) in
     while b.blk < target do
       let blk = b.blk in
       if blk mod sb_blocks = 0 then begin
@@ -310,7 +310,7 @@ module Builder = struct
         b.sb_off.(sb) <- Bitbuf.length b.offsets
       end;
       let pos = blk * block_bits in
-      let blen = min block_bits (b.len - pos) in
+      let blen = Int.min block_bits (b.len - pos) in
       let bits = Bitbuf.get_bits b.src pos blen in
       let c = Broadword.popcount bits in
       Bitbuf.add_bits b.classes class_bits c;
@@ -547,7 +547,7 @@ module Flat = struct
     else begin
       let blk = ref 0 in
       while !blk < nblocks do
-        let k = min 10 (nblocks - !blk) in
+        let k = Int.min 10 (nblocks - !blk) in
         let word = ref 0 in
         for i = k - 1 downto 0 do
           word := (!word lsl class_bits) lor cls.(!blk + i)
@@ -567,7 +567,7 @@ module Flat = struct
   let walk_classes mb classes_bit lo hi ones off =
     let ones = ref ones and off = ref off and blk = ref lo in
     while !blk < hi do
-      let k = min 10 (hi - !blk) in
+      let k = Int.min 10 (hi - !blk) in
       let w = ref (Membuf.get_bits mb (classes_bit + (!blk * class_bits)) (k * class_bits)) in
       for _ = 1 to k do
         let c = !w land 63 in
@@ -671,7 +671,7 @@ module Flat = struct
     let sb = target / sb_blocks in
     walk_classes t.mb t.classes_bit (sb * sb_blocks) target (dir_ones t sb) (dir_off t sb)
 
-  let block_len t blk = min block_bits (t.len - (blk * block_bits))
+  let block_len t blk = Int.min block_bits (t.len - (blk * block_bits))
 
   let rank1 t pos =
     if pos = 0 then 0
@@ -711,7 +711,7 @@ module Flat = struct
     Probe.hit Rrr_select;
     let nsb = nsb_of_nblocks t.nblocks in
     let count_before sb =
-      if b then dir_ones t sb else min t.len (sb * sb_bits) - dir_ones t sb
+      if b then dir_ones t sb else Int.min t.len (sb * sb_bits) - dir_ones t sb
     in
     let lo = ref 0 and hi = ref nsb in
     while !hi - !lo > 1 do

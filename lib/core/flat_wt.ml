@@ -191,7 +191,7 @@ let add_bits w len v =
 let add_run w b len =
   let rest = ref len in
   while !rest > 0 do
-    let take = min Rrr.block_bits !rest in
+    let take = Int.min Rrr.block_bits !rest in
     add_bits w take (if b then Broadword.mask take else 0);
     rest := !rest - take
   done
@@ -213,7 +213,7 @@ let add_label w len v =
 let copy_bits w mb pos len =
   let p = ref 0 in
   while !p < len do
-    let take = min 56 (len - !p) in
+    let take = Int.min 56 (len - !p) in
     Bitbuf.add_bits w.content take (Membuf.get_bits mb (pos + !p) take);
     p := !p + take
   done
@@ -506,10 +506,10 @@ module Node = struct
     let bitpos = node.t.content_bit + start in
     (* at least eight bytes, so every comparison against the label takes
        the one-load path of [Bitbuf.get_bits] *)
-    let out = Bitbuf.create ~capacity_bits:(max 64 len) () in
+    let out = Bitbuf.create ~capacity_bits:(Int.max 64 len) () in
     let i = ref 0 in
     while !i < len do
-      let take = min 56 (len - !i) in
+      let take = Int.min 56 (len - !i) in
       Bitbuf.add_bits out take (Membuf.get_bits node.t.mb (bitpos + !i) take);
       i := !i + take
     done;
@@ -672,7 +672,7 @@ let arena_reader t =
     locate idx count;
     let rest = ref count in
     Rrr.Flat.iter_blocks (blob_view !blob count) (fun block ->
-        add_bits w (min Rrr.block_bits !rest) block;
+        add_bits w (Int.min Rrr.block_bits !rest) block;
         rest := !rest - Rrr.block_bits);
     !ones
   in
@@ -741,7 +741,7 @@ let trie_reader (type a) (module N : Node_view.S with type trie = a) (trie : a) 
         let next = N.iter_bits node 0 in
         let rest = ref count in
         while !rest > 0 do
-          let take = min Rrr.block_bits !rest in
+          let take = Int.min Rrr.block_bits !rest in
           let word = ref 0 in
           for j = 0 to take - 1 do
             if next () then word := !word lor (1 lsl j)
@@ -763,7 +763,7 @@ let trie_reader (type a) (module N : Node_view.S with type trie = a) (trie : a) 
                 let label = N.label (get h) in
                 let p = ref 0 in
                 while !p < len do
-                  let take = min 56 (len - !p) in
+                  let take = Int.min 56 (len - !p) in
                   add_label w take (Bitstring.get_bits label (off + !p) take);
                   p := !p + take
                 done);
@@ -856,9 +856,9 @@ let merge_readers (readers : reader array) =
           let r = readers.(l.src.(i)) and v = l.node.(i) and o = l.off.(i) and c = l.cnt.(i) in
           rem.(i - a) <- r.label_len v c - o;
           (* the label ends where this cursor disagrees with the first *)
-          let p = ref 0 and lim = ref (min !m rem.(i - a)) in
+          let p = ref 0 and lim = ref (Int.min !m rem.(i - a)) in
           while !p < !lim do
-            let take = min 56 (!lim - !p) in
+            let take = Int.min 56 (!lim - !p) in
             let x = r0.label_bits v0 c0 (o0 + !p) take lxor r.label_bits v c (o + !p) take in
             if x = 0 then p := !p + take
             else begin

@@ -1,21 +1,12 @@
-(* Index persistence, format v2: the checksummed atomic container of
+(* Index files, format v2, read-only: the checksummed container of
    {!Wt_durable.Container} around the Marshal encoding of each variant.
-
-   Compared to format v1 (raw header + Marshal dump written in place):
-   - every section (header, payload, footer) carries a CRC32C, so any
-     bit flip or truncation raises [Format_error] instead of reaching
-     [Marshal] — including the historical v1 hole where a corrupted tag
-     length escaped as [Invalid_argument] or an allocation blow-up;
-   - saves are atomic (temp file + fsync + rename): a crash mid-save
-     always leaves the previous index intact. *)
+   Every section (header, payload, footer) carries a CRC32C, so any bit
+   flip or truncation raises [Format_error] before a byte reaches
+   [Marshal].  Nothing writes this format any more. *)
 
 module Container = Wt_durable.Container
 
 exception Format_error = Container.Format_error
-
-let version = Container.version
-
-let save tag v path = Container.write ~tag ~payload:(Marshal.to_string v []) path
 
 let load : type a. string -> string -> a =
  fun tag path ->
@@ -28,13 +19,8 @@ let load : type a. string -> string -> a =
   | exception (Failure _ | Invalid_argument _ | End_of_file) ->
       raise (Format_error "index payload does not unmarshal (incompatible build?)")
 
-let save_static (t : Wavelet_trie.t) path = save "static" t path
 let load_static path : Wavelet_trie.t = load "static" path
-let save_append (t : Append_wt.t) path = save "append" t path
 let load_append path : Append_wt.t = load "append" path
-let save_dynamic (t : Dynamic_wt.t) path = save "dynamic" t path
 let load_dynamic path : Dynamic_wt.t = load "dynamic" path
 
 let is_index_file = Container.is_container
-
-let tag_of_file = Container.tag_of_file

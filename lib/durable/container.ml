@@ -296,10 +296,6 @@ let version_of_file path =
           | _ -> None
           | exception End_of_file -> None)
 
-let tag_of_file path = match read_tagged path with
-  | tag, _ -> Some tag
-  | exception Format_error _ -> None
-
 let is_container path =
   match open_in_bin path with
   | exception Sys_error _ -> false

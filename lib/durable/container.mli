@@ -38,9 +38,6 @@ val read_tagged : string -> string * string
 (** Like {!read} but returns [(tag, payload)] without checking the
     variant tag. *)
 
-val tag_of_file : string -> string option
-(** The variant tag of a fully-verified container, or [None]. *)
-
 val write_v3 : tag:string -> payload:string -> string -> unit
 (** Like {!write} but stamps format version 3 (flat-arena payload). *)
 

@@ -34,14 +34,13 @@ module Runtime = Wt_obs.Runtime
 module Report = Wt_obs.Report
 module Json = Wt_obs.Json
 module Snapshot = Wt_par.Snapshot
-module Append_wt = Wt_core.Append_wt
 module Is = Wt_core.Indexed_sequence
 
-(* What the loop needs from a trie variant: its length (the inline
-   [Length] reply), its batch engine, and the gauges it exports (each
-   sampled from the currently published trie at scrape time).  The trie
-   type is packed away in {!source}, so one server type serves every
-   variant. *)
+(* What the loop needs from a backend: its length (the inline [Length]
+   reply), its batch engine, and the gauges it exports (each sampled
+   from the currently published value at scrape time).  The value's type
+   is packed away in {!source}, so one server type serves both the
+   static arena and the tiered store. *)
 type 'trie backend = {
   length : 'trie -> int;
   engine :
@@ -54,16 +53,6 @@ type 'trie backend = {
 }
 
 type source = Source : 'trie backend * 'trie Snapshot.t -> source
-
-let append_backend =
-  {
-    length = Append_wt.length;
-    engine =
-      (fun ?pool ?domains trie ops ->
-        Wt_par.Par_exec.query_batch ?pool ?domains Wt_exec.Exec.Append.query_batch trie
-          ops);
-    gauges = [];
-  }
 
 (* A closed or corrupt arena answers each op as [Wtrie.Static.query_batch]
    does, with [Trie_closed] or [Storage_error], instead of raising out of
@@ -129,23 +118,18 @@ type config = {
           = log every request); [None] (default) disables the log *)
 }
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match int_of_string_opt s with Some v when v > 0 -> v | _ -> default)
-  | None -> default
-
 let default_config () =
   {
     host = "127.0.0.1";
     port = 0;
-    batch_max = env_int "WTRIE_SERVE_BATCH_OPS" 512;
-    window_us = env_int "WTRIE_SERVE_WINDOW_US" 200;
-    queue_max = env_int "WTRIE_SERVE_QUEUE_MAX" 8192;
-    max_conns = env_int "WTRIE_SERVE_MAX_CONNS" 1024;
-    max_frame = env_int "WTRIE_SERVE_MAX_FRAME" Wire.default_max_frame;
-    conn_inflight_max = env_int "WTRIE_SERVE_CONN_INFLIGHT" 1024;
-    outbuf_max = env_int "WTRIE_SERVE_OUTBUF_MAX" (4 lsl 20);
-    read_timeout_ms = env_int "WTRIE_SERVE_READ_TIMEOUT_MS" 10_000;
+    batch_max = 512;
+    window_us = 200;
+    queue_max = 8192;
+    max_conns = 1024;
+    max_frame = Wire.default_max_frame;
+    conn_inflight_max = 1024;
+    outbuf_max = 4 lsl 20;
+    read_timeout_ms = 10_000;
     drain_grace_ms = 5_000;
     domains = None;
     pool = None;

@@ -59,10 +59,10 @@ let snoc t b =
 (* A loop, not a local recursive function: a closure per call would
    allocate on every label comparison of a trie walk. *)
 let lcp_from a b off =
-  let n = min a.len (b.len - off) in
+  let n = Int.min a.len (b.len - off) in
   let pos = ref 0 and l = ref n in
   while !pos < !l do
-    let chunk = min 56 (n - !pos) in
+    let chunk = Int.min 56 (n - !pos) in
     let wa = Bitbuf.get_bits a.buf (a.off + !pos) chunk in
     let wb = Bitbuf.get_bits b.buf (b.off + off + !pos) chunk in
     let x = wa lxor wb in
@@ -90,7 +90,7 @@ let hash t =
   let h = ref 0x1505 in
   let pos = ref 0 in
   while !pos < t.len do
-    let chunk = min 56 (t.len - !pos) in
+    let chunk = Int.min 56 (t.len - !pos) in
     let w = Bitbuf.get_bits t.buf (t.off + !pos) chunk in
     h := (((!h lsl 5) + !h) lxor w) land max_int;
     pos := !pos + chunk

@@ -257,6 +257,27 @@ let copy_dir src name =
   dir
 
 (* ------------------------------------------------------------------ *)
+(* Legacy fixtures.  Nothing writes format v2 any more: the v2 tests
+   read the indexes in [fixtures/legacy] (its README says how they were
+   made), each the sequence [legacy_s 0 … legacy_s 4499] as a static,
+   append-only or dynamic trie. *)
+
+let legacy name = Filename.concat "fixtures/legacy" name
+let legacy_s i = Printf.sprintf "h%d.example/p%d" (i mod 5) (i mod 3)
+let legacy_n = 4500
+
+(* [f path] on a writable copy of [fixtures/legacy/<variant>.wt] at a
+   fresh temporary [path], removed afterwards. *)
+let with_legacy variant f =
+  let path = Filename.temp_file ("wt_legacy_" ^ variant) ".wt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let data = In_channel.with_open_bin (legacy (variant ^ ".wt")) In_channel.input_all in
+      Out_channel.with_open_bin path (fun oc -> output_string oc data);
+      f path)
+
+(* ------------------------------------------------------------------ *)
 (* Generator *)
 
 module Gen = struct

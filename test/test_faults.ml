@@ -82,11 +82,11 @@ let expect_format_error what load =
       Alcotest.fail (Printf.sprintf "%s: unexpected exception %s" what (Printexc.to_string e))
   | _ -> Alcotest.fail (Printf.sprintf "%s: load succeeded on a corrupted index" what)
 
-(* Flip one bit at (a stride over) every byte offset of a saved index:
-   the load must always raise [Format_error]. *)
+(* Flip one bit at (a stride over) every byte offset of a copy of the
+   legacy append-only index: the load must always raise
+   [Format_error]. *)
 let test_snapshot_bit_flips () =
-  let path = tmp "flip.wtx" in
-  Persist.save_append (Append_wt.of_array (sample 64)) path;
+  Oracle.with_legacy "append" @@ fun path ->
   let pristine = read_file path in
   let len = String.length pristine in
   let stride = max 1 (len / 509) in
@@ -100,15 +100,13 @@ let test_snapshot_bit_flips () =
   done;
   (* the pristine bytes still load *)
   write_file path pristine;
-  Append_wt.check_invariants (Persist.load_append path);
-  Sys.remove path
+  Append_wt.check_invariants (Persist.load_append path)
 
 (* Cut the file at (a stride over) every possible length: always
    [Format_error], even when the cut lands on the recycled file's old
    content (the footer's repeated payload length closes that hole). *)
 let test_snapshot_truncations () =
-  let path = tmp "cut.wtx" in
-  Persist.save_append (Append_wt.of_array (sample 64)) path;
+  Oracle.with_legacy "append" @@ fun path ->
   let pristine = read_file path in
   let len = String.length pristine in
   let stride = max 1 (len / 509) in
@@ -121,8 +119,7 @@ let test_snapshot_truncations () =
     cut := !cut + stride
   done;
   write_file path pristine;
-  ignore (Persist.load_append path : Append_wt.t);
-  Sys.remove path
+  ignore (Persist.load_append path : Append_wt.t)
 
 (* ------------------------------------------------------------------ *)
 (* Format-v3 arena sweeps: the flat static index must fail closed under

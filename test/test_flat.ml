@@ -10,7 +10,6 @@ module Wavelet_trie = Wt_core.Wavelet_trie
 module Flat_wt = Wt_core.Flat_wt
 module Append_wt = Wt_core.Append_wt
 module Dynamic_wt = Wt_core.Dynamic_wt
-module Persist = Wt_core.Persist
 module Container = Wt_durable.Container
 
 let check_int = Alcotest.(check int)
@@ -221,37 +220,29 @@ let test_two_string_root () =
         [ `Copy; `Mmap ])
 
 (* ------------------------------------------------------------------ *)
-(* v2 -> v3 migration: an old pointer-tree container loads (flattened)
-   and converts; the converted file is a v3 arena answering the same
-   queries. *)
+(* v2 -> v3 migration: a copy of the legacy pointer-trie container
+   (fixtures/legacy/static.wt) loads as a flattened arena and converts;
+   the converted file is a v3 arena answering the same queries.
+   test_oracle runs every legacy variant the same way. *)
 
 let test_v2_migration () =
-  let rng = Xoshiro.create 23 in
-  let arr = make_seq rng 97 in
-  let m = Oracle.model arr in
-  let raw = Wavelet_trie.of_array (Array.map Wt_core.String_api.encode arr) in
-  let v2 = Filename.temp_file "wt_flat_v2" ".wtx" in
+  let m = Oracle.model (Array.init Oracle.legacy_n Oracle.legacy_s) in
   let v3 = Filename.temp_file "wt_flat_v3" ".wtx" in
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove v2;
-      Sys.remove v3)
-    (fun () ->
-      Persist.save_static raw v2;
-      check_bool "v2 file is not v3" true
-        (Container.version_of_file v2 <> Some Container.version_v3);
-      (* load_index flattens the v2 pointer payload on load *)
-      (match Wtrie.Storage.load_index v2 with
-      | Wtrie.Storage.Static fwt -> check ~ctx:"v2-load" fwt m
-      | _ -> Alcotest.fail "v2 static index did not load as Static");
-      let variant, n = Wtrie.Storage.convert v2 v3 in
-      Alcotest.(check string) "source variant" "static" variant;
-      check_int "converted length" (Array.length arr) n;
-      check_bool "converted file is v3" true
-        (Container.version_of_file v3 = Some Container.version_v3);
-      let fwt = Wtrie.Static.open_file_exn v3 in
-      check ~ctx:"converted" fwt m;
-      Wtrie.Static.close fwt)
+  Fun.protect ~finally:(fun () -> Sys.remove v3) @@ fun () ->
+  Oracle.with_legacy "static" @@ fun v2 ->
+  check_bool "v2 file is not v3" true (Container.version_of_file v2 <> Some Container.version_v3);
+  (* load_index flattens the v2 pointer payload on load *)
+  let fwt = Wtrie.Storage.load_index v2 in
+  Flat_wt.check_invariants fwt;
+  check ~ctx:"v2-load" fwt m;
+  let variant, n = Wtrie.Storage.convert v2 v3 in
+  Alcotest.(check string) "source variant" "static" variant;
+  check_int "converted length" Oracle.legacy_n n;
+  check_bool "converted file is v3" true
+    (Container.version_of_file v3 = Some Container.version_v3);
+  let fwt = Wtrie.Static.open_file_exn v3 in
+  check ~ctx:"converted" fwt m;
+  Wtrie.Static.close fwt
 
 (* ------------------------------------------------------------------ *)
 (* Versions 2 and 3.  [fixtures/v2] holds a static index and a tiered

@@ -1,9 +1,10 @@
 (* The one differential oracle (oracle.ml), instantiated for every
    backend: the §3 pointer reference, the static arena (built, reopened
-   by copy and by mmap, and an arena-version-2 file), the append-only
-   and dynamic tries, the tiered store through scenarios with injected
-   crashes, and the served append, static and tiered backends over the
-   wire at one and two execution domains. *)
+   by copy and by mmap, arena-version-2 and -3 files, and the legacy
+   format-v2 indexes flattened on load), the append-only and dynamic
+   tries, the tiered store through scenarios with injected crashes, and
+   the served static and tiered backends over the wire at one and two
+   execution domains. *)
 
 module Xoshiro = Wt_bits.Xoshiro
 module Server = Wt_serve.Server
@@ -112,25 +113,21 @@ let tiered_scenarios =
 
 (* ------------------------------------------------------------------ *)
 (* Legacy Marshal-based fixtures (fixtures/legacy/README.md): format-v2
-   indexes load and convert, and snapshot+WAL directories migrate, with
-   the contents of the README's formula. *)
-
-let legacy name = Filename.concat "fixtures/legacy" name
-let legacy_s i = Printf.sprintf "h%d.example/p%d" (i mod 5) (i mod 3)
+   indexes of every variant load as static arenas and convert, and
+   snapshot+WAL directories migrate, with the contents of the README's
+   formula. *)
 
 let test_legacy_indexes () =
-  let m = Oracle.model (Array.init 4500 legacy_s) in
+  let m = Oracle.model (Array.init Oracle.legacy_n Oracle.legacy_s) in
   let ops = Oracle.Gen.ops (Xoshiro.create 10) m in
   List.iter
     (fun variant ->
-      let file = legacy (variant ^ ".wt") in
-      (match Wtrie.Storage.load_index file with
-      | Wtrie.Storage.Static t -> C_static.run ~ctx:file t m
-      | Wtrie.Storage.Append t -> C_append.run ~ctx:file t m
-      | Wtrie.Storage.Dynamic t -> C_dynamic.run ~ctx:file t m);
+      let file = Oracle.legacy (variant ^ ".wt") in
+      C_static.run ~ctx:file (Wtrie.Storage.load_index file) m;
       let v3 = Filename.temp_file "wt_oracle_legacy" ".wtx" in
       Fun.protect ~finally:(fun () -> Sys.remove v3) @@ fun () ->
-      Alcotest.(check (pair string int)) "convert" (variant, 4500) (Wtrie.Storage.convert file v3);
+      Alcotest.(check (pair string int)) "convert" (variant, Oracle.legacy_n)
+        (Wtrie.Storage.convert file v3);
       let t = Wtrie.Static.open_file_exn v3 in
       C_static.point ~ctx:(file ^ ", converted") t m ops;
       Wtrie.Static.close t)
@@ -138,15 +135,15 @@ let test_legacy_indexes () =
 
 let test_legacy_directories () =
   let module C = Oracle.Check (T) in
-  let dynamic = ref (Array.init 4400 legacy_s) in
+  let dynamic = ref (Array.init 4400 Oracle.legacy_s) in
   for j = 0 to 59 do
     let len = Array.length !dynamic in
-    let d = Oracle.insert !dynamic (j * 37 mod (len + 1)) (legacy_s (j + 7)) in
-    dynamic := Oracle.insert (Oracle.delete d (j * 53 mod (len + 1))) len (legacy_s j)
+    let d = Oracle.insert !dynamic (j * 37 mod (len + 1)) (Oracle.legacy_s (j + 7)) in
+    dynamic := Oracle.insert (Oracle.delete d (j * 53 mod (len + 1))) len (Oracle.legacy_s j)
   done;
   List.iter
     (fun (name, replayed, want) ->
-      let dir = Oracle.copy_dir (legacy name) ("oracle_" ^ name) in
+      let dir = Oracle.copy_dir (Oracle.legacy name) ("oracle_" ^ name) in
       let r = T.recover dir in
       Alcotest.(check (pair bool int)) (name ^ " migrated, records replayed") (true, replayed)
         (r.T.r_migrated, r.T.r_replayed);
@@ -154,7 +151,7 @@ let test_legacy_directories () =
       C.run ~ctx:name t (Oracle.model want);
       T.close t;
       Oracle.rm_rf dir)
-    [ ("append.d", 99, Array.init 4500 legacy_s); ("dynamic.d", 180, !dynamic) ]
+    [ ("append.d", 99, Array.init Oracle.legacy_n Oracle.legacy_s); ("dynamic.d", 180, !dynamic) ]
 
 (* ------------------------------------------------------------------ *)
 (* Served backends *)
@@ -167,10 +164,12 @@ let served ?(extra = [||]) ctx backend snap m =
           Oracle.wire ~ctx:(Printf.sprintf "%s, domains %s" ctx name) ~port m ops))
     [ (None, "none"); (Some 2, "2") ]
 
-let test_served_append () =
+(* What [wtrie serve FILE.txt] runs: the arena built in memory from
+   the lines. *)
+let test_served_built () =
   let a = corpus 7 300 in
-  served "served append" Server.append_backend
-    (Snapshot.create (Wtrie.Append.of_array a))
+  served "served in-memory build" Server.static_backend
+    (Snapshot.create (Wtrie.Static.of_array a))
     (Oracle.model a)
 
 let test_served_static () =
@@ -212,7 +211,7 @@ let () =
         ] );
       ( "wire",
         [
-          Alcotest.test_case "served append" `Quick test_served_append;
+          Alcotest.test_case "served in-memory build" `Quick test_served_built;
           Alcotest.test_case "served static" `Quick test_served_static;
           Alcotest.test_case "served tiered" `Quick test_served_tiered;
         ] );

@@ -1,5 +1,7 @@
-(* Tests for index serialization (Persist): roundtrips for each variant,
-   header validation, post-load mutability. *)
+(* Tests for the read-only format-v2 loaders (Persist) on copies of the
+   legacy fixtures (fixtures/legacy/README.md): each variant reads back
+   the sequence it was written from, header validation, post-load
+   mutability, corruption and truncation. *)
 
 module Bitstring = Wt_strings.Bitstring
 module Binarize = Wt_strings.Binarize
@@ -13,64 +15,53 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) ("wt_persist_" ^ name)
+let legacy_seq = Array.init Oracle.legacy_n (fun i -> Binarize.of_bytes (Oracle.legacy_s i))
 
-let sample_seq n =
-  let rng = Xoshiro.create 4 in
-  Array.init n (fun _ ->
-      Binarize.of_bytes
-        (String.init (1 + Xoshiro.int rng 6) (fun _ ->
-             Char.chr (Char.code 'a' + Xoshiro.int rng 4))))
-
+(* The static fixture is the pointer trie of its sequence: the same
+   canonical structure today's builder produces, and the same strings. *)
 let test_static_roundtrip () =
-  let seq = sample_seq 500 in
-  let wt = Wavelet_trie.of_array seq in
-  let path = tmp "static.wtx" in
-  Persist.save_static wt path;
-  check_bool "recognized" true (Persist.is_index_file path);
-  let wt' = Persist.load_static path in
-  check_int "length" (Wavelet_trie.length wt) (Wavelet_trie.length wt');
-  Alcotest.(check (list (pair string (option string))))
-    "structure" (Wavelet_trie.dump wt) (Wavelet_trie.dump wt');
-  for i = 0 to 499 do
-    check_bool "content" true (Bitstring.equal seq.(i) (Wavelet_trie.access wt' i))
-  done;
-  Sys.remove path
+  Oracle.with_legacy "static" (fun path ->
+      check_bool "recognized" true (Persist.is_index_file path);
+      let wt = Persist.load_static path in
+      check_int "length" Oracle.legacy_n (Wavelet_trie.length wt);
+      Alcotest.(check (list (pair string (option string))))
+        "structure"
+        (Wavelet_trie.dump (Wavelet_trie.of_array legacy_seq))
+        (Wavelet_trie.dump wt);
+      Array.iteri
+        (fun i s -> check_bool "content" true (Bitstring.equal s (Wavelet_trie.access wt i)))
+        legacy_seq)
 
 let test_append_roundtrip_and_growth () =
-  let seq = sample_seq 300 in
-  let wt = Append_wt.of_array seq in
-  let path = tmp "append.wtx" in
-  Persist.save_append wt path;
-  let wt' = Persist.load_append path in
-  Append_wt.check_invariants wt';
-  (* the loaded index keeps accepting appends *)
-  Append_wt.append wt' (Binarize.of_bytes "post-load");
-  check_int "grown" 301 (Append_wt.length wt');
-  check_int "found" 1 (Append_wt.rank wt' (Binarize.of_bytes "post-load") 301);
-  Sys.remove path
+  Oracle.with_legacy "append" (fun path ->
+      let wt = Persist.load_append path in
+      Append_wt.check_invariants wt;
+      check_bool "last" true
+        (Bitstring.equal legacy_seq.(Oracle.legacy_n - 1)
+           (Append_wt.access wt (Oracle.legacy_n - 1)));
+      (* the loaded index keeps accepting appends *)
+      Append_wt.append wt (Binarize.of_bytes "post-load");
+      check_int "grown" (Oracle.legacy_n + 1) (Append_wt.length wt);
+      check_int "found" 1
+        (Append_wt.rank wt (Binarize.of_bytes "post-load") (Oracle.legacy_n + 1)))
 
 let test_dynamic_roundtrip_and_updates () =
-  let seq = sample_seq 300 in
-  let wt = Dynamic_wt.of_array seq in
-  let path = tmp "dynamic.wtx" in
-  Persist.save_dynamic wt path;
-  let wt' = Persist.load_dynamic path in
-  Dynamic_wt.check_invariants wt';
-  Dynamic_wt.insert wt' 150 (Binarize.of_bytes "fresh");
-  Dynamic_wt.delete wt' 0;
-  Dynamic_wt.check_invariants wt';
-  check_int "length" 300 (Dynamic_wt.length wt');
-  Sys.remove path
+  Oracle.with_legacy "dynamic" (fun path ->
+      let wt = Persist.load_dynamic path in
+      Dynamic_wt.check_invariants wt;
+      Dynamic_wt.insert wt 150 (Binarize.of_bytes "fresh");
+      Dynamic_wt.delete wt 0;
+      Dynamic_wt.check_invariants wt;
+      check_int "length" Oracle.legacy_n (Dynamic_wt.length wt);
+      check_bool "inserted" true
+        (Bitstring.equal (Binarize.of_bytes "fresh") (Dynamic_wt.access wt 149)))
 
 let test_header_validation () =
-  let seq = sample_seq 10 in
-  let path = tmp "mix.wtx" in
-  Persist.save_static (Wavelet_trie.of_array seq) path;
   (* loading as the wrong variant fails loudly *)
-  (match Persist.load_append path with
-  | exception Persist.Format_error _ -> ()
-  | _ -> Alcotest.fail "expected Format_error on variant mismatch");
-  Sys.remove path;
+  Oracle.with_legacy "static" (fun path ->
+      match Persist.load_append path with
+      | exception Persist.Format_error _ -> ()
+      | _ -> Alcotest.fail "expected Format_error on variant mismatch");
   (* garbage is rejected *)
   let garbage = tmp "garbage.bin" in
   let oc = open_out_bin garbage in
@@ -84,66 +75,61 @@ let test_header_validation () =
 
 let test_truncated_payload () =
   (* failure injection: chop a valid index mid-payload *)
-  let path = tmp "trunc.wtx" in
-  Persist.save_static (Wavelet_trie.of_array (sample_seq 200)) path;
-  let full = In_channel.with_open_bin path In_channel.input_all in
-  let cut = String.sub full 0 (String.length full * 2 / 3) in
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc cut);
-  (match Persist.load_static path with
-  | exception Persist.Format_error _ -> ()
-  | exception e -> Alcotest.fail ("unexpected exception " ^ Printexc.to_string e)
-  | _ -> Alcotest.fail "expected Format_error on truncated payload");
-  (* chop inside the header *)
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc (String.sub full 0 5));
-  (match Persist.load_static path with
-  | exception Persist.Format_error _ -> ()
-  | exception e -> Alcotest.fail ("unexpected exception " ^ Printexc.to_string e)
-  | _ -> Alcotest.fail "expected Format_error on truncated header");
-  Sys.remove path
+  Oracle.with_legacy "static" (fun path ->
+      let full = In_channel.with_open_bin path In_channel.input_all in
+      let cut = String.sub full 0 (String.length full * 2 / 3) in
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc cut);
+      (match Persist.load_static path with
+      | exception Persist.Format_error _ -> ()
+      | exception e -> Alcotest.fail ("unexpected exception " ^ Printexc.to_string e)
+      | _ -> Alcotest.fail "expected Format_error on truncated payload");
+      (* chop inside the header *)
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (String.sub full 0 5));
+      match Persist.load_static path with
+      | exception Persist.Format_error _ -> ()
+      | exception e -> Alcotest.fail ("unexpected exception " ^ Printexc.to_string e)
+      | _ -> Alcotest.fail "expected Format_error on truncated header")
 
 (* Property: any single flipped byte, and any strict truncation, of any
-   saved variant must raise Format_error — never succeed, never escape
+   variant's index must raise Format_error — never succeed, never escape
    as a different exception.  (Exhaustive sweeps live in test_faults.) *)
 let test_random_corruption () =
   let rng = Xoshiro.create 77 in
-  let check_variant name save load =
-    let path = tmp ("corrupt_" ^ name ^ ".wtx") in
-    save path;
-    let pristine = In_channel.with_open_bin path In_channel.input_all in
-    let len = String.length pristine in
-    let rewrite s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s) in
-    let expect_format_error what =
-      match load path with
-      | exception Persist.Format_error _ -> ()
-      | exception e ->
-          Alcotest.fail
-            (Printf.sprintf "%s, %s: unexpected exception %s" name what (Printexc.to_string e))
-      | () -> Alcotest.fail (Printf.sprintf "%s, %s: load succeeded on a corrupted index" name what)
-    in
-    for trial = 1 to 48 do
-      let off = Xoshiro.int rng len in
-      let b = Bytes.of_string pristine in
-      Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor (1 lsl (trial mod 8))));
-      rewrite (Bytes.to_string b);
-      expect_format_error (Printf.sprintf "bit flip at offset %d" off);
-      let cut = Xoshiro.int rng len in
-      rewrite (String.sub pristine 0 cut);
-      expect_format_error (Printf.sprintf "truncated to %d bytes" cut)
-    done;
-    rewrite pristine;
-    load path;
-    Sys.remove path
+  let check_variant name load =
+    Oracle.with_legacy name (fun path ->
+        let pristine = In_channel.with_open_bin path In_channel.input_all in
+        let len = String.length pristine in
+        let rewrite s =
+          Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+        in
+        let expect_format_error what =
+          match load path with
+          | exception Persist.Format_error _ -> ()
+          | exception e ->
+              Alcotest.fail
+                (Printf.sprintf "%s, %s: unexpected exception %s" name what
+                   (Printexc.to_string e))
+          | () ->
+              Alcotest.fail
+                (Printf.sprintf "%s, %s: load succeeded on a corrupted index" name what)
+        in
+        for trial = 1 to 48 do
+          let off = Xoshiro.int rng len in
+          let b = Bytes.of_string pristine in
+          Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor (1 lsl (trial mod 8))));
+          rewrite (Bytes.to_string b);
+          expect_format_error (Printf.sprintf "bit flip at offset %d" off);
+          let cut = Xoshiro.int rng len in
+          rewrite (String.sub pristine 0 cut);
+          expect_format_error (Printf.sprintf "truncated to %d bytes" cut)
+        done;
+        rewrite pristine;
+        load path)
   in
-  check_variant "static"
-    (fun p -> Persist.save_static (Wavelet_trie.of_array (sample_seq 150)) p)
-    (fun p -> ignore (Persist.load_static p : Wavelet_trie.t));
-  check_variant "append"
-    (fun p -> Persist.save_append (Append_wt.of_array (sample_seq 150)) p)
-    (fun p -> ignore (Persist.load_append p : Append_wt.t));
-  check_variant "dynamic"
-    (fun p -> Persist.save_dynamic (Dynamic_wt.of_array (sample_seq 150)) p)
-    (fun p -> ignore (Persist.load_dynamic p : Dynamic_wt.t))
+  check_variant "static" (fun p -> ignore (Persist.load_static p : Wavelet_trie.t));
+  check_variant "append" (fun p -> ignore (Persist.load_append p : Append_wt.t));
+  check_variant "dynamic" (fun p -> ignore (Persist.load_dynamic p : Dynamic_wt.t))
 
 let () =
   Alcotest.run "wt_persist"

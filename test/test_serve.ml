@@ -223,30 +223,31 @@ let strings =
       | 3 -> Printf.sprintf "alpha-%d" (i mod 3)
       | _ -> Printf.sprintf "gamma/%d/x" i)
 
+(* What [wtrie serve FILE.txt] runs: the arena built in memory from the
+   lines. *)
 let with_server ?(tweak = fun c -> c) f =
-  let wt = Wtrie.Append.create () in
-  Array.iter (Wtrie.Append.append wt) strings;
+  let wt = Wtrie.Static.of_array strings in
   let cfg = tweak { (Server.default_config ()) with port = 0; window_us = 100 } in
-  let srv = Server.create ~config:cfg ~backend:Server.append_backend (Snapshot.create wt) in
+  let srv = Server.create ~config:cfg ~backend:Server.static_backend (Snapshot.create wt) in
   let d = Domain.spawn (fun () -> Server.serve srv) in
   Fun.protect
     ~finally:(fun () ->
       Server.request_stop srv;
       Domain.join d)
-    (fun () -> f wt srv)
+    (fun () -> f srv)
 
 let model = Oracle.model strings
 
 (* every socket reply equals the oracle's answer (oracle.ml), including
    the error cases *)
 let test_oracle_sequential () =
-  with_server (fun _wt srv ->
-      Oracle.wire ~clients:1 ~ctx:"append" ~port:(Server.port srv) model
+  with_server (fun srv ->
+      Oracle.wire ~clients:1 ~ctx:"static" ~port:(Server.port srv) model
         (Oracle.Gen.ops (Xoshiro.create 21) model))
 
 let test_oracle_concurrent_clients () =
-  with_server ~tweak:(fun c -> { c with domains = Some 2 }) (fun _wt srv ->
-      Oracle.wire ~clients:3 ~ctx:"append, 2 domains" ~port:(Server.port srv) model
+  with_server ~tweak:(fun c -> { c with domains = Some 2 }) (fun srv ->
+      Oracle.wire ~clients:3 ~ctx:"static, 2 domains" ~port:(Server.port srv) model
         (Oracle.Gen.ops (Xoshiro.create 31) model))
 
 (* ------------------------------------------------------------------ *)
@@ -286,7 +287,7 @@ let read_until_eof ?(timeout = 5.0) fd =
 let write_raw fd s = ignore (Unix.write_substring fd s 0 (String.length s))
 
 let test_garbage_and_disconnects () =
-  with_server (fun _wt srv ->
+  with_server (fun srv ->
       (* absurd declared frame length: connection dies, server does not *)
       let fd = raw_connect srv in
       write_raw fd "\xFF\xFF\xFF\xFF garbage follows";
@@ -315,7 +316,7 @@ let test_garbage_and_disconnects () =
       Alcotest.(check bool) "bad frames were counted" true (st.Server.bad_frames >= 2))
 
 let test_slow_loris_reaped () =
-  with_server ~tweak:(fun c -> { c with read_timeout_ms = 100 }) (fun _wt srv ->
+  with_server ~tweak:(fun c -> { c with read_timeout_ms = 100 }) (fun srv ->
       let fd = raw_connect srv in
       (* a frame header, then silence: stalled mid-frame *)
       write_raw fd "\x00\x00\x00\x20";
@@ -332,7 +333,7 @@ let test_slow_loris_reaped () =
 let test_overload_sheds_and_recovers () =
   with_server
     ~tweak:(fun c -> { c with queue_max = 4; batch_max = 256; window_us = 20_000 })
-    (fun _wt srv ->
+    (fun srv ->
       let rng = Xoshiro.create 41 in
       let ops = Array.init 2_000 (fun _ -> gen_op rng) in
       let r =
@@ -360,7 +361,7 @@ let test_deadline_beats_window () =
      window — executed or expired, but never stuck *)
   with_server
     ~tweak:(fun c -> { c with window_us = 500_000; batch_max = 1_000_000 })
-    (fun _wt srv ->
+    (fun srv ->
       let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port srv) () in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let t0 = Unix.gettimeofday () in
@@ -385,7 +386,7 @@ let test_expired_never_executed () =
   @@ fun () ->
   with_server
     ~tweak:(fun c -> { c with window_us = 50_000; batch_max = 1_000_000 })
-    (fun _wt srv ->
+    (fun srv ->
       let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port srv) () in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       (* 1us deadline, 50ms window: expired before any flush *)
@@ -399,7 +400,7 @@ let test_expired_never_executed () =
 (* Latency under contention and graceful drain *)
 
 let test_contended_latency_bounded () =
-  with_server (fun _wt srv ->
+  with_server (fun srv ->
       let rng = Xoshiro.create 51 in
       let opgen _ = Wire.Query (Is.Access { pos = Xoshiro.int rng (Array.length strings) }) in
       let port = Server.port srv in
@@ -417,7 +418,7 @@ let test_contended_latency_bounded () =
 let test_drain_answers_admitted () =
   with_server
     ~tweak:(fun c -> { c with window_us = 5_000_000 (* effectively never flush *) })
-    (fun _wt srv ->
+    (fun srv ->
       let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port srv) () in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       (* fire a request that will sit in the queue, then stop the server:
@@ -561,7 +562,7 @@ let telemetered f =
 
 let test_stats_and_scrape_ops () =
   telemetered @@ fun () ->
-  with_server ~tweak:(fun c -> { c with slow_ms = Some 0 }) (fun _wt srv ->
+  with_server ~tweak:(fun c -> { c with slow_ms = Some 0 }) (fun srv ->
       let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port srv) () in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let rng = Xoshiro.create 77 in
@@ -609,7 +610,7 @@ let test_stats_and_scrape_ops () =
    for fast queries. *)
 let test_slow_threshold_filters () =
   telemetered @@ fun () ->
-  with_server ~tweak:(fun c -> { c with slow_ms = Some 10_000 }) (fun _wt srv ->
+  with_server ~tweak:(fun c -> { c with slow_ms = Some 10_000 }) (fun srv ->
       let c = Client.connect ~host:"127.0.0.1" ~port:(Server.port srv) () in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       for i = 0 to 49 do
@@ -658,7 +659,7 @@ let test_static_space_gauges () =
 let test_metrics_listener () =
   telemetered @@ fun () ->
   with_server ~tweak:(fun c -> { c with metrics_port = Some 0; slow_ms = Some 0 })
-    (fun _wt srv ->
+    (fun srv ->
       let mport =
         match Server.metrics_port srv with
         | Some p -> p
