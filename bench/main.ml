@@ -991,11 +991,12 @@ let metrics_queries (type a)
    should amortize the per-node directory walks away.  Each leg also
    reports the words it allocates (between two [Gc.minor] calls, see
    [words_of]) and its traversal work per op — trie nodes visited, and
-   the RRR ranks and, for access, accesses or, for select and
-   rank_prefix, selects — each from one more pass after the timed ones:
-   neither depends on the machine's speed or load.  Select asks for an
-   occurrence that exists; a prefix is a random cut of a stored
-   string. *)
+   the RRR ranks and, for access and rank, accesses and the block
+   positions unranked ([Rrr_unrank]; a plain β blob takes none) or,
+   for select and rank_prefix, selects — each from one more pass after
+   the timed ones: neither depends on the machine's speed or load.
+   Select asks for an occurrence that exists; a prefix is a random cut
+   of a stored string. *)
 let batch_block () =
   let n = 131072 in
   let g = Urls.create ~seed:42 () in
@@ -1068,13 +1069,13 @@ let batch_block () =
   in
   let access =
     per
-      ~counted:[ ("rrr_access", Rrr_access) ]
+      ~counted:[ ("rrr_access", Rrr_access); ("rrr_unrank", Rrr_unrank) ]
       ~scalar:(fun i -> ignore (Wtrie.Static.access wt ~pos:positions.(i)))
       (Array.map (fun pos -> Wtrie.Access { pos }) positions)
   in
   let rank =
     per
-      ~counted:[ ("rrr_access", Rrr_access) ]
+      ~counted:[ ("rrr_access", Rrr_access); ("rrr_unrank", Rrr_unrank) ]
       ~scalar:(fun i ->
         let s, pos = rank_args.(i) in
         ignore (Wtrie.Static.rank wt s ~pos))
@@ -1108,25 +1109,34 @@ let batch_block () =
 
 (* The arena's β coder alone ([Rrr.Flat]): ns per rank, select and
    access at random positions on a 2^20-bit blob at densities 0.5, 0.1
-   and 0.01, and ns per rank over one-block blobs (2 to 62 bits, about
-   90% of a wide arena's internal nodes).  Best of five passes of 2^18
-   queries each. *)
+   and 0.01, in the code [append_blocks] picks (plain at 0.5,
+   class-range RRR at 0.1 and 0.01), and ns per rank over one-block
+   blobs (2 to 62 bits, about 90% of a wide arena's internal nodes).
+   Two more rank rows on the density-0.5 bits and positions: the blob
+   forced into class-range RRR, so the RRR path stays timed where it is
+   slowest, and [Wt_bitvector.Plain], the uncompressed reference.  Best
+   of five passes of 2^18 queries each. *)
 let rrr_rows () =
   let module Rrr = Wt_bitvector.Rrr in
   let rng = Xoshiro.create 61 in
-  let blob len density =
+  let bits len density =
     let blocks = Array.make ((len / Rrr.block_bits) + 1) 0 in
     for i = 0 to len - 1 do
       if Xoshiro.float rng < density then
         blocks.(i / Rrr.block_bits) <-
           blocks.(i / Rrr.block_bits) lor (1 lsl (i mod Rrr.block_bits))
     done;
+    blocks
+  in
+  let view ?code blocks len =
     let bb = Wt_bits.Bitbuf.create () in
-    Rrr.Flat.append_blocks bb blocks ~len;
+    Rrr.Flat.append_blocks ?code bb blocks ~len;
     let buf = Buffer.create 64 in
     Wt_bits.Bitbuf.add_to_buffer buf bb;
-    Rrr.Flat.of_membuf (Wt_bits.Membuf.of_string (Buffer.contents buf)) 0 ~len ~padded_tail:false
+    Rrr.Flat.of_membuf (Wt_bits.Membuf.of_string (Buffer.contents buf)) 0 ~len
+      ~version:Rrr.Flat.newest_version
   in
+  let blob len density = view (bits len density) len in
   let q = 1 lsl 18 in
   let row name f =
     let d = ref infinity in
@@ -1136,11 +1146,14 @@ let rrr_rows () =
     (name, Json.Float (!d *. 1e9 /. float_of_int q))
   in
   let sink = ref 0 in
+  let len = 1 lsl 20 in
+  let d50 = ref ([||], [||]) in
   let per_density name density =
-    let len = 1 lsl 20 in
-    let bv = blob len density in
+    let blocks = bits len density in
+    let bv = view blocks len in
     let pos = Array.init q (fun _ -> Xoshiro.int rng len) in
     let ks = Array.init q (fun _ -> Xoshiro.int rng (Rrr.Flat.ones bv)) in
+    if name = "d50" then d50 := (blocks, pos);
     [
       row ("rrr_rank_ns_" ^ name) (fun () ->
           Array.iter (fun p -> sink := !sink + Rrr.Flat.rank bv true p) pos);
@@ -1160,14 +1173,37 @@ let rrr_rows () =
     row "rrr_one_block_rank_ns" (fun () ->
         Array.iter (fun (bv, p) -> sink := !sink + Rrr.Flat.rank bv true p) probes)
   in
+  let rows =
+    per_density "d50" 0.5 @ per_density "d10" 0.1 @ per_density "d1" 0.01 @ [ one_block ]
+  in
+  let blocks, pos = !d50 in
+  let forced = view ~code:Rrr blocks len in
+  let plain =
+    let bb = Wt_bits.Bitbuf.create () in
+    Array.iteri
+      (fun i b ->
+        let at = i * Rrr.block_bits in
+        if at < len then Wt_bits.Bitbuf.add_bits bb (Int.min Rrr.block_bits (len - at)) b)
+      blocks;
+    Wt_bitvector.Plain.of_bitbuf bb
+  in
+  let reference =
+    [
+      row "rrr_class_range_rank_ns_d50" (fun () ->
+          Array.iter (fun p -> sink := !sink + Rrr.Flat.rank forced true p) pos);
+      row "plain_rank_ns_d50" (fun () ->
+          Array.iter (fun p -> sink := !sink + Wt_bitvector.Plain.rank plain true p) pos);
+    ]
+  in
   ignore (Sys.opaque_identity !sink);
-  per_density "d50" 0.5 @ per_density "d10" 0.1 @ per_density "d1" 0.01 @ [ one_block ]
+  rows @ reference
 
 (* The arena's node directory alone, on a serve_wide-shape arena
    (262,144 URLs over 2,000 hosts x 200 paths, about 56,000 distinct):
    its bits per node — exact, since the arena is a function of the
-   input — and ns per fused directory read ([Flat_wt.node_entry]: a
-   node's internal rank and content extent) over the nodes of 4,096
+   input — the share of its raw β bits stored plain (exact too), and
+   ns per fused directory read ([Flat_wt.node_entry]: a node's
+   internal rank and content extent) over the nodes of 4,096
    random root-to-leaf paths, those of [access] at random positions.
    Best of five passes. *)
 let directory_rows () =
@@ -1201,12 +1237,19 @@ let directory_rows () =
                visits))
   done;
   ignore (Sys.opaque_identity !sink);
+  let plain_raw, raw =
+    List.fold_left
+      (fun (p, a) (c : Wt_core.Flat_wt.code_stats) ->
+        ((if c.code = "plain" then p + c.raw_bits else p), a + c.raw_bits))
+      (0, 0) (Wt_core.Flat_wt.beta_codes t)
+  in
   [
     ( "directory_bits_per_node",
       Json.Float
         (float_of_int (Wt_core.Flat_wt.directory_bits t) /. float_of_int t.Wt_core.Flat_wt.node_count)
     );
     ("directory_ns", Json.Float (!d *. 1e9 /. float_of_int (Array.length visits)));
+    ("plain_beta_share", Json.Float (float_of_int plain_raw /. float_of_int raw));
   ]
 
 (* Restart economics of the format-v3 flat arena: the checksum-plus-mmap

@@ -140,16 +140,9 @@ let index_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"OUT" ~doc:"Output index file.")
   in
   let run file out =
-    (* a line file or an index is already an arena; a store's merged
-       view is decoded and rebuilt as one *)
-    let wt =
-      match build file with
-      | Flat wt -> wt
-      | Tier t ->
-          Wtrie.Static.of_array
-            (Array.init (Wtrie.Tiered.length t) (fun pos ->
-                 match Wtrie.Tiered.access t ~pos with Ok s -> s | Error _ -> assert false))
-    in
+    (* a line file or an index is already an arena; a store's tiers
+       merge node by node into one *)
+    let wt = match build file with Flat wt -> wt | Tier t -> Wtrie.Tiered.to_flat t in
     (* save_file writes atomically: a crash mid-save leaves any
        previous index at OUT intact.  The payload is the flat arena
        itself, so later opens are an mmap, not a deserialize. *)
@@ -238,10 +231,32 @@ let verify_cmd =
   in
   let run path json =
     let emit obj = print_endline (Json.to_string (Json.Obj obj)) in
+    let codes_json codes =
+      Json.Obj
+        (List.map
+           (fun (c : Wt_core.Flat_wt.code_stats) ->
+             (c.code, Json.Obj [ ("blobs", Json.Int c.blobs); ("bits", Json.Int c.bits) ]))
+           codes)
+    in
+    let codes_text codes =
+      "beta codes: "
+      ^ String.concat ", "
+          (List.map
+             (fun (c : Wt_core.Flat_wt.code_stats) ->
+               Printf.sprintf "%s %d blobs %d bits" c.code c.blobs c.bits)
+             codes)
+    in
     match
       if Sys.file_exists path && Sys.is_directory path then begin
         let module T = Wtrie.Tiered in
         let r = T.verify path in
+        (* (arena version, runs at it), by version *)
+        let versions =
+          let of_run (run : T.run_report) = run.run_version in
+          List.sort_uniq compare (List.map of_run r.T.v_run_reports)
+          |> List.map (fun v ->
+                 (v, List.length (List.filter (fun run -> of_run run = v) r.T.v_run_reports)))
+        in
         if json then
           emit
             [
@@ -251,7 +266,19 @@ let verify_cmd =
               ("generation", Json.Int r.T.v_generation);
               ("runs", Json.Int r.T.v_runs);
               ( "run_arena_versions",
-                Json.Obj (List.map (fun (v, k) -> (string_of_int v, Json.Int k)) r.T.v_run_versions) );
+                Json.Obj (List.map (fun (v, k) -> (string_of_int v, Json.Int k)) versions) );
+              ( "run_reports",
+                Json.List
+                  (List.map
+                     (fun (run : T.run_report) ->
+                       Json.Obj
+                         [
+                           ("file", Json.Str run.run_file);
+                           ("arena_version", Json.Int run.run_version);
+                           ("length", Json.Int run.run_length);
+                           ("beta_codes", codes_json run.run_codes);
+                         ])
+                     r.T.v_run_reports) );
               ("length", Json.Int r.T.v_length);
               ("distinct", Json.Int r.T.v_distinct);
               ("wal_records", Json.Int r.T.v_wal_records);
@@ -259,17 +286,23 @@ let verify_cmd =
               ("wal_reset_needed", Json.Bool r.T.v_wal_reset);
               ("rolled_forward", Json.Bool r.T.v_rolled_forward);
             ]
-        else if r.T.v_clean then
+        else if r.T.v_clean then begin
           Printf.printf
             "%s: ok (tiered store, generation %d, %d runs%s, length %d, wal records %d)\n"
             path r.T.v_generation r.T.v_runs
-            (if r.T.v_run_versions = [] then ""
+            (if versions = [] then ""
              else
                Printf.sprintf " (%s)"
                  (String.concat ", "
                     (List.map (fun (v, k) -> Printf.sprintf "%d at arena version %d" k v)
-                       r.T.v_run_versions)))
-            r.T.v_length r.T.v_wal_records
+                       versions)))
+            r.T.v_length r.T.v_wal_records;
+          List.iter
+            (fun (run : T.run_report) ->
+              Printf.printf "  %s: arena version %d, length %d, %s\n" run.run_file
+                run.run_version run.run_length (codes_text run.run_codes))
+            r.T.v_run_reports
+        end
         else
           Printf.printf
             "%s: recoverable (tiered store, %d wal records intact, %d bytes torn%s%s); run 'wtrie recover %s'\n"
@@ -280,20 +313,24 @@ let verify_cmd =
         r.T.v_clean
       end
       else begin
-        let tag, length, version = Storage.verify_index path in
+        let tag, length, version, codes = Storage.verify_index path in
         if json then
           emit
-            [
-              ("ok", Json.Bool true);
-              ("kind", Json.Str "file");
-              ("variant", Json.Str tag);
-              ("length", Json.Int length);
-              ("arena_version", match version with Some v -> Json.Int v | None -> Json.Null);
-            ]
-        else
+            ([
+               ("ok", Json.Bool true);
+               ("kind", Json.Str "file");
+               ("variant", Json.Str tag);
+               ("length", Json.Int length);
+               ("arena_version", match version with Some v -> Json.Int v | None -> Json.Null);
+             ]
+            @ if version = None then [] else [ ("beta_codes", codes_json codes) ])
+        else begin
           Printf.printf "%s: ok (%s index%s, length %d)\n" path tag
             (match version with Some v -> Printf.sprintf ", arena version %d" v | None -> "")
             length;
+          (* a format-v2 file's arena is built on load: its codes are not the file's *)
+          if version <> None then Printf.printf "  %s\n" (codes_text codes)
+        end;
         true
       end
     with

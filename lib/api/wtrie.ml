@@ -227,8 +227,8 @@ module Storage = struct
 
   (* Deep verification for [wtrie verify]: full checksums, the v2
      variant's own checks, then the arena's structural invariants.
-     Returns (variant, length, arena version), the version [None] for a
-     format-v2 file, whose arena is built on load. *)
+     Returns (variant, length, arena version, β codes), the version
+     [None] for a format-v2 file, whose arena is built on load. *)
   let verify_index path =
     let variant, flat, version =
       match index_version path with
@@ -243,7 +243,7 @@ module Storage = struct
           (variant, flat, None)
     in
     invariants Wt_core.Flat_wt.check_invariants flat;
-    (variant, Static.length flat, version)
+    (variant, Static.length flat, version, Wt_core.Flat_wt.beta_codes flat)
 
   (* [convert src dst] rewrites any readable index as a format-v3
      static arena.  Returns (source variant, length). *)

@@ -113,3 +113,37 @@ let[@inline] get_bits t pos len =
     else
       (x lor (Char.code (Bigarray.Array1.unsafe_get t.ba (first_byte + 8)) lsl (64 - sh)))
       land ((1 lsl len) - 1)
+
+(* Popcount of a non-negative value below 2^56: byte sums, then one
+   multiply gathers them in bits 48..55 (at most 56, no carries). *)
+let[@inline] pop56 x =
+  let x = x - ((x lsr 1) land 0x55_5555_5555_5555) in
+  let x = (x land 0x33_3333_3333_3333) + ((x lsr 2) land 0x33_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0f_0f0f_0f0f_0f0f in
+  ((x * 0x01_0101_0101_0101) lsr 48) land 0xff
+
+(* [popcount t pos n]: the set bits among bits [pos, pos + n), 56 per
+   load.  One bounds check covers every load when the range ends at
+   least eight bytes before the window does (each load reads eight
+   bytes from its first); closer to the end, each chunk goes through
+   [get_bits]. *)
+let popcount t pos n =
+  if n < 0 || pos < 0 then invalid_arg "Membuf.popcount: negative position or length";
+  let acc = ref 0 and p = ref pos and rest = ref n in
+  if n > 0 && ((pos + n - 1) lsr 3) + 8 <= t.len && not Sys.big_endian then begin
+    while !rest > 0 do
+      let x = Int64.to_int (Int64.shift_right_logical (unsafe_get64 t.ba (!p lsr 3)) (!p land 7)) in
+      let k = Int.min 56 !rest in
+      acc := !acc + pop56 (x land ((1 lsl k) - 1));
+      p := !p + 56;
+      rest := !rest - 56
+    done
+  end
+  else
+    while !rest > 0 do
+      let k = Int.min 56 !rest in
+      acc := !acc + pop56 (get_bits t !p k);
+      p := !p + k;
+      rest := !rest - k
+    done;
+  !acc

@@ -48,3 +48,8 @@ val get_bit : t -> int -> bool
 val get_bits : t -> int -> int -> int
 (** [get_bits t pos len] packs bits [pos .. pos+len) into an int, bit
     [pos] at bit 0.  Requires [0 <= len <= 62]. *)
+
+val popcount : t -> int -> int -> int
+(** [popcount t pos n] counts the set bits among bits [pos, pos + n),
+    reading 56 bits per load; raises [Invalid_argument] when the range
+    is not inside the window. *)

@@ -91,33 +91,47 @@ end
 
 val pp : Format.formatter -> t -> unit
 
-(** Flat serialized form: the same blocks as one bit-packed blob,
-    queried in place through {!Wt_bits.Membuf} — the inline bitvector
-    encoding of the format-v3 arena.  The blob stores no length,
-    popcount or padding: its owner supplies the length, and a blob of at
-    most 16 blocks carries no superblock directory, so it is exactly its
-    RRR payload.  The last block is coded over its real length [r]: its
-    offset takes ceil(log2 C(r, c)) bits, and a one-block blob's class
-    takes [bit_width r] bits.  [append_blocks] encodes a bitvector
-    straight into a blob; [of_membuf] opens a view at a bit offset with
-    no decoding.  Queries hit the same [Rrr_*] / [Bv_cursor_*] probes as
-    the pointer form. *)
+(** Flat serialized form: one β blob of the format-v3 arena,
+    bit-packed and queried in place through {!Wt_bits.Membuf}.  The blob
+    stores no length: its owner supplies it.  A blob of one block (at
+    most 62 bits) is RRR: a [bit_width r]-bit class and its offset over
+    the block's real length [r].  From arena version 5 on, a longer blob
+    starts with a one-bit code tag and is stored in the smaller of two
+    codes, ties going to plain:
+    - class-range RRR: the same blocks, superblock directory and
+      offsets as before, each class stored as [c - cmin] in
+      [bit_width (cmax - cmin)] bits behind a 6-bit base and a 3-bit
+      width;
+    - plain: one cumulative-ones sample per 512 bits, then the raw
+      bits.  Rank, select and access are a sample plus popcounts, with
+      no unranking.
+    The choice depends only on the bits, so equal bitvectors get equal
+    blobs.  Arena versions 3 and 4 wrote every blob as RRR with 6-bit
+    classes and no tag; version 2 also coded the last block over 62
+    positions.  [of_membuf] reads all four.  Queries hit the same
+    [Rrr_*] / [Bv_cursor_*] probes as the pointer form whatever the
+    code, and unranking records its steps as [Rrr_unrank]. *)
 module Flat : sig
   type t
 
-  val append_blocks : Wt_bits.Bitbuf.t -> int array -> len:int -> unit
+  type code = Rrr | Plain
+
+  val newest_version : int
+  (** The arena version {!append_blocks} writes (5). *)
+
+  val append_blocks : ?code:code -> Wt_bits.Bitbuf.t -> int array -> len:int -> unit
   (** [append_blocks bb blocks ~len] appends the blob of the [len]-bit
       bitvector whose bits [62i, 62i + 62) are [blocks.(i)], LSB first
-      and zero past [len] (self-delimiting given [len]). *)
+      and zero past [len], at {!newest_version}.  [?code] forces the code
+      of a blob longer than one block; by default it is the smaller. *)
 
-  val of_membuf : Wt_bits.Membuf.t -> int -> len:int -> padded_tail:bool -> t
-  (** [of_membuf mb bit ~len ~padded_tail] views the [len]-bit blob
-      starting at bit [bit], reading at most three words.  A blob
-      [append_blocks] wrote has [~padded_tail:false]; [true] reads one
-      whose last block is coded over 62 positions like the others, as
-      arena version 2 wrote them.  Raises [Invalid_argument] on a
-      structurally corrupt blob; all subsequent reads are
-      bounds-checked. *)
+  val of_membuf : Wt_bits.Membuf.t -> int -> len:int -> version:int -> t
+  (** [of_membuf mb bit ~len ~version] views the [len]-bit blob starting
+      at bit [bit], as arena version [version] (2 to {!newest_version})
+      wrote it, reading at most three words.  Raises [Invalid_argument]
+      on a structurally corrupt blob (a class width above 6, a class
+      base above 62, a total above [len], a blob past the buffer); all
+      subsequent reads are bounds-checked. *)
 
   val length : t -> int
   val ones : t -> int
@@ -125,6 +139,9 @@ module Flat : sig
 
   val space_bits : t -> int
   (** Blob length in bits. *)
+
+  val code : t -> code
+  (** A one-block blob, and every blob before version 5, is [Rrr]. *)
 
   val rank : t -> bool -> int -> int
   val select : t -> bool -> int -> int
@@ -135,6 +152,16 @@ module Flat : sig
   (** [iter_blocks t f] calls [f] on each block in order, decoded: bits
       [62i, 62i + 62) LSB first, zero past the length — the form
       {!append_blocks} takes. *)
+
+  val check : t -> version:int -> unit
+  (** Deep check of a blob written at [version]: every block decodes,
+      each class fits its block and each offset is in range, and the
+      directory matches the classes.  From version 5 on, also: the class
+      base and width are the classes' least value and range, each plain
+      rank sample is the bits' (none falls or rises by more than 512),
+      the tag names the smaller code, and the blob is bit for bit the
+      encoding of its own bits.  Raises [Failure], or [Invalid_argument]
+      on a read outside the buffer. *)
 
   module Cursor : sig
     type bv := t

@@ -11,13 +11,13 @@
    [open] is a checksummed header read plus an [mmap] (zero-copy, one
    read-only mapping shareable across serving processes).
 
-   Arena layout, version 4 (integers little-endian, bit streams
+   Arena layout, version 5 (integers little-endian, bit streams
    LSB-first; N nodes in BFS order, I = (N - 1) / 2 of them internal;
    every section is byte-aligned and its size derived from the header):
 
      header (56 bytes):
        off  0  magic "WTF3" (4 bytes)
-       off  4  u32 arena version (= 4; versions 2 and 3 are read too)
+       off  4  u32 arena version (= 5; versions 2 to 4 are read too)
        off  8  u64 n               sequence length (the root's count)
        off 16  u64 node_count      N
        off 24  u64 labels_bits     total label length in bits
@@ -40,22 +40,28 @@
      content: content_bits bits, byte-padded.  Node i owns
        [off i, off (i + 1)): an internal node's β blob (length = its
        count), then its label; a leaf's label alone.  A label's length
-       is its extent minus the blob's.
+       is its extent minus the blob's.  A β blob of more than 62 bits
+       starts with a code tag and is class-range RRR or plain, whichever
+       is smaller ({!Wt_bitvector.Rrr.Flat}); a shorter one is one RRR
+       block.  On serve_small's URL log (262,144 strings, about 2,000
+       distinct) that takes β from 9.74 to 9.55 bits per string.
 
-   Versions 2 and 3 have the same header, with offsets_bits at off 32,
-   and a two-part directory: ceil (N / 32) topology records of 8 bytes
-   (u32 internal nodes before the record's first node, u32 bit j set
-   iff node 32r + j is internal), then the N + 1 offsets in
+   Version 4 has the same layout with every β blob RRR-coded: no tag,
+   and 6 bits per class.  Versions 2 and 3 have the same header, with
+   offsets_bits at off 32, and a two-part directory: ceil (N / 32)
+   topology records of 8 bytes (u32 internal nodes before the record's
+   first node, u32 bit j set iff node 32r + j is internal), then the
+   N + 1 offsets in
    offsets_bits bits ({!Wt_succinct.Flat_offsets}: per block of 32, the
    first offset and fixed-width differences at the block's own width).
    On a URL log of 262,144 strings, 55,741 distinct (111,481 nodes),
    that directory takes 14.41 bits per node (2.00 of topology, 12.41 of
    offsets) and version 4's 10.86.  Version 3 codes each β blob's last
-   RRR block over its real length, as version 4 does; version 2 coded it
-   over 62 bits like the others.  All open through the one blob decoder
-   ({!Wt_bitvector.Rrr.Flat}), told which by [padded_tail]; the builders
-   write version 4 only, and [merge] copies β blobs and labels of
-   version 3 and 4 verbatim.
+   RRR block over its real length, as versions 4 and 5 do; version 2
+   coded it over 62 bits like the others.  All open through the one blob
+   decoder ({!Wt_bitvector.Rrr.Flat}), told the arena's version; the
+   builders write version 5 only, and [merge] copies labels of any
+   version and β blobs of version 5 verbatim, and re-encodes older β.
 
    Safety: every arena read is bounds-checked by [Membuf], so a corrupt
    blob raises [Invalid_argument] (or {!Wt_durable.Container.Format_error}
@@ -83,7 +89,7 @@ module Trace = Wt_obs.Trace
 exception Closed
 
 let arena_magic = "WTF3"
-let arena_version = 4
+let arena_version = Rrr.Flat.newest_version
 let header_len = 56
 
 let tag = "static"
@@ -102,8 +108,7 @@ type t = {
   content_bits : int;
   dir : directory;
   content_bit : int; (* bit offset of the content stream *)
-  version : int;
-  padded_tail : bool; (* a version-2 arena: β tails coded over 62 bits *)
+  version : int; (* the blob decoder needs it: see [Rrr.Flat.of_membuf] *)
   source : string; (* file path when opened from storage, for errors *)
   mutable closed : bool;
   release : unit -> unit; (* backing fd, when mmap-opened *)
@@ -388,9 +393,11 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
         fail "flat arena: length and node count disagree on emptiness";
       if node_count > 0 && node_count land 1 = 0 then
         fail "flat arena: even node count %d (not a binary trie)" node_count;
-      (* a root β of more than one block has 6 class bits per 62 of its
-         n bits; a one-block root has at most 62 *)
-      if node_count > 1 && n > Rrr.block_bits * max 1 (content_bits / 6) then
+      (* a root β of more than one block stores at least one bit per 62
+         of its n bits (6 before version 5, when every class took 6
+         bits); a one-block root has at most 62 *)
+      let per_block = if version >= 5 then 1 else 6 in
+      if node_count > 1 && n > Rrr.block_bits * Int.max 1 (content_bits / per_block) then
         fail "flat arena: length %d exceeds what the content stream can hold" n;
       let dir, content, end_ = sections ~version ~node_count ~directory_bits ~content_bits in
       if end_ <> len then fail "flat arena: sections end at %d, blob is %d bytes" end_ len;
@@ -409,7 +416,6 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
              V3 (Offsets.of_membuf mb ~bit:(8 * dir) ~count:(node_count + 1) ~universe:content_bits));
         content_bit = 8 * content;
         version;
-        padded_tail = version = 2;
         source;
         closed = false;
         release;
@@ -491,7 +497,7 @@ module Node = struct
         if node.irank < 0 then invalid_arg "Flat_wt.Node: leaf has no bitvector";
         let bv =
           Rrr.Flat.of_membuf node.t.mb (node.t.content_bit + node.lo) ~len:node.count
-            ~padded_tail:node.t.padded_tail
+            ~version:node.t.version
         in
         if node.lo + Rrr.Flat.space_bits bv > node.hi then
           invalid_arg "Flat_wt.Node: β overruns its node extent";
@@ -644,7 +650,7 @@ type reader = {
 let arena_reader t =
   if t.closed then raise Closed;
   let irank = irank t in
-  let blob_view blob count = Rrr.Flat.of_membuf t.mb blob ~len:count ~padded_tail:t.padded_tail in
+  let blob_view blob count = Rrr.Flat.of_membuf t.mb blob ~len:count ~version:t.version in
   (* each merged node reads one node per source: keep the last one's
      β blob and label *)
   let at = ref (-1) and blob = ref 0 and blob_bits = ref 0 and ones = ref 0 in
@@ -706,15 +712,15 @@ let arena_reader t =
            coded the way the writer codes it *)
         whole_beta =
           (fun w idx count ->
-            if t.padded_tail then begin
-              let ones = beta w idx count in
-              end_beta w ~len:count;
-              ones
-            end
-            else begin
+            if t.version = arena_version then begin
               locate idx count;
               copy_bits w t.mb !blob !blob_bits;
               !ones
+            end
+            else begin
+              let ones = beta w idx count in
+              end_beta w ~len:count;
+              ones
             end);
       }
 
@@ -958,13 +964,40 @@ let label_bits t = t.labels_bits
 let bv_bits t = t.content_bits - t.labels_bits
 let directory_bits t = (8 * Membuf.length t.mb) - t.content_bits
 
-(* Structural deep check (the [wtrie verify] walk): the directory's
-   topology and rank samples (and, at version 4, its records and bodies),
-   node offsets monotone from 0 to the content stream's end, each β blob
-   inside its node's extent, non-empty children, every node reachable,
-   and the label total.  Raises [Failure] on the first violation. *)
-let check_invariants t =
+(* Per β code, the blobs stored in it, the β bits they hold and the
+   bits they take.  One-block blobs, and every blob before version 5,
+   are RRR. *)
+type code_stats = { code : string; blobs : int; raw_bits : int; bits : int }
+
+let beta_codes t =
   if t.closed then raise Closed;
+  let blobs = Array.make 2 0 and raw = Array.make 2 0 and bits = Array.make 2 0 in
+  let rec go node =
+    if not (Node.is_leaf node) then begin
+      let bv = Node.bv_of node in
+      let i = match Rrr.Flat.code bv with Rrr -> 0 | Plain -> 1 in
+      blobs.(i) <- blobs.(i) + 1;
+      raw.(i) <- raw.(i) + Node.count node;
+      bits.(i) <- bits.(i) + Rrr.Flat.space_bits bv;
+      go (Node.child node false);
+      go (Node.child node true)
+    end
+  in
+  Option.iter go (Node.root t);
+  List.mapi
+    (fun i code -> { code; blobs = blobs.(i); raw_bits = raw.(i); bits = bits.(i) })
+    [ "rrr"; "plain" ]
+
+(* Structural deep check (the [wtrie verify] walk): the directory's
+   topology and rank samples (and, from version 4, its records and
+   bodies), node offsets monotone from 0 to the content stream's end,
+   each β blob inside its node's extent and passing its own check
+   ([Rrr.Flat.check]: from version 5, its tag, class base and width,
+   and plain rank samples), every internal β holding both bit values,
+   non-empty children, every node reachable, and the label total.
+   Raises [Failure] on the first violation, also for a read outside
+   the arena. *)
+let check_arena t =
   let check cond fmt =
     Printf.ksprintf (fun m -> if not cond then failwith ("flat arena: " ^ m)) fmt
   in
@@ -1005,6 +1038,12 @@ let check_invariants t =
         labels := !labels + Bitstring.length (Node.label node);
         check (Node.count node > 0) "node %d: count 0" node.Node.idx;
         if not (Node.is_leaf node) then begin
+          let bv = Node.bv_of node in
+          (try Rrr.Flat.check bv ~version:t.version
+           with Failure m -> check false "node %d: β %s" node.Node.idx m);
+          check
+            (Rrr.Flat.ones bv > 0 && Rrr.Flat.zeros bv > 0)
+            "node %d: β holds one bit value only" node.Node.idx;
           go (Node.child node false);
           go (Node.child node true)
         end
@@ -1013,3 +1052,7 @@ let check_invariants t =
       check (!visited = nc) "%d nodes reachable of %d" !visited nc;
       check (!labels = t.labels_bits) "labels total %d bits, header says %d" !labels
         t.labels_bits
+
+let check_invariants t =
+  if t.closed then raise Closed;
+  try check_arena t with Invalid_argument m -> failwith ("flat arena: " ^ m)

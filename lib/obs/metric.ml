@@ -2,7 +2,9 @@
 
     Metrics attribute work to a layer of the stack, mirroring the
     per-primitive accounting of the paper's Table 1:
-    - [Rrr_*]: static RRR bitvector primitives (the static trie's β);
+    - [Rrr_*]: static RRR bitvector primitives (the static trie's β),
+      and [Rrr_unrank], the block positions their decoder steps through
+      when it unranks an offset (a plain-coded blob takes none);
     - [App_*]: append-only segmented bitvector primitives (Section 4.1) —
       frozen-segment queries additionally count as [Rrr_*], since they
       delegate to the segment's RRR encoding;
@@ -71,6 +73,7 @@ type t =
   | Rrr_rank
   | Rrr_select
   | Rrr_access
+  | Rrr_unrank
   | App_append
   | App_rank
   | App_select
@@ -137,82 +140,83 @@ type t =
   | Rt_gc_ns
   | Rt_events_lost
 
-let count = 68
+let count = 69
 
 let index = function
   | Rrr_rank -> 0
   | Rrr_select -> 1
   | Rrr_access -> 2
-  | App_append -> 3
-  | App_rank -> 4
-  | App_select -> 5
-  | App_access -> 6
-  | Dbv_insert -> 7
-  | Dbv_delete -> 8
-  | Dbv_rank -> 9
-  | Dbv_select -> 10
-  | Dbv_access -> 11
-  | Wt_access -> 12
-  | Wt_rank -> 13
-  | Wt_select -> 14
-  | Wt_rank_prefix -> 15
-  | Wt_select_prefix -> 16
-  | Wt_insert -> 17
-  | Wt_delete -> 18
-  | Wt_append -> 19
-  | Wt_node_split -> 20
-  | Wt_node_merge -> 21
-  | Wt_nodes_visited -> 22
-  | Wt_bits_consumed -> 23
-  | Durable_wal_append -> 24
-  | Durable_wal_replay -> 25
-  | Durable_wal_dropped_bytes -> 26
-  | Exec_batch -> 27
-  | Exec_batch_ops -> 28
-  | Exec_level -> 29
-  | Bv_cursor_hit -> 30
-  | Bv_cursor_miss -> 31
-  | Par_batch -> 32
-  | Par_shards -> 33
-  | Par_task -> 34
-  | Par_steal -> 35
-  | Par_queue_wait -> 36
-  | Par_shard_run -> 37
-  | Par_snapshot_publish -> 38
-  | Analytics_select_all -> 39
-  | Analytics_range_count -> 40
-  | Analytics_distinct -> 41
-  | Analytics_topk -> 42
-  | Serve_accept -> 43
-  | Serve_conn_close -> 44
-  | Serve_request -> 45
-  | Serve_batch -> 46
-  | Serve_shed -> 47
-  | Serve_deadline -> 48
-  | Serve_bad_frame -> 49
-  | Serve_queue_depth -> 50
-  | Serve_queue_wait -> 51
-  | Flat_build -> 52
-  | Flat_save -> 53
-  | Flat_open_mmap -> 54
-  | Flat_open_copy -> 55
-  | Tiered_ingest -> 56
-  | Tiered_ingest_bytes -> 57
-  | Tiered_flush -> 58
-  | Tiered_compact -> 59
-  | Tiered_compact_bytes -> 60
-  | Tiered_delta_strings -> 61
-  | Tiered_run_count -> 62
-  | Serve_slow -> 63
-  | Rt_gc_minor -> 64
-  | Rt_gc_major -> 65
-  | Rt_gc_ns -> 66
-  | Rt_events_lost -> 67
+  | Rrr_unrank -> 3
+  | App_append -> 4
+  | App_rank -> 5
+  | App_select -> 6
+  | App_access -> 7
+  | Dbv_insert -> 8
+  | Dbv_delete -> 9
+  | Dbv_rank -> 10
+  | Dbv_select -> 11
+  | Dbv_access -> 12
+  | Wt_access -> 13
+  | Wt_rank -> 14
+  | Wt_select -> 15
+  | Wt_rank_prefix -> 16
+  | Wt_select_prefix -> 17
+  | Wt_insert -> 18
+  | Wt_delete -> 19
+  | Wt_append -> 20
+  | Wt_node_split -> 21
+  | Wt_node_merge -> 22
+  | Wt_nodes_visited -> 23
+  | Wt_bits_consumed -> 24
+  | Durable_wal_append -> 25
+  | Durable_wal_replay -> 26
+  | Durable_wal_dropped_bytes -> 27
+  | Exec_batch -> 28
+  | Exec_batch_ops -> 29
+  | Exec_level -> 30
+  | Bv_cursor_hit -> 31
+  | Bv_cursor_miss -> 32
+  | Par_batch -> 33
+  | Par_shards -> 34
+  | Par_task -> 35
+  | Par_steal -> 36
+  | Par_queue_wait -> 37
+  | Par_shard_run -> 38
+  | Par_snapshot_publish -> 39
+  | Analytics_select_all -> 40
+  | Analytics_range_count -> 41
+  | Analytics_distinct -> 42
+  | Analytics_topk -> 43
+  | Serve_accept -> 44
+  | Serve_conn_close -> 45
+  | Serve_request -> 46
+  | Serve_batch -> 47
+  | Serve_shed -> 48
+  | Serve_deadline -> 49
+  | Serve_bad_frame -> 50
+  | Serve_queue_depth -> 51
+  | Serve_queue_wait -> 52
+  | Flat_build -> 53
+  | Flat_save -> 54
+  | Flat_open_mmap -> 55
+  | Flat_open_copy -> 56
+  | Tiered_ingest -> 57
+  | Tiered_ingest_bytes -> 58
+  | Tiered_flush -> 59
+  | Tiered_compact -> 60
+  | Tiered_compact_bytes -> 61
+  | Tiered_delta_strings -> 62
+  | Tiered_run_count -> 63
+  | Serve_slow -> 64
+  | Rt_gc_minor -> 65
+  | Rt_gc_major -> 66
+  | Rt_gc_ns -> 67
+  | Rt_events_lost -> 68
 
 let all =
   [|
-    Rrr_rank; Rrr_select; Rrr_access; App_append; App_rank; App_select; App_access;
-    Dbv_insert; Dbv_delete; Dbv_rank; Dbv_select; Dbv_access; Wt_access; Wt_rank;
+    Rrr_rank; Rrr_select; Rrr_access; Rrr_unrank; App_append; App_rank; App_select;
+    App_access; Dbv_insert; Dbv_delete; Dbv_rank; Dbv_select; Dbv_access; Wt_access; Wt_rank;
     Wt_select; Wt_rank_prefix; Wt_select_prefix; Wt_insert; Wt_delete; Wt_append;
     Wt_node_split; Wt_node_merge; Wt_nodes_visited; Wt_bits_consumed;
     Durable_wal_append; Durable_wal_replay; Durable_wal_dropped_bytes;
@@ -231,6 +235,7 @@ let name = function
   | Rrr_rank -> "rrr_rank"
   | Rrr_select -> "rrr_select"
   | Rrr_access -> "rrr_access"
+  | Rrr_unrank -> "rrr_unrank"
   | App_append -> "appendable_append"
   | App_rank -> "appendable_rank"
   | App_select -> "appendable_select"

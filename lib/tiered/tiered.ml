@@ -568,6 +568,19 @@ let current_view t =
   with_lock t (fun () -> View.make ~dir:t.dir (tiers_locked t ~frozen:false))
 
 let publish t = with_lock t (fun () -> publish_locked t)
+
+(* The store's strings as one static arena: the current view's tiers
+   merged node by node ([Flat_wt.merge]: runs as arenas, the sealed and
+   live deltas through their node view), with no string decoded.  The
+   bytes are those [Flat_wt.of_array] writes for the same strings. *)
+let to_flat t =
+  Flat_wt.merge
+    (Array.map
+       (function
+         | View.Run f -> Flat_wt.Arena f
+         | View.App d -> Flat_wt.Trie ((module Append_wt.Node), d))
+       (with_lock t (fun () -> tiers_locked t ~frozen:true)))
+
 let handle t = t.view
 
 (* ------------------------------------------------------------------ *)
@@ -1031,12 +1044,19 @@ let range_quantile ?prefix ?lo ?hi t ~k =
 (* ------------------------------------------------------------------ *)
 (* Verification / recovery *)
 
+type run_report = {
+  run_file : string;
+  run_version : int;
+  run_length : int;
+  run_codes : Flat_wt.code_stats list;  (** blobs and bits per β code *)
+}
+
 type verify_report = {
   v_generation : int;
   v_runs : int;
-  v_run_versions : (int * int) list;
-      (** (arena version, runs at it), by version: compaction rewrites a
-          run at the current version, [wtrie convert] never does *)
+  v_run_reports : run_report list;
+      (** oldest run first: compaction rewrites a run at the current
+          arena version, [wtrie convert] never does *)
   v_length : int;
   v_distinct : int;
   v_wal_records : int;
@@ -1054,10 +1074,16 @@ let verify dir =
       {
         v_generation = r.r_generation;
         v_runs = r.r_runs;
-        v_run_versions =
-          List.sort_uniq compare (List.map (fun r -> Flat_wt.version r.rflat) t.runs)
-          |> List.map (fun v ->
-                 (v, List.length (List.filter (fun r -> Flat_wt.version r.rflat = v) t.runs)));
+        v_run_reports =
+          List.map
+            (fun r ->
+              {
+                run_file = r.rfile;
+                run_version = Flat_wt.version r.rflat;
+                run_length = Flat_wt.length r.rflat;
+                run_codes = Flat_wt.beta_codes r.rflat;
+              })
+            t.runs;
         v_length = length t;
         v_distinct = distinct_count t;
         v_wal_records = r.r_replayed;

@@ -412,6 +412,36 @@ let qcheck_tests =
         = Broadword.popcount (a land 0xFFFF) + Broadword.popcount (b land 0xFFFF));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Membuf *)
+
+(* [Membuf.popcount] over every range of buffers of 1 to 24 random
+   bytes — ranges ending far from the buffer's end take the one-check
+   load loop, those near it the per-chunk path — against a bit-by-bit
+   count; a range past either end raises. *)
+let test_membuf_popcount () =
+  let rng = Xoshiro.create 9 in
+  for len = 1 to 24 do
+    let s = String.init len (fun _ -> Char.chr (Xoshiro.int rng 256)) in
+    let mb = Wt_bits.Membuf.of_string s in
+    let bit i = (Char.code s.[i / 8] lsr (i mod 8)) land 1 in
+    for pos = 0 to 8 * len do
+      let want = ref 0 in
+      for n = 0 to (8 * len) - pos do
+        check_int (Printf.sprintf "len %d, bits [%d, +%d)" len pos n) !want
+          (Wt_bits.Membuf.popcount mb pos n);
+        if pos + n < 8 * len then want := !want + bit (pos + n)
+      done
+    done;
+    List.iter
+      (fun (pos, n) ->
+        check_bool (Printf.sprintf "len %d, bits [%d, +%d) raise" len pos n) true
+          (match Wt_bits.Membuf.popcount mb pos n with
+          | _ -> false
+          | exception Invalid_argument _ -> true))
+      [ (0, (8 * len) + 1); (8 * len, 1); (-1, 1); (0, -1) ]
+  done
+
 let () =
   Alcotest.run "wt_bits"
     [
@@ -461,5 +491,6 @@ let () =
           Alcotest.test_case "determinism" `Quick test_xoshiro_determinism;
           Alcotest.test_case "ranges" `Quick test_xoshiro_ranges;
         ] );
+      ("membuf", [ Alcotest.test_case "popcount = bit count" `Quick test_membuf_popcount ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -198,7 +198,7 @@ let test_rrr_flat_blocks () =
           let out = Buffer.create 64 in
           Bitbuf.add_to_buffer out stream;
           let mb = Wt_bits.Membuf.of_string (Buffer.contents out) in
-          let bv = Rrr.Flat.of_membuf mb 5 ~len:n ~padded_tail:false in
+          let bv = Rrr.Flat.of_membuf mb 5 ~len:n ~version:Rrr.Flat.newest_version in
           check_int "blob length" blob_bits (Rrr.Flat.space_bits bv);
           agree
             ~name:(Printf.sprintf "rrr-flat/%s/%d" pname n)
@@ -215,16 +215,19 @@ let test_rrr_flat_blocks () =
         (patterns rng n))
     [ 0; 1; 61; 62; 63; 991; 992; 993; 3000 ]
 
-(* The flat blob over every tail length: lengths 62q + r for every r
-   in 1..62 and q in {0, 1, 15, 16, 17} — one block, two, and both sides
-   of the superblock boundary where the directory appears — plus exact
-   multiples of 62, each at five densities.  Every query, the cursor,
-   the iterator and the block decoder agree with [Plain] over the same
-   bits, and the blob is exactly as long as its parts computed here
-   from the bits: the directory, the classes (6 bits per block, or
-   bit_width r for a one-block blob) and each block's offset, ceil
-   (log2 C(m, c)) bits over its m coded positions (62, or r for the
-   last block). *)
+(* The flat blob over every tail length, in each code: lengths 62q + r
+   for every r in 1..62 and q in {0, 1, 15, 16, 17} — one block, two,
+   and both sides of the superblock boundary where the RRR directory
+   appears — plus exact multiples of 62, each at five densities, and
+   each blob written by the chooser and forced into either code.  Every
+   query, the cursor, the iterator and the block decoder agree with
+   [Plain] over the same bits, and the blob is exactly as long as its
+   parts computed here from the bits: a one-block blob's class
+   (bit_width r) and offset; a class-range RRR blob's tag, base and
+   width, directory, classes (bit_width (cmax - cmin) each) and each
+   block's offset, ceil (log2 C(m, c)) bits over its m coded positions
+   (62, or r for the last block); a plain blob's tag, one bit_width len
+   sample per 512 bits, and its bits. *)
 
 let flat_lengths =
   List.concat_map (fun q -> List.init 62 (fun r -> (62 * q) + r + 1)) [ 0; 1; 15; 16; 17 ]
@@ -259,37 +262,69 @@ let pascal =
 let rec bits_for x = if x = 0 then 0 else 1 + bits_for (x lsr 1)
 let ceil_log2 x = if x <= 1 then 0 else bits_for (x - 1)
 
-let expected_blob_bits bits =
+(* The RRR blob of [bits]: a one-block blob, or a class-range one. *)
+let rrr_blob_bits bits =
   let len = Array.length bits in
   let nblocks = (len + 61) / 62 in
   let nsb = (nblocks + 15) / 16 in
   let dir = if nsb > 1 then 2 * nsb * bits_for (64 * nblocks) else 0 in
   let tail = len - (62 * (nblocks - 1)) in
-  let classes = if nblocks = 1 then bits_for tail else 6 * nblocks in
-  let offsets = ref 0 in
+  let offsets = ref 0 and cmin = ref 62 and cmax = ref 0 in
   for blk = 0 to nblocks - 1 do
     let m = if blk = nblocks - 1 then tail else 62 in
     let c = ref 0 in
     for i = 0 to m - 1 do
       if bits.((62 * blk) + i) then incr c
     done;
+    cmin := min !cmin !c;
+    cmax := max !cmax !c;
     offsets := !offsets + ceil_log2 pascal.(m).(!c)
   done;
-  dir + classes + !offsets
+  if nblocks <= 1 then (if nblocks = 1 then bits_for tail else 0) + !offsets
+  else 10 + dir + (nblocks * bits_for (!cmax - !cmin)) + !offsets
 
-let check_flat_blob bits =
+let plain_blob_bits len = 1 + ((len + 511) / 512 * bits_for len) + len
+
+(* The code a blob of [bits] is written in ([?code] forces one), and its
+   length in bits. *)
+let expected_blob ?code bits =
+  let len = Array.length bits in
+  let rrr = rrr_blob_bits bits in
+  if len <= 62 then (Rrr.Flat.Rrr, rrr)
+  else
+    match code with
+    | Some Rrr.Flat.Rrr -> (Rrr.Flat.Rrr, rrr)
+    | Some Plain -> (Plain, plain_blob_bits len)
+    | None -> if plain_blob_bits len <= rrr then (Plain, plain_blob_bits len) else (Rrr, rrr)
+
+let blocks_of bits =
   let len = Array.length bits in
   let blocks = Array.make ((len / 62) + 1) 0 in
   Array.iteri (fun i b -> if b then blocks.(i / 62) <- blocks.(i / 62) lor (1 lsl (i mod 62))) bits;
+  blocks
+
+(* [bits]' blob ([?code] as in [append_blocks]) at bit 3 of a stream,
+   with [pad] more bits behind it: the stream's bytes and the blob's
+   length. *)
+let flat_blob ?code ?(pad = 9) bits =
   let stream = Bitbuf.create () in
   Bitbuf.add_bits stream 3 0b101;
-  Rrr.Flat.append_blocks stream blocks ~len;
+  Rrr.Flat.append_blocks ?code stream (blocks_of bits) ~len:(Array.length bits);
   let blob_bits = Bitbuf.length stream - 3 in
-  Bitbuf.add_bits stream 9 0b110011101;
+  let rng = Xoshiro.create pad in
+  for _ = 1 to pad do
+    Bitbuf.add stream (Xoshiro.bool rng)
+  done;
   let out = Buffer.create 64 in
   Bitbuf.add_to_buffer out stream;
+  (Buffer.contents out, blob_bits)
+
+let check_flat_blob ?code bits =
+  let len = Array.length bits in
+  let blocks = blocks_of bits in
+  let bytes, blob_bits = flat_blob ?code bits in
   let bv =
-    Rrr.Flat.of_membuf (Wt_bits.Membuf.of_string (Buffer.contents out)) 3 ~len ~padded_tail:false
+    Rrr.Flat.of_membuf (Wt_bits.Membuf.of_string bytes) 3 ~len ~version:Rrr.Flat.newest_version
   in
   let buf = Bitbuf.create () in
   Array.iter (Bitbuf.add buf) bits;
@@ -297,15 +332,21 @@ let check_flat_blob bits =
   (* formats only on a failure: this runs millions of times *)
   let expect what pos want got =
     if want <> got then
-      Alcotest.failf "len %d, %d ones: %s at %d: expected %d, got %d" len (Plain.ones plain)
+      Alcotest.failf "len %d, %d ones, %s: %s at %d: expected %d, got %d" len (Plain.ones plain)
+        (match Rrr.Flat.code bv with Rrr -> "rrr" | Plain -> "plain")
         what pos want got
   in
   let pair (b, r) = (2 * r) + Bool.to_int b in
-  expect "space_bits = computed" 0 (expected_blob_bits bits) (Rrr.Flat.space_bits bv);
+  let want_code, want_bits = expected_blob ?code bits in
+  expect "code" 0 (Bool.to_int (want_code = Rrr.Flat.Plain))
+    (Bool.to_int (Rrr.Flat.code bv = Rrr.Flat.Plain));
+  expect "space_bits = computed" 0 want_bits (Rrr.Flat.space_bits bv);
   expect "space_bits = appended" 0 blob_bits (Rrr.Flat.space_bits bv);
   expect "length" 0 len (Rrr.Flat.length bv);
   expect "ones" 0 (Plain.ones plain) (Rrr.Flat.ones bv);
   expect "zeros" 0 (Plain.zeros plain) (Rrr.Flat.zeros bv);
+  (* a forced code is not the canonical blob when the other is smaller *)
+  if code = None then Rrr.Flat.check bv ~version:Rrr.Flat.newest_version;
   let cursor = Rrr.Flat.Cursor.create bv in
   for pos = 0 to len do
     List.iter
@@ -352,22 +393,134 @@ let check_flat_blob bits =
       incr blk);
   expect "iter_blocks count" 0 ((len + 61) / 62) !blk
 
+let codes = [ None; Some Rrr.Flat.Rrr; Some Rrr.Flat.Plain ]
+
 let test_rrr_flat_every_tail () =
   List.iter
-    (fun len -> List.iter (fun d -> check_flat_blob (flat_bits len d len)) densities)
+    (fun len ->
+      List.iter
+        (fun d -> List.iter (fun code -> check_flat_blob ?code (flat_bits len d len)) codes)
+        densities)
     flat_lengths
 
 let qcheck_flat_blob =
-  let gen = QCheck.Gen.(triple (oneofl flat_lengths) (oneofl densities) nat) in
-  let print (len, d, seed) =
-    Printf.sprintf "len %d, density %d, seed %d" len
+  let gen =
+    QCheck.Gen.(quad (oneofl flat_lengths) (oneofl densities) (oneofl codes) nat)
+  in
+  let print (len, d, code, seed) =
+    Printf.sprintf "len %d, density %d, code %s, seed %d" len
       (match d with Zeros -> 0 | One_set -> 1 | Half -> 2 | All_but_one -> 3 | Ones -> 4)
+      (match code with None -> "chosen" | Some Rrr.Flat.Rrr -> "rrr" | Some Plain -> "plain")
       seed
   in
   QCheck.Test.make ~name:"rrr flat blob = plain at every tail length" ~count:300
-    (QCheck.make ~print gen) (fun (len, d, seed) ->
-      check_flat_blob (flat_bits len d seed);
+    (QCheck.make ~print gen) (fun (len, d, code, seed) ->
+      check_flat_blob ?code (flat_bits len d seed);
       true)
+
+(* Each code through its own encoder at lengths 0 to 1,100 — every
+   length up to 130, then a stride, and both sides of each plain
+   sample boundary — at densities 0, 1/62, 0.1, 0.5, 0.9 and 1: both
+   agree with [Plain] everywhere, and the chooser writes whichever blob
+   is smaller, plain on a tie. *)
+let code_lengths =
+  List.sort_uniq compare
+    (List.init 131 Fun.id
+    @ List.init 75 (fun i -> 137 + (13 * i))
+    @ [ 511; 512; 513; 1023; 1024; 1025; 1100 ])
+
+let test_flat_codes () =
+  List.iter
+    (fun len ->
+      List.iter
+        (fun p ->
+          let rng = Xoshiro.create (len + int_of_float (p *. 1000.)) in
+          let bits = Array.init len (fun _ -> Xoshiro.float rng < p) in
+          List.iter (fun code -> check_flat_blob ?code bits) codes;
+          if len > 62 then begin
+            let _, rrr = flat_blob ~code:Rrr bits and _, plain = flat_blob ~code:Plain bits in
+            let _, chosen = flat_blob bits in
+            check_int (Printf.sprintf "len %d, density %g: the smaller blob" len p)
+              (min rrr plain) chosen;
+            check_int "rrr priced" (rrr_blob_bits bits) rrr;
+            check_int "plain priced" (plain_blob_bits len) plain
+          end)
+        [ 0.; 1. /. 62.; 0.1; 0.5; 0.9; 1. ])
+    code_lengths
+
+(* Corrupt version-5 blobs: a flipped code tag, a class width above 6,
+   a class base that puts a class above 62, and a plain rank sample
+   that falls or rises by more than 512.  Each is caught — the view
+   refuses to open ([Invalid_argument]) or the deep check fails — and
+   no query on it raises anything but [Invalid_argument]: every read
+   stays inside the buffer. *)
+let set_bits bytes pos width v =
+  for i = 0 to width - 1 do
+    let byte = (pos + i) / 8 and bit = (pos + i) mod 8 in
+    let c = Char.code (Bytes.get bytes byte) in
+    let c = if (v lsr i) land 1 = 1 then c lor (1 lsl bit) else c land lnot (1 lsl bit) in
+    Bytes.set bytes byte (Char.chr c)
+  done
+
+let get_bits bytes pos width =
+  let v = ref 0 in
+  for i = width - 1 downto 0 do
+    let byte = (pos + i) / 8 and bit = (pos + i) mod 8 in
+    v := (!v lsl 1) lor ((Char.code (Bytes.get bytes byte) lsr bit) land 1)
+  done;
+  !v
+
+let test_flat_corrupt () =
+  let rng = Xoshiro.create 77 in
+  let case name ~density ~len ~code corrupt =
+    let bits = Array.init len (fun _ -> Xoshiro.float rng < density) in
+    let bytes, _ = flat_blob bits ~pad:4000 in
+    let bytes = Bytes.of_string bytes in
+    let open_ () =
+      Rrr.Flat.of_membuf
+        (Wt_bits.Membuf.of_string (Bytes.to_string bytes))
+        3 ~len ~version:Rrr.Flat.newest_version
+    in
+    check_bool (name ^ ": written in the expected code") true (Rrr.Flat.code (open_ ()) = code);
+    corrupt bytes;
+    let guard f = try ignore (f ()) with Invalid_argument _ -> () in
+    match open_ () with
+    | exception Invalid_argument _ -> ()
+    | bv ->
+        for pos = 0 to len do
+          guard (fun () -> Rrr.Flat.rank bv true pos);
+          if pos < len then guard (fun () -> Rrr.Flat.access_rank bv pos)
+        done;
+        for k = 0 to len - 1 do
+          guard (fun () -> Rrr.Flat.select bv true k);
+          guard (fun () -> Rrr.Flat.select bv false k)
+        done;
+        let cursor = Rrr.Flat.Cursor.create bv in
+        for pos = 0 to len - 1 do
+          guard (fun () -> Rrr.Flat.Cursor.access_rank cursor pos)
+        done;
+        guard (fun () -> Rrr.Flat.iter_blocks bv ignore);
+        let caught =
+          match Rrr.Flat.check bv ~version:Rrr.Flat.newest_version with
+          | () -> false
+          | exception (Failure _ | Invalid_argument _) -> true
+        in
+        check_bool (name ^ ": caught by the deep check") true caught
+  in
+  let flip_tag bytes = set_bits bytes 3 1 (1 - get_bits bytes 3 1) in
+  case "flipped tag, rrr" ~density:0.05 ~len:1000 ~code:Rrr flip_tag;
+  case "flipped tag, plain" ~density:0.5 ~len:1000 ~code:Plain flip_tag;
+  case "flipped tag, small rrr" ~density:0.05 ~len:300 ~code:Rrr flip_tag;
+  case "class width 7" ~density:0.05 ~len:1000 ~code:Rrr (fun b -> set_bits b 10 3 7);
+  case "class base 62 plus a range" ~density:0.05 ~len:5000 ~code:Rrr (fun b ->
+      set_bits b 4 6 62);
+  case "class base 62 plus a range, no directory" ~density:0.05 ~len:900 ~code:Rrr (fun b ->
+      set_bits b 4 6 62);
+  let w = bits_for 1500 in
+  case "plain sample falls" ~density:0.5 ~len:1500 ~code:Plain (fun b ->
+      set_bits b (4 + w) w (get_bits b 4 w - 1));
+  case "plain sample rises by 513" ~density:0.5 ~len:1500 ~code:Plain (fun b ->
+      set_bits b (4 + w) w (get_bits b 4 w + 513))
 
 let test_rrr_compression () =
   (* A sparse bitvector must compress far below its plain length. *)
@@ -795,6 +948,8 @@ let () =
           Alcotest.test_case "patterns vs model" `Quick test_rrr_patterns;
           Alcotest.test_case "flat blob from blocks" `Quick test_rrr_flat_blocks;
           Alcotest.test_case "flat blob at every tail length" `Quick test_rrr_flat_every_tail;
+          Alcotest.test_case "flat codes at lengths 0 to 1,100" `Quick test_flat_codes;
+          Alcotest.test_case "corrupt flat blobs" `Quick test_flat_corrupt;
           QCheck_alcotest.to_alcotest qcheck_flat_blob;
           Alcotest.test_case "compression" `Quick test_rrr_compression;
           Alcotest.test_case "iterator" `Quick test_rrr_iterator;

@@ -129,16 +129,28 @@ let test_snapshot_truncations () =
    reject anything whose structural validation trips — and must never
    crash, whichever bytes it maps. *)
 
-(* 1,200 strings over the 64 of [sample]: the root's β spans two RRR
-   superblocks, so the sweeps also cover a blob's superblock directory;
-   the arena is version 4, so they cover its node directory's records
-   and bodies too (127 nodes, four blocks). *)
+(* 1,200 strings over the 64 of [sample], the first eight of them
+   three times as frequent as the rest: the arena is version 5, and
+   holds β blobs in both codes — class-range RRR ones, the root's
+   spanning two superblocks, so the sweeps also cover a blob's
+   superblock directory, and plain ones — and its node directory's
+   records and bodies (127 nodes, four blocks). *)
 let v3_length = 1200
 
 let save_v3 path =
   let distinct = Array.map Binarize.to_bytes (sample 64) in
-  let wt = Wtrie.Static.of_array (Array.init v3_length (fun i -> distinct.(i * 7 mod 64))) in
-  check_int "arena version" 4 (Wt_core.Flat_wt.version wt);
+  let wt =
+    Wtrie.Static.of_array
+      (Array.init v3_length (fun i -> distinct.(if i mod 4 = 0 then i * 7 mod 64 else i mod 8)))
+  in
+  check_int "arena version" Wt_core.Flat_wt.arena_version (Wt_core.Flat_wt.version wt);
+  check_bool "β blobs in both codes" true
+    (List.for_all
+       (fun (c : Wt_core.Flat_wt.code_stats) -> c.blobs > 0)
+       (Wt_core.Flat_wt.beta_codes wt));
+  let root = Wt_core.Flat_wt.Node.bv_of (Option.get (Wt_core.Flat_wt.Node.root wt)) in
+  check_bool "the root's β is class-range RRR" true
+    (Wt_bitvector.Rrr.Flat.code root = Rrr);
   Wtrie.Static.save_file_exn wt path;
   wt
 

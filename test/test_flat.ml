@@ -162,7 +162,7 @@ let test_space_bound () =
     [ 1; 13; 300; 4000 ]
 
 (* An index written by the first arena layout (version 1: a 64-byte
-   header and 32-byte node records) or by a later one (version 5) fails
+   header and 32-byte node records) or by a later one (version 6) fails
    closed, naming its version, whichever way it is opened. *)
 let test_arena_version_rejected version () =
   let header = Buffer.create 64 in
@@ -245,12 +245,13 @@ let test_v2_migration () =
   Wtrie.Static.close fwt
 
 (* ------------------------------------------------------------------ *)
-(* Versions 2 and 3.  [fixtures/v2] holds a static index and a tiered
+(* Versions 2 to 4.  [fixtures/v2] holds a static index and a tiered
    store written by [wtrie] at commit 96ba348, the last to write arena
-   version 2 (each β blob's last block coded over 62 bits), and
+   version 2 (each β blob's last block coded over 62 bits),
    [fixtures/v3] the same from the same input at commit 42bd660, the
    last to write version 3 (topology records and block-sampled node
-   offsets):
+   offsets), and [fixtures/v4] the same at commit b005126, the last to
+   write version 4 (every β blob RRR, 6 bits per class):
 
      wtrie index input.txt index.wt
      head -64 input.txt > part1.txt
@@ -261,7 +262,9 @@ let test_v2_migration () =
    The store holds the first 104 lines: a run of 64, a run of 32 and 8
    strings in its WAL.  All open through the one blob decoder and their
    own directory reader; a compaction that absorbs the store's runs
-   writes them at version 4. *)
+   writes them at version 5, and the structural merge of the old runs
+   with a version-5 arena and an append-only trie writes exactly the
+   bytes of the static build. *)
 
 let arena_version payload = Int32.to_int (String.get_int32_le payload 4)
 
@@ -294,6 +297,24 @@ let test_fixtures version () =
     C.run ~ctx t m;
     C.point ~ctx t m (Oracle.Gen.every m)
   in
+  let merged =
+    let run f = Flat_wt.Arena (Flat_wt.open_file ~mode:`Copy (Filename.concat dir f)) in
+    let delta = Append_wt.create () in
+    Array.iter
+      (fun s -> Append_wt.append delta (Wt_core.String_api.encode s))
+      (Array.sub lines 120 30);
+    Flat_wt.merge
+      [|
+        run "run-000000.wtx";
+        run "run-000001.wtx";
+        Flat_wt.Arena (Wtrie.Static.of_array (Array.sub lines 96 24));
+        Flat_wt.Trie ((module Append_wt.Node), delta);
+      |]
+  in
+  Flat_wt.check_invariants merged;
+  let bytes (t : Flat_wt.t) = Wt_bits.Membuf.to_string t.Flat_wt.mb in
+  check_bool "merged old runs = static build" true
+    (bytes merged = bytes (Wtrie.Static.of_array lines));
   let t, r = T.open_ ~threshold:max_int dir in
   check_int "WAL records replayed" 8 r.T.r_replayed;
   check_store (Printf.sprintf "v%d store" version) t 104;
@@ -303,7 +324,9 @@ let test_fixtures version () =
   check_int "one run" 1 (T.run_count t);
   check_store "compacted" t 150;
   T.close t;
-  Alcotest.(check (list int)) "runs rewritten at version 4" [ 4 ] (run_versions dir);
+  Alcotest.(check (list int))
+    (Printf.sprintf "runs rewritten at version %d" Flat_wt.arena_version)
+    [ Flat_wt.arena_version ] (run_versions dir);
   let t, _ = T.open_ dir in
   check_store "reopened" t 150;
   T.close t
@@ -358,6 +381,84 @@ let test_v3_blob_corruption () =
             bounded what (fun () -> ignore (Wtrie.Static.range_distinct t));
             Flat_wt.close t
       done)
+
+(* Corrupt version-5 β blobs, each field the code adds: a flipped code
+   tag on a class-range RRR blob and on a plain one, a class width above
+   6, a class base that puts classes above 62, and a plain rank sample
+   that falls or rises by more than 512.  The arena still opens (the
+   header is intact), every query answers or raises [Invalid_argument],
+   and the deep check [wtrie verify] runs fails with [Failure], which
+   verify reports as corrupt (exit 2). *)
+let test_v5_blob_fields () =
+  let distinct = Array.init 64 (fun i -> Printf.sprintf "k%02d.example" i) in
+  let arr = Array.init 3000 (fun i -> distinct.(if i mod 4 = 0 then i * 7 mod 64 else i mod 8)) in
+  let fwt = Wtrie.Static.of_array arr in
+  let module N = Flat_wt.Node in
+  (* the longest β blob in each code *)
+  let longest = Array.make 2 None in
+  let rec go node =
+    if not (N.is_leaf node) then begin
+      let i = match Wt_bitvector.Rrr.Flat.code (N.bv_of node) with Rrr -> 0 | Plain -> 1 in
+      (match longest.(i) with
+      | Some n when N.count n >= N.count node -> ()
+      | _ -> longest.(i) <- Some node);
+      go (N.child node false);
+      go (N.child node true)
+    end
+  in
+  go (Option.get (N.root fwt));
+  let rrr = Option.get longest.(0) and plain = Option.get longest.(1) in
+  check_bool "a multi-superblock class-range RRR blob" true (N.count rrr > 992);
+  check_bool "a plain blob with three samples" true (N.count plain > 1024);
+  let pristine = Wt_bits.Membuf.to_string fwt.Flat_wt.mb in
+  let start node = fwt.Flat_wt.content_bit + node.N.lo in
+  let get b pos width =
+    let v = ref 0 in
+    for i = width - 1 downto 0 do
+      v := (!v lsl 1) lor ((Char.code (Bytes.get b ((pos + i) / 8)) lsr ((pos + i) mod 8)) land 1)
+    done;
+    !v
+  in
+  let set b pos width v =
+    for i = 0 to width - 1 do
+      let byte = (pos + i) / 8 and bit = 1 lsl ((pos + i) mod 8) in
+      let c = Char.code (Bytes.get b byte) in
+      Bytes.set b byte (Char.chr (if (v lsr i) land 1 = 1 then c lor bit else c land lnot bit))
+    done
+  in
+  let case what corrupt =
+    let b = Bytes.of_string pristine in
+    corrupt b;
+    let t = Flat_wt.of_membuf (Wt_bits.Membuf.of_string (Bytes.to_string b)) in
+    let bounded f =
+      match f () with
+      | _ -> ()
+      | exception Invalid_argument _ -> ()
+      | exception e -> Alcotest.failf "%s: %s escaped" what (Printexc.to_string e)
+    in
+    for pos = 0 to 2999 do
+      if pos mod 7 = 0 then bounded (fun () -> Flat_wt.access t pos)
+    done;
+    Array.iter
+      (fun s ->
+        let k = Wt_core.String_api.encode s in
+        bounded (fun () -> Flat_wt.rank t k 1500);
+        bounded (fun () -> Flat_wt.select t k 20))
+      distinct;
+    bounded (fun () -> Wt_exec.Exec.Static.query_batch t [| Wtrie.Access { pos = 2500 } |]);
+    match Flat_wt.check_invariants t with
+    | () -> Alcotest.failf "%s: the deep check passed" what
+    | exception Failure _ -> ()
+  in
+  let flip node b = set b (start node) 1 (1 - get b (start node) 1) in
+  case "flipped tag, class-range RRR" (flip rrr);
+  case "flipped tag, plain" (flip plain);
+  case "class width 7" (fun b -> set b (start rrr + 7) 3 7);
+  case "class base 62" (fun b -> set b (start rrr + 1) 6 62);
+  let w = Wt_bits.Broadword.bit_width (N.count plain) in
+  let sample1 b = get b (start plain + 1) w in
+  case "plain sample falls" (fun b -> set b (start plain + 1 + w) w (sample1 b - 1));
+  case "plain sample rises by 513" (fun b -> set b (start plain + 1 + w) w (sample1 b + 513))
 
 (* ------------------------------------------------------------------ *)
 (* Closed handles: after [close], every result-returning operation
@@ -578,10 +679,12 @@ let () =
           Alcotest.test_case "v2 load + convert to v3" `Quick test_v2_migration;
           Alcotest.test_case "errors are data" `Quick test_storage_errors;
           Alcotest.test_case "arena v1 fails closed" `Quick (test_arena_version_rejected 1);
-          Alcotest.test_case "arena v5 fails closed" `Quick (test_arena_version_rejected 5);
+          Alcotest.test_case "arena v6 fails closed" `Quick (test_arena_version_rejected 6);
           Alcotest.test_case "version-2 index and store" `Quick (test_fixtures 2);
           Alcotest.test_case "version-3 index and store" `Quick (test_fixtures 3);
+          Alcotest.test_case "version-4 index and store" `Quick (test_fixtures 4);
           Alcotest.test_case "corrupt v3 β blobs stay bounded" `Quick test_v3_blob_corruption;
+          Alcotest.test_case "corrupt v5 β fields fail verify" `Quick test_v5_blob_fields;
         ] );
       ("close", [ Alcotest.test_case "deterministic after close" `Quick test_close ]);
     ]
