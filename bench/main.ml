@@ -993,7 +993,8 @@ let metrics_queries (type a)
    [words_of]) and its traversal work per op — trie nodes visited, and
    the RRR ranks and, for access and rank, accesses and the block
    positions unranked ([Rrr_unrank]; a plain β blob takes none) or,
-   for select and rank_prefix, selects — each from one more pass after
+   for select and rank_prefix, selects and the block positions they
+   unrank — each from one more pass after
    the timed ones: neither depends on the machine's speed or load.
    Select asks for an occurrence that exists; a prefix is a random cut
    of a stored string. *)
@@ -1083,7 +1084,7 @@ let batch_block () =
   in
   let select =
     per
-      ~counted:[ ("rrr_select", Rrr_select) ]
+      ~counted:[ ("rrr_select", Rrr_select); ("rrr_unrank", Rrr_unrank) ]
       ~scalar:(fun i ->
         let s, count = select_args.(i) in
         ignore (Wtrie.Static.select wt s ~count))
@@ -1091,7 +1092,7 @@ let batch_block () =
   in
   let rank_prefix =
     per
-      ~counted:[ ("rrr_select", Rrr_select) ]
+      ~counted:[ ("rrr_select", Rrr_select); ("rrr_unrank", Rrr_unrank) ]
       ~scalar:(fun i ->
         let prefix, pos = prefix_args.(i) in
         ignore (Wtrie.Static.rank_prefix wt ~prefix ~pos))
@@ -1201,8 +1202,9 @@ let rrr_rows () =
 (* The arena's node directory alone, on a serve_wide-shape arena
    (262,144 URLs over 2,000 hosts x 200 paths, about 56,000 distinct):
    its bits per node — exact, since the arena is a function of the
-   input — the share of its raw β bits stored plain (exact too), and
-   ns per fused directory read ([Flat_wt.node_entry]: a node's
+   input — the share of its raw β bits stored plain and its stored
+   label bits over the logical ones (a byte-string arena drops its leaf
+   labels' marker bits; exact too), and ns per fused directory read ([Flat_wt.node_entry]: a node's
    internal rank and content extent) over the nodes of 4,096
    random root-to-leaf paths, those of [access] at random positions.
    Best of five passes. *)
@@ -1250,6 +1252,10 @@ let directory_rows () =
     );
     ("directory_ns", Json.Float (!d *. 1e9 /. float_of_int (Array.length visits)));
     ("plain_beta_share", Json.Float (float_of_int plain_raw /. float_of_int raw));
+    ( "stored_label_share",
+      Json.Float
+        (float_of_int (Wt_core.Flat_wt.label_bits t)
+        /. float_of_int (Wt_core.Flat_wt.logical_label_bits t)) );
   ]
 
 (* Restart economics of the format-v3 flat arena: the checksum-plus-mmap
@@ -1515,6 +1521,9 @@ let metrics_block () =
   in
   Json.Obj
     [
+      (* the cores the runtime sees: timing and parallel rows mean
+         little without it *)
+      ("nproc", Json.Int (Domain.recommended_domain_count ()));
       ("metrics", Json.Obj [ static; append; dynamic ]);
       ("batch", batch_block ());
       ("flat", flat_block ());

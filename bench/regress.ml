@@ -30,8 +30,9 @@
    - Space: the static variant's space against the lower bound
      ([ratio_to_lb]), its node/directory overhead ([overhead_bits]), and
      on a serve_wide-shape arena the directory's bits per node
-     ([flat.directory_bits_per_node]) and the share of raw β bits
-     stored plain ([flat.plain_beta_share]) must equal the baseline.  Space is
+     ([flat.directory_bits_per_node]), the share of raw β bits stored
+     plain ([flat.plain_beta_share]) and the stored label bits over the
+     logical ones ([flat.stored_label_share]) must equal the baseline.  Space is
      deterministic (fixed seed, fixed n), so this gate is exact and
      fails even under --soft: a layout change must come with a
      regenerated baseline.
@@ -50,11 +51,11 @@
      --soft.
 
    - Work: the trie nodes visited, and the RRR ranks, accesses and
-     unranked block positions per access and rank op or ranks and
-     selects per select and rank_prefix op, on the scalar and the
-     batched leg
+     unranked block positions per access and rank op or ranks, selects
+     and unranked block positions per select and rank_prefix op, on the
+     scalar and the batched leg
      ([batch.{access,rank}.{scalar,batch}_{nodes,rrr_rank,rrr_access,rrr_unrank}_per_op],
-     [batch.{select,rank_prefix}.{scalar,batch}_{nodes,rrr_rank,rrr_select}_per_op]),
+     [batch.{select,rank_prefix}.{scalar,batch}_{nodes,rrr_rank,rrr_select,rrr_unrank}_per_op]),
      must equal the baseline.  They are counts on fixed inputs, so this
      gate is exact and fails even under --soft: a change to the work a
      query does must come with a regenerated baseline.
@@ -249,7 +250,7 @@ let space_exact base cur =
     [ "ratio_to_lb"; "overhead_bits" ];
   List.iter
     (fun path -> exact ~why path (number base path) (number cur path))
-    [ "flat.directory_bits_per_node"; "flat.plain_beta_share" ]
+    [ "flat.directory_bits_per_node"; "flat.plain_beta_share"; "flat.stored_label_share" ]
 
 (* "batch.<op>.<row>_per_op" for the given legs. *)
 let batch_rows ?(ops = [ "access"; "rank"; "select"; "rank_prefix" ]) rows =
@@ -257,8 +258,8 @@ let batch_rows ?(ops = [ "access"; "rank"; "select"; "rank_prefix" ]) rows =
     (fun op -> List.map (fun row -> Printf.sprintf "batch.%s.%s_per_op" op row) rows)
     ops
 
-(* The exact work rows of a leg: nodes and RRR ranks, then accesses and
-   unranked positions, or selects. *)
+(* The exact work rows of a leg: nodes and RRR ranks, then accesses or
+   selects, and unranked positions. *)
 let work_rows rest =
   List.concat_map
     (fun leg -> List.map (Printf.sprintf "%s_%s" leg) ("nodes" :: "rrr_rank" :: rest))
@@ -292,7 +293,7 @@ let work_exact base cur =
             path b c
       | _ -> hard_fail "%s missing from one side" path)
     (batch_rows ~ops:[ "access"; "rank" ] (work_rows [ "rrr_access"; "rrr_unrank" ])
-    @ batch_rows ~ops:[ "select"; "rank_prefix" ] (work_rows [ "rrr_select" ]))
+    @ batch_rows ~ops:[ "select"; "rank_prefix" ] (work_rows [ "rrr_select"; "rrr_unrank" ]))
 
 let throughput ~threshold base cur =
   List.iter

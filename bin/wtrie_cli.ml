@@ -246,6 +246,15 @@ let verify_cmd =
                Printf.sprintf "%s %d blobs %d bits" c.code c.blobs c.bits)
              codes)
     in
+    (* a byte-string arena stores leaf labels without their marker bits *)
+    let labels_json (l : Wt_core.Flat_wt.layout) =
+      Json.Obj
+        [ ("stored", Json.Int l.stored_label_bits); ("logical", Json.Int l.logical_label_bits) ]
+    in
+    let labels_text (l : Wt_core.Flat_wt.layout) =
+      Printf.sprintf "labels: %d bits stored, %d logical" l.stored_label_bits
+        l.logical_label_bits
+    in
     match
       if Sys.file_exists path && Sys.is_directory path then begin
         let module T = Wtrie.Tiered in
@@ -276,7 +285,8 @@ let verify_cmd =
                            ("file", Json.Str run.run_file);
                            ("arena_version", Json.Int run.run_version);
                            ("length", Json.Int run.run_length);
-                           ("beta_codes", codes_json run.run_codes);
+                           ("beta_codes", codes_json run.run_layout.codes);
+                           ("label_bits", labels_json run.run_layout);
                          ])
                      r.T.v_run_reports) );
               ("length", Json.Int r.T.v_length);
@@ -299,8 +309,10 @@ let verify_cmd =
             r.T.v_length r.T.v_wal_records;
           List.iter
             (fun (run : T.run_report) ->
-              Printf.printf "  %s: arena version %d, length %d, %s\n" run.run_file
-                run.run_version run.run_length (codes_text run.run_codes))
+              Printf.printf "  %s: arena version %d, length %d, %s; %s\n" run.run_file
+                run.run_version run.run_length
+                (codes_text run.run_layout.codes)
+                (labels_text run.run_layout))
             r.T.v_run_reports
         end
         else
@@ -313,7 +325,7 @@ let verify_cmd =
         r.T.v_clean
       end
       else begin
-        let tag, length, version, codes = Storage.verify_index path in
+        let tag, length, version, layout = Storage.verify_index path in
         if json then
           emit
             ([
@@ -323,13 +335,16 @@ let verify_cmd =
                ("length", Json.Int length);
                ("arena_version", match version with Some v -> Json.Int v | None -> Json.Null);
              ]
-            @ if version = None then [] else [ ("beta_codes", codes_json codes) ])
+            @
+            if version = None then []
+            else [ ("beta_codes", codes_json layout.codes); ("label_bits", labels_json layout) ])
         else begin
           Printf.printf "%s: ok (%s index%s, length %d)\n" path tag
             (match version with Some v -> Printf.sprintf ", arena version %d" v | None -> "")
             length;
           (* a format-v2 file's arena is built on load: its codes are not the file's *)
-          if version <> None then Printf.printf "  %s\n" (codes_text codes)
+          if version <> None then
+            Printf.printf "  %s\n  %s\n" (codes_text layout.codes) (labels_text layout)
         end;
         true
       end

@@ -212,23 +212,24 @@ module Storage = struct
                   i := !i + step
                 done
               end;
-              Wt_core.Flat_wt.of_trie (module Wt_core.Wavelet_trie.Node) wt
+              Wt_core.Flat_wt.of_trie ~keys:Bytes (module Wt_core.Wavelet_trie.Node) wt
           | "append" ->
               let wt = P.load_append path in
               if deep then invariants Wt_core.Append_wt.check_invariants wt;
-              Wt_core.Flat_wt.of_trie (module Wt_core.Append_wt.Node) wt
+              Wt_core.Flat_wt.of_trie ~keys:Bytes (module Wt_core.Append_wt.Node) wt
           | "dynamic" ->
               let wt = P.load_dynamic path in
               if deep then invariants Wt_core.Dynamic_wt.check_invariants wt;
-              Wt_core.Flat_wt.of_trie (module Wt_core.Dynamic_wt.Node) wt
+              Wt_core.Flat_wt.of_trie ~keys:Bytes (module Wt_core.Dynamic_wt.Node) wt
           | t -> raise (Format_error (Printf.sprintf "unknown index variant %S" t)) ))
 
   let load_index ?mode path = snd (read ?mode ~deep:false path)
 
   (* Deep verification for [wtrie verify]: full checksums, the v2
      variant's own checks, then the arena's structural invariants.
-     Returns (variant, length, arena version, β codes), the version
-     [None] for a format-v2 file, whose arena is built on load. *)
+     Returns (variant, length, arena version, layout: β codes and label
+     bits), the version [None] for a format-v2 file, whose arena is
+     built on load. *)
   let verify_index path =
     let variant, flat, version =
       match index_version path with
@@ -243,7 +244,7 @@ module Storage = struct
           (variant, flat, None)
     in
     invariants Wt_core.Flat_wt.check_invariants flat;
-    (variant, Static.length flat, version, Wt_core.Flat_wt.beta_codes flat)
+    (variant, Static.length flat, version, Wt_core.Flat_wt.layout flat)
 
   (* [convert src dst] rewrites any readable index as a format-v3
      static arena.  Returns (source variant, length). *)

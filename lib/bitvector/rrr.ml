@@ -500,18 +500,18 @@ let pp fmt t = Format.fprintf fmt "%s" (Bitbuf.to_string (to_bitbuf t))
    the view is opened.  A plain rank is one sample plus popcounts, with
    no unranking.
 
-   That is arena version 5.  Versions 3 and 4 stored every blob as RRR
-   with no tag, no base and 6 bits per class.  Version 2 also coded the
-   last block over 62 positions like the others (so a one-block blob's
-   class took 6 bits); such a blob is read as one whose tail is 62
-   long.  The view keeps the base, the class width and the length the
+   That is arena versions 5 and 6 (6 changed only leaf labels).
+   Versions 3 and 4 stored every blob as RRR with no tag, no base and 6
+   bits per class.  Version 2 also coded the last block over 62
+   positions like the others (so a one-block blob's class took 6 bits);
+   such a blob is read as one whose tail is 62 long.  The view keeps the base, the class width and the length the
    last block is coded over, so one decoder reads all four. *)
 module Flat = struct
   module Membuf = Wt_bits.Membuf
 
   type code = Rrr | Plain
 
-  let newest_version = 5
+  let newest_version = 6
 
   (* As many fields as a view had before version 5: the batch engine
      makes one per node it visits. *)

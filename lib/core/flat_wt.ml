@@ -11,19 +11,21 @@
    [open] is a checksummed header read plus an [mmap] (zero-copy, one
    read-only mapping shareable across serving processes).
 
-   Arena layout, version 5 (integers little-endian, bit streams
+   Arena layout, version 6 (integers little-endian, bit streams
    LSB-first; N nodes in BFS order, I = (N - 1) / 2 of them internal;
    every section is byte-aligned and its size derived from the header):
 
-     header (56 bytes):
+     header (64 bytes):
        off  0  magic "WTF3" (4 bytes)
-       off  4  u32 arena version (= 5; versions 2 to 4 are read too)
+       off  4  u32 arena version (= 6; versions 2 to 5 are read too)
        off  8  u64 n               sequence length (the root's count)
        off 16  u64 node_count      N
-       off 24  u64 labels_bits     total label length in bits
+       off 24  u64 labels_bits     total stored label length in bits
        off 32  u64 directory_bits  node directory length in bits
        off 40  u64 content_bits    content stream length in bits
        off 48  u64 arena_len       total blob size in bytes
+       off 56  u64 flags           bit 0: a byte-string arena; no other
+                                   bit is set
 
      node directory: directory_bits bits, byte-padded
        ({!Wt_succinct.Flat_directory}, a partitioned Elias–Fano
@@ -39,29 +41,42 @@
 
      content: content_bits bits, byte-padded.  Node i owns
        [off i, off (i + 1)): an internal node's β blob (length = its
-       count), then its label; a leaf's label alone.  A label's length
-       is its extent minus the blob's.  A β blob of more than 62 bits
-       starts with a code tag and is class-range RRR or plain, whichever
-       is smaller ({!Wt_bitvector.Rrr.Flat}); a shorter one is one RRR
-       block.  On serve_small's URL log (262,144 strings, about 2,000
-       distinct) that takes β from 9.74 to 9.55 bits per string.
+       count), then its label; a leaf's label alone.  A label's stored
+       length is its extent minus the blob's.  A β blob of more than 62
+       bits starts with a code tag and is class-range RRR or plain,
+       whichever is smaller ({!Wt_bitvector.Rrr.Flat}); a shorter one is
+       one RRR block.  On serve_small's URL log (262,144 strings, about
+       2,000 distinct) that takes β from 9.74 to 9.55 bits per string.
 
-   Version 4 has the same layout with every β blob RRR-coded: no tag,
-   and 6 bits per class.  Versions 2 and 3 have the same header, with
-   offsets_bits at off 32, and a two-part directory: ceil (N / 32)
-   topology records of 8 bytes (u32 internal nodes before the record's
-   first node, u32 bit j set iff node 32r + j is internal), then the
-   N + 1 offsets in
-   offsets_bits bits ({!Wt_succinct.Flat_offsets}: per block of 32, the
-   first offset and fixed-width differences at the block's own width).
-   On a URL log of 262,144 strings, 55,741 distinct (111,481 nodes),
-   that directory takes 14.41 bits per node (2.00 of topology, 12.41 of
-   offsets) and version 4's 10.86.  Version 3 codes each β blob's last
-   RRR block over its real length, as versions 4 and 5 do; version 2
-   coded it over 62 bits like the others.  All open through the one blob
-   decoder ({!Wt_bitvector.Rrr.Flat}), told the arena's version; the
-   builders write version 5 only, and [merge] copies labels of any
-   version and β blobs of version 5 verbatim, and re-encodes older β.
+   In a byte-string arena (flag bit 0: its strings are
+   {!Wt_strings.Binarize.of_bytes} encodings) each leaf label is stored
+   as its data bits only: the bits at bit depths = 0 (mod 9), a 1
+   before each byte and the terminator 0, are dropped, and a reader
+   restores them from the leaf's bit depth ({!Wt_strings.Binarize.unpack};
+   a node's depth is its parent's plus the parent's label length plus
+   one).  A leaf whose stored length ends no encoded string from its
+   depth is corrupt.  Internal labels, and every label of a bitstring
+   arena, are stored whole.  On serve_wide's URL log (262,144 strings,
+   55,741 distinct) the dropped bits are 1.58 bits per string.
+
+   Version 5 has the same layout with a 56-byte header (no flags field)
+   and every label whole.  Version 4 also stored every β blob RRR-coded:
+   no tag, and 6 bits per class.  Versions 2 and 3 have version 4's
+   header, with offsets_bits at off 32, and a two-part directory:
+   ceil (N / 32) topology records of 8 bytes (u32 internal nodes before
+   the record's first node, u32 bit j set iff node 32r + j is internal),
+   then the N + 1 offsets in offsets_bits bits
+   ({!Wt_succinct.Flat_offsets}: per block of 32, the first offset and
+   fixed-width differences at the block's own width).  On a URL log of
+   262,144 strings, 55,741 distinct (111,481 nodes), that directory
+   takes 14.41 bits per node (2.00 of topology, 12.41 of offsets) and
+   version 4's 10.86.  Version 3 codes each β blob's last RRR block over
+   its real length, as versions 4 to 6 do; version 2 coded it over 62
+   bits like the others.  All open through the one blob decoder
+   ({!Wt_bitvector.Rrr.Flat}), told the arena's version; the builders
+   write version 6 only, and [merge] copies β blobs of versions 5 and 6
+   and packed leaf labels at their own depth verbatim, and re-encodes
+   the rest.
 
    Safety: every arena read is bounds-checked by [Membuf], so a corrupt
    blob raises [Invalid_argument] (or {!Wt_durable.Container.Format_error}
@@ -76,6 +91,7 @@
    memory-safe. *)
 
 module Bitstring = Wt_strings.Bitstring
+module Binarize = Wt_strings.Binarize
 module Bitbuf = Wt_bits.Bitbuf
 module Broadword = Wt_bits.Broadword
 module Membuf = Wt_bits.Membuf
@@ -90,14 +106,25 @@ exception Closed
 
 let arena_magic = "WTF3"
 let arena_version = Rrr.Flat.newest_version
-let header_len = 56
+let header_len = 64
+
+(* Before version 6 the header has no flags field. *)
+let header_bytes ~version = if version >= 6 then header_len else 56
+
+(* The one flag: leaf labels are stored without their marker bits. *)
+let bytes_flag = 1
+
+(* What an arena's strings are: [Bytes], the {!Binarize.of_bytes}
+   encodings of byte strings, whose leaf labels lose their marker bits;
+   or [Bits], raw bitstrings, every label stored whole. *)
+type keys = Bits | Bytes
 
 let tag = "static"
 (* Same variant tag as the v2 static container; the two are told apart
    by the container's format-version field. *)
 
-(* The node directory: version 4's, or the topology records (at byte
-   [header_len]) and node offsets of versions 2 and 3. *)
+(* The node directory: version 4's, or the topology records (right
+   after the header) and node offsets of versions 2 and 3. *)
 type directory = V4 of Directory.t | V3 of Offsets.t
 
 type t = {
@@ -109,6 +136,7 @@ type t = {
   dir : directory;
   content_bit : int; (* bit offset of the content stream *)
   version : int; (* the blob decoder needs it: see [Rrr.Flat.of_membuf] *)
+  packed : bool; (* a byte-string arena: leaf labels without marker bits *)
   source : string; (* file path when opened from storage, for errors *)
   mutable closed : bool;
   release : unit -> unit; (* backing fd, when mmap-opened *)
@@ -121,7 +149,7 @@ let topo_len ~version node_count = if version >= 4 then 0 else 8 * ((node_count 
    version 4) and of the content stream, and the arena size, all derived
    from the header fields. *)
 let sections ~version ~node_count ~directory_bits ~content_bits =
-  let dir = header_len + topo_len ~version node_count in
+  let dir = header_bytes ~version + topo_len ~version node_count in
   let content = dir + ((directory_bits + 7) / 8) in
   (dir, content, content + ((content_bits + 7) / 8))
 
@@ -137,26 +165,35 @@ let sections ~version ~node_count ~directory_bits ~content_bits =
 let add_u32 buf v = Buffer.add_int32_le buf (Int32.of_int v)
 let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
 
-(* The arena writer.  A node is started with its topology bit; an
-   internal node then gets its β, accumulated 62 bits at a time into
-   [blocks] and RRR-encoded straight into the content stream, and every
-   node its label.  [finish] lays out the header and the node directory
-   in front of the content. *)
+(* The arena writer.  A node is started with its topology bit and its
+   bit depth; an internal node then gets its β, accumulated 62 bits at
+   a time into [blocks] and RRR-encoded straight into the content
+   stream, and every node its label.  [finish] lays out the header and
+   the node directory in front of the content. *)
 type writer = {
+  keys : keys;
   mutable starts : int array; (* content offset of each node started *)
   mutable nodes : int;
   topo : Bitbuf.t;
   content : Bitbuf.t;
-  mutable label_total : int;
+  mutable label_total : int; (* stored label bits *)
   blocks : int array; (* β of the current node, bits [62i, 62i + 62) in entry i *)
   mutable word : int; (* β bits not yet in [blocks] *)
   mutable fill : int;
   mutable nb : int;
+  (* the current node's label: whether it is packed (a leaf of a
+     byte-string arena), its bit depth, the depth of its next bit, and
+     whether its terminator is written *)
+  mutable pack : bool;
+  mutable depth : int;
+  mutable lpos : int;
+  mutable ended : bool;
 }
 
 (* [n] bounds every β; [nodes] is the node count, or a first guess. *)
-let writer ~n ~nodes =
+let writer ~keys ~n ~nodes =
   {
+    keys;
     starts = Array.make (nodes + 1) 0;
     nodes = 0;
     topo = Bitbuf.create ~capacity_bits:nodes ();
@@ -166,9 +203,25 @@ let writer ~n ~nodes =
     word = 0;
     fill = 0;
     nb = 0;
+    pack = false;
+    depth = 0;
+    lpos = 0;
+    ended = false;
   }
 
-let start_node w ~internal =
+let corrupt_leaf () = invalid_arg "Flat_wt: a leaf label ends no encoded byte string"
+
+(* A packed label ends with its terminator, or is empty where the
+   parent branched on it. *)
+let end_label w =
+  if w.pack && not (w.ended || (w.lpos = w.depth && w.depth mod 9 = 1)) then corrupt_leaf ()
+
+let start_node w ~internal ~depth =
+  end_label w;
+  w.pack <- w.keys = Bytes && not internal;
+  w.depth <- depth;
+  w.lpos <- depth;
+  w.ended <- false;
   if w.nodes + 1 >= Array.length w.starts then begin
     let starts = Array.make (2 * Array.length w.starts) 0 in
     Array.blit w.starts 0 starts 0 w.nodes;
@@ -210,9 +263,36 @@ let end_beta w ~len =
   w.fill <- 0;
   w.nb <- 0
 
+(* The next [len <= 56] bits of the current node's label, the low bits
+   of [v].  A packed label drops its bits at depths = 0 (mod 9), each a
+   1 but for the label's last bit, the terminator 0. *)
 let add_label w len v =
-  Bitbuf.add_bits w.content len v;
-  w.label_total <- w.label_total + len
+  if not w.pack then begin
+    Bitbuf.add_bits w.content len v;
+    w.label_total <- w.label_total + len
+  end
+  else if len > 0 then begin
+    if w.ended then corrupt_leaf ();
+    let markers = Binarize.markers ~depth:w.lpos len in
+    let stored = Bitbuf.length w.content in
+    let dropped = Binarize.pack_bits w.content ~depth:w.lpos len v in
+    w.label_total <- w.label_total + Bitbuf.length w.content - stored;
+    w.lpos <- w.lpos + len;
+    if dropped <> Broadword.mask markers then begin
+      if dropped <> Broadword.mask (markers - 1) || (w.lpos - 1) mod 9 <> 0 then corrupt_leaf ();
+      w.ended <- true
+    end
+  end
+
+(* Bits [off, off + len) of [key] (a key, or a label) as the current
+   node's label. *)
+let add_key_bits w key off len =
+  let p = ref 0 in
+  while !p < len do
+    let take = Int.min 56 (len - !p) in
+    add_label w take (Bitstring.get_bits key (off + !p) take);
+    p := !p + take
+  done
 
 (* Copy [len] bits at bit [pos] of [mb] into the content stream. *)
 let copy_bits w mb pos len =
@@ -224,6 +304,7 @@ let copy_bits w mb pos len =
   done
 
 let finish w ~n =
+  end_label w;
   let node_count = w.nodes in
   if node_count >= 1 lsl 32 then invalid_arg "Flat_wt: node count exceeds 2^32";
   let content_bits = Bitbuf.length w.content in
@@ -241,7 +322,16 @@ let finish w ~n =
   let out = Buffer.create arena_len in
   Buffer.add_string out arena_magic;
   add_u32 out arena_version;
-  List.iter (add_u64 out) [ n; node_count; w.label_total; directory_bits; content_bits; arena_len ];
+  List.iter (add_u64 out)
+    [
+      n;
+      node_count;
+      w.label_total;
+      directory_bits;
+      content_bits;
+      arena_len;
+      (if w.keys = Bytes then bytes_flag else 0);
+    ];
   Bitbuf.add_to_buffer out dir;
   Bitbuf.add_to_buffer out w.content;
   assert (Buffer.length out = arena_len);
@@ -267,8 +357,8 @@ let split_point keys lo hi m =
    with 1 — so the label is bits [off, m), β marks the ranks >= j, and a
    stable partition hands each child its subsequence.  Each level's
    subsequences lie side by side in one rank array, so two arrays of n
-   ranks serve every level. *)
-let arena_of_keys (keys : Bitstring.t array) (seq : int array) : string =
+   ranks serve every level.  [~keys] says what the keys encode. *)
+let arena_of_keys ~keys:kind (keys : Bitstring.t array) (seq : int array) : string =
   Probe.time Flat_build (fun () ->
       let d = Array.length keys and n = Array.length seq in
       (* cum.(k): occurrences of the keys ranked below k *)
@@ -285,7 +375,7 @@ let arena_of_keys (keys : Bitstring.t array) (seq : int array) : string =
       let q_lo = Array.make node_count 0 and q_hi = Array.make node_count d in
       let q_off = Array.make node_count 0 in
       let tail = ref 1 in
-      let w = writer ~n ~nodes:node_count in
+      let w = writer ~keys:kind ~n ~nodes:node_count in
       let blocks = w.blocks in
       (* level L reads its subsequences from [src] and writes level L+1's
          into [dst] *)
@@ -304,7 +394,7 @@ let arena_of_keys (keys : Bitstring.t array) (seq : int array) : string =
         let lo = q_lo.(i) and hi = q_hi.(i) and off = q_off.(i) in
         let key = keys.(lo) in
         let count = cum.(hi) - cum.(lo) in
-        start_node w ~internal:(hi - lo > 1);
+        start_node w ~internal:(hi - lo > 1) ~depth:off;
         let stop =
           if hi - lo = 1 then Bitstring.length key
           else begin
@@ -346,8 +436,7 @@ let arena_of_keys (keys : Bitstring.t array) (seq : int array) : string =
           end
         in
         rpos := !rpos + count;
-        w.label_total <- w.label_total + (stop - off);
-        Bitstring.append_to_bitbuf (Bitstring.sub key off (stop - off)) w.content
+        add_key_bits w key off (stop - off)
       done;
       finish w ~n)
 
@@ -370,15 +459,16 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
   if version < 2 || version > arena_version then
     fail "flat arena: version %d, expected 2 to %d (rebuild the index from its source)" version
       arena_version;
-  if len < header_len then fail "flat arena: truncated header (%d bytes)" len;
+  if len < header_bytes ~version then fail "flat arena: truncated header (%d bytes)" len;
   match
     let u64 off = Membuf.get_u64 mb off in
-    (u64 8, u64 16, u64 24, u64 32, u64 40, u64 48)
+    (u64 8, u64 16, u64 24, u64 32, u64 40, u64 48, if version >= 6 then u64 56 else 0)
   with
   | exception Invalid_argument _ -> fail "flat arena: corrupt header field"
-  | n, node_count, labels_bits, directory_bits, content_bits, arena_len ->
+  | n, node_count, labels_bits, directory_bits, content_bits, arena_len, flags ->
       if arena_len <> len then
         fail "flat arena: declared size %d, actual %d" arena_len len;
+      if flags land lnot bytes_flag <> 0 then fail "flat arena: unknown header flags %#x" flags;
       (* bound the sections by the blob before deriving offsets, so the
          arithmetic below cannot overflow *)
       if node_count > 8 * len || directory_bits > 8 * len || content_bits > 8 * len then
@@ -416,6 +506,7 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
              V3 (Offsets.of_membuf mb ~bit:(8 * dir) ~count:(node_count + 1) ~universe:content_bits));
         content_bit = 8 * content;
         version;
+        packed = flags = bytes_flag;
         source;
         closed = false;
         release;
@@ -436,7 +527,7 @@ let version t = t.version
 (* The topology record of node [idx] before version 4: its rank among
    the internal nodes, -1 for a leaf. *)
 let v3_irank t idx =
-  let rec_bit = 8 * (header_len + (8 * (idx lsr 5))) in
+  let rec_bit = 8 * (header_bytes ~version:t.version + (8 * (idx lsr 5))) in
   let bits = Membuf.get_bits t.mb (rec_bit + 32) 32 in
   let j = idx land 31 in
   if bits land (1 lsl j) = 0 then -1
@@ -466,6 +557,7 @@ module Node = struct
     t : t;
     idx : int;
     count : int;
+    depth : int; (* bit depth: the label bits above this node's label *)
     irank : int; (* rank among internal nodes; -1 for a leaf *)
     lo : int; (* content extent *)
     hi : int;
@@ -475,13 +567,13 @@ module Node = struct
      (they are created by [root]/[child] and never shared across
      domains), so the cache is domain-local by construction. *)
 
-  let make t idx count =
+  let make t idx count depth =
     let irank, lo, hi = node_entry t idx in
-    { t; idx; count; irank; lo; hi; bv_memo = None }
+    { t; idx; count; depth; irank; lo; hi; bv_memo = None }
 
   let root (trie : trie) =
     if trie.closed then raise Closed;
-    if trie.node_count = 0 then None else Some (make trie 0 trie.n)
+    if trie.node_count = 0 then None else Some (make trie 0 trie.n 0)
 
   let length (trie : trie) =
     if trie.closed then raise Closed;
@@ -504,21 +596,41 @@ module Node = struct
         node.bv_memo <- Some bv;
         bv
 
+  let packed node = node.irank < 0 && node.t.packed
+
+  (* The label's first bit in the content stream, and its stored bits. *)
+  let label_start node =
+    if node.irank < 0 then node.lo else node.lo + Rrr.Flat.space_bits (bv_of node)
+
+  let stored_label_length node = node.hi - label_start node
+
+  (* The label's length from its stored one. *)
+  let unpacked_length node stored =
+    if not (packed node) then stored
+    else
+      let len = Binarize.unpacked_length ~depth:node.depth stored in
+      if len < 0 then invalid_arg "Flat_wt.Node: corrupt leaf label";
+      len
+
+  let label_length node = unpacked_length node (stored_label_length node)
+
   let label node =
-    let start =
-      if node.irank < 0 then node.lo else node.lo + Rrr.Flat.space_bits (bv_of node)
-    in
-    let len = node.hi - start in
+    let start = label_start node in
+    let stored = node.hi - start in
+    let len = unpacked_length node stored in
     let bitpos = node.t.content_bit + start in
     (* at least eight bytes, so every comparison against the label takes
        the one-load path of [Bitbuf.get_bits] *)
     let out = Bitbuf.create ~capacity_bits:(Int.max 64 len) () in
-    let i = ref 0 in
-    while !i < len do
-      let take = Int.min 56 (len - !i) in
-      Bitbuf.add_bits out take (Membuf.get_bits node.t.mb (bitpos + !i) take);
-      i := !i + take
-    done;
+    if packed node then Binarize.unpack node.t.mb bitpos ~depth:node.depth ~stored out
+    else begin
+      let i = ref 0 in
+      while !i < len do
+        let take = Int.min 56 (len - !i) in
+        Bitbuf.add_bits out take (Membuf.get_bits node.t.mb (bitpos + !i) take);
+        i := !i + take
+      done
+    end;
     Bitstring.unsafe_of_bitbuf out
 
   let child node b =
@@ -529,7 +641,10 @@ module Node = struct
     if c0 <= node.idx || c0 + 1 >= node.t.node_count then
       invalid_arg "Flat_wt.Node.child: corrupt child index";
     let bv = bv_of node in
-    if b then make node.t (c0 + 1) (Rrr.Flat.ones bv) else make node.t c0 (Rrr.Flat.zeros bv)
+    (* an internal label is stored whole *)
+    let depth = node.depth + node.hi - node.lo - Rrr.Flat.space_bits bv + 1 in
+    if b then make node.t (c0 + 1) (Rrr.Flat.ones bv) depth
+    else make node.t c0 (Rrr.Flat.zeros bv) depth
 
   let bv_rank node b pos = Rrr.Flat.rank (bv_of node) b pos
   let bv_select node b k = Rrr.Flat.select (bv_of node) b k
@@ -569,47 +684,96 @@ let space_bits t =
   if t.closed then raise Closed;
   8 * Membuf.length t.mb
 
-let stats t = Q.stats ~space_bits t
+(* LT is measured on the logical labels; [label_bits] is what the arena
+   stores. *)
+let stats t = { (Q.stats ~space_bits t) with label_bits = t.labels_bits }
 
 (* ------------------------------------------------------------------ *)
 (* Construction and storage *)
 
-let of_keys keys seq = of_membuf (Membuf.of_string (arena_of_keys keys seq))
+let of_keys ~keys:kind keys seq = of_membuf (Membuf.of_string (arena_of_keys ~keys:kind keys seq))
+
+(* A string's hash, eight bytes at a time. *)
+let hash_string s =
+  let n = String.length s in
+  let h = ref n and i = ref 0 in
+  while !i + 8 <= n do
+    h := (!h * 0x100000001b3) lxor Int64.to_int (String.get_int64_le s !i);
+    i := !i + 8
+  done;
+  while !i < n do
+    h := (!h * 0x100000001b3) lxor Char.code (String.unsafe_get s !i);
+    incr i
+  done;
+  !h
 
 (* The distinct strings of [strings] sorted by [compare], and the
-   sequence as ranks among them.  [H] decides equality. *)
-let sorted_keys (type k) (module H : Hashtbl.S with type key = k) ~compare strings =
-  let ids = H.create 1024 in
-  let firsts = ref [] in
-  let seq =
-    Array.map
-      (fun s ->
-        match H.find_opt ids s with
-        | Some id -> id
-        | None ->
-            let id = H.length ids in
-            H.add ids s id;
-            firsts := s :: !firsts;
-            id)
-      strings
+   sequence as ranks among them.  Equal strings are found by open
+   addressing: each slot holds a first occurrence's index and its hash,
+   so [equal] runs only on equal hashes, and a string's id is its first
+   occurrence's. *)
+let sorted_keys ~hash ~equal ~compare strings =
+  let n = Array.length strings in
+  let seq = Array.make n 0 in
+  let slots = ref (Array.make 1024 (-1)) and hashes = ref (Array.make 1024 0) in
+  let firsts = ref (Array.make 256 0) and d = ref 0 in
+  (* a slot from a hash: bits 20 and up of it times an odd constant *)
+  let slot h mask = ((h * 0x2545F4914F6CDD1D) lsr 20) land mask in
+  let insert slots hashes first h =
+    let mask = Array.length slots - 1 in
+    let j = ref (slot h mask) in
+    while slots.(!j) >= 0 do
+      j := (!j + 1) land mask
+    done;
+    slots.(!j) <- first;
+    hashes.(!j) <- h
   in
-  let distinct = Array.of_list (List.rev !firsts) in
-  let order = Array.init (Array.length distinct) Fun.id in
-  Array.stable_sort (fun a b -> compare distinct.(a) distinct.(b)) order;
-  let rank = Array.make (Array.length distinct) 0 in
+  for i = 0 to n - 1 do
+    let s = strings.(i) in
+    let h = hash s in
+    let slots_ = !slots and hashes_ = !hashes in
+    let mask = Array.length slots_ - 1 in
+    let j = ref (slot h mask) and id = ref (-1) in
+    while !id < 0 do
+      let f = slots_.(!j) in
+      if f < 0 then begin
+        id := !d;
+        if !d = Array.length !firsts then
+          firsts := Array.append !firsts (Array.make !d 0);
+        !firsts.(!d) <- i;
+        incr d;
+        slots_.(!j) <- i;
+        hashes_.(!j) <- h
+      end
+      else if hashes_.(!j) = h && equal strings.(f) s then id := seq.(f)
+      else j := (!j + 1) land mask
+    done;
+    seq.(i) <- !id;
+    (* at most half full *)
+    if 2 * !d > mask then begin
+      let grown = Array.make (2 * (mask + 1)) (-1) and grown_h = Array.make (2 * (mask + 1)) 0 in
+      Array.iteri (fun j f -> if f >= 0 then insert grown grown_h f hashes_.(j)) slots_;
+      slots := grown;
+      hashes := grown_h
+    end
+  done;
+  let d = !d and firsts = !firsts in
+  let order = Array.init d Fun.id in
+  Array.stable_sort (fun a b -> compare strings.(firsts.(a)) strings.(firsts.(b))) order;
+  let rank = Array.make d 0 in
   Array.iteri (fun r id -> rank.(id) <- r) order;
   Array.iteri (fun i id -> seq.(i) <- rank.(id)) seq;
-  (Array.map (fun id -> distinct.(id)) order, seq)
-
-module Bits_tbl = Hashtbl.Make (Bitstring)
+  (Array.map (fun id -> strings.(firsts.(id))) order, seq)
 
 let of_array strings =
-  let keys, seq = sorted_keys (module Bits_tbl) ~compare:Bitstring.compare strings in
+  let keys, seq =
+    sorted_keys ~hash:Bitstring.hash ~equal:Bitstring.equal ~compare:Bitstring.compare strings
+  in
   for j = 1 to Array.length keys - 1 do
     if Bitstring.is_prefix ~prefix:keys.(j - 1) keys.(j) then
       invalid_arg "Flat_wt.of_array: string set is not prefix-free"
   done;
-  of_keys keys seq
+  of_keys ~keys:Bits keys seq
 
 let of_list l = of_array (Array.of_list l)
 
@@ -626,35 +790,42 @@ let of_list l = of_array (Array.of_list l)
    Its β is, in source order, the β of each cursor that branches there
    and a constant run of each other cursor's next label bit — in
    sequence order, since the sources are.  Cursors live in plain int
-   arrays, one set per BFS level. *)
+   arrays, one set per BFS level, and each merged node keeps its bit
+   depth: a source node's is the merged node's less the cursor's
+   consumed bits.  Labels are read as their logical bits and written
+   the way the merged arena's keys say. *)
 
 type source = Arena of t | Trie : (module Node_view.S with type trie = 'a) * 'a -> source
 
 (* A non-empty source read through int node handles, the root's being
    0.  The arena needs a node's count to find the label behind its β
-   blob, so every function on a node takes it.  Label reads are at most
-   56 bits wide.  [beta] adds the node's β to a merged β and
-   [whole_beta] writes it as the whole β of a node that no other source
-   shares; both return its ones. *)
+   blob, and a leaf's bit depth to unpack its label, so every function
+   on a node takes its count, and every label function its depth too.
+   Label reads are at most 56 bits wide.  [beta] adds the node's β to a
+   merged β and [whole_beta] writes it as the whole β of a node that no
+   other source shares; both return its ones. *)
 type reader = {
   len : int;
   leaf : int -> bool;
   child : int -> bool -> int;
-  label_len : int -> int -> int;
-  label_bits : int -> int -> int -> int -> int; (* node, count, offset, width *)
-  add_label : writer -> int -> int -> int -> int -> unit; (* node, count, offset, length *)
+  label_len : int -> int -> int -> int; (* node, count, depth *)
+  label_bits : int -> int -> int -> int -> int -> int; (* node, count, depth, offset, width *)
+  add_label : writer -> int -> int -> int -> int -> int -> unit;
+      (* node, count, depth, offset, length *)
   beta : writer -> int -> int -> int;
   whole_beta : writer -> int -> int -> int;
 }
+
 
 let arena_reader t =
   if t.closed then raise Closed;
   let irank = irank t in
   let blob_view blob count = Rrr.Flat.of_membuf t.mb blob ~len:count ~version:t.version in
   (* each merged node reads one node per source: keep the last one's
-     β blob and label *)
+     β blob and label, and a packed leaf label unpacked *)
   let at = ref (-1) and blob = ref 0 and blob_bits = ref 0 and ones = ref 0 in
-  let label = ref 0 and label_len = ref 0 in
+  let label = ref 0 and stored = ref 0 and packed = ref false in
+  let unpacked = Bitbuf.create () and unpacked_at = ref (-1) in
   let locate idx count =
     if idx <> !at then begin
       let r, lo, hi = node_entry t idx in
@@ -670,8 +841,29 @@ let arena_reader t =
       end;
       if lo + !blob_bits > hi then invalid_arg "Flat_wt.merge: β overruns its node extent";
       label := !blob + !blob_bits;
-      label_len := hi - lo - !blob_bits;
+      stored := hi - lo - !blob_bits;
+      packed := t.packed && r < 0;
       at := idx
+    end
+  in
+  let label_len idx count depth =
+    locate idx count;
+    if not !packed then !stored
+    else
+      let len = Binarize.unpacked_length ~depth !stored in
+      if len < 0 then invalid_arg "Flat_wt.merge: corrupt leaf label";
+      len
+  in
+  let label_bits idx count depth off width =
+    locate idx count;
+    if not !packed then Membuf.get_bits t.mb (!label + off) width
+    else begin
+      if !unpacked_at <> idx then begin
+        Bitbuf.clear unpacked;
+        Binarize.unpack t.mb !label ~depth ~stored:!stored unpacked;
+        unpacked_at := idx
+      end;
+      Bitbuf.get_bits unpacked off width
     end
   in
   let beta w idx count =
@@ -694,25 +886,36 @@ let arena_reader t =
             if c0 <= idx || c0 + 1 >= t.node_count then
               invalid_arg "Flat_wt.merge: corrupt child index";
             if b then c0 + 1 else c0);
-        label_len =
-          (fun idx count ->
-            locate idx count;
-            !label_len);
-        label_bits =
-          (fun idx count off width ->
-            locate idx count;
-            Membuf.get_bits t.mb (!label + off) width);
+        label_len;
+        label_bits;
         add_label =
-          (fun w idx count off len ->
-            locate idx count;
-            copy_bits w t.mb (!label + off) len;
-            w.label_total <- w.label_total + len);
+          (fun w idx count depth off len ->
+            let full = label_len idx count depth in
+            if !packed && w.pack && depth = w.depth && len = full then begin
+              (* a whole packed leaf label at its own depth *)
+              copy_bits w t.mb !label !stored;
+              w.label_total <- w.label_total + !stored;
+              w.lpos <- depth + len;
+              w.ended <- len > 0
+            end
+            else if not (!packed || w.pack) then begin
+              copy_bits w t.mb (!label + off) len;
+              w.label_total <- w.label_total + len
+            end
+            else begin
+              let p = ref 0 in
+              while !p < len do
+                let take = Int.min 56 (len - !p) in
+                add_label w take (label_bits idx count depth (off + !p) take);
+                p := !p + take
+              done
+            end);
         beta;
         (* the same bits at the same length: the same blob, when it is
            coded the way the writer codes it *)
         whole_beta =
           (fun w idx count ->
-            if t.version = arena_version then begin
+            if t.version >= 5 then begin
               locate idx count;
               copy_bits w t.mb !blob !blob_bits;
               !ones
@@ -762,17 +965,10 @@ let trie_reader (type a) (module N : Node_view.S with type trie = a) (trie : a) 
             len = N.count root;
             leaf = (fun h -> N.is_leaf (get h));
             child = (fun h b -> add (N.child (get h) b));
-            label_len = (fun h _ -> Bitstring.length (N.label (get h)));
-            label_bits = (fun h _ off width -> Bitstring.get_bits (N.label (get h)) off width);
-            add_label =
-              (fun w h _ off len ->
-                let label = N.label (get h) in
-                let p = ref 0 in
-                while !p < len do
-                  let take = Int.min 56 (len - !p) in
-                  add_label w take (Bitstring.get_bits label (off + !p) take);
-                  p := !p + take
-                done);
+            label_len = (fun h _ _ -> Bitstring.length (N.label (get h)));
+            label_bits =
+              (fun h _ _ off width -> Bitstring.get_bits (N.label (get h)) off width);
+            add_label = (fun w h _ _ off len -> add_key_bits w (N.label (get h)) off len);
             beta;
             whole_beta =
               (fun w h count ->
@@ -781,8 +977,8 @@ let trie_reader (type a) (module N : Node_view.S with type trie = a) (trie : a) 
                 ones);
           }
 
-(* One BFS level of merged nodes: node j owns cursors
-   [first.(j), first.(j + 1)), the last one up to [cursors]. *)
+(* One BFS level of merged nodes: node j, at bit depth [depth.(j)], owns
+   cursors [first.(j), first.(j + 1)), the last one up to [cursors]. *)
 type level = {
   mutable src : int array;
   mutable node : int array;
@@ -790,18 +986,32 @@ type level = {
   mutable cnt : int array;
   mutable cursors : int;
   mutable first : int array;
+  mutable depth : int array;
   mutable merged : int;
 }
 
 let level () =
   let a () = Array.make 64 0 in
-  { src = a (); node = a (); off = a (); cnt = a (); cursors = 0; first = a (); merged = 0 }
+  {
+    src = a ();
+    node = a ();
+    off = a ();
+    cnt = a ();
+    cursors = 0;
+    first = a ();
+    depth = a ();
+    merged = 0;
+  }
 
 let grown a = Array.append a (Array.make (Array.length a) 0)
 
-let open_node l =
-  if l.merged = Array.length l.first then l.first <- grown l.first;
+let open_node l depth =
+  if l.merged = Array.length l.first then begin
+    l.first <- grown l.first;
+    l.depth <- grown l.depth
+  end;
   l.first.(l.merged) <- l.cursors;
+  l.depth.(l.merged) <- depth;
   l.merged <- l.merged + 1
 
 let push_cursor l s v o c =
@@ -823,15 +1033,15 @@ let checked_ones ones count =
   if ones <= 0 || ones >= count then invalid_arg "Flat_wt.merge: constant β at an internal node";
   ones
 
-let merge_readers (readers : reader array) =
+let merge_readers ~keys (readers : reader array) =
   let k = Array.length readers in
   let n = Array.fold_left (fun acc r -> acc + r.len) 0 readers in
-  let w = writer ~n ~nodes:64 in
+  let w = writer ~keys ~n ~nodes:64 in
   (* per cursor of the node at hand: its label bits left, and the bit it
      continues with (-1 when it branches here, with [ones] its β's) *)
   let rem = Array.make k 0 and bit = Array.make k 0 and ones = Array.make k 0 in
   let cur = ref (level ()) and next = ref (level ()) in
-  if k > 0 then open_node !cur;
+  if k > 0 then open_node !cur 0;
   Array.iteri (fun s r -> push_cursor !cur s 0 0 r.len) readers;
   while !cur.merged > 0 do
     let l = !cur and nx = !next in
@@ -840,32 +1050,37 @@ let merge_readers (readers : reader array) =
     for j = 0 to l.merged - 1 do
       let a = l.first.(j) and b = if j + 1 < l.merged then l.first.(j + 1) else l.cursors in
       let s0 = l.src.(a) and v0 = l.node.(a) and o0 = l.off.(a) and c0 = l.cnt.(a) in
-      let r0 = readers.(s0) in
+      let r0 = readers.(s0) and depth = l.depth.(j) in
+      let d0 = depth - o0 in
       if b - a = 1 then begin
         (* one source below this prefix: its node, past the label bits
            already consumed *)
         let internal = not (r0.leaf v0) in
-        start_node w ~internal;
+        start_node w ~internal ~depth;
         let ones = if internal then checked_ones (r0.whole_beta w v0 c0) c0 else 0 in
-        r0.add_label w v0 c0 o0 (r0.label_len v0 c0 - o0);
+        let len = r0.label_len v0 c0 d0 - o0 in
+        r0.add_label w v0 c0 d0 o0 len;
         if internal then begin
-          open_node nx;
+          open_node nx (depth + len + 1);
           push_cursor nx s0 (r0.child v0 false) 0 (c0 - ones);
-          open_node nx;
+          open_node nx (depth + len + 1);
           push_cursor nx s0 (r0.child v0 true) 0 ones
         end
       end
       else begin
-        let m = ref (r0.label_len v0 c0 - o0) in
+        let m = ref (r0.label_len v0 c0 d0 - o0) in
         rem.(0) <- !m;
         for i = a + 1 to b - 1 do
           let r = readers.(l.src.(i)) and v = l.node.(i) and o = l.off.(i) and c = l.cnt.(i) in
-          rem.(i - a) <- r.label_len v c - o;
+          rem.(i - a) <- r.label_len v c (depth - o) - o;
           (* the label ends where this cursor disagrees with the first *)
           let p = ref 0 and lim = ref (Int.min !m rem.(i - a)) in
           while !p < !lim do
             let take = Int.min 56 (!lim - !p) in
-            let x = r0.label_bits v0 c0 (o0 + !p) take lxor r.label_bits v c (o + !p) take in
+            let x =
+              r0.label_bits v0 c0 d0 (o0 + !p) take
+              lxor r.label_bits v c (depth - o) (o + !p) take
+            in
             if x = 0 then p := !p + take
             else begin
               p := !p + Broadword.lowest_bit x;
@@ -879,14 +1094,14 @@ let merge_readers (readers : reader array) =
         for i = a to b - 1 do
           if rem.(i - a) > m || not (readers.(l.src.(i)).leaf l.node.(i)) then internal := true
         done;
-        start_node w ~internal:!internal;
+        start_node w ~internal:!internal ~depth;
         if !internal then begin
           let count = ref 0 in
           for i = a to b - 1 do
-            let r = readers.(l.src.(i)) and v = l.node.(i) and c = l.cnt.(i) in
+            let r = readers.(l.src.(i)) and v = l.node.(i) and o = l.off.(i) and c = l.cnt.(i) in
             count := !count + c;
             if rem.(i - a) > m then begin
-              bit.(i - a) <- r.label_bits v c (l.off.(i) + m) 1;
+              bit.(i - a) <- r.label_bits v c (depth - o) (o + m) 1;
               add_run w (bit.(i - a) = 1) c
             end
             else begin
@@ -897,10 +1112,10 @@ let merge_readers (readers : reader array) =
           done;
           end_beta w ~len:!count
         end;
-        r0.add_label w v0 c0 o0 m;
+        r0.add_label w v0 c0 d0 o0 m;
         if !internal then
           for side = 0 to 1 do
-            open_node nx;
+            open_node nx (depth + m + 1);
             for i = a to b - 1 do
               let s = l.src.(i) and v = l.node.(i) and c = l.cnt.(i) in
               if bit.(i - a) = side then push_cursor nx s v (l.off.(i) + m + 1) c
@@ -918,7 +1133,7 @@ let merge_readers (readers : reader array) =
   done;
   finish w ~n
 
-let merge sources =
+let merge ~keys sources =
   Probe.time Flat_build (fun () ->
       let readers =
         Array.of_list
@@ -926,11 +1141,11 @@ let merge sources =
              (function Arena t -> arena_reader t | Trie (m, trie) -> trie_reader m trie)
              (Array.to_list sources))
       in
-      of_membuf (Membuf.of_string (merge_readers readers)))
+      of_membuf (Membuf.of_string (merge_readers ~keys readers)))
 
 (* Any trie through its node view: the one-source merge. *)
-let of_trie (type a) (module N : Node_view.S with type trie = a) (trie : a) =
-  merge [| Trie ((module N), trie) |]
+let of_trie (type a) ~keys (module N : Node_view.S with type trie = a) (trie : a) =
+  merge ~keys [| Trie ((module N), trie) |]
 
 let save_file t path =
   if t.closed then raise Closed;
@@ -956,13 +1171,24 @@ let open_file ?(mode = `Mmap) path =
                   m.Container.close ();
                   raise e))
 
-(* Space split the way the serve gauges and [Stats] report it: labels,
-   β blobs, and the directory — header, topology, node offsets and the
-   content stream's final padding.  Read from the header fields, so it
-   stays answerable after [close]. *)
+(* Space split the way the serve gauges and [Stats] report it: stored
+   labels, β blobs, and the directory — header, topology, node offsets
+   and the content stream's final padding.  Read from the header fields,
+   so it stays answerable after [close]. *)
 let label_bits t = t.labels_bits
 let bv_bits t = t.content_bits - t.labels_bits
 let directory_bits t = (8 * Membuf.length t.mb) - t.content_bits
+
+(* The labels' bits with the marker bits a byte-string arena drops
+   restored: [label_bits] for any other arena. *)
+let logical_label_bits t =
+  if t.closed then raise Closed;
+  let rec go acc node =
+    let acc = acc + Node.label_length node in
+    if Node.is_leaf node then acc
+    else go (go acc (Node.child node false)) (Node.child node true)
+  in
+  match Node.root t with None -> 0 | Some root -> go 0 root
 
 (* Per β code, the blobs stored in it, the β bits they hold and the
    bits they take.  One-block blobs, and every blob before version 5,
@@ -988,13 +1214,21 @@ let beta_codes t =
     (fun i code -> { code; blobs = blobs.(i); raw_bits = raw.(i); bits = bits.(i) })
     [ "rrr"; "plain" ]
 
+(* What [wtrie verify] reports of an arena's layout. *)
+type layout = { codes : code_stats list; stored_label_bits : int; logical_label_bits : int }
+
+let layout t =
+  { codes = beta_codes t; stored_label_bits = label_bits t; logical_label_bits = logical_label_bits t }
+
 (* Structural deep check (the [wtrie verify] walk): the directory's
    topology and rank samples (and, from version 4, its records and
    bodies), node offsets monotone from 0 to the content stream's end,
    each β blob inside its node's extent and passing its own check
    ([Rrr.Flat.check]: from version 5, its tag, class base and width,
    and plain rank samples), every internal β holding both bit values,
-   non-empty children, every node reachable, and the label total.
+   non-empty children, every node reachable, each packed leaf label's
+   stored length ending an encoded string at the leaf's depth, and the
+   stored label total.
    Raises [Failure] on the first violation, also for a read outside
    the arena. *)
 let check_arena t =
@@ -1010,7 +1244,7 @@ let check_arena t =
     | V3 offs ->
         let internal = ref 0 in
         for r = 0 to ((nc + 31) / 32) - 1 do
-          let rec_ = header_len + (8 * r) in
+          let rec_ = header_bytes ~version:t.version + (8 * r) in
           check (Membuf.get_u32 t.mb rec_ = !internal) "topology record %d: bad rank sample" r;
           let bits = Membuf.get_u32 t.mb (rec_ + 4) in
           check
@@ -1035,7 +1269,12 @@ let check_arena t =
       let visited = ref 0 and labels = ref 0 in
       let rec go node =
         incr visited;
-        labels := !labels + Bitstring.length (Node.label node);
+        let stored = Node.stored_label_length node in
+        labels := !labels + stored;
+        check
+          ((not (Node.packed node)) || Binarize.unpacked_length ~depth:node.depth stored >= 0)
+          "node %d: a leaf label of %d data bits at depth %d ends no encoded string"
+          node.Node.idx stored node.depth;
         check (Node.count node > 0) "node %d: count 0" node.Node.idx;
         if not (Node.is_leaf node) then begin
           let bv = Node.bv_of node in

@@ -31,10 +31,6 @@ let encode_prefix p =
   let e = Binarize.of_bytes p in
   Bitstring.prefix e (Bitstring.length e - 1)
 
-open struct
-  module Str_tbl = Hashtbl.Make (String)
-end
-
 module Static = struct
   type t = Flat_wt.t
 
@@ -64,8 +60,10 @@ module Static = struct
      distinct ones: the encoding keeps byte order (a proper prefix sorts
      first), so [String.compare] order is the keys' bit order. *)
   let of_array a =
-    let keys, seq = Flat_wt.sorted_keys (module Str_tbl) ~compare:String.compare a in
-    Flat_wt.of_keys (Array.map encode keys) seq
+    let keys, seq =
+      Flat_wt.sorted_keys ~hash:Flat_wt.hash_string ~equal:String.equal ~compare:String.compare a
+    in
+    Flat_wt.of_keys ~keys:Bytes (Array.map encode keys) seq
 
   let of_list l = of_array (Array.of_list l)
 

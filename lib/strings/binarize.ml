@@ -88,3 +88,73 @@ let to_int_lsb bs =
   let w = Bitstring.length bs in
   if w < 1 || w > 62 then invalid_arg "Binarize.to_int_lsb: bad width";
   Bitstring.get_bits bs 0 w
+
+(* ------------------------------------------------------------------ *)
+(* Leaf labels without their marker bits.  In an encoded string every
+   bit at a position p = 0 (mod 9) is fixed by p alone: a 1 before
+   each byte, the terminator 0 after the last.  A trie leaf's label is
+   its string's bits from the leaf's bit depth to the end, so those
+   bits can be dropped and restored from the depth. *)
+
+(* Positions = 0 (mod 9) in [depth, depth + len). *)
+let markers ~depth len = ((depth + len + 8) / 9) - ((depth + 8) / 9)
+
+let unpacked_length ~depth stored =
+  let phase = depth mod 9 in
+  if phase = 0 then if stored land 7 = 0 then stored + (stored lsr 3) + 1 else -1
+  else if stored = 0 then if phase = 1 then 0 else -1
+  else
+    let head = 9 - phase in
+    if stored >= head && (stored - head) land 7 = 0 then stored + ((stored - head) lsr 3) + 1
+    else -1
+
+let pack_bits out ~depth len v =
+  let v = ref v and pos = ref depth and rest = ref len in
+  let kept = ref 0 and nkept = ref 0 and dropped = ref 0 and ndropped = ref 0 in
+  while !rest > 0 do
+    (* data bits before the next position = 0 (mod 9) *)
+    let gap = 8 - ((!pos + 8) mod 9) in
+    if gap = 0 then begin
+      dropped := !dropped lor ((!v land 1) lsl !ndropped);
+      incr ndropped;
+      v := !v lsr 1;
+      incr pos;
+      decr rest
+    end
+    else begin
+      let take = Int.min gap !rest in
+      kept := !kept lor ((!v land ((1 lsl take) - 1)) lsl !nkept);
+      nkept := !nkept + take;
+      v := !v lsr take;
+      pos := !pos + take;
+      rest := !rest - take
+    end
+  done;
+  Bitbuf.add_bits out !nkept !kept;
+  !dropped
+
+(* Six data bytes (48 stream bits) with their markers put back. *)
+let spread6 w =
+  let r = ref markers6 in
+  for j = 0 to 5 do
+    r := !r lor (((w lsr (8 * j)) land 0xff) lsl ((9 * j) + 1))
+  done;
+  !r
+
+let unpack mb bit ~depth ~stored out =
+  if unpacked_length ~depth stored < 0 then
+    invalid_arg "Binarize.unpack: the stored length ends no encoded string";
+  if stored > 0 || depth mod 9 = 0 then begin
+    let phase = depth mod 9 in
+    let p = ref (if phase = 0 then 0 else 9 - phase) in
+    if !p > 0 then Bitbuf.add_bits out !p (Wt_bits.Membuf.get_bits mb bit !p);
+    while !p + 48 <= stored do
+      Bitbuf.add_bits out 54 (spread6 (Wt_bits.Membuf.get_bits mb (bit + !p) 48));
+      p := !p + 48
+    done;
+    while !p < stored do
+      Bitbuf.add_bits out 9 (1 lor (Wt_bits.Membuf.get_bits mb (bit + !p) 8 lsl 1));
+      p := !p + 8
+    done;
+    Bitbuf.add_bits out 1 0
+  end

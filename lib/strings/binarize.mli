@@ -34,3 +34,35 @@ val of_int_lsb : width:int -> int -> Bitstring.t
 (** Least-significant-bit-first fixed-width encoding (Section 6). *)
 
 val to_int_lsb : Bitstring.t -> int
+
+(** {2 Leaf labels without marker bits}
+
+    In an {!of_bytes} encoding every bit at a position [p ≡ 0 (mod 9)]
+    is fixed by [p]: a [1] marker before each byte, the [0] terminator
+    after the last.  A trie leaf's label is the rest of its string from
+    the leaf's bit depth [d], so a byte-string arena stores it as its
+    data bits only (the positions [p >= d] with [p mod 9 <> 0]) and
+    restores the others from [d]: at [p ≡ 0 (mod 9)] a [1] while data
+    bits remain, else the terminator and the end.  A label with no data
+    bits at [d ≡ 1 (mod 9)] is empty: its parent branched on the
+    terminator. *)
+
+val markers : depth:int -> int -> int
+(** [markers ~depth len]: positions [≡ 0 (mod 9)] in [[depth, depth + len)]. *)
+
+val unpacked_length : depth:int -> int -> int
+(** [unpacked_length ~depth stored]: the length of the label whose
+    [stored] data bits start at bit depth [depth], or [-1] when no
+    encoded string ends after that many data bits from there. *)
+
+val pack_bits : Wt_bits.Bitbuf.t -> depth:int -> int -> int -> int
+(** [pack_bits out ~depth len v] appends to [out] the data bits of the
+    [len <= 62] label bits [v] (LSB first) whose first bit sits at bit
+    depth [depth], and returns the bits it dropped, the first at bit 0.
+    The caller checks them: all [1] but the label's last bit, the
+    terminator [0]. *)
+
+val unpack : Wt_bits.Membuf.t -> int -> depth:int -> stored:int -> Wt_bits.Bitbuf.t -> unit
+(** [unpack mb bit ~depth ~stored out] appends the label whose [stored]
+    data bits start at bit [bit] of [mb] and at bit depth [depth].
+    Raises [Invalid_argument] when {!unpacked_length} is [-1]. *)

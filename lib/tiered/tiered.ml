@@ -572,9 +572,10 @@ let publish t = with_lock t (fun () -> publish_locked t)
 (* The store's strings as one static arena: the current view's tiers
    merged node by node ([Flat_wt.merge]: runs as arenas, the sealed and
    live deltas through their node view), with no string decoded.  The
-   bytes are those [Flat_wt.of_array] writes for the same strings. *)
+   bytes are those [String_api.Static.of_array] writes for the same
+   strings. *)
 let to_flat t =
-  Flat_wt.merge
+  Flat_wt.merge ~keys:Bytes
     (Array.map
        (function
          | View.Run f -> Flat_wt.Arena f
@@ -852,7 +853,7 @@ let compact_sealed ?pool t sealed =
               List.map (fun r -> Flat_wt.Arena r.rflat) merged
               @ [ Flat_wt.Trie ((module Append_wt.Node), sealed) ]
             in
-            let build () = Flat_wt.merge (Array.of_list sources) in
+            let build () = Flat_wt.merge ~keys:Bytes (Array.of_list sources) in
             let flat =
               match pool with
               | None -> build ()
@@ -1048,7 +1049,7 @@ type run_report = {
   run_file : string;
   run_version : int;
   run_length : int;
-  run_codes : Flat_wt.code_stats list;  (** blobs and bits per β code *)
+  run_layout : Flat_wt.layout;  (** β codes, stored and logical label bits *)
 }
 
 type verify_report = {
@@ -1081,7 +1082,7 @@ let verify dir =
                 run_file = r.rfile;
                 run_version = Flat_wt.version r.rflat;
                 run_length = Flat_wt.length r.rflat;
-                run_codes = Flat_wt.beta_codes r.rflat;
+                run_layout = Flat_wt.layout r.rflat;
               })
             t.runs;
         v_length = length t;
@@ -1126,7 +1127,7 @@ let legacy_content dir =
               fail "%s: append-only store contains an insert/delete WAL record" dir),
           fun () ->
             Append_wt.check_invariants wt;
-            Flat_wt.of_trie (module Append_wt.Node) wt )
+            Flat_wt.of_trie ~keys:Bytes (module Append_wt.Node) wt )
     | "durable-dynamic" ->
         let g, (wt : Dynamic_wt.t) = decode () in
         ( g,
@@ -1136,7 +1137,7 @@ let legacy_content dir =
           | Wal.Delete pos -> Dynamic_wt.delete wt pos),
           fun () ->
             Dynamic_wt.check_invariants wt;
-            Flat_wt.of_trie (module Dynamic_wt.Node) wt )
+            Flat_wt.of_trie ~keys:Bytes (module Dynamic_wt.Node) wt )
     | _ -> fail "%s: not a snapshot+WAL store (tag %S)" dir tag
   in
   if generation < 0 then fail "%s: corrupted snapshot (negative generation)" dir;

@@ -130,11 +130,12 @@ let test_snapshot_truncations () =
    crash, whichever bytes it maps. *)
 
 (* 1,200 strings over the 64 of [sample], the first eight of them
-   three times as frequent as the rest: the arena is version 5, and
-   holds β blobs in both codes — class-range RRR ones, the root's
-   spanning two superblocks, so the sweeps also cover a blob's
-   superblock directory, and plain ones — and its node directory's
-   records and bodies (127 nodes, four blocks). *)
+   three times as frequent as the rest: the arena is a version-6
+   byte-string arena, so its leaf labels are stored without their
+   marker bits, and holds β blobs in both codes — class-range RRR ones,
+   the root's spanning two superblocks, so the sweeps also cover a
+   blob's superblock directory, and plain ones — and its node
+   directory's records and bodies (127 nodes, four blocks). *)
 let v3_length = 1200
 
 let save_v3 path =
@@ -144,6 +145,9 @@ let save_v3 path =
       (Array.init v3_length (fun i -> distinct.(if i mod 4 = 0 then i * 7 mod 64 else i mod 8)))
   in
   check_int "arena version" Wt_core.Flat_wt.arena_version (Wt_core.Flat_wt.version wt);
+  check_bool "packed leaf labels" true
+    (wt.Wt_core.Flat_wt.packed
+    && Wt_core.Flat_wt.label_bits wt < Wt_core.Flat_wt.logical_label_bits wt);
   check_bool "β blobs in both codes" true
     (List.for_all
        (fun (c : Wt_core.Flat_wt.code_stats) -> c.blobs > 0)
@@ -218,6 +222,86 @@ let test_v3_truncations () =
   let t = Wtrie.Static.open_file_exn path in
   check_int "pristine v3 length" v3_length (Wtrie.Static.length t);
   Wtrie.Static.close t;
+  Sys.remove path
+
+(* A leaf extent one bit too long: the boundary after a leaf moves one
+   bit later, into its sibling leaf, and the directory is written again
+   over the moved offset (the header, directory and content laid out as
+   [Flat_wt.finish] lays them out).  Each leaf's stored length then
+   ends no encoded string at its depth.  The deep check names it, the
+   payload's checksum being valid, [wtrie verify] exits 2, and every
+   query answers or reports a [Storage_error] — never a crash. *)
+let test_v3_leaf_extent () =
+  let module F = Wt_core.Flat_wt in
+  let module D = Wt_succinct.Flat_directory in
+  let module Bitbuf = Wt_bits.Bitbuf in
+  let path = tmp "leaf_extent.wtx" in
+  let t = save_v3 path in
+  let d = match t.F.dir with F.V4 d -> d | F.V3 _ -> Alcotest.fail "not a version-4 directory" in
+  let nc = t.F.node_count in
+  let offs = Array.init (nc + 1) (D.get d) in
+  let leaf i = F.irank t i < 0 && offs.(i + 1) > offs.(i) in
+  (* two sibling leaves with stored bits, children 2r + 1 and 2r + 2 *)
+  let rec pick i = if leaf i && leaf (i + 1) then i else pick (i + 2) in
+  let i = pick 1 in
+  offs.(i + 1) <- offs.(i + 1) + 1;
+  let internal = Bitbuf.create () in
+  for j = 0 to nc - 1 do
+    Bitbuf.add internal (F.irank t j >= 0)
+  done;
+  let dir = Bitbuf.create () in
+  D.append dir ~internal ~universe:t.F.content_bits offs;
+  let arena = Wt_bits.Membuf.to_string t.F.mb in
+  let content = String.sub arena (t.F.content_bit / 8) ((t.F.content_bits + 7) / 8) in
+  let dir_bytes =
+    let b = Buffer.create 256 in
+    Bitbuf.add_to_buffer b dir;
+    Buffer.contents b
+  in
+  let header = Bytes.of_string (String.sub arena 0 F.header_len) in
+  let len = F.header_len + String.length dir_bytes + String.length content in
+  Bytes.set_int64_le header 32 (Int64.of_int (Bitbuf.length dir));
+  Bytes.set_int64_le header 48 (Int64.of_int len);
+  let corrupt = Bytes.to_string header ^ dir_bytes ^ content in
+  let c = F.of_membuf (Wt_bits.Membuf.of_string corrupt) in
+  (match F.check_invariants c with
+  | () -> Alcotest.fail "the deep check passed a corrupt leaf extent"
+  | exception Failure m ->
+      let sub = "ends no encoded string" in
+      let rec has i =
+        i + String.length sub <= String.length m
+        && (String.sub m i (String.length sub) = sub || has (i + 1))
+      in
+      check_bool ("names the leaf label: " ^ m) true (has 0));
+  Wt_durable.Container.write_v3 ~tag:F.tag ~payload:corrupt path;
+  let exe =
+    List.find Sys.file_exists [ "../bin/wtrie_cli.exe"; "_build/default/bin/wtrie_cli.exe" ]
+  in
+  let verify json =
+    Sys.command
+      (Printf.sprintf "%s verify %s%s >/dev/null 2>&1" (Filename.quote exe) (Filename.quote path)
+         (if json then " --json" else ""))
+  in
+  check_int "verify exits 2" 2 (verify false);
+  check_int "verify --json exits 2" 2 (verify true);
+  List.iter
+    (fun mode ->
+      match Wtrie.Static.open_file ~mode path with
+      | Error _ -> ()
+      | Ok t ->
+          for pos = 0 to v3_length - 1 do
+            match Wtrie.Static.access t ~pos with
+            | Ok _ | Error (Wtrie.Storage_error _) -> ()
+            | Error e -> Alcotest.failf "access %d: %a" pos Wtrie.pp_error e
+          done;
+          Array.iter
+            (fun s ->
+              ignore (Wtrie.Static.rank t (Binarize.to_bytes s) ~pos:v3_length);
+              ignore (Wtrie.Static.select t (Binarize.to_bytes s) ~count:0))
+            (sample 64);
+          ignore (Wtrie.Static.range_distinct t);
+          Wtrie.Static.close t)
+    [ `Copy; `Mmap ];
   Sys.remove path
 
 (* ------------------------------------------------------------------ *)
@@ -1106,6 +1190,7 @@ let () =
         [
           Alcotest.test_case "bit-flip sweep" `Quick test_v3_bit_flips;
           Alcotest.test_case "truncation sweep" `Quick test_v3_truncations;
+          Alcotest.test_case "corrupt leaf extent fails verify" `Quick test_v3_leaf_extent;
         ] );
       ( "wal",
         [

@@ -162,7 +162,7 @@ let test_space_bound () =
     [ 1; 13; 300; 4000 ]
 
 (* An index written by the first arena layout (version 1: a 64-byte
-   header and 32-byte node records) or by a later one (version 6) fails
+   header and 32-byte node records) or by a later one (version 7) fails
    closed, naming its version, whichever way it is opened. *)
 let test_arena_version_rejected version () =
   let header = Buffer.create 64 in
@@ -245,13 +245,15 @@ let test_v2_migration () =
   Wtrie.Static.close fwt
 
 (* ------------------------------------------------------------------ *)
-(* Versions 2 to 4.  [fixtures/v2] holds a static index and a tiered
+(* Versions 2 to 5.  [fixtures/v2] holds a static index and a tiered
    store written by [wtrie] at commit 96ba348, the last to write arena
    version 2 (each β blob's last block coded over 62 bits),
    [fixtures/v3] the same from the same input at commit 42bd660, the
    last to write version 3 (topology records and block-sampled node
-   offsets), and [fixtures/v4] the same at commit b005126, the last to
-   write version 4 (every β blob RRR, 6 bits per class):
+   offsets), [fixtures/v4] the same at commit b005126, the last to
+   write version 4 (every β blob RRR, 6 bits per class), and
+   [fixtures/v5] the same at commit b95bfd4, the last to write version
+   5 (every label whole, a 56-byte header):
 
      wtrie index input.txt index.wt
      head -64 input.txt > part1.txt
@@ -262,8 +264,8 @@ let test_v2_migration () =
    The store holds the first 104 lines: a run of 64, a run of 32 and 8
    strings in its WAL.  All open through the one blob decoder and their
    own directory reader; a compaction that absorbs the store's runs
-   writes them at version 5, and the structural merge of the old runs
-   with a version-5 arena and an append-only trie writes exactly the
+   writes them at version 6, and the structural merge of the old runs
+   with a version-6 arena and an append-only trie writes exactly the
    bytes of the static build. *)
 
 let arena_version payload = Int32.to_int (String.get_int32_le payload 4)
@@ -303,7 +305,7 @@ let test_fixtures version () =
     Array.iter
       (fun s -> Append_wt.append delta (Wt_core.String_api.encode s))
       (Array.sub lines 120 30);
-    Flat_wt.merge
+    Flat_wt.merge ~keys:Bytes
       [|
         run "run-000000.wtx";
         run "run-000001.wtx";
@@ -538,24 +540,39 @@ let bound_terms (s : Wt_core.Stats.t) =
 
 (* The node-view builder is fed the same strings four ways: the
    pointer trie, an append-only trie grown one string at a time and in
-   bulk, and a dynamic trie. *)
+   bulk, and a dynamic trie.  The byte-string arena and the bitstring
+   arena of the same encodings hold the same trie, one with packed leaf
+   labels, the other with whole ones, and each re-encodes as the other
+   through the one-source merge. *)
 let prop_direct_build a =
   let enc = Array.map Wt_core.String_api.encode a in
   let pwt = Wavelet_trie.of_array enc in
   let direct = Wtrie.Static.of_array a in
+  let bits = Flat_wt.of_array enc in
   let appended = Append_wt.create () in
   Array.iter (Append_wt.append appended) enc;
   Flat_wt.check_invariants direct;
+  Flat_wt.check_invariants bits;
+  let logical = { (Flat_wt.stats direct) with label_bits = Flat_wt.logical_label_bits direct } in
   Flat_wt.dump direct = Wavelet_trie.dump pwt
-  && bound_terms (Flat_wt.stats direct) = bound_terms (Wavelet_trie.stats pwt)
+  && Flat_wt.dump bits = Wavelet_trie.dump pwt
+  && bound_terms logical = bound_terms (Wavelet_trie.stats pwt)
+  && bound_terms (Flat_wt.stats bits) = bound_terms (Wavelet_trie.stats pwt)
+  && Flat_wt.label_bits direct <= Flat_wt.label_bits bits
   && List.for_all
        (fun flat -> arena flat = arena direct)
        [
-         Flat_wt.of_array enc;
-         Flat_wt.of_trie (module Wavelet_trie.Node) pwt;
-         Flat_wt.of_trie (module Append_wt.Node) appended;
-         Flat_wt.of_trie (module Append_wt.Node) (Append_wt.of_array enc);
-         Flat_wt.of_trie (module Dynamic_wt.Node) (Dynamic_wt.of_array enc);
+         Flat_wt.of_trie ~keys:Bytes (module Wavelet_trie.Node) pwt;
+         Flat_wt.of_trie ~keys:Bytes (module Append_wt.Node) appended;
+         Flat_wt.of_trie ~keys:Bytes (module Append_wt.Node) (Append_wt.of_array enc);
+         Flat_wt.of_trie ~keys:Bytes (module Dynamic_wt.Node) (Dynamic_wt.of_array enc);
+         Flat_wt.merge ~keys:Bytes [| Flat_wt.Arena bits |];
+       ]
+  && List.for_all
+       (fun flat -> arena flat = arena bits)
+       [
+         Flat_wt.of_trie ~keys:Bits (module Wavelet_trie.Node) pwt;
+         Flat_wt.merge ~keys:Bits [| Flat_wt.Arena direct |];
        ]
 
 (* Byte strings built from atoms with NUL and 0xFF bytes and the empty
@@ -612,7 +629,7 @@ let prop_merge (a, cuts, dynamic_tail, unique) =
   in
   let arenas = Array.init (slices - 1) (fun i -> Flat_wt.Arena (Wtrie.Static.of_array (slice i))) in
   let sources = Array.append arenas [| tail |] in
-  let merged = Flat_wt.merge sources in
+  let merged = Flat_wt.merge ~keys:Bytes sources in
   Flat_wt.check_invariants merged;
   arena merged = arena (Wtrie.Static.of_array a)
 
@@ -646,7 +663,7 @@ let test_not_prefix_free () =
       let keys = List.sort_uniq Bitstring.compare (Array.to_list arr) in
       let one_key_arenas = List.map (fun s -> Flat_wt.Arena (Flat_wt.of_array [| s |])) keys in
       check_bool "merge rejects" true
-        (raises (fun () -> ignore (Flat_wt.merge (Array.of_list one_key_arenas)))))
+        (raises (fun () -> ignore (Flat_wt.merge ~keys:Bits (Array.of_list one_key_arenas)))))
     [ [ "01"; "011" ]; [ "1"; "0"; "0"; "01" ]; [ ""; "1" ]; [ "0"; "10"; "11"; "110" ] ]
 
 let () =
@@ -679,10 +696,11 @@ let () =
           Alcotest.test_case "v2 load + convert to v3" `Quick test_v2_migration;
           Alcotest.test_case "errors are data" `Quick test_storage_errors;
           Alcotest.test_case "arena v1 fails closed" `Quick (test_arena_version_rejected 1);
-          Alcotest.test_case "arena v6 fails closed" `Quick (test_arena_version_rejected 6);
+          Alcotest.test_case "arena v7 fails closed" `Quick (test_arena_version_rejected 7);
           Alcotest.test_case "version-2 index and store" `Quick (test_fixtures 2);
           Alcotest.test_case "version-3 index and store" `Quick (test_fixtures 3);
           Alcotest.test_case "version-4 index and store" `Quick (test_fixtures 4);
+          Alcotest.test_case "version-5 index and store" `Quick (test_fixtures 5);
           Alcotest.test_case "corrupt v3 β blobs stay bounded" `Quick test_v3_blob_corruption;
           Alcotest.test_case "corrupt v5 β fields fail verify" `Quick test_v5_blob_fields;
         ] );

@@ -1,6 +1,6 @@
 (* The one differential oracle (oracle.ml), instantiated for every
    backend: the §3 pointer reference, the static arena (built, reopened
-   by copy and by mmap, arena-version-2 and -3 files, and the legacy
+   by copy and by mmap, files of arena versions 2 to 5, and the legacy
    format-v2 indexes flattened on load), the append-only and dynamic
    tries, the tiered store through scenarios with injected crashes, and
    the served static and tiered backends over the wire at one and two
@@ -11,11 +11,27 @@ module Server = Wt_serve.Server
 module Snapshot = Wt_par.Snapshot
 module T = Wtrie.Tiered
 
-(* Few distinct strings with shared and proper prefixes, the empty
-   string and the extreme bytes. *)
+(* Few distinct strings with shared and proper prefixes ("ab" and
+   "abc", 60-byte shared prefixes), the empty string and the extreme
+   bytes: a byte-string arena's leaf labels then start at every bit
+   depth mod 9, and include empty ones (the parent branched on a
+   terminator) and terminator-only ones. *)
 let corpus seed n =
   let rng = Xoshiro.create seed in
-  let atoms = [| ""; "a"; "ab"; "site.com/"; "home"; "blog.net/p"; "\x00"; "\xff" |] in
+  let atoms =
+    [|
+      "";
+      "a";
+      "ab";
+      "abc";
+      "site.com/";
+      "home";
+      "blog.net/p";
+      "\x00";
+      "\xff";
+      "https://shared.example/" ^ String.make 37 'p';
+    |]
+  in
   let atom () = atoms.(Xoshiro.int rng (Array.length atoms)) in
   Array.init n (fun _ -> atom () ^ atom ())
 
@@ -42,7 +58,7 @@ let test_static () =
           Wtrie.Static.close t)
         [ ("static, copy", `Copy); ("static, mmap", `Mmap) ])
 
-(* [fixtures/v<version>/index.wt]: arena version 2 or 3, written from
+(* [fixtures/v<version>/index.wt]: arena version 2 to 5, written from
    input.txt. *)
 let test_static_fixture version () =
   let fixture name = Printf.sprintf "fixtures/v%d/%s" version name in
@@ -203,6 +219,8 @@ let () =
           Alcotest.test_case "static: built, copy, mmap" `Quick test_static;
           Alcotest.test_case "static: arena version 2" `Quick (test_static_fixture 2);
           Alcotest.test_case "static: arena version 3" `Quick (test_static_fixture 3);
+          Alcotest.test_case "static: arena version 4" `Quick (test_static_fixture 4);
+          Alcotest.test_case "static: arena version 5" `Quick (test_static_fixture 5);
           Alcotest.test_case "append-only" `Quick test_append;
           Alcotest.test_case "dynamic and its snapshot" `Quick test_dynamic;
           tiered_scenarios;

@@ -185,6 +185,80 @@ let test_bytes_reference () =
   Alcotest.check_raises "trailing bits" (Invalid_argument "Binarize.to_bytes: trailing bits")
     (fun () -> ignore (Binarize.to_bytes (Bitstring.append long long)))
 
+(* Leaf labels without marker bits: the rest of an encoded string from
+   every bit depth (every phase mod 9, lengths 0 to 40 bytes) packs to
+   its data bits, dropping ones and then the terminator, and unpacks
+   from that depth back to itself.  The stored lengths seen are the
+   only ones [unpacked_length] and [unpack] accept. *)
+let pack_rest enc depth =
+  let n = Bitstring.length enc in
+  let stored = Bitbuf.create () and dropped = Bitbuf.create () in
+  (* three junk bits first, so [unpack] reads at an odd offset *)
+  Bitbuf.add_bits stored 3 0b101;
+  let p = ref depth in
+  while !p < n do
+    let take = Int.min (1 + ((!p * 7) mod 56)) (n - !p) in
+    let m = Binarize.markers ~depth:!p take in
+    Bitbuf.add_bits dropped m
+      (Binarize.pack_bits stored ~depth:!p take (Bitstring.get_bits enc !p take));
+    p := !p + take
+  done;
+  (stored, dropped)
+
+let membuf_of bb =
+  let b = Buffer.create 64 in
+  Bitbuf.add_to_buffer b bb;
+  Wt_bits.Membuf.of_string (Buffer.contents b)
+
+let unpacked mb ~depth ~stored =
+  let out = Bitbuf.create () in
+  Binarize.unpack mb 3 ~depth ~stored out;
+  Bitstring.of_bitbuf out
+
+let test_leaf_labels () =
+  let rng = Xoshiro.create 9 in
+  let seen = Hashtbl.create 64 in
+  for len = 0 to 40 do
+    let s = String.init len (fun _ -> Char.chr (Xoshiro.int rng 256)) in
+    let enc = Binarize.of_bytes s in
+    for depth = 0 to Bitstring.length enc do
+      let rest = Bitstring.drop enc depth in
+      let stored, dropped = pack_rest enc depth in
+      let d = Bitbuf.length stored - 3 and m = Bitbuf.length dropped in
+      Hashtbl.replace seen (depth mod 9, d) ();
+      let ctx = Printf.sprintf "%d bytes from depth %d" len depth in
+      check_int (ctx ^ ": bits kept and dropped") (Bitstring.length rest) (d + m);
+      check_int (ctx ^ ": logical length") (Bitstring.length rest)
+        (Binarize.unpacked_length ~depth d);
+      (* a one before each byte, then the terminator *)
+      for i = 0 to m - 1 do
+        check_bool (ctx ^ ": dropped bit") (i < m - 1) (Bitbuf.get dropped i)
+      done;
+      check_bool (ctx ^ ": round trip") true
+        (Bitstring.equal rest (unpacked (membuf_of stored) ~depth ~stored:d))
+    done
+  done;
+  (* the terminator-only label (phase 0) and the empty one (phase 1) *)
+  let mb = membuf_of (Bitbuf.create ()) in
+  check_string "terminator only" "0" (Bitstring.to_string (unpacked mb ~depth:9 ~stored:0));
+  check_string "empty" "" (Bitstring.to_string (unpacked mb ~depth:10 ~stored:0));
+  let junk = Bitbuf.create () in
+  Bitbuf.add_run junk true 400;
+  let mb = membuf_of junk in
+  for depth = 0 to 17 do
+    for d = 0 to 300 do
+      let ok = Hashtbl.mem seen (depth mod 9, d) in
+      check_bool
+        (Printf.sprintf "stored length %d at depth %d" d depth)
+        ok
+        (Binarize.unpacked_length ~depth d >= 0);
+      if not ok then
+        match unpacked mb ~depth ~stored:d with
+        | _ -> Alcotest.failf "unpacked %d bits at depth %d" d depth
+        | exception Invalid_argument _ -> ()
+    done
+  done
+
 let test_int_codecs () =
   check_string "msb 5 w4" "0101" (Bitstring.to_string (Binarize.of_int_msb ~width:4 5));
   check_string "lsb 5 w4" "1010" (Bitstring.to_string (Binarize.of_int_lsb ~width:4 5));
@@ -251,6 +325,7 @@ let () =
           Alcotest.test_case "malformed input" `Quick test_bytes_malformed;
           Alcotest.test_case "matches the bitwise reference" `Quick test_bytes_reference;
           Alcotest.test_case "int codecs" `Quick test_int_codecs;
+          Alcotest.test_case "leaf labels without marker bits" `Quick test_leaf_labels;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
