@@ -993,11 +993,12 @@ let metrics_queries (type a)
    [words_of]) and its traversal work per op — trie nodes visited, and
    the RRR ranks and, for access and rank, accesses and the block
    positions unranked ([Rrr_unrank]; a plain β blob takes none) or,
-   for select and rank_prefix, selects and the block positions they
-   unrank — each from one more pass after
+   for select, rank_prefix and select_prefix, selects and the block
+   positions they unrank — each from one more pass after
    the timed ones: neither depends on the machine's speed or load.
    Select asks for an occurrence that exists; a prefix is a random cut
-   of a stored string. *)
+   of a stored string, and select_prefix asks for an occurrence of one
+   that exists. *)
 let batch_block () =
   let n = 131072 in
   let g = Urls.create ~seed:42 () in
@@ -1022,6 +1023,12 @@ let batch_block () =
     Array.init b (fun _ ->
         let s = strings.(Xoshiro.int rng n) in
         (String.sub s 0 (1 + Xoshiro.int rng (String.length s)), Xoshiro.int rng (n + 1)))
+  in
+  let select_prefix_args =
+    Array.init b (fun _ ->
+        let s = strings.(Xoshiro.int rng n) in
+        let prefix = String.sub s 0 (1 + Xoshiro.int rng (String.length s)) in
+        (prefix, Xoshiro.int rng (Result.get_ok (Wtrie.Static.rank_prefix wt ~prefix ~pos:n))))
   in
   let best f =
     let d = ref infinity in
@@ -1098,6 +1105,14 @@ let batch_block () =
         ignore (Wtrie.Static.rank_prefix wt ~prefix ~pos))
       (Array.map (fun (prefix, pos) -> Wtrie.Rank_prefix { prefix; pos }) prefix_args)
   in
+  let select_prefix =
+    per
+      ~counted:[ ("rrr_select", Rrr_select); ("rrr_unrank", Rrr_unrank) ]
+      ~scalar:(fun i ->
+        let prefix, count = select_prefix_args.(i) in
+        ignore (Wtrie.Static.select_prefix wt ~prefix ~count))
+      (Array.map (fun (prefix, count) -> Wtrie.Select_prefix { prefix; count }) select_prefix_args)
+  in
   Json.Obj
     [
       ("n", Json.Int n);
@@ -1106,6 +1121,7 @@ let batch_block () =
       ("rank", rank);
       ("select", select);
       ("rank_prefix", rank_prefix);
+      ("select_prefix", select_prefix);
     ]
 
 (* The arena's β coder alone ([Rrr.Flat]): ns per rank, select and
@@ -1202,9 +1218,11 @@ let rrr_rows () =
 (* The arena's node directory alone, on a serve_wide-shape arena
    (262,144 URLs over 2,000 hosts x 200 paths, about 56,000 distinct):
    its bits per node — exact, since the arena is a function of the
-   input — the share of its raw β bits stored plain and its stored
-   label bits over the logical ones (a byte-string arena drops its leaf
-   labels' marker bits; exact too), and ns per fused directory read ([Flat_wt.node_entry]: a node's
+   input — the share of its raw β bits stored plain, its stored label
+   bits over the logical ones (a byte-string arena drops its leaf
+   labels' marker bits and codes their bytes; exact too) and the width
+   of that code ([leaf_code_bits]: the URLs use 32 bytes, so 5), and ns
+   per fused directory read ([Flat_wt.node_entry]: a node's
    internal rank and content extent) over the nodes of 4,096
    random root-to-leaf paths, those of [access] at random positions.
    Best of five passes. *)
@@ -1239,11 +1257,12 @@ let directory_rows () =
                visits))
   done;
   ignore (Sys.opaque_identity !sink);
+  let layout = Wt_core.Flat_wt.layout t in
   let plain_raw, raw =
     List.fold_left
       (fun (p, a) (c : Wt_core.Flat_wt.code_stats) ->
         ((if c.code = "plain" then p + c.raw_bits else p), a + c.raw_bits))
-      (0, 0) (Wt_core.Flat_wt.beta_codes t)
+      (0, 0) layout.codes
   in
   [
     ( "directory_bits_per_node",
@@ -1253,9 +1272,9 @@ let directory_rows () =
     ("directory_ns", Json.Float (!d *. 1e9 /. float_of_int (Array.length visits)));
     ("plain_beta_share", Json.Float (float_of_int plain_raw /. float_of_int raw));
     ( "stored_label_share",
-      Json.Float
-        (float_of_int (Wt_core.Flat_wt.label_bits t)
-        /. float_of_int (Wt_core.Flat_wt.logical_label_bits t)) );
+      Json.Float (float_of_int layout.stored_label_bits /. float_of_int layout.logical_label_bits)
+    );
+    ("leaf_code_bits", Json.Int layout.leaf_code_bits);
   ]
 
 (* Restart economics of the format-v3 flat arena: the checksum-plus-mmap

@@ -31,8 +31,9 @@
      ([ratio_to_lb]), its node/directory overhead ([overhead_bits]), and
      on a serve_wide-shape arena the directory's bits per node
      ([flat.directory_bits_per_node]), the share of raw β bits stored
-     plain ([flat.plain_beta_share]) and the stored label bits over the
-     logical ones ([flat.stored_label_share]) must equal the baseline.  Space is
+     plain ([flat.plain_beta_share]), the stored label bits over the
+     logical ones ([flat.stored_label_share]) and the width of its leaf
+     byte code ([flat.leaf_code_bits]) must equal the baseline.  Space is
      deterministic (fixed seed, fixed n), so this gate is exact and
      fails even under --soft: a layout change must come with a
      regenerated baseline.
@@ -42,9 +43,9 @@
      allocates ([tiered.ingest_words_per_string]), the words one
      merging tiered compaction allocates per string of its run
      ([tiered.merge_words_per_string]) and the words per access, rank,
-     select and rank_prefix op through the scalar façade and in a
-     16,384-op batch
-     ([batch.{access,rank,select,rank_prefix}.{scalar,batch}_words_per_op])
+     select, rank_prefix and select_prefix op through the scalar façade
+     and in a 16,384-op batch
+     ([batch.{access,rank,select,rank_prefix,select_prefix}.{scalar,batch}_words_per_op])
      may not exceed the baseline by more than 10%.  Each is counted
      between two [Gc.minor] calls, so it does not depend on the
      runner's speed, load or heap state, and this gate also fails under
@@ -52,10 +53,10 @@
 
    - Work: the trie nodes visited, and the RRR ranks, accesses and
      unranked block positions per access and rank op or ranks, selects
-     and unranked block positions per select and rank_prefix op, on the
-     scalar and the batched leg
+     and unranked block positions per select, rank_prefix and
+     select_prefix op, on the scalar and the batched leg
      ([batch.{access,rank}.{scalar,batch}_{nodes,rrr_rank,rrr_access,rrr_unrank}_per_op],
-     [batch.{select,rank_prefix}.{scalar,batch}_{nodes,rrr_rank,rrr_select,rrr_unrank}_per_op]),
+     [batch.{select,rank_prefix,select_prefix}.{scalar,batch}_{nodes,rrr_rank,rrr_select,rrr_unrank}_per_op]),
      must equal the baseline.  They are counts on fixed inputs, so this
      gate is exact and fails even under --soft: a change to the work a
      query does must come with a regenerated baseline.
@@ -250,10 +251,15 @@ let space_exact base cur =
     [ "ratio_to_lb"; "overhead_bits" ];
   List.iter
     (fun path -> exact ~why path (number base path) (number cur path))
-    [ "flat.directory_bits_per_node"; "flat.plain_beta_share"; "flat.stored_label_share" ]
+    [
+      "flat.directory_bits_per_node";
+      "flat.plain_beta_share";
+      "flat.stored_label_share";
+      "flat.leaf_code_bits";
+    ]
 
 (* "batch.<op>.<row>_per_op" for the given legs. *)
-let batch_rows ?(ops = [ "access"; "rank"; "select"; "rank_prefix" ]) rows =
+let batch_rows ?(ops = [ "access"; "rank"; "select"; "rank_prefix"; "select_prefix" ]) rows =
   List.concat_map
     (fun op -> List.map (fun row -> Printf.sprintf "batch.%s.%s_per_op" op row) rows)
     ops
@@ -293,7 +299,8 @@ let work_exact base cur =
             path b c
       | _ -> hard_fail "%s missing from one side" path)
     (batch_rows ~ops:[ "access"; "rank" ] (work_rows [ "rrr_access"; "rrr_unrank" ])
-    @ batch_rows ~ops:[ "select"; "rank_prefix" ] (work_rows [ "rrr_select"; "rrr_unrank" ]))
+    @ batch_rows ~ops:[ "select"; "rank_prefix"; "select_prefix" ]
+        (work_rows [ "rrr_select"; "rrr_unrank" ]))
 
 let throughput ~threshold base cur =
   List.iter

@@ -255,6 +255,14 @@ let verify_cmd =
       Printf.sprintf "labels: %d bits stored, %d logical" l.stored_label_bits
         l.logical_label_bits
     in
+    (* and codes each leaf byte as its rank in the strings' byte set *)
+    let leaf_codes_json (l : Wt_core.Flat_wt.layout) =
+      Json.Obj [ ("bytes", Json.Int l.leaf_bytes); ("bits", Json.Int l.leaf_code_bits) ]
+    in
+    let leaf_codes_text (l : Wt_core.Flat_wt.layout) =
+      if l.leaf_bytes = 0 then "leaf codes: none"
+      else Printf.sprintf "leaf codes: %d bytes in %d bits" l.leaf_bytes l.leaf_code_bits
+    in
     match
       if Sys.file_exists path && Sys.is_directory path then begin
         let module T = Wtrie.Tiered in
@@ -287,6 +295,7 @@ let verify_cmd =
                            ("length", Json.Int run.run_length);
                            ("beta_codes", codes_json run.run_layout.codes);
                            ("label_bits", labels_json run.run_layout);
+                           ("leaf_codes", leaf_codes_json run.run_layout);
                          ])
                      r.T.v_run_reports) );
               ("length", Json.Int r.T.v_length);
@@ -309,10 +318,11 @@ let verify_cmd =
             r.T.v_length r.T.v_wal_records;
           List.iter
             (fun (run : T.run_report) ->
-              Printf.printf "  %s: arena version %d, length %d, %s; %s\n" run.run_file
+              Printf.printf "  %s: arena version %d, length %d, %s; %s; %s\n" run.run_file
                 run.run_version run.run_length
                 (codes_text run.run_layout.codes)
-                (labels_text run.run_layout))
+                (labels_text run.run_layout)
+                (leaf_codes_text run.run_layout))
             r.T.v_run_reports
         end
         else
@@ -337,14 +347,20 @@ let verify_cmd =
              ]
             @
             if version = None then []
-            else [ ("beta_codes", codes_json layout.codes); ("label_bits", labels_json layout) ])
+            else
+              [
+                ("beta_codes", codes_json layout.codes);
+                ("label_bits", labels_json layout);
+                ("leaf_codes", leaf_codes_json layout);
+              ])
         else begin
           Printf.printf "%s: ok (%s index%s, length %d)\n" path tag
             (match version with Some v -> Printf.sprintf ", arena version %d" v | None -> "")
             length;
           (* a format-v2 file's arena is built on load: its codes are not the file's *)
           if version <> None then
-            Printf.printf "  %s\n  %s\n" (codes_text layout.codes) (labels_text layout)
+            Printf.printf "  %s\n  %s\n  %s\n" (codes_text layout.codes) (labels_text layout)
+              (leaf_codes_text layout)
         end;
         true
       end

@@ -227,9 +227,9 @@ module Storage = struct
 
   (* Deep verification for [wtrie verify]: full checksums, the v2
      variant's own checks, then the arena's structural invariants.
-     Returns (variant, length, arena version, layout: β codes and label
-     bits), the version [None] for a format-v2 file, whose arena is
-     built on load. *)
+     Returns (variant, length, arena version, layout: β codes, label
+     bits and the leaf byte code), the version [None] for a format-v2
+     file, whose arena is built on load. *)
   let verify_index path =
     let variant, flat, version =
       match index_version path with

@@ -117,8 +117,9 @@ module Flat : sig
   type code = Rrr | Plain
 
   val newest_version : int
-  (** The arena version {!append_blocks} writes (6; version 6 changed
-      only the arena's leaf labels, so its blobs are version 5's). *)
+  (** The arena version {!append_blocks} writes (7; versions 6 and 7
+      changed only the arena's leaf labels, so their blobs are version
+      5's). *)
 
   val append_blocks : ?code:code -> Wt_bits.Bitbuf.t -> int array -> len:int -> unit
   (** [append_blocks bb blocks ~len] appends the blob of the [len]-bit

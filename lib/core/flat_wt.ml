@@ -11,13 +11,13 @@
    [open] is a checksummed header read plus an [mmap] (zero-copy, one
    read-only mapping shareable across serving processes).
 
-   Arena layout, version 6 (integers little-endian, bit streams
+   Arena layout, version 7 (integers little-endian, bit streams
    LSB-first; N nodes in BFS order, I = (N - 1) / 2 of them internal;
    every section is byte-aligned and its size derived from the header):
 
-     header (64 bytes):
+     header (96 bytes):
        off  0  magic "WTF3" (4 bytes)
-       off  4  u32 arena version (= 6; versions 2 to 5 are read too)
+       off  4  u32 arena version (= 7; versions 2 to 6 are read too)
        off  8  u64 n               sequence length (the root's count)
        off 16  u64 node_count      N
        off 24  u64 labels_bits     total stored label length in bits
@@ -26,6 +26,10 @@
        off 48  u64 arena_len       total blob size in bytes
        off 56  u64 flags           bit 0: a byte-string arena; no other
                                    bit is set
+       off 64  byte set B          32 bytes, bit b land 7 of byte b lsr 3
+                                   set iff byte b occurs in the strings:
+                                   not empty in a byte-string arena,
+                                   empty in a bitstring one
 
      node directory: directory_bits bits, byte-padded
        ({!Wt_succinct.Flat_directory}, a partitioned Elias–Fano
@@ -49,18 +53,26 @@
        2,000 distinct) that takes β from 9.74 to 9.55 bits per string.
 
    In a byte-string arena (flag bit 0: its strings are
-   {!Wt_strings.Binarize.of_bytes} encodings) each leaf label is stored
-   as its data bits only: the bits at bit depths = 0 (mod 9), a 1
-   before each byte and the terminator 0, are dropped, and a reader
-   restores them from the leaf's bit depth ({!Wt_strings.Binarize.unpack};
-   a node's depth is its parent's plus the parent's label length plus
-   one).  A leaf whose stored length ends no encoded string from its
-   depth is corrupt.  Internal labels, and every label of a bitstring
-   arena, are stored whole.  On serve_wide's URL log (262,144 strings,
-   55,741 distinct) the dropped bits are 1.58 bits per string.
+   {!Wt_strings.Binarize.of_bytes} encodings) each leaf label drops
+   the bits at bit depths = 0 (mod 9), a 1 before each byte and the
+   terminator 0, and a reader restores them from the leaf's bit depth
+   (a node's depth is its parent's plus the parent's label length plus
+   one).  Of its data bits, each byte whose eight lie wholly in the
+   label is stored as its rank in B, most significant bit first, in
+   w = max 1 (bit_width (|B| - 1)) bits; a first byte cut by the depth
+   keeps its raw data bits ({!Wt_strings.Binarize.unpack}).  A leaf
+   whose stored length ends no encoded string from its depth, or that
+   holds a code of |B| or more, is corrupt.  Internal labels, and every
+   label of a bitstring arena, are stored whole; strings that hold no
+   byte at all (each one empty) have no B, and their arena is written
+   as a bitstring one.  On serve_wide's URL log (262,144 strings,
+   55,741 distinct, 32 distinct bytes: w = 5) leaf labels take 7.35
+   bits per string, 11.47 at version 6.
 
-   Version 5 has the same layout with a 56-byte header (no flags field)
-   and every label whole.  Version 4 also stored every β blob RRR-coded:
+   Version 6 has the same layout with a 64-byte header (no B) and each
+   leaf byte stored as its eight data bits, which is version 7's code
+   with all 256 bytes in B.  Version 5 has a 56-byte header (no flags
+   field) and every label whole.  Version 4 also stored every β blob RRR-coded:
    no tag, and 6 bits per class.  Versions 2 and 3 have version 4's
    header, with offsets_bits at off 32, and a two-part directory:
    ceil (N / 32) topology records of 8 bytes (u32 internal nodes before
@@ -74,9 +86,9 @@
    its real length, as versions 4 to 6 do; version 2 coded it over 62
    bits like the others.  All open through the one blob decoder
    ({!Wt_bitvector.Rrr.Flat}), told the arena's version; the builders
-   write version 6 only, and [merge] copies β blobs of versions 5 and 6
-   and packed leaf labels at their own depth verbatim, and re-encodes
-   the rest.
+   write version 7 only, and [merge] copies β blobs of versions 5 to 7,
+   and packed leaf labels at their own depth from a source with the
+   merged arena's B, verbatim, and re-encodes the rest.
 
    Safety: every arena read is bounds-checked by [Membuf], so a corrupt
    blob raises [Invalid_argument] (or {!Wt_durable.Container.Format_error}
@@ -106,10 +118,11 @@ exception Closed
 
 let arena_magic = "WTF3"
 let arena_version = Rrr.Flat.newest_version
-let header_len = 64
+let header_len = 96
 
-(* Before version 6 the header has no flags field. *)
-let header_bytes ~version = if version >= 6 then header_len else 56
+(* Before version 7 the header has no byte set, before version 6 no
+   flags field. *)
+let header_bytes ~version = if version >= 7 then header_len else if version = 6 then 64 else 56
 
 (* The one flag: leaf labels are stored without their marker bits. *)
 let bytes_flag = 1
@@ -136,7 +149,9 @@ type t = {
   dir : directory;
   content_bit : int; (* bit offset of the content stream *)
   version : int; (* the blob decoder needs it: see [Rrr.Flat.of_membuf] *)
-  packed : bool; (* a byte-string arena: leaf labels without marker bits *)
+  code : Binarize.code option;
+      (* a byte-string arena's leaf byte code: its leaf labels are
+         stored without marker bits, their bytes coded *)
   source : string; (* file path when opened from storage, for errors *)
   mutable closed : bool;
   release : unit -> unit; (* backing fd, when mmap-opened *)
@@ -171,7 +186,7 @@ let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
    stream, and every node its label.  [finish] lays out the header and
    the node directory in front of the content. *)
 type writer = {
-  keys : keys;
+  code : Binarize.code option; (* leaf bytes' code; [None]: labels whole *)
   mutable starts : int array; (* content offset of each node started *)
   mutable nodes : int;
   topo : Bitbuf.t;
@@ -190,10 +205,11 @@ type writer = {
   mutable ended : bool;
 }
 
-(* [n] bounds every β; [nodes] is the node count, or a first guess. *)
-let writer ~keys ~n ~nodes =
+(* [n] bounds every β; [nodes] is the node count, or a first guess.
+   Leaf labels are packed in [code] when there is one. *)
+let writer ~code ~n ~nodes =
   {
-    keys;
+    code;
     starts = Array.make (nodes + 1) 0;
     nodes = 0;
     topo = Bitbuf.create ~capacity_bits:nodes ();
@@ -218,7 +234,7 @@ let end_label w =
 
 let start_node w ~internal ~depth =
   end_label w;
-  w.pack <- w.keys = Bytes && not internal;
+  w.pack <- w.code <> None && not internal;
   w.depth <- depth;
   w.lpos <- depth;
   w.ended <- false;
@@ -265,31 +281,39 @@ let end_beta w ~len =
 
 (* The next [len <= 56] bits of the current node's label, the low bits
    of [v].  A packed label drops its bits at depths = 0 (mod 9), each a
-   1 but for the label's last bit, the terminator 0. *)
+   1 but for the label's last bit, the terminator 0, and codes its
+   bytes, so it comes in pieces of [label_take] bits. *)
 let add_label w len v =
-  if not w.pack then begin
-    Bitbuf.add_bits w.content len v;
-    w.label_total <- w.label_total + len
-  end
-  else if len > 0 then begin
-    if w.ended then corrupt_leaf ();
-    let markers = Binarize.markers ~depth:w.lpos len in
-    let stored = Bitbuf.length w.content in
-    let dropped = Binarize.pack_bits w.content ~depth:w.lpos len v in
-    w.label_total <- w.label_total + Bitbuf.length w.content - stored;
-    w.lpos <- w.lpos + len;
-    if dropped <> Broadword.mask markers then begin
-      if dropped <> Broadword.mask (markers - 1) || (w.lpos - 1) mod 9 <> 0 then corrupt_leaf ();
-      w.ended <- true
-    end
-  end
+  match w.code with
+  | Some code when w.pack ->
+      if len > 0 then begin
+        if w.ended then corrupt_leaf ();
+        let markers = Binarize.markers ~depth:w.lpos len in
+        let stored = Bitbuf.length w.content in
+        let dropped = Binarize.pack_bits code w.content ~depth:w.lpos len v in
+        w.label_total <- w.label_total + Bitbuf.length w.content - stored;
+        w.lpos <- w.lpos + len;
+        if dropped <> Broadword.mask markers then begin
+          if dropped <> Broadword.mask (markers - 1) || (w.lpos - 1) mod 9 <> 0 then
+            corrupt_leaf ();
+          w.ended <- true
+        end
+      end
+  | _ ->
+      Bitbuf.add_bits w.content len v;
+      w.label_total <- w.label_total + len
+
+(* How many of the [rest] label bits left to feed [add_label] next: a
+   piece of a packed label ends at a depth = 0 (mod 9) or at the label's
+   end, so that no byte is split between two pieces. *)
+let label_take w rest = if w.pack then Int.min rest (54 - (w.lpos mod 9)) else Int.min rest 56
 
 (* Bits [off, off + len) of [key] (a key, or a label) as the current
    node's label. *)
 let add_key_bits w key off len =
   let p = ref 0 in
   while !p < len do
-    let take = Int.min 56 (len - !p) in
+    let take = label_take w (len - !p) in
     add_label w take (Bitstring.get_bits key (off + !p) take);
     p := !p + take
   done
@@ -330,8 +354,10 @@ let finish w ~n =
       directory_bits;
       content_bits;
       arena_len;
-      (if w.keys = Bytes then bytes_flag else 0);
+      (if w.code = None then 0 else bytes_flag);
     ];
+  Buffer.add_string out
+    (match w.code with Some c -> Binarize.code_set c | None -> Binarize.empty_set);
   Bitbuf.add_to_buffer out dir;
   Bitbuf.add_to_buffer out w.content;
   assert (Buffer.length out = arena_len);
@@ -357,8 +383,13 @@ let split_point keys lo hi m =
    with 1 — so the label is bits [off, m), β marks the ranks >= j, and a
    stable partition hands each child its subsequence.  Each level's
    subsequences lie side by side in one rank array, so two arrays of n
-   ranks serve every level.  [~keys] says what the keys encode. *)
-let arena_of_keys ~keys:kind (keys : Bitstring.t array) (seq : int array) : string =
+   ranks serve every level.  [~keys] says what the keys encode; with
+   [Bytes], [bytes] is the byte set of the strings they encode
+   ({!Binarize.byte_set} of the raw strings: finding it from the keys
+   would decode every one). *)
+let leaf_code set = if set = Binarize.empty_set then None else Some (Binarize.code_of_set set)
+
+let arena_of_keys ~keys:kind ?bytes (keys : Bitstring.t array) (seq : int array) : string =
   Probe.time Flat_build (fun () ->
       let d = Array.length keys and n = Array.length seq in
       (* cum.(k): occurrences of the keys ranked below k *)
@@ -375,7 +406,13 @@ let arena_of_keys ~keys:kind (keys : Bitstring.t array) (seq : int array) : stri
       let q_lo = Array.make node_count 0 and q_hi = Array.make node_count d in
       let q_off = Array.make node_count 0 in
       let tail = ref 1 in
-      let w = writer ~keys:kind ~n ~nodes:node_count in
+      let code =
+        match (kind, bytes) with
+        | Bits, _ -> None
+        | Bytes, Some set -> leaf_code set
+        | Bytes, None -> invalid_arg "Flat_wt: byte-string keys without their byte set"
+      in
+      let w = writer ~code ~n ~nodes:node_count in
       let blocks = w.blocks in
       (* level L reads its subsequences from [src] and writes level L+1's
          into [dst] *)
@@ -403,17 +440,15 @@ let arena_of_keys ~keys:kind (keys : Bitstring.t array) (seq : int array) : stri
             let src = !src and dst = !dst in
             let w0 = ref !wpos and w1 = ref (!wpos + cum.(j) - cum.(lo)) in
             let word = ref 0 and fill = ref 0 and nb = ref 0 in
+            (* branch-free: a rank's side is random, so a branch on it
+               mispredicts about every other rank *)
             for k = !rpos to !rpos + count - 1 do
               let r = Array.unsafe_get src k in
-              if r >= j then begin
-                word := !word lor (1 lsl !fill);
-                Array.unsafe_set dst !w1 r;
-                incr w1
-              end
-              else begin
-                Array.unsafe_set dst !w0 r;
-                incr w0
-              end;
+              let b = (j - 1 - r) lsr 62 in
+              word := !word lor (b lsl !fill);
+              Array.unsafe_set dst (!w0 + ((!w1 - !w0) land -b)) r;
+              w1 := !w1 + b;
+              w0 := !w0 + 1 - b;
               incr fill;
               if !fill = Rrr.block_bits then begin
                 blocks.(!nb) <- !word;
@@ -469,6 +504,22 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
       if arena_len <> len then
         fail "flat arena: declared size %d, actual %d" arena_len len;
       if flags land lnot bytes_flag <> 0 then fail "flat arena: unknown header flags %#x" flags;
+      (* B: every byte-string arena has one, no bitstring arena does *)
+      let code =
+        if version < 6 || flags = 0 then None
+        else if version = 6 then Some (Binarize.code_of_set Binarize.full_set)
+        else
+          let set = String.init 32 (fun i -> Char.chr (Membuf.get mb (64 + i))) in
+          Some (Binarize.code_of_set set)
+      in
+      (match code with
+      | Some c when Binarize.code_size c = 0 ->
+          fail "flat arena: a byte-string arena with no byte set"
+      | None when version >= 7 ->
+          for i = 64 to header_len - 1 do
+            if Membuf.get mb i <> 0 then fail "flat arena: a byte set in a bitstring arena"
+          done
+      | _ -> ());
       (* bound the sections by the blob before deriving offsets, so the
          arithmetic below cannot overflow *)
       if node_count > 8 * len || directory_bits > 8 * len || content_bits > 8 * len then
@@ -506,7 +557,7 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
              V3 (Offsets.of_membuf mb ~bit:(8 * dir) ~count:(node_count + 1) ~universe:content_bits));
         content_bit = 8 * content;
         version;
-        packed = flags = bytes_flag;
+        code;
         source;
         closed = false;
         release;
@@ -596,7 +647,8 @@ module Node = struct
         node.bv_memo <- Some bv;
         bv
 
-  let packed node = node.irank < 0 && node.t.packed
+  (* A packed leaf's code: [None] for a label stored whole. *)
+  let leaf_code node = if node.irank < 0 then node.t.code else None
 
   (* The label's first bit in the content stream, and its stored bits. *)
   let label_start node =
@@ -606,11 +658,12 @@ module Node = struct
 
   (* The label's length from its stored one. *)
   let unpacked_length node stored =
-    if not (packed node) then stored
-    else
-      let len = Binarize.unpacked_length ~depth:node.depth stored in
-      if len < 0 then invalid_arg "Flat_wt.Node: corrupt leaf label";
-      len
+    match leaf_code node with
+    | None -> stored
+    | Some code ->
+        let len = Binarize.unpacked_length code ~depth:node.depth stored in
+        if len < 0 then invalid_arg "Flat_wt.Node: corrupt leaf label";
+        len
 
   let label_length node = unpacked_length node (stored_label_length node)
 
@@ -622,15 +675,15 @@ module Node = struct
     (* at least eight bytes, so every comparison against the label takes
        the one-load path of [Bitbuf.get_bits] *)
     let out = Bitbuf.create ~capacity_bits:(Int.max 64 len) () in
-    if packed node then Binarize.unpack node.t.mb bitpos ~depth:node.depth ~stored out
-    else begin
-      let i = ref 0 in
-      while !i < len do
-        let take = Int.min 56 (len - !i) in
-        Bitbuf.add_bits out take (Membuf.get_bits node.t.mb (bitpos + !i) take);
-        i := !i + take
-      done
-    end;
+    (match leaf_code node with
+    | Some code -> Binarize.unpack code node.t.mb bitpos ~depth:node.depth ~stored out
+    | None ->
+        let i = ref 0 in
+        while !i < len do
+          let take = Int.min 56 (len - !i) in
+          Bitbuf.add_bits out take (Membuf.get_bits node.t.mb (bitpos + !i) take);
+          i := !i + take
+        done);
     Bitstring.unsafe_of_bitbuf out
 
   let child node b =
@@ -691,7 +744,8 @@ let stats t = { (Q.stats ~space_bits t) with label_bits = t.labels_bits }
 (* ------------------------------------------------------------------ *)
 (* Construction and storage *)
 
-let of_keys ~keys:kind keys seq = of_membuf (Membuf.of_string (arena_of_keys ~keys:kind keys seq))
+let of_keys ~keys:kind ?bytes keys seq =
+  of_membuf (Membuf.of_string (arena_of_keys ~keys:kind ?bytes keys seq))
 
 (* A string's hash, eight bytes at a time. *)
 let hash_string s =
@@ -824,7 +878,7 @@ let arena_reader t =
   (* each merged node reads one node per source: keep the last one's
      β blob and label, and a packed leaf label unpacked *)
   let at = ref (-1) and blob = ref 0 and blob_bits = ref 0 and ones = ref 0 in
-  let label = ref 0 and stored = ref 0 and packed = ref false in
+  let label = ref 0 and stored = ref 0 and code = ref None in
   let unpacked = Bitbuf.create () and unpacked_at = ref (-1) in
   let locate idx count =
     if idx <> !at then begin
@@ -842,29 +896,30 @@ let arena_reader t =
       if lo + !blob_bits > hi then invalid_arg "Flat_wt.merge: β overruns its node extent";
       label := !blob + !blob_bits;
       stored := hi - lo - !blob_bits;
-      packed := t.packed && r < 0;
+      code := if r < 0 then t.code else None;
       at := idx
     end
   in
   let label_len idx count depth =
     locate idx count;
-    if not !packed then !stored
-    else
-      let len = Binarize.unpacked_length ~depth !stored in
-      if len < 0 then invalid_arg "Flat_wt.merge: corrupt leaf label";
-      len
+    match !code with
+    | None -> !stored
+    | Some code ->
+        let len = Binarize.unpacked_length code ~depth !stored in
+        if len < 0 then invalid_arg "Flat_wt.merge: corrupt leaf label";
+        len
   in
   let label_bits idx count depth off width =
     locate idx count;
-    if not !packed then Membuf.get_bits t.mb (!label + off) width
-    else begin
-      if !unpacked_at <> idx then begin
-        Bitbuf.clear unpacked;
-        Binarize.unpack t.mb !label ~depth ~stored:!stored unpacked;
-        unpacked_at := idx
-      end;
-      Bitbuf.get_bits unpacked off width
-    end
+    match !code with
+    | None -> Membuf.get_bits t.mb (!label + off) width
+    | Some code ->
+        if !unpacked_at <> idx then begin
+          Bitbuf.clear unpacked;
+          Binarize.unpack code t.mb !label ~depth ~stored:!stored unpacked;
+          unpacked_at := idx
+        end;
+        Bitbuf.get_bits unpacked off width
   in
   let beta w idx count =
     locate idx count;
@@ -891,25 +946,26 @@ let arena_reader t =
         add_label =
           (fun w idx count depth off len ->
             let full = label_len idx count depth in
-            if !packed && w.pack && depth = w.depth && len = full then begin
-              (* a whole packed leaf label at its own depth *)
-              copy_bits w t.mb !label !stored;
-              w.label_total <- w.label_total + !stored;
-              w.lpos <- depth + len;
-              w.ended <- len > 0
-            end
-            else if not (!packed || w.pack) then begin
-              copy_bits w t.mb (!label + off) len;
-              w.label_total <- w.label_total + len
-            end
-            else begin
-              let p = ref 0 in
-              while !p < len do
-                let take = Int.min 56 (len - !p) in
-                add_label w take (label_bits idx count depth (off + !p) take);
-                p := !p + take
-              done
-            end);
+            match (!code, w.code) with
+            | Some c, Some wc
+              when w.pack && depth = w.depth && len = full
+                   && String.equal (Binarize.code_set c) (Binarize.code_set wc) ->
+                (* a whole packed leaf label at its own depth, in the
+                   merged arena's code *)
+                copy_bits w t.mb !label !stored;
+                w.label_total <- w.label_total + !stored;
+                w.lpos <- depth + len;
+                w.ended <- len > 0
+            | None, _ when not w.pack ->
+                copy_bits w t.mb (!label + off) len;
+                w.label_total <- w.label_total + len
+            | _ ->
+                let p = ref 0 in
+                while !p < len do
+                  let take = label_take w (len - !p) in
+                  add_label w take (label_bits idx count depth (off + !p) take);
+                  p := !p + take
+                done);
         beta;
         (* the same bits at the same length: the same blob, when it is
            coded the way the writer codes it *)
@@ -1033,10 +1089,10 @@ let checked_ones ones count =
   if ones <= 0 || ones >= count then invalid_arg "Flat_wt.merge: constant β at an internal node";
   ones
 
-let merge_readers ~keys (readers : reader array) =
+let merge_readers ~code (readers : reader array) =
   let k = Array.length readers in
   let n = Array.fold_left (fun acc r -> acc + r.len) 0 readers in
-  let w = writer ~keys ~n ~nodes:64 in
+  let w = writer ~code ~n ~nodes:64 in
   (* per cursor of the node at hand: its label bits left, and the bit it
      continues with (-1 when it branches here, with [ones] its β's) *)
   let rem = Array.make k 0 and bit = Array.make k 0 and ones = Array.make k 0 in
@@ -1133,15 +1189,52 @@ let merge_readers ~keys (readers : reader array) =
   done;
   finish w ~n
 
+(* The bytes of a trie's strings, flagged in [seen]: a walk over its
+   labels that carries the byte in progress from a node into its
+   children, through the bit they branch on. *)
+let trie_bytes (type a) seen (module N : Node_view.S with type trie = a) (trie : a) =
+  let rec go node depth part =
+    let label = N.label node in
+    let len = Bitstring.length label in
+    let part = ref part and p = ref 0 in
+    while !p < len do
+      let take = Int.min 56 (len - !p) in
+      part :=
+        Binarize.label_bytes seen ~depth:(depth + !p) take (Bitstring.get_bits label !p take) !part;
+      p := !p + take
+    done;
+    if not (N.is_leaf node) then begin
+      let d = depth + len in
+      go (N.child node false) (d + 1) (Binarize.label_bytes seen ~depth:d 1 0 !part);
+      go (N.child node true) (d + 1) (Binarize.label_bytes seen ~depth:d 1 1 !part)
+    end
+  in
+  Option.iter (fun root -> go root 0 0) (N.root trie)
+
+(* B of the merged arena: the union of its sources' sets.  A version-7
+   byte-string arena names its set in its header; any other source
+   is walked. *)
+let byte_set sources =
+  let seen = Bytes.make 256 '\000' in
+  Array.iter
+    (function
+      | Arena ({ version; code = Some c; _ } : t) when version >= 7 ->
+          Binarize.add_set seen (Binarize.code_set c)
+      | Arena t -> trie_bytes seen (module Node) t
+      | Trie (m, trie) -> trie_bytes seen m trie)
+    sources;
+  Binarize.set_of_flags seen
+
 let merge ~keys sources =
   Probe.time Flat_build (fun () ->
+      let code = match keys with Bits -> None | Bytes -> leaf_code (byte_set sources) in
       let readers =
         Array.of_list
           (List.filter_map
              (function Arena t -> arena_reader t | Trie (m, trie) -> trie_reader m trie)
              (Array.to_list sources))
       in
-      of_membuf (Membuf.of_string (merge_readers ~keys readers)))
+      of_membuf (Membuf.of_string (merge_readers ~code readers)))
 
 (* Any trie through its node view: the one-source merge. *)
 let of_trie (type a) ~keys (module N : Node_view.S with type trie = a) (trie : a) =
@@ -1214,11 +1307,31 @@ let beta_codes t =
     (fun i code -> { code; blobs = blobs.(i); raw_bits = raw.(i); bits = bits.(i) })
     [ "rrr"; "plain" ]
 
-(* What [wtrie verify] reports of an arena's layout. *)
-type layout = { codes : code_stats list; stored_label_bits : int; logical_label_bits : int }
+(* What [wtrie verify] reports of an arena's layout: with the β codes
+   and label bits, the leaf bytes' code, |B| and w (0 and 0 when leaf
+   labels are whole; a version-6 byte-string arena codes all 256 bytes
+   in 8 bits). *)
+type layout = {
+  codes : code_stats list;
+  stored_label_bits : int;
+  logical_label_bits : int;
+  leaf_bytes : int;
+  leaf_code_bits : int;
+}
 
-let layout t =
-  { codes = beta_codes t; stored_label_bits = label_bits t; logical_label_bits = logical_label_bits t }
+let layout (t : t) =
+  let leaf_bytes, leaf_code_bits =
+    match t.code with
+    | Some c -> (Binarize.code_size c, Binarize.code_width c)
+    | None -> (0, 0)
+  in
+  {
+    codes = beta_codes t;
+    stored_label_bits = label_bits t;
+    logical_label_bits = logical_label_bits t;
+    leaf_bytes;
+    leaf_code_bits;
+  }
 
 (* Structural deep check (the [wtrie verify] walk): the directory's
    topology and rank samples (and, from version 4, its records and
@@ -1227,11 +1340,12 @@ let layout t =
    ([Rrr.Flat.check]: from version 5, its tag, class base and width,
    and plain rank samples), every internal β holding both bit values,
    non-empty children, every node reachable, each packed leaf label's
-   stored length ending an encoded string at the leaf's depth, and the
-   stored label total.
+   stored length ending an encoded string at the leaf's depth and its
+   codes within B, the stored label total, and, from version 7, B being
+   exactly the bytes the labels spell.
    Raises [Failure] on the first violation, also for a read outside
    the arena. *)
-let check_arena t =
+let check_arena (t : t) =
   let check cond fmt =
     Printf.ksprintf (fun m -> if not cond then failwith ("flat arena: " ^ m)) fmt
   in
@@ -1267,15 +1381,51 @@ let check_arena t =
   | None -> check (t.n = 0) "empty node table but length %d" t.n
   | Some root ->
       let visited = ref 0 and labels = ref 0 in
-      let rec go node =
+      (* the bytes the labels spell, each flagged where it first shows *)
+      let set =
+        match t.code with Some c when t.version >= 7 -> Some (Binarize.code_set c) | _ -> None
+      in
+      let seen = Bytes.make 256 '\000' in
+      let spell node part =
+        match set with
+        | None -> 0
+        | Some set ->
+            let idx = node.Node.idx in
+            let label =
+              match Node.label node with
+              | l -> l
+              | exception Invalid_argument m ->
+                  failwith (Printf.sprintf "flat arena: node %d: %s" idx m)
+            in
+            let part = ref part and fresh = ref (part land 256) and p = ref 0 in
+            let len = Bitstring.length label in
+            while !p < len do
+              let take = Int.min 56 (len - !p) in
+              part :=
+                Binarize.label_bytes seen ~depth:(node.depth + !p) take
+                  (Bitstring.get_bits label !p take) !part;
+              fresh := !fresh lor (!part land 256);
+              p := !p + take
+            done;
+            if !fresh <> 0 then
+              for b = 0 to 255 do
+                check (Bytes.get seen b = '\000' || Binarize.mem set b)
+                  "node %d: byte %d is not in the byte set" idx b
+              done;
+            !part land 255
+      in
+      let rec go node part =
         incr visited;
         let stored = Node.stored_label_length node in
         labels := !labels + stored;
         check
-          ((not (Node.packed node)) || Binarize.unpacked_length ~depth:node.depth stored >= 0)
-          "node %d: a leaf label of %d data bits at depth %d ends no encoded string"
+          (match Node.leaf_code node with
+          | Some code -> Binarize.unpacked_length code ~depth:node.depth stored >= 0
+          | None -> true)
+          "node %d: a leaf label of %d stored bits at depth %d ends no encoded string"
           node.Node.idx stored node.depth;
         check (Node.count node > 0) "node %d: count 0" node.Node.idx;
+        let part = spell node part in
         if not (Node.is_leaf node) then begin
           let bv = Node.bv_of node in
           (try Rrr.Flat.check bv ~version:t.version
@@ -1283,14 +1433,23 @@ let check_arena t =
           check
             (Rrr.Flat.ones bv > 0 && Rrr.Flat.zeros bv > 0)
             "node %d: β holds one bit value only" node.Node.idx;
-          go (Node.child node false);
-          go (Node.child node true)
+          let d = node.depth + Node.label_length node in
+          go (Node.child node false) (Binarize.label_bytes seen ~depth:d 1 0 part);
+          go (Node.child node true) (Binarize.label_bytes seen ~depth:d 1 1 part)
         end
       in
-      go root;
+      go root 0;
       check (!visited = nc) "%d nodes reachable of %d" !visited nc;
       check (!labels = t.labels_bits) "labels total %d bits, header says %d" !labels
-        t.labels_bits
+        t.labels_bits;
+      Option.iter
+        (fun set ->
+          let spelt = Binarize.set_of_flags seen in
+          for b = 0 to 255 do
+            check (Binarize.mem spelt b || not (Binarize.mem set b))
+              "byte %d is in the byte set but in no string" b
+          done)
+        set
 
 let check_invariants t =
   if t.closed then raise Closed;

@@ -58,12 +58,15 @@ module Static = struct
 
   (* Deduplicate and sort the raw strings, then binarize only the
      distinct ones: the encoding keeps byte order (a proper prefix sorts
-     first), so [String.compare] order is the keys' bit order. *)
+     first), so [String.compare] order is the keys' bit order.  The
+     arena's byte set comes from the same distinct raw strings. *)
   let of_array a =
     let keys, seq =
       Flat_wt.sorted_keys ~hash:Flat_wt.hash_string ~equal:String.equal ~compare:String.compare a
     in
-    Flat_wt.of_keys ~keys:Bytes (Array.map encode keys) seq
+    Flat_wt.of_keys ~keys:Bytes
+      ~bytes:(Binarize.byte_set keys)
+      (Array.map encode keys) seq
 
   let of_list l = of_array (Array.of_list l)
 

@@ -1049,7 +1049,7 @@ type run_report = {
   run_file : string;
   run_version : int;
   run_length : int;
-  run_layout : Flat_wt.layout;  (** β codes, stored and logical label bits *)
+  run_layout : Flat_wt.layout;  (** β codes, stored and logical label bits, leaf byte code *)
 }
 
 type verify_report = {

@@ -130,9 +130,10 @@ let test_snapshot_truncations () =
    crash, whichever bytes it maps. *)
 
 (* 1,200 strings over the 64 of [sample], the first eight of them
-   three times as frequent as the rest: the arena is a version-6
+   three times as frequent as the rest: the arena is a version-7
    byte-string arena, so its leaf labels are stored without their
-   marker bits, and holds β blobs in both codes — class-range RRR ones,
+   marker bits and with their bytes coded, and holds β blobs in both
+   codes — class-range RRR ones,
    the root's spanning two superblocks, so the sweeps also cover a
    blob's superblock directory, and plain ones — and its node
    directory's records and bodies (127 nodes, four blocks). *)
@@ -146,7 +147,7 @@ let save_v3 path =
   in
   check_int "arena version" Wt_core.Flat_wt.arena_version (Wt_core.Flat_wt.version wt);
   check_bool "packed leaf labels" true
-    (wt.Wt_core.Flat_wt.packed
+    (wt.Wt_core.Flat_wt.code <> None
     && Wt_core.Flat_wt.label_bits wt < Wt_core.Flat_wt.logical_label_bits wt);
   check_bool "β blobs in both codes" true
     (List.for_all
@@ -224,6 +225,60 @@ let test_v3_truncations () =
   Wtrie.Static.close t;
   Sys.remove path
 
+let contains m sub =
+  let rec has i =
+    i + String.length sub <= String.length m
+    && (String.sub m i (String.length sub) = sub || has (i + 1))
+  in
+  has 0
+
+(* A corrupt arena behind a valid checksum: the deep check fails with a
+   message holding [sub], [wtrie verify] and [wtrie verify --json] exit
+   2, every access answers or reports a [Storage_error], and [strings]
+   ranked, selected and prefix-ranked, and the range queries, return
+   without a crash. *)
+let expect_corrupt ~what ~sub ~strings path corrupt =
+  let module F = Wt_core.Flat_wt in
+  (match F.check_invariants (F.of_membuf (Wt_bits.Membuf.of_string corrupt)) with
+  | () -> Alcotest.failf "the deep check passed %s" what
+  | exception Failure m ->
+      check_bool (Printf.sprintf "%s: names %s: %s" what sub m) true (contains m sub));
+  Wt_durable.Container.write_v3 ~tag:F.tag ~payload:corrupt path;
+  let exe =
+    List.find Sys.file_exists [ "../bin/wtrie_cli.exe"; "_build/default/bin/wtrie_cli.exe" ]
+  in
+  let verify json =
+    Sys.command
+      (Printf.sprintf "%s verify %s%s >/dev/null 2>&1" (Filename.quote exe) (Filename.quote path)
+         (if json then " --json" else ""))
+  in
+  check_int (what ^ ": verify exits 2") 2 (verify false);
+  check_int (what ^ ": verify --json exits 2") 2 (verify true);
+  List.iter
+    (fun mode ->
+      match Wtrie.Static.open_file ~mode path with
+      | Error _ -> ()
+      | Ok t ->
+          let n = Wtrie.Static.length t in
+          for pos = 0 to n - 1 do
+            match Wtrie.Static.access t ~pos with
+            | Ok _ | Error (Wtrie.Storage_error _) -> ()
+            | Error e -> Alcotest.failf "%s: access %d: %a" what pos Wtrie.pp_error e
+          done;
+          (* a corrupt arena may answer that a string is absent *)
+          Array.iter
+            (fun s ->
+              ignore (Wtrie.Static.rank t s ~pos:n);
+              ignore (Wtrie.Static.select t s ~count:0);
+              let prefix = String.sub s 0 (String.length s / 2) in
+              ignore (Wtrie.Static.rank_prefix t ~prefix ~pos:n))
+            strings;
+          ignore (Wtrie.Static.range_distinct t);
+          ignore (Wtrie.Static.range_topk t ~k:3);
+          Wtrie.Static.close t)
+    [ `Copy; `Mmap ];
+  Sys.remove path
+
 (* A leaf extent one bit too long: the boundary after a leaf moves one
    bit later, into its sibling leaf, and the directory is written again
    over the moved offset (the header, directory and content laid out as
@@ -262,47 +317,74 @@ let test_v3_leaf_extent () =
   let len = F.header_len + String.length dir_bytes + String.length content in
   Bytes.set_int64_le header 32 (Int64.of_int (Bitbuf.length dir));
   Bytes.set_int64_le header 48 (Int64.of_int len);
-  let corrupt = Bytes.to_string header ^ dir_bytes ^ content in
-  let c = F.of_membuf (Wt_bits.Membuf.of_string corrupt) in
-  (match F.check_invariants c with
-  | () -> Alcotest.fail "the deep check passed a corrupt leaf extent"
-  | exception Failure m ->
-      let sub = "ends no encoded string" in
-      let rec has i =
-        i + String.length sub <= String.length m
-        && (String.sub m i (String.length sub) = sub || has (i + 1))
-      in
-      check_bool ("names the leaf label: " ^ m) true (has 0));
-  Wt_durable.Container.write_v3 ~tag:F.tag ~payload:corrupt path;
-  let exe =
-    List.find Sys.file_exists [ "../bin/wtrie_cli.exe"; "_build/default/bin/wtrie_cli.exe" ]
+  expect_corrupt ~what:"a corrupt leaf extent" ~sub:"ends no encoded string"
+    ~strings:(Array.map Binarize.to_bytes (sample 64))
+    path
+    (Bytes.to_string header ^ dir_bytes ^ content)
+
+(* The leaf byte code.  An arena of 300 strings over the five bytes
+   a..e (|B| = 5, codes of w = 3 bits, so 5, 6 and 7 name no byte):
+   with the bit of byte a cleared from B, and with a leaf's first code
+   set to 7, the deep check names a node, [wtrie verify] exits 2 and
+   every query answers or reports a [Storage_error].  The header checks
+   come first: a byte-string arena with an empty B, and a bitstring
+   arena with one, fail the open. *)
+let code_strings =
+  let rng = Xoshiro.create 23 in
+  Array.init 40 (fun _ ->
+      String.init (3 + Xoshiro.int rng 10) (fun _ -> "abcde".[Xoshiro.int rng 5]))
+
+let code_arena () =
+  let t = Wtrie.Static.of_array (Array.init 300 (fun i -> code_strings.(i * 7 mod 40))) in
+  let l = Wt_core.Flat_wt.layout t in
+  check_int "|B|" 5 l.leaf_bytes;
+  check_int "w" 3 l.leaf_code_bits;
+  t
+
+let test_leaf_codes () =
+  let module F = Wt_core.Flat_wt in
+  let t = code_arena () in
+  let arena = Wt_bits.Membuf.to_string t.F.mb in
+  (* B's bit for 'a' (0x61) lives in header byte 64 + 12, bit 1 *)
+  expect_corrupt ~what:"a B bit cleared" ~sub:"node " ~strings:code_strings (tmp "b_cleared.wtx")
+    (flip_bit arena (64 + (0x61 lsr 3)) (0x61 land 7));
+  (* the first leaf whose label holds a coded byte: its first code,
+     past a cut byte's raw bits, made all ones *)
+  let rec leaf node =
+    if F.Node.is_leaf node then
+      let stored = F.Node.stored_label_length node in
+      let phase = node.F.Node.depth mod 9 in
+      let head = if phase >= 2 then 9 - phase else 0 in
+      if stored - head >= 3 then Some (node.F.Node.lo + head) else None
+    else
+      match leaf (F.Node.child node false) with
+      | Some _ as r -> r
+      | None -> leaf (F.Node.child node true)
   in
-  let verify json =
-    Sys.command
-      (Printf.sprintf "%s verify %s%s >/dev/null 2>&1" (Filename.quote exe) (Filename.quote path)
-         (if json then " --json" else ""))
-  in
-  check_int "verify exits 2" 2 (verify false);
-  check_int "verify --json exits 2" 2 (verify true);
+  let at = t.F.content_bit + Option.get (leaf (Option.get (F.Node.root t))) in
+  let b = Bytes.of_string arena in
+  for i = at to at + 2 do
+    Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lor (1 lsl (i mod 8))))
+  done;
+  expect_corrupt ~what:"a leaf code past B" ~sub:"past the byte set" ~strings:code_strings
+    (tmp "code_past.wtx") (Bytes.to_string b);
+  (* B against the flags: each fails the open, both ways *)
+  let no_b = Bytes.of_string arena in
+  Bytes.fill no_b 64 32 '\000';
+  let bits = F.of_array [| Binarize.of_bytes "ab"; Binarize.of_bytes "b" |] in
+  let with_b = flip_bit (Wt_bits.Membuf.to_string bits.F.mb) 70 3 in
   List.iter
-    (fun mode ->
-      match Wtrie.Static.open_file ~mode path with
-      | Error _ -> ()
-      | Ok t ->
-          for pos = 0 to v3_length - 1 do
-            match Wtrie.Static.access t ~pos with
-            | Ok _ | Error (Wtrie.Storage_error _) -> ()
-            | Error e -> Alcotest.failf "access %d: %a" pos Wtrie.pp_error e
-          done;
-          Array.iter
-            (fun s ->
-              ignore (Wtrie.Static.rank t (Binarize.to_bytes s) ~pos:v3_length);
-              ignore (Wtrie.Static.select t (Binarize.to_bytes s) ~count:0))
-            (sample 64);
-          ignore (Wtrie.Static.range_distinct t);
-          Wtrie.Static.close t)
-    [ `Copy; `Mmap ];
-  Sys.remove path
+    (fun (what, payload) ->
+      let path = tmp "b_flags.wtx" in
+      Wt_durable.Container.write_v3 ~tag:F.tag ~payload path;
+      List.iter
+        (fun mode -> expect_storage_error what (Wtrie.Static.open_file ~mode path))
+        [ `Copy; `Mmap ];
+      Sys.remove path)
+    [
+      ("a byte-string arena with no B", Bytes.to_string no_b);
+      ("a bitstring arena with a B", with_b);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* WAL sweeps *)
@@ -1191,6 +1273,7 @@ let () =
           Alcotest.test_case "bit-flip sweep" `Quick test_v3_bit_flips;
           Alcotest.test_case "truncation sweep" `Quick test_v3_truncations;
           Alcotest.test_case "corrupt leaf extent fails verify" `Quick test_v3_leaf_extent;
+          Alcotest.test_case "corrupt byte set or leaf code fails verify" `Quick test_leaf_codes;
         ] );
       ( "wal",
         [

@@ -5,6 +5,7 @@
    deterministic closed-handle behaviour after [close]. *)
 
 module Bitstring = Wt_strings.Bitstring
+module Binarize = Wt_strings.Binarize
 module Xoshiro = Wt_bits.Xoshiro
 module Wavelet_trie = Wt_core.Wavelet_trie
 module Flat_wt = Wt_core.Flat_wt
@@ -162,7 +163,7 @@ let test_space_bound () =
     [ 1; 13; 300; 4000 ]
 
 (* An index written by the first arena layout (version 1: a 64-byte
-   header and 32-byte node records) or by a later one (version 7) fails
+   header and 32-byte node records) or by a later one (version 8) fails
    closed, naming its version, whichever way it is opened. *)
 let test_arena_version_rejected version () =
   let header = Buffer.create 64 in
@@ -245,15 +246,17 @@ let test_v2_migration () =
   Wtrie.Static.close fwt
 
 (* ------------------------------------------------------------------ *)
-(* Versions 2 to 5.  [fixtures/v2] holds a static index and a tiered
+(* Versions 2 to 6.  [fixtures/v2] holds a static index and a tiered
    store written by [wtrie] at commit 96ba348, the last to write arena
    version 2 (each β blob's last block coded over 62 bits),
    [fixtures/v3] the same from the same input at commit 42bd660, the
    last to write version 3 (topology records and block-sampled node
    offsets), [fixtures/v4] the same at commit b005126, the last to
-   write version 4 (every β blob RRR, 6 bits per class), and
+   write version 4 (every β blob RRR, 6 bits per class),
    [fixtures/v5] the same at commit b95bfd4, the last to write version
-   5 (every label whole, a 56-byte header):
+   5 (every label whole, a 56-byte header), and [fixtures/v6] the same
+   at commit 66b5a9c, the last to write version 6 (each leaf byte as its
+   eight data bits, no byte set in the header):
 
      wtrie index input.txt index.wt
      head -64 input.txt > part1.txt
@@ -264,11 +267,31 @@ let test_v2_migration () =
    The store holds the first 104 lines: a run of 64, a run of 32 and 8
    strings in its WAL.  All open through the one blob decoder and their
    own directory reader; a compaction that absorbs the store's runs
-   writes them at version 6, and the structural merge of the old runs
-   with a version-6 arena and an append-only trie writes exactly the
-   bytes of the static build. *)
+   writes them at version 7, and the structural merge of the old runs
+   with a version-7 arena and an append-only trie writes exactly the
+   bytes of the static build.  The version-6 index is also what
+   [v6_arena] makes of its input. *)
 
 let arena_version payload = Int32.to_int (String.get_int32_le payload 4)
+
+(* The version-6 arena of byte strings: version 7's writer with all 256
+   bytes in B codes each leaf byte as its eight data bits, version 6's
+   leaf; the header then loses B and names version 6. *)
+let v6_arena strings =
+  let keys, seq =
+    Flat_wt.sorted_keys ~hash:Flat_wt.hash_string ~equal:String.equal ~compare:String.compare
+      strings
+  in
+  let v7 =
+    Flat_wt.arena_of_keys ~keys:Bytes ~bytes:Binarize.full_set
+      (Array.map Wt_core.String_api.encode keys)
+      seq
+  in
+  let body = String.sub v7 Flat_wt.header_len (String.length v7 - Flat_wt.header_len) in
+  let header = Bytes.of_string (String.sub v7 0 64) in
+  Bytes.set_int32_le header 4 6l;
+  Bytes.set_int64_le header 48 (Int64.of_int (64 + String.length body));
+  Bytes.to_string header ^ body
 
 let run_versions dir =
   Sys.readdir dir |> Array.to_list
@@ -286,8 +309,9 @@ let test_fixtures version () =
   in
   check_int "input lines" 150 (Array.length lines);
   (* test_oracle checks the index's answers *)
-  check_int "index version" version
-    (arena_version (Container.read_v3 ~expect_tag:Flat_wt.tag (fixture "index.wt")));
+  let index = Container.read_v3 ~expect_tag:Flat_wt.tag (fixture "index.wt") in
+  check_int "index version" version (arena_version index);
+  if version = 6 then check_bool "v6_arena writes version 6" true (v6_arena lines = index);
   (* the store, on a copy: every string, then ingest the rest of the
      input and compact; the new run absorbs both old runs *)
   let dir = Oracle.copy_dir (fixture "store.d") (Printf.sprintf "flat_v%d_store" version) in
@@ -543,7 +567,11 @@ let bound_terms (s : Wt_core.Stats.t) =
    bulk, and a dynamic trie.  The byte-string arena and the bitstring
    arena of the same encodings hold the same trie, one with packed leaf
    labels, the other with whole ones, and each re-encodes as the other
-   through the one-source merge. *)
+   through the one-source merge.  The byte-string arena's B is the
+   bytes of the strings, coded in max 1 (bit_width (|B| - 1)) bits, and
+   a merge of a version-6 arena of the first third of the sequence, a
+   version-7 arena of the second and an append-only trie of the rest
+   writes it too. *)
 let prop_direct_build a =
   let enc = Array.map Wt_core.String_api.encode a in
   let pwt = Wavelet_trie.of_array enc in
@@ -554,7 +582,21 @@ let prop_direct_build a =
   Flat_wt.check_invariants direct;
   Flat_wt.check_invariants bits;
   let logical = { (Flat_wt.stats direct) with label_bits = Flat_wt.logical_label_bits direct } in
-  Flat_wt.dump direct = Wavelet_trie.dump pwt
+  let bytes = Binarize.byte_set a in
+  let size = List.length (List.filter (Binarize.mem bytes) (List.init 256 Fun.id)) in
+  let layout = Flat_wt.layout direct in
+  let n = Array.length a in
+  let third = Array.sub a 0 (n / 3) and second = Array.sub a (n / 3) (n / 3) in
+  let rest = Array.map Wt_core.String_api.encode (Array.sub a (2 * (n / 3)) (n - (2 * (n / 3)))) in
+  let delta = Append_wt.create () in
+  Array.iter (Append_wt.append delta) rest;
+  let v6 = Flat_wt.of_membuf (Wt_bits.Membuf.of_string (v6_arena third)) in
+  Flat_wt.check_invariants v6;
+  layout.leaf_bytes = size
+  && layout.leaf_code_bits
+     = (if size = 0 then 0 else Int.max 1 (Wt_bits.Broadword.bit_width (size - 1)))
+  && (direct.Flat_wt.code <> None) = (size > 0)
+  && Flat_wt.dump direct = Wavelet_trie.dump pwt
   && Flat_wt.dump bits = Wavelet_trie.dump pwt
   && bound_terms logical = bound_terms (Wavelet_trie.stats pwt)
   && bound_terms (Flat_wt.stats bits) = bound_terms (Wavelet_trie.stats pwt)
@@ -567,6 +609,12 @@ let prop_direct_build a =
          Flat_wt.of_trie ~keys:Bytes (module Append_wt.Node) (Append_wt.of_array enc);
          Flat_wt.of_trie ~keys:Bytes (module Dynamic_wt.Node) (Dynamic_wt.of_array enc);
          Flat_wt.merge ~keys:Bytes [| Flat_wt.Arena bits |];
+         Flat_wt.merge ~keys:Bytes
+           [|
+             Flat_wt.Arena v6;
+             Flat_wt.Arena (Wtrie.Static.of_array second);
+             Flat_wt.Trie ((module Append_wt.Node), delta);
+           |];
        ]
   && List.for_all
        (fun flat -> arena flat = arena bits)
@@ -577,18 +625,24 @@ let prop_direct_build a =
 
 (* Byte strings built from atoms with NUL and 0xFF bytes and the empty
    string, so shared prefixes and proper prefixes are common; arrays of
-   length 0 and 1, all-equal arrays and duplicate-heavy ones. *)
+   length 0 and 1, all-equal arrays and duplicate-heavy ones; strings of
+   one byte only (|B| = 1, or 0 when all are empty), and arrays holding
+   a string of all 256 bytes. *)
 let byte_arrays =
   let open QCheck.Gen in
   let atom = oneofl [ ""; "\x00"; "\xff"; "a"; "ab"; "a\x00"; "a\xff"; "\xff\xff"; "b" ] in
   let str = map (String.concat "") (list_size (int_range 0 3) atom) in
   let raw = string_size ~gen:(oneofl [ '\x00'; '\xff'; 'a'; 'b' ]) (int_range 0 12) in
   let s = oneof [ str; raw ] in
+  let one_byte = map (fun n -> String.make n 'x') (int_range 0 12) in
+  let every_byte = String.init 256 Char.chr in
   oneof
     [
       array_size (int_range 0 1) s;
       map2 (fun x n -> Array.make n x) s (int_range 1 40);
       array_size (int_range 2 120) s;
+      array_size (int_range 1 40) one_byte;
+      map (fun a -> Array.append a [| every_byte |]) (array_size (int_range 0 40) s);
     ]
 
 let qcheck_direct_build =
@@ -600,22 +654,30 @@ let qcheck_direct_build =
 (* The structural merge: arenas of consecutive slices of the input, then
    the last slice as an append-only or dynamic trie read through its
    node view, merge into the very arena the static front door builds
-   from the whole input.  [unique] tags every string with its slice
-   number, so no key occurs in two slices. *)
-let prop_merge (a, cuts, dynamic_tail, unique) =
+   from the whole input.  Tag 1 appends to every string its slice
+   number, so no key occurs in two slices; tag 2 moves every byte of
+   slice i into the i mod 4-th quarter of the bytes, so the first four
+   slices' byte sets are disjoint. *)
+let prop_merge (a, cuts, dynamic_tail, tag) =
   let n = Array.length a in
   let cuts = List.sort compare (List.map (fun c -> c mod (n + 1)) cuts) in
   let bounds = Array.of_list ((0 :: cuts) @ [ n ]) in
   let slices = Array.length bounds - 1 in
+  let slice_of i =
+    let slice = ref 0 in
+    while bounds.(!slice + 1) <= i do incr slice done;
+    !slice
+  in
   let a =
-    if unique then
-      Array.mapi
-        (fun i s ->
-          let slice = ref 0 in
-          while bounds.(!slice + 1) <= i do incr slice done;
-          s ^ String.make 1 (Char.chr !slice))
-        a
-    else a
+    match tag with
+    | 1 -> Array.mapi (fun i s -> s ^ String.make 1 (Char.chr (slice_of i))) a
+    | 2 ->
+        Array.mapi
+          (fun i s ->
+            let q = 64 * (slice_of i mod 4) in
+            String.map (fun c -> Char.chr (q + (Char.code c land 63))) s)
+          a
+    | _ -> a
   in
   let slice i = Array.sub a bounds.(i) (bounds.(i + 1) - bounds.(i)) in
   let tail = Array.map Wt_core.String_api.encode (slice (slices - 1)) in
@@ -636,15 +698,15 @@ let prop_merge (a, cuts, dynamic_tail, unique) =
 (* k = 1..5 arenas ahead of the tail, any of them empty. *)
 let merge_cases =
   let open QCheck.Gen in
-  quad byte_arrays (list_size (int_range 1 5) nat) bool bool
+  quad byte_arrays (list_size (int_range 1 5) nat) bool (int_range 0 2)
 
 let qcheck_merge =
-  let print (a, cuts, dynamic_tail, unique) =
+  let print (a, cuts, dynamic_tail, tag) =
     Printf.sprintf "[%s] cuts [%s] %s tail%s"
       (String.concat "; " (Array.to_list (Array.map String.escaped a)))
       (String.concat "; " (List.map string_of_int cuts))
       (if dynamic_tail then "dynamic" else "append-only")
-      (if unique then ", slice-tagged" else "")
+      (match tag with 1 -> ", slice-tagged" | 2 -> ", disjoint byte sets" | _ -> "")
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"merged slices = static build of the whole" ~count:300
@@ -696,11 +758,12 @@ let () =
           Alcotest.test_case "v2 load + convert to v3" `Quick test_v2_migration;
           Alcotest.test_case "errors are data" `Quick test_storage_errors;
           Alcotest.test_case "arena v1 fails closed" `Quick (test_arena_version_rejected 1);
-          Alcotest.test_case "arena v7 fails closed" `Quick (test_arena_version_rejected 7);
+          Alcotest.test_case "arena v8 fails closed" `Quick (test_arena_version_rejected 8);
           Alcotest.test_case "version-2 index and store" `Quick (test_fixtures 2);
           Alcotest.test_case "version-3 index and store" `Quick (test_fixtures 3);
           Alcotest.test_case "version-4 index and store" `Quick (test_fixtures 4);
           Alcotest.test_case "version-5 index and store" `Quick (test_fixtures 5);
+          Alcotest.test_case "version-6 index and store" `Quick (test_fixtures 6);
           Alcotest.test_case "corrupt v3 β blobs stay bounded" `Quick test_v3_blob_corruption;
           Alcotest.test_case "corrupt v5 β fields fail verify" `Quick test_v5_blob_fields;
         ] );

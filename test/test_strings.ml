@@ -186,21 +186,41 @@ let test_bytes_reference () =
     (fun () -> ignore (Binarize.to_bytes (Bitstring.append long long)))
 
 (* Leaf labels without marker bits: the rest of an encoded string from
-   every bit depth (every phase mod 9, lengths 0 to 40 bytes) packs to
-   its data bits, dropping ones and then the terminator, and unpacks
-   from that depth back to itself.  The stored lengths seen are the
-   only ones [unpacked_length] and [unpack] accept. *)
-let pack_rest enc depth =
+   every bit depth (every phase mod 9, lengths 0 to 40 bytes) packs, in
+   pieces that each end at a marker position or at the label's end, to
+   its stored bits, dropping ones and then the terminator, and unpacks
+   from that depth back to itself.  [codes] are byte sets of 1 to 256
+   bytes (code widths 1, 1, 2, 5, 8 and 8), the last all 256 bytes,
+   whose code is a byte's data bits; each string is drawn from its set.
+   The stored lengths seen are the only ones [unpacked_length] and
+   [unpack] accept. *)
+let set_of bytes =
+  let seen = Bytes.make 256 '\000' in
+  List.iter (fun b -> Bytes.set seen b '\001') bytes;
+  Binarize.set_of_flags seen
+
+let codes =
+  let rng = Xoshiro.create 17 in
+  let some k = List.sort_uniq compare (List.init k (fun _ -> Xoshiro.int rng 256)) in
+  List.map Binarize.code_of_set
+    [ set_of [ 0x61 ]; set_of [ 0x00; 0xff ]; set_of [ 0x00; 0x61; 0xff ]; set_of (some 40);
+      set_of (some 400); Binarize.full_set ]
+
+let pack_rest code enc depth =
   let n = Bitstring.length enc in
   let stored = Bitbuf.create () and dropped = Bitbuf.create () in
   (* three junk bits first, so [unpack] reads at an odd offset *)
   Bitbuf.add_bits stored 3 0b101;
   let p = ref depth in
   while !p < n do
-    let take = Int.min (1 + ((!p * 7) mod 56)) (n - !p) in
+    (* the last marker position within a pseudo-random reach, or the
+       next one *)
+    let e = (!p + 1 + ((!p * 7) mod 56)) / 9 * 9 in
+    let e = if e > !p then e else ((!p / 9) + 1) * 9 in
+    let take = Int.min (n - !p) (e - !p) in
     let m = Binarize.markers ~depth:!p take in
     Bitbuf.add_bits dropped m
-      (Binarize.pack_bits stored ~depth:!p take (Bitstring.get_bits enc !p take));
+      (Binarize.pack_bits code stored ~depth:!p take (Bitstring.get_bits enc !p take));
     p := !p + take
   done;
   (stored, dropped)
@@ -210,54 +230,103 @@ let membuf_of bb =
   Bitbuf.add_to_buffer b bb;
   Wt_bits.Membuf.of_string (Buffer.contents b)
 
-let unpacked mb ~depth ~stored =
+let unpacked code mb ~depth ~stored =
   let out = Bitbuf.create () in
-  Binarize.unpack mb 3 ~depth ~stored out;
+  Binarize.unpack code mb 3 ~depth ~stored out;
   Bitstring.of_bitbuf out
 
 let test_leaf_labels () =
   let rng = Xoshiro.create 9 in
-  let seen = Hashtbl.create 64 in
-  for len = 0 to 40 do
-    let s = String.init len (fun _ -> Char.chr (Xoshiro.int rng 256)) in
-    let enc = Binarize.of_bytes s in
-    for depth = 0 to Bitstring.length enc do
-      let rest = Bitstring.drop enc depth in
-      let stored, dropped = pack_rest enc depth in
-      let d = Bitbuf.length stored - 3 and m = Bitbuf.length dropped in
-      Hashtbl.replace seen (depth mod 9, d) ();
-      let ctx = Printf.sprintf "%d bytes from depth %d" len depth in
-      check_int (ctx ^ ": bits kept and dropped") (Bitstring.length rest) (d + m);
-      check_int (ctx ^ ": logical length") (Bitstring.length rest)
-        (Binarize.unpacked_length ~depth d);
-      (* a one before each byte, then the terminator *)
-      for i = 0 to m - 1 do
-        check_bool (ctx ^ ": dropped bit") (i < m - 1) (Bitbuf.get dropped i)
+  List.iter
+    (fun code ->
+      let w = Binarize.code_width code and set = Binarize.code_set code in
+      let bytes = Array.of_list (List.filter (Binarize.mem set) (List.init 256 Fun.id)) in
+      check_int "set size" (Array.length bytes) (Binarize.code_size code);
+      check_int "code width" (Int.max 1 (Wt_bits.Broadword.bit_width (Array.length bytes - 1))) w;
+      let seen = Hashtbl.create 64 in
+      for len = 0 to 40 do
+        let s =
+          String.init len (fun _ -> Char.chr bytes.(Xoshiro.int rng (Array.length bytes)))
+        in
+        let enc = Binarize.of_bytes s in
+        for depth = 0 to Bitstring.length enc do
+          let rest = Bitstring.drop enc depth in
+          let stored, dropped = pack_rest code enc depth in
+          let d = Bitbuf.length stored - 3 and m = Bitbuf.length dropped in
+          Hashtbl.replace seen (depth mod 9, d) ();
+          let ctx = Printf.sprintf "w %d: %d bytes from depth %d" w len depth in
+          (* the data bits less 8 - w for each whole byte *)
+          let data = Bitstring.length rest - m in
+          let whole = (data - if depth mod 9 <= 1 then 0 else 9 - (depth mod 9)) / 8 in
+          check_int (ctx ^ ": bits stored") (data - ((8 - w) * whole)) d;
+          check_int (ctx ^ ": logical length") (Bitstring.length rest)
+            (Binarize.unpacked_length code ~depth d);
+          (* a one before each byte, then the terminator *)
+          for i = 0 to m - 1 do
+            check_bool (ctx ^ ": dropped bit") (i < m - 1) (Bitbuf.get dropped i)
+          done;
+          check_bool (ctx ^ ": round trip") true
+            (Bitstring.equal rest (unpacked code (membuf_of stored) ~depth ~stored:d))
+        done
       done;
-      check_bool (ctx ^ ": round trip") true
-        (Bitstring.equal rest (unpacked (membuf_of stored) ~depth ~stored:d))
-    done
-  done;
-  (* the terminator-only label (phase 0) and the empty one (phase 1) *)
-  let mb = membuf_of (Bitbuf.create ()) in
-  check_string "terminator only" "0" (Bitstring.to_string (unpacked mb ~depth:9 ~stored:0));
-  check_string "empty" "" (Bitstring.to_string (unpacked mb ~depth:10 ~stored:0));
-  let junk = Bitbuf.create () in
-  Bitbuf.add_run junk true 400;
-  let mb = membuf_of junk in
-  for depth = 0 to 17 do
-    for d = 0 to 300 do
-      let ok = Hashtbl.mem seen (depth mod 9, d) in
-      check_bool
-        (Printf.sprintf "stored length %d at depth %d" d depth)
-        ok
-        (Binarize.unpacked_length ~depth d >= 0);
-      if not ok then
-        match unpacked mb ~depth ~stored:d with
-        | _ -> Alcotest.failf "unpacked %d bits at depth %d" d depth
+      (* the terminator-only label (phase 0) and the empty one (phase 1) *)
+      let mb = membuf_of (Bitbuf.create ()) in
+      check_string "terminator only" "0"
+        (Bitstring.to_string (unpacked code mb ~depth:9 ~stored:0));
+      check_string "empty" "" (Bitstring.to_string (unpacked code mb ~depth:10 ~stored:0));
+      (* every code past the set, where the width leaves room *)
+      for g = Binarize.code_size code to (1 lsl w) - 1 do
+        let bad = Bitbuf.create () in
+        Bitbuf.add_bits bad 3 0;
+        Bitbuf.add_bits bad w (Wt_bits.Broadword.reverse_bits g w);
+        match unpacked code (membuf_of bad) ~depth:9 ~stored:w with
+        | _ ->
+            Alcotest.failf "w %d: unpacked code %d of a %d-byte set" w g (Binarize.code_size code)
         | exception Invalid_argument _ -> ()
-    done
-  done
+      done;
+      let junk = Bitbuf.create () in
+      Bitbuf.add_run junk true 400;
+      let mb = membuf_of junk in
+      for depth = 0 to 17 do
+        for d = 0 to 39 * w do
+          let ok = Hashtbl.mem seen (depth mod 9, d) in
+          check_bool
+            (Printf.sprintf "w %d: stored length %d at depth %d" w d depth)
+            ok
+            (Binarize.unpacked_length code ~depth d >= 0);
+          if not ok then
+            match unpacked code mb ~depth ~stored:d with
+            | _ -> Alcotest.failf "w %d: unpacked %d bits at depth %d" w d depth
+            | exception Invalid_argument _ -> ()
+        done
+      done)
+    codes;
+  (* a byte outside the set, and a byte cut by the piece's end *)
+  let code = List.hd codes in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  let enc = Binarize.of_bytes "b" in
+  check_bool "byte outside the set" true
+    (raises (fun () ->
+         Binarize.pack_bits code (Bitbuf.create ()) ~depth:0 10 (Bitstring.get_bits enc 0 10)));
+  let enc = Binarize.of_bytes "a" in
+  check_bool "cut byte" true
+    (raises (fun () ->
+         Binarize.pack_bits code (Bitbuf.create ()) ~depth:0 5 (Bitstring.get_bits enc 0 5)));
+  (* the byte set of some strings, and one label walk over them *)
+  let strings = [| "ab"; ""; "\x00\xff"; "ab" |] in
+  check_string "byte_set" (set_of [ 0x00; 0x61; 0x62; 0xff ]) (Binarize.byte_set strings);
+  let seen = Bytes.make 256 '\000' in
+  Array.iter
+    (fun s ->
+      let enc = Binarize.of_bytes s in
+      let part = ref 0 and p = ref 0 in
+      while !p < Bitstring.length enc do
+        let take = Int.min (1 + (!p mod 5)) (Bitstring.length enc - !p) in
+        part := Binarize.label_bytes seen ~depth:!p take (Bitstring.get_bits enc !p take) !part;
+        p := !p + take
+      done)
+    strings;
+  check_string "label_bytes" (Binarize.byte_set strings) (Binarize.set_of_flags seen)
 
 let test_int_codecs () =
   check_string "msb 5 w4" "0101" (Bitstring.to_string (Binarize.of_int_msb ~width:4 5));
