@@ -1062,7 +1062,10 @@ let batch_block () =
     let batch_ns = best batch in
     let scalar_words = words scalar in
     let batch_words = words batch in
-    let counted = ("nodes", Wt_obs.Metric.Wt_nodes_visited) :: ("rrr_rank", Rrr_rank) :: counted in
+    let counted =
+      ("nodes", Wt_obs.Metric.Wt_nodes_visited)
+      :: ("bits", Wt_bits_consumed) :: ("rrr_rank", Rrr_rank) :: counted
+    in
     let scalar_work = work "scalar" counted scalar in
     let batch_work = work "batch" counted batch in
     Json.Obj
@@ -1274,6 +1277,9 @@ let directory_rows () =
     ( "stored_label_share",
       Json.Float (float_of_int layout.stored_label_bits /. float_of_int layout.logical_label_bits)
     );
+    ( "internal_label_share",
+      Json.Float
+        (float_of_int layout.internal_stored_bits /. float_of_int layout.internal_logical_bits) );
     ("leaf_code_bits", Json.Int layout.leaf_code_bits);
   ]
 

@@ -32,8 +32,9 @@
      on a serve_wide-shape arena the directory's bits per node
      ([flat.directory_bits_per_node]), the share of raw β bits stored
      plain ([flat.plain_beta_share]), the stored label bits over the
-     logical ones ([flat.stored_label_share]) and the width of its leaf
-     byte code ([flat.leaf_code_bits]) must equal the baseline.  Space is
+     logical ones ([flat.stored_label_share]), the same for its internal
+     labels ([flat.internal_label_share]) and the width of its byte code
+     ([flat.leaf_code_bits]) must equal the baseline.  Space is
      deterministic (fixed seed, fixed n), so this gate is exact and
      fails even under --soft: a layout change must come with a
      regenerated baseline.
@@ -51,12 +52,12 @@
      runner's speed, load or heap state, and this gate also fails under
      --soft.
 
-   - Work: the trie nodes visited, and the RRR ranks, accesses and
-     unranked block positions per access and rank op or ranks, selects
-     and unranked block positions per select, rank_prefix and
-     select_prefix op, on the scalar and the batched leg
-     ([batch.{access,rank}.{scalar,batch}_{nodes,rrr_rank,rrr_access,rrr_unrank}_per_op],
-     [batch.{select,rank_prefix,select_prefix}.{scalar,batch}_{nodes,rrr_rank,rrr_select,rrr_unrank}_per_op]),
+   - Work: the trie nodes visited, the label bits compared, and the RRR
+     ranks, accesses and unranked block positions per access and rank
+     op or ranks, selects and unranked block positions per select,
+     rank_prefix and select_prefix op, on the scalar and the batched leg
+     ([batch.{access,rank}.{scalar,batch}_{nodes,bits,rrr_rank,rrr_access,rrr_unrank}_per_op],
+     [batch.{select,rank_prefix,select_prefix}.{scalar,batch}_{nodes,bits,rrr_rank,rrr_select,rrr_unrank}_per_op]),
      must equal the baseline.  They are counts on fixed inputs, so this
      gate is exact and fails even under --soft: a change to the work a
      query does must come with a regenerated baseline.
@@ -255,6 +256,7 @@ let space_exact base cur =
       "flat.directory_bits_per_node";
       "flat.plain_beta_share";
       "flat.stored_label_share";
+      "flat.internal_label_share";
       "flat.leaf_code_bits";
     ]
 
@@ -264,11 +266,11 @@ let batch_rows ?(ops = [ "access"; "rank"; "select"; "rank_prefix"; "select_pref
     (fun op -> List.map (fun row -> Printf.sprintf "batch.%s.%s_per_op" op row) rows)
     ops
 
-(* The exact work rows of a leg: nodes and RRR ranks, then accesses or
-   selects, and unranked positions. *)
+(* The exact work rows of a leg: nodes, label bits and RRR ranks, then
+   accesses or selects, and unranked positions. *)
 let work_rows rest =
   List.concat_map
-    (fun leg -> List.map (Printf.sprintf "%s_%s" leg) ("nodes" :: "rrr_rank" :: rest))
+    (fun leg -> List.map (Printf.sprintf "%s_%s" leg) ("nodes" :: "bits" :: "rrr_rank" :: rest))
     [ "scalar"; "batch" ]
 
 let alloc_gate base cur =

@@ -246,16 +246,26 @@ let verify_cmd =
                Printf.sprintf "%s %d blobs %d bits" c.code c.blobs c.bits)
              codes)
     in
-    (* a byte-string arena stores leaf labels without their marker bits *)
+    (* a byte-string arena stores labels without their marker bits, the
+       internal ones from version 8 *)
     let labels_json (l : Wt_core.Flat_wt.layout) =
       Json.Obj
-        [ ("stored", Json.Int l.stored_label_bits); ("logical", Json.Int l.logical_label_bits) ]
+        [
+          ("stored", Json.Int l.stored_label_bits);
+          ("logical", Json.Int l.logical_label_bits);
+          ( "internal",
+            Json.Obj
+              [
+                ("stored", Json.Int l.internal_stored_bits);
+                ("logical", Json.Int l.internal_logical_bits);
+              ] );
+        ]
     in
     let labels_text (l : Wt_core.Flat_wt.layout) =
-      Printf.sprintf "labels: %d bits stored, %d logical" l.stored_label_bits
-        l.logical_label_bits
+      Printf.sprintf "labels: %d bits stored, %d logical (internal: %d stored, %d logical)"
+        l.stored_label_bits l.logical_label_bits l.internal_stored_bits l.internal_logical_bits
     in
-    (* and codes each leaf byte as its rank in the strings' byte set *)
+    (* and codes each whole byte as its rank in the strings' byte set *)
     let leaf_codes_json (l : Wt_core.Flat_wt.layout) =
       Json.Obj [ ("bytes", Json.Int l.leaf_bytes); ("bits", Json.Int l.leaf_code_bits) ]
     in

@@ -500,7 +500,7 @@ let pp fmt t = Format.fprintf fmt "%s" (Bitbuf.to_string (to_bitbuf t))
    the view is opened.  A plain rank is one sample plus popcounts, with
    no unranking.
 
-   That is arena versions 5 to 7 (6 and 7 changed only leaf labels).
+   That is arena versions 5 to 8 (6 to 8 changed only labels).
    Versions 3 and 4 stored every blob as RRR with no tag, no base and 6
    bits per class.  Version 2 also coded the last block over 62
    positions like the others (so a one-block blob's class took 6 bits);
@@ -511,7 +511,7 @@ module Flat = struct
 
   type code = Rrr | Plain
 
-  let newest_version = 7
+  let newest_version = 8
 
   (* As many fields as a view had before version 5: the batch engine
      makes one per node it visits. *)

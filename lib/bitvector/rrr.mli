@@ -117,8 +117,8 @@ module Flat : sig
   type code = Rrr | Plain
 
   val newest_version : int
-  (** The arena version {!append_blocks} writes (7; versions 6 and 7
-      changed only the arena's leaf labels, so their blobs are version
+  (** The arena version {!append_blocks} writes (8; versions 6 to 8
+      changed only the arena's labels, so their blobs are version
       5's). *)
 
   val append_blocks : ?code:code -> Wt_bits.Bitbuf.t -> int array -> len:int -> unit

@@ -11,13 +11,13 @@
    [open] is a checksummed header read plus an [mmap] (zero-copy, one
    read-only mapping shareable across serving processes).
 
-   Arena layout, version 7 (integers little-endian, bit streams
+   Arena layout, version 8 (integers little-endian, bit streams
    LSB-first; N nodes in BFS order, I = (N - 1) / 2 of them internal;
    every section is byte-aligned and its size derived from the header):
 
      header (96 bytes):
        off  0  magic "WTF3" (4 bytes)
-       off  4  u32 arena version (= 7; versions 2 to 6 are read too)
+       off  4  u32 arena version (= 8; versions 2 to 7 are read too)
        off  8  u64 n               sequence length (the root's count)
        off 16  u64 node_count      N
        off 24  u64 labels_bits     total stored label length in bits
@@ -46,32 +46,42 @@
      content: content_bits bits, byte-padded.  Node i owns
        [off i, off (i + 1)): an internal node's β blob (length = its
        count), then its label; a leaf's label alone.  A label's stored
-       length is its extent minus the blob's.  A β blob of more than 62
+       length is its extent minus the blob's (and, in a byte-string
+       arena, an internal label's end field's).  A β blob of more than 62
        bits starts with a code tag and is class-range RRR or plain,
        whichever is smaller ({!Wt_bitvector.Rrr.Flat}); a shorter one is
        one RRR block.  On serve_small's URL log (262,144 strings, about
        2,000 distinct) that takes β from 9.74 to 9.55 bits per string.
 
    In a byte-string arena (flag bit 0: its strings are
-   {!Wt_strings.Binarize.of_bytes} encodings) each leaf label drops
-   the bits at bit depths = 0 (mod 9), a 1 before each byte and the
-   terminator 0, and a reader restores them from the leaf's bit depth
-   (a node's depth is its parent's plus the parent's label length plus
-   one).  Of its data bits, each byte whose eight lie wholly in the
-   label is stored as its rank in B, most significant bit first, in
-   w = max 1 (bit_width (|B| - 1)) bits; a first byte cut by the depth
-   keeps its raw data bits ({!Wt_strings.Binarize.unpack}).  A leaf
-   whose stored length ends no encoded string from its depth, or that
-   holds a code of |B| or more, is corrupt.  Internal labels, and every
-   label of a bitstring arena, are stored whole; strings that hold no
-   byte at all (each one empty) have no B, and their arena is written
-   as a bitstring one.  On serve_wide's URL log (262,144 strings,
-   55,741 distinct, 32 distinct bytes: w = 5) leaf labels take 7.35
-   bits per string, 11.47 at version 6.
+   {!Wt_strings.Binarize.of_bytes} encodings) every label drops the
+   bits at bit depths = 0 (mod 9), a 1 before each byte and the
+   terminator 0, and a reader restores them from the node's bit depth
+   (a node's depth is its parent's plus the parent's logical label
+   length plus one): inside an internal label each is a 1, and a leaf's
+   label ends with the terminator.  Of its data bits, each byte whose
+   eight lie wholly in the label is stored as its rank in B, most
+   significant bit first, in w = max 1 (bit_width (|B| - 1)) bits; a
+   first byte cut by the depth, and an internal label's last byte cut
+   by its branch, keep their raw data bits ({!Wt_strings.Binarize}).
+   A leaf's stored length gives its length.  An internal label's gives
+   it up to its end state, the phase mod 9 of its branch position, so
+   an end field of x = bit_width (7 / w + 1) bits follows its stored
+   bits: the end state's index among those its stored length admits at
+   its depth.  A leaf whose stored length ends no encoded string from
+   its depth, an internal label whose end field names no end state, or
+   a label holding a code of |B| or more, is corrupt.  Every label of a
+   bitstring arena is stored whole; strings that hold no byte at all
+   (each one empty) have no B, and their arena is written as a
+   bitstring one.  On serve_wide's URL log (262,144 strings, 55,741
+   distinct, 32 distinct bytes: w = 5, x = 2) leaf labels take 7.35
+   bits per string (11.47 at version 6) and internal ones 3.76 (0.43 of
+   them end fields; 5.48 at version 7).
 
-   Version 6 has the same layout with a 64-byte header (no B) and each
-   leaf byte stored as its eight data bits, which is version 7's code
-   with all 256 bytes in B.  Version 5 has a 56-byte header (no flags
+   Version 7 has the same layout with internal labels stored whole.
+   Version 6 has a 64-byte header (no B), internal labels whole and
+   each leaf byte stored as its eight data bits, which is version 7's
+   code with all 256 bytes in B.  Version 5 has a 56-byte header (no flags
    field) and every label whole.  Version 4 also stored every β blob RRR-coded:
    no tag, and 6 bits per class.  Versions 2 and 3 have version 4's
    header, with offsets_bits at off 32, and a two-part directory:
@@ -86,9 +96,11 @@
    its real length, as versions 4 to 6 do; version 2 coded it over 62
    bits like the others.  All open through the one blob decoder
    ({!Wt_bitvector.Rrr.Flat}), told the arena's version; the builders
-   write version 7 only, and [merge] copies β blobs of versions 5 to 7,
-   and packed leaf labels at their own depth from a source with the
-   merged arena's B, verbatim, and re-encodes the rest.
+   write version 8 only (a test can ask [arena_of_keys] for version 7),
+   and [merge] copies β blobs of versions 5 to 8, and a packed label
+   taken whole at its own depth from a source with the merged arena's B
+   (a leaf's from version 6, an internal one's from version 8),
+   verbatim, and re-encodes the rest.
 
    Safety: every arena read is bounds-checked by [Membuf], so a corrupt
    blob raises [Invalid_argument] (or {!Wt_durable.Container.Format_error}
@@ -124,12 +136,12 @@ let header_len = 96
    flags field. *)
 let header_bytes ~version = if version >= 7 then header_len else if version = 6 then 64 else 56
 
-(* The one flag: leaf labels are stored without their marker bits. *)
+(* The one flag: labels are stored without their marker bits. *)
 let bytes_flag = 1
 
 (* What an arena's strings are: [Bytes], the {!Binarize.of_bytes}
-   encodings of byte strings, whose leaf labels lose their marker bits;
-   or [Bits], raw bitstrings, every label stored whole. *)
+   encodings of byte strings, whose labels lose their marker bits; or
+   [Bits], raw bitstrings, every label stored whole. *)
 type keys = Bits | Bytes
 
 let tag = "static"
@@ -150,8 +162,10 @@ type t = {
   content_bit : int; (* bit offset of the content stream *)
   version : int; (* the blob decoder needs it: see [Rrr.Flat.of_membuf] *)
   code : Binarize.code option;
-      (* a byte-string arena's leaf byte code: its leaf labels are
-         stored without marker bits, their bytes coded *)
+      (* a byte-string arena's byte code: its leaf labels are stored
+         without marker bits, their bytes coded *)
+  icode : Binarize.code option; (* the same for internal labels, from version 8 *)
+  end_bits : int; (* their end field's width; 0 without [icode] *)
   source : string; (* file path when opened from storage, for errors *)
   mutable closed : bool;
   release : unit -> unit; (* backing fd, when mmap-opened *)
@@ -186,40 +200,48 @@ let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
    stream, and every node its label.  [finish] lays out the header and
    the node directory in front of the content. *)
 type writer = {
-  code : Binarize.code option; (* leaf bytes' code; [None]: labels whole *)
+  version : int; (* 8, or 7: internal labels whole *)
+  code : Binarize.code option; (* the byte code; [None]: labels whole *)
   mutable starts : int array; (* content offset of each node started *)
   mutable nodes : int;
   topo : Bitbuf.t;
-  content : Bitbuf.t;
+  mutable content : Bitbuf.t;
+  room : int; (* [n] + 64: more than almost any node's content *)
   mutable label_total : int; (* stored label bits *)
   blocks : int array; (* β of the current node, bits [62i, 62i + 62) in entry i *)
   mutable word : int; (* β bits not yet in [blocks] *)
   mutable fill : int;
   mutable nb : int;
-  (* the current node's label: whether it is packed (a leaf of a
-     byte-string arena), its bit depth, the depth of its next bit, and
-     whether its terminator is written *)
+  (* the current node's label: whether it is packed (in a byte-string
+     arena, a leaf's, and from version 8 any) and an internal node's,
+     its bit depth, the depth of its next bit, and whether its
+     terminator is written *)
   mutable pack : bool;
+  mutable internal : bool;
   mutable depth : int;
   mutable lpos : int;
   mutable ended : bool;
 }
 
 (* [n] bounds every β; [nodes] is the node count, or a first guess.
-   Leaf labels are packed in [code] when there is one. *)
-let writer ~code ~n ~nodes =
+   Labels are packed in [code] when there is one. *)
+let writer ?(version = arena_version) ~code ~n ~nodes () =
+  if version < 7 || version > arena_version then invalid_arg "Flat_wt: writes versions 7 and 8";
   {
+    version;
     code;
     starts = Array.make (nodes + 1) 0;
     nodes = 0;
     topo = Bitbuf.create ~capacity_bits:nodes ();
     content = Bitbuf.create ~capacity_bits:(4 * n) ();
+    room = n + 64;
     label_total = 0;
     blocks = Array.make ((n / Rrr.block_bits) + 1) 0;
     word = 0;
     fill = 0;
     nb = 0;
     pack = false;
+    internal = false;
     depth = 0;
     lpos = 0;
     ended = false;
@@ -227,14 +249,37 @@ let writer ~code ~n ~nodes =
 
 let corrupt_leaf () = invalid_arg "Flat_wt: a leaf label ends no encoded byte string"
 
-(* A packed label ends with its terminator, or is empty where the
-   parent branched on it. *)
+(* A packed leaf label ends with its terminator, or is empty where the
+   parent branched on it; a packed internal label is followed by its end
+   field. *)
 let end_label w =
-  if w.pack && not (w.ended || (w.lpos = w.depth && w.depth mod 9 = 1)) then corrupt_leaf ()
+  match w.code with
+  | Some code when w.pack && w.internal ->
+      let x = Binarize.end_width code in
+      Bitbuf.add_bits w.content x (Binarize.end_field code ~depth:w.depth (w.lpos - w.depth));
+      w.label_total <- w.label_total + x
+  | _ -> if w.pack && not (w.ended || (w.lpos = w.depth && w.depth mod 9 = 1)) then corrupt_leaf ()
 
+(* Ahead of each node the content stream grows fourfold when fewer than
+   [room] bits are left (a β blob takes about its count, at most [n];
+   [Bitbuf]'s doubling covers a longer label).  Fourfold steps copy it
+   fewer times than doubling.  They also set how much a build allocates
+   in the major heap, and so how far the collector gets before the
+   build returns: with doubling, serve_wide's content shrinking from
+   1,035 to 976 KB dropped the build's last 2 MB buffer, left 7.40M
+   major-heap words behind it instead of 6.22M, and took the peak
+   resident set of a build and 40 batches of queries from 75.7 to
+   91.7 MB; growing fourfold, 77.3 MB. *)
 let start_node w ~internal ~depth =
   end_label w;
-  w.pack <- w.code <> None && not internal;
+  (let c = w.content in
+   if Bitbuf.capacity_bits c - Bitbuf.length c < w.room then begin
+     let grown = Bitbuf.create ~capacity_bits:((4 * Bitbuf.capacity_bits c) + w.room) () in
+     Bitbuf.append grown c;
+     w.content <- grown
+   end);
+  w.pack <- w.code <> None && not (internal && w.version < 8);
+  w.internal <- internal;
   w.depth <- depth;
   w.lpos <- depth;
   w.ended <- false;
@@ -281,19 +326,22 @@ let end_beta w ~len =
 
 (* The next [len <= 56] bits of the current node's label, the low bits
    of [v].  A packed label drops its bits at depths = 0 (mod 9), each a
-   1 but for the label's last bit, the terminator 0, and codes its
-   bytes, so it comes in pieces of [label_take] bits. *)
+   1 but for a leaf label's last bit, the terminator 0, and codes its
+   whole bytes, so it comes in pieces of [label_take] bits. *)
 let add_label w len v =
   match w.code with
   | Some code when w.pack ->
       if len > 0 then begin
         if w.ended then corrupt_leaf ();
+        if w.lpos <> w.depth && w.lpos mod 9 <> 0 then
+          invalid_arg "Flat_wt: a label piece starts inside a byte";
         let markers = Binarize.markers ~depth:w.lpos len in
         let stored = Bitbuf.length w.content in
         let dropped = Binarize.pack_bits code w.content ~depth:w.lpos len v in
         w.label_total <- w.label_total + Bitbuf.length w.content - stored;
         w.lpos <- w.lpos + len;
         if dropped <> Broadword.mask markers then begin
+          if w.internal then invalid_arg "Flat_wt: an internal label holds a terminator";
           if dropped <> Broadword.mask (markers - 1) || (w.lpos - 1) mod 9 <> 0 then
             corrupt_leaf ();
           w.ended <- true
@@ -340,12 +388,10 @@ let finish w ~n =
   let dir = Bitbuf.create () in
   Directory.append dir ~internal:w.topo ~universe:content_bits offs;
   let directory_bits = Bitbuf.length dir in
-  let _, _, arena_len =
-    sections ~version:arena_version ~node_count ~directory_bits ~content_bits
-  in
+  let _, _, arena_len = sections ~version:w.version ~node_count ~directory_bits ~content_bits in
   let out = Buffer.create arena_len in
   Buffer.add_string out arena_magic;
-  add_u32 out arena_version;
+  add_u32 out w.version;
   List.iter (add_u64 out)
     [
       n;
@@ -386,10 +432,11 @@ let split_point keys lo hi m =
    ranks serve every level.  [~keys] says what the keys encode; with
    [Bytes], [bytes] is the byte set of the strings they encode
    ({!Binarize.byte_set} of the raw strings: finding it from the keys
-   would decode every one). *)
+   would decode every one).  [version] 7 writes internal labels whole,
+   for tests that need an arena of that version. *)
 let leaf_code set = if set = Binarize.empty_set then None else Some (Binarize.code_of_set set)
 
-let arena_of_keys ~keys:kind ?bytes (keys : Bitstring.t array) (seq : int array) : string =
+let arena_of_keys ~keys:kind ?bytes ?version (keys : Bitstring.t array) (seq : int array) : string =
   Probe.time Flat_build (fun () ->
       let d = Array.length keys and n = Array.length seq in
       (* cum.(k): occurrences of the keys ranked below k *)
@@ -412,7 +459,7 @@ let arena_of_keys ~keys:kind ?bytes (keys : Bitstring.t array) (seq : int array)
         | Bytes, Some set -> leaf_code set
         | Bytes, None -> invalid_arg "Flat_wt: byte-string keys without their byte set"
       in
-      let w = writer ~code ~n ~nodes:node_count in
+      let w = writer ?version ~code ~n ~nodes:node_count () in
       let blocks = w.blocks in
       (* level L reads its subsequences from [src] and writes level L+1's
          into [dst] *)
@@ -542,6 +589,7 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
         fail "flat arena: length %d exceeds what the content stream can hold" n;
       let dir, content, end_ = sections ~version ~node_count ~directory_bits ~content_bits in
       if end_ <> len then fail "flat arena: sections end at %d, blob is %d bytes" end_ len;
+      let icode = if version >= 8 then code else None in
       {
         mb;
         n;
@@ -558,6 +606,8 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
         content_bit = 8 * content;
         version;
         code;
+        icode;
+        end_bits = (match icode with Some c -> Binarize.end_width c | None -> 0);
         source;
         closed = false;
         release;
@@ -571,13 +621,13 @@ let close t =
 
 let is_closed t = t.closed
 let source t = t.source
-let version t = t.version
+let version (t : t) = t.version
 
 (* ------------------------------------------------------------------ *)
 
 (* The topology record of node [idx] before version 4: its rank among
    the internal nodes, -1 for a leaf. *)
-let v3_irank t idx =
+let v3_irank (t : t) idx =
   let rec_bit = 8 * (header_bytes ~version:t.version + (8 * (idx lsr 5))) in
   let bits = Membuf.get_bits t.mb (rec_bit + 32) 32 in
   let j = idx land 31 in
@@ -613,14 +663,17 @@ module Node = struct
     lo : int; (* content extent *)
     hi : int;
     mutable bv_memo : Rrr.Flat.t option;
+    mutable len_memo : int; (* the label's length, -1 until read *)
   }
-  (* [bv_memo] caches the β view: node values live within one traversal
-     (they are created by [root]/[child] and never shared across
-     domains), so the cache is domain-local by construction. *)
+  (* [bv_memo] caches the β view, and [len_memo] the label length a
+     descent reads twice (for the label, then for the child's depth):
+     node values live within one traversal (they are created by
+     [root]/[child] and never shared across domains), so the caches are
+     domain-local by construction. *)
 
   let make t idx count depth =
     let irank, lo, hi = node_entry t idx in
-    { t; idx; count; depth; irank; lo; hi; bv_memo = None }
+    { t; idx; count; depth; irank; lo; hi; bv_memo = None; len_memo = -1 }
 
   let root (trie : trie) =
     if trie.closed then raise Closed;
@@ -647,36 +700,60 @@ module Node = struct
         node.bv_memo <- Some bv;
         bv
 
-  (* A packed leaf's code: [None] for a label stored whole. *)
-  let leaf_code node = if node.irank < 0 then node.t.code else None
+  (* A packed label's code: [None] for a label stored whole. *)
+  let label_code node = if node.irank < 0 then node.t.code else node.t.icode
 
-  (* The label's first bit in the content stream, and its stored bits. *)
+  (* The label's first bit in the content stream. *)
   let label_start node =
     if node.irank < 0 then node.lo else node.lo + Rrr.Flat.space_bits (bv_of node)
 
+  (* The bits the label takes, a packed internal label's end field
+     included. *)
   let stored_label_length node = node.hi - label_start node
 
-  (* The label's length from its stored one. *)
-  let unpacked_length node stored =
-    match leaf_code node with
-    | None -> stored
-    | Some code ->
-        let len = Binarize.unpacked_length code ~depth:node.depth stored in
-        if len < 0 then invalid_arg "Flat_wt.Node: corrupt leaf label";
-        len
+  (* The label's stored bits, a packed internal label's end field
+     aside. *)
+  let stored_bits node start = node.hi - start - if node.irank < 0 then 0 else node.t.end_bits
 
-  let label_length node = unpacked_length node (stored_label_length node)
+  (* The length of the label of [stored] bits; a packed internal label's
+     end field ends its extent. *)
+  let unpacked_length node stored =
+    if node.irank < 0 then
+      match node.t.code with
+      | None -> stored
+      | Some code ->
+          let len = Binarize.unpacked_length code ~depth:node.depth stored in
+          if len < 0 then invalid_arg "Flat_wt.Node: corrupt leaf label";
+          len
+    else
+      match node.t.icode with
+      | None -> stored
+      | Some code ->
+          let x = node.t.end_bits in
+          let field =
+            if stored < 0 then -1 else Membuf.get_bits node.t.mb (node.t.content_bit + node.hi - x) x
+          in
+          let len = Binarize.internal_length code ~depth:node.depth ~stored field in
+          if len < 0 then invalid_arg "Flat_wt.Node: corrupt internal label";
+          len
+
+  let label_length node =
+    if node.len_memo < 0 then
+      node.len_memo <- unpacked_length node (stored_bits node (label_start node));
+    node.len_memo
 
   let label node =
     let start = label_start node in
-    let stored = node.hi - start in
-    let len = unpacked_length node stored in
+    let stored = stored_bits node start in
+    let len = label_length node in
     let bitpos = node.t.content_bit + start in
     (* at least eight bytes, so every comparison against the label takes
        the one-load path of [Bitbuf.get_bits] *)
     let out = Bitbuf.create ~capacity_bits:(Int.max 64 len) () in
-    (match leaf_code node with
-    | Some code -> Binarize.unpack code node.t.mb bitpos ~depth:node.depth ~stored out
+    (match label_code node with
+    | Some code when node.irank < 0 ->
+        Binarize.unpack code node.t.mb bitpos ~depth:node.depth ~stored out
+    | Some code -> Binarize.unpack_internal code node.t.mb bitpos ~depth:node.depth ~stored len out
     | None ->
         let i = ref 0 in
         while !i < len do
@@ -694,8 +771,7 @@ module Node = struct
     if c0 <= node.idx || c0 + 1 >= node.t.node_count then
       invalid_arg "Flat_wt.Node.child: corrupt child index";
     let bv = bv_of node in
-    (* an internal label is stored whole *)
-    let depth = node.depth + node.hi - node.lo - Rrr.Flat.space_bits bv + 1 in
+    let depth = node.depth + label_length node + 1 in
     if b then make node.t (c0 + 1) (Rrr.Flat.ones bv) depth
     else make node.t c0 (Rrr.Flat.zeros bv) depth
 
@@ -853,7 +929,7 @@ type source = Arena of t | Trie : (module Node_view.S with type trie = 'a) * 'a 
 
 (* A non-empty source read through int node handles, the root's being
    0.  The arena needs a node's count to find the label behind its β
-   blob, and a leaf's bit depth to unpack its label, so every function
+   blob, and its bit depth to unpack a packed label, so every function
    on a node takes its count, and every label function its depth too.
    Label reads are at most 56 bits wide.  [beta] adds the node's β to a
    merged β and [whole_beta] writes it as the whole β of a node that no
@@ -876,9 +952,10 @@ let arena_reader t =
   let irank = irank t in
   let blob_view blob count = Rrr.Flat.of_membuf t.mb blob ~len:count ~version:t.version in
   (* each merged node reads one node per source: keep the last one's
-     β blob and label, and a packed leaf label unpacked *)
+     β blob and label, and a packed label unpacked *)
   let at = ref (-1) and blob = ref 0 and blob_bits = ref 0 and ones = ref 0 in
-  let label = ref 0 and stored = ref 0 and code = ref None in
+  let label = ref 0 and stored = ref 0 and field = ref 0 and code = ref None in
+  let leaf = ref false in
   let unpacked = Bitbuf.create () and unpacked_at = ref (-1) in
   let locate idx count =
     if idx <> !at then begin
@@ -894,9 +971,13 @@ let arena_reader t =
         ones := Rrr.Flat.ones bv
       end;
       if lo + !blob_bits > hi then invalid_arg "Flat_wt.merge: β overruns its node extent";
+      leaf := r < 0;
       label := !blob + !blob_bits;
-      stored := hi - lo - !blob_bits;
-      code := if r < 0 then t.code else None;
+      code := if r < 0 then t.code else t.icode;
+      (* a packed internal label's end field follows its stored bits *)
+      let x = if r < 0 then 0 else t.end_bits in
+      stored := hi - lo - !blob_bits - x;
+      field := if x > 0 && !stored >= 0 then Membuf.get_bits t.mb (!label + !stored) x else -1;
       at := idx
     end
   in
@@ -905,8 +986,11 @@ let arena_reader t =
     match !code with
     | None -> !stored
     | Some code ->
-        let len = Binarize.unpacked_length code ~depth !stored in
-        if len < 0 then invalid_arg "Flat_wt.merge: corrupt leaf label";
+        let len =
+          if !leaf then Binarize.unpacked_length code ~depth !stored
+          else Binarize.internal_length code ~depth ~stored:!stored !field
+        in
+        if len < 0 then invalid_arg "Flat_wt.merge: corrupt label";
         len
   in
   let label_bits idx count depth off width =
@@ -916,7 +1000,10 @@ let arena_reader t =
     | Some code ->
         if !unpacked_at <> idx then begin
           Bitbuf.clear unpacked;
-          Binarize.unpack code t.mb !label ~depth ~stored:!stored unpacked;
+          if !leaf then Binarize.unpack code t.mb !label ~depth ~stored:!stored unpacked
+          else
+            Binarize.unpack_internal code t.mb !label ~depth ~stored:!stored
+              (label_len idx count depth) unpacked;
           unpacked_at := idx
         end;
         Bitbuf.get_bits unpacked off width
@@ -948,14 +1035,15 @@ let arena_reader t =
             let full = label_len idx count depth in
             match (!code, w.code) with
             | Some c, Some wc
-              when w.pack && depth = w.depth && len = full
+              when w.pack && w.internal <> !leaf && depth = w.depth && len = full
                    && String.equal (Binarize.code_set c) (Binarize.code_set wc) ->
-                (* a whole packed leaf label at its own depth, in the
-                   merged arena's code *)
+                (* a whole packed label at its own depth, in the merged
+                   arena's code: its stored bits, and an internal one's
+                   end field is [end_label]'s *)
                 copy_bits w t.mb !label !stored;
                 w.label_total <- w.label_total + !stored;
                 w.lpos <- depth + len;
-                w.ended <- len > 0
+                w.ended <- !leaf && len > 0
             | None, _ when not w.pack ->
                 copy_bits w t.mb (!label + off) len;
                 w.label_total <- w.label_total + len
@@ -1092,7 +1180,7 @@ let checked_ones ones count =
 let merge_readers ~code (readers : reader array) =
   let k = Array.length readers in
   let n = Array.fold_left (fun acc r -> acc + r.len) 0 readers in
-  let w = writer ~code ~n ~nodes:64 in
+  let w = writer ~code ~n ~nodes:64 () in
   (* per cursor of the node at hand: its label bits left, and the bit it
      continues with (-1 when it branches here, with [ones] its β's) *)
   let rem = Array.make k 0 and bit = Array.make k 0 and ones = Array.make k 0 in
@@ -1272,16 +1360,28 @@ let label_bits t = t.labels_bits
 let bv_bits t = t.content_bits - t.labels_bits
 let directory_bits t = (8 * Membuf.length t.mb) - t.content_bits
 
-(* The labels' bits with the marker bits a byte-string arena drops
-   restored: [label_bits] for any other arena. *)
-let logical_label_bits t =
+(* The internal labels' stored bits (end fields included) and their
+   logical bits, and the logical bits of every label: the labels with
+   the marker bits and whole bytes of a byte-string arena restored. *)
+let label_split t =
   if t.closed then raise Closed;
-  let rec go acc node =
-    let acc = acc + Node.label_length node in
-    if Node.is_leaf node then acc
-    else go (go acc (Node.child node false)) (Node.child node true)
+  let stored = ref 0 and logical = ref 0 and all = ref 0 in
+  let rec go node =
+    let len = Node.label_length node in
+    all := !all + len;
+    if not (Node.is_leaf node) then begin
+      stored := !stored + Node.stored_label_length node;
+      logical := !logical + len;
+      go (Node.child node false);
+      go (Node.child node true)
+    end
   in
-  match Node.root t with None -> 0 | Some root -> go 0 root
+  Option.iter go (Node.root t);
+  (!stored, !logical, !all)
+
+let logical_label_bits t =
+  let _, _, all = label_split t in
+  all
 
 (* Per β code, the blobs stored in it, the β bits they hold and the
    bits they take.  One-block blobs, and every blob before version 5,
@@ -1308,13 +1408,16 @@ let beta_codes t =
     [ "rrr"; "plain" ]
 
 (* What [wtrie verify] reports of an arena's layout: with the β codes
-   and label bits, the leaf bytes' code, |B| and w (0 and 0 when leaf
-   labels are whole; a version-6 byte-string arena codes all 256 bytes
-   in 8 bits). *)
+   and label bits, stored and logical, of all labels and of the internal
+   ones, the byte code of leaf labels (from version 8, of internal ones
+   too), |B| and w (0 and 0 when leaf labels are whole; a version-6
+   byte-string arena codes all 256 bytes in 8 bits). *)
 type layout = {
   codes : code_stats list;
   stored_label_bits : int;
   logical_label_bits : int;
+  internal_stored_bits : int;
+  internal_logical_bits : int;
   leaf_bytes : int;
   leaf_code_bits : int;
 }
@@ -1325,10 +1428,13 @@ let layout (t : t) =
     | Some c -> (Binarize.code_size c, Binarize.code_width c)
     | None -> (0, 0)
   in
+  let internal_stored_bits, internal_logical_bits, logical_label_bits = label_split t in
   {
     codes = beta_codes t;
     stored_label_bits = label_bits t;
-    logical_label_bits = logical_label_bits t;
+    logical_label_bits;
+    internal_stored_bits;
+    internal_logical_bits;
     leaf_bytes;
     leaf_code_bits;
   }
@@ -1340,9 +1446,10 @@ let layout (t : t) =
    ([Rrr.Flat.check]: from version 5, its tag, class base and width,
    and plain rank samples), every internal β holding both bit values,
    non-empty children, every node reachable, each packed leaf label's
-   stored length ending an encoded string at the leaf's depth and its
-   codes within B, the stored label total, and, from version 7, B being
-   exactly the bytes the labels spell.
+   stored length ending an encoded string at the leaf's depth, each
+   packed internal label's stored length and end field naming a label
+   at its depth, their codes within B, the stored label total, and,
+   from version 7, B being exactly the bytes the labels spell.
    Raises [Failure] on the first violation, also for a read outside
    the arena. *)
 let check_arena (t : t) =
@@ -1418,12 +1525,16 @@ let check_arena (t : t) =
         incr visited;
         let stored = Node.stored_label_length node in
         labels := !labels + stored;
-        check
-          (match Node.leaf_code node with
-          | Some code -> Binarize.unpacked_length code ~depth:node.depth stored >= 0
-          | None -> true)
-          "node %d: a leaf label of %d stored bits at depth %d ends no encoded string"
-          node.Node.idx stored node.depth;
+        (match Node.label_length node with
+        | _ -> ()
+        | exception Invalid_argument _ ->
+            if Node.is_leaf node then
+              check false "node %d: a leaf label of %d stored bits at depth %d ends no encoded string"
+                node.Node.idx stored node.depth
+            else
+              check false
+                "node %d: an internal label of %d stored bits at depth %d has no such end state"
+                node.Node.idx stored node.depth);
         check (Node.count node > 0) "node %d: count 0" node.Node.idx;
         let part = spell node part in
         if not (Node.is_leaf node) then begin

@@ -90,25 +90,80 @@ let to_int_lsb bs =
   Bitstring.get_bits bs 0 w
 
 (* ------------------------------------------------------------------ *)
-(* Leaf labels without their marker bits.  In an encoded string every
-   bit at a position p = 0 (mod 9) is fixed by p alone: a 1 before
-   each byte, the terminator 0 after the last.  A trie leaf's label is
-   its string's bits from the leaf's bit depth to the end, so those
-   bits can be dropped and restored from the depth.  Each byte whose
+(* Labels without their marker bits.  In an encoded string every bit
+   at a position p = 0 (mod 9) is fixed by p alone: a 1 before each
+   byte, the terminator 0 after the last.  A trie node's label is a run
+   of its strings' bits from the node's bit depth, so those bits can be
+   dropped and restored from the depth: inside an internal label each
+   is a 1, and a leaf's label ends with the terminator.  Each byte whose
    eight data bits all lie in the label is then stored as its rank in
-   the byte set B of the arena's strings, in w bits; a first byte cut
-   by the depth keeps its data bits. *)
+   the byte set B of the arena's strings, in w bits; a first byte cut by
+   the depth, and a last byte cut by the label's end, keep their data
+   bits.  A leaf's stored length says where its label ends; an internal
+   label's says it up to a few end states, so an end field follows its
+   bits. *)
 
 (* B as a 256-bit set, bit [b land 7] of byte [b lsr 3] for byte b, and
    its code both ways.  A stored code is the rank, most significant bit
-   first, so the set of all 256 bytes codes each byte as its data bits. *)
+   first, so the set of all 256 bytes codes each byte as its data bits.
+   The label tables are indexed by [phase * 9 + m]: the labels from a
+   depth of that phase (mod 9) whose end, the depth after their last
+   bit, has phase [m], their end state.  The shortest is [l0] bits long
+   and stored in [s0]; nine bits more store [s1], and each nine after
+   that w more. *)
 type code = {
   set : string;
   size : int; (* |B| *)
   width : int; (* w = max 1 (bit_width (|B| - 1)) *)
   enc : int array; (* by a byte's data bits as read: its stored code, -1 outside B *)
   dec : int array; (* by a stored code: the byte's 9-bit group, -1 for a rank >= |B| *)
+  l0 : int array;
+  s0 : int array;
+  s1 : int array;
+  ends : int array;
+      (* by phase and stored length ([ends_index]): the count of end
+         states that length admits in 4 bits, then the states, 4 bits
+         each in increasing order *)
+  end_bits : int; (* the end field's width *)
+  recip : int; (* ceil (2^40 / w): [div_width] *)
 }
+
+(* Positions = 0 (mod 9) in [depth, depth + len). *)
+let markers ~depth len = ((depth + len + 8) / 9) - ((depth + 8) / 9)
+
+(* The stored bits of a label of [len] bits from [depth]: its data bits,
+   less 8 - w for each byte whose data bits [9j + 1, 9j + 9) lie in it. *)
+let stored_bits ~width ~depth len =
+  let whole = Int.max 0 (((depth + len) / 9) - ((depth + 7) / 9)) in
+  len - markers ~depth len - ((8 - width) * whole)
+
+(* [d / w] for [d >= 0]: below 2^20 a multiply by [ceil (2^40 / w)]
+   and a shift, exact for w <= 8, since a node visit runs it where a
+   hardware division would cost more than the rest of the decode. *)
+let div_width c d = if d < 1 lsl 20 then (d * c.recip) lsr 40 else d / c.width
+
+(* A stored length of 16 or more is past every [s0] (at most 8) and
+   [s1] (at most 16), so the end states it admits depend on it only
+   mod w. *)
+let ends_index c phase stored =
+  (phase * (16 + c.width))
+  +
+  if stored < 16 then stored
+  else
+    let d = stored - 16 in
+    16 + d - (c.width * div_width c d)
+
+(* The length of the label of [stored] bits from a depth of phase
+   [phase] with end state [m], or -1 when there is none. *)
+let length_at c phase stored m =
+  let i = (phase * 9) + m in
+  let s1 = Array.unsafe_get c.s1 i in
+  if stored = Array.unsafe_get c.s0 i then Array.unsafe_get c.l0 i
+  else if stored >= s1 then begin
+    let q = div_width c (stored - s1) in
+    if stored - s1 = c.width * q then Array.unsafe_get c.l0 i + 9 + (9 * q) else -1
+  end
+  else -1
 
 let set_bytes = 32
 let mem set b = Char.code set.[b lsr 3] land (1 lsl (b land 7)) <> 0
@@ -131,13 +186,33 @@ let code_of_set set =
       incr r
     end
   done;
-  { set; size; width; enc; dec }
+  let l0 = Array.init 81 (fun i -> ((i mod 9) - (i / 9) + 9) mod 9) in
+  let s0 = Array.init 81 (fun i -> stored_bits ~width ~depth:(i / 9) l0.(i)) in
+  let s1 = Array.init 81 (fun i -> stored_bits ~width ~depth:(i / 9) (l0.(i) + 9)) in
+  let recip = ((1 lsl 40) + width - 1) / width in
+  let c = { set; size; width; enc; dec; l0; s0; s1; ends = [||]; end_bits = 0; recip } in
+  let ends =
+    Array.init (9 * (16 + width)) (fun i ->
+        let phase = i / (16 + width) and stored = i mod (16 + width) in
+        let e = ref 0 and count = ref 0 in
+        for m = 0 to 8 do
+          if length_at c phase stored m >= 0 then begin
+            incr count;
+            e := !e lor (m lsl (4 * !count))
+          end
+        done;
+        !e lor !count)
+  in
+  let most = Array.fold_left (fun acc e -> Int.max acc (e land 15)) 0 ends in
+  { c with ends; end_bits = Broadword.bit_width (most - 1) }
 
 let full_set = String.make set_bytes '\xff'
 let empty_set = String.make set_bytes '\000'
 let code_set c = c.set
 let code_size c = c.size
 let code_width c = c.width
+let end_width c = c.end_bits
+let stored_length c ~depth len = stored_bits ~width:c.width ~depth len
 
 (* A 256-bit set from per-byte flags. *)
 let set_of_flags seen =
@@ -192,22 +267,30 @@ let label_bytes seen ~depth len v part =
   done;
   !part lor !fresh
 
-(* Positions = 0 (mod 9) in [depth, depth + len). *)
-let markers ~depth len = ((depth + len + 8) / 9) - ((depth + 8) / 9)
+(* A leaf's label ends with the terminator, at a position = 0 (mod 9):
+   its end state is 1. *)
+let unpacked_length c ~depth stored = if stored < 0 then -1 else length_at c (depth mod 9) stored 1
 
-(* A label from depth d stores: at d = 2..8 (mod 9) the cut byte's
-   9 - d data bits, then w bits per byte; at d = 1 (mod 9) its first
-   byte lost only its marker, so it is coded too. *)
-let unpacked_length c ~depth stored =
-  let w = c.width in
-  match depth mod 9 with
-  | 0 -> if stored mod w = 0 then (9 * (stored / w)) + 1 else -1
-  | 1 -> if stored mod w = 0 then 9 * (stored / w) else -1
-  | phase ->
-      let head = 9 - phase in
-      if stored >= head && (stored - head) mod w = 0 then head + (9 * ((stored - head) / w)) + 1
-      else -1
+let internal_length c ~depth ~stored field =
+  if stored < 0 then -1
+  else
+    let phase = depth mod 9 in
+    let e = Array.unsafe_get c.ends (ends_index c phase stored) in
+    if field < 0 || field >= e land 15 then -1
+    else length_at c phase stored ((e lsr (4 * (field + 1))) land 15)
 
+let end_field c ~depth len =
+  let phase = depth mod 9 and m = (depth + len) mod 9 in
+  let e = c.ends.(ends_index c phase (stored_length c ~depth len)) in
+  let i = ref 0 in
+  while !i < e land 15 && (e lsr (4 * (!i + 1))) land 15 <> m do
+    incr i
+  done;
+  if !i = e land 15 then invalid_arg "Binarize.end_field: negative length";
+  !i
+
+(* No closure here or in [decode]: a ref a closure captures is boxed,
+   and both run once per label. *)
 let pack_bits c out ~depth len v =
   let v = ref v and pos = ref depth and rest = ref len in
   let kept = ref 0 and nkept = ref 0 and dropped = ref 0 and ndropped = ref 0 in
@@ -219,8 +302,7 @@ let pack_bits c out ~depth len v =
         v := !v lsr 1;
         incr pos;
         decr rest
-    | 1 ->
-        if !rest < 8 then invalid_arg "Binarize.pack_bits: a byte cut by the bits' end";
+    | 1 when !rest >= 8 ->
         let g = c.enc.(!v land 0xff) in
         if g < 0 then invalid_arg "Binarize.pack_bits: a byte outside the code's set";
         kept := !kept lor (g lsl !nkept);
@@ -229,7 +311,7 @@ let pack_bits c out ~depth len v =
         pos := !pos + 8;
         rest := !rest - 8
     | phase ->
-        (* the data bits of a byte cut by the label's depth *)
+        (* the data bits of a byte cut by the label's depth or end *)
         let take = Int.min (9 - phase) !rest in
         kept := !kept lor ((!v land ((1 lsl take) - 1)) lsl !nkept);
         nkept := !nkept + take;
@@ -242,44 +324,105 @@ let pack_bits c out ~depth len v =
 
 let bad_code () = invalid_arg "Binarize.unpack: a byte code past the byte set"
 
-let unpack c mb bit ~depth ~stored out =
-  if unpacked_length c ~depth stored < 0 then
-    invalid_arg "Binarize.unpack: the stored length ends no encoded string";
-  let phase = depth mod 9 in
-  if stored > 0 || phase = 0 then begin
-    let w = c.width and dec = c.dec in
-    let mask = (1 lsl w) - 1 in
-    let p = ref 0 in
-    if phase = 1 then begin
-      (* the first byte's marker lies above the leaf *)
-      let g = dec.(Wt_bits.Membuf.get_bits mb bit w) in
-      if g < 0 then bad_code ();
-      Bitbuf.add_bits out 8 (g lsr 1);
-      p := w
-    end
-    else if phase > 1 then begin
-      p := 9 - phase;
-      Bitbuf.add_bits out !p (Wt_bits.Membuf.get_bits mb bit !p)
-    end;
-    (* six bytes per read *)
-    while !p + (6 * w) <= stored do
-      let x = Wt_bits.Membuf.get_bits mb (bit + !p) (6 * w) in
-      let g0 = Array.unsafe_get dec (x land mask)
-      and g1 = Array.unsafe_get dec ((x lsr w) land mask)
-      and g2 = Array.unsafe_get dec ((x lsr (2 * w)) land mask)
-      and g3 = Array.unsafe_get dec ((x lsr (3 * w)) land mask)
-      and g4 = Array.unsafe_get dec ((x lsr (4 * w)) land mask)
-      and g5 = Array.unsafe_get dec ((x lsr (5 * w)) land mask) in
-      if g0 lor g1 lor g2 lor g3 lor g4 lor g5 < 0 then bad_code ();
-      Bitbuf.add_bits out 54
-        (g0 lor (g1 lsl 9) lor (g2 lsl 18) lor (g3 lsl 27) lor (g4 lsl 36) lor (g5 lsl 45));
-      p := !p + (6 * w)
-    done;
-    while !p < stored do
-      let g = dec.(Wt_bits.Membuf.get_bits mb (bit + !p) w) in
-      if g < 0 then bad_code ();
-      Bitbuf.add_bits out 9 g;
-      p := !p + w
-    done;
-    Bitbuf.add_bits out 1 0
+(* A label of at most 62 bits stored in at most 56, its stored bits
+   [x]: decoded in a register and appended at once, since most labels
+   are this short and a call per byte would cost more than the byte. *)
+let decode_short c x ~phase len ~leaf out =
+  let w = c.width and dec = c.dec in
+  let mask = (1 lsl w) - 1 in
+  let acc = ref 0 and o = ref 0 and p = ref 0 and rest = ref len in
+  if phase = 1 && len >= 8 then begin
+    let g = Array.unsafe_get dec (x land mask) in
+    if g < 0 then bad_code ();
+    acc := g lsr 1;
+    o := 8;
+    p := w;
+    rest := len - 8
   end
+  else if phase >= 1 then begin
+    let take = Int.min (9 - phase) len in
+    acc := x land ((1 lsl take) - 1);
+    o := take;
+    p := take;
+    rest := len - take
+  end;
+  while !rest >= 9 do
+    let g = Array.unsafe_get dec ((x lsr !p) land mask) in
+    if g < 0 then bad_code ();
+    acc := !acc lor (g lsl !o);
+    o := !o + 9;
+    p := !p + w;
+    rest := !rest - 9
+  done;
+  if !rest > 0 then begin
+    if not leaf then acc := !acc lor (1 lsl !o);
+    let take = !rest - 1 in
+    acc := !acc lor (((x lsr !p) land ((1 lsl take) - 1)) lsl (!o + 1))
+  end;
+  Bitbuf.add_bits out len !acc
+
+(* A longer label, a read per byte or six. *)
+let decode_long c mb bit ~depth len ~leaf out =
+  let w = c.width and dec = c.dec in
+  let phase = depth mod 9 in
+  let p = ref 0 and rest = ref len in
+  if phase = 1 && len >= 8 then begin
+    (* a whole first byte: its marker lies above the label *)
+    let g = dec.(Wt_bits.Membuf.get_bits mb bit w) in
+    if g < 0 then bad_code ();
+    Bitbuf.add_bits out 8 (g lsr 1);
+    p := w;
+    rest := len - 8
+  end
+  else if phase >= 1 then begin
+    (* a first byte cut by the depth, or by the label's end *)
+    let take = Int.min (9 - phase) len in
+    Bitbuf.add_bits out take (Wt_bits.Membuf.get_bits mb bit take);
+    p := take;
+    rest := len - take
+  end;
+  (* the rest starts at a marker: six bytes per read *)
+  let mask = (1 lsl w) - 1 in
+  while !rest >= 54 do
+    let x = Wt_bits.Membuf.get_bits mb (bit + !p) (6 * w) in
+    let g0 = Array.unsafe_get dec (x land mask)
+    and g1 = Array.unsafe_get dec ((x lsr w) land mask)
+    and g2 = Array.unsafe_get dec ((x lsr (2 * w)) land mask)
+    and g3 = Array.unsafe_get dec ((x lsr (3 * w)) land mask)
+    and g4 = Array.unsafe_get dec ((x lsr (4 * w)) land mask)
+    and g5 = Array.unsafe_get dec ((x lsr (5 * w)) land mask) in
+    if g0 lor g1 lor g2 lor g3 lor g4 lor g5 < 0 then bad_code ();
+    Bitbuf.add_bits out 54
+      (g0 lor (g1 lsl 9) lor (g2 lsl 18) lor (g3 lsl 27) lor (g4 lsl 36) lor (g5 lsl 45));
+    p := !p + (6 * w);
+    rest := !rest - 54
+  done;
+  while !rest >= 9 do
+    let g = dec.(Wt_bits.Membuf.get_bits mb (bit + !p) w) in
+    if g < 0 then bad_code ();
+    Bitbuf.add_bits out 9 g;
+    p := !p + w;
+    rest := !rest - 9
+  done;
+  if !rest > 0 then begin
+    (* a marker, then the data bits of a byte cut by the label's end *)
+    Bitbuf.add out (not leaf);
+    let take = !rest - 1 in
+    Bitbuf.add_bits out take (Wt_bits.Membuf.get_bits mb (bit + !p) take)
+  end
+
+(* The [len] logical bits of a label whose [stored] bits start at bit
+   [bit] of [mb], from bit depth [depth]: every marker a 1, but for a
+   leaf's last bit, its terminator. *)
+let decode c mb bit ~depth ~stored len ~leaf out =
+  if stored <= 56 && len <= 62 then
+    decode_short c (Wt_bits.Membuf.get_bits mb bit stored) ~phase:(depth mod 9) len ~leaf out
+  else decode_long c mb bit ~depth len ~leaf out
+
+let unpack c mb bit ~depth ~stored out =
+  let len = unpacked_length c ~depth stored in
+  if len < 0 then invalid_arg "Binarize.unpack: the stored length ends no encoded string";
+  decode c mb bit ~depth ~stored len ~leaf:true out
+
+let unpack_internal c mb bit ~depth ~stored len out =
+  decode c mb bit ~depth ~stored len ~leaf:false out

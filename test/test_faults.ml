@@ -130,9 +130,9 @@ let test_snapshot_truncations () =
    crash, whichever bytes it maps. *)
 
 (* 1,200 strings over the 64 of [sample], the first eight of them
-   three times as frequent as the rest: the arena is a version-7
-   byte-string arena, so its leaf labels are stored without their
-   marker bits and with their bytes coded, and holds β blobs in both
+   three times as frequent as the rest: the arena is a version-8
+   byte-string arena, so its labels are stored without their marker
+   bits and with their whole bytes coded, and holds β blobs in both
    codes — class-range RRR ones,
    the root's spanning two superblocks, so the sweeps also cover a
    blob's superblock directory, and plain ones — and its node
@@ -279,27 +279,28 @@ let expect_corrupt ~what ~sub ~strings path corrupt =
     [ `Copy; `Mmap ];
   Sys.remove path
 
-(* A leaf extent one bit too long: the boundary after a leaf moves one
-   bit later, into its sibling leaf, and the directory is written again
+(* Node [i] of an arena, reached from the root. *)
+let node_at (t : Wt_core.Flat_wt.t) i =
+  let module N = Wt_core.Flat_wt.Node in
+  let rec find node =
+    if node.N.idx = i then Some node
+    else if N.is_leaf node then None
+    else match find (N.child node false) with Some _ as r -> r | None -> find (N.child node true)
+  in
+  Option.get (find (Option.get (N.root t)))
+
+(* The arena [t] with the boundary after node [i] moved by [delta]
+   bits, into or out of node [i + 1], and the directory written again
    over the moved offset (the header, directory and content laid out as
-   [Flat_wt.finish] lays them out).  Each leaf's stored length then
-   ends no encoded string at its depth.  The deep check names it, the
-   payload's checksum being valid, [wtrie verify] exits 2, and every
-   query answers or reports a [Storage_error] — never a crash. *)
-let test_v3_leaf_extent () =
+   [Flat_wt.finish] lays them out). *)
+let moved_boundary (t : Wt_core.Flat_wt.t) i delta =
   let module F = Wt_core.Flat_wt in
   let module D = Wt_succinct.Flat_directory in
   let module Bitbuf = Wt_bits.Bitbuf in
-  let path = tmp "leaf_extent.wtx" in
-  let t = save_v3 path in
   let d = match t.F.dir with F.V4 d -> d | F.V3 _ -> Alcotest.fail "not a version-4 directory" in
   let nc = t.F.node_count in
   let offs = Array.init (nc + 1) (D.get d) in
-  let leaf i = F.irank t i < 0 && offs.(i + 1) > offs.(i) in
-  (* two sibling leaves with stored bits, children 2r + 1 and 2r + 2 *)
-  let rec pick i = if leaf i && leaf (i + 1) then i else pick (i + 2) in
-  let i = pick 1 in
-  offs.(i + 1) <- offs.(i + 1) + 1;
+  offs.(i + 1) <- offs.(i + 1) + delta;
   let internal = Bitbuf.create () in
   for j = 0 to nc - 1 do
     Bitbuf.add internal (F.irank t j >= 0)
@@ -317,10 +318,24 @@ let test_v3_leaf_extent () =
   let len = F.header_len + String.length dir_bytes + String.length content in
   Bytes.set_int64_le header 32 (Int64.of_int (Bitbuf.length dir));
   Bytes.set_int64_le header 48 (Int64.of_int len);
+  Bytes.to_string header ^ dir_bytes ^ content
+
+(* A leaf extent one bit too long: the boundary after a leaf moves one
+   bit later, into its sibling leaf.  Each leaf's stored length then
+   ends no encoded string at its depth.  The deep check names it, the
+   payload's checksum being valid, [wtrie verify] exits 2, and every
+   query answers or reports a [Storage_error] — never a crash. *)
+let test_v3_leaf_extent () =
+  let module F = Wt_core.Flat_wt in
+  let path = tmp "leaf_extent.wtx" in
+  let t = save_v3 path in
+  let leaf i = F.irank t i < 0 && F.Node.stored_label_length (node_at t i) > 0 in
+  (* two sibling leaves with stored bits, children 2r + 1 and 2r + 2 *)
+  let rec pick i = if leaf i && leaf (i + 1) then i else pick (i + 2) in
   expect_corrupt ~what:"a corrupt leaf extent" ~sub:"ends no encoded string"
     ~strings:(Array.map Binarize.to_bytes (sample 64))
     path
-    (Bytes.to_string header ^ dir_bytes ^ content)
+    (moved_boundary t (pick 1) 1)
 
 (* The leaf byte code.  An arena of 300 strings over the five bytes
    a..e (|B| = 5, codes of w = 3 bits, so 5, 6 and 7 name no byte):
@@ -385,6 +400,82 @@ let test_leaf_codes () =
       ("a byte-string arena with no B", Bytes.to_string no_b);
       ("a bitstring arena with a B", with_b);
     ]
+
+(* Internal labels, on the arena of [code_arena] (w = 3, so a 2-bit
+   end field), each behind a valid checksum: an end field past the end
+   states its stored length admits, an internal label's whole byte coded
+   as 7 (|B| = 5), and an extent too short for its end field.  Every
+   stored length of 0 or more admits an end state (a byte cut by the
+   label's end keeps its S mod w raw bits, at most 7), so the one that
+   admits none is negative: the node's β blob and label end inside the
+   field.  The boundary after an internal zero child moves back over its
+   label and one bit of its field into its sibling, which the deep check
+   reaches later.  In each case it names the node, [wtrie verify] exits
+   2 and every query answers or reports a [Storage_error]. *)
+let test_internal_labels () =
+  let module F = Wt_core.Flat_wt in
+  let module N = F.Node in
+  let t = code_arena () in
+  let code = Option.get t.F.icode in
+  let x = Binarize.end_width code in
+  check_int "end field width" 2 x;
+  let arena = Wt_bits.Membuf.to_string t.F.mb in
+  let internals =
+    let rec go acc node =
+      if N.is_leaf node then acc else go (go (node :: acc) (N.child node false)) (N.child node true)
+    in
+    List.rev (go [] (Option.get (N.root t)))
+  in
+  let set_bits s bit width v =
+    let b = Bytes.of_string s in
+    for i = 0 to width - 1 do
+      let p = bit + i in
+      let c = Char.code (Bytes.get b (p / 8)) and m = 1 lsl (p mod 8) in
+      Bytes.set b (p / 8) (Char.chr (if (v lsr i) land 1 = 1 then c lor m else c land lnot m))
+    done;
+    Bytes.to_string b
+  in
+  (* the label's stored bits, the field aside, and where they start *)
+  let stored node = N.stored_label_length node - x in
+  let start node = node.N.hi - N.stored_label_length node in
+  (* a field value past the end states of an internal label *)
+  let past =
+    List.find_map
+      (fun node ->
+        let s = stored node in
+        List.find_map
+          (fun f ->
+            if Binarize.internal_length code ~depth:node.N.depth ~stored:s f < 0 then Some (node, f)
+            else None)
+          (List.init (1 lsl x) Fun.id))
+      internals
+  in
+  let node, f = Option.get past in
+  expect_corrupt ~what:"an end field past its end states" ~sub:"has no such end state"
+    ~strings:code_strings (tmp "end_past.wtx")
+    (set_bits arena (t.F.content_bit + node.N.hi - x) x f);
+  (* an internal label holding a whole byte: its first code made 7 *)
+  let coded =
+    List.find_map
+      (fun node ->
+        let phase = node.N.depth mod 9 and len = N.label_length node in
+        let head = if phase >= 2 then 9 - phase else 0 in
+        let need = if phase = 1 then 8 else head + 9 in
+        if len >= need then Some (start node + head) else None)
+      internals
+  in
+  expect_corrupt ~what:"an internal code past B" ~sub:"past the byte set" ~strings:code_strings
+    (tmp "internal_code_past.wtx")
+    (set_bits arena (t.F.content_bit + Option.get coded) 3 7);
+  (* an internal zero child whose sibling follows it *)
+  let short =
+    List.find
+      (fun node -> node.N.idx land 1 = 1 && node.N.idx + 1 < t.F.node_count)
+      internals
+  in
+  expect_corrupt ~what:"an extent too short for its end field" ~sub:"has no such end state"
+    ~strings:code_strings (tmp "end_short.wtx")
+    (moved_boundary t short.N.idx (-(stored short + 1)))
 
 (* ------------------------------------------------------------------ *)
 (* WAL sweeps *)
@@ -1274,6 +1365,7 @@ let () =
           Alcotest.test_case "truncation sweep" `Quick test_v3_truncations;
           Alcotest.test_case "corrupt leaf extent fails verify" `Quick test_v3_leaf_extent;
           Alcotest.test_case "corrupt byte set or leaf code fails verify" `Quick test_leaf_codes;
+          Alcotest.test_case "corrupt internal label fails verify" `Quick test_internal_labels;
         ] );
       ( "wal",
         [

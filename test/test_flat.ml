@@ -246,7 +246,7 @@ let test_v2_migration () =
   Wtrie.Static.close fwt
 
 (* ------------------------------------------------------------------ *)
-(* Versions 2 to 6.  [fixtures/v2] holds a static index and a tiered
+(* Versions 2 to 7.  [fixtures/v2] holds a static index and a tiered
    store written by [wtrie] at commit 96ba348, the last to write arena
    version 2 (each β blob's last block coded over 62 bits),
    [fixtures/v3] the same from the same input at commit 42bd660, the
@@ -254,9 +254,11 @@ let test_v2_migration () =
    offsets), [fixtures/v4] the same at commit b005126, the last to
    write version 4 (every β blob RRR, 6 bits per class),
    [fixtures/v5] the same at commit b95bfd4, the last to write version
-   5 (every label whole, a 56-byte header), and [fixtures/v6] the same
-   at commit 66b5a9c, the last to write version 6 (each leaf byte as its
-   eight data bits, no byte set in the header):
+   5 (every label whole, a 56-byte header), [fixtures/v6] the same at
+   commit 66b5a9c, the last to write version 6 (each leaf byte as its
+   eight data bits, no byte set in the header), and [fixtures/v7] the
+   same at commit fa60dbe, the last to write version 7 (internal labels
+   whole):
 
      wtrie index input.txt index.wt
      head -64 input.txt > part1.txt
@@ -267,26 +269,27 @@ let test_v2_migration () =
    The store holds the first 104 lines: a run of 64, a run of 32 and 8
    strings in its WAL.  All open through the one blob decoder and their
    own directory reader; a compaction that absorbs the store's runs
-   writes them at version 7, and the structural merge of the old runs
-   with a version-7 arena and an append-only trie writes exactly the
-   bytes of the static build.  The version-6 index is also what
-   [v6_arena] makes of its input. *)
+   writes them at version 8, and the structural merge of the old runs
+   with a version-8 arena and an append-only trie writes exactly the
+   bytes of the static build.  The version-6 and version-7 indexes are
+   also what [v6_arena] and [v7_arena] make of their input. *)
 
 let arena_version payload = Int32.to_int (String.get_int32_le payload 4)
+
+(* The version-7 arena of byte strings, in B's code or another. *)
+let v7_arena ?bytes strings =
+  let keys, seq =
+    Flat_wt.sorted_keys ~hash:Flat_wt.hash_string ~equal:String.equal ~compare:String.compare
+      strings
+  in
+  let bytes = Option.value bytes ~default:(Binarize.byte_set strings) in
+  Flat_wt.arena_of_keys ~keys:Bytes ~bytes ~version:7 (Array.map Wt_core.String_api.encode keys) seq
 
 (* The version-6 arena of byte strings: version 7's writer with all 256
    bytes in B codes each leaf byte as its eight data bits, version 6's
    leaf; the header then loses B and names version 6. *)
 let v6_arena strings =
-  let keys, seq =
-    Flat_wt.sorted_keys ~hash:Flat_wt.hash_string ~equal:String.equal ~compare:String.compare
-      strings
-  in
-  let v7 =
-    Flat_wt.arena_of_keys ~keys:Bytes ~bytes:Binarize.full_set
-      (Array.map Wt_core.String_api.encode keys)
-      seq
-  in
+  let v7 = v7_arena ~bytes:Binarize.full_set strings in
   let body = String.sub v7 Flat_wt.header_len (String.length v7 - Flat_wt.header_len) in
   let header = Bytes.of_string (String.sub v7 0 64) in
   Bytes.set_int32_le header 4 6l;
@@ -312,6 +315,7 @@ let test_fixtures version () =
   let index = Container.read_v3 ~expect_tag:Flat_wt.tag (fixture "index.wt") in
   check_int "index version" version (arena_version index);
   if version = 6 then check_bool "v6_arena writes version 6" true (v6_arena lines = index);
+  if version = 7 then check_bool "v7_arena writes version 7" true (v7_arena lines = index);
   (* the store, on a copy: every string, then ingest the rest of the
      input and compact; the new run absorbs both old runs *)
   let dir = Oracle.copy_dir (fixture "store.d") (Printf.sprintf "flat_v%d_store" version) in
@@ -565,13 +569,14 @@ let bound_terms (s : Wt_core.Stats.t) =
 (* The node-view builder is fed the same strings four ways: the
    pointer trie, an append-only trie grown one string at a time and in
    bulk, and a dynamic trie.  The byte-string arena and the bitstring
-   arena of the same encodings hold the same trie, one with packed leaf
+   arena of the same encodings hold the same trie, one with packed
    labels, the other with whole ones, and each re-encodes as the other
-   through the one-source merge.  The byte-string arena's B is the
+   through the one-source merge; the byte-string arena also re-encodes
+   as itself, every label copied.  The byte-string arena's B is the
    bytes of the strings, coded in max 1 (bit_width (|B| - 1)) bits, and
-   a merge of a version-6 arena of the first third of the sequence, a
-   version-7 arena of the second and an append-only trie of the rest
-   writes it too. *)
+   a merge of a version-6 arena of the first quarter of the sequence, a
+   version-7 arena of the second, a version-8 arena of the third and an
+   append-only trie of the rest writes it too. *)
 let prop_direct_build a =
   let enc = Array.map Wt_core.String_api.encode a in
   let pwt = Wavelet_trie.of_array enc in
@@ -586,12 +591,13 @@ let prop_direct_build a =
   let size = List.length (List.filter (Binarize.mem bytes) (List.init 256 Fun.id)) in
   let layout = Flat_wt.layout direct in
   let n = Array.length a in
-  let third = Array.sub a 0 (n / 3) and second = Array.sub a (n / 3) (n / 3) in
-  let rest = Array.map Wt_core.String_api.encode (Array.sub a (2 * (n / 3)) (n - (2 * (n / 3)))) in
+  let quarter i = Array.sub a (i * (n / 4)) (if i = 3 then n - (3 * (n / 4)) else n / 4) in
   let delta = Append_wt.create () in
-  Array.iter (Append_wt.append delta) rest;
-  let v6 = Flat_wt.of_membuf (Wt_bits.Membuf.of_string (v6_arena third)) in
+  Array.iter (Append_wt.append delta) (Array.map Wt_core.String_api.encode (quarter 3));
+  let of_arena s = Flat_wt.of_membuf (Wt_bits.Membuf.of_string s) in
+  let v6 = of_arena (v6_arena (quarter 0)) and v7 = of_arena (v7_arena (quarter 1)) in
   Flat_wt.check_invariants v6;
+  Flat_wt.check_invariants v7;
   layout.leaf_bytes = size
   && layout.leaf_code_bits
      = (if size = 0 then 0 else Int.max 1 (Wt_bits.Broadword.bit_width (size - 1)))
@@ -609,10 +615,12 @@ let prop_direct_build a =
          Flat_wt.of_trie ~keys:Bytes (module Append_wt.Node) (Append_wt.of_array enc);
          Flat_wt.of_trie ~keys:Bytes (module Dynamic_wt.Node) (Dynamic_wt.of_array enc);
          Flat_wt.merge ~keys:Bytes [| Flat_wt.Arena bits |];
+         Flat_wt.merge ~keys:Bytes [| Flat_wt.Arena direct |];
          Flat_wt.merge ~keys:Bytes
            [|
              Flat_wt.Arena v6;
-             Flat_wt.Arena (Wtrie.Static.of_array second);
+             Flat_wt.Arena v7;
+             Flat_wt.Arena (Wtrie.Static.of_array (quarter 2));
              Flat_wt.Trie ((module Append_wt.Node), delta);
            |];
        ]
@@ -657,7 +665,8 @@ let qcheck_direct_build =
    from the whole input.  Tag 1 appends to every string its slice
    number, so no key occurs in two slices; tag 2 moves every byte of
    slice i into the i mod 4-th quarter of the bytes, so the first four
-   slices' byte sets are disjoint. *)
+   slices' byte sets are disjoint.  Every other arena is a version-7
+   one, its internal labels whole. *)
 let prop_merge (a, cuts, dynamic_tail, tag) =
   let n = Array.length a in
   let cuts = List.sort compare (List.map (fun c -> c mod (n + 1)) cuts) in
@@ -689,7 +698,12 @@ let prop_merge (a, cuts, dynamic_tail, tag) =
       Flat_wt.Trie ((module Append_wt.Node), t)
     end
   in
-  let arenas = Array.init (slices - 1) (fun i -> Flat_wt.Arena (Wtrie.Static.of_array (slice i))) in
+  let arenas =
+    Array.init (slices - 1) (fun i ->
+        Flat_wt.Arena
+          (if i mod 2 = 1 then Flat_wt.of_membuf (Wt_bits.Membuf.of_string (v7_arena (slice i)))
+           else Wtrie.Static.of_array (slice i)))
+  in
   let sources = Array.append arenas [| tail |] in
   let merged = Flat_wt.merge ~keys:Bytes sources in
   Flat_wt.check_invariants merged;
@@ -711,6 +725,41 @@ let qcheck_merge =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"merged slices = static build of the whole" ~count:300
        (QCheck.make ~print merge_cases) prop_merge)
+
+(* Merged labels cut from packed ones.  [a]'s root label is
+   "www.example.com/" and six bits of the next byte; [b]'s is "www." and
+   three bits.  Merged, the root label is [b]'s, a prefix of [a]'s, and
+   its zero child's runs from inside "e" to inside "m", where [b]'s leaf
+   "www.exaq" turns away: a proper sub-range of [a]'s packed root label,
+   cut mid-byte at both ends.  Merging [a] with itself
+   takes every label whole at its own depth in the same code, so each
+   is copied.  Each merge, of version-8 and version-7 arenas in both
+   orders and with an append-only tail, writes the static build's
+   bytes. *)
+let test_merge_cut_labels () =
+  let a = [| "www.example.com/alpha"; "www.example.com/beta"; "www.example.com/alpha" |] in
+  let b = [| "www.exaq"; "www.zzz" |] in
+  let v8 strings = Flat_wt.Arena (Wtrie.Static.of_array strings) in
+  let v7 strings = Flat_wt.Arena (Flat_wt.of_membuf (Wt_bits.Membuf.of_string (v7_arena strings))) in
+  let tail strings =
+    let t = Append_wt.create () in
+    Array.iter (fun s -> Append_wt.append t (Wt_core.String_api.encode s)) strings;
+    Flat_wt.Trie ((module Append_wt.Node), t)
+  in
+  let bytes (t : Flat_wt.t) = Wt_bits.Membuf.to_string t.Flat_wt.mb in
+  List.iter
+    (fun (what, sources, strings) ->
+      let merged = Flat_wt.merge ~keys:Bytes (Array.of_list sources) in
+      Flat_wt.check_invariants merged;
+      check_bool what true (bytes merged = bytes (Wtrie.Static.of_array (Array.concat strings))))
+    [
+      ("a, b", [ v8 a; v8 b ], [ a; b ]);
+      ("b, a", [ v8 b; v8 a ], [ b; a ]);
+      ("a at v7, b", [ v7 a; v8 b ], [ a; b ]);
+      ("a, b at v7", [ v8 a; v7 b ], [ a; b ]);
+      ("a, a", [ v8 a; v8 a ], [ a; a ]);
+      ("a, b, a's tail", [ v8 a; v8 b; tail a ], [ a; b; a ]);
+    ]
 
 (* The bitstring front door checks prefix-freeness on adjacent sorted
    keys, as the pointer builder does; the merge, on the keys of
@@ -747,6 +796,7 @@ let () =
           qcheck_direct_build;
           qcheck_merge;
           Alcotest.test_case "bitstring input not prefix-free" `Quick test_not_prefix_free;
+          Alcotest.test_case "merged labels cut from packed ones" `Quick test_merge_cut_labels;
         ] );
       ( "space",
         [
@@ -758,12 +808,13 @@ let () =
           Alcotest.test_case "v2 load + convert to v3" `Quick test_v2_migration;
           Alcotest.test_case "errors are data" `Quick test_storage_errors;
           Alcotest.test_case "arena v1 fails closed" `Quick (test_arena_version_rejected 1);
-          Alcotest.test_case "arena v8 fails closed" `Quick (test_arena_version_rejected 8);
+          Alcotest.test_case "arena v9 fails closed" `Quick (test_arena_version_rejected 9);
           Alcotest.test_case "version-2 index and store" `Quick (test_fixtures 2);
           Alcotest.test_case "version-3 index and store" `Quick (test_fixtures 3);
           Alcotest.test_case "version-4 index and store" `Quick (test_fixtures 4);
           Alcotest.test_case "version-5 index and store" `Quick (test_fixtures 5);
           Alcotest.test_case "version-6 index and store" `Quick (test_fixtures 6);
+          Alcotest.test_case "version-7 index and store" `Quick (test_fixtures 7);
           Alcotest.test_case "corrupt v3 β blobs stay bounded" `Quick test_v3_blob_corruption;
           Alcotest.test_case "corrupt v5 β fields fail verify" `Quick test_v5_blob_fields;
         ] );

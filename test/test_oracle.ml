@@ -1,6 +1,6 @@
 (* The one differential oracle (oracle.ml), instantiated for every
    backend: the §3 pointer reference, the static arena (built, reopened
-   by copy and by mmap, files of arena versions 2 to 6, and the legacy
+   by copy and by mmap, files of arena versions 2 to 7, and the legacy
    format-v2 indexes flattened on load), the append-only and dynamic
    tries, the tiered store through scenarios with injected crashes, and
    the served static and tiered backends over the wire at one and two
@@ -58,7 +58,7 @@ let test_static () =
           Wtrie.Static.close t)
         [ ("static, copy", `Copy); ("static, mmap", `Mmap) ])
 
-(* [fixtures/v<version>/index.wt]: arena version 2 to 6, written from
+(* [fixtures/v<version>/index.wt]: arena version 2 to 7, written from
    input.txt. *)
 let test_static_fixture version () =
   let fixture name = Printf.sprintf "fixtures/v%d/%s" version name in
@@ -222,6 +222,7 @@ let () =
           Alcotest.test_case "static: arena version 4" `Quick (test_static_fixture 4);
           Alcotest.test_case "static: arena version 5" `Quick (test_static_fixture 5);
           Alcotest.test_case "static: arena version 6" `Quick (test_static_fixture 6);
+          Alcotest.test_case "static: arena version 7" `Quick (test_static_fixture 7);
           Alcotest.test_case "append-only" `Quick test_append;
           Alcotest.test_case "dynamic and its snapshot" `Quick test_dynamic;
           tiered_scenarios;

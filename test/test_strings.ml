@@ -206,24 +206,25 @@ let codes =
     [ set_of [ 0x61 ]; set_of [ 0x00; 0xff ]; set_of [ 0x00; 0x61; 0xff ]; set_of (some 40);
       set_of (some 400); Binarize.full_set ]
 
-let pack_rest code enc depth =
-  let n = Bitstring.length enc in
+let pack_range code enc depth stop =
   let stored = Bitbuf.create () and dropped = Bitbuf.create () in
   (* three junk bits first, so [unpack] reads at an odd offset *)
   Bitbuf.add_bits stored 3 0b101;
   let p = ref depth in
-  while !p < n do
+  while !p < stop do
     (* the last marker position within a pseudo-random reach, or the
        next one *)
     let e = (!p + 1 + ((!p * 7) mod 56)) / 9 * 9 in
     let e = if e > !p then e else ((!p / 9) + 1) * 9 in
-    let take = Int.min (n - !p) (e - !p) in
+    let take = Int.min (stop - !p) (e - !p) in
     let m = Binarize.markers ~depth:!p take in
     Bitbuf.add_bits dropped m
       (Binarize.pack_bits code stored ~depth:!p take (Bitstring.get_bits enc !p take));
     p := !p + take
   done;
   (stored, dropped)
+
+let pack_rest code enc depth = pack_range code enc depth (Bitstring.length enc)
 
 let membuf_of bb =
   let b = Buffer.create 64 in
@@ -301,7 +302,8 @@ let test_leaf_labels () =
         done
       done)
     codes;
-  (* a byte outside the set, and a byte cut by the piece's end *)
+  (* a byte outside the set, and a byte cut by the piece's end, which
+     keeps its data bits *)
   let code = List.hd codes in
   let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
   let enc = Binarize.of_bytes "b" in
@@ -309,9 +311,11 @@ let test_leaf_labels () =
     (raises (fun () ->
          Binarize.pack_bits code (Bitbuf.create ()) ~depth:0 10 (Bitstring.get_bits enc 0 10)));
   let enc = Binarize.of_bytes "a" in
-  check_bool "cut byte" true
-    (raises (fun () ->
-         Binarize.pack_bits code (Bitbuf.create ()) ~depth:0 5 (Bitstring.get_bits enc 0 5)));
+  let cut = Bitbuf.create () in
+  check_int "cut byte: marker dropped" 1
+    (Binarize.pack_bits code cut ~depth:0 5 (Bitstring.get_bits enc 0 5));
+  check_string "cut byte: raw data bits" (Bitstring.to_string (Bitstring.sub enc 1 4))
+    (Bitstring.to_string (Bitstring.of_bitbuf cut));
   (* the byte set of some strings, and one label walk over them *)
   let strings = [| "ab"; ""; "\x00\xff"; "ab" |] in
   check_string "byte_set" (set_of [ 0x00; 0x61; 0x62; 0xff ]) (Binarize.byte_set strings);
@@ -327,6 +331,97 @@ let test_leaf_labels () =
       done)
     strings;
   check_string "label_bytes" (Binarize.byte_set strings) (Binarize.set_of_flags seen)
+
+(* Internal labels: every run of an encoded string's bits that stops
+   before its terminator, from every depth phase (a byte above, so a
+   first byte can be cut) to every end state, over 0 to 40 bytes,
+   packs in pieces to its stored bits, dropping only ones; its end field
+   and stored length give back its length, and it unpacks to itself.
+   The byte sets have 1, 2, 3, 5, 9, 17, 33, 65, 129 and 256 bytes
+   (w = 1, 1, 2, 3, 4, 5, 6, 7, 8, 8: every end field width).  Every
+   other stored length and field value up to 30 bytes is rejected, and
+   labels of 120,000 and 140,000 bytes get their lengths back. *)
+let test_internal_labels () =
+  let rng = Xoshiro.create 23 in
+  List.iter
+    (fun size ->
+      let set =
+        if size = 256 then Binarize.full_set
+        else
+          set_of
+            (List.filteri (fun i _ -> i < size)
+               (List.sort_uniq compare (List.init 256 (fun b -> (b * 37) land 255))))
+      in
+      let code = Binarize.code_of_set set in
+      let w = Binarize.code_width code and x = Binarize.end_width code in
+      check_int "set size" size (Binarize.code_size code);
+      check_int (Printf.sprintf "w %d: end field width" w)
+        (Wt_bits.Broadword.bit_width ((7 / w) + 1))
+        x;
+      let bytes = Array.of_list (List.filter (Binarize.mem set) (List.init 256 Fun.id)) in
+      let seen = Hashtbl.create 1024 and most = ref 0 in
+      for phase = 0 to 8 do
+        for nbytes = 0 to 40 do
+          let s =
+            String.init 44 (fun _ -> Char.chr bytes.(Xoshiro.int rng (Array.length bytes)))
+          in
+          let enc = Binarize.of_bytes s in
+          for m = 0 to 8 do
+            let depth = 9 + phase in
+            let len = (9 * nbytes) + ((m - phase + 9) mod 9) in
+            let ctx = Printf.sprintf "w %d: %d bits from depth %d" w len depth in
+            let stored, dropped = pack_range code enc depth (depth + len) in
+            let d = Bitbuf.length stored - 3 in
+            check_int (ctx ^ ": markers dropped") (Binarize.markers ~depth len)
+              (Bitbuf.length dropped);
+            check_bool (ctx ^ ": every marker a one") true
+              (Bitbuf.pop_count dropped 0 (Bitbuf.length dropped) = Bitbuf.length dropped);
+            check_int (ctx ^ ": bits stored") (Binarize.stored_length code ~depth len) d;
+            let field = Binarize.end_field code ~depth len in
+            check_bool (ctx ^ ": field fits") true (field >= 0 && field < 1 lsl x);
+            most := Int.max !most field;
+            Hashtbl.replace seen (phase, d, field) ();
+            check_int (ctx ^ ": length") len
+              (Binarize.internal_length code ~depth ~stored:d field);
+            let out = Bitbuf.create () in
+            Binarize.unpack_internal code (membuf_of stored) 3 ~depth ~stored:d len out;
+            check_bool (ctx ^ ": round trip") true
+              (Bitstring.equal (Bitstring.sub enc depth len) (Bitstring.of_bitbuf out))
+          done
+        done
+      done;
+      check_int (Printf.sprintf "w %d: end states of one stored length" w) ((7 / w) + 2)
+        (!most + 1);
+      (* lengths alone, for labels of about 10^6 stored bits *)
+      List.iter
+        (fun nbytes ->
+          for depth = 9 to 17 do
+            for m = 0 to 8 do
+              let len = (9 * nbytes) + ((m - depth + 18) mod 9) in
+              let stored = Binarize.stored_length code ~depth len in
+              check_int
+                (Printf.sprintf "w %d: %d bits from depth %d" w len depth)
+                len
+                (Binarize.internal_length code ~depth ~stored (Binarize.end_field code ~depth len))
+            done
+          done)
+        [ 120_000; 140_000 ];
+      for depth = 0 to 17 do
+        for d = -1 to 30 * w do
+          for field = 0 to (1 lsl x) - 1 do
+            let len = Binarize.internal_length code ~depth ~stored:d field in
+            if Hashtbl.mem seen (depth mod 9, d, field) then begin
+              check_int "stored length of a length" d (Binarize.stored_length code ~depth len);
+              check_int "end field of a length" field (Binarize.end_field code ~depth len)
+            end
+            else
+              check_int
+                (Printf.sprintf "w %d: stored %d, field %d at depth %d" w d field depth)
+                (-1) len
+          done
+        done
+      done)
+    [ 1; 2; 3; 5; 9; 17; 33; 65; 129; 256 ]
 
 let test_int_codecs () =
   check_string "msb 5 w4" "0101" (Bitstring.to_string (Binarize.of_int_msb ~width:4 5));
@@ -395,6 +490,7 @@ let () =
           Alcotest.test_case "matches the bitwise reference" `Quick test_bytes_reference;
           Alcotest.test_case "int codecs" `Quick test_int_codecs;
           Alcotest.test_case "leaf labels without marker bits" `Quick test_leaf_labels;
+          Alcotest.test_case "internal labels without marker bits" `Quick test_internal_labels;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
