@@ -273,6 +273,8 @@ module Node = struct
   let root (trie : trie) = trie.root
   let length (trie : trie) = trie.n
   let label node = node.label
+  let label_length node = Bitstring.length (label node)
+  let label_lcp node s off = Bitstring.lcp_from (label node) s off
   let is_leaf node = match node.kind with Leaf _ -> true | Internal _ -> false
 
   let count node =

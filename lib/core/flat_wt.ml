@@ -9,7 +9,9 @@
    Queries run directly against the blob through {!Wt_bits.Membuf} — the
    on-disk container payload *is* the in-memory query structure, so
    [open] is a checksummed header read plus an [mmap] (zero-copy, one
-   read-only mapping shareable across serving processes).
+   read-only mapping shareable across serving processes).  A descent
+   compares the query with each label in place ([Node.label_lcp]), a
+   packed one too; only a read that needs a label's bits decodes it.
 
    Arena layout, version 8 (integers little-endian, bit streams
    LSB-first; N nodes in BFS order, I = (N - 1) / 2 of them internal;
@@ -96,7 +98,7 @@
    its real length, as versions 4 to 6 do; version 2 coded it over 62
    bits like the others.  All open through the one blob decoder
    ({!Wt_bitvector.Rrr.Flat}), told the arena's version; the builders
-   write version 8 only (a test can ask [arena_of_keys] for version 7),
+   write version 8 only (tests can ask [arena_of_keys] for version 7),
    and [merge] copies β blobs of versions 5 to 8, and a packed label
    taken whole at its own depth from a source with the merged arena's B
    (a leaf's from version 6, an internal one's from version 8),
@@ -432,11 +434,14 @@ let split_point keys lo hi m =
    ranks serve every level.  [~keys] says what the keys encode; with
    [Bytes], [bytes] is the byte set of the strings they encode
    ({!Binarize.byte_set} of the raw strings: finding it from the keys
-   would decode every one).  [version] 7 writes internal labels whole,
-   for tests that need an arena of that version. *)
+   would decode every one).  [~v7_for_tests:true] writes version 7,
+   internal labels whole: for tests only, which need arenas of that
+   version as merge sources; every builder of the library writes
+   version 8. *)
 let leaf_code set = if set = Binarize.empty_set then None else Some (Binarize.code_of_set set)
 
-let arena_of_keys ~keys:kind ?bytes ?version (keys : Bitstring.t array) (seq : int array) : string =
+let arena_of_keys ~keys:kind ?bytes ?(v7_for_tests = false) (keys : Bitstring.t array)
+    (seq : int array) : string =
   Probe.time Flat_build (fun () ->
       let d = Array.length keys and n = Array.length seq in
       (* cum.(k): occurrences of the keys ranked below k *)
@@ -459,7 +464,8 @@ let arena_of_keys ~keys:kind ?bytes ?version (keys : Bitstring.t array) (seq : i
         | Bytes, Some set -> leaf_code set
         | Bytes, None -> invalid_arg "Flat_wt: byte-string keys without their byte set"
       in
-      let w = writer ?version ~code ~n ~nodes:node_count () in
+      let version = if v7_for_tests then 7 else arena_version in
+      let w = writer ~version ~code ~n ~nodes:node_count () in
       let blocks = w.blocks in
       (* level L reads its subsequences from [src] and writes level L+1's
          into [dst] *)
@@ -753,7 +759,7 @@ module Node = struct
     (match label_code node with
     | Some code when node.irank < 0 ->
         Binarize.unpack code node.t.mb bitpos ~depth:node.depth ~stored out
-    | Some code -> Binarize.unpack_internal code node.t.mb bitpos ~depth:node.depth ~stored len out
+    | Some code -> Binarize.unpack_internal code node.t.mb bitpos ~depth:node.depth len out
     | None ->
         let i = ref 0 in
         while !i < len do
@@ -762,6 +768,26 @@ module Node = struct
           i := !i + take
         done);
     Bitstring.unsafe_of_bitbuf out
+
+  (* Compared in place: a descent reads no label into a buffer. *)
+  let label_lcp node s off =
+    let len = label_length node in
+    let bitpos = node.t.content_bit + label_start node in
+    match label_code node with
+    | Some code ->
+        Binarize.lcp code node.t.mb bitpos ~depth:node.depth len ~leaf:(node.irank < 0) s off
+    | None ->
+        let n = Int.min len (Bitstring.length s - off) in
+        let i = ref 0 and l = ref n in
+        while !i < !l do
+          let take = Int.min 56 (n - !i) in
+          let x =
+            Membuf.get_bits node.t.mb (bitpos + !i) take lxor Bitstring.get_bits s (off + !i) take
+          in
+          if x <> 0 then l := !i + Broadword.lowest_bit x;
+          i := !i + take
+        done;
+        !l
 
   let child node b =
     if node.irank < 0 then invalid_arg "Flat_wt.Node.child: leaf";
@@ -1002,8 +1028,7 @@ let arena_reader t =
           Bitbuf.clear unpacked;
           if !leaf then Binarize.unpack code t.mb !label ~depth ~stored:!stored unpacked
           else
-            Binarize.unpack_internal code t.mb !label ~depth ~stored:!stored
-              (label_len idx count depth) unpacked;
+            Binarize.unpack_internal code t.mb !label ~depth (label_len idx count depth) unpacked;
           unpacked_at := idx
         end;
         Bitbuf.get_bits unpacked off width

@@ -20,6 +20,14 @@ module type S = sig
   val label : node -> Wt_strings.Bitstring.t
   (** The node's α. *)
 
+  val label_length : node -> int
+  (** [|α|]. *)
+
+  val label_lcp : node -> Wt_strings.Bitstring.t -> int -> int
+  (** [label_lcp v s off]: the longest common prefix of α and the bits
+      of [s] from [off], what a descent compares at each node; a
+      variant that stores α packed compares it in place. *)
+
   val is_leaf : node -> bool
 
   val count : node -> int

@@ -21,14 +21,15 @@ module Make (N : Node_view.S) = struct
     Probe.hit Wt_access;
     let rec go node pos acc =
       Probe.hit Wt_nodes_visited;
+      let label = N.label node in
       if N.is_leaf node then begin
-        Probe.record Wt_bits_consumed (Bitstring.length (N.label node));
-        Bitstring.concat (List.rev (N.label node :: acc))
+        Probe.record Wt_bits_consumed (Bitstring.length label);
+        Bitstring.concat (List.rev (label :: acc))
       end
       else begin
-        Probe.record Wt_bits_consumed (Bitstring.length (N.label node) + 1);
+        Probe.record Wt_bits_consumed (Bitstring.length label + 1);
         let b, pos' = N.bv_access_rank node pos in
-        go (N.child node b) pos' (Bitstring.of_bool_list [ b ] :: N.label node :: acc)
+        go (N.child node b) pos' (Bitstring.of_bool_list [ b ] :: label :: acc)
       end
     in
     match N.root trie with None -> assert false | Some root -> go root pos []
@@ -40,20 +41,19 @@ module Make (N : Node_view.S) = struct
       if pos = 0 then 0
       else begin
         Probe.hit Wt_nodes_visited;
-        let rest = Bitstring.drop s off in
-        let label = N.label node in
-        let l = Bitstring.lcp label rest in
+        let rest = Bitstring.length s - off and llen = N.label_length node in
+        let l = N.label_lcp node s off in
         if N.is_leaf node then begin
           Probe.record Wt_bits_consumed l;
-          if l = Bitstring.length label && l = Bitstring.length rest then pos else 0
+          if l = llen && l = rest then pos else 0
         end
-        else if l < Bitstring.length label || l >= Bitstring.length rest then begin
+        else if l < llen || l >= rest then begin
           Probe.record Wt_bits_consumed l;
           0
         end
         else begin
           Probe.record Wt_bits_consumed (l + 1);
-          let b = Bitstring.get rest l in
+          let b = Bitstring.get s (off + l) in
           go (N.child node b) (off + l + 1) (N.bv_rank node b pos)
         end
       end
@@ -65,22 +65,19 @@ module Make (N : Node_view.S) = struct
   let trail_of trie s =
     let rec go node off acc =
       Probe.hit Wt_nodes_visited;
-      let rest = Bitstring.drop s off in
-      let label = N.label node in
-      let l = Bitstring.lcp label rest in
+      let rest = Bitstring.length s - off and llen = N.label_length node in
+      let l = N.label_lcp node s off in
       if N.is_leaf node then begin
         Probe.record Wt_bits_consumed l;
-        if l = Bitstring.length label && l = Bitstring.length rest then
-          Some (N.count node, acc)
-        else None
+        if l = llen && l = rest then Some (N.count node, acc) else None
       end
-      else if l < Bitstring.length label || l >= Bitstring.length rest then begin
+      else if l < llen || l >= rest then begin
         Probe.record Wt_bits_consumed l;
         None
       end
       else begin
         Probe.record Wt_bits_consumed (l + 1);
-        let b = Bitstring.get rest l in
+        let b = Bitstring.get s (off + l) in
         go (N.child node b) (off + l + 1) ((node, b) :: acc)
       end
     in
@@ -102,22 +99,21 @@ module Make (N : Node_view.S) = struct
       if pos = 0 then 0
       else begin
         Probe.hit Wt_nodes_visited;
-        let rest = Bitstring.drop p off in
-        if Bitstring.is_empty rest then pos
+        let rest = Bitstring.length p - off in
+        if rest = 0 then pos
         else begin
-          let label = N.label node in
-          let l = Bitstring.lcp label rest in
-          if l = Bitstring.length rest then begin
+          let l = N.label_lcp node p off in
+          if l = rest then begin
             Probe.record Wt_bits_consumed l;
             pos
           end
-          else if l < Bitstring.length label || N.is_leaf node then begin
+          else if l < N.label_length node || N.is_leaf node then begin
             Probe.record Wt_bits_consumed l;
             0
           end
           else begin
             Probe.record Wt_bits_consumed (l + 1);
-            let b = Bitstring.get rest l in
+            let b = Bitstring.get p (off + l) in
             go (N.child node b) (off + l + 1) (N.bv_rank node b pos)
           end
         end
@@ -129,22 +125,21 @@ module Make (N : Node_view.S) = struct
   let prefix_trail trie p =
     let rec go node off acc =
       Probe.hit Wt_nodes_visited;
-      let rest = Bitstring.drop p off in
-      if Bitstring.is_empty rest then Some (node, acc)
+      let rest = Bitstring.length p - off in
+      if rest = 0 then Some (node, acc)
       else begin
-        let label = N.label node in
-        let l = Bitstring.lcp label rest in
-        if l = Bitstring.length rest then begin
+        let l = N.label_lcp node p off in
+        if l = rest then begin
           Probe.record Wt_bits_consumed l;
           Some (node, acc)
         end
-        else if l < Bitstring.length label || N.is_leaf node then begin
+        else if l < N.label_length node || N.is_leaf node then begin
           Probe.record Wt_bits_consumed l;
           None
         end
         else begin
           Probe.record Wt_bits_consumed (l + 1);
-          let b = Bitstring.get rest l in
+          let b = Bitstring.get p (off + l) in
           go (N.child node b) (off + l + 1) ((node, b) :: acc)
         end
       end

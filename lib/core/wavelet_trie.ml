@@ -90,6 +90,8 @@ module Node = struct
   let root (trie : trie) = trie.root
   let length (trie : trie) = trie.n
   let label = function Leaf { label; _ } -> label | Node { label; _ } -> label
+  let label_length node = Bitstring.length (label node)
+  let label_lcp node s off = Bitstring.lcp_from (label node) s off
   let is_leaf = function Leaf _ -> true | Node _ -> false
   let count = function Leaf l -> l.count | Node nd -> Rrr.length nd.bv
 

@@ -63,32 +63,28 @@ module Make (N : Wt_core.Node_view.CURSORED) = struct
   let bit1 = Bitstring.of_bool_list [ true ]
 
   (* One step of a rank descent (Lemmas 3.2–3.3) for the string, or with
-     [~prefix] the prefix, [s] at a node labelled [label], [off] bits of
-     [s] consumed: [all] when every string below the node matches (the
-     answer is the position), [none] when none does, or else the label's
-     [lcp] [l] with the rest, after which the walk branches on bit
-     [off + l] of [s]. *)
+     [~prefix] the prefix, [s] at a node whose label of [llen] bits has
+     the common prefix [l] with the rest of [s], [off] bits of [s]
+     consumed: [all] when every string below the node matches (the
+     answer is the position), [none] when none does, or else [l], after
+     which the walk branches on bit [off + l] of [s]. *)
   let all = -1
   let none = -2
 
-  let step ~prefix ~leaf label s off =
+  let step ~prefix ~leaf ~llen l s off =
     let rest = Bitstring.length s - off in
     if prefix && rest = 0 then all
+    else if prefix && l = rest then begin
+      Probe.record Wt_bits_consumed l;
+      all
+    end
+    else if leaf || l < llen || l >= rest then begin
+      Probe.record Wt_bits_consumed l;
+      if leaf && (not prefix) && l = llen && l = rest then all else none
+    end
     else begin
-      let llen = Bitstring.length label in
-      let l = Bitstring.lcp_from label s off in
-      if prefix && l = rest then begin
-        Probe.record Wt_bits_consumed l;
-        all
-      end
-      else if leaf || l < llen || l >= rest then begin
-        Probe.record Wt_bits_consumed l;
-        if leaf && (not prefix) && l = llen && l = rest then all else none
-      end
-      else begin
-        Probe.record Wt_bits_consumed (l + 1);
-        l
-      end
+      Probe.record Wt_bits_consumed (l + 1);
+      l
     end
 
   (* The descent to the leaf spelling [s] or, with [~prefix], to the
@@ -97,7 +93,8 @@ module Make (N : Wt_core.Node_view.CURSORED) = struct
   let trail trie ~prefix s =
     let rec go node off acc =
       Probe.hit Wt_nodes_visited;
-      let l = step ~prefix ~leaf:(N.is_leaf node) (N.label node) s off in
+      let llen = N.label_length node in
+      let l = step ~prefix ~leaf:(N.is_leaf node) ~llen (N.label_lcp node s off) s off in
       if l = all then Some (N.count node, acc)
       else if l = none then None
       else
@@ -158,8 +155,14 @@ module Make (N : Wt_core.Node_view.CURSORED) = struct
     | [] -> acc
     | { node; path; depth; lo; hi } :: groups ->
         let leaf = N.is_leaf node in
-        let label = N.label node in
-        let llen = Bitstring.length label in
+        let llen = N.label_length node in
+        (* A node of one rank item compares its label in place, as a
+           scalar rank does; with more items, or an access item, the
+           label is decoded once for all of them. *)
+        let decoded =
+          hi - lo > 1 || match f.ops.(ids.(lo)) with Access _ -> true | _ -> false
+        in
+        let label = if decoded then N.label node else Bitstring.empty in
         let cursor = if leaf || hi - lo = 1 then None else Some (N.bv_cursor node) in
         let visited = ref 0 and consumed = ref 0 in
         let zacc = ref false and oacc = ref false and full = ref None in
@@ -201,7 +204,10 @@ module Make (N : Wt_core.Node_view.CURSORED) = struct
               else begin
                 incr visited;
                 let prefix = match op with Rank_prefix _ -> true | _ -> false in
-                let l = step ~prefix ~leaf label s depth in
+                let l =
+                  if decoded then Bitstring.lcp_from label s depth else N.label_lcp node s depth
+                in
+                let l = step ~prefix ~leaf ~llen l s depth in
                 if l = all then f.results.(id) <- Count pos
                 else if l = none then f.results.(id) <- Count 0
                 else begin

@@ -125,7 +125,6 @@ type code = {
          states that length admits in 4 bits, then the states, 4 bits
          each in increasing order *)
   end_bits : int; (* the end field's width *)
-  recip : int; (* ceil (2^40 / w): [div_width] *)
 }
 
 (* Positions = 0 (mod 9) in [depth, depth + len). *)
@@ -137,21 +136,12 @@ let stored_bits ~width ~depth len =
   let whole = Int.max 0 (((depth + len) / 9) - ((depth + 7) / 9)) in
   len - markers ~depth len - ((8 - width) * whole)
 
-(* [d / w] for [d >= 0]: below 2^20 a multiply by [ceil (2^40 / w)]
-   and a shift, exact for w <= 8, since a node visit runs it where a
-   hardware division would cost more than the rest of the decode. *)
-let div_width c d = if d < 1 lsl 20 then (d * c.recip) lsr 40 else d / c.width
-
 (* A stored length of 16 or more is past every [s0] (at most 8) and
    [s1] (at most 16), so the end states it admits depend on it only
    mod w. *)
 let ends_index c phase stored =
   (phase * (16 + c.width))
-  +
-  if stored < 16 then stored
-  else
-    let d = stored - 16 in
-    16 + d - (c.width * div_width c d)
+  + if stored < 16 then stored else 16 + ((stored - 16) mod c.width)
 
 (* The length of the label of [stored] bits from a depth of phase
    [phase] with end state [m], or -1 when there is none. *)
@@ -159,10 +149,8 @@ let length_at c phase stored m =
   let i = (phase * 9) + m in
   let s1 = Array.unsafe_get c.s1 i in
   if stored = Array.unsafe_get c.s0 i then Array.unsafe_get c.l0 i
-  else if stored >= s1 then begin
-    let q = div_width c (stored - s1) in
-    if stored - s1 = c.width * q then Array.unsafe_get c.l0 i + 9 + (9 * q) else -1
-  end
+  else if stored >= s1 && (stored - s1) mod c.width = 0 then
+    Array.unsafe_get c.l0 i + 9 + (9 * ((stored - s1) / c.width))
   else -1
 
 let set_bytes = 32
@@ -189,8 +177,7 @@ let code_of_set set =
   let l0 = Array.init 81 (fun i -> ((i mod 9) - (i / 9) + 9) mod 9) in
   let s0 = Array.init 81 (fun i -> stored_bits ~width ~depth:(i / 9) l0.(i)) in
   let s1 = Array.init 81 (fun i -> stored_bits ~width ~depth:(i / 9) (l0.(i) + 9)) in
-  let recip = ((1 lsl 40) + width - 1) / width in
-  let c = { set; size; width; enc; dec; l0; s0; s1; ends = [||]; end_bits = 0; recip } in
+  let c = { set; size; width; enc; dec; l0; s0; s1; ends = [||]; end_bits = 0 } in
   let ends =
     Array.init (9 * (16 + width)) (fun i ->
         let phase = i / (16 + width) and stored = i mod (16 + width) in
@@ -289,7 +276,7 @@ let end_field c ~depth len =
   if !i = e land 15 then invalid_arg "Binarize.end_field: negative length";
   !i
 
-(* No closure here or in [decode]: a ref a closure captures is boxed,
+(* No closure here or in [walk]: a ref a closure captures is boxed,
    and both run once per label. *)
 let pack_bits c out ~depth len v =
   let v = ref v and pos = ref depth and rest = ref len in
@@ -324,105 +311,79 @@ let pack_bits c out ~depth len v =
 
 let bad_code () = invalid_arg "Binarize.unpack: a byte code past the byte set"
 
-(* A label of at most 62 bits stored in at most 56, its stored bits
-   [x]: decoded in a register and appended at once, since most labels
-   are this short and a call per byte would cost more than the byte. *)
-let decode_short c x ~phase len ~leaf out =
-  let w = c.width and dec = c.dec in
-  let mask = (1 lsl w) - 1 in
-  let acc = ref 0 and o = ref 0 and p = ref 0 and rest = ref len in
-  if phase = 1 && len >= 8 then begin
-    let g = Array.unsafe_get dec (x land mask) in
-    if g < 0 then bad_code ();
-    acc := g lsr 1;
-    o := 8;
-    p := w;
-    rest := len - 8
-  end
-  else if phase >= 1 then begin
-    let take = Int.min (9 - phase) len in
-    acc := x land ((1 lsl take) - 1);
-    o := take;
-    p := take;
-    rest := len - take
-  end;
-  while !rest >= 9 do
-    let g = Array.unsafe_get dec ((x lsr !p) land mask) in
-    if g < 0 then bad_code ();
-    acc := !acc lor (g lsl !o);
-    o := !o + 9;
-    p := !p + w;
-    rest := !rest - 9
-  done;
-  if !rest > 0 then begin
-    if not leaf then acc := !acc lor (1 lsl !o);
-    let take = !rest - 1 in
-    acc := !acc lor (((x lsr !p) land ((1 lsl take) - 1)) lsl (!o + 1))
-  end;
-  Bitbuf.add_bits out len !acc
+(* [out] of a comparing walk: never written *)
+let no_out = Bitbuf.create ~capacity_bits:0 ()
 
-(* A longer label, a read per byte or six. *)
-let decode_long c mb bit ~depth len ~leaf out =
+(* Piece [v] of [k <= 54] bits at logical bit [q] of a label: appended
+   to [out], or, when [out] is [no_out], compared with the bits of [s]
+   from [off + q].  The common prefix when it ends within the piece (at
+   a bit that differs, or at the end of [s]), else -1. *)
+let piece out s off q k v =
+  if out != no_out then begin
+    Bitbuf.add_bits out k v;
+    -1
+  end
+  else
+    let k' = Int.min k (Bitstring.length s - off - q) in
+    let x = (v lxor Bitstring.get_bits s (off + q) k') land ((1 lsl k') - 1) in
+    if x <> 0 then q + Broadword.lowest_bit x else if k' < k then q + k' else -1
+
+(* The [len] logical bits of a label whose stored bits start at bit
+   [bit] of [mb], from bit depth [depth] (every marker a 1, but for a
+   leaf's last bit, its terminator), piece by piece through [piece]:
+   their common prefix with the bits of [s] from [off], or [len]. *)
+let walk c mb bit ~depth len ~leaf out s off =
   let w = c.width and dec = c.dec in
   let phase = depth mod 9 in
-  let p = ref 0 and rest = ref len in
+  let p = ref 0 and q = ref 0 and l = ref (-1) in
   if phase = 1 && len >= 8 then begin
     (* a whole first byte: its marker lies above the label *)
     let g = dec.(Wt_bits.Membuf.get_bits mb bit w) in
     if g < 0 then bad_code ();
-    Bitbuf.add_bits out 8 (g lsr 1);
+    l := piece out s off 0 8 (g lsr 1);
     p := w;
-    rest := len - 8
+    q := 8
   end
   else if phase >= 1 then begin
     (* a first byte cut by the depth, or by the label's end *)
     let take = Int.min (9 - phase) len in
-    Bitbuf.add_bits out take (Wt_bits.Membuf.get_bits mb bit take);
+    l := piece out s off 0 take (Wt_bits.Membuf.get_bits mb bit take);
     p := take;
-    rest := len - take
+    q := take
   end;
-  (* the rest starts at a marker: six bytes per read *)
+  (* the rest starts at a marker: up to six whole bytes per read *)
   let mask = (1 lsl w) - 1 in
-  while !rest >= 54 do
-    let x = Wt_bits.Membuf.get_bits mb (bit + !p) (6 * w) in
-    let g0 = Array.unsafe_get dec (x land mask)
-    and g1 = Array.unsafe_get dec ((x lsr w) land mask)
-    and g2 = Array.unsafe_get dec ((x lsr (2 * w)) land mask)
-    and g3 = Array.unsafe_get dec ((x lsr (3 * w)) land mask)
-    and g4 = Array.unsafe_get dec ((x lsr (4 * w)) land mask)
-    and g5 = Array.unsafe_get dec ((x lsr (5 * w)) land mask) in
-    if g0 lor g1 lor g2 lor g3 lor g4 lor g5 < 0 then bad_code ();
-    Bitbuf.add_bits out 54
-      (g0 lor (g1 lsl 9) lor (g2 lsl 18) lor (g3 lsl 27) lor (g4 lsl 36) lor (g5 lsl 45));
-    p := !p + (6 * w);
-    rest := !rest - 54
+  while !l < 0 && len - !q >= 9 do
+    let k = Int.min 6 ((len - !q) / 9) in
+    let x = Wt_bits.Membuf.get_bits mb (bit + !p) (k * w) in
+    let v = ref 0 and bad = ref 0 in
+    for j = 0 to k - 1 do
+      let g = Array.unsafe_get dec ((x lsr (j * w)) land mask) in
+      bad := !bad lor g;
+      v := !v lor (g lsl (9 * j))
+    done;
+    if !bad < 0 then bad_code ();
+    l := piece out s off !q (9 * k) !v;
+    p := !p + (k * w);
+    q := !q + (9 * k)
   done;
-  while !rest >= 9 do
-    let g = dec.(Wt_bits.Membuf.get_bits mb (bit + !p) w) in
-    if g < 0 then bad_code ();
-    Bitbuf.add_bits out 9 g;
-    p := !p + w;
-    rest := !rest - 9
-  done;
-  if !rest > 0 then begin
+  if !l < 0 && len > !q then begin
     (* a marker, then the data bits of a byte cut by the label's end *)
-    Bitbuf.add out (not leaf);
-    let take = !rest - 1 in
-    Bitbuf.add_bits out take (Wt_bits.Membuf.get_bits mb (bit + !p) take)
-  end
+    let take = len - !q - 1 in
+    l :=
+      piece out s off !q (take + 1)
+        (Bool.to_int (not leaf) lor (Wt_bits.Membuf.get_bits mb (bit + !p) take lsl 1))
+  end;
+  if !l < 0 then len else !l
 
-(* The [len] logical bits of a label whose [stored] bits start at bit
-   [bit] of [mb], from bit depth [depth]: every marker a 1, but for a
-   leaf's last bit, its terminator. *)
-let decode c mb bit ~depth ~stored len ~leaf out =
-  if stored <= 56 && len <= 62 then
-    decode_short c (Wt_bits.Membuf.get_bits mb bit stored) ~phase:(depth mod 9) len ~leaf out
-  else decode_long c mb bit ~depth len ~leaf out
+let decode c mb bit ~depth len ~leaf out =
+  ignore (walk c mb bit ~depth len ~leaf out Bitstring.empty 0 : int)
 
 let unpack c mb bit ~depth ~stored out =
   let len = unpacked_length c ~depth stored in
   if len < 0 then invalid_arg "Binarize.unpack: the stored length ends no encoded string";
-  decode c mb bit ~depth ~stored len ~leaf:true out
+  decode c mb bit ~depth len ~leaf:true out
 
-let unpack_internal c mb bit ~depth ~stored len out =
-  decode c mb bit ~depth ~stored len ~leaf:false out
+let unpack_internal c mb bit ~depth len out = decode c mb bit ~depth len ~leaf:false out
+
+let lcp c mb bit ~depth len ~leaf s off = walk c mb bit ~depth len ~leaf no_out s off

@@ -145,8 +145,17 @@ val unpack : code -> Wt_bits.Membuf.t -> int -> depth:int -> stored:int -> Wt_bi
     is [|B|] or more. *)
 
 val unpack_internal :
-  code -> Wt_bits.Membuf.t -> int -> depth:int -> stored:int -> int -> Wt_bits.Bitbuf.t -> unit
-(** [unpack_internal c mb bit ~depth ~stored len out] appends the
-    internal label of [len] bits, {!internal_length}'s, whose [stored]
-    bits start at bit [bit] of [mb] and at bit depth [depth].  Raises
+  code -> Wt_bits.Membuf.t -> int -> depth:int -> int -> Wt_bits.Bitbuf.t -> unit
+(** [unpack_internal c mb bit ~depth len out] appends the internal
+    label of [len] bits, {!internal_length}'s, whose stored bits start
+    at bit [bit] of [mb] and at bit depth [depth].  Raises
     [Invalid_argument] when a code is [|B|] or more. *)
+
+val lcp :
+  code -> Wt_bits.Membuf.t -> int -> depth:int -> int -> leaf:bool -> Bitstring.t -> int -> int
+(** [lcp c mb bit ~depth len ~leaf s off]: the longest common prefix of
+    the bits of [s] from [off] and the label of [len] bits (a leaf's
+    when [leaf]) whose stored bits start at bit [bit] of [mb] and at bit
+    depth [depth], read in place: each whole byte the two share costs a
+    code read and no allocation.  Raises [Invalid_argument] when a code
+    it reads, up to the first bit that differs, is [|B|] or more. *)

@@ -283,7 +283,9 @@ let v7_arena ?bytes strings =
       strings
   in
   let bytes = Option.value bytes ~default:(Binarize.byte_set strings) in
-  Flat_wt.arena_of_keys ~keys:Bytes ~bytes ~version:7 (Array.map Wt_core.String_api.encode keys) seq
+  Flat_wt.arena_of_keys ~keys:Bytes ~bytes ~v7_for_tests:true
+    (Array.map Wt_core.String_api.encode keys)
+    seq
 
 (* The version-6 arena of byte strings: version 7's writer with all 256
    bytes in B codes each leaf byte as its eight data bits, version 6's
@@ -761,6 +763,75 @@ let test_merge_cut_labels () =
       ("a, b, a's tail", [ v8 a; v8 b; tail a ], [ a; b; a ]);
     ]
 
+(* The writer takes a packed label in pieces that end at a depth
+   = 0 (mod 9) or at the label's end: after a piece that stops inside a
+   byte, the next is refused, in a leaf's label and an internal one's. *)
+let test_label_pieces () =
+  let enc = Binarize.of_bytes "ab" in
+  let code = Some (Binarize.code_of_set (Binarize.byte_set [| "ab" |])) in
+  List.iter
+    (fun internal ->
+      let w = Flat_wt.writer ~code ~n:2 ~nodes:1 () in
+      Flat_wt.start_node w ~internal ~depth:0;
+      Flat_wt.add_label w 9 (Bitstring.get_bits enc 0 9);
+      Flat_wt.add_label w 5 (Bitstring.get_bits enc 9 5);
+      match Flat_wt.add_label w 4 (Bitstring.get_bits enc 14 4) with
+      | () -> Alcotest.fail "a piece starting inside a byte was taken"
+      | exception Invalid_argument m ->
+          Alcotest.(check string) "refused" "Flat_wt: a label piece starts inside a byte" m)
+    [ false; true ]
+
+(* [Node.label_lcp] compares a label in place as [Bitstring.lcp_from]
+   compares the decoded one, at every node of version-8, version-7 and
+   bitstring arenas: against the label and a bit more, each prefix of
+   it, and it with each bit flipped, from the node's depth. *)
+let test_label_lcp () =
+  let rng = Xoshiro.create 47 in
+  let strings =
+    Array.init 60 (fun _ ->
+        Printf.sprintf "k%d/%c" (Xoshiro.int rng 1000) (Char.chr (97 + Xoshiro.int rng 5)))
+  in
+  (* of one length, so prefix-free *)
+  let bits =
+    List.init 40 (fun _ -> String.init 70 (fun _ -> if Xoshiro.int rng 2 = 0 then '0' else '1'))
+    |> List.sort_uniq compare |> List.map Bitstring.of_string |> Array.of_list
+  in
+  List.iter
+    (fun (what, t) ->
+      let rec visit node depth =
+        let label = Flat_wt.Node.label node in
+        let len = Bitstring.length label in
+        let check k s =
+          check_int
+            (Printf.sprintf "%s: depth %d, %d label bits, query %d" what depth len k)
+            (Bitstring.lcp_from label s depth) (Flat_wt.Node.label_lcp node s depth)
+        in
+        let above = Bitstring.of_string (String.make depth '1') in
+        let bit b = Bitstring.of_bool_list [ b ] in
+        check (-1) (Bitstring.concat [ above; label; bit false ]);
+        for k = 0 to len - 1 do
+          check k (Bitstring.concat [ above; Bitstring.sub label 0 k ]);
+          check k
+            (Bitstring.concat
+               [
+                 above;
+                 Bitstring.sub label 0 k;
+                 bit (not (Bitstring.get label k));
+                 Bitstring.drop label (k + 1);
+               ])
+        done;
+        if not (Flat_wt.Node.is_leaf node) then begin
+          visit (Flat_wt.Node.child node false) (depth + len + 1);
+          visit (Flat_wt.Node.child node true) (depth + len + 1)
+        end
+      in
+      Option.iter (fun root -> visit root 0) (Flat_wt.Node.root t))
+    [
+      ("version 8", Wtrie.Static.of_array strings);
+      ("version 7", Flat_wt.of_membuf (Wt_bits.Membuf.of_string (v7_arena strings)));
+      ("bitstrings", Flat_wt.of_array bits);
+    ]
+
 (* The bitstring front door checks prefix-freeness on adjacent sorted
    keys, as the pointer builder does; the merge, on the keys of
    different sources. *)
@@ -797,6 +868,8 @@ let () =
           qcheck_merge;
           Alcotest.test_case "bitstring input not prefix-free" `Quick test_not_prefix_free;
           Alcotest.test_case "merged labels cut from packed ones" `Quick test_merge_cut_labels;
+          Alcotest.test_case "label pieces end at a byte" `Quick test_label_pieces;
+          Alcotest.test_case "labels compared in place" `Quick test_label_lcp;
         ] );
       ( "space",
         [

@@ -231,13 +231,40 @@ let membuf_of bb =
   Bitbuf.add_to_buffer b bb;
   Wt_bits.Membuf.of_string (Buffer.contents b)
 
+(* [Binarize.lcp] of a packed label, stored from bit 3 of [mb], against
+   queries from bit 5 of a bitstring: the label and one bit more, and
+   three times a random prefix and the label with a random bit flipped,
+   each as [Bitstring.lcp_from] finds it on the decoded [label]. *)
+let check_lcp rng ctx code mb ~depth ~leaf label =
+  let len = Bitstring.length label in
+  let junk = Bitstring.of_bool_list [ true; false; true; true; false ] in
+  let bit b = Bitstring.of_bool_list [ b ] in
+  let check what s =
+    check_int (Printf.sprintf "%s: lcp with %s" ctx what) (Bitstring.lcp_from label s 5)
+      (Binarize.lcp code mb 3 ~depth len ~leaf s 5)
+  in
+  check "the label and a bit" (Bitstring.concat [ junk; label; bit true ]);
+  for _ = 1 to 3 do
+    let k = Xoshiro.int rng (len + 1) in
+    check "a prefix" (Bitstring.concat [ junk; Bitstring.sub label 0 k ]);
+    if k < len then
+      check "a bit flipped"
+        (Bitstring.concat
+           [
+             junk;
+             Bitstring.sub label 0 k;
+             bit (not (Bitstring.get label k));
+             Bitstring.drop label (k + 1);
+           ])
+  done
+
 let unpacked code mb ~depth ~stored =
   let out = Bitbuf.create () in
   Binarize.unpack code mb 3 ~depth ~stored out;
   Bitstring.of_bitbuf out
 
 let test_leaf_labels () =
-  let rng = Xoshiro.create 9 in
+  let rng = Xoshiro.create 9 and lrng = Xoshiro.create 41 in
   List.iter
     (fun code ->
       let w = Binarize.code_width code and set = Binarize.code_set code in
@@ -267,7 +294,8 @@ let test_leaf_labels () =
             check_bool (ctx ^ ": dropped bit") (i < m - 1) (Bitbuf.get dropped i)
           done;
           check_bool (ctx ^ ": round trip") true
-            (Bitstring.equal rest (unpacked code (membuf_of stored) ~depth ~stored:d))
+            (Bitstring.equal rest (unpacked code (membuf_of stored) ~depth ~stored:d));
+          check_lcp lrng ctx code (membuf_of stored) ~depth ~leaf:true rest
         done
       done;
       (* the terminator-only label (phase 0) and the empty one (phase 1) *)
@@ -280,9 +308,14 @@ let test_leaf_labels () =
         let bad = Bitbuf.create () in
         Bitbuf.add_bits bad 3 0;
         Bitbuf.add_bits bad w (Wt_bits.Broadword.reverse_bits g w);
-        match unpacked code (membuf_of bad) ~depth:9 ~stored:w with
+        (match unpacked code (membuf_of bad) ~depth:9 ~stored:w with
         | _ ->
             Alcotest.failf "w %d: unpacked code %d of a %d-byte set" w g (Binarize.code_size code)
+        | exception Invalid_argument _ -> ());
+        let query = Binarize.of_bytes "ab" in
+        match Binarize.lcp code (membuf_of bad) 3 ~depth:9 9 ~leaf:false query 0 with
+        | _ ->
+            Alcotest.failf "w %d: compared code %d of a %d-byte set" w g (Binarize.code_size code)
         | exception Invalid_argument _ -> ()
       done;
       let junk = Bitbuf.create () in
@@ -338,11 +371,11 @@ let test_leaf_labels () =
    packs in pieces to its stored bits, dropping only ones; its end field
    and stored length give back its length, and it unpacks to itself.
    The byte sets have 1, 2, 3, 5, 9, 17, 33, 65, 129 and 256 bytes
-   (w = 1, 1, 2, 3, 4, 5, 6, 7, 8, 8: every end field width).  Every
-   other stored length and field value up to 30 bytes is rejected, and
-   labels of 120,000 and 140,000 bytes get their lengths back. *)
+   (w = 1, 1, 2, 3, 4, 5, 6, 7, 8, 8: every end field width), and it is
+   compared in place as its decoded bits are.  Every other stored length
+   and field value up to 30 bytes is rejected. *)
 let test_internal_labels () =
-  let rng = Xoshiro.create 23 in
+  let rng = Xoshiro.create 23 and lrng = Xoshiro.create 43 in
   List.iter
     (fun size ->
       let set =
@@ -384,28 +417,16 @@ let test_internal_labels () =
             check_int (ctx ^ ": length") len
               (Binarize.internal_length code ~depth ~stored:d field);
             let out = Bitbuf.create () in
-            Binarize.unpack_internal code (membuf_of stored) 3 ~depth ~stored:d len out;
+            Binarize.unpack_internal code (membuf_of stored) 3 ~depth len out;
+            let label = Bitstring.of_bitbuf out in
             check_bool (ctx ^ ": round trip") true
-              (Bitstring.equal (Bitstring.sub enc depth len) (Bitstring.of_bitbuf out))
+              (Bitstring.equal (Bitstring.sub enc depth len) label);
+            check_lcp lrng ctx code (membuf_of stored) ~depth ~leaf:false label
           done
         done
       done;
       check_int (Printf.sprintf "w %d: end states of one stored length" w) ((7 / w) + 2)
         (!most + 1);
-      (* lengths alone, for labels of about 10^6 stored bits *)
-      List.iter
-        (fun nbytes ->
-          for depth = 9 to 17 do
-            for m = 0 to 8 do
-              let len = (9 * nbytes) + ((m - depth + 18) mod 9) in
-              let stored = Binarize.stored_length code ~depth len in
-              check_int
-                (Printf.sprintf "w %d: %d bits from depth %d" w len depth)
-                len
-                (Binarize.internal_length code ~depth ~stored (Binarize.end_field code ~depth len))
-            done
-          done)
-        [ 120_000; 140_000 ];
       for depth = 0 to 17 do
         for d = -1 to 30 * w do
           for field = 0 to (1 lsl x) - 1 do
