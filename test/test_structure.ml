@@ -21,9 +21,18 @@ let check_bool = Alcotest.(check bool)
      non-empty);
    - bitvector length equals subtree count;
    - iter_bits agrees with bv_access;
-   - bv_access_rank agrees with (bv_access, bv_rank). *)
+   - bv_access_rank agrees with (bv_access, bv_rank);
+   - label_length and label_lcp agree with the label. *)
 module Check (N : Wt_core.Node_view.S) = struct
   let rec node rng v =
+    let label = N.label v in
+    let len = Bitstring.length label in
+    check_int "label_length" len (N.label_length v);
+    check_int "label_lcp with the label" len
+      (N.label_lcp v (Bitstring.concat [ Bitstring.of_string "101"; label ]) 3);
+    if len > 0 then
+      check_int "label_lcp with its first bit flipped" 0
+        (N.label_lcp v (Bitstring.cons (not (Bitstring.get label 0)) label) 0);
     if not (N.is_leaf v) then begin
       let m = N.count v in
       check_bool "internal nonempty" true (m > 0);
