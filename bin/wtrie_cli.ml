@@ -265,13 +265,14 @@ let verify_cmd =
       Printf.sprintf "labels: %d bits stored, %d logical (internal: %d stored, %d logical)"
         l.stored_label_bits l.logical_label_bits l.internal_stored_bits l.internal_logical_bits
     in
-    (* and codes each whole byte as its rank in the strings' byte set *)
-    let leaf_codes_json (l : Wt_core.Flat_wt.layout) =
-      Json.Obj [ ("bytes", Json.Int l.leaf_bytes); ("bits", Json.Int l.leaf_code_bits) ]
+    (* and codes each whole byte of a label as its rank in the strings'
+       byte set *)
+    let byte_codes_json (l : Wt_core.Flat_wt.layout) =
+      Json.Obj [ ("bytes", Json.Int l.byte_set_size); ("bits", Json.Int l.byte_code_bits) ]
     in
-    let leaf_codes_text (l : Wt_core.Flat_wt.layout) =
-      if l.leaf_bytes = 0 then "leaf codes: none"
-      else Printf.sprintf "leaf codes: %d bytes in %d bits" l.leaf_bytes l.leaf_code_bits
+    let byte_codes_text (l : Wt_core.Flat_wt.layout) =
+      if l.byte_set_size = 0 then "byte codes: none"
+      else Printf.sprintf "byte codes: %d bytes in %d bits" l.byte_set_size l.byte_code_bits
     in
     match
       if Sys.file_exists path && Sys.is_directory path then begin
@@ -305,7 +306,7 @@ let verify_cmd =
                            ("length", Json.Int run.run_length);
                            ("beta_codes", codes_json run.run_layout.codes);
                            ("label_bits", labels_json run.run_layout);
-                           ("leaf_codes", leaf_codes_json run.run_layout);
+                           ("byte_codes", byte_codes_json run.run_layout);
                          ])
                      r.T.v_run_reports) );
               ("length", Json.Int r.T.v_length);
@@ -332,7 +333,7 @@ let verify_cmd =
                 run.run_version run.run_length
                 (codes_text run.run_layout.codes)
                 (labels_text run.run_layout)
-                (leaf_codes_text run.run_layout))
+                (byte_codes_text run.run_layout))
             r.T.v_run_reports
         end
         else
@@ -361,7 +362,7 @@ let verify_cmd =
               [
                 ("beta_codes", codes_json layout.codes);
                 ("label_bits", labels_json layout);
-                ("leaf_codes", leaf_codes_json layout);
+                ("byte_codes", byte_codes_json layout);
               ])
         else begin
           Printf.printf "%s: ok (%s index%s, length %d)\n" path tag
@@ -370,7 +371,7 @@ let verify_cmd =
           (* a format-v2 file's arena is built on load: its codes are not the file's *)
           if version <> None then
             Printf.printf "  %s\n  %s\n  %s\n" (codes_text layout.codes) (labels_text layout)
-              (leaf_codes_text layout)
+              (byte_codes_text layout)
         end;
         true
       end

@@ -186,11 +186,10 @@ module Storage = struct
 
   (* [read ~deep path]: the variant [path] was written as, and its
      arena.  v3 maps the arena in place ([?mode] as in
-     {!STATIC_API.open_file}); a v2 payload is unmarshalled and
-     flattened.  [~deep] first runs the v2 variant's own check: the
-     append-only and dynamic invariants, and, for the pointer static
-     trie, which has none, a decode of a sample sweep of positions, so
-     a payload that unmarshals but lies still trips. *)
+     {!STATIC_API.open_file}); a v2 payload is decoded and flattened.
+     The static and append-only decoders check a payload's counts as
+     they rebuild its trie; a dynamic payload is the trie itself, so
+     [~deep] first runs its invariants. *)
   let read ?mode ~deep path =
     let module P = Wt_core.Persist in
     match index_version path with
@@ -202,21 +201,11 @@ module Storage = struct
         ( tag,
           match tag with
           | "static" ->
-              let wt = P.load_static path in
-              if deep then begin
-                let n = Wt_core.Wavelet_trie.length wt in
-                let step = Int.max 1 (n / 256) in
-                let i = ref 0 in
-                while !i < n do
-                  ignore (Wt_core.Wavelet_trie.access wt !i);
-                  i := !i + step
-                done
-              end;
-              Wt_core.Flat_wt.of_trie ~keys:Bytes (module Wt_core.Wavelet_trie.Node) wt
+              Wt_core.Flat_wt.of_trie ~keys:Bytes (module Wt_core.Wavelet_trie.Node)
+                (P.load_static path)
           | "append" ->
-              let wt = P.load_append path in
-              if deep then invariants Wt_core.Append_wt.check_invariants wt;
-              Wt_core.Flat_wt.of_trie ~keys:Bytes (module Wt_core.Append_wt.Node) wt
+              Wt_core.Flat_wt.of_trie ~keys:Bytes (module Wt_core.Append_wt.Node)
+                (P.load_append path)
           | "dynamic" ->
               let wt = P.load_dynamic path in
               if deep then invariants Wt_core.Dynamic_wt.check_invariants wt;
@@ -226,7 +215,7 @@ module Storage = struct
   let load_index ?mode path = snd (read ?mode ~deep:false path)
 
   (* Deep verification for [wtrie verify]: full checksums, the v2
-     variant's own checks, then the arena's structural invariants.
+     payload's checks, then the arena's structural invariants.
      Returns (variant, length, arena version, layout: β codes, label
      bits and the leaf byte code), the version [None] for a format-v2
      file, whose arena is built on load. *)

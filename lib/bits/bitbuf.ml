@@ -53,9 +53,24 @@ let set t pos bit =
   let b' = if bit then b lor m else b land lnot m in
   Bytes.unsafe_set t.data i (Char.unsafe_chr (b' land 0xff))
 
-(* When the eight bytes from the first one lie in the backing store, one
-   little-endian 64-bit load covers every read of at most 56 bits;
-   otherwise the bits are gathered a byte at a time. *)
+(* [len <= 56] bits at [pos], read by one little-endian 64-bit load or
+   written by one read-modify-write; the caller checks that the eight
+   bytes from [pos / 8] are in [data]. *)
+let[@inline] load data pos len =
+  Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le data (pos lsr 3)) (pos land 7))
+  land ((1 lsl len) - 1)
+
+let[@inline] store data pos len v =
+  let first = pos lsr 3 and shift = pos land 7 in
+  let m = Int64.shift_left (Int64.of_int ((1 lsl len) - 1)) shift in
+  let old = Bytes.get_int64_le data first in
+  Bytes.set_int64_le data first
+    (Int64.logor (Int64.logand old (Int64.lognot m)) (Int64.shift_left (Int64.of_int v) shift))
+
+(* One load when the eight bytes from the first one lie in the backing
+   store and the bits fit in them, two for a longer read, otherwise a
+   byte at a time. *)
+
 let get_bits t pos len =
   if len < 0 || len > 62 then invalid_arg "Bitbuf.get_bits: bad length";
   if pos < 0 || pos + len > t.len then invalid_arg "Bitbuf.get_bits: out of bounds";
@@ -65,9 +80,9 @@ let get_bits t pos len =
     let data = t.data in
     let first = pos lsr 3 in
     let shift = pos land 7 in
-    if len <= 56 && first <= Bytes.length data - 8 then
-      Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le data first) shift)
-      land ((1 lsl len) - 1)
+    if len <= 56 && first <= Bytes.length data - 8 then load data pos len
+    else if (pos + 56) lsr 3 <= Bytes.length data - 8 then
+      load data pos 56 lor (load data (pos + 56) (len - 56) lsl 56)
     else begin
       (* Low bits from the first byte. *)
       let acc = ref (Char.code (Bytes.unsafe_get data first) lsr shift) in
@@ -85,9 +100,7 @@ let get_bits t pos len =
     end
   end
 
-(* Like [get_bits]: one little-endian 64-bit read-modify-write when the
-   eight bytes from the first one lie in the backing store and the bits
-   fit in them, otherwise a byte at a time. *)
+(* Like [get_bits], by read-modify-writes. *)
 let set_bits t pos len v =
   if len < 0 || len > 62 then invalid_arg "Bitbuf.set_bits: bad length";
   if v < 0 then invalid_arg "Bitbuf.set_bits: negative value";
@@ -95,12 +108,10 @@ let set_bits t pos len v =
   let data = t.data in
   let v = v land (if len = 62 then (1 lsl 62) - 1 else (1 lsl len) - 1) in
   let first = pos lsr 3 in
-  if len <= 56 && first <= Bytes.length data - 8 then begin
-    let shift = pos land 7 in
-    let m = Int64.shift_left (Int64.of_int ((1 lsl len) - 1)) shift in
-    let old = Bytes.get_int64_le data first in
-    Bytes.set_int64_le data first
-      (Int64.logor (Int64.logand old (Int64.lognot m)) (Int64.shift_left (Int64.of_int v) shift))
+  if len <= 56 && first <= Bytes.length data - 8 then store data pos len v
+  else if len > 56 && (pos + 56) lsr 3 <= Bytes.length data - 8 then begin
+    store data pos 56 (v land ((1 lsl 56) - 1));
+    store data (pos + 56) (len - 56) (v lsr 56)
   end
   else
   let i = ref first in

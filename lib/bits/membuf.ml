@@ -20,10 +20,19 @@ let length t = t.len
 
 let of_bigarray (ba : ba) = { ba; len = Bigarray.Array1.dim ba }
 
+external unsafe_set64 : ba -> int -> int64 -> unit = "%caml_bigstring_set64u"
+
+(* Eight bytes per store, then the rest one at a time. *)
 let of_string s =
   let n = String.length s in
   let ba = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
-  for i = 0 to n - 1 do
+  let words = n / 8 * 8 in
+  let i = ref 0 in
+  while !i < words do
+    unsafe_set64 ba !i (String.get_int64_ne s !i);
+    i := !i + 8
+  done;
+  for i = words to n - 1 do
     Bigarray.Array1.unsafe_set ba i (String.unsafe_get s i)
   done;
   { ba; len = n }

@@ -6,26 +6,28 @@ let seg_bits = 4096
 let word_bits = 56
 let tail_words = (seg_bits / word_bits) + 2
 
-(* Blocks of RRR construction performed per append while a segment is
-   pending.  A segment has seg_bits/62 = 67 blocks, so construction
-   finishes within ~34 appends — far inside the seg_bits appends before
-   the next segment fills, as the de-amortization argument requires. *)
+(* Blocks encoded per append while a segment is pending.  A segment has
+   seg_bits/62 = 67 blocks, so with the blob's write and its view, one
+   append each, the build finishes within 36 appends — far inside the
+   seg_bits appends before the next segment fills, as the
+   de-amortization argument requires. *)
 let build_steps = 2
 
-(* A filled segment whose RRR encoding is still being constructed
-   incrementally (Section 4.1's partial rebuilding): queries are served
-   from the raw bits until the builder finishes. *)
+(* A filled segment whose blob is still being built incrementally
+   (Section 4.1's partial rebuilding): queries are served from the raw
+   bits until the blob is frozen. *)
 type pending = {
   raw : Bitbuf.t;
   raw_cum : int array; (* ones before each 56-bit word *)
   raw_ones : int;
-  builder : Rrr.Builder.t;
+  encoder : Rrr.Encoder.t;
+  mutable blob : Bitbuf.t option; (* written by the encoder, not yet viewed *)
 }
 
 type t = {
   offset_bit : bool; (* virtual constant prefix: Init's "left offset" *)
   offset_len : int;
-  mutable segments : Rrr.t array; (* frozen segments of exactly seg_bits *)
+  mutable segments : Rrr.t array; (* frozen segments of exactly seg_bits, as blobs *)
   mutable nsegs : int;
   mutable cum_ones : int array; (* ones before segment i; length >= nsegs+1 *)
   mutable pending : pending option;
@@ -94,11 +96,11 @@ let buf_select buf cum b k =
 (* ------------------------------------------------------------------ *)
 (* Structural transitions *)
 
-let grow_segments t =
+(* [seg] fills the spare slots when the segment array grows. *)
+let grow_segments t seg =
   if t.nsegs = Array.length t.segments then begin
     let cap = max 4 (t.nsegs * 2) in
-    let dummy = Rrr.of_bitbuf (Bitbuf.create ()) in
-    let nsegs_arr = Array.make cap dummy in
+    let nsegs_arr = Array.make cap seg in
     Array.blit t.segments 0 nsegs_arr 0 t.nsegs;
     t.segments <- nsegs_arr;
     let ncum = Array.make (cap + 1) 0 in
@@ -106,37 +108,46 @@ let grow_segments t =
     t.cum_ones <- ncum
   end
 
-let commit_pending t p =
-  grow_segments t;
-  t.segments.(t.nsegs) <- Rrr.Builder.finalize p.builder;
-  t.cum_ones.(t.nsegs + 1) <- t.cum_ones.(t.nsegs) + p.raw_ones;
-  t.nsegs <- t.nsegs + 1;
-  t.pending <- None
-
+(* One bounded piece of the pending segment's build per append: the
+   next [build_steps] blocks, then the blob's write, then its view. *)
 let advance_pending t =
   match t.pending with
   | None -> ()
-  | Some p ->
-      Rrr.Builder.step p.builder build_steps;
-      if Rrr.Builder.finished p.builder then commit_pending t p
+  | Some p -> (
+      match p.blob with
+      | Some bb ->
+          let seg = Rrr.of_blob bb ~len:seg_bits in
+          grow_segments t seg;
+          t.segments.(t.nsegs) <- seg;
+          t.cum_ones.(t.nsegs + 1) <- t.cum_ones.(t.nsegs) + p.raw_ones;
+          t.nsegs <- t.nsegs + 1;
+          t.pending <- None
+      | None when Rrr.Encoder.finished p.encoder ->
+          (* a blob is never longer than its plain code: 4,201 bits *)
+          let bb = Bitbuf.create ~capacity_bits:(seg_bits + 256) () in
+          Rrr.Encoder.write p.encoder bb;
+          p.blob <- Some bb
+      | None -> Rrr.Encoder.step p.encoder build_steps)
 
 (* The tail reached seg_bits: move it to pending and start a fresh tail.
    O(1): the buffers are moved, not copied. *)
 let retire_tail t =
   (match t.pending with
   | None -> ()
-  | Some p ->
-      (* cannot happen with build_steps >= 1 (construction finishes within
-         ~34 appends, the next tail needs 4096); kept as a safety valve *)
-      Rrr.Builder.step p.builder max_int;
-      commit_pending t p);
+  | Some _ ->
+      (* cannot happen with build_steps >= 1 (the build finishes within
+         36 appends, the next tail needs 4096); kept as a safety valve *)
+      while Option.is_some t.pending do
+        advance_pending t
+      done);
   t.pending <-
     Some
       {
         raw = t.tail;
         raw_cum = t.tail_cum;
         raw_ones = t.tail_ones;
-        builder = Rrr.Builder.create t.tail;
+        encoder = Rrr.Encoder.create t.tail;
+        blob = None;
       };
   t.tail <- Bitbuf.create ~capacity_bits:128 ();
   t.tail_ones <- 0;
@@ -162,10 +173,10 @@ let append t b =
 
 (* A frozen copy for readers on other domains.  Frozen segments never
    change, and neither do the pending segment's raw bits and directory
-   (its builder only reads them), so both are shared.  [append] still
+   (its encoder only reads them), so both are shared.  [append] still
    writes the tail, its directory and the segment arrays, so those are
    copied: O(nsegs + seg_bits / 64).  Reads of the copy never write; the
-   copy shares the pending builder, so appending to it is correct only
+   copy shares the pending encoder, so appending to it is correct only
    on the original's domain. *)
 let snapshot t =
   {
@@ -305,6 +316,8 @@ let check_invariants t =
   for i = 0 to t.nsegs - 1 do
     if t.cum_ones.(i) <> !cum then fail "segment cum_ones wrong at %d" i;
     if Rrr.length t.segments.(i) <> seg_bits then fail "segment %d wrong length" i;
+    (try Rrr.check t.segments.(i) ~version:Rrr.newest_version
+     with Failure m -> fail "segment %d: %s" i m);
     cum := !cum + Rrr.ones t.segments.(i)
   done;
   if t.cum_ones.(t.nsegs) <> !cum then fail "final cum_ones wrong";
@@ -327,8 +340,8 @@ let check_invariants t =
 (* Rank cursor: the virtual offset prefix, the pending segment and the
    tail are already O(1) per query (constant / word-cumulative counts),
    so the cache lives entirely in the frozen part — an {!Rrr.Cursor}
-   into the segment last queried.  Frozen segments are immutable, so the
-   cursor stays valid across concurrent appends. *)
+   into the blob of the segment last queried.  Frozen segments are
+   immutable, so the cursor stays valid across concurrent appends. *)
 module Cursor = struct
   type nonrec bv = t [@@warning "-34"]
 

@@ -1,15 +1,15 @@
 (** Append-only compressed bitvector (Section 4.1, Theorem 4.5).
 
     The bitvector is the concatenation of frozen segments of 4096 bits,
-    each compressed with {!Rrr}, followed by a small mutable tail with an
-    explicit rank directory.  Queries are O(1) (amortized within a
-    segment).  [append] is {e worst-case} O(1): when the tail fills, it
-    becomes a {e pending} segment whose RRR encoding is built a couple of
-    blocks at a time by the next few appends (the paper's partial
-    rebuilding [21]); queries meanwhile read the pending segment's raw
-    bits, which stay live until construction finishes — so at most one
-    segment is duplicated at a time, as in the paper's proof.  Space is
-    [n H0 + o(n)] bits.
+    each an {!Rrr} blob in the arena's code, followed by a small mutable
+    tail with an explicit rank directory.  Queries are O(1) (amortized
+    within a segment).  [append] is {e worst-case} O(1): when the tail
+    fills, it becomes a {e pending} segment whose blob an
+    {!Rrr.Encoder} builds a couple of blocks at a time over the next
+    few appends (the paper's partial rebuilding [21]); queries meanwhile
+    read the pending segment's raw bits, which stay live until the blob
+    is written — so at most one segment is duplicated at a time, as in
+    the paper's proof.  Space is [n H0 + o(n)] bits.
 
     The remaining substitution (DESIGN.md): the paper's fusion-tree
     partial sums over segment counters are replaced by binary search,
@@ -44,11 +44,11 @@ val is_constant : t -> bool
 val access_rank : t -> int -> bool * int
 (** [access_rank t pos] is [(b, rank t b pos)] with [b = access t pos]. *)
 
-(** Rank cursor for batched queries: an {!Rrr.Cursor} into the frozen
-    segment last queried (the pending segment and tail are O(1) per
-    query already).  Frozen segments are immutable, so the cursor stays
-    valid across appends.  Any position order is correct; monotone
-    positions are the fast path. *)
+(** Rank cursor for batched queries: an {!Rrr.Cursor} into the blob of
+    the frozen segment last queried (the pending segment and tail are
+    O(1) per query already).  Frozen segments are immutable, so the
+    cursor stays valid across appends.  Any position order is correct;
+    monotone positions are the fast path. *)
 module Cursor : sig
   type bv := t
   type t

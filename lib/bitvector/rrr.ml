@@ -107,363 +107,16 @@ let unrank_to m off c r =
   let bit = !rem > 0 && r < m && !off >= choose (m - 1 - r) !rem in
   ((c - !rem) lsl 1) lor Bool.to_int bit
 
-type t = {
-  len : int;
-  total_ones : int;
-  classes : Bitbuf.t; (* 6 bits per block *)
-  offsets : Bitbuf.t; (* variable-width offsets, concatenated *)
-  sb_ones : int array; (* cumulative ones before each superblock *)
-  sb_off : int array; (* offset-stream bit position at superblock start *)
-}
-
-let length t = t.len
-let ones t = t.total_ones
-let zeros t = t.len - t.total_ones
-
 let nblocks_of_len len = (len + block_bits - 1) / block_bits
 
-let of_bitbuf buf =
-  let len = Bitbuf.length buf in
-  let nblocks = nblocks_of_len len in
-  let nsb = (nblocks + sb_blocks - 1) / sb_blocks in
-  let classes = Bitbuf.create ~capacity_bits:(nblocks * class_bits) () in
-  let offsets = Bitbuf.create ~capacity_bits:len () in
-  let sb_ones = Array.make (nsb + 1) 0 in
-  let sb_off = Array.make (nsb + 1) 0 in
-  let total = ref 0 in
-  for blk = 0 to nblocks - 1 do
-    if blk mod sb_blocks = 0 then begin
-      let sb = blk / sb_blocks in
-      sb_ones.(sb) <- !total;
-      sb_off.(sb) <- Bitbuf.length offsets
-    end;
-    let pos = blk * block_bits in
-    let blen = Int.min block_bits (len - pos) in
-    let bits = Bitbuf.get_bits buf pos blen in
-    let c = Broadword.popcount bits in
-    Bitbuf.add_bits classes class_bits c;
-    let w = offset_width c in
-    if w > 0 then Bitbuf.add_bits offsets w (encode_offset block_bits bits c);
-    total := !total + c
-  done;
-  sb_ones.(nsb) <- !total;
-  sb_off.(nsb) <- Bitbuf.length offsets;
-  { len; total_ones = !total; classes; offsets; sb_ones; sb_off }
-
-let of_string s = of_bitbuf (Bitbuf.of_string s)
-
-let class_of t blk = Bitbuf.get_bits t.classes (blk * class_bits) class_bits
-
-let decode_block t off_pos c =
-  let w = offset_width c in
-  if w = 0 then if c = 0 then 0 else Broadword.mask block_bits
-  else decode_offset block_bits (Bitbuf.get_bits t.offsets off_pos w) c
-
-(* [unrank_to] on a block: ones before position [r] times two, plus the
-   bit at [r]. *)
-let unrank_block t off_pos c r =
-  let w = offset_width c in
-  if w = 0 then if c = 0 then 0 else (r lsl 1) lor 1
-  else unrank_to block_bits (Bitbuf.get_bits t.offsets off_pos w) c r
-
-(* Walk blocks of superblock [sb] up to block [target]; returns
-   (ones before target within walk + sb base, offset position of target). *)
-let walk_to_block t target =
-  let sb = target / sb_blocks in
-  let ones = ref t.sb_ones.(sb) in
-  let off = ref t.sb_off.(sb) in
-  for blk = sb * sb_blocks to target - 1 do
-    let c = class_of t blk in
-    ones := !ones + c;
-    off := !off + offset_width c
-  done;
-  (!ones, !off)
-
-let block_len t blk = Int.min block_bits (t.len - (blk * block_bits))
-
-let rank1 t pos =
-  if pos = 0 then 0
-  else begin
-    let blk = pos / block_bits in
-    let nblocks = nblocks_of_len t.len in
-    if blk >= nblocks then t.total_ones
-    else begin
-      let ones, off = walk_to_block t blk in
-      let r = pos mod block_bits in
-      if r = 0 then ones else ones + (unrank_block t off (class_of t blk) r lsr 1)
-    end
-  end
-
-let rank t b pos =
-  Fid.check_rank_pos ~who:"Rrr" ~len:t.len pos;
-  Probe.hit Rrr_rank;
-  if b then rank1 t pos else pos - rank1 t pos
-
-let access t pos =
-  Fid.check_access_pos ~who:"Rrr" ~len:t.len pos;
-  Probe.hit Rrr_access;
-  let blk = pos / block_bits in
-  let _, off = walk_to_block t blk in
-  unrank_block t off (class_of t blk) (pos mod block_bits) land 1 = 1
-
-(* (bit at pos, rank of that bit before pos): one walk + one partial
-   unranking that also captures the bit at [pos]. *)
-let access_rank t pos =
-  Fid.check_access_pos ~who:"Rrr" ~len:t.len pos;
-  Probe.hit Rrr_access;
-  let blk = pos / block_bits in
-  let ones, off = walk_to_block t blk in
-  let x = unrank_block t off (class_of t blk) (pos mod block_bits) in
-  let b = x land 1 = 1 in
-  let r1 = ones + (x lsr 1) in
-  (b, if b then r1 else pos - r1)
-
-let select t b k =
-  let count = if b then t.total_ones else zeros t in
-  Fid.check_select_idx ~who:"Rrr" ~count k;
-  Probe.hit Rrr_select;
-  let nsb = Array.length t.sb_ones - 1 in
-  (* count of b strictly before superblock sb *)
-  let count_before sb =
-    if b then t.sb_ones.(sb) else Int.min t.len (sb * sb_bits) - t.sb_ones.(sb)
-  in
-  let lo = ref 0 and hi = ref nsb in
-  while !hi - !lo > 1 do
-    let mid = (!lo + !hi) / 2 in
-    if count_before mid <= k then lo := mid else hi := mid
-  done;
-  let sb = !lo in
-  let remaining = ref (k - count_before sb) in
-  let blk = ref (sb * sb_blocks) in
-  let off = ref (t.sb_off.(sb)) in
-  let block_count blk =
-    let c = class_of t blk in
-    if b then c else block_len t blk - c
-  in
-  let c = ref (block_count !blk) in
-  while !remaining >= !c do
-    remaining := !remaining - !c;
-    off := !off + offset_width (class_of t !blk);
-    incr blk;
-    c := block_count !blk
-  done;
-  let cls = class_of t !blk in
-  let bits = decode_block t !off cls in
-  let inblock =
-    if b then Broadword.select_in_word bits !remaining
-    else Broadword.select0_in_word bits (block_len t !blk) !remaining
-  in
-  (!blk * block_bits) + inblock
-
-let to_bitbuf t =
-  let out = Bitbuf.create ~capacity_bits:t.len () in
-  let nblocks = nblocks_of_len t.len in
-  let off = ref 0 in
-  for blk = 0 to nblocks - 1 do
-    let c = class_of t blk in
-    let bits = decode_block t !off c in
-    off := !off + offset_width c;
-    Bitbuf.add_bits out (block_len t blk) bits
-  done;
-  out
-
-let space_bits t =
-  Bitbuf.length t.classes + Bitbuf.length t.offsets
-  + (64 * (Array.length t.sb_ones + Array.length t.sb_off + 2))
-
-(* Resumable construction: the paper's Section 4.1 de-amortization needs
-   RRR built "in O(n'/log n) steps ... interleaved with other operations".
-   A builder encodes a bounded number of blocks per [step] call. *)
-module Builder = struct
-  type rrr = t
-
-  type t = {
-    src : Bitbuf.t;
-    len : int;
-    nblocks : int;
-    nsb : int;
-    classes : Bitbuf.t;
-    offsets : Bitbuf.t;
-    sb_ones : int array;
-    sb_off : int array;
-    mutable blk : int; (* next block to encode *)
-    mutable total : int; (* ones so far *)
-  }
-
-  let create src =
-    let len = Bitbuf.length src in
-    let nblocks = nblocks_of_len len in
-    let nsb = (nblocks + sb_blocks - 1) / sb_blocks in
-    {
-      src;
-      len;
-      nblocks;
-      nsb;
-      classes = Bitbuf.create ~capacity_bits:(nblocks * class_bits) ();
-      offsets = Bitbuf.create ~capacity_bits:len ();
-      sb_ones = Array.make (nsb + 1) 0;
-      sb_off = Array.make (nsb + 1) 0;
-      blk = 0;
-      total = 0;
-    }
-
-  let finished b = b.blk >= b.nblocks
-
-  let step b k =
-    let target = Int.min b.nblocks (b.blk + k) in
-    while b.blk < target do
-      let blk = b.blk in
-      if blk mod sb_blocks = 0 then begin
-        let sb = blk / sb_blocks in
-        b.sb_ones.(sb) <- b.total;
-        b.sb_off.(sb) <- Bitbuf.length b.offsets
-      end;
-      let pos = blk * block_bits in
-      let blen = Int.min block_bits (b.len - pos) in
-      let bits = Bitbuf.get_bits b.src pos blen in
-      let c = Broadword.popcount bits in
-      Bitbuf.add_bits b.classes class_bits c;
-      let w = offset_width c in
-      if w > 0 then Bitbuf.add_bits b.offsets w (encode_offset block_bits bits c);
-      b.total <- b.total + c;
-      b.blk <- blk + 1
-    done
-
-  let finalize b : rrr =
-    if not (finished b) then invalid_arg "Rrr.Builder.finalize: not finished";
-    b.sb_ones.(b.nsb) <- b.total;
-    b.sb_off.(b.nsb) <- Bitbuf.length b.offsets;
-    {
-      len = b.len;
-      total_ones = b.total;
-      classes = b.classes;
-      offsets = b.offsets;
-      sb_ones = b.sb_ones;
-      sb_off = b.sb_off;
-    }
-end
-
-(* Rank cursor: caches the last decoded block together with the rank and
-   offset-stream prefix sums before it.  A query landing in the cached
-   block is an in-block popcount; a short forward step re-uses the prefix
-   sums and walks only the classes in between; anything else repositions
-   from the superblock directory (exactly what a from-scratch query
-   does).  Correct for any position order — monotone batches are simply
-   the all-hit fast path. *)
-module Cursor = struct
-  type nonrec bv = t [@@warning "-34"]
-
-  type t = {
-    bv : bv;
-    mutable blk : int; (* decoded block index, or -1 *)
-    mutable bits : int; (* decoded contents of block [blk] *)
-    mutable ones_before : int; (* ones in blocks [0, blk) *)
-    mutable off : int; (* offset-stream position of block [blk] *)
-  }
-
-  let create bv = { bv; blk = -1; bits = 0; ones_before = 0; off = 0 }
-
-  let seek t blk =
-    if blk = t.blk then Probe.hit Bv_cursor_hit
-    else begin
-      (if t.blk >= 0 && blk > t.blk && blk - t.blk <= sb_blocks then begin
-         Probe.hit Bv_cursor_hit;
-         for b = t.blk to blk - 1 do
-           let c = class_of t.bv b in
-           t.ones_before <- t.ones_before + c;
-           t.off <- t.off + offset_width c
-         done
-       end
-       else begin
-         Probe.hit Bv_cursor_miss;
-         let ones, off = walk_to_block t.bv blk in
-         t.ones_before <- ones;
-         t.off <- off
-       end);
-      t.blk <- blk;
-      t.bits <- decode_block t.bv t.off (class_of t.bv blk)
-    end
-
-  let rank1 t pos =
-    if pos <= 0 then 0
-    else begin
-      let blk = pos / block_bits in
-      if blk >= nblocks_of_len t.bv.len then t.bv.total_ones
-      else begin
-        seek t blk;
-        t.ones_before
-        + Broadword.popcount (t.bits land Broadword.mask (pos mod block_bits))
-      end
-    end
-
-  let rank t b pos =
-    Fid.check_rank_pos ~who:"Rrr.Cursor" ~len:t.bv.len pos;
-    Probe.hit Rrr_rank;
-    let r1 = rank1 t pos in
-    if b then r1 else pos - r1
-
-  let access_rank t pos =
-    Fid.check_access_pos ~who:"Rrr.Cursor" ~len:t.bv.len pos;
-    Probe.hit Rrr_access;
-    seek t (pos / block_bits);
-    let r = pos mod block_bits in
-    let b = t.bits land (1 lsl r) <> 0 in
-    let r1 = t.ones_before + Broadword.popcount (t.bits land Broadword.mask r) in
-    (b, if b then r1 else pos - r1)
-end
-
-module Iter = struct
-  type nonrec bv = t [@@warning "-34"]
-
-  type t = {
-    bv : bv;
-    mutable cursor : int; (* global bit position *)
-    mutable blk : int; (* decoded block index, or -1 *)
-    mutable bits : int; (* decoded block contents *)
-    mutable off : int; (* offset-stream position of block [blk] *)
-  }
-
-  let create bv pos =
-    if pos < 0 || pos > bv.len then invalid_arg "Rrr.Iter.create";
-    (* Position the offset cursor at the block containing [pos]. *)
-    if pos >= bv.len then { bv; cursor = pos; blk = -1; bits = 0; off = 0 }
-    else begin
-      let blk = pos / block_bits in
-      let _, off = walk_to_block bv blk in
-      let c = class_of bv blk in
-      let bits = decode_block bv off c in
-      { bv; cursor = pos; blk; bits; off }
-    end
-
-  let pos t = t.cursor
-  let has_next t = t.cursor < t.bv.len
-
-  let next t =
-    if t.cursor >= t.bv.len then invalid_arg "Rrr.Iter.next: exhausted";
-    let blk = t.cursor / block_bits in
-    if blk <> t.blk then begin
-      (* Crossed into the next block: advance the offset cursor. *)
-      if t.blk >= 0 && blk = t.blk + 1 then
-        t.off <- t.off + offset_width (class_of t.bv t.blk)
-      else begin
-        let _, off = walk_to_block t.bv blk in
-        t.off <- off
-      end;
-      t.blk <- blk;
-      t.bits <- decode_block t.bv t.off (class_of t.bv blk)
-    end;
-    let b = t.bits land (1 lsl (t.cursor mod block_bits)) <> 0 in
-    t.cursor <- t.cursor + 1;
-    b
-end
-
-let pp fmt t = Format.fprintf fmt "%s" (Bitbuf.to_string (to_bitbuf t))
+let decode_full_block c off = decode_offset block_bits off c
 
 (* ------------------------------------------------------------------ *)
-(* Flat serialized form: one β blob, bit-packed and queried in place
-   through {!Wt_bits.Membuf}.  This is the inline bitvector encoding of
-   the format-v3 arena ([Wt_core.Flat_wt]): no deserialization, the
-   on-disk bits are the query structure.
+(* The blob: one bitvector, bit-packed and queried in place through
+   {!Wt_bits.Membuf}.  This is the inline bitvector encoding of the
+   format-v3 arena ([Wt_core.Flat_wt]), so no deserialization: the
+   on-disk bits are the query structure.  Other owners keep a blob in a
+   private buffer ({!of_blob}).
 
    The blob has no length field and no alignment.  Its length [len] is
    known to its owner (an arena node's count), and [nblocks]/[nsb]
@@ -504,640 +157,669 @@ let pp fmt t = Format.fprintf fmt "%s" (Bitbuf.to_string (to_bitbuf t))
    Versions 3 and 4 stored every blob as RRR with no tag, no base and 6
    bits per class.  Version 2 also coded the last block over 62
    positions like the others (so a one-block blob's class took 6 bits);
-   such a blob is read as one whose tail is 62 long.  The view keeps the base, the class width and the length the
-   last block is coded over, so one decoder reads all four. *)
-module Flat = struct
-  module Membuf = Wt_bits.Membuf
+   such a blob is read as one whose tail is 62 long.  The view keeps the
+   base, the class width and the length the last block is coded over,
+   so one decoder reads all four. *)
+module Membuf = Wt_bits.Membuf
 
-  type code = Rrr | Plain
+type code = Rrr | Plain
 
-  let newest_version = 8
+let newest_version = 8
 
-  (* As many fields as a view had before version 5: the batch engine
-     makes one per node it visits. *)
-  type t = {
-    mb : Membuf.t;
-    len : int;
-    total_ones : int;
-    tail : int; (* positions the last block is coded over *)
-    dir_bit : int; (* bit offset of the RRR directory, or of the plain samples *)
-    dir_w : int; (* their field width; 0 when an RRR blob has no directory *)
-    classes_bit : int; (* bit offset of the classes stream *)
-    cls : int; (* (cbase lsl 3) lor cw: block i's class is cbase plus its
-                  cw-bit field; -1 for a plain blob *)
-    offsets_bit : int; (* bit offset of the offsets stream, or of the raw bits *)
-    bits : int; (* blob length in bits *)
-  }
+(* As many fields as a view had before version 5: the batch engine
+   makes one per node it visits. *)
+type t = {
+  mb : Membuf.t;
+  len : int;
+  total_ones : int;
+  tail : int; (* positions the last block is coded over *)
+  dir_bit : int; (* bit offset of the RRR directory, or of the plain samples *)
+  dir_w : int; (* their field width; 0 when an RRR blob has no directory *)
+  classes_bit : int; (* bit offset of the classes stream *)
+  cls : int; (* (cbase lsl 3) lor cw: block i's class is cbase plus its
+                cw-bit field; -1 for a plain blob *)
+  offsets_bit : int; (* bit offset of the offsets stream, or of the raw bits *)
+  bits : int; (* blob length in bits *)
+}
 
-  let[@inline] plain t = t.cls < 0
-  let[@inline] cbase t = t.cls lsr 3
-  let[@inline] cw t = t.cls land 7
-  let nblocks t = nblocks_of_len t.len
+let[@inline] plain t = t.cls < 0
+let[@inline] cbase t = t.cls lsr 3
+let[@inline] cw t = t.cls land 7
+let nblocks t = nblocks_of_len t.len
 
-  let nsb_of_nblocks nblocks = (nblocks + sb_blocks - 1) / sb_blocks
+let nsb_of_nblocks nblocks = (nblocks + sb_blocks - 1) / sb_blocks
 
-  (* Both directory fields are bounded by 64 bits per block: a block
-     holds at most 62 ones and its offset at most 59 bits. *)
-  let dir_width nblocks =
-    if nsb_of_nblocks nblocks > 1 then Broadword.bit_width (64 * nblocks) else 0
+(* Both directory fields are bounded by 64 bits per block: a block
+   holds at most 62 ones and its offset at most 59 bits. *)
+let dir_width nblocks =
+  if nsb_of_nblocks nblocks > 1 then Broadword.bit_width (64 * nblocks) else 0
 
-  (* The class width of a one-block blob whose tail is [r] bits long:
-     [bit_width r]. *)
-  let tail_class_bits = Array.init (block_bits + 1) Broadword.bit_width
+(* The class width of a one-block blob whose tail is [r] bits long:
+   [bit_width r]. *)
+let tail_class_bits = Array.init (block_bits + 1) Broadword.bit_width
 
-  (* The code tag, class base and class width in front of a class-range
-     RRR blob. *)
-  let head_bits = 10
+(* The code tag, class base and class width in front of a class-range
+   RRR blob. *)
+let head_bits = 10
 
-  (* Plain blobs: one rank sample per [sample_bits] bits. *)
-  let sample_bits = 512
-  let nsamples len = (len + sample_bits - 1) / sample_bits
-  let plain_size len = 1 + (nsamples len * Broadword.bit_width len) + len
+(* Plain blobs: one rank sample per [sample_bits] bits. *)
+let sample_bits = 512
+let nsamples len = (len + sample_bits - 1) / sample_bits
+let plain_size len = 1 + (nsamples len * Broadword.bit_width len) + len
 
-  (* Class fields per Membuf read at class width [cw]: at most 60 bits. *)
-  let per_read = [| 0; 60; 30; 20; 15; 12; 10 |]
+(* Class fields per Membuf read at class width [cw]: at most 60 bits. *)
+let per_read = [| 0; 60; 30; 20; 15; 12; 10 |]
 
-  (* The popcounts of the blocks a blob is being encoded from, one
-     scratch array per domain. *)
-  let scratch = Domain.DLS.new_key (fun () -> ref [||])
+(* Each block's offset is taken here, unless an {!Encoder} took it
+   already ([offs]). *)
+let write_offsets bb blocks offs ~last ~tail =
+  for blk = 0 to last do
+    let c = Broadword.popcount blocks.(blk) and m = if blk = last then tail else block_bits in
+    let w = width m c in
+    if w > 0 then
+      Bitbuf.add_bits bb w
+        (match offs with Some o -> o.(blk) | None -> encode_offset m blocks.(blk) c)
+  done
 
-  (* The blob of a [len]-bit bitvector given as its 62-bit blocks:
-     [blocks.(i)] holds bits [62i, 62i + 62), LSB first, zero past
-     [len].  The classes and offset widths are taken first, which prices
-     both codes; then the chosen one is written. *)
-  let append_blocks ?code bb blocks ~len =
-    let nblocks = nblocks_of_len len in
-    let last = nblocks - 1 in
-    let tail = len - (block_bits * last) in
-    let cls =
-      let r = Domain.DLS.get scratch in
-      if Array.length !r < nblocks then r := Array.make (2 * nblocks) 0;
-      !r
-    in
-    if nblocks > 0 && blocks.(last) lsr tail <> 0 then
-      invalid_arg "Rrr.Flat.append_blocks: bits past the length";
+(* The one blob writer: the blob of a [len]-bit bitvector given as its
+   62-bit blocks ([blocks.(i)] holds bits [62i, 62i + 62), LSB first,
+   zero past [len]).  The classes (popcounts) and offset widths price
+   both codes; then the chosen one is written. *)
+let write code bb blocks offs ~len =
+  let nblocks = nblocks_of_len len in
+  let last = nblocks - 1 in
+  let tail = len - (block_bits * last) in
+  if nblocks = 1 then begin
+    Bitbuf.add_bits bb tail_class_bits.(tail) (Broadword.popcount blocks.(0));
+    write_offsets bb blocks offs ~last ~tail
+  end
+  else if nblocks > 1 then begin
     let cmin = ref block_bits and cmax = ref 0 and off_bits = ref 0 in
     for blk = 0 to last do
       let c = Broadword.popcount blocks.(blk) in
-      cls.(blk) <- c;
       cmin := Int.min !cmin c;
       cmax := Int.max !cmax c;
       off_bits := !off_bits + width (if blk = last then tail else block_bits) c
     done;
-    let offsets () =
-      for blk = 0 to last do
-        let c = cls.(blk) and m = if blk = last then tail else block_bits in
-        let w = width m c in
-        if w > 0 then Bitbuf.add_bits bb w (encode_offset m blocks.(blk) c)
-      done
+    let cw = Broadword.bit_width (!cmax - !cmin) in
+    let w = dir_width nblocks in
+    let rrr = head_bits + (2 * w * nsb_of_nblocks nblocks) + (nblocks * cw) + !off_bits in
+    let code =
+      match code with Some c -> c | None -> if plain_size len <= rrr then Plain else Rrr
     in
-    if nblocks = 1 then begin
-      Bitbuf.add_bits bb tail_class_bits.(tail) cls.(0);
-      offsets ()
-    end
-    else if nblocks > 1 then begin
-      let cw = Broadword.bit_width (!cmax - !cmin) in
-      let w = dir_width nblocks in
-      let rrr = head_bits + (2 * w * nsb_of_nblocks nblocks) + (nblocks * cw) + !off_bits in
-      let code =
-        match code with Some c -> c | None -> if plain_size len <= rrr then Plain else Rrr
-      in
-      match code with
-      | Plain ->
-          Bitbuf.add_bits bb 1 1;
-          let sw = Broadword.bit_width len in
-          (* [ones]: the ones in blocks before [blk] *)
-          let ones = ref 0 and blk = ref 0 in
-          for j = 1 to nsamples len do
-            let p = Int.min (j * sample_bits) len in
-            while (!blk + 1) * block_bits <= p do
-              ones := !ones + cls.(!blk);
-              incr blk
-            done;
-            let r = p - (!blk * block_bits) in
-            Bitbuf.add_bits bb sw
-              (if r = 0 then !ones
-               else !ones + Broadword.popcount (blocks.(!blk) land Broadword.mask r))
+    match code with
+    | Plain ->
+        Bitbuf.add_bits bb 1 1;
+        let sw = Broadword.bit_width len in
+        (* [ones]: the ones in blocks before [blk] *)
+        let ones = ref 0 and blk = ref 0 in
+        for j = 1 to nsamples len do
+          let p = Int.min (j * sample_bits) len in
+          while (!blk + 1) * block_bits <= p do
+            ones := !ones + Broadword.popcount blocks.(!blk);
+            incr blk
           done;
-          for blk = 0 to last do
-            Bitbuf.add_bits bb (if blk = last then tail else block_bits) blocks.(blk)
-          done
-      | Rrr ->
-          Bitbuf.add_bits bb head_bits ((cw lsl 7) lor (!cmin lsl 1));
-          if w > 0 then begin
-            let ones = ref 0 and off = ref 0 in
-            for blk = 0 to last do
-              let c = cls.(blk) in
-              ones := !ones + c;
-              off := !off + width (if blk = last then tail else block_bits) c;
-              if (blk + 1) mod sb_blocks = 0 || blk = last then begin
-                Bitbuf.add_bits bb w !ones;
-                Bitbuf.add_bits bb w !off
-              end
-            done
-          end;
-          if cw > 0 then begin
-            let blk = ref 0 in
-            while !blk < nblocks do
-              let k = Int.min per_read.(cw) (nblocks - !blk) in
-              let word = ref 0 in
-              for i = k - 1 downto 0 do
-                word := (!word lsl cw) lor (cls.(!blk + i) - !cmin)
-              done;
-              Bitbuf.add_bits bb (k * cw) !word;
-              blk := !blk + k
-            done
-          end;
-          offsets ()
-    end
-
-  (* Ones and offset-stream bits of full blocks [lo, hi) of a class
-     stream at [classes_bit] ([cbase] plus [cw] bits per class), added
-     to [ones] and [off]: one Membuf read per [per_read.(cw)] classes. *)
-  let walk_classes mb classes_bit cbase cw lo hi ones off =
-    if cw = 0 then (ones + ((hi - lo) * cbase), off + ((hi - lo) * offset_width cbase))
-    else begin
-      let ones = ref ones and off = ref off and blk = ref lo in
-      let mask = (1 lsl cw) - 1 and per = Array.unsafe_get per_read cw in
-      while !blk < hi do
-        let k = Int.min per (hi - !blk) in
-        let w = ref (Membuf.get_bits mb (classes_bit + (!blk * cw)) (k * cw)) in
-        for _ = 1 to k do
-          let c = cbase + (!w land mask) in
-          ones := !ones + c;
-          off := !off + offset_width c;
-          w := !w lsr cw
+          let r = p - (!blk * block_bits) in
+          Bitbuf.add_bits bb sw
+            (if r = 0 then !ones
+             else !ones + Broadword.popcount (blocks.(!blk) land Broadword.mask r))
         done;
-        blk := !blk + k
+        for blk = 0 to last do
+          Bitbuf.add_bits bb (if blk = last then tail else block_bits) blocks.(blk)
+        done
+    | Rrr ->
+        Bitbuf.add_bits bb head_bits ((cw lsl 7) lor (!cmin lsl 1));
+        if w > 0 then begin
+          let ones = ref 0 and off = ref 0 in
+          for blk = 0 to last do
+            let c = Broadword.popcount blocks.(blk) in
+            ones := !ones + c;
+            off := !off + width (if blk = last then tail else block_bits) c;
+            if (blk + 1) mod sb_blocks = 0 || blk = last then begin
+              Bitbuf.add_bits bb w !ones;
+              Bitbuf.add_bits bb w !off
+            end
+          done
+        end;
+        if cw > 0 then begin
+          let blk = ref 0 in
+          while !blk < nblocks do
+            let k = Int.min per_read.(cw) (nblocks - !blk) in
+            let word = ref 0 in
+            for i = k - 1 downto 0 do
+              word := (!word lsl cw) lor (Broadword.popcount blocks.(!blk + i) - !cmin)
+            done;
+            Bitbuf.add_bits bb (k * cw) !word;
+            blk := !blk + k
+          done
+        end;
+        write_offsets bb blocks offs ~last ~tail
+  end
+
+let append_blocks ?code bb blocks ~len =
+  let nblocks = nblocks_of_len len in
+  if nblocks > 0 && blocks.(nblocks - 1) lsr (len - (block_bits * (nblocks - 1))) <> 0 then
+    invalid_arg "Rrr.append_blocks: bits past the length";
+  write code bb blocks None ~len
+
+(* Ones and offset-stream bits of full blocks [lo, hi) of a class
+   stream at [classes_bit] ([cbase] plus [cw] bits per class), added
+   to [ones] and [off]: one Membuf read per [per_read.(cw)] classes. *)
+let walk_classes mb classes_bit cbase cw lo hi ones off =
+  if cw = 0 then (ones + ((hi - lo) * cbase), off + ((hi - lo) * offset_width cbase))
+  else begin
+    let ones = ref ones and off = ref off and blk = ref lo in
+    let mask = (1 lsl cw) - 1 and per = Array.unsafe_get per_read cw in
+    while !blk < hi do
+      let k = Int.min per (hi - !blk) in
+      let w = ref (Membuf.get_bits mb (classes_bit + (!blk * cw)) (k * cw)) in
+      for _ = 1 to k do
+        let c = cbase + (!w land mask) in
+        ones := !ones + c;
+        off := !off + offset_width c;
+        w := !w lsr cw
       done;
-      (!ones, !off)
+      blk := !blk + k
+    done;
+    (!ones, !off)
+  end
+
+let class_at mb classes_bit cbase cw blk =
+  if cw = 0 then cbase else cbase + Membuf.get_bits mb (classes_bit + (blk * cw)) cw
+
+let rrr_view mb ~start ~dir_bit ~len ~nblocks ~tail ~cbase ~cw =
+  let last = nblocks - 1 in
+  let nsb = nsb_of_nblocks nblocks in
+  let dir_w = dir_width nblocks in
+  let classes_bit = dir_bit + (if dir_w > 0 then 2 * dir_w * nsb else 0) in
+  let offsets_bit = classes_bit + (nblocks * cw) in
+  let total_ones, off_bits =
+    if dir_w > 0 then begin
+      let last = dir_bit + ((nsb - 1) * 2 * dir_w) in
+      (Membuf.get_bits mb last dir_w, Membuf.get_bits mb (last + dir_w) dir_w)
     end
+    else if nblocks = 0 then (0, 0)
+    else begin
+      let ones, off = walk_classes mb classes_bit cbase cw 0 last 0 0 in
+      let c = class_at mb classes_bit cbase cw last in
+      (ones + c, off + width tail c)
+    end
+  in
+  if total_ones > len then invalid_arg "Rrr: ones exceed length";
+  let bits = offsets_bit + off_bits - start in
+  if start + bits > 8 * Membuf.length mb then invalid_arg "Rrr: blob truncated";
+  {
+    mb;
+    len;
+    total_ones;
+    tail;
+    dir_bit;
+    dir_w;
+    classes_bit;
+    cls = (cbase lsl 3) lor cw;
+    offsets_bit;
+    bits;
+  }
 
-  let class_at mb classes_bit cbase cw blk =
-    if cw = 0 then cbase else cbase + Membuf.get_bits mb (classes_bit + (blk * cw)) cw
+let plain_view mb ~start ~len ~tail =
+  let sw = Broadword.bit_width len and dir_bit = start + 1 in
+  let data = dir_bit + (nsamples len * sw) in
+  let total_ones = Membuf.get_bits mb (data - sw) sw in
+  if total_ones > len then invalid_arg "Rrr: ones exceed length";
+  let bits = data + len - start in
+  if start + bits > 8 * Membuf.length mb then invalid_arg "Rrr: blob truncated";
+  {
+    mb;
+    len;
+    total_ones;
+    tail;
+    dir_bit;
+    dir_w = sw;
+    classes_bit = data;
+    cls = -1;
+    offsets_bit = data;
+    bits;
+  }
 
-  let rrr_view mb ~start ~dir_bit ~len ~nblocks ~tail ~cbase ~cw =
-    let last = nblocks - 1 in
-    let nsb = nsb_of_nblocks nblocks in
-    let dir_w = dir_width nblocks in
-    let classes_bit = dir_bit + (if dir_w > 0 then 2 * dir_w * nsb else 0) in
-    let offsets_bit = classes_bit + (nblocks * cw) in
-    let total_ones, off_bits =
-      if dir_w > 0 then begin
-        let last = dir_bit + ((nsb - 1) * 2 * dir_w) in
-        (Membuf.get_bits mb last dir_w, Membuf.get_bits mb (last + dir_w) dir_w)
-      end
-      else if nblocks = 0 then (0, 0)
-      else begin
-        let ones, off = walk_classes mb classes_bit cbase cw 0 last 0 0 in
-        let c = class_at mb classes_bit cbase cw last in
-        (ones + c, off + width tail c)
-      end
+(* [of_membuf mb bit ~len ~version]: a view of the [len]-bit blob
+   starting at bit [bit], written by arena version [version].  Reads
+   at most three words (the code tag and class range, then the
+   directory totals, the last plain sample or the classes of a
+   single-superblock blob); every later read is bounds-checked by
+   [Membuf], so a corrupt blob raises [Invalid_argument] instead of
+   reading out of range. *)
+let of_membuf mb bit ~len ~version =
+  if len < 0 || bit < 0 then invalid_arg "Rrr: negative length or offset";
+  if version < 2 || version > newest_version then invalid_arg "Rrr: unknown arena version";
+  let nblocks = nblocks_of_len len in
+  let tail = if version = 2 then block_bits else len - (block_bits * (nblocks - 1)) in
+  if version >= 5 && nblocks > 1 then begin
+    let head = Membuf.get_bits mb bit head_bits in
+    if head land 1 = 1 then plain_view mb ~start:bit ~len ~tail
+    else begin
+      let cbase = (head lsr 1) land 63 and cw = head lsr 7 in
+      if cbase > block_bits then invalid_arg "Rrr: class base above 62";
+      if cw > class_bits then invalid_arg "Rrr: class width above 6";
+      rrr_view mb ~start:bit ~dir_bit:(bit + head_bits) ~len ~nblocks ~tail ~cbase ~cw
+    end
+  end
+  else
+    rrr_view mb ~start:bit ~dir_bit:bit ~len ~nblocks ~tail ~cbase:0
+      ~cw:(if nblocks = 1 then tail_class_bits.(tail) else class_bits)
+
+(* Eight zero bytes after the blob keep every read on [Membuf]'s
+   one-load path. *)
+let of_blob bb ~len =
+  let buf = Buffer.create (((Bitbuf.length bb + 7) / 8) + 8) in
+  Bitbuf.add_to_buffer buf bb;
+  Buffer.add_string buf "\000\000\000\000\000\000\000\000";
+  of_membuf (Membuf.of_string (Buffer.contents buf)) 0 ~len ~version:newest_version
+
+(* Resumable encoding, for Section 4.1's de-amortization: the paper
+   builds a filled segment's RRR "in O(n'/log n) steps ... interleaved
+   with other operations".  Each [step] takes the blocks and offsets of
+   a few more blocks into the encoder's own arrays; [write] then lays
+   the blob out with [append_blocks]' writer, which keeps no state
+   between calls, so an arena built between two steps leaves the
+   encoder alone. *)
+module Encoder = struct
+  type t = {
+    src : Bitbuf.t;
+    blocks : int array; (* the source's 62-bit blocks *)
+    offs : int array; (* their offsets, over the positions each is coded over *)
+    mutable next : int; (* the first block not yet taken *)
+  }
+
+  let create src =
+    let n = nblocks_of_len (Bitbuf.length src) in
+    { src; blocks = Array.make n 0; offs = Array.make n 0; next = 0 }
+
+  let finished e = e.next = Array.length e.blocks
+
+  (* Only the last block is short, and it is coded over its length. *)
+  let step e k =
+    let stop = e.next + Int.min k (Array.length e.blocks - e.next) in
+    for blk = e.next to stop - 1 do
+      let pos = blk * block_bits in
+      let m = Int.min block_bits (Bitbuf.length e.src - pos) in
+      let bits = Bitbuf.get_bits e.src pos m in
+      let c = Broadword.popcount bits in
+      e.blocks.(blk) <- bits;
+      if width m c > 0 then e.offs.(blk) <- encode_offset m bits c
+    done;
+    e.next <- stop
+
+  let write e bb =
+    if not (finished e) then invalid_arg "Rrr.Encoder.write: blocks left to step";
+    write None bb e.blocks (Some e.offs) ~len:(Bitbuf.length e.src)
+end
+
+let of_bitbuf buf =
+  let e = Encoder.create buf in
+  Encoder.step e max_int;
+  let bb = Bitbuf.create ~capacity_bits:(Bitbuf.length buf + 64) () in
+  Encoder.write e bb;
+  of_blob bb ~len:(Bitbuf.length buf)
+
+let length t = t.len
+let ones t = t.total_ones
+let zeros t = t.len - t.total_ones
+let space_bits t = t.bits
+let code t = if plain t then Plain else Rrr
+
+let class_of t blk = class_at t.mb t.classes_bit (cbase t) (cw t) blk
+
+(* Positions block [blk] is coded over. *)
+let block_m t blk = if (blk + 1) * block_bits >= t.len then t.tail else block_bits
+
+let block_len t blk = Int.min block_bits (t.len - (blk * block_bits))
+
+(* An RRR block [blk], of class [c], with its offset at [off_pos]:
+   decoded ([decode_block]), or unranked up to position [r]
+   ([unrank_block], as [unrank_to]). *)
+let decode_block t blk off_pos c =
+  let m = block_m t blk in
+  let w = width m c in
+  if w = 0 then if c = 0 then 0 else Broadword.mask m
+  else decode_offset m (Membuf.get_bits t.mb (t.offsets_bit + off_pos) w) c
+
+let unrank_block t blk off_pos c r =
+  let m = block_m t blk in
+  let w = width m c in
+  if w = 0 then if c = 0 then 0 else (r lsl 1) lor 1
+  else unrank_to m (Membuf.get_bits t.mb (t.offsets_bit + off_pos) w) c r
+
+(* A plain blob's rank sample [j >= 1]: the ones before bit
+   [min (512 j, len)]. *)
+let sample t j = Membuf.get_bits t.mb (t.dir_bit + ((j - 1) * t.dir_w)) t.dir_w
+
+(* The ones among a plain blob's bits [p, p + n). *)
+let plain_ones t p n = Membuf.popcount t.mb (t.offsets_bit + p) n
+
+let plain_rank1 t pos =
+  let j = pos / sample_bits in
+  let p = j * sample_bits in
+  (if j = 0 then 0 else sample t j) + plain_ones t p (pos - p)
+
+(* Block [blk], decoded, its offset (if RRR) at [off_pos]. *)
+let block t blk off_pos =
+  if plain t then Membuf.get_bits t.mb (t.offsets_bit + (blk * block_bits)) (block_len t blk)
+  else decode_block t blk off_pos (class_of t blk)
+
+(* The offset-stream position of block [blk + 1], given block
+   [blk]'s, which is full. *)
+let next_off t blk off_pos = if plain t then 0 else off_pos + offset_width (class_of t blk)
+
+let iter_blocks t f =
+  let off = ref 0 in
+  for blk = 0 to nblocks t - 1 do
+    f (block t blk !off);
+    if not (plain t) then off := !off + width (block_m t blk) (class_of t blk)
+  done
+
+let dir_ones t sb =
+  if sb = 0 then 0 else Membuf.get_bits t.mb (t.dir_bit + ((sb - 1) * 2 * t.dir_w)) t.dir_w
+
+let dir_off t sb =
+  if sb = 0 then 0
+  else Membuf.get_bits t.mb (t.dir_bit + ((sb - 1) * 2 * t.dir_w) + t.dir_w) t.dir_w
+
+(* Ones before block [target] and its offset-stream position; only
+   full blocks precede it.  A superblock's two directory fields are
+   one read when they fit 62 bits. *)
+let walk_to_block t target =
+  if plain t then (plain_rank1 t (target * block_bits), 0)
+  else
+    let sb = target / sb_blocks and w = t.dir_w in
+    let mb = t.mb and at = t.classes_bit and first = sb * sb_blocks in
+    if sb = 0 then walk_classes mb at (cbase t) (cw t) 0 target 0 0
+    else if w <= 31 then begin
+      let d = Membuf.get_bits mb (t.dir_bit + ((sb - 1) * 2 * w)) (2 * w) in
+      walk_classes mb at (cbase t) (cw t) first target (d land ((1 lsl w) - 1)) (d lsr w)
+    end
+    else walk_classes mb at (cbase t) (cw t) first target (dir_ones t sb) (dir_off t sb)
+
+(* The same from block [lo], whose ones before and offset position
+   are [ones] and [off]. *)
+let walk t lo hi ones off =
+  if plain t then (ones + plain_ones t (lo * block_bits) ((hi - lo) * block_bits), 0)
+  else walk_classes t.mb t.classes_bit (cbase t) (cw t) lo hi ones off
+
+(* The first block needs no walk: most blobs have only one. *)
+let rank1 t pos =
+  if pos = 0 then 0
+  else if pos = t.len then t.total_ones
+  else if plain t then plain_rank1 t pos
+  else if pos < block_bits then unrank_block t 0 0 (class_of t 0) pos lsr 1
+  else begin
+    let blk = pos / block_bits in
+    let ones, off = walk_to_block t blk in
+    let r = pos mod block_bits in
+    if r = 0 then ones else ones + (unrank_block t blk off (class_of t blk) r lsr 1)
+  end
+
+let rank t b pos =
+  Fid.check_rank_pos ~who:"Rrr" ~len:t.len pos;
+  hit Rrr_rank;
+  if b then rank1 t pos else pos - rank1 t pos
+
+(* The bit at [pos] plus twice the ones before it. *)
+let unrank t pos =
+  if plain t then
+    (plain_rank1 t pos lsl 1) lor Membuf.get_bits t.mb (t.offsets_bit + pos) 1
+  else if pos < block_bits then unrank_block t 0 0 (class_of t 0) pos
+  else begin
+    let blk = pos / block_bits in
+    let ones, off = walk_to_block t blk in
+    (ones lsl 1) + unrank_block t blk off (class_of t blk) (pos mod block_bits)
+  end
+
+let access t pos =
+  Fid.check_access_pos ~who:"Rrr" ~len:t.len pos;
+  hit Rrr_access;
+  if plain t then Membuf.get_bits t.mb (t.offsets_bit + pos) 1 = 1
+  else if pos < block_bits then unrank_block t 0 0 (class_of t 0) pos land 1 = 1
+  else begin
+    let blk = pos / block_bits in
+    let _, off = walk_to_block t blk in
+    unrank_block t blk off (class_of t blk) (pos mod block_bits) land 1 = 1
+  end
+
+let access_rank t pos =
+  Fid.check_access_pos ~who:"Rrr" ~len:t.len pos;
+  hit Rrr_access;
+  let x = unrank t pos in
+  let b = x land 1 = 1 in
+  let r1 = x lsr 1 in
+  (b, if b then r1 else pos - r1)
+
+(* A plain select: the last sample at most [k], then the raw bits from
+   there, 56 at a time.  A corrupt sample can send the scan past its
+   512 bits; that raises instead of reading on. *)
+let plain_select t b k =
+  let count_before j =
+    if j = 0 then 0 else if b then sample t j else (j * sample_bits) - sample t j
+  in
+  let lo = ref 0 and hi = ref (nsamples t.len) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if count_before mid <= k then lo := mid else hi := mid
+  done;
+  let remaining = ref (k - count_before !lo) in
+  let p = ref (!lo * sample_bits) in
+  let stop = Int.min t.len (!p + sample_bits) in
+  let found = ref (-1) in
+  while !found < 0 do
+    if !p >= stop then invalid_arg "Rrr: corrupt rank sample";
+    let n = Int.min 56 (stop - !p) in
+    let word = Membuf.get_bits t.mb (t.offsets_bit + !p) n in
+    let c = if b then Broadword.popcount word else n - Broadword.popcount word in
+    if !remaining < c then
+      found :=
+        !p
+        + (if b then Broadword.select_in_word word !remaining
+           else Broadword.select0_in_word word n !remaining)
+    else begin
+      remaining := !remaining - c;
+      p := !p + n
+    end
+  done;
+  !found
+
+let select t b k =
+  let count = if b then t.total_ones else zeros t in
+  Fid.check_select_idx ~who:"Rrr" ~count k;
+  hit Rrr_select;
+  if plain t then plain_select t b k
+  else begin
+    let nsb = nsb_of_nblocks (nblocks t) in
+    let count_before sb =
+      if b then dir_ones t sb else Int.min t.len (sb * sb_bits) - dir_ones t sb
     in
-    if total_ones > len then invalid_arg "Rrr.Flat: ones exceed length";
-    let bits = offsets_bit + off_bits - start in
-    if start + bits > 8 * Membuf.length mb then invalid_arg "Rrr.Flat: blob truncated";
-    {
-      mb;
-      len;
-      total_ones;
-      tail;
-      dir_bit;
-      dir_w;
-      classes_bit;
-      cls = (cbase lsl 3) lor cw;
-      offsets_bit;
-      bits;
-    }
-
-  let plain_view mb ~start ~len ~tail =
-    let sw = Broadword.bit_width len and dir_bit = start + 1 in
-    let data = dir_bit + (nsamples len * sw) in
-    let total_ones = Membuf.get_bits mb (data - sw) sw in
-    if total_ones > len then invalid_arg "Rrr.Flat: ones exceed length";
-    let bits = data + len - start in
-    if start + bits > 8 * Membuf.length mb then invalid_arg "Rrr.Flat: blob truncated";
-    {
-      mb;
-      len;
-      total_ones;
-      tail;
-      dir_bit;
-      dir_w = sw;
-      classes_bit = data;
-      cls = -1;
-      offsets_bit = data;
-      bits;
-    }
-
-  (* [of_membuf mb bit ~len ~version]: a view of the [len]-bit blob
-     starting at bit [bit], written by arena version [version].  Reads
-     at most three words (the code tag and class range, then the
-     directory totals, the last plain sample or the classes of a
-     single-superblock blob); every later read is bounds-checked by
-     [Membuf], so a corrupt blob raises [Invalid_argument] instead of
-     reading out of range. *)
-  let of_membuf mb bit ~len ~version =
-    if len < 0 || bit < 0 then invalid_arg "Rrr.Flat: negative length or offset";
-    if version < 2 || version > newest_version then invalid_arg "Rrr.Flat: unknown arena version";
-    let nblocks = nblocks_of_len len in
-    let tail = if version = 2 then block_bits else len - (block_bits * (nblocks - 1)) in
-    if version >= 5 && nblocks > 1 then begin
-      let head = Membuf.get_bits mb bit head_bits in
-      if head land 1 = 1 then plain_view mb ~start:bit ~len ~tail
-      else begin
-        let cbase = (head lsr 1) land 63 and cw = head lsr 7 in
-        if cbase > block_bits then invalid_arg "Rrr.Flat: class base above 62";
-        if cw > class_bits then invalid_arg "Rrr.Flat: class width above 6";
-        rrr_view mb ~start:bit ~dir_bit:(bit + head_bits) ~len ~nblocks ~tail ~cbase ~cw
-      end
-    end
-    else
-      rrr_view mb ~start:bit ~dir_bit:bit ~len ~nblocks ~tail ~cbase:0
-        ~cw:(if nblocks = 1 then tail_class_bits.(tail) else class_bits)
-
-  let length t = t.len
-  let ones t = t.total_ones
-  let zeros t = t.len - t.total_ones
-  let space_bits t = t.bits
-  let code t = if plain t then Plain else Rrr
-
-  let class_of t blk = class_at t.mb t.classes_bit (cbase t) (cw t) blk
-
-  (* Positions block [blk] is coded over. *)
-  let block_m t blk = if (blk + 1) * block_bits >= t.len then t.tail else block_bits
-
-  let block_len t blk = Int.min block_bits (t.len - (blk * block_bits))
-
-  (* An RRR block [blk], of class [c], with its offset at [off_pos]:
-     decoded ([decode_block]), or unranked up to position [r]
-     ([unrank_block], as [unrank_to]). *)
-  let decode_block t blk off_pos c =
-    let m = block_m t blk in
-    let w = width m c in
-    if w = 0 then if c = 0 then 0 else Broadword.mask m
-    else decode_offset m (Membuf.get_bits t.mb (t.offsets_bit + off_pos) w) c
-
-  let unrank_block t blk off_pos c r =
-    let m = block_m t blk in
-    let w = width m c in
-    if w = 0 then if c = 0 then 0 else (r lsl 1) lor 1
-    else unrank_to m (Membuf.get_bits t.mb (t.offsets_bit + off_pos) w) c r
-
-  (* A plain blob's rank sample [j >= 1]: the ones before bit
-     [min (512 j, len)]. *)
-  let sample t j = Membuf.get_bits t.mb (t.dir_bit + ((j - 1) * t.dir_w)) t.dir_w
-
-  (* The ones among a plain blob's bits [p, p + n). *)
-  let plain_ones t p n = Membuf.popcount t.mb (t.offsets_bit + p) n
-
-  let plain_rank1 t pos =
-    let j = pos / sample_bits in
-    let p = j * sample_bits in
-    (if j = 0 then 0 else sample t j) + plain_ones t p (pos - p)
-
-  (* Block [blk], decoded, its offset (if RRR) at [off_pos]. *)
-  let block t blk off_pos =
-    if plain t then Membuf.get_bits t.mb (t.offsets_bit + (blk * block_bits)) (block_len t blk)
-    else decode_block t blk off_pos (class_of t blk)
-
-  (* The offset-stream position of block [blk + 1], given block
-     [blk]'s, which is full. *)
-  let next_off t blk off_pos = if plain t then 0 else off_pos + offset_width (class_of t blk)
-
-  let iter_blocks t f =
-    let off = ref 0 in
-    for blk = 0 to nblocks t - 1 do
-      f (block t blk !off);
-      if not (plain t) then off := !off + width (block_m t blk) (class_of t blk)
-    done
-
-  let dir_ones t sb =
-    if sb = 0 then 0 else Membuf.get_bits t.mb (t.dir_bit + ((sb - 1) * 2 * t.dir_w)) t.dir_w
-
-  let dir_off t sb =
-    if sb = 0 then 0
-    else Membuf.get_bits t.mb (t.dir_bit + ((sb - 1) * 2 * t.dir_w) + t.dir_w) t.dir_w
-
-  (* Ones before block [target] and its offset-stream position; only
-     full blocks precede it.  A superblock's two directory fields are
-     one read when they fit 62 bits. *)
-  let walk_to_block t target =
-    if plain t then (plain_rank1 t (target * block_bits), 0)
-    else
-      let sb = target / sb_blocks and w = t.dir_w in
-      let mb = t.mb and at = t.classes_bit and first = sb * sb_blocks in
-      if sb = 0 then walk_classes mb at (cbase t) (cw t) 0 target 0 0
-      else if w <= 31 then begin
-        let d = Membuf.get_bits mb (t.dir_bit + ((sb - 1) * 2 * w)) (2 * w) in
-        walk_classes mb at (cbase t) (cw t) first target (d land ((1 lsl w) - 1)) (d lsr w)
-      end
-      else walk_classes mb at (cbase t) (cw t) first target (dir_ones t sb) (dir_off t sb)
-
-  (* The same from block [lo], whose ones before and offset position
-     are [ones] and [off]. *)
-  let walk t lo hi ones off =
-    if plain t then (ones + plain_ones t (lo * block_bits) ((hi - lo) * block_bits), 0)
-    else walk_classes t.mb t.classes_bit (cbase t) (cw t) lo hi ones off
-
-  (* The first block needs no walk: most blobs have only one. *)
-  let rank1 t pos =
-    if pos = 0 then 0
-    else if pos = t.len then t.total_ones
-    else if plain t then plain_rank1 t pos
-    else if pos < block_bits then unrank_block t 0 0 (class_of t 0) pos lsr 1
-    else begin
-      let blk = pos / block_bits in
-      let ones, off = walk_to_block t blk in
-      let r = pos mod block_bits in
-      if r = 0 then ones else ones + (unrank_block t blk off (class_of t blk) r lsr 1)
-    end
-
-  let rank t b pos =
-    Fid.check_rank_pos ~who:"Rrr.Flat" ~len:t.len pos;
-    hit Rrr_rank;
-    if b then rank1 t pos else pos - rank1 t pos
-
-  (* The bit at [pos] plus twice the ones before it. *)
-  let unrank t pos =
-    if plain t then
-      (plain_rank1 t pos lsl 1) lor Membuf.get_bits t.mb (t.offsets_bit + pos) 1
-    else if pos < block_bits then unrank_block t 0 0 (class_of t 0) pos
-    else begin
-      let blk = pos / block_bits in
-      let ones, off = walk_to_block t blk in
-      (ones lsl 1) + unrank_block t blk off (class_of t blk) (pos mod block_bits)
-    end
-
-  let access t pos =
-    Fid.check_access_pos ~who:"Rrr.Flat" ~len:t.len pos;
-    hit Rrr_access;
-    if plain t then Membuf.get_bits t.mb (t.offsets_bit + pos) 1 = 1
-    else if pos < block_bits then unrank_block t 0 0 (class_of t 0) pos land 1 = 1
-    else begin
-      let blk = pos / block_bits in
-      let _, off = walk_to_block t blk in
-      unrank_block t blk off (class_of t blk) (pos mod block_bits) land 1 = 1
-    end
-
-  let access_rank t pos =
-    Fid.check_access_pos ~who:"Rrr.Flat" ~len:t.len pos;
-    hit Rrr_access;
-    let x = unrank t pos in
-    let b = x land 1 = 1 in
-    let r1 = x lsr 1 in
-    (b, if b then r1 else pos - r1)
-
-  (* A plain select: the last sample at most [k], then the raw bits from
-     there, 56 at a time.  A corrupt sample can send the scan past its
-     512 bits; that raises instead of reading on. *)
-  let plain_select t b k =
-    let count_before j =
-      if j = 0 then 0 else if b then sample t j else (j * sample_bits) - sample t j
-    in
-    let lo = ref 0 and hi = ref (nsamples t.len) in
+    let lo = ref 0 and hi = ref nsb in
     while !hi - !lo > 1 do
       let mid = (!lo + !hi) / 2 in
       if count_before mid <= k then lo := mid else hi := mid
     done;
-    let remaining = ref (k - count_before !lo) in
-    let p = ref (!lo * sample_bits) in
-    let stop = Int.min t.len (!p + sample_bits) in
-    let found = ref (-1) in
-    while !found < 0 do
-      if !p >= stop then invalid_arg "Rrr.Flat: corrupt rank sample";
-      let n = Int.min 56 (stop - !p) in
-      let word = Membuf.get_bits t.mb (t.offsets_bit + !p) n in
-      let c = if b then Broadword.popcount word else n - Broadword.popcount word in
-      if !remaining < c then
-        found :=
-          !p
-          + (if b then Broadword.select_in_word word !remaining
-             else Broadword.select0_in_word word n !remaining)
-      else begin
-        remaining := !remaining - c;
-        p := !p + n
-      end
+    let sb = !lo in
+    let remaining = ref (k - count_before sb) in
+    let blk = ref (sb * sb_blocks) in
+    let off = ref (dir_off t sb) in
+    let block_count blk =
+      let c = class_of t blk in
+      if b then c else block_len t blk - c
+    in
+    let c = ref (block_count !blk) in
+    while !remaining >= !c do
+      remaining := !remaining - !c;
+      off := !off + width (block_m t !blk) (class_of t !blk);
+      incr blk;
+      c := block_count !blk
     done;
-    !found
+    let bits = decode_block t !blk !off (class_of t !blk) in
+    let inblock =
+      if b then Broadword.select_in_word bits !remaining
+      else Broadword.select0_in_word bits (block_len t !blk) !remaining
+    in
+    (!blk * block_bits) + inblock
+  end
 
-  let select t b k =
-    let count = if b then t.total_ones else zeros t in
-    Fid.check_select_idx ~who:"Rrr.Flat" ~count k;
-    hit Rrr_select;
-    if plain t then plain_select t b k
+(* The deep check behind [Flat_wt.check_invariants], for a blob
+   written at arena version [version]: every block decodes, each class
+   fits its block's positions and each offset is in range, the
+   directory matches the classes, and from version 5 on the blob is bit
+   for bit what [append_blocks] writes from its bits — which pins its
+   tag, class base and width and plain rank samples too.  Raises
+   [Failure]. *)
+let check t ~version =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let blocks = Array.make (nblocks t + 1) 0 in
+  if plain t then
+    for blk = 0 to nblocks t - 1 do
+      blocks.(blk) <- block t blk 0
+    done
+  else begin
+    let ones = ref 0 and off = ref 0 in
+    let directory sb =
+      if t.dir_w > 0 && sb > 0 && (dir_ones t sb <> !ones || dir_off t sb <> !off) then
+        fail "superblock sample %d is (%d, %d), the classes give (%d, %d)" sb (dir_ones t sb)
+          (dir_off t sb) !ones !off
+    in
+    for blk = 0 to nblocks t - 1 do
+      if blk mod sb_blocks = 0 then directory (blk / sb_blocks);
+      let c = class_of t blk and m = block_m t blk in
+      if c > m then fail "block %d: class %d over %d positions" blk c m;
+      let w = width m c in
+      let bits = decode_block t blk !off c in
+      if w > 0 && encode_offset m bits c <> Membuf.get_bits t.mb (t.offsets_bit + !off) w then
+        fail "block %d: offset out of range" blk;
+      blocks.(blk) <- bits;
+      ones := !ones + c;
+      off := !off + w
+    done;
+    directory (nsb_of_nblocks (nblocks t));
+    if !ones <> t.total_ones then fail "%d ones, the classes give %d" t.total_ones !ones
+  end;
+  if version >= 5 then begin
+    let bb = Bitbuf.create ~capacity_bits:t.bits () in
+    append_blocks bb blocks ~len:t.len;
+    let start =
+      if plain t then t.dir_bit - 1
+      else if nblocks t > 1 then t.dir_bit - head_bits
+      else t.dir_bit
+    in
+    let p = ref 0 and n = Bitbuf.length bb in
+    if n <> t.bits then fail "%d bits, the encoding of its bits takes %d" t.bits n;
+    while !p < n do
+      let k = Int.min 56 (n - !p) in
+      if Bitbuf.get_bits bb !p k <> Membuf.get_bits t.mb (start + !p) k then
+        fail "bits %d to %d differ from the encoding of its bits" !p (!p + k);
+      p := !p + k
+    done
+  end
+
+(* Rank cursor: the last decoded block and the ones and offset-stream
+   position before it, in 62-bit blocks for either code.  A short
+   forward step walks only the classes in between; anything else
+   repositions from the directory, as a from-scratch query does. *)
+module Cursor = struct
+  type nonrec bv = t [@@warning "-34"]
+
+  type t = {
+    bv : bv;
+    mutable blk : int; (* decoded block index, or -1 *)
+    mutable bits : int; (* decoded contents of block [blk] *)
+    mutable ones_before : int; (* ones in blocks [0, blk) *)
+    mutable off : int; (* offset-stream position of block [blk] *)
+  }
+
+  let create bv = { bv; blk = -1; bits = 0; ones_before = 0; off = 0 }
+
+  let seek t blk =
+    if blk = t.blk then hit Bv_cursor_hit
     else begin
-      let nsb = nsb_of_nblocks (nblocks t) in
-      let count_before sb =
-        if b then dir_ones t sb else Int.min t.len (sb * sb_bits) - dir_ones t sb
-      in
-      let lo = ref 0 and hi = ref nsb in
-      while !hi - !lo > 1 do
-        let mid = (!lo + !hi) / 2 in
-        if count_before mid <= k then lo := mid else hi := mid
-      done;
-      let sb = !lo in
-      let remaining = ref (k - count_before sb) in
-      let blk = ref (sb * sb_blocks) in
-      let off = ref (dir_off t sb) in
-      let block_count blk =
-        let c = class_of t blk in
-        if b then c else block_len t blk - c
-      in
-      let c = ref (block_count !blk) in
-      while !remaining >= !c do
-        remaining := !remaining - !c;
-        off := !off + width (block_m t !blk) (class_of t !blk);
-        incr blk;
-        c := block_count !blk
-      done;
-      let bits = decode_block t !blk !off (class_of t !blk) in
-      let inblock =
-        if b then Broadword.select_in_word bits !remaining
-        else Broadword.select0_in_word bits (block_len t !blk) !remaining
-      in
-      (!blk * block_bits) + inblock
-    end
-
-  (* The deep check behind [Flat_wt.check_invariants], for a blob
-     written at arena version [version]: every block decodes, each
-     class fits its block's positions and each offset is in range, the
-     directory matches the classes, and from version 5 on the class
-     base and width are the classes' least and range, the plain rank
-     samples are the bits' (none falls or rises by more than 512), the
-     tag names the smaller code, and the blob is bit for bit the
-     encoding of its own bits.  Raises [Failure]. *)
-  let check t ~version =
-    let fail fmt = Printf.ksprintf failwith fmt in
-    let blocks = Array.make (nblocks t + 1) 0 in
-    if plain t then begin
-      let prev = ref 0 in
-      for j = 1 to nsamples t.len do
-        let s = sample t j in
-        if s < !prev then fail "plain rank sample %d falls from %d to %d" j !prev s;
-        if s - !prev > sample_bits then
-          fail "plain rank sample %d rises by %d, more than %d" j (s - !prev) sample_bits;
-        let p = (j - 1) * sample_bits in
-        let want = !prev + plain_ones t p (Int.min sample_bits (t.len - p)) in
-        if s <> want then fail "plain rank sample %d is %d, the bits hold %d" j s want;
-        prev := s
-      done;
-      for blk = 0 to nblocks t - 1 do
-        blocks.(blk) <- block t blk 0
-      done
-    end
-    else begin
-      let ones = ref 0 and off = ref 0 and cmin = ref block_bits and cmax = ref 0 in
-      let directory sb =
-        if t.dir_w > 0 && sb > 0 && (dir_ones t sb <> !ones || dir_off t sb <> !off) then
-          fail "superblock sample %d is (%d, %d), the classes give (%d, %d)" sb (dir_ones t sb)
-            (dir_off t sb) !ones !off
-      in
-      for blk = 0 to nblocks t - 1 do
-        if blk mod sb_blocks = 0 then directory (blk / sb_blocks);
-        let c = class_of t blk and m = block_m t blk in
-        if c > m then fail "block %d: class %d over %d positions" blk c m;
-        let w = width m c in
-        let bits = decode_block t blk !off c in
-        if w > 0 && encode_offset m bits c <> Membuf.get_bits t.mb (t.offsets_bit + !off) w then
-          fail "block %d: offset out of range" blk;
-        blocks.(blk) <- bits;
-        ones := !ones + c;
-        off := !off + w;
-        cmin := Int.min !cmin c;
-        cmax := Int.max !cmax c
-      done;
-      directory (nsb_of_nblocks (nblocks t));
-      if !ones <> t.total_ones then fail "%d ones, the classes give %d" t.total_ones !ones;
-      if version >= 5 && nblocks t > 1 then begin
-        let w = Broadword.bit_width (!cmax - !cmin) in
-        if cbase t <> !cmin || cw t <> w then
-          fail "class base %d and width %d, the classes give %d and %d" (cbase t) (cw t) !cmin w
-      end
-    end;
-    if version >= 5 then begin
-      let bb = Bitbuf.create ~capacity_bits:t.bits () in
-      append_blocks bb blocks ~len:t.len;
-      let start =
-        if plain t then t.dir_bit - 1
-        else if nblocks t > 1 then t.dir_bit - head_bits
-        else t.dir_bit
-      in
-      if nblocks t > 1 && Bitbuf.get bb 0 <> (plain t) then
-        fail "tagged %s, but the %s code is smaller"
-          (if plain t then "plain" else "RRR")
-          (if plain t then "RRR" else "plain");
-      let p = ref 0 and n = Bitbuf.length bb in
-      if n <> t.bits then fail "%d bits, the encoding of its bits takes %d" t.bits n;
-      while !p < n do
-        let k = Int.min 56 (n - !p) in
-        if Bitbuf.get_bits bb !p k <> Membuf.get_bits t.mb (start + !p) k then
-          fail "bits %d to %d differ from the encoding of its bits" !p (!p + k);
-        p := !p + k
-      done
-    end
-
-  (* Rank cursor over a flat view: same caching discipline as
-     {!Cursor} (cached decoded block + prefix sums, short forward
-     walks), same [Bv_cursor_hit]/[Bv_cursor_miss] accounting, in
-     62-bit blocks for either code. *)
-  module Cursor = struct
-    type nonrec bv = t [@@warning "-34"]
-
-    type t = {
-      bv : bv;
-      mutable blk : int;
-      mutable bits : int;
-      mutable ones_before : int;
-      mutable off : int;
-    }
-
-    let create bv = { bv; blk = -1; bits = 0; ones_before = 0; off = 0 }
-
-    let seek t blk =
-      if blk = t.blk then hit Bv_cursor_hit
-      else begin
-        let ones, off =
-          if t.blk >= 0 && blk > t.blk && blk - t.blk <= sb_blocks then begin
-            hit Bv_cursor_hit;
-            walk t.bv t.blk blk t.ones_before t.off
-          end
-          else begin
-            hit Bv_cursor_miss;
-            walk_to_block t.bv blk
-          end
-        in
-        t.ones_before <- ones;
-        t.off <- off;
-        t.blk <- blk;
-        t.bits <- block t.bv blk t.off
-      end
-
-    let rank1 t pos =
-      if pos <= 0 then 0
-      else begin
-        let blk = pos / block_bits in
-        if blk * block_bits >= t.bv.len then t.bv.total_ones
-        else begin
-          seek t blk;
-          t.ones_before
-          + Broadword.popcount (t.bits land Broadword.mask (pos mod block_bits))
+      let ones, off =
+        if t.blk >= 0 && blk > t.blk && blk - t.blk <= sb_blocks then begin
+          hit Bv_cursor_hit;
+          walk t.bv t.blk blk t.ones_before t.off
         end
-      end
-
-    let rank t b pos =
-      Fid.check_rank_pos ~who:"Rrr.Flat.Cursor" ~len:t.bv.len pos;
-      hit Rrr_rank;
-      let r1 = rank1 t pos in
-      if b then r1 else pos - r1
-
-    let access_rank t pos =
-      Fid.check_access_pos ~who:"Rrr.Flat.Cursor" ~len:t.bv.len pos;
-      hit Rrr_access;
-      seek t (pos / block_bits);
-      let r = pos mod block_bits in
-      let b = t.bits land (1 lsl r) <> 0 in
-      let r1 = t.ones_before + Broadword.popcount (t.bits land Broadword.mask r) in
-      (b, if b then r1 else pos - r1)
-  end
-
-  module Iter = struct
-    type nonrec bv = t [@@warning "-34"]
-
-    type t = {
-      bv : bv;
-      mutable cursor : int;
-      mutable blk : int;
-      mutable bits : int;
-      mutable off : int;
-    }
-
-    let create bv pos =
-      if pos < 0 || pos > bv.len then invalid_arg "Rrr.Flat.Iter.create";
-      if pos >= bv.len then { bv; cursor = pos; blk = -1; bits = 0; off = 0 }
-      else begin
-        let blk = pos / block_bits in
-        let _, off = walk_to_block bv blk in
-        { bv; cursor = pos; blk; bits = block bv blk off; off }
-      end
-
-    let pos t = t.cursor
-    let has_next t = t.cursor < t.bv.len
-
-    let next t =
-      if t.cursor >= t.bv.len then invalid_arg "Rrr.Flat.Iter.next: exhausted";
-      let blk = t.cursor / block_bits in
-      if blk <> t.blk then begin
-        if t.blk >= 0 && blk = t.blk + 1 then t.off <- next_off t.bv t.blk t.off
         else begin
-          let _, off = walk_to_block t.bv blk in
-          t.off <- off
-        end;
-        t.blk <- blk;
-        t.bits <- block t.bv blk t.off
+          hit Bv_cursor_miss;
+          walk_to_block t.bv blk
+        end
+      in
+      t.ones_before <- ones;
+      t.off <- off;
+      t.blk <- blk;
+      t.bits <- block t.bv blk t.off
+    end
+
+  let rank1 t pos =
+    if pos <= 0 then 0
+    else begin
+      let blk = pos / block_bits in
+      if blk * block_bits >= t.bv.len then t.bv.total_ones
+      else begin
+        seek t blk;
+        t.ones_before
+        + Broadword.popcount (t.bits land Broadword.mask (pos mod block_bits))
+      end
+    end
+
+  let rank t b pos =
+    Fid.check_rank_pos ~who:"Rrr.Cursor" ~len:t.bv.len pos;
+    hit Rrr_rank;
+    let r1 = rank1 t pos in
+    if b then r1 else pos - r1
+
+  let access_rank t pos =
+    Fid.check_access_pos ~who:"Rrr.Cursor" ~len:t.bv.len pos;
+    hit Rrr_access;
+    seek t (pos / block_bits);
+    let r = pos mod block_bits in
+    let b = t.bits land (1 lsl r) <> 0 in
+    let r1 = t.ones_before + Broadword.popcount (t.bits land Broadword.mask r) in
+    (b, if b then r1 else pos - r1)
+end
+
+(* Sequential bit iterator for the Section 5 range algorithms: each
+   block is decoded once per 62 bits consumed. *)
+module Iter = struct
+  type nonrec bv = t [@@warning "-34"]
+
+  type t = {
+    bv : bv;
+    mutable cursor : int;
+    mutable blk : int;
+    mutable bits : int;
+    mutable off : int;
+  }
+
+  let create bv pos =
+    if pos < 0 || pos > bv.len then invalid_arg "Rrr.Iter.create";
+    if pos >= bv.len then { bv; cursor = pos; blk = -1; bits = 0; off = 0 }
+    else begin
+      let blk = pos / block_bits in
+      let _, off = walk_to_block bv blk in
+      { bv; cursor = pos; blk; bits = block bv blk off; off }
+    end
+
+  let pos t = t.cursor
+  let has_next t = t.cursor < t.bv.len
+
+  let next t =
+    if t.cursor >= t.bv.len then invalid_arg "Rrr.Iter.next: exhausted";
+    let blk = t.cursor / block_bits in
+    if blk <> t.blk then begin
+      if t.blk >= 0 && blk = t.blk + 1 then t.off <- next_off t.bv t.blk t.off
+      else begin
+        let _, off = walk_to_block t.bv blk in
+        t.off <- off
       end;
-      let b = t.bits land (1 lsl (t.cursor mod block_bits)) <> 0 in
-      t.cursor <- t.cursor + 1;
-      b
-  end
+      t.blk <- blk;
+      t.bits <- block t.bv blk t.off
+    end;
+    let b = t.bits land (1 lsl (t.cursor mod block_bits)) <> 0 in
+    t.cursor <- t.cursor + 1;
+    b
 end

@@ -83,66 +83,20 @@ let snapshot t =
   in
   { root = Option.map copy t.root; n = t.n }
 
-(* Bulk construction by recursive partitioning, with the bitvectors
-   streamed into Appendable segments — O(total bits). *)
+(* Bulk construction by recursive partitioning, each node's bits
+   appended to its bitvector in one run — O(total bits). *)
 let of_array strings =
   let n = Array.length strings in
   if n = 0 then create ()
-  else begin
-    let rec build (idxs : int array) off =
-      let m = Array.length idxs in
-      let first = strings.(idxs.(0)) in
-      let alpha_len = ref (Bitstring.length first - off) in
-      for k = 1 to m - 1 do
-        let l =
-          Bitstring.lcp (Bitstring.drop first off) (Bitstring.drop strings.(idxs.(k)) off)
-        in
-        if l < !alpha_len then alpha_len := l
-      done;
-      let alpha = Bitstring.sub first off !alpha_len in
-      let stop = off + !alpha_len in
-      let ends = ref 0 in
-      for k = 0 to m - 1 do
-        if Bitstring.length strings.(idxs.(k)) = stop then incr ends
-      done;
-      if !ends = m then { label = alpha; kind = Leaf { count = m } }
-      else if !ends > 0 then
-        invalid_arg "Append_wt.append: a stored string is a proper prefix of the string"
-      else begin
-        let bv = Appendable.create () in
-        let ones = ref 0 in
-        for k = 0 to m - 1 do
-          let b = Bitstring.get strings.(idxs.(k)) stop in
-          Appendable.append bv b;
-          if b then incr ones
-        done;
-        let zeros_idx = Array.make (m - !ones) 0 in
-        let ones_idx = Array.make !ones 0 in
-        let zi = ref 0 and oi = ref 0 in
-        for k = 0 to m - 1 do
-          if Bitstring.get strings.(idxs.(k)) stop then begin
-            ones_idx.(!oi) <- idxs.(k);
-            incr oi
-          end
-          else begin
-            zeros_idx.(!zi) <- idxs.(k);
-            incr zi
-          end
-        done;
-        {
-          label = alpha;
-          kind =
-            Internal
-              {
-                bv;
-                zero = build zeros_idx (stop + 1);
-                one = build ones_idx (stop + 1);
-              };
-        }
-      end
+  else
+    let root =
+      Partition.build strings
+        ~not_prefix_free:"Append_wt.append: a stored string is a proper prefix of the string"
+        ~leaf:(fun label count -> { label; kind = Leaf { count } })
+        ~node:(fun label bits zero one ->
+          { label; kind = Internal { bv = Appendable.of_bitbuf bits; zero; one } })
     in
-    { root = Some (build (Array.init n Fun.id) 0); n }
-  end
+    { root = Some root; n }
 
 (* Batched append: route the whole array through the trie in one
    traversal.  At every node the branch bits of all strings passing

@@ -3,7 +3,7 @@
    The whole trie lives in one contiguous byte blob: a 56-byte header, a
    succinct node directory (per node, whether it is internal and where
    its content starts), then every node's content — its header-free RRR
-   bitvector blob ({!Wt_bitvector.Rrr.Flat}) followed by its label — as
+   bitvector blob ({!Wt_bitvector.Rrr}) followed by its label — as
    one bit stream.  Node counts are not stored: a child's count is its
    parent's β zeros or ones, and the root's is the sequence length.
    Queries run directly against the blob through {!Wt_bits.Membuf} — the
@@ -51,7 +51,7 @@
        length is its extent minus the blob's (and, in a byte-string
        arena, an internal label's end field's).  A β blob of more than 62
        bits starts with a code tag and is class-range RRR or plain,
-       whichever is smaller ({!Wt_bitvector.Rrr.Flat}); a shorter one is
+       whichever is smaller ({!Wt_bitvector.Rrr}); a shorter one is
        one RRR block.  On serve_small's URL log (262,144 strings, about
        2,000 distinct) that takes β from 9.74 to 9.55 bits per string.
 
@@ -97,7 +97,7 @@
    version 4's 10.86.  Version 3 codes each β blob's last RRR block over
    its real length, as versions 4 to 6 do; version 2 coded it over 62
    bits like the others.  All open through the one blob decoder
-   ({!Wt_bitvector.Rrr.Flat}), told the arena's version; the builders
+   ({!Wt_bitvector.Rrr}), told the arena's version; the builders
    write version 8 only (tests can ask [arena_of_keys] for version 7),
    and [merge] copies β blobs of versions 5 to 8, and a packed label
    taken whole at its own depth from a source with the merged arena's B
@@ -131,7 +131,7 @@ module Trace = Wt_obs.Trace
 exception Closed
 
 let arena_magic = "WTF3"
-let arena_version = Rrr.Flat.newest_version
+let arena_version = Rrr.newest_version
 let header_len = 96
 
 (* Before version 7 the header has no byte set, before version 6 no
@@ -162,7 +162,7 @@ type t = {
   content_bits : int;
   dir : directory;
   content_bit : int; (* bit offset of the content stream *)
-  version : int; (* the blob decoder needs it: see [Rrr.Flat.of_membuf] *)
+  version : int; (* the blob decoder needs it: see [Rrr.of_membuf] *)
   code : Binarize.code option;
       (* a byte-string arena's byte code: its leaf labels are stored
          without marker bits, their bytes coded *)
@@ -321,7 +321,7 @@ let add_run w b len =
    [word]) into the content stream. *)
 let end_beta w ~len =
   if w.fill > 0 then w.blocks.(w.nb) <- w.word;
-  Rrr.Flat.append_blocks w.content w.blocks ~len;
+  Rrr.append_blocks w.content w.blocks ~len;
   w.word <- 0;
   w.fill <- 0;
   w.nb <- 0
@@ -511,7 +511,7 @@ let arena_of_keys ~keys:kind ?bytes ?(v7_for_tests = false) (keys : Bitstring.t 
               end
             done;
             if !fill > 0 then blocks.(!nb) <- !word;
-            Rrr.Flat.append_blocks w.content blocks ~len:count;
+            Rrr.append_blocks w.content blocks ~len:count;
             wpos := !wpos + count;
             q_lo.(!tail) <- lo;
             q_hi.(!tail) <- j;
@@ -668,7 +668,7 @@ module Node = struct
     irank : int; (* rank among internal nodes; -1 for a leaf *)
     lo : int; (* content extent *)
     hi : int;
-    mutable bv_memo : Rrr.Flat.t option;
+    mutable bv_memo : Rrr.t option;
     mutable len_memo : int; (* the label's length, -1 until read *)
   }
   (* [bv_memo] caches the β view, and [len_memo] the label length a
@@ -698,10 +698,10 @@ module Node = struct
     | None ->
         if node.irank < 0 then invalid_arg "Flat_wt.Node: leaf has no bitvector";
         let bv =
-          Rrr.Flat.of_membuf node.t.mb (node.t.content_bit + node.lo) ~len:node.count
+          Rrr.of_membuf node.t.mb (node.t.content_bit + node.lo) ~len:node.count
             ~version:node.t.version
         in
-        if node.lo + Rrr.Flat.space_bits bv > node.hi then
+        if node.lo + Rrr.space_bits bv > node.hi then
           invalid_arg "Flat_wt.Node: β overruns its node extent";
         node.bv_memo <- Some bv;
         bv
@@ -711,7 +711,7 @@ module Node = struct
 
   (* The label's first bit in the content stream. *)
   let label_start node =
-    if node.irank < 0 then node.lo else node.lo + Rrr.Flat.space_bits (bv_of node)
+    if node.irank < 0 then node.lo else node.lo + Rrr.space_bits (bv_of node)
 
   (* The bits the label takes, a packed internal label's end field
      included. *)
@@ -798,25 +798,25 @@ module Node = struct
       invalid_arg "Flat_wt.Node.child: corrupt child index";
     let bv = bv_of node in
     let depth = node.depth + label_length node + 1 in
-    if b then make node.t (c0 + 1) (Rrr.Flat.ones bv) depth
-    else make node.t c0 (Rrr.Flat.zeros bv) depth
+    if b then make node.t (c0 + 1) (Rrr.ones bv) depth
+    else make node.t c0 (Rrr.zeros bv) depth
 
-  let bv_rank node b pos = Rrr.Flat.rank (bv_of node) b pos
-  let bv_select node b k = Rrr.Flat.select (bv_of node) b k
-  let bv_access node pos = Rrr.Flat.access (bv_of node) pos
-  let bv_access_rank node pos = Rrr.Flat.access_rank (bv_of node) pos
+  let bv_rank node b pos = Rrr.rank (bv_of node) b pos
+  let bv_select node b k = Rrr.select (bv_of node) b k
+  let bv_access node pos = Rrr.access (bv_of node) pos
+  let bv_access_rank node pos = Rrr.access_rank (bv_of node) pos
 
   let iter_bits node pos =
-    let it = Rrr.Flat.Iter.create (bv_of node) pos in
-    fun () -> Rrr.Flat.Iter.next it
+    let it = Rrr.Iter.create (bv_of node) pos in
+    fun () -> Rrr.Iter.next it
 
-  let bv_space_bits node = Rrr.Flat.space_bits (bv_of node)
+  let bv_space_bits node = Rrr.space_bits (bv_of node)
 
-  type cursor = Rrr.Flat.Cursor.t
+  type cursor = Rrr.Cursor.t
 
-  let bv_cursor node = Rrr.Flat.Cursor.create (bv_of node)
-  let cursor_rank = Rrr.Flat.Cursor.rank
-  let cursor_access_rank = Rrr.Flat.Cursor.access_rank
+  let bv_cursor node = Rrr.Cursor.create (bv_of node)
+  let cursor_rank = Rrr.Cursor.rank
+  let cursor_access_rank = Rrr.Cursor.access_rank
 end
 
 module Q = Query.Make (Node)
@@ -976,7 +976,7 @@ type reader = {
 let arena_reader t =
   if t.closed then raise Closed;
   let irank = irank t in
-  let blob_view blob count = Rrr.Flat.of_membuf t.mb blob ~len:count ~version:t.version in
+  let blob_view blob count = Rrr.of_membuf t.mb blob ~len:count ~version:t.version in
   (* each merged node reads one node per source: keep the last one's
      β blob and label, and a packed label unpacked *)
   let at = ref (-1) and blob = ref 0 and blob_bits = ref 0 and ones = ref 0 in
@@ -993,8 +993,8 @@ let arena_reader t =
       end
       else begin
         let bv = blob_view !blob count in
-        blob_bits := Rrr.Flat.space_bits bv;
-        ones := Rrr.Flat.ones bv
+        blob_bits := Rrr.space_bits bv;
+        ones := Rrr.ones bv
       end;
       if lo + !blob_bits > hi then invalid_arg "Flat_wt.merge: β overruns its node extent";
       leaf := r < 0;
@@ -1036,7 +1036,7 @@ let arena_reader t =
   let beta w idx count =
     locate idx count;
     let rest = ref count in
-    Rrr.Flat.iter_blocks (blob_view !blob count) (fun block ->
+    Rrr.iter_blocks (blob_view !blob count) (fun block ->
         add_bits w (Int.min Rrr.block_bits !rest) block;
         rest := !rest - Rrr.block_bits);
     !ones
@@ -1419,10 +1419,10 @@ let beta_codes t =
   let rec go node =
     if not (Node.is_leaf node) then begin
       let bv = Node.bv_of node in
-      let i = match Rrr.Flat.code bv with Rrr -> 0 | Plain -> 1 in
+      let i = match Rrr.code bv with Rrr -> 0 | Plain -> 1 in
       blobs.(i) <- blobs.(i) + 1;
       raw.(i) <- raw.(i) + Node.count node;
-      bits.(i) <- bits.(i) + Rrr.Flat.space_bits bv;
+      bits.(i) <- bits.(i) + Rrr.space_bits bv;
       go (Node.child node false);
       go (Node.child node true)
     end
@@ -1443,12 +1443,12 @@ type layout = {
   logical_label_bits : int;
   internal_stored_bits : int;
   internal_logical_bits : int;
-  leaf_bytes : int;
-  leaf_code_bits : int;
+  byte_set_size : int;
+  byte_code_bits : int;
 }
 
 let layout (t : t) =
-  let leaf_bytes, leaf_code_bits =
+  let byte_set_size, byte_code_bits =
     match t.code with
     | Some c -> (Binarize.code_size c, Binarize.code_width c)
     | None -> (0, 0)
@@ -1460,15 +1460,15 @@ let layout (t : t) =
     logical_label_bits;
     internal_stored_bits;
     internal_logical_bits;
-    leaf_bytes;
-    leaf_code_bits;
+    byte_set_size;
+    byte_code_bits;
   }
 
 (* Structural deep check (the [wtrie verify] walk): the directory's
    topology and rank samples (and, from version 4, its records and
    bodies), node offsets monotone from 0 to the content stream's end,
    each β blob inside its node's extent and passing its own check
-   ([Rrr.Flat.check]: from version 5, its tag, class base and width,
+   ([Rrr.check]: from version 5, its tag, class base and width,
    and plain rank samples), every internal β holding both bit values,
    non-empty children, every node reachable, each packed leaf label's
    stored length ending an encoded string at the leaf's depth, each
@@ -1564,10 +1564,10 @@ let check_arena (t : t) =
         let part = spell node part in
         if not (Node.is_leaf node) then begin
           let bv = Node.bv_of node in
-          (try Rrr.Flat.check bv ~version:t.version
+          (try Rrr.check bv ~version:t.version
            with Failure m -> check false "node %d: β %s" node.Node.idx m);
           check
-            (Rrr.Flat.ones bv > 0 && Rrr.Flat.zeros bv > 0)
+            (Rrr.ones bv > 0 && Rrr.zeros bv > 0)
             "node %d: β holds one bit value only" node.Node.idx;
           let d = node.depth + Node.label_length node in
           go (Node.child node false) (Binarize.label_bytes seen ~depth:d 1 0 part);

@@ -9,19 +9,27 @@
     {!Format_error}; nothing unverified ever reaches [Marshal].
 
     Like all [Marshal]-based formats it is not portable across
-    incompatible compiler versions, and it pins the in-memory layouts of
-    {!Wavelet_trie.t}, {!Append_wt.t} and {!Dynamic_wt.t}: the
-    checksummed header makes such mismatches fail loudly instead of
-    silently misbehaving.  [Wtrie.Storage] flattens what these loaders
-    return into a static arena. *)
+    incompatible compiler versions.  Static and append-only payloads
+    are read through frozen copies of the record types they were
+    written from, decoded to the strings they store, and rebuilt as
+    live tries, so no live type of theirs is pinned by the format; a
+    dynamic payload is still the live {!Dynamic_wt.t}.
+    [Wtrie.Storage] flattens what these loaders return into an arena. *)
 
 exception Format_error of string
 (** Raised by the [load_*] functions on any corruption: bad magic,
-    version or variant tag, checksum mismatch, truncation. *)
+    version or variant tag, checksum mismatch, truncation, and counts in
+    a payload that disagree. *)
 
 val load_static : string -> Wavelet_trie.t
 val load_append : string -> Append_wt.t
 val load_dynamic : string -> Dynamic_wt.t
+
+val append_snapshot : string -> int * Append_wt.t
+(** [append_snapshot payload] decodes the payload of a snapshot+WAL
+    store's ["durable-append"] snapshot, the [Marshal] of
+    [(generation, trie)], as {!load_append} does a file: the generation
+    and the trie rebuilt from its strings.  Raises {!Format_error}. *)
 
 val is_index_file : string -> bool
 (** Whether the file starts with this library's magic bytes. *)

@@ -1,7 +1,5 @@
 module Bitstring = Wt_strings.Bitstring
-module Bitbuf = Wt_bits.Bitbuf
 module Rrr = Wt_bitvector.Rrr
-module Entropy = Wt_bits.Entropy
 module Space = Wt_obs.Space
 
 type node =
@@ -13,71 +11,18 @@ type t = { root : node option; n : int }
 let length t = t.n
 
 (* ------------------------------------------------------------------ *)
-(* Construction (Definition 3.1).
-
-   The recursion works on an array of sequence indices plus the uniform
-   number of consumed bits [off]: all strings reaching a node share their
-   first [off] bits (the root-to-node path), so suffixes never need to be
-   materialized. *)
+(* Construction (Definition 3.1), each β coded as a blob *)
 
 let of_array strings =
   let n = Array.length strings in
-  let rec build (idxs : int array) off =
-    let m = Array.length idxs in
-    let first = strings.(idxs.(0)) in
-    (* α = lcp of all suffixes; each comparison only needs to reach the
-       running α length, never the ends of the strings *)
-    let alpha_len = ref (Bitstring.length first - off) in
-    let k = ref 1 in
-    while !k < m && !alpha_len > 0 do
-      let s = strings.(idxs.(!k)) in
-      let cap = min !alpha_len (Bitstring.length s - off) in
-      let l = Bitstring.lcp (Bitstring.sub first off cap) (Bitstring.sub s off cap) in
-      if l < !alpha_len then alpha_len := l;
-      incr k
-    done;
-    let alpha = Bitstring.sub first off !alpha_len in
-    let stop = off + !alpha_len in
-    (* Constant subsequence <=> every string ends exactly at [stop]. *)
-    let ends = ref 0 in
-    for k = 0 to m - 1 do
-      if Bitstring.length strings.(idxs.(k)) = stop then incr ends
-    done;
-    if !ends = m then Leaf { label = alpha; count = m }
-    else if !ends > 0 then
-      invalid_arg "Wavelet_trie.of_array: string set is not prefix-free"
-    else begin
-      let bits = Bitbuf.create ~capacity_bits:m () in
-      let ones = ref 0 in
-      for k = 0 to m - 1 do
-        let b = Bitstring.get strings.(idxs.(k)) stop in
-        Bitbuf.add bits b;
-        if b then incr ones
-      done;
-      let zeros_idx = Array.make (m - !ones) 0 in
-      let ones_idx = Array.make !ones 0 in
-      let zi = ref 0 and oi = ref 0 in
-      for k = 0 to m - 1 do
-        if Bitbuf.get bits k then begin
-          ones_idx.(!oi) <- idxs.(k);
-          incr oi
-        end
-        else begin
-          zeros_idx.(!zi) <- idxs.(k);
-          incr zi
-        end
-      done;
-      Node
-        {
-          label = alpha;
-          bv = Rrr.of_bitbuf bits;
-          zero = build zeros_idx (stop + 1);
-          one = build ones_idx (stop + 1);
-        }
-    end
-  in
   if n = 0 then { root = None; n = 0 }
-  else { root = Some (build (Array.init n Fun.id) 0); n }
+  else
+    let root =
+      Partition.build strings ~not_prefix_free:"Wavelet_trie.of_array: string set is not prefix-free"
+        ~leaf:(fun label count -> Leaf { label; count })
+        ~node:(fun label bits zero one -> Node { label; bv = Rrr.of_bitbuf bits; zero; one })
+    in
+    { root = Some root; n }
 
 let of_list l = of_array (Array.of_list l)
 

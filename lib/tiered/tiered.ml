@@ -1109,17 +1109,15 @@ let verify dir =
 
 let legacy_content dir =
   let tag, payload = Container.read_tagged (Filename.concat dir legacy_snapshot) in
-  let decode () =
-    match Marshal.from_string payload 0 with
-    | v -> v
-    | exception (Failure _ | Invalid_argument _ | End_of_file) ->
-        fail "%s: corrupted snapshot payload (marshal decode failed)" dir
-  in
+  let corrupt m = fail "%s: corrupted snapshot payload (%s)" dir m in
   (* the trie, how to replay one record on it, and the finished run *)
   let generation, apply, build =
     match tag with
     | "durable-append" ->
-        let g, (wt : Append_wt.t) = decode () in
+        (* decoded through format v2's frozen layouts, then rebuilt *)
+        let g, wt =
+          try Wt_core.Persist.append_snapshot payload with Container.Format_error m -> corrupt m
+        in
         ( g,
           (function
           | Wal.Append s -> Append_wt.append wt (Binarize.of_bytes s)
@@ -1129,7 +1127,10 @@ let legacy_content dir =
             Append_wt.check_invariants wt;
             Flat_wt.of_trie ~keys:Bytes (module Append_wt.Node) wt )
     | "durable-dynamic" ->
-        let g, (wt : Dynamic_wt.t) = decode () in
+        let g, (wt : Dynamic_wt.t) =
+          try Marshal.from_string payload 0
+          with Failure _ | Invalid_argument _ | End_of_file -> corrupt "marshal decode failed"
+        in
         ( g,
           (function
           | Wal.Append s -> Dynamic_wt.append wt (Binarize.of_bytes s)

@@ -225,4 +225,15 @@ module Make (F : FID_BUILD) = struct
 end
 
 module Over_plain = Make (Wt_bitvector.Plain)
-module Over_rrr = Make (Wt_bitvector.Rrr)
+
+module Forced_rrr = struct
+  include Wt_bitvector.Rrr
+
+  let of_bitbuf buf =
+    let len = Bitbuf.length buf and bb = Bitbuf.create () in
+    let block i = Bitbuf.get_bits buf (i * 62) (Int.min 62 (len - (i * 62))) in
+    append_blocks ~code:Rrr bb (Array.init ((len + 61) / 62) block) ~len;
+    of_blob bb ~len
+end
+
+module Over_rrr = Make (Forced_rrr)

@@ -54,4 +54,10 @@ module Make (_ : FID_BUILD) : sig
 end
 
 module Over_plain : module type of Make (Wt_bitvector.Plain)
-module Over_rrr : module type of Make (Wt_bitvector.Rrr)
+
+module Forced_rrr : FID_BUILD with type t = Wt_bitvector.Rrr.t
+(** {!Wt_bitvector.Rrr} with every blob forced into class-range RRR,
+    where the arena's coder would store a dense bitvector plain: the
+    A.rrr ablation measures RRR. *)
+
+module Over_rrr : module type of Make (Forced_rrr)

@@ -260,11 +260,16 @@ let copy_dir src name =
 (* Legacy fixtures.  Nothing writes format v2 any more: the v2 tests
    read the indexes in [fixtures/legacy] (its README says how they were
    made), each the sequence [legacy_s 0 … legacy_s 4499] as a static,
-   append-only or dynamic trie. *)
+   append-only or dynamic trie, and [legacy_s 0 … legacy_s 4105] as an
+   append-only trie caught mid-encoding. *)
 
 let legacy name = Filename.concat "fixtures/legacy" name
 let legacy_s i = Printf.sprintf "h%d.example/p%d" (i mod 5) (i mod 3)
 let legacy_n = 4500
+
+(* [append-pending.wt] holds [legacy_s 0 … legacy_s 4105]: its root's
+   segment filled at the 4,096th string and is still pending. *)
+let legacy_pending_n = 4106
 
 (* [f path] on a writable copy of [fixtures/legacy/<variant>.wt] at a
    fresh temporary [path], removed afterwards. *)

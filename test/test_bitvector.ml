@@ -152,6 +152,15 @@ let test_plain_bounds () =
 (* ------------------------------------------------------------------ *)
 (* Rrr *)
 
+(* The bits a blob holds, decoded block by block. *)
+let rrr_bits bv =
+  let out = Bitbuf.create () in
+  let rest = ref (Rrr.length bv) in
+  Rrr.iter_blocks bv (fun block ->
+      Bitbuf.add_bits out (Int.min Rrr.block_bits !rest) block;
+      rest := !rest - Rrr.block_bits);
+  out
+
 let test_rrr_patterns () =
   let rng = Xoshiro.create 202 in
   List.iter
@@ -168,7 +177,7 @@ let test_rrr_patterns () =
             ~length:(fun () -> Rrr.length bv)
             ~rng model;
           (* decoding gives back the input *)
-          check_bool "roundtrip" true (Bitbuf.equal buf (Rrr.to_bitbuf bv)))
+          check_bool "roundtrip" true (Bitbuf.equal buf (rrr_bits bv)))
         (patterns rng n))
     [ 0; 1; 61; 62; 63; 991; 992; 993; 3000 ]
 
@@ -192,22 +201,22 @@ let test_rrr_flat_blocks () =
             bits;
           let stream = Bitbuf.create () in
           Bitbuf.add_bits stream 5 0b10110;
-          Rrr.Flat.append_blocks stream blocks ~len:n;
+          Rrr.append_blocks stream blocks ~len:n;
           let blob_bits = Bitbuf.length stream - 5 in
           Bitbuf.add_bits stream 7 0b1111111;
           let out = Buffer.create 64 in
           Bitbuf.add_to_buffer out stream;
           let mb = Wt_bits.Membuf.of_string (Buffer.contents out) in
-          let bv = Rrr.Flat.of_membuf mb 5 ~len:n ~version:Rrr.Flat.newest_version in
-          check_int "blob length" blob_bits (Rrr.Flat.space_bits bv);
+          let bv = Rrr.of_membuf mb 5 ~len:n ~version:Rrr.newest_version in
+          check_int "blob length" blob_bits (Rrr.space_bits bv);
           agree
             ~name:(Printf.sprintf "rrr-flat/%s/%d" pname n)
-            ~access:(Rrr.Flat.access bv) ~rank:(Rrr.Flat.rank bv) ~select:(Rrr.Flat.select bv)
-            ~length:(fun () -> Rrr.Flat.length bv)
+            ~access:(Rrr.access bv) ~rank:(Rrr.rank bv) ~select:(Rrr.select bv)
+            ~length:(fun () -> Rrr.length bv)
             ~rng model;
-          check_int "ones" (Model.count model true) (Rrr.Flat.ones bv);
+          check_int "ones" (Model.count model true) (Rrr.ones bv);
           let decoded = ref [] in
-          Rrr.Flat.iter_blocks bv (fun block -> decoded := block :: !decoded);
+          Rrr.iter_blocks bv (fun block -> decoded := block :: !decoded);
           Alcotest.(check (list int))
             (Printf.sprintf "blocks %s/%d" pname n)
             (Array.to_list (Array.sub blocks 0 ((n + Rrr.block_bits - 1) / Rrr.block_bits)))
@@ -290,10 +299,10 @@ let plain_blob_bits len = 1 + ((len + 511) / 512 * bits_for len) + len
 let expected_blob ?code bits =
   let len = Array.length bits in
   let rrr = rrr_blob_bits bits in
-  if len <= 62 then (Rrr.Flat.Rrr, rrr)
+  if len <= 62 then (Rrr.Rrr, rrr)
   else
     match code with
-    | Some Rrr.Flat.Rrr -> (Rrr.Flat.Rrr, rrr)
+    | Some Rrr.Rrr -> (Rrr.Rrr, rrr)
     | Some Plain -> (Plain, plain_blob_bits len)
     | None -> if plain_blob_bits len <= rrr then (Plain, plain_blob_bits len) else (Rrr, rrr)
 
@@ -309,7 +318,7 @@ let blocks_of bits =
 let flat_blob ?code ?(pad = 9) bits =
   let stream = Bitbuf.create () in
   Bitbuf.add_bits stream 3 0b101;
-  Rrr.Flat.append_blocks ?code stream (blocks_of bits) ~len:(Array.length bits);
+  Rrr.append_blocks ?code stream (blocks_of bits) ~len:(Array.length bits);
   let blob_bits = Bitbuf.length stream - 3 in
   let rng = Xoshiro.create pad in
   for _ = 1 to pad do
@@ -324,7 +333,7 @@ let check_flat_blob ?code bits =
   let blocks = blocks_of bits in
   let bytes, blob_bits = flat_blob ?code bits in
   let bv =
-    Rrr.Flat.of_membuf (Wt_bits.Membuf.of_string bytes) 3 ~len ~version:Rrr.Flat.newest_version
+    Rrr.of_membuf (Wt_bits.Membuf.of_string bytes) 3 ~len ~version:Rrr.newest_version
   in
   let buf = Bitbuf.create () in
   Array.iter (Bitbuf.add buf) bits;
@@ -333,67 +342,67 @@ let check_flat_blob ?code bits =
   let expect what pos want got =
     if want <> got then
       Alcotest.failf "len %d, %d ones, %s: %s at %d: expected %d, got %d" len (Plain.ones plain)
-        (match Rrr.Flat.code bv with Rrr -> "rrr" | Plain -> "plain")
+        (match Rrr.code bv with Rrr -> "rrr" | Plain -> "plain")
         what pos want got
   in
   let pair (b, r) = (2 * r) + Bool.to_int b in
   let want_code, want_bits = expected_blob ?code bits in
-  expect "code" 0 (Bool.to_int (want_code = Rrr.Flat.Plain))
-    (Bool.to_int (Rrr.Flat.code bv = Rrr.Flat.Plain));
-  expect "space_bits = computed" 0 want_bits (Rrr.Flat.space_bits bv);
-  expect "space_bits = appended" 0 blob_bits (Rrr.Flat.space_bits bv);
-  expect "length" 0 len (Rrr.Flat.length bv);
-  expect "ones" 0 (Plain.ones plain) (Rrr.Flat.ones bv);
-  expect "zeros" 0 (Plain.zeros plain) (Rrr.Flat.zeros bv);
+  expect "code" 0 (Bool.to_int (want_code = Rrr.Plain))
+    (Bool.to_int (Rrr.code bv = Rrr.Plain));
+  expect "space_bits = computed" 0 want_bits (Rrr.space_bits bv);
+  expect "space_bits = appended" 0 blob_bits (Rrr.space_bits bv);
+  expect "length" 0 len (Rrr.length bv);
+  expect "ones" 0 (Plain.ones plain) (Rrr.ones bv);
+  expect "zeros" 0 (Plain.zeros plain) (Rrr.zeros bv);
   (* a forced code is not the canonical blob when the other is smaller *)
-  if code = None then Rrr.Flat.check bv ~version:Rrr.Flat.newest_version;
-  let cursor = Rrr.Flat.Cursor.create bv in
+  if code = None then Rrr.check bv ~version:Rrr.newest_version;
+  let cursor = Rrr.Cursor.create bv in
   for pos = 0 to len do
     List.iter
       (fun b ->
         let want = Plain.rank plain b pos in
-        expect "rank" pos want (Rrr.Flat.rank bv b pos);
-        expect "cursor rank" pos want (Rrr.Flat.Cursor.rank cursor b pos))
+        expect "rank" pos want (Rrr.rank bv b pos);
+        expect "cursor rank" pos want (Rrr.Cursor.rank cursor b pos))
       [ true; false ];
     if pos < len then begin
       let b = Plain.access plain pos in
       let want = pair (b, Plain.rank plain b pos) in
-      expect "access" pos (Bool.to_int b) (Bool.to_int (Rrr.Flat.access bv pos));
-      expect "access_rank" pos want (pair (Rrr.Flat.access_rank bv pos));
-      expect "cursor access_rank" pos want (pair (Rrr.Flat.Cursor.access_rank cursor pos))
+      expect "access" pos (Bool.to_int b) (Bool.to_int (Rrr.access bv pos));
+      expect "access_rank" pos want (pair (Rrr.access_rank bv pos));
+      expect "cursor access_rank" pos want (pair (Rrr.Cursor.access_rank cursor pos))
     end
   done;
   (* a second cursor, descending: every step repositions *)
-  let cursor = Rrr.Flat.Cursor.create bv in
+  let cursor = Rrr.Cursor.create bv in
   for pos = len - 1 downto 0 do
     let b = Plain.access plain pos in
     expect "cursor access_rank, descending" pos
       (pair (b, Plain.rank plain b pos))
-      (pair (Rrr.Flat.Cursor.access_rank cursor pos))
+      (pair (Rrr.Cursor.access_rank cursor pos))
   done;
   List.iter
     (fun b ->
       for k = 0 to (if b then Plain.ones plain else Plain.zeros plain) - 1 do
-        expect "select" k (Plain.select plain b k) (Rrr.Flat.select bv b k)
+        expect "select" k (Plain.select plain b k) (Rrr.select bv b k)
       done)
     [ true; false ];
   List.iter
     (fun start ->
-      let it = Rrr.Flat.Iter.create bv start in
+      let it = Rrr.Iter.create bv start in
       for pos = start to len - 1 do
-        expect "iter pos" pos pos (Rrr.Flat.Iter.pos it);
+        expect "iter pos" pos pos (Rrr.Iter.pos it);
         expect "iter bit" pos (Bool.to_int (Plain.access plain pos))
-          (Bool.to_int (Rrr.Flat.Iter.next it))
+          (Bool.to_int (Rrr.Iter.next it))
       done;
-      expect "iter exhausted" len 0 (Bool.to_int (Rrr.Flat.Iter.has_next it)))
+      expect "iter exhausted" len 0 (Bool.to_int (Rrr.Iter.has_next it)))
     [ 0; len / 2; len ];
   let blk = ref 0 in
-  Rrr.Flat.iter_blocks bv (fun block ->
+  Rrr.iter_blocks bv (fun block ->
       expect "iter_blocks" !blk blocks.(!blk) block;
       incr blk);
   expect "iter_blocks count" 0 ((len + 61) / 62) !blk
 
-let codes = [ None; Some Rrr.Flat.Rrr; Some Rrr.Flat.Plain ]
+let codes = [ None; Some Rrr.Rrr; Some Rrr.Plain ]
 
 let test_rrr_flat_every_tail () =
   List.iter
@@ -410,7 +419,7 @@ let qcheck_flat_blob =
   let print (len, d, code, seed) =
     Printf.sprintf "len %d, density %d, code %s, seed %d" len
       (match d with Zeros -> 0 | One_set -> 1 | Half -> 2 | All_but_one -> 3 | Ones -> 4)
-      (match code with None -> "chosen" | Some Rrr.Flat.Rrr -> "rrr" | Some Plain -> "plain")
+      (match code with None -> "chosen" | Some Rrr.Rrr -> "rrr" | Some Plain -> "plain")
       seed
   in
   QCheck.Test.make ~name:"rrr flat blob = plain at every tail length" ~count:300
@@ -477,31 +486,31 @@ let test_flat_corrupt () =
     let bytes, _ = flat_blob bits ~pad:4000 in
     let bytes = Bytes.of_string bytes in
     let open_ () =
-      Rrr.Flat.of_membuf
+      Rrr.of_membuf
         (Wt_bits.Membuf.of_string (Bytes.to_string bytes))
-        3 ~len ~version:Rrr.Flat.newest_version
+        3 ~len ~version:Rrr.newest_version
     in
-    check_bool (name ^ ": written in the expected code") true (Rrr.Flat.code (open_ ()) = code);
+    check_bool (name ^ ": written in the expected code") true (Rrr.code (open_ ()) = code);
     corrupt bytes;
     let guard f = try ignore (f ()) with Invalid_argument _ -> () in
     match open_ () with
     | exception Invalid_argument _ -> ()
     | bv ->
         for pos = 0 to len do
-          guard (fun () -> Rrr.Flat.rank bv true pos);
-          if pos < len then guard (fun () -> Rrr.Flat.access_rank bv pos)
+          guard (fun () -> Rrr.rank bv true pos);
+          if pos < len then guard (fun () -> Rrr.access_rank bv pos)
         done;
         for k = 0 to len - 1 do
-          guard (fun () -> Rrr.Flat.select bv true k);
-          guard (fun () -> Rrr.Flat.select bv false k)
+          guard (fun () -> Rrr.select bv true k);
+          guard (fun () -> Rrr.select bv false k)
         done;
-        let cursor = Rrr.Flat.Cursor.create bv in
+        let cursor = Rrr.Cursor.create bv in
         for pos = 0 to len - 1 do
-          guard (fun () -> Rrr.Flat.Cursor.access_rank cursor pos)
+          guard (fun () -> Rrr.Cursor.access_rank cursor pos)
         done;
-        guard (fun () -> Rrr.Flat.iter_blocks bv ignore);
+        guard (fun () -> Rrr.iter_blocks bv ignore);
         let caught =
-          match Rrr.Flat.check bv ~version:Rrr.Flat.newest_version with
+          match Rrr.check bv ~version:Rrr.newest_version with
           | () -> false
           | exception (Failure _ | Invalid_argument _) -> true
         in
@@ -521,6 +530,59 @@ let test_flat_corrupt () =
       set_bits b (4 + w) w (get_bits b 4 w - 1));
   case "plain sample rises by 513" ~density:0.5 ~len:1500 ~code:Plain (fun b ->
       set_bits b (4 + w) w (get_bits b 4 w + 513))
+
+(* The segment encoder, stepped 1, 2, 3 and all blocks at a time,
+   writes exactly [append_blocks]' bits: lengths 0 to 130, a stride to
+   1,100 and one append-only segment (4,096), at densities from 0 to 1,
+   so that both codes occur. *)
+let test_rrr_encoder () =
+  let rng = Xoshiro.create 505 in
+  let lengths =
+    List.init 131 Fun.id @ List.init 89 (fun i -> 131 + (11 * i)) @ [ 1100; 4096 ]
+  in
+  let seen = Array.make 2 0 in
+  List.iter
+    (fun len ->
+      List.iter
+        (fun density ->
+          let buf = Bitbuf.create () in
+          for _ = 1 to len do
+            Bitbuf.add buf (Xoshiro.float rng < density)
+          done;
+          let nblocks = (len + Rrr.block_bits - 1) / Rrr.block_bits in
+          let blocks =
+            Array.init nblocks (fun i ->
+                let at = i * Rrr.block_bits in
+                Bitbuf.get_bits buf at (Int.min Rrr.block_bits (len - at)))
+          in
+          let want = Bitbuf.create () in
+          Rrr.append_blocks want blocks ~len;
+          let code = Rrr.code (Rrr.of_blob want ~len) in
+          if nblocks > 1 then (match code with Rrr -> seen.(0) <- 1 | Plain -> seen.(1) <- 1);
+          List.iter
+            (fun k ->
+              let name = Printf.sprintf "len %d, density %g, %d blocks a step" len density k in
+              let e = Rrr.Encoder.create buf in
+              let steps = ref 0 in
+              while not (Rrr.Encoder.finished e) do
+                Rrr.Encoder.step e k;
+                incr steps
+              done;
+              check_int (name ^ ": steps") ((nblocks + k - 1) / k) !steps;
+              let got = Bitbuf.create () in
+              Rrr.Encoder.write e got;
+              check_bool (name ^ ": append_blocks' bits") true (Bitbuf.equal want got))
+            [ 1; 2; 3; Int.max 1 nblocks ])
+        [ 0.; 1. /. 62.; 0.1; 0.5; 0.9; 1. ])
+    lengths;
+  check_bool "both codes written" true (seen = [| 1; 1 |]);
+  (* writing before the last step is refused *)
+  let buf = Bitbuf.create () in
+  Bitbuf.add_run buf true 200;
+  let e = Rrr.Encoder.create buf in
+  Rrr.Encoder.step e 2;
+  Alcotest.check_raises "unfinished" (Invalid_argument "Rrr.Encoder.write: blocks left to step")
+    (fun () -> Rrr.Encoder.write e (Bitbuf.create ()))
 
 let test_rrr_compression () =
   (* A sparse bitvector must compress far below its plain length. *)
@@ -613,44 +675,81 @@ let test_appendable_init_offset () =
         ~rng model)
     [ (false, 1); (true, 1); (false, 777); (true, 777); (true, 10_000); (false, 0) ]
 
+(* Every query path of an append-only bitvector against [Plain] on the
+   same bits: rank, select, access and access_rank at every position
+   and index, a cursor walking forward and an iterator from 0.  Only a
+   mismatch reaches Alcotest. *)
+let same_as_plain name bv bits =
+  let buf = Bitbuf.create () in
+  Array.iter (Bitbuf.add buf) bits;
+  let plain = Plain.of_bitbuf buf in
+  let n = Array.length bits in
+  let expect what at want got =
+    if want <> got then Alcotest.failf "%s: %s at %d is %d, not %d" name what at got want
+  in
+  expect "length" 0 n (Appendable.length bv);
+  let cursor = Appendable.Cursor.create bv in
+  let pair (b, r) = (r lsl 1) lor Bool.to_int b in
+  for pos = 0 to n do
+    List.iter
+      (fun b ->
+        let want = Plain.rank plain b pos in
+        expect (Printf.sprintf "rank %b" b) pos want (Appendable.rank bv b pos);
+        expect (Printf.sprintf "cursor rank %b" b) pos want (Appendable.Cursor.rank cursor b pos))
+      [ false; true ];
+    if pos < n then begin
+      let b = bits.(pos) in
+      let want = pair (b, Plain.rank plain b pos) in
+      expect "access" pos (Bool.to_int b) (Bool.to_int (Appendable.access bv pos));
+      expect "access_rank" pos want (pair (Appendable.access_rank bv pos));
+      expect "cursor access_rank" pos want (pair (Appendable.Cursor.access_rank cursor pos))
+    end
+  done;
+  List.iter
+    (fun b ->
+      for k = 0 to (if b then Plain.ones plain else n - Plain.ones plain) - 1 do
+        expect (Printf.sprintf "select %b" b) k (Plain.select plain b k) (Appendable.select bv b k)
+      done)
+    [ false; true ];
+  let it = Appendable.Iter.create bv 0 in
+  Array.iteri
+    (fun i b -> expect "iter" i (Bool.to_int b) (Bool.to_int (Appendable.Iter.next it)))
+    bits;
+  expect "iter end" n 0 (Bool.to_int (Appendable.Iter.has_next it))
+
 let test_appendable_pending_window () =
-  (* Immediately after a segment boundary, the segment's RRR encoding is
-     still under construction (the Section 4.1 de-amortization): queries
-     in that window must be served correctly from the raw bits. *)
+  (* Right after a segment boundary, the segment's blob is still being
+     encoded (the Section 4.1 de-amortization): queries in that window
+     are served from the raw bits, and the blob, once written, answers
+     the same.  A dense segment freezes plain and a sparse one as
+     class-range RRR; a snapshot taken mid-window keeps answering for
+     its own bits after the original's blob is written. *)
   let rng = Xoshiro.create 909 in
-  let model = Model.create () in
-  let bv = Appendable.create () in
-  for _ = 1 to 4096 do
-    let b = Xoshiro.int rng 3 = 0 in
-    Model.append model b;
-    Appendable.append bv b
-  done;
-  (* right at the boundary: one full pending segment, empty tail *)
-  Appendable.check_invariants bv;
-  agree ~name:"pending@boundary" ~access:(Appendable.access bv)
-    ~rank:(Appendable.rank bv) ~select:(Appendable.select bv)
-    ~length:(fun () -> Appendable.length bv)
-    ~rng model;
-  (* every single append through the construction window *)
-  for i = 1 to 80 do
-    let b = Xoshiro.bool rng in
-    Model.append model b;
-    Appendable.append bv b;
-    Appendable.check_invariants bv;
-    if i mod 7 = 0 then
-      agree
-        ~name:(Printf.sprintf "pending+%d" i)
-        ~access:(Appendable.access bv) ~rank:(Appendable.rank bv)
-        ~select:(Appendable.select bv)
-        ~length:(fun () -> Appendable.length bv)
-        ~rng model
-  done;
-  (* access_rank coherence inside and around the pending region *)
-  for pos = 4050 to min (Appendable.length bv - 1) 4176 do
-    let b, r = Appendable.access_rank bv pos in
-    check_bool "ar bit" (Appendable.access bv pos) b;
-    check_int "ar rank" (Appendable.rank bv b pos) r
-  done
+  List.iter
+    (fun (name, density, code) ->
+      let bits = Array.init (4096 + 80) (fun _ -> Xoshiro.float rng < density) in
+      let seg = Bitbuf.create () in
+      Array.iteri (fun i b -> if i < 4096 then Bitbuf.add seg b) bits;
+      check_bool (name ^ ": the segment's code") true (Rrr.code (Rrr.of_bitbuf seg) = code);
+      let bv = Appendable.create () in
+      Array.iteri (fun i b -> if i < 4096 then Appendable.append bv b) bits;
+      (* right at the boundary: one full pending segment, empty tail *)
+      Appendable.check_invariants bv;
+      same_as_plain (name ^ "@boundary") bv (Array.sub bits 0 4096);
+      let snap = ref None in
+      (* every single append through the encoding window *)
+      for i = 4096 to Array.length bits - 1 do
+        Appendable.append bv bits.(i);
+        Appendable.check_invariants bv;
+        same_as_plain (Printf.sprintf "%s+%d" name (i - 4095)) bv (Array.sub bits 0 (i + 1));
+        if i = 4105 then snap := Some (Appendable.snapshot bv)
+      done;
+      match !snap with
+      | None -> assert false
+      | Some snap ->
+          Appendable.check_invariants snap;
+          same_as_plain (name ^ " snapshot") snap (Array.sub bits 0 4106))
+    [ ("one in three", 1. /. 3., Rrr.Rrr); ("dense", 0.5, Plain); ("sparse", 0.02, Rrr) ]
 
 let test_appendable_iterator () =
   let rng = Xoshiro.create 406 in
@@ -951,6 +1050,7 @@ let () =
           Alcotest.test_case "flat codes at lengths 0 to 1,100" `Quick test_flat_codes;
           Alcotest.test_case "corrupt flat blobs" `Quick test_flat_corrupt;
           QCheck_alcotest.to_alcotest qcheck_flat_blob;
+          Alcotest.test_case "segment encoder = append_blocks" `Quick test_rrr_encoder;
           Alcotest.test_case "compression" `Quick test_rrr_compression;
           Alcotest.test_case "iterator" `Quick test_rrr_iterator;
         ] );

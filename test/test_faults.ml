@@ -155,7 +155,7 @@ let save_v3 path =
        (Wt_core.Flat_wt.beta_codes wt));
   let root = Wt_core.Flat_wt.Node.bv_of (Option.get (Wt_core.Flat_wt.Node.root wt)) in
   check_bool "the root's β is class-range RRR" true
-    (Wt_bitvector.Rrr.Flat.code root = Rrr);
+    (Wt_bitvector.Rrr.code root = Rrr);
   Wtrie.Static.save_file_exn wt path;
   wt
 
@@ -352,8 +352,8 @@ let code_strings =
 let code_arena () =
   let t = Wtrie.Static.of_array (Array.init 300 (fun i -> code_strings.(i * 7 mod 40))) in
   let l = Wt_core.Flat_wt.layout t in
-  check_int "|B|" 5 l.leaf_bytes;
-  check_int "w" 3 l.leaf_code_bits;
+  check_int "|B|" 5 l.byte_set_size;
+  check_int "w" 3 l.byte_code_bits;
   t
 
 let test_leaf_codes () =

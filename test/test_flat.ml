@@ -430,7 +430,7 @@ let test_v5_blob_fields () =
   let longest = Array.make 2 None in
   let rec go node =
     if not (N.is_leaf node) then begin
-      let i = match Wt_bitvector.Rrr.Flat.code (N.bv_of node) with Rrr -> 0 | Plain -> 1 in
+      let i = match Wt_bitvector.Rrr.code (N.bv_of node) with Rrr -> 0 | Plain -> 1 in
       (match longest.(i) with
       | Some n when N.count n >= N.count node -> ()
       | _ -> longest.(i) <- Some node);
@@ -600,8 +600,8 @@ let prop_direct_build a =
   let v6 = of_arena (v6_arena (quarter 0)) and v7 = of_arena (v7_arena (quarter 1)) in
   Flat_wt.check_invariants v6;
   Flat_wt.check_invariants v7;
-  layout.leaf_bytes = size
-  && layout.leaf_code_bits
+  layout.byte_set_size = size
+  && layout.byte_code_bits
      = (if size = 0 then 0 else Int.max 1 (Wt_bits.Broadword.bit_width (size - 1)))
   && (direct.Flat_wt.code <> None) = (size > 0)
   && Flat_wt.dump direct = Wavelet_trie.dump pwt

@@ -134,20 +134,25 @@ let tiered_scenarios =
    formula. *)
 
 let test_legacy_indexes () =
-  let m = Oracle.model (Array.init Oracle.legacy_n Oracle.legacy_s) in
-  let ops = Oracle.Gen.ops (Xoshiro.create 10) m in
   List.iter
-    (fun variant ->
-      let file = Oracle.legacy (variant ^ ".wt") in
+    (fun (name, variant, n) ->
+      let m = Oracle.model (Array.init n Oracle.legacy_s) in
+      let ops = Oracle.Gen.ops (Xoshiro.create 10) m in
+      let file = Oracle.legacy (name ^ ".wt") in
       C_static.run ~ctx:file (Wtrie.Storage.load_index file) m;
       let v3 = Filename.temp_file "wt_oracle_legacy" ".wtx" in
       Fun.protect ~finally:(fun () -> Sys.remove v3) @@ fun () ->
-      Alcotest.(check (pair string int)) "convert" (variant, Oracle.legacy_n)
-        (Wtrie.Storage.convert file v3);
+      Alcotest.(check (pair string int)) "convert" (variant, n) (Wtrie.Storage.convert file v3);
       let t = Wtrie.Static.open_file_exn v3 in
       C_static.point ~ctx:(file ^ ", converted") t m ops;
       Wtrie.Static.close t)
-    [ "static"; "append"; "dynamic" ]
+    [
+      ("static", "static", Oracle.legacy_n);
+      ("append", "append", Oracle.legacy_n);
+      ("dynamic", "dynamic", Oracle.legacy_n);
+      (* its root's segment still pending *)
+      ("append-pending", "append", Oracle.legacy_pending_n);
+    ]
 
 let test_legacy_directories () =
   let module C = Oracle.Check (T) in

@@ -45,6 +45,78 @@ let test_append_roundtrip_and_growth () =
       check_int "found" 1
         (Append_wt.rank wt (Binarize.of_bytes "post-load") (Oracle.legacy_n + 1)))
 
+(* The root's segment was still pending when the fixture was written:
+   the decoder reads it from its raw bits. *)
+let test_append_pending () =
+  Oracle.with_legacy "append-pending" (fun path ->
+      let wt = Persist.load_append path in
+      Append_wt.check_invariants wt;
+      check_int "length" Oracle.legacy_pending_n (Append_wt.length wt);
+      for i = 0 to Oracle.legacy_pending_n - 1 do
+        if not (Bitstring.equal legacy_seq.(i) (Append_wt.access wt i)) then
+          Alcotest.failf "string %d differs" i
+      done;
+      Append_wt.append wt (Binarize.of_bytes "post-load");
+      check_int "found" 1
+        (Append_wt.rank wt (Binarize.of_bytes "post-load") (Oracle.legacy_pending_n + 1)))
+
+(* Payloads whose counts disagree: hand-built values in format v2's
+   static layout (the record shapes [Persist] keeps), written in a
+   valid container, so only the decoder's own checks stand between them
+   and the rebuilt trie.  Each must raise [Format_error]. *)
+module V2 = struct
+  module Bitbuf = Wt_bits.Bitbuf
+
+  type rrr = {
+    len : int;
+    total_ones : int;
+    classes : Bitbuf.t;
+    offsets : Bitbuf.t;
+    sb_ones : int array;
+    sb_off : int array;
+  }
+
+  type node =
+    | Leaf of { label : Bitstring.t; count : int }
+    | Node of { label : Bitstring.t; bv : rrr; zero : node; one : node }
+
+  type t = { root : node option; n : int }
+
+  (* A bitvector of [len] bits whose one block has class [c] and no
+     offset (c = 0 or c = 62 code a block by its class alone). *)
+  let rrr ?(total_ones = 0) len c =
+    let classes = Bitbuf.create () in
+    Bitbuf.add_bits classes 6 c;
+    { len; total_ones; classes; offsets = Bitbuf.create (); sb_ones = [| 0; total_ones |]; sb_off = [| 0; 0 |] }
+
+  let node ?(bv = rrr 3 0) ?(zero = 3) ?(one = 0) () =
+    let label = Binarize.of_bytes "k" in
+    Node { label = Bitstring.empty; bv; zero = Leaf { label; count = zero }; one = Leaf { label; count = one } }
+end
+
+let test_v2_counts () =
+  let path = tmp "counts.wt" in
+  let write (t : V2.t) = Wt_durable.Container.write ~tag:"static" ~payload:(Marshal.to_string t []) path in
+  write { root = Some (V2.node ()); n = 3 };
+  check_int "a consistent payload loads" 3 (Wavelet_trie.length (Persist.load_static path));
+  List.iter
+    (fun (what, (t : V2.t)) ->
+      write t;
+      match Persist.load_static path with
+      | exception Persist.Format_error _ -> ()
+      | exception e -> Alcotest.failf "%s: %s escaped" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: loaded" what)
+    [
+      ("length", { root = Some (V2.node ()); n = 4 });
+      ("child count", { root = Some (V2.node ~zero:2 ()); n = 3 });
+      ("negative count", { root = Some (V2.node ~zero:(-1) ~one:4 ()); n = 3 });
+      ("ones", { root = Some (V2.node ~bv:(V2.rrr ~total_ones:1 3 0) ()); n = 3 });
+      ("class over the block", { root = Some (V2.node ~bv:(V2.rrr 3 5) ()); n = 3 });
+      ("class over 62", { root = Some (V2.node ~bv:(V2.rrr 62 63) ()); n = 3 });
+      ("missing classes", { root = Some (V2.node ~bv:(V2.rrr 70 0) ()); n = 3 });
+    ];
+  Sys.remove path
+
 let test_dynamic_roundtrip_and_updates () =
   Oracle.with_legacy "dynamic" (fun path ->
       let wt = Persist.load_dynamic path in
@@ -129,6 +201,7 @@ let test_random_corruption () =
   in
   check_variant "static" (fun p -> ignore (Persist.load_static p : Wavelet_trie.t));
   check_variant "append" (fun p -> ignore (Persist.load_append p : Append_wt.t));
+  check_variant "append-pending" (fun p -> ignore (Persist.load_append p : Append_wt.t));
   check_variant "dynamic" (fun p -> ignore (Persist.load_dynamic p : Dynamic_wt.t))
 
 let () =
@@ -138,6 +211,8 @@ let () =
         [
           Alcotest.test_case "static roundtrip" `Quick test_static_roundtrip;
           Alcotest.test_case "append roundtrip + growth" `Quick test_append_roundtrip_and_growth;
+          Alcotest.test_case "append with a pending segment" `Quick test_append_pending;
+          Alcotest.test_case "v2 payloads whose counts disagree" `Quick test_v2_counts;
           Alcotest.test_case "dynamic roundtrip + updates" `Quick test_dynamic_roundtrip_and_updates;
           Alcotest.test_case "header validation" `Quick test_header_validation;
           Alcotest.test_case "truncated files" `Quick test_truncated_payload;
