@@ -222,7 +222,8 @@ let t1_append_append () =
     "   latency percentiles: p50 %.0f ns  p99 %.0f ns  p99.9 %.0f ns  max %.0f ns\n"
     (pct 0.50) (pct 0.99) (pct 0.999) (pct 1.0);
   Printf.printf
-    "   (segment freezing is de-amortized; remaining tail spikes are GC slices)\n";
+    "   (segment freezing is de-amortized: two blocks per append, then one append\n\
+    \   writes the blob and the next makes its view; the longest spikes are GC slices)\n";
   flush stdout
 
 (* T1 insert/delete columns. *)
