@@ -1223,9 +1223,12 @@ let rrr_rows () =
    (262,144 URLs over 2,000 hosts x 200 paths, about 56,000 distinct):
    its bits per node — exact, since the arena is a function of the
    input — the share of its raw β bits stored plain, its stored label
-   bits over the logical ones (a byte-string arena drops its leaf
-   labels' marker bits and codes their bytes; exact too) and the width
-   of that code ([leaf_code_bits]: the URLs use 32 bytes, so 5), and ns
+   bits over the logical ones, of all labels and of the internal ones (a
+   byte-string arena drops its labels' marker bits and codes their
+   whole bytes; exact too), the mean bits of a coded byte in the leaf
+   labels' and the internal labels' Huffman codes ([leaf_code_bits] and
+   [internal_code_bits], exact; 5 at arena version 8, a byte set of 32
+   bytes in fixed-width codes), and ns
    per fused directory read ([Flat_wt.node_entry]: a node's
    internal rank and content extent) over the nodes of 4,096
    random root-to-leaf paths, those of [access] at random positions.
@@ -1281,7 +1284,9 @@ let directory_rows () =
     ( "internal_label_share",
       Json.Float
         (float_of_int layout.internal_stored_bits /. float_of_int layout.internal_logical_bits) );
-    ("leaf_code_bits", Json.Int layout.byte_code_bits);
+    ("leaf_code_bits", Json.Float (Wt_core.Flat_wt.mean_bits (Option.get layout.leaf_code)));
+    ( "internal_code_bits",
+      Json.Float (Wt_core.Flat_wt.mean_bits (Option.get layout.internal_code)) );
   ]
 
 (* Restart economics of the format-v3 flat arena: the checksum-plus-mmap

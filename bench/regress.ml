@@ -32,8 +32,10 @@
      ([flat.directory_bits_per_node]), the share of raw β bits stored
      plain ([flat.plain_beta_share]), the stored label bits over the
      logical ones ([flat.stored_label_share]), the same for its internal
-     labels ([flat.internal_label_share]) and the width of its byte code
-     ([flat.leaf_code_bits]) must equal the baseline.  Space is
+     labels ([flat.internal_label_share]) and the mean bits of a coded
+     byte in its leaf and internal labels' byte codes
+     ([flat.leaf_code_bits], [flat.internal_code_bits]) must equal the
+     baseline.  Space is
      deterministic (fixed seed, fixed n), so this gate is exact and
      fails even under --soft: a layout change must come with a
      regenerated baseline.
@@ -249,6 +251,7 @@ let space_exact base cur =
       "flat.stored_label_share";
       "flat.internal_label_share";
       "flat.leaf_code_bits";
+      "flat.internal_code_bits";
     ]
 
 (* "batch.<op>.<row>_per_op" for the given legs. *)

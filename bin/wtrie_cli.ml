@@ -265,14 +265,41 @@ let verify_cmd =
       Printf.sprintf "labels: %d bits stored, %d logical (internal: %d stored, %d logical)"
         l.stored_label_bits l.logical_label_bits l.internal_stored_bits l.internal_logical_bits
     in
-    (* and codes each whole byte of a label as its rank in the strings'
-       byte set *)
+    (* and codes each whole byte of a label in a byte code of its kind:
+       the bytes it codes, its shortest and longest codeword, and the
+       mean bits of a coded label byte *)
+    let byte_code_json = function
+      | None -> Json.Null
+      | Some (c : Wt_core.Flat_wt.byte_code) ->
+          Json.Obj
+            [
+              ("bytes", Json.Int c.bytes);
+              ("shortest", Json.Int c.shortest);
+              ("longest", Json.Int c.longest);
+              ("mean_bits", Json.Float (Wt_core.Flat_wt.mean_bits c));
+            ]
+    in
     let byte_codes_json (l : Wt_core.Flat_wt.layout) =
-      Json.Obj [ ("bytes", Json.Int l.byte_set_size); ("bits", Json.Int l.byte_code_bits) ]
+      Json.Obj
+        [
+          ("set", Json.Int l.byte_set_size);
+          ("leaf", byte_code_json l.leaf_code);
+          ("internal", byte_code_json l.internal_code);
+        ]
+    in
+    let byte_code_text kind = function
+      | None -> kind ^ " none"
+      | Some (c : Wt_core.Flat_wt.byte_code) when c.bytes = 0 -> kind ^ " 0 bytes"
+      | Some (c : Wt_core.Flat_wt.byte_code) ->
+          Printf.sprintf "%s %d bytes in %d to %d bits, %.2f per byte" kind c.bytes c.shortest
+            c.longest (Wt_core.Flat_wt.mean_bits c)
     in
     let byte_codes_text (l : Wt_core.Flat_wt.layout) =
       if l.byte_set_size = 0 then "byte codes: none"
-      else Printf.sprintf "byte codes: %d bytes in %d bits" l.byte_set_size l.byte_code_bits
+      else
+        Printf.sprintf "byte codes: B %d bytes; %s; %s" l.byte_set_size
+          (byte_code_text "leaf" l.leaf_code)
+          (byte_code_text "internal" l.internal_code)
     in
     match
       if Sys.file_exists path && Sys.is_directory path then begin

@@ -153,7 +153,7 @@ let decode_full_block c off = decode_offset block_bits off c
    the view is opened.  A plain rank is one sample plus popcounts, with
    no unranking.
 
-   That is arena versions 5 to 8 (6 to 8 changed only labels).
+   That is arena versions 5 to 9 (6 to 9 changed only labels).
    Versions 3 and 4 stored every blob as RRR with no tag, no base and 6
    bits per class.  Version 2 also coded the last block over 62
    positions like the others (so a one-block blob's class took 6 bits);
@@ -164,7 +164,7 @@ module Membuf = Wt_bits.Membuf
 
 type code = Rrr | Plain
 
-let newest_version = 8
+let newest_version = 9
 
 (* As many fields as a view had before version 5: the batch engine
    makes one per node it visits. *)

@@ -28,7 +28,7 @@ val block_bits : int
 (** The block size (62). *)
 
 val newest_version : int
-(** The arena version {!append_blocks} writes (8; versions 6 to 8
+(** The arena version {!append_blocks} writes (9; versions 6 to 9
     changed only the arena's labels, so their blobs are version 5's). *)
 
 val append_blocks : ?code:code -> Wt_bits.Bitbuf.t -> int array -> len:int -> unit

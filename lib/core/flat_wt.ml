@@ -13,13 +13,13 @@
    compares the query with each label in place ([Node.label_lcp]), a
    packed one too; only a read that needs a label's bits decodes it.
 
-   Arena layout, version 8 (integers little-endian, bit streams
+   Arena layout, version 9 (integers little-endian, bit streams
    LSB-first; N nodes in BFS order, I = (N - 1) / 2 of them internal;
    every section is byte-aligned and its size derived from the header):
 
-     header (96 bytes):
+     header (96 + |B| bytes):
        off  0  magic "WTF3" (4 bytes)
-       off  4  u32 arena version (= 8; versions 2 to 7 are read too)
+       off  4  u32 arena version (= 9; versions 2 to 8 are read too)
        off  8  u64 n               sequence length (the root's count)
        off 16  u64 node_count      N
        off 24  u64 labels_bits     total stored label length in bits
@@ -32,6 +32,12 @@
                                    set iff byte b occurs in the strings:
                                    not empty in a byte-string arena,
                                    empty in a bitstring one
+       off 96  code lengths        one byte per byte of B, in increasing
+                                   order: its codeword length in the
+                                   leaf code (low 4 bits) and in the
+                                   internal code (high 4 bits), 0 when
+                                   it has none; at most 12 each, and
+                                   each code's Kraft sum at most 1
 
      node directory: directory_bits bits, byte-padded
        ({!Wt_succinct.Flat_directory}, a partitioned Elias–Fano
@@ -62,28 +68,35 @@
    (a node's depth is its parent's plus the parent's logical label
    length plus one): inside an internal label each is a 1, and a leaf's
    label ends with the terminator.  Of its data bits, each byte whose
-   eight lie wholly in the label is stored as its rank in B, most
-   significant bit first, in w = max 1 (bit_width (|B| - 1)) bits; a
-   first byte cut by the depth, and an internal label's last byte cut
-   by its branch, keep their raw data bits ({!Wt_strings.Binarize}).
-   A leaf's stored length gives its length.  An internal label's gives
-   it up to its end state, the phase mod 9 of its branch position, so
-   an end field of x = bit_width (7 / w + 1) bits follows its stored
-   bits: the end state's index among those its stored length admits at
-   its depth.  A leaf whose stored length ends no encoded string from
-   its depth, an internal label whose end field names no end state, or
-   a label holding a code of |B| or more, is corrupt.  Every label of a
-   bitstring arena is stored whole; strings that hold no byte at all
-   (each one empty) have no B, and their arena is written as a
-   bitstring one.  On serve_wide's URL log (262,144 strings, 55,741
-   distinct, 32 distinct bytes: w = 5, x = 2) leaf labels take 7.35
-   bits per string (11.47 at version 6) and internal ones 3.76 (0.43 of
-   them end fields; 5.48 at version 7).
+   eight lie wholly in the label is stored as its codeword in the
+   canonical prefix code of the label's kind, leaf or internal, whose
+   lengths the header holds: Huffman codes of the whole bytes of the
+   arena's own leaf and internal labels; a first byte cut by the depth,
+   and an internal label's last byte cut by its branch, keep their raw
+   data bits ({!Wt_strings.Binarize}).  A leaf's codewords give its
+   length.  An internal label's give it up to its end state, the phase
+   mod 9 of its branch position, so an end field of
+   x = bit_width (7 / lmin + 1) bits follows its stored bits, lmin
+   being the internal code's shortest codeword: the end state's index
+   among those its stored bits admit at its depth.  A leaf whose
+   stored bits end no encoded string from its depth, an internal label
+   whose end field names no end state, or a label holding bits that
+   start no codeword, is corrupt.  Every label of a bitstring arena is
+   stored whole; strings that hold no byte at all (each one empty) have
+   no B, and their arena is written as a bitstring one.  On
+   serve_wide's URL log (262,144 strings, 55,741 distinct, 32 distinct
+   bytes) leaf labels take 6.43 bits per string (7.35 at version 8) and
+   internal ones 3.27 (3.76 at version 8; 0.43 of them end fields, lmin
+   being 3).
 
-   Version 7 has the same layout with internal labels stored whole.
-   Version 6 has a 64-byte header (no B), internal labels whole and
-   each leaf byte stored as its eight data bits, which is version 7's
-   code with all 256 bytes in B.  Version 5 has a 56-byte header (no flags
+   Version 8 has a 96-byte header (no code lengths) and codes each
+   byte of B in both kinds of label as its rank in B, most significant
+   bit first, in w = max 1 (bit_width (|B| - 1)) bits: the canonical
+   code whose lengths all equal w, so lmin = w.  Version 7 has the same
+   layout with internal labels stored whole.  Version 6 has a 64-byte
+   header (no B), internal labels whole and each leaf byte stored as
+   its eight data bits, which is version 7's code with all 256 bytes
+   in B.  Version 5 has a 56-byte header (no flags
    field) and every label whole.  Version 4 also stored every β blob RRR-coded:
    no tag, and 6 bits per class.  Versions 2 and 3 have version 4's
    header, with offsets_bits at off 32, and a two-part directory:
@@ -97,12 +110,15 @@
    version 4's 10.86.  Version 3 codes each β blob's last RRR block over
    its real length, as versions 4 to 6 do; version 2 coded it over 62
    bits like the others.  All open through the one blob decoder
-   ({!Wt_bitvector.Rrr}), told the arena's version; the builders
-   write version 8 only (tests can ask [arena_of_keys] for version 7),
-   and [merge] copies β blobs of versions 5 to 8, and a packed label
-   taken whole at its own depth from a source with the merged arena's B
-   (a leaf's from version 6, an internal one's from version 8),
-   verbatim, and re-encodes the rest.
+   ({!Wt_bitvector.Rrr}), told the arena's version, and the one label
+   decoder; the builders write version 9 only (tests can ask
+   [arena_of_keys] for versions 7 and 8).  The codes depend only on the
+   arena's strings, so [merge] writes the bytes [of_array] does:
+   [arena_of_keys] counts the label bytes in a first pass over its BFS
+   queue, and [merge] in its one pass over the sources, which writes
+   the labels whole and packs them once the counts are in.  [merge]
+   copies β blobs of versions 5 to 9 verbatim and decodes every packed
+   label it reads.
 
    Safety: every arena read is bounds-checked by [Membuf], so a corrupt
    blob raises [Invalid_argument] (or {!Wt_durable.Container.Format_error}
@@ -135,8 +151,13 @@ let arena_version = Rrr.newest_version
 let header_len = 96
 
 (* Before version 7 the header has no byte set, before version 6 no
-   flags field. *)
-let header_bytes ~version = if version >= 7 then header_len else if version = 6 then 64 else 56
+   flags field; from version 9 it ends with a byte of code lengths for
+   each of the [set_size] bytes of B. *)
+let header_bytes ~version ~set_size =
+  if version >= 9 then header_len + set_size
+  else if version >= 7 then header_len
+  else if version = 6 then 64
+  else 56
 
 (* The one flag: labels are stored without their marker bits. *)
 let bytes_flag = 1
@@ -163,9 +184,11 @@ type t = {
   dir : directory;
   content_bit : int; (* bit offset of the content stream *)
   version : int; (* the blob decoder needs it: see [Rrr.of_membuf] *)
+  header : int; (* bytes *)
+  set : string; (* B, from version 7; empty in a bitstring arena *)
   code : Binarize.code option;
-      (* a byte-string arena's byte code: its leaf labels are stored
-         without marker bits, their bytes coded *)
+      (* a byte-string arena's leaf code: its leaf labels are stored
+         without marker bits, their whole bytes coded *)
   icode : Binarize.code option; (* the same for internal labels, from version 8 *)
   end_bits : int; (* their end field's width; 0 without [icode] *)
   source : string; (* file path when opened from storage, for errors *)
@@ -179,8 +202,8 @@ let topo_len ~version node_count = if version >= 4 then 0 else 8 * ((node_count 
 (* Byte offsets of the directory's bit stream (the node offsets, before
    version 4) and of the content stream, and the arena size, all derived
    from the header fields. *)
-let sections ~version ~node_count ~directory_bits ~content_bits =
-  let dir = header_bytes ~version + topo_len ~version node_count in
+let sections ~version ~header ~node_count ~directory_bits ~content_bits =
+  let dir = header + topo_len ~version node_count in
   let content = dir + ((directory_bits + 7) / 8) in
   (dir, content, content + ((content_bits + 7) / 8))
 
@@ -202,8 +225,10 @@ let add_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
    stream, and every node its label.  [finish] lays out the header and
    the node directory in front of the content. *)
 type writer = {
-  version : int; (* 8, or 7: internal labels whole *)
-  code : Binarize.code option; (* the byte code; [None]: labels whole *)
+  version : int; (* 9, or 7 and 8 for tests *)
+  set : string; (* B; empty when labels are whole *)
+  code : Binarize.code option; (* the leaf code; [None]: leaf labels whole *)
+  icode : Binarize.code option; (* the internal code; [None]: internal labels whole *)
   mutable starts : int array; (* content offset of each node started *)
   mutable nodes : int;
   topo : Bitbuf.t;
@@ -214,53 +239,79 @@ type writer = {
   mutable word : int; (* β bits not yet in [blocks] *)
   mutable fill : int;
   mutable nb : int;
-  (* the current node's label: whether it is packed (in a byte-string
-     arena, a leaf's, and from version 8 any) and an internal node's,
-     its bit depth, the depth of its next bit, and whether its
-     terminator is written *)
-  mutable pack : bool;
+  (* the current node's label: its code ([None]: stored whole), whether
+     it is an internal node's, its bit depth and its first stored bit,
+     the depth of its next bit, and whether its terminator is written *)
+  mutable lcode : Binarize.code option;
   mutable internal : bool;
   mutable depth : int;
+  mutable lstart : int;
   mutable lpos : int;
   mutable ended : bool;
+  keep : bool; (* whether [kept] is kept, for [repack] *)
+  mutable kept : int array;
+      (* node i's label's first bit times 9 plus its bit depth's phase
+         mod 9, all a label's code needs of its depth *)
 }
 
-(* [n] bounds every β; [nodes] is the node count, or a first guess.
-   Labels are packed in [code] when there is one. *)
-let writer ?(version = arena_version) ~code ~n ~nodes () =
-  if version < 7 || version > arena_version then invalid_arg "Flat_wt: writes versions 7 and 8";
+(* [n] bounds every β; [nodes] is the node count, or a first guess,
+   and [bits] the content's, 4n by default.  Leaf labels are packed in
+   [code], internal ones in [icode], when given. *)
+let writer ?(version = arena_version) ?(keep = false) ?bits ~set ~code ~icode ~n ~nodes () =
+  if version < 7 || version > arena_version then invalid_arg "Flat_wt: writes versions 7 to 9";
   {
     version;
+    set;
     code;
+    icode;
     starts = Array.make (nodes + 1) 0;
     nodes = 0;
     topo = Bitbuf.create ~capacity_bits:nodes ();
-    content = Bitbuf.create ~capacity_bits:(4 * n) ();
+    content = Bitbuf.create ~capacity_bits:(Option.value bits ~default:(4 * n)) ();
     room = n + 64;
     label_total = 0;
     blocks = Array.make ((n / Rrr.block_bits) + 1) 0;
     word = 0;
     fill = 0;
     nb = 0;
-    pack = false;
+    lcode = None;
     internal = false;
     depth = 0;
+    lstart = 0;
     lpos = 0;
     ended = false;
+    keep;
+    kept = (if keep then Array.make (nodes + 1) 0 else [||]);
   }
 
 let corrupt_leaf () = invalid_arg "Flat_wt: a leaf label ends no encoded byte string"
 
+(* The current node's label starts where its first bits go, after its
+   β blob. *)
+let begin_label w = if w.lstart < 0 then w.lstart <- Bitbuf.length w.content
+
 (* A packed leaf label ends with its terminator, or is empty where the
    parent branched on it; a packed internal label is followed by its end
-   field. *)
+   field, found from the bits just stored. *)
 let end_label w =
-  match w.code with
-  | Some code when w.pack && w.internal ->
+  if w.keep && w.nodes > 0 then begin
+    begin_label w;
+    let i = w.nodes - 1 in
+    if i >= Array.length w.kept then w.kept <- Array.append w.kept w.kept;
+    w.kept.(i) <- (9 * w.lstart) + (w.depth mod 9)
+  end;
+  match w.lcode with
+  | Some code when w.internal ->
+      begin_label w;
+      let stored = Bitbuf.length w.content - w.lstart in
+      let field =
+        Binarize.end_field code w.content w.lstart ~depth:w.depth ~stored (w.lpos - w.depth)
+      in
       let x = Binarize.end_width code in
-      Bitbuf.add_bits w.content x (Binarize.end_field code ~depth:w.depth (w.lpos - w.depth));
+      Bitbuf.add_bits w.content x field;
       w.label_total <- w.label_total + x
-  | _ -> if w.pack && not (w.ended || (w.lpos = w.depth && w.depth mod 9 = 1)) then corrupt_leaf ()
+  | Some _ -> if not (w.ended || (w.lpos = w.depth && w.depth mod 9 = 1)) then corrupt_leaf ()
+  | None -> ()
 
 (* Ahead of each node the content stream grows fourfold when fewer than
    [room] bits are left (a β blob takes about its count, at most [n];
@@ -280,9 +331,10 @@ let start_node w ~internal ~depth =
      Bitbuf.append grown c;
      w.content <- grown
    end);
-  w.pack <- w.code <> None && not (internal && w.version < 8);
+  w.lcode <- (if internal then w.icode else w.code);
   w.internal <- internal;
   w.depth <- depth;
+  w.lstart <- -1;
   w.lpos <- depth;
   w.ended <- false;
   if w.nodes + 1 >= Array.length w.starts then begin
@@ -331,13 +383,14 @@ let end_beta w ~len =
    1 but for a leaf label's last bit, the terminator 0, and codes its
    whole bytes, so it comes in pieces of [label_take] bits. *)
 let add_label w len v =
-  match w.code with
-  | Some code when w.pack ->
+  match w.lcode with
+  | Some code ->
       if len > 0 then begin
         if w.ended then corrupt_leaf ();
         if w.lpos <> w.depth && w.lpos mod 9 <> 0 then
           invalid_arg "Flat_wt: a label piece starts inside a byte";
         let markers = Binarize.markers ~depth:w.lpos len in
+        begin_label w;
         let stored = Bitbuf.length w.content in
         let dropped = Binarize.pack_bits code w.content ~depth:w.lpos len v in
         w.label_total <- w.label_total + Bitbuf.length w.content - stored;
@@ -349,14 +402,15 @@ let add_label w len v =
           w.ended <- true
         end
       end
-  | _ ->
+  | None ->
+      begin_label w;
       Bitbuf.add_bits w.content len v;
       w.label_total <- w.label_total + len
 
 (* How many of the [rest] label bits left to feed [add_label] next: a
    piece of a packed label ends at a depth = 0 (mod 9) or at the label's
    end, so that no byte is split between two pieces. *)
-let label_take w rest = if w.pack then Int.min rest (54 - (w.lpos mod 9)) else Int.min rest 56
+let label_take w rest = if w.lcode <> None then Int.min rest (54 - (w.lpos mod 9)) else Int.min rest 56
 
 (* Bits [off, off + len) of [key] (a key, or a label) as the current
    node's label. *)
@@ -390,7 +444,10 @@ let finish w ~n =
   let dir = Bitbuf.create () in
   Directory.append dir ~internal:w.topo ~universe:content_bits offs;
   let directory_bits = Bitbuf.length dir in
-  let _, _, arena_len = sections ~version:w.version ~node_count ~directory_bits ~content_bits in
+  let header = header_bytes ~version:w.version ~set_size:(Binarize.set_size w.set) in
+  let _, _, arena_len =
+    sections ~version:w.version ~header ~node_count ~directory_bits ~content_bits
+  in
   let out = Buffer.create arena_len in
   Buffer.add_string out arena_magic;
   add_u32 out w.version;
@@ -404,8 +461,14 @@ let finish w ~n =
       arena_len;
       (if w.code = None then 0 else bytes_flag);
     ];
-  Buffer.add_string out
-    (match w.code with Some c -> Binarize.code_set c | None -> Binarize.empty_set);
+  Buffer.add_string out w.set;
+  if w.version >= 9 then begin
+    let length = function Some c -> Binarize.code_length c | None -> fun _ -> 0 in
+    for b = 0 to 255 do
+      if Binarize.mem w.set b then
+        Buffer.add_uint8 out (length w.code b lor (length w.icode b lsl 4))
+    done
+  end;
   Bitbuf.add_to_buffer out dir;
   Bitbuf.add_to_buffer out w.content;
   assert (Buffer.length out = arena_len);
@@ -429,18 +492,31 @@ let split_point keys lo hi m =
    Otherwise the range's keys share exactly m = LCP (key lo, key hi-1)
    bits and split at bit m — keys [lo, j) continue with 0, keys [j, hi)
    with 1 — so the label is bits [off, m), β marks the ranks >= j, and a
-   stable partition hands each child its subsequence.  Each level's
-   subsequences lie side by side in one rank array, so two arrays of n
-   ranks serve every level.  [~keys] says what the keys encode; with
-   [Bytes], [bytes] is the byte set of the strings they encode
-   ({!Binarize.byte_set} of the raw strings: finding it from the keys
-   would decode every one).  [~v7_for_tests:true] writes version 7,
-   internal labels whole: for tests only, which need arenas of that
-   version as merge sources; every builder of the library writes
-   version 8. *)
-let leaf_code set = if set = Binarize.empty_set then None else Some (Binarize.code_of_set set)
+   stable partition hands each child its subsequence.  A first pass
+   lays out the BFS queue (each node's key range and consumed bits, so
+   a node's m and j are its children's) and counts the labels' whole
+   bytes by kind, for the codes; the second writes the nodes.  Each
+   level's subsequences lie side by side in one rank array, so two
+   arrays of n ranks serve every level.  [~keys] says what the keys
+   encode; with [Bytes], [bytes] is the byte set of the strings they
+   encode ({!Binarize.byte_set} of the raw strings: finding it from the
+   keys would decode every one).  [~version] 7 or 8 writes that
+   version, B's fixed-width code for leaf labels and, at 8, for internal
+   ones: for tests only, which need arenas of those versions as merge
+   sources; every builder of the library writes version 9. *)
 
-let arena_of_keys ~keys:kind ?bytes ?(v7_for_tests = false) (keys : Bitstring.t array)
+(* A byte-string arena's B and its leaf and internal codes, by the
+   version written and the whole bytes counted in its labels. *)
+let label_codes ~version set ~leaf ~internal =
+  if set = Binarize.empty_set then (set, None, None)
+  else if version >= 9 then
+    let code counts = Some (Binarize.code_of_lengths (Binarize.huffman_lengths counts)) in
+    (set, code leaf, code internal)
+  else
+    let c = Binarize.fixed_code set in
+    (set, Some c, if version = 8 then Some c else None)
+
+let arena_of_keys ~keys:kind ?bytes ?(version = arena_version) (keys : Bitstring.t array)
     (seq : int array) : string =
   Probe.time Flat_build (fun () ->
       let d = Array.length keys and n = Array.length seq in
@@ -453,25 +529,49 @@ let arena_of_keys ~keys:kind ?bytes ?(v7_for_tests = false) (keys : Bitstring.t 
       done;
       let node_count = if d = 0 then 0 else (2 * d) - 1 in
       if node_count >= 1 lsl 32 then invalid_arg "Flat_wt: node count exceeds 2^32";
+      let set =
+        match (kind, bytes) with
+        | Bits, _ -> Binarize.empty_set
+        | Bytes, Some set -> set
+        | Bytes, None -> invalid_arg "Flat_wt: byte-string keys without their byte set"
+      in
+      let counting = version >= 9 && set <> Binarize.empty_set in
       (* the BFS queue: node i's key range and consumed bits; the root,
          node 0, is [0, d) at offset 0 *)
       let q_lo = Array.make node_count 0 and q_hi = Array.make node_count d in
       let q_off = Array.make node_count 0 in
+      let leaf = Array.make 256 0 and internal = Array.make 256 0 in
       let tail = ref 1 in
-      let code =
-        match (kind, bytes) with
-        | Bits, _ -> None
-        | Bytes, Some set -> leaf_code set
-        | Bytes, None -> invalid_arg "Flat_wt: byte-string keys without their byte set"
-      in
-      let version = if v7_for_tests then 7 else arena_version in
-      let w = writer ~version ~code ~n ~nodes:node_count () in
+      for i = 0 to node_count - 1 do
+        let lo = q_lo.(i) and hi = q_hi.(i) and off = q_off.(i) in
+        let key = keys.(lo) in
+        let stop =
+          if hi - lo = 1 then Bitstring.length key
+          else begin
+            let m = Bitstring.lcp key keys.(hi - 1) in
+            let j = split_point keys (lo + 1) (hi - 1) m in
+            q_lo.(!tail) <- lo;
+            q_hi.(!tail) <- j;
+            q_off.(!tail) <- m + 1;
+            q_lo.(!tail + 1) <- j;
+            q_hi.(!tail + 1) <- hi;
+            q_off.(!tail + 1) <- m + 1;
+            tail := !tail + 2;
+            m
+          end
+        in
+        if counting then
+          Binarize.count_bytes (if hi - lo = 1 then leaf else internal) key ~from:off ~upto:stop
+      done;
+      let set, code, icode = label_codes ~version set ~leaf ~internal in
+      let w = writer ~version ~set ~code ~icode ~n ~nodes:node_count () in
       let blocks = w.blocks in
       (* level L reads its subsequences from [src] and writes level L+1's
          into [dst] *)
       let spare = Array.make n 0 in
       let src = ref seq and dst = ref (Array.make n 0) in
       let rpos = ref 0 and wpos = ref 0 and level_end = ref 1 in
+      tail := 1;
       for i = 0 to node_count - 1 do
         if i = !level_end then begin
           let read = !src in
@@ -488,8 +588,9 @@ let arena_of_keys ~keys:kind ?bytes ?(v7_for_tests = false) (keys : Bitstring.t 
         let stop =
           if hi - lo = 1 then Bitstring.length key
           else begin
-            let m = Bitstring.lcp key keys.(hi - 1) in
-            let j = split_point keys (lo + 1) (hi - 1) m in
+            (* the split the first pass found: the children's *)
+            let m = q_off.(!tail) - 1 and j = q_hi.(!tail) in
+            tail := !tail + 2;
             let src = !src and dst = !dst in
             let w0 = ref !wpos and w1 = ref (!wpos + cum.(j) - cum.(lo)) in
             let word = ref 0 and fill = ref 0 and nb = ref 0 in
@@ -513,13 +614,6 @@ let arena_of_keys ~keys:kind ?bytes ?(v7_for_tests = false) (keys : Bitstring.t 
             if !fill > 0 then blocks.(!nb) <- !word;
             Rrr.append_blocks w.content blocks ~len:count;
             wpos := !wpos + count;
-            q_lo.(!tail) <- lo;
-            q_hi.(!tail) <- j;
-            q_off.(!tail) <- m + 1;
-            q_lo.(!tail + 1) <- j;
-            q_hi.(!tail + 1) <- hi;
-            q_off.(!tail + 1) <- m + 1;
-            tail := !tail + 2;
             m
           end
         in
@@ -547,7 +641,7 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
   if version < 2 || version > arena_version then
     fail "flat arena: version %d, expected 2 to %d (rebuild the index from its source)" version
       arena_version;
-  if len < header_bytes ~version then fail "flat arena: truncated header (%d bytes)" len;
+  if len < header_bytes ~version ~set_size:0 then fail "flat arena: truncated header (%d bytes)" len;
   match
     let u64 off = Membuf.get_u64 mb off in
     (u64 8, u64 16, u64 24, u64 32, u64 40, u64 48, if version >= 6 then u64 56 else 0)
@@ -557,22 +651,44 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
       if arena_len <> len then
         fail "flat arena: declared size %d, actual %d" arena_len len;
       if flags land lnot bytes_flag <> 0 then fail "flat arena: unknown header flags %#x" flags;
-      (* B: every byte-string arena has one, no bitstring arena does *)
-      let code =
-        if version < 6 || flags = 0 then None
-        else if version = 6 then Some (Binarize.code_of_set Binarize.full_set)
-        else
-          let set = String.init 32 (fun i -> Char.chr (Membuf.get mb (64 + i))) in
-          Some (Binarize.code_of_set set)
+      (* B: every byte-string arena has one from version 7, no
+         bitstring arena does *)
+      let set =
+        if version < 7 then if version = 6 && flags <> 0 then Binarize.full_set else Binarize.empty_set
+        else String.init 32 (fun i -> Char.chr (Membuf.get mb (64 + i)))
       in
-      (match code with
-      | Some c when Binarize.code_size c = 0 ->
-          fail "flat arena: a byte-string arena with no byte set"
-      | None when version >= 7 ->
-          for i = 64 to header_len - 1 do
-            if Membuf.get mb i <> 0 then fail "flat arena: a byte set in a bitstring arena"
-          done
-      | _ -> ());
+      let set_size = Binarize.set_size set in
+      if version >= 7 && flags <> 0 && set_size = 0 then
+        fail "flat arena: a byte-string arena with no byte set";
+      if flags = 0 && set_size > 0 then fail "flat arena: a byte set in a bitstring arena";
+      let header = header_bytes ~version ~set_size in
+      if len < header then fail "flat arena: truncated header (%d bytes)" len;
+      (* the codes: version 9's from the header, B's fixed-width code
+         before *)
+      let code, icode =
+        if flags = 0 then (None, None)
+        else if version >= 9 then begin
+          let leaf = Bytes.make 256 '\000' and internal = Bytes.make 256 '\000' in
+          let r = ref 0 in
+          for b = 0 to 255 do
+            if Binarize.mem set b then begin
+              let v = Membuf.get mb (header_len + !r) in
+              Bytes.set leaf b (Char.chr (v land 15));
+              Bytes.set internal b (Char.chr (v lsr 4));
+              incr r
+            end
+          done;
+          let code what lengths =
+            match Binarize.code_of_lengths (Bytes.to_string lengths) with
+            | c -> Some c
+            | exception Invalid_argument m -> fail "flat arena: the %s code: %s" what m
+          in
+          (code "leaf" leaf, code "internal" internal)
+        end
+        else
+          let c = Binarize.fixed_code set in
+          (Some c, if version = 8 then Some c else None)
+      in
       (* bound the sections by the blob before deriving offsets, so the
          arithmetic below cannot overflow *)
       if node_count > 8 * len || directory_bits > 8 * len || content_bits > 8 * len then
@@ -593,9 +709,10 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
       let per_block = if version >= 5 then 1 else 6 in
       if node_count > 1 && n > Rrr.block_bits * Int.max 1 (content_bits / per_block) then
         fail "flat arena: length %d exceeds what the content stream can hold" n;
-      let dir, content, end_ = sections ~version ~node_count ~directory_bits ~content_bits in
+      let dir, content, end_ =
+        sections ~version ~header ~node_count ~directory_bits ~content_bits
+      in
       if end_ <> len then fail "flat arena: sections end at %d, blob is %d bytes" end_ len;
-      let icode = if version >= 8 then code else None in
       {
         mb;
         n;
@@ -611,6 +728,8 @@ let of_membuf ?(source = "<memory>") ?(release = fun () -> ()) mb =
              V3 (Offsets.of_membuf mb ~bit:(8 * dir) ~count:(node_count + 1) ~universe:content_bits));
         content_bit = 8 * content;
         version;
+        header;
+        set;
         code;
         icode;
         end_bits = (match icode with Some c -> Binarize.end_width c | None -> 0);
@@ -634,7 +753,7 @@ let version (t : t) = t.version
 (* The topology record of node [idx] before version 4: its rank among
    the internal nodes, -1 for a leaf. *)
 let v3_irank (t : t) idx =
-  let rec_bit = 8 * (header_bytes ~version:t.version + (8 * (idx lsr 5))) in
+  let rec_bit = 8 * (t.header + (8 * (idx lsr 5))) in
   let bits = Membuf.get_bits t.mb (rec_bit + 32) 32 in
   let j = idx land 31 in
   if bits land (1 lsl j) = 0 then -1
@@ -721,31 +840,31 @@ module Node = struct
      aside. *)
   let stored_bits node start = node.hi - start - if node.irank < 0 then 0 else node.t.end_bits
 
-  (* The length of the label of [stored] bits; a packed internal label's
-     end field ends its extent. *)
-  let unpacked_length node stored =
-    if node.irank < 0 then
-      match node.t.code with
-      | None -> stored
-      | Some code ->
-          let len = Binarize.unpacked_length code ~depth:node.depth stored in
+  (* The length of the label whose [stored] bits start at [start]; a
+     packed internal label's end field ends its extent. *)
+  let unpacked_length node start stored =
+    match label_code node with
+    | None -> stored
+    | Some code ->
+        let t = node.t in
+        let bit = t.content_bit + start in
+        if node.irank < 0 then begin
+          let len = Binarize.leaf_length code t.mb bit ~depth:node.depth ~stored in
           if len < 0 then invalid_arg "Flat_wt.Node: corrupt leaf label";
           len
-    else
-      match node.t.icode with
-      | None -> stored
-      | Some code ->
-          let x = node.t.end_bits in
-          let field =
-            if stored < 0 then -1 else Membuf.get_bits node.t.mb (node.t.content_bit + node.hi - x) x
-          in
-          let len = Binarize.internal_length code ~depth:node.depth ~stored field in
+        end
+        else
+          let x = t.end_bits in
+          let field = if stored < 0 then -1 else Membuf.get_bits t.mb (t.content_bit + node.hi - x) x in
+          let len = Binarize.internal_length code t.mb bit ~depth:node.depth ~stored field in
           if len < 0 then invalid_arg "Flat_wt.Node: corrupt internal label";
           len
 
   let label_length node =
-    if node.len_memo < 0 then
-      node.len_memo <- unpacked_length node (stored_bits node (label_start node));
+    if node.len_memo < 0 then begin
+      let start = label_start node in
+      node.len_memo <- unpacked_length node start (stored_bits node start)
+    end;
     node.len_memo
 
   let label node =
@@ -757,9 +876,9 @@ module Node = struct
        the one-load path of [Bitbuf.get_bits] *)
     let out = Bitbuf.create ~capacity_bits:(Int.max 64 len) () in
     (match label_code node with
-    | Some code when node.irank < 0 ->
-        Binarize.unpack code node.t.mb bitpos ~depth:node.depth ~stored out
-    | Some code -> Binarize.unpack_internal code node.t.mb bitpos ~depth:node.depth len out
+    | Some code ->
+        Binarize.unpack code node.t.mb bitpos ~depth:node.depth ~stored len
+          ~leaf:(node.irank < 0) out
     | None ->
         let i = ref 0 in
         while !i < len do
@@ -772,10 +891,12 @@ module Node = struct
   (* Compared in place: a descent reads no label into a buffer. *)
   let label_lcp node s off =
     let len = label_length node in
-    let bitpos = node.t.content_bit + label_start node in
+    let start = label_start node in
+    let bitpos = node.t.content_bit + start in
     match label_code node with
     | Some code ->
-        Binarize.lcp code node.t.mb bitpos ~depth:node.depth len ~leaf:(node.irank < 0) s off
+        Binarize.lcp code node.t.mb bitpos ~depth:node.depth ~stored:(stored_bits node start) len
+          ~leaf:(node.irank < 0) s off
     | None ->
         let n = Int.min len (Bitstring.length s - off) in
         let i = ref 0 and l = ref n in
@@ -972,16 +1093,17 @@ type reader = {
   whole_beta : writer -> int -> int -> int;
 }
 
-
 let arena_reader t =
   if t.closed then raise Closed;
   let irank = irank t in
   let blob_view blob count = Rrr.of_membuf t.mb blob ~len:count ~version:t.version in
   (* each merged node reads one node per source: keep the last one's
-     β blob and label, and a packed label unpacked *)
+     β blob and its view, its label and label length, and a packed
+     label unpacked *)
   let at = ref (-1) and blob = ref 0 and blob_bits = ref 0 and ones = ref 0 in
+  let view = ref (Rrr.of_blob (Bitbuf.create ()) ~len:0) in
   let label = ref 0 and stored = ref 0 and field = ref 0 and code = ref None in
-  let leaf = ref false in
+  let leaf = ref false and len = ref 0 and len_at = ref (-1) in
   let unpacked = Bitbuf.create () and unpacked_at = ref (-1) in
   let locate idx count =
     if idx <> !at then begin
@@ -993,6 +1115,7 @@ let arena_reader t =
       end
       else begin
         let bv = blob_view !blob count in
+        view := bv;
         blob_bits := Rrr.space_bits bv;
         ones := Rrr.ones bv
       end;
@@ -1009,15 +1132,20 @@ let arena_reader t =
   in
   let label_len idx count depth =
     locate idx count;
-    match !code with
-    | None -> !stored
-    | Some code ->
-        let len =
-          if !leaf then Binarize.unpacked_length code ~depth !stored
-          else Binarize.internal_length code ~depth ~stored:!stored !field
-        in
-        if len < 0 then invalid_arg "Flat_wt.merge: corrupt label";
-        len
+    if !len_at <> idx then begin
+      (len :=
+         match !code with
+         | None -> !stored
+         | Some code ->
+             let l =
+               if !leaf then Binarize.leaf_length code t.mb !label ~depth ~stored:!stored
+               else Binarize.internal_length code t.mb !label ~depth ~stored:!stored !field
+             in
+             if l < 0 then invalid_arg "Flat_wt.merge: corrupt label";
+             l);
+      len_at := idx
+    end;
+    !len
   in
   let label_bits idx count depth off width =
     locate idx count;
@@ -1025,10 +1153,9 @@ let arena_reader t =
     | None -> Membuf.get_bits t.mb (!label + off) width
     | Some code ->
         if !unpacked_at <> idx then begin
+          let len = label_len idx count depth in
           Bitbuf.clear unpacked;
-          if !leaf then Binarize.unpack code t.mb !label ~depth ~stored:!stored unpacked
-          else
-            Binarize.unpack_internal code t.mb !label ~depth (label_len idx count depth) unpacked;
+          Binarize.unpack code t.mb !label ~depth ~stored:!stored len ~leaf:!leaf unpacked;
           unpacked_at := idx
         end;
         Bitbuf.get_bits unpacked off width
@@ -1036,7 +1163,7 @@ let arena_reader t =
   let beta w idx count =
     locate idx count;
     let rest = ref count in
-    Rrr.iter_blocks (blob_view !blob count) (fun block ->
+    Rrr.iter_blocks !view (fun block ->
         add_bits w (Int.min Rrr.block_bits !rest) block;
         rest := !rest - Rrr.block_bits);
     !ones
@@ -1057,19 +1184,9 @@ let arena_reader t =
         label_bits;
         add_label =
           (fun w idx count depth off len ->
-            let full = label_len idx count depth in
-            match (!code, w.code) with
-            | Some c, Some wc
-              when w.pack && w.internal <> !leaf && depth = w.depth && len = full
-                   && String.equal (Binarize.code_set c) (Binarize.code_set wc) ->
-                (* a whole packed label at its own depth, in the merged
-                   arena's code: its stored bits, and an internal one's
-                   end field is [end_label]'s *)
-                copy_bits w t.mb !label !stored;
-                w.label_total <- w.label_total + !stored;
-                w.lpos <- depth + len;
-                w.ended <- !leaf && len > 0
-            | None, _ when not w.pack ->
+            match (!code, w.lcode) with
+            | None, None ->
+                begin_label w;
                 copy_bits w t.mb (!label + off) len;
                 w.label_total <- w.label_total + len
             | _ ->
@@ -1147,7 +1264,9 @@ let trie_reader (type a) (module N : Node_view.S with type trie = a) (trie : a) 
           }
 
 (* One BFS level of merged nodes: node j, at bit depth [depth.(j)], owns
-   cursors [first.(j), first.(j + 1)), the last one up to [cursors]. *)
+   cursors [first.(j), first.(j + 1)), the last one up to [cursors];
+   [part.(j)] holds the data bits read of the byte in progress at its
+   depth, when a pass tallies bytes. *)
 type level = {
   mutable src : int array;
   mutable node : int array;
@@ -1156,6 +1275,7 @@ type level = {
   mutable cursors : int;
   mutable first : int array;
   mutable depth : int array;
+  mutable part : int array;
   mutable merged : int;
 }
 
@@ -1169,18 +1289,21 @@ let level () =
     cursors = 0;
     first = a ();
     depth = a ();
+    part = a ();
     merged = 0;
   }
 
 let grown a = Array.append a (Array.make (Array.length a) 0)
 
-let open_node l depth =
+let open_node l depth part =
   if l.merged = Array.length l.first then begin
     l.first <- grown l.first;
-    l.depth <- grown l.depth
+    l.depth <- grown l.depth;
+    l.part <- grown l.part
   end;
   l.first.(l.merged) <- l.cursors;
   l.depth.(l.merged) <- depth;
+  l.part.(l.merged) <- part;
   l.merged <- l.merged + 1
 
 let push_cursor l s v o c =
@@ -1202,15 +1325,43 @@ let checked_ones ones count =
   if ones <= 0 || ones >= count then invalid_arg "Flat_wt.merge: constant β at an internal node";
   ones
 
-let merge_readers ~code (readers : reader array) =
+(* B and the whole bytes of a byte-string arena's labels, by kind, as
+   a merge writes them: every byte in [seen], and each whole one in the
+   counts of its label's kind. *)
+type tally = { seen : Bytes.t; leaf : int array; internal : int array }
+
+(* The label bits [o, o + len) of source node [v] as the label of a
+   merged node at bit depth [depth], tallied from the byte in progress
+   [part]; the byte in progress after them. *)
+let tally_label t (r : reader) v c d o ~depth ~internal len part =
+  let counts = if internal then t.internal else t.leaf in
+  let part = ref part and p = ref 0 in
+  while !p < len do
+    let take = Int.min 56 (len - !p) in
+    part :=
+      Binarize.label_bytes t.seen counts ~start:depth ~depth:(depth + !p) take
+        (r.label_bits v c d (o + !p) take)
+        !part;
+    p := !p + take
+  done;
+  !part
+
+(* The byte in progress in the child on [b] of a node whose label ends
+   at bit depth [d] with [part] in progress. *)
+let branch tally d b part =
+  match tally with
+  | None -> 0
+  | Some t -> Binarize.label_bytes t.seen t.leaf ~start:max_int ~depth:d 1 b part
+
+(* The merged nodes, level by level, written through [w], their labels
+   tallied into [tally] when there is one. *)
+let merge_pass w tally (readers : reader array) =
   let k = Array.length readers in
-  let n = Array.fold_left (fun acc r -> acc + r.len) 0 readers in
-  let w = writer ~code ~n ~nodes:64 () in
   (* per cursor of the node at hand: its label bits left, and the bit it
      continues with (-1 when it branches here, with [ones] its β's) *)
   let rem = Array.make k 0 and bit = Array.make k 0 and ones = Array.make k 0 in
   let cur = ref (level ()) and next = ref (level ()) in
-  if k > 0 then open_node !cur 0;
+  if k > 0 then open_node !cur 0 0;
   Array.iteri (fun s r -> push_cursor !cur s 0 0 r.len) readers;
   while !cur.merged > 0 do
     let l = !cur and nx = !next in
@@ -1229,10 +1380,15 @@ let merge_readers ~code (readers : reader array) =
         let ones = if internal then checked_ones (r0.whole_beta w v0 c0) c0 else 0 in
         let len = r0.label_len v0 c0 d0 - o0 in
         r0.add_label w v0 c0 d0 o0 len;
+        let part =
+          match tally with
+          | None -> 0
+          | Some t -> tally_label t r0 v0 c0 d0 o0 ~depth ~internal len l.part.(j)
+        in
         if internal then begin
-          open_node nx (depth + len + 1);
+          open_node nx (depth + len + 1) (branch tally (depth + len) 0 part);
           push_cursor nx s0 (r0.child v0 false) 0 (c0 - ones);
-          open_node nx (depth + len + 1);
+          open_node nx (depth + len + 1) (branch tally (depth + len) 1 part);
           push_cursor nx s0 (r0.child v0 true) 0 ones
         end
       end
@@ -1282,9 +1438,14 @@ let merge_readers ~code (readers : reader array) =
           end_beta w ~len:!count
         end;
         r0.add_label w v0 c0 d0 o0 m;
+        let part =
+          match tally with
+          | None -> 0
+          | Some t -> tally_label t r0 v0 c0 d0 o0 ~depth ~internal:!internal m l.part.(j)
+        in
         if !internal then
           for side = 0 to 1 do
-            open_node nx (depth + m + 1);
+            open_node nx (depth + m + 1) (branch tally (depth + m) side part);
             for i = a to b - 1 do
               let s = l.src.(i) and v = l.node.(i) and c = l.cnt.(i) in
               if bit.(i - a) = side then push_cursor nx s v (l.off.(i) + m + 1) c
@@ -1299,55 +1460,70 @@ let merge_readers ~code (readers : reader array) =
     done;
     cur := nx;
     next := l
+  done
+
+(* The arena of [raw]'s nodes, written with whole labels, with its
+   labels packed in [code] and [icode]: in one pass over the nodes as
+   written, each β blob copied and each label fed again from its bit
+   depth's phase.  The packed content is sized from the whole one,
+   which it rarely outgrows: the two are alive together until [raw]
+   is dropped. *)
+let repack (raw : writer) ~set ~code ~icode ~n =
+  end_label raw;
+  let w =
+    writer ~set ~code ~icode ~n ~nodes:raw.nodes ~bits:(Bitbuf.length raw.content + raw.room) ()
+  in
+  for i = 0 to raw.nodes - 1 do
+    let lo = raw.starts.(i) and label = raw.kept.(i) / 9 in
+    let hi = if i + 1 < raw.nodes then raw.starts.(i + 1) else Bitbuf.length raw.content in
+    start_node w ~internal:(Bitbuf.get raw.topo i) ~depth:(raw.kept.(i) mod 9);
+    Bitbuf.blit raw.content lo w.content (label - lo);
+    let p = ref label in
+    while !p < hi do
+      let take = label_take w (hi - !p) in
+      add_label w take (Bitbuf.get_bits raw.content !p take);
+      p := !p + take
+    done
   done;
   finish w ~n
 
-(* The bytes of a trie's strings, flagged in [seen]: a walk over its
-   labels that carries the byte in progress from a node into its
-   children, through the bit they branch on. *)
-let trie_bytes (type a) seen (module N : Node_view.S with type trie = a) (trie : a) =
-  let rec go node depth part =
-    let label = N.label node in
-    let len = Bitstring.length label in
-    let part = ref part and p = ref 0 in
-    while !p < len do
-      let take = Int.min 56 (len - !p) in
-      part :=
-        Binarize.label_bytes seen ~depth:(depth + !p) take (Bitstring.get_bits label !p take) !part;
-      p := !p + take
-    done;
-    if not (N.is_leaf node) then begin
-      let d = depth + len in
-      go (N.child node false) (d + 1) (Binarize.label_bytes seen ~depth:d 1 0 !part);
-      go (N.child node true) (d + 1) (Binarize.label_bytes seen ~depth:d 1 1 !part)
-    end
+(* One pass over the sources: the merged nodes are written with whole
+   labels and, for byte strings, B and the labels' whole bytes are
+   tallied; then the labels are packed in the codes made from those
+   counts, so the arena is the one [of_array] writes.  (A pass that
+   only tallied would read every source node twice; this one holds the
+   whole-label content and a start per node until the repack ends.) *)
+let merge_readers ~keys (readers : reader array) =
+  let n = Array.fold_left (fun acc r -> acc + r.len) 0 readers in
+  let raw =
+    writer ~keep:(keys = Bytes) ~set:Binarize.empty_set ~code:None ~icode:None ~n ~nodes:64 ()
   in
-  Option.iter (fun root -> go root 0 0) (N.root trie)
-
-(* B of the merged arena: the union of its sources' sets.  A version-7
-   byte-string arena names its set in its header; any other source
-   is walked. *)
-let byte_set sources =
-  let seen = Bytes.make 256 '\000' in
-  Array.iter
-    (function
-      | Arena ({ version; code = Some c; _ } : t) when version >= 7 ->
-          Binarize.add_set seen (Binarize.code_set c)
-      | Arena t -> trie_bytes seen (module Node) t
-      | Trie (m, trie) -> trie_bytes seen m trie)
-    sources;
-  Binarize.set_of_flags seen
+  let tally =
+    match keys with
+    | Bits -> None
+    | Bytes ->
+        Some { seen = Bytes.make 256 '\000'; leaf = Array.make 256 0; internal = Array.make 256 0 }
+  in
+  merge_pass raw tally readers;
+  match tally with
+  | None -> finish raw ~n
+  | Some t -> (
+      match
+        label_codes ~version:arena_version (Binarize.set_of_flags t.seen) ~leaf:t.leaf
+          ~internal:t.internal
+      with
+      | _, None, _ -> finish raw ~n (* no byte at all: a bitstring arena *)
+      | set, code, icode -> repack raw ~set ~code ~icode ~n)
 
 let merge ~keys sources =
   Probe.time Flat_build (fun () ->
-      let code = match keys with Bits -> None | Bytes -> leaf_code (byte_set sources) in
       let readers =
         Array.of_list
           (List.filter_map
              (function Arena t -> arena_reader t | Trie (m, trie) -> trie_reader m trie)
              (Array.to_list sources))
       in
-      of_membuf (Membuf.of_string (merge_readers ~code readers)))
+      of_membuf (Membuf.of_string (merge_readers ~keys readers)))
 
 (* Any trie through its node view: the one-source merge. *)
 let of_trie (type a) ~keys (module N : Node_view.S with type trie = a) (trie : a) =
@@ -1385,16 +1561,38 @@ let label_bits t = t.labels_bits
 let bv_bits t = t.content_bits - t.labels_bits
 let directory_bits t = (8 * Membuf.length t.mb) - t.content_bits
 
-(* The internal labels' stored bits (end fields included) and their
-   logical bits, and the logical bits of every label: the labels with
-   the marker bits and whole bytes of a byte-string arena restored. *)
-let label_split t =
+(* What a walk over every label finds: the internal labels' stored bits
+   (end fields included) and logical bits, the logical bits of every
+   label (the labels with the marker bits and whole bytes of a
+   byte-string arena restored), and, per kind of packed label, leaf and
+   internal, the whole bytes it codes and their codewords' bits. *)
+type label_walk = {
+  internal_stored : int;
+  internal_logical : int;
+  logical : int;
+  coded : int array; (* leaf, internal *)
+  coded_bits : int array;
+}
+
+let walk_labels t =
   if t.closed then raise Closed;
   let stored = ref 0 and logical = ref 0 and all = ref 0 in
+  let coded = Array.make 2 0 and coded_bits = Array.make 2 0 in
   let rec go node =
     let len = Node.label_length node in
     all := !all + len;
-    if not (Node.is_leaf node) then begin
+    let kind = if Node.is_leaf node then 0 else 1 in
+    if Node.label_code node <> None then begin
+      (* a packed label's codeword bits: its stored bits less the raw
+         bits of a first and a last byte cut by its ends *)
+      let depth = node.Node.depth in
+      let whole = Binarize.whole_bytes ~depth len in
+      let raw = len - Binarize.markers ~depth len - (8 * whole) in
+      let start = Node.label_start node in
+      coded.(kind) <- coded.(kind) + whole;
+      coded_bits.(kind) <- coded_bits.(kind) + Node.stored_bits node start - raw
+    end;
+    if kind = 1 then begin
       stored := !stored + Node.stored_label_length node;
       logical := !logical + len;
       go (Node.child node false);
@@ -1402,11 +1600,9 @@ let label_split t =
     end
   in
   Option.iter go (Node.root t);
-  (!stored, !logical, !all)
+  { internal_stored = !stored; internal_logical = !logical; logical = !all; coded; coded_bits }
 
-let logical_label_bits t =
-  let _, _, all = label_split t in
-  all
+let logical_label_bits t = (walk_labels t).logical
 
 (* Per β code, the blobs stored in it, the β bits they hold and the
    bits they take.  One-block blobs, and every blob before version 5,
@@ -1432,11 +1628,18 @@ let beta_codes t =
     (fun i code -> { code; blobs = blobs.(i); raw_bits = raw.(i); bits = bits.(i) })
     [ "rrr"; "plain" ]
 
-(* What [wtrie verify] reports of an arena's layout: with the β codes
-   and label bits, stored and logical, of all labels and of the internal
-   ones, the byte code of leaf labels (from version 8, of internal ones
-   too), |B| and w (0 and 0 when leaf labels are whole; a version-6
-   byte-string arena codes all 256 bytes in 8 bits). *)
+(* A byte code of a byte-string arena's labels: the bytes it codes,
+   its shortest and longest codeword, and the whole label bytes coded in
+   it and their bits. *)
+type byte_code = { bytes : int; shortest : int; longest : int; uses : int; use_bits : int }
+
+let mean_bits c = if c.uses = 0 then 0. else float_of_int c.use_bits /. float_of_int c.uses
+
+(* What [wtrie verify] reports of an arena's layout: the β codes, label
+   bits stored and logical, of all labels and of the internal ones, |B|
+   (0 when labels are whole; a version-6 byte-string arena has all 256
+   bytes) and the leaf labels' byte code (from version 8, the internal
+   labels' too). *)
 type layout = {
   codes : code_stats list;
   stored_label_bits : int;
@@ -1444,24 +1647,33 @@ type layout = {
   internal_stored_bits : int;
   internal_logical_bits : int;
   byte_set_size : int;
-  byte_code_bits : int;
+  leaf_code : byte_code option;
+  internal_code : byte_code option;
 }
 
 let layout (t : t) =
-  let byte_set_size, byte_code_bits =
-    match t.code with
-    | Some c -> (Binarize.code_size c, Binarize.code_width c)
-    | None -> (0, 0)
+  let l = walk_labels t in
+  let byte_code kind = function
+    | None -> None
+    | Some c ->
+        Some
+          {
+            bytes = Binarize.code_bytes c;
+            shortest = (if Binarize.code_bytes c = 0 then 0 else Binarize.shortest c);
+            longest = (if Binarize.code_bytes c = 0 then 0 else Binarize.longest c);
+            uses = l.coded.(kind);
+            use_bits = l.coded_bits.(kind);
+          }
   in
-  let internal_stored_bits, internal_logical_bits, logical_label_bits = label_split t in
   {
     codes = beta_codes t;
     stored_label_bits = label_bits t;
-    logical_label_bits;
-    internal_stored_bits;
-    internal_logical_bits;
-    byte_set_size;
-    byte_code_bits;
+    logical_label_bits = l.logical;
+    internal_stored_bits = l.internal_stored;
+    internal_logical_bits = l.internal_logical;
+    byte_set_size = Binarize.set_size t.set;
+    leaf_code = byte_code 0 t.code;
+    internal_code = byte_code 1 t.icode;
   }
 
 (* Structural deep check (the [wtrie verify] walk): the directory's
@@ -1471,10 +1683,12 @@ let layout (t : t) =
    ([Rrr.check]: from version 5, its tag, class base and width,
    and plain rank samples), every internal β holding both bit values,
    non-empty children, every node reachable, each packed leaf label's
-   stored length ending an encoded string at the leaf's depth, each
-   packed internal label's stored length and end field naming a label
-   at its depth, their codes within B, the stored label total, and,
-   from version 7, B being exactly the bytes the labels spell.
+   stored bits ending an encoded string at the leaf's depth, each
+   packed internal label's stored bits and end field naming a label at
+   its depth, every bit of theirs that a codeword starts naming a byte,
+   the stored label total, and, from version 7, B being exactly the
+   bytes the labels spell (version 9's code lengths, only for bytes of
+   B, are checked at the open).
    Raises [Failure] on the first violation, also for a read outside
    the arena. *)
 let check_arena (t : t) =
@@ -1490,7 +1704,7 @@ let check_arena (t : t) =
     | V3 offs ->
         let internal = ref 0 in
         for r = 0 to ((nc + 31) / 32) - 1 do
-          let rec_ = header_bytes ~version:t.version + (8 * r) in
+          let rec_ = t.header + (8 * r) in
           check (Membuf.get_u32 t.mb rec_ = !internal) "topology record %d: bad rank sample" r;
           let bits = Membuf.get_u32 t.mb (rec_ + 4) in
           check
@@ -1514,10 +1728,8 @@ let check_arena (t : t) =
   | Some root ->
       let visited = ref 0 and labels = ref 0 in
       (* the bytes the labels spell, each flagged where it first shows *)
-      let set =
-        match t.code with Some c when t.version >= 7 -> Some (Binarize.code_set c) | _ -> None
-      in
-      let seen = Bytes.make 256 '\000' in
+      let set = if t.version >= 7 && t.code <> None then Some t.set else None in
+      let seen = Bytes.make 256 '\000' and counts = Array.make 256 0 in
       let spell node part =
         match set with
         | None -> 0
@@ -1534,7 +1746,7 @@ let check_arena (t : t) =
             while !p < len do
               let take = Int.min 56 (len - !p) in
               part :=
-                Binarize.label_bytes seen ~depth:(node.depth + !p) take
+                Binarize.label_bytes seen counts ~start:max_int ~depth:(node.depth + !p) take
                   (Bitstring.get_bits label !p take) !part;
               fresh := !fresh lor (!part land 256);
               p := !p + take
@@ -1570,8 +1782,9 @@ let check_arena (t : t) =
             (Rrr.ones bv > 0 && Rrr.zeros bv > 0)
             "node %d: β holds one bit value only" node.Node.idx;
           let d = node.depth + Node.label_length node in
-          go (Node.child node false) (Binarize.label_bytes seen ~depth:d 1 0 part);
-          go (Node.child node true) (Binarize.label_bytes seen ~depth:d 1 1 part)
+          let branch b = Binarize.label_bytes seen counts ~start:max_int ~depth:d 1 b part in
+          go (Node.child node false) (branch 0);
+          go (Node.child node true) (branch 1)
         end
       in
       go root 0;

@@ -282,6 +282,26 @@ let with_legacy variant f =
       Out_channel.with_open_bin path (fun oc -> output_string oc data);
       f path)
 
+(* Strings at the edges of a version-9 arena's byte codes: of one byte
+   (|B| = 1), of all 256 (and random bytes), and of one dominant byte
+   and three others, whose internal labels' code gives it a 1-bit
+   codeword, and so a 4-bit end field. *)
+let code_edges =
+  let rng = Xoshiro.create 61 in
+  [
+    ("one byte", Array.init 240 (fun i -> String.make (i * 7 mod 45) 'x'));
+    ( "every byte",
+      Array.append
+        [| String.init 256 Char.chr |]
+        (Array.init 300 (fun _ ->
+             String.init (1 + Xoshiro.int rng 12) (fun _ -> Char.chr (Xoshiro.int rng 256)))) );
+    ( "one dominant byte",
+      Array.init 400 (fun _ ->
+          String.make (Xoshiro.int rng 30) 'a'
+          ^ String.make 1 "bcd".[Xoshiro.int rng 3]
+          ^ String.make (Xoshiro.int rng 20) 'a') );
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Generator *)
 

@@ -130,7 +130,7 @@ let test_snapshot_truncations () =
    crash, whichever bytes it maps. *)
 
 (* 1,200 strings over the 64 of [sample], the first eight of them
-   three times as frequent as the rest: the arena is a version-8
+   three times as frequent as the rest: the arena is a version-9
    byte-string arena, so its labels are stored without their marker
    bits and with their whole bytes coded, and holds β blobs in both
    codes — class-range RRR ones,
@@ -314,8 +314,8 @@ let moved_boundary (t : Wt_core.Flat_wt.t) i delta =
     Bitbuf.add_to_buffer b dir;
     Buffer.contents b
   in
-  let header = Bytes.of_string (String.sub arena 0 F.header_len) in
-  let len = F.header_len + String.length dir_bytes + String.length content in
+  let header = Bytes.of_string (String.sub arena 0 t.F.header) in
+  let len = t.F.header + String.length dir_bytes + String.length content in
   Bytes.set_int64_le header 32 (Int64.of_int (Bitbuf.length dir));
   Bytes.set_int64_le header 48 (Int64.of_int len);
   Bytes.to_string header ^ dir_bytes ^ content
@@ -337,55 +337,70 @@ let test_v3_leaf_extent () =
     path
     (moved_boundary t (pick 1) 1)
 
-(* The leaf byte code.  An arena of 300 strings over the five bytes
-   a..e (|B| = 5, codes of w = 3 bits, so 5, 6 and 7 name no byte):
-   with the bit of byte a cleared from B, and with a leaf's first code
-   set to 7, the deep check names a node, [wtrie verify] exits 2 and
-   every query answers or reports a [Storage_error].  The header checks
-   come first: a byte-string arena with an empty B, and a bitstring
-   arena with one, fail the open. *)
+(* The byte codes.  An arena of 300 strings over the five bytes a..e:
+   |B| = 5, and its header holds a byte of code lengths for each, in
+   byte order from offset 96, the leaf code's in its low 4 bits and the
+   internal code's in its high 4.  With B's bit of a moved to z (the
+   lengths go to b..e and z), and with the leaf code's last codeword
+   one bit longer (the bits after it may then start no codeword), the
+   deep check names a node, [wtrie verify] exits 2 and every query
+   answers or reports a [Storage_error].  The header checks come first,
+   and fail the open: B's bit of a cleared (the lengths then end a byte
+   early), leaf lengths past the Kraft inequality, a byte-string arena
+   with an empty B, and a bitstring arena with one. *)
 let code_strings =
   let rng = Xoshiro.create 23 in
   Array.init 40 (fun _ ->
       String.init (3 + Xoshiro.int rng 10) (fun _ -> "abcde".[Xoshiro.int rng 5]))
 
 let code_arena () =
+  let module F = Wt_core.Flat_wt in
   let t = Wtrie.Static.of_array (Array.init 300 (fun i -> code_strings.(i * 7 mod 40))) in
-  let l = Wt_core.Flat_wt.layout t in
+  let l = F.layout t in
   check_int "|B|" 5 l.byte_set_size;
-  check_int "w" 3 l.byte_code_bits;
+  check_int "a header byte per byte of B" (F.header_len + 5) t.F.header;
   t
+
+(* The byte of B at rank [r] whose code, leaf or internal, has the
+   longest codeword, the last in canonical order. *)
+let last_codeword code =
+  let module Binarize = Wt_strings.Binarize in
+  let bytes = List.filter (fun b -> Binarize.code_length code b > 0) (List.init 256 Fun.id) in
+  List.fold_left
+    (fun best b -> if Binarize.code_length code b >= Binarize.code_length code best then b else best)
+    (List.hd bytes) bytes
+
+(* Header byte of code lengths of byte [b] of "abcde". *)
+let length_byte b = 96 + (b - 0x61)
+
+let set_byte s off v =
+  let b = Bytes.of_string s in
+  Bytes.set b off (Char.chr v);
+  Bytes.to_string b
 
 let test_leaf_codes () =
   let module F = Wt_core.Flat_wt in
   let t = code_arena () in
   let arena = Wt_bits.Membuf.to_string t.F.mb in
-  (* B's bit for 'a' (0x61) lives in header byte 64 + 12, bit 1 *)
-  expect_corrupt ~what:"a B bit cleared" ~sub:"node " ~strings:code_strings (tmp "b_cleared.wtx")
-    (flip_bit arena (64 + (0x61 lsr 3)) (0x61 land 7));
-  (* the first leaf whose label holds a coded byte: its first code,
-     past a cut byte's raw bits, made all ones *)
-  let rec leaf node =
-    if F.Node.is_leaf node then
-      let stored = F.Node.stored_label_length node in
-      let phase = node.F.Node.depth mod 9 in
-      let head = if phase >= 2 then 9 - phase else 0 in
-      if stored - head >= 3 then Some (node.F.Node.lo + head) else None
-    else
-      match leaf (F.Node.child node false) with
-      | Some _ as r -> r
-      | None -> leaf (F.Node.child node true)
-  in
-  let at = t.F.content_bit + Option.get (leaf (Option.get (F.Node.root t))) in
-  let b = Bytes.of_string arena in
-  for i = at to at + 2 do
-    Bytes.set b (i / 8) (Char.chr (Char.code (Bytes.get b (i / 8)) lor (1 lsl (i mod 8))))
-  done;
-  expect_corrupt ~what:"a leaf code past B" ~sub:"past the byte set" ~strings:code_strings
-    (tmp "code_past.wtx") (Bytes.to_string b);
-  (* B against the flags: each fails the open, both ways *)
+  (* B's bit for 'a' (0x61) lives in header byte 64 + 12, bit 1, and
+     for 'z' (0x7a) in byte 64 + 15, bit 2 *)
+  let cleared = flip_bit arena (64 + (0x61 lsr 3)) (0x61 land 7) in
+  expect_corrupt ~what:"a B bit moved" ~sub:"node " ~strings:code_strings (tmp "b_moved.wtx")
+    (flip_bit cleared (64 + (0x7a lsr 3)) (0x7a land 7));
+  let last = last_codeword (Option.get t.F.code) in
+  let v = Char.code arena.[length_byte last] in
+  expect_corrupt ~what:"the last leaf codeword one bit longer" ~sub:"node " ~strings:code_strings
+    (tmp "code_longer.wtx")
+    (set_byte arena (length_byte last) (v + 1));
+  (* B against the flags, and the code lengths: each fails the open,
+     both ways *)
   let no_b = Bytes.of_string arena in
   Bytes.fill no_b 64 32 '\000';
+  let past_kraft =
+    List.fold_left
+      (fun s b -> set_byte s (length_byte b) (Char.code s.[length_byte b] land 0xf0 lor 1))
+      arena [ 0x61; 0x62; 0x63 ]
+  in
   let bits = F.of_array [| Binarize.of_bytes "ab"; Binarize.of_bytes "b" |] in
   let with_b = flip_bit (Wt_bits.Membuf.to_string bits.F.mb) 70 3 in
   List.iter
@@ -397,28 +412,84 @@ let test_leaf_codes () =
         [ `Copy; `Mmap ];
       Sys.remove path)
     [
+      ("a B bit cleared", cleared);
+      ("leaf lengths past Kraft", past_kraft);
       ("a byte-string arena with no B", Bytes.to_string no_b);
       ("a bitstring arena with a B", with_b);
     ]
 
-(* Internal labels, on the arena of [code_arena] (w = 3, so a 2-bit
-   end field), each behind a valid checksum: an end field past the end
-   states its stored length admits, an internal label's whole byte coded
-   as 7 (|B| = 5), and an extent too short for its end field.  Every
-   stored length of 0 or more admits an end state (a byte cut by the
-   label's end keeps its S mod w raw bits, at most 7), so the one that
-   admits none is negative: the node's β blob and label end inside the
-   field.  The boundary after an internal zero child moves back over its
-   label and one bit of its field into its sibling, which the deep check
-   reaches later.  In each case it names the node, [wtrie verify] exits
-   2 and every query answers or reports a [Storage_error]. *)
+(* A bit-flip sweep over version 9's codes: on the arena of
+   [code_arena], each bit of its header's code lengths and every 5th
+   bit of its labels' stored bits (end fields too), one at a time.  A
+   flip fails the open ([Format_error]), fails the deep check
+   ([Failure]), or leaves an arena that passes it (a codeword turned
+   into another, say); whichever, every access and every rank of
+   [code_strings] answers or raises [Invalid_argument] — no other
+   exception, and no hang. *)
+let test_code_bit_flips () =
+  let module F = Wt_core.Flat_wt in
+  let module N = F.Node in
+  let t = code_arena () in
+  let arena = Wt_bits.Membuf.to_string t.F.mb in
+  let labels = ref [] in
+  let rec go node =
+    let start = t.F.content_bit + node.N.hi - N.stored_label_length node in
+    for bit = start to t.F.content_bit + node.N.hi - 1 do
+      if bit mod 5 = 0 then labels := bit :: !labels
+    done;
+    if not (N.is_leaf node) then begin
+      go (N.child node false);
+      go (N.child node true)
+    end
+  in
+  go (Option.get (N.root t));
+  let header = List.init (8 * 5) (fun i -> (8 * F.header_len) + i) in
+  let opened = ref 0 and failed = ref 0 and passed = ref 0 in
+  List.iter
+    (fun bit ->
+      let corrupt = flip_bit arena (bit / 8) (bit mod 8) in
+      let what = Printf.sprintf "bit %d flipped" bit in
+      match F.of_membuf (Wt_bits.Membuf.of_string corrupt) with
+      | exception Wt_durable.Container.Format_error _ -> ()
+      | c ->
+          incr opened;
+          (match F.check_invariants c with
+          | () -> incr passed
+          | exception Failure _ -> incr failed);
+          let bounded f =
+            match f () with
+            | _ -> ()
+            | exception Invalid_argument _ -> ()
+            | exception e -> Alcotest.failf "%s: %s" what (Printexc.to_string e)
+          in
+          for pos = 0 to F.length c - 1 do
+            bounded (fun () -> ignore (F.access c pos))
+          done;
+          Array.iter
+            (fun s -> bounded (fun () -> ignore (F.rank c (Binarize.of_bytes s) (F.length c))))
+            code_strings)
+    (header @ !labels);
+  check_bool "some flips open" true (!opened > 0);
+  check_bool "some flips fail the deep check" true (!failed > 0)
+
+(* Internal labels, on the arena of [code_arena], each behind a valid
+   checksum: an end field past the end states its stored bits admit,
+   the internal code's last codeword one bit longer, and an extent too
+   short for its end field.  A byte cut by the label's end keeps at
+   most 7 raw bits, so every stored length of 0 or more admits an end
+   state, and the one that admits none is negative: the node's β blob
+   and label end inside the field.  The boundary after an internal zero
+   child moves back over its label and one bit of its field into its
+   sibling, which the deep check reaches later.  In each case it names
+   the node, [wtrie verify] exits 2 and every query answers or reports
+   a [Storage_error]. *)
 let test_internal_labels () =
   let module F = Wt_core.Flat_wt in
   let module N = F.Node in
   let t = code_arena () in
   let code = Option.get t.F.icode in
   let x = Binarize.end_width code in
-  check_int "end field width" 2 x;
+  check_int "end field width" (Wt_bits.Broadword.bit_width ((7 / Binarize.shortest code) + 1)) x;
   let arena = Wt_bits.Membuf.to_string t.F.mb in
   let internals =
     let rec go acc node =
@@ -445,7 +516,11 @@ let test_internal_labels () =
         let s = stored node in
         List.find_map
           (fun f ->
-            if Binarize.internal_length code ~depth:node.N.depth ~stored:s f < 0 then Some (node, f)
+            if
+              Binarize.internal_length code t.F.mb (t.F.content_bit + start node)
+                ~depth:node.N.depth ~stored:s f
+              < 0
+            then Some (node, f)
             else None)
           (List.init (1 lsl x) Fun.id))
       internals
@@ -454,19 +529,11 @@ let test_internal_labels () =
   expect_corrupt ~what:"an end field past its end states" ~sub:"has no such end state"
     ~strings:code_strings (tmp "end_past.wtx")
     (set_bits arena (t.F.content_bit + node.N.hi - x) x f);
-  (* an internal label holding a whole byte: its first code made 7 *)
-  let coded =
-    List.find_map
-      (fun node ->
-        let phase = node.N.depth mod 9 and len = N.label_length node in
-        let head = if phase >= 2 then 9 - phase else 0 in
-        let need = if phase = 1 then 8 else head + 9 in
-        if len >= need then Some (start node + head) else None)
-      internals
-  in
-  expect_corrupt ~what:"an internal code past B" ~sub:"past the byte set" ~strings:code_strings
-    (tmp "internal_code_past.wtx")
-    (set_bits arena (t.F.content_bit + Option.get coded) 3 7);
+  let last = last_codeword code in
+  let v = Char.code arena.[length_byte last] in
+  expect_corrupt ~what:"the last internal codeword one bit longer" ~sub:"node "
+    ~strings:code_strings (tmp "internal_code_longer.wtx")
+    (set_byte arena (length_byte last) (v + 16));
   (* an internal zero child whose sibling follows it *)
   let short =
     List.find
@@ -1115,11 +1182,36 @@ let test_tiered_fsync_failure () =
    Marshal of [(generation, trie)], plus a WAL of that tag and
    generation.  These tests write such directories by hand, in that
    layout, and check that [Tiered.recover] turns each into a tiered
-   store with exactly the snapshot plus its WAL's verified prefix. *)
+   store with exactly the snapshot plus its WAL's verified prefix.  An
+   append-only snapshot's trie is format v2's: the one in
+   [fixtures/legacy/append.d], written at commit b04144f, or format
+   v2's empty trie; a dynamic snapshot's is the live [Dynamic_wt.t]. *)
 
 module Dynamic_wt = Wt_core.Dynamic_wt
 
 let bits = List.map Binarize.of_bytes
+
+(* The append-only trie of [fixtures/legacy/append.d]'s snapshot, the
+   strings [Oracle.legacy_s 0] to [Oracle.legacy_s 4400]: a root whose
+   first 4,096 bits are a frozen RRR segment.  Kept opaque, so it is
+   marshalled again exactly as that commit wrote it. *)
+let legacy_trie : Obj.t =
+  let payload =
+    Wt_durable.Container.read ~expect_tag:"durable-append" "fixtures/legacy/append.d/snapshot.wtx"
+  in
+  snd (Marshal.from_string payload 0 : int * Obj.t)
+
+let legacy_strings = List.init 4401 Oracle.legacy_s
+
+(* Format v2's empty append-only trie: [Persist.V2.Append_wt.t] with no
+   root. *)
+type v2_append = { root : unit option; n : int }
+
+let empty_legacy_trie = Obj.repr { root = None; n = 0 }
+
+(* The strings of the dynamic snapshots. *)
+let dynamic_strings =
+  List.init 20 (fun i -> Printf.sprintf "old-%02d/%s" (i mod 7) (String.make (i mod 3) 'q'))
 
 let write_legacy dir ~tag ~generation ?(wal_generation = generation) trie ops =
   rm_rf dir;
@@ -1129,13 +1221,9 @@ let write_legacy dir ~tag ~generation ?(wal_generation = generation) trie ops =
     (Filename.concat dir "snapshot.wtx");
   Wal.create_with ~tag ~generation:wal_generation ops (Filename.concat dir "wal.log")
 
-let legacy_strings =
-  List.init 20 (fun i -> Printf.sprintf "old-%02d/%s" (i mod 7) (String.make (i mod 3) 'q'))
-
 (* An append store whose WAL holds five more strings. *)
 let write_legacy_append dir =
-  write_legacy dir ~tag:"durable-append" ~generation:3
-    (Append_wt.of_array (Array.of_list (bits legacy_strings)))
+  write_legacy dir ~tag:"durable-append" ~generation:3 legacy_trie
     (List.init 5 (fun i -> Wal.Append (Printf.sprintf "logged-%d" i)))
 
 let legacy_append_contents = legacy_strings @ List.init 5 (Printf.sprintf "logged-%d")
@@ -1202,16 +1290,16 @@ let test_migration_cases () =
       Wal.Delete 0; Wal.Insert (3, "old-01/q") ]
   in
   write_legacy dir ~tag:"durable-dynamic" ~generation:1
-    (Dynamic_wt.of_array (Array.of_list (bits legacy_strings)))
+    (Obj.repr (Dynamic_wt.of_array (Array.of_list (bits dynamic_strings))))
     ops;
   let apply l = function
     | Wal.Append s -> l @ [ s ]
     | Wal.Insert (p, s) -> List.filteri (fun i _ -> i < p) l @ (s :: List.filteri (fun i _ -> i >= p) l)
     | Wal.Delete p -> List.filteri (fun i _ -> i <> p) l
   in
-  case "dynamic" ~replayed:(List.length ops) (List.fold_left apply legacy_strings ops);
+  case "dynamic" ~replayed:(List.length ops) (List.fold_left apply dynamic_strings ops);
   (* an empty store *)
-  write_legacy dir ~tag:"durable-append" ~generation:0 (Append_wt.create ()) [];
+  write_legacy dir ~tag:"durable-append" ~generation:0 empty_legacy_trie [];
   case "empty" ~replayed:0 [];
   (* a torn WAL tail: the verified prefix only *)
   write_legacy_append dir;
@@ -1220,13 +1308,11 @@ let test_migration_cases () =
   case "torn tail" ~replayed:4
     (List.filteri (fun i _ -> i < List.length legacy_append_contents - 1) legacy_append_contents);
   (* a stale-generation WAL was absorbed by the snapshot already *)
-  write_legacy dir ~tag:"durable-append" ~generation:3 ~wal_generation:2
-    (Append_wt.of_array (Array.of_list (bits legacy_strings)))
+  write_legacy dir ~tag:"durable-append" ~generation:3 ~wal_generation:2 legacy_trie
     [ Wal.Append "absorbed" ];
   case "stale wal" ~replayed:0 legacy_strings;
   (* a future-generation WAL is impossible: refused, nothing touched *)
-  write_legacy dir ~tag:"durable-append" ~generation:3 ~wal_generation:4
-    (Append_wt.of_array (Array.of_list (bits legacy_strings)))
+  write_legacy dir ~tag:"durable-append" ~generation:3 ~wal_generation:4 legacy_trie
     [ Wal.Append "future" ];
   let before = snapshot_of dir in
   expect_format_error "future-generation wal" (fun () ->
@@ -1237,7 +1323,7 @@ let test_migration_cases () =
   List.iter
     (fun op ->
       write_legacy dir ~tag:"durable-dynamic" ~generation:0
-        (Dynamic_wt.of_array (Array.of_list (bits legacy_strings)))
+        (Obj.repr (Dynamic_wt.of_array (Array.of_list (bits dynamic_strings))))
         [ op ];
       expect_format_error "out-of-bounds record" (fun () ->
           ignore (Tiered.recover dir : Tiered.recovery)))
@@ -1366,6 +1452,8 @@ let () =
           Alcotest.test_case "corrupt leaf extent fails verify" `Quick test_v3_leaf_extent;
           Alcotest.test_case "corrupt byte set or leaf code fails verify" `Quick test_leaf_codes;
           Alcotest.test_case "corrupt internal label fails verify" `Quick test_internal_labels;
+          Alcotest.test_case "code lengths and label bits bit-flip sweep" `Quick
+            test_code_bit_flips;
         ] );
       ( "wal",
         [

@@ -152,7 +152,7 @@ let test_space_bound () =
       let st = Flat_wt.stats fwt in
       let fixed = 64 + 62 + 16 in
       let bound =
-        st.label_bits + st.bv_bits + (32 * fwt.Flat_wt.node_count) + (8 * Flat_wt.header_len)
+        st.label_bits + st.bv_bits + (32 * fwt.Flat_wt.node_count) + (8 * fwt.Flat_wt.header)
         + fixed
       in
       if st.total_bits > bound then
@@ -163,7 +163,7 @@ let test_space_bound () =
     [ 1; 13; 300; 4000 ]
 
 (* An index written by the first arena layout (version 1: a 64-byte
-   header and 32-byte node records) or by a later one (version 8) fails
+   header and 32-byte node records) or by a later one (version 10) fails
    closed, naming its version, whichever way it is opened. *)
 let test_arena_version_rejected version () =
   let header = Buffer.create 64 in
@@ -246,7 +246,7 @@ let test_v2_migration () =
   Wtrie.Static.close fwt
 
 (* ------------------------------------------------------------------ *)
-(* Versions 2 to 7.  [fixtures/v2] holds a static index and a tiered
+(* Versions 2 to 8.  [fixtures/v2] holds a static index and a tiered
    store written by [wtrie] at commit 96ba348, the last to write arena
    version 2 (each β blob's last block coded over 62 bits),
    [fixtures/v3] the same from the same input at commit 42bd660, the
@@ -256,9 +256,11 @@ let test_v2_migration () =
    [fixtures/v5] the same at commit b95bfd4, the last to write version
    5 (every label whole, a 56-byte header), [fixtures/v6] the same at
    commit 66b5a9c, the last to write version 6 (each leaf byte as its
-   eight data bits, no byte set in the header), and [fixtures/v7] the
+   eight data bits, no byte set in the header), [fixtures/v7] the
    same at commit fa60dbe, the last to write version 7 (internal labels
-   whole):
+   whole), and [fixtures/v8] the same at commit bc4ff9f, the last to
+   write version 8 (every whole label byte as its rank in B, in a
+   fixed width):
 
      wtrie index input.txt index.wt
      head -64 input.txt > part1.txt
@@ -268,24 +270,27 @@ let test_v2_migration () =
 
    The store holds the first 104 lines: a run of 64, a run of 32 and 8
    strings in its WAL.  All open through the one blob decoder and their
-   own directory reader; a compaction that absorbs the store's runs
-   writes them at version 8, and the structural merge of the old runs
-   with a version-8 arena and an append-only trie writes exactly the
-   bytes of the static build.  The version-6 and version-7 indexes are
-   also what [v6_arena] and [v7_arena] make of their input. *)
+   own directory reader and the one label decoder; a compaction that
+   absorbs the store's runs writes them at version 9, and the structural
+   merge of the old runs with a version-9 arena and an append-only trie
+   writes exactly the bytes of the static build.  The version-6, 7 and
+   8 indexes are also what [v6_arena], [v7_arena] and [v8_arena] make
+   of their input. *)
 
 let arena_version payload = Int32.to_int (String.get_int32_le payload 4)
 
-(* The version-7 arena of byte strings, in B's code or another. *)
-let v7_arena ?bytes strings =
+(* The version-7 or version-8 arena of byte strings, in B's
+   fixed-width code or another set's. *)
+let old_arena ~version ?bytes strings =
   let keys, seq =
     Flat_wt.sorted_keys ~hash:Flat_wt.hash_string ~equal:String.equal ~compare:String.compare
       strings
   in
   let bytes = Option.value bytes ~default:(Binarize.byte_set strings) in
-  Flat_wt.arena_of_keys ~keys:Bytes ~bytes ~v7_for_tests:true
-    (Array.map Wt_core.String_api.encode keys)
-    seq
+  Flat_wt.arena_of_keys ~keys:Bytes ~bytes ~version (Array.map Wt_core.String_api.encode keys) seq
+
+let v7_arena ?bytes strings = old_arena ~version:7 ?bytes strings
+let v8_arena strings = old_arena ~version:8 strings
 
 (* The version-6 arena of byte strings: version 7's writer with all 256
    bytes in B codes each leaf byte as its eight data bits, version 6's
@@ -318,6 +323,7 @@ let test_fixtures version () =
   check_int "index version" version (arena_version index);
   if version = 6 then check_bool "v6_arena writes version 6" true (v6_arena lines = index);
   if version = 7 then check_bool "v7_arena writes version 7" true (v7_arena lines = index);
+  if version = 8 then check_bool "v8_arena writes version 8" true (v8_arena lines = index);
   (* the store, on a copy: every string, then ingest the rest of the
      input and compact; the new run absorbs both old runs *)
   let dir = Oracle.copy_dir (fixture "store.d") (Printf.sprintf "flat_v%d_store" version) in
@@ -574,11 +580,11 @@ let bound_terms (s : Wt_core.Stats.t) =
    arena of the same encodings hold the same trie, one with packed
    labels, the other with whole ones, and each re-encodes as the other
    through the one-source merge; the byte-string arena also re-encodes
-   as itself, every label copied.  The byte-string arena's B is the
-   bytes of the strings, coded in max 1 (bit_width (|B| - 1)) bits, and
-   a merge of a version-6 arena of the first quarter of the sequence, a
-   version-7 arena of the second, a version-8 arena of the third and an
-   append-only trie of the rest writes it too. *)
+   as itself.  The byte-string arena's B is the
+   bytes of the strings, its leaf and internal codes hold bytes of B
+   only, and a merge of a version-6 arena of the first quarter of the
+   sequence, a version-7 arena of the second, a version-8 arena of the
+   third and an append-only trie of the rest writes it too. *)
 let prop_direct_build a =
   let enc = Array.map Wt_core.String_api.encode a in
   let pwt = Wavelet_trie.of_array enc in
@@ -598,12 +604,21 @@ let prop_direct_build a =
   Array.iter (Append_wt.append delta) (Array.map Wt_core.String_api.encode (quarter 3));
   let of_arena s = Flat_wt.of_membuf (Wt_bits.Membuf.of_string s) in
   let v6 = of_arena (v6_arena (quarter 0)) and v7 = of_arena (v7_arena (quarter 1)) in
+  let v8 = of_arena (v8_arena (quarter 2)) in
   Flat_wt.check_invariants v6;
   Flat_wt.check_invariants v7;
+  Flat_wt.check_invariants v8;
+  let within = function
+    | None -> size = 0
+    | Some c ->
+        List.for_all
+          (fun b -> Binarize.code_length c b = 0 || Binarize.mem bytes b)
+          (List.init 256 Fun.id)
+  in
   layout.byte_set_size = size
-  && layout.byte_code_bits
-     = (if size = 0 then 0 else Int.max 1 (Wt_bits.Broadword.bit_width (size - 1)))
-  && (direct.Flat_wt.code <> None) = (size > 0)
+  && within direct.Flat_wt.code
+  && within direct.Flat_wt.icode
+  && (layout.leaf_code <> None) = (size > 0)
   && Flat_wt.dump direct = Wavelet_trie.dump pwt
   && Flat_wt.dump bits = Wavelet_trie.dump pwt
   && bound_terms logical = bound_terms (Wavelet_trie.stats pwt)
@@ -622,7 +637,7 @@ let prop_direct_build a =
            [|
              Flat_wt.Arena v6;
              Flat_wt.Arena v7;
-             Flat_wt.Arena (Wtrie.Static.of_array (quarter 2));
+             Flat_wt.Arena v8;
              Flat_wt.Trie ((module Append_wt.Node), delta);
            |];
        ]
@@ -667,8 +682,9 @@ let qcheck_direct_build =
    from the whole input.  Tag 1 appends to every string its slice
    number, so no key occurs in two slices; tag 2 moves every byte of
    slice i into the i mod 4-th quarter of the bytes, so the first four
-   slices' byte sets are disjoint.  Every other arena is a version-7
-   one, its internal labels whole. *)
+   slices' byte sets are disjoint.  Of every three arenas one is a
+   version-7 one, its internal labels whole, and one a version-8 one,
+   B's fixed-width code in every label. *)
 let prop_merge (a, cuts, dynamic_tail, tag) =
   let n = Array.length a in
   let cuts = List.sort compare (List.map (fun c -> c mod (n + 1)) cuts) in
@@ -703,8 +719,10 @@ let prop_merge (a, cuts, dynamic_tail, tag) =
   let arenas =
     Array.init (slices - 1) (fun i ->
         Flat_wt.Arena
-          (if i mod 2 = 1 then Flat_wt.of_membuf (Wt_bits.Membuf.of_string (v7_arena (slice i)))
-           else Wtrie.Static.of_array (slice i)))
+          (match i mod 3 with
+          | 1 -> Flat_wt.of_membuf (Wt_bits.Membuf.of_string (v7_arena (slice i)))
+          | 2 -> Flat_wt.of_membuf (Wt_bits.Membuf.of_string (v8_arena (slice i)))
+          | _ -> Wtrie.Static.of_array (slice i)))
   in
   let sources = Array.append arenas [| tail |] in
   let merged = Flat_wt.merge ~keys:Bytes sources in
@@ -733,15 +751,14 @@ let qcheck_merge =
    three bits.  Merged, the root label is [b]'s, a prefix of [a]'s, and
    its zero child's runs from inside "e" to inside "m", where [b]'s leaf
    "www.exaq" turns away: a proper sub-range of [a]'s packed root label,
-   cut mid-byte at both ends.  Merging [a] with itself
-   takes every label whole at its own depth in the same code, so each
-   is copied.  Each merge, of version-8 and version-7 arenas in both
-   orders and with an append-only tail, writes the static build's
-   bytes. *)
+   cut mid-byte at both ends.  Each merge, of version-9, version-8 and
+   version-7 arenas in both orders, of [a] with itself, and with an
+   append-only tail, writes the static build's bytes. *)
 let test_merge_cut_labels () =
   let a = [| "www.example.com/alpha"; "www.example.com/beta"; "www.example.com/alpha" |] in
   let b = [| "www.exaq"; "www.zzz" |] in
-  let v8 strings = Flat_wt.Arena (Wtrie.Static.of_array strings) in
+  let v9 strings = Flat_wt.Arena (Wtrie.Static.of_array strings) in
+  let v8 strings = Flat_wt.Arena (Flat_wt.of_membuf (Wt_bits.Membuf.of_string (v8_arena strings))) in
   let v7 strings = Flat_wt.Arena (Flat_wt.of_membuf (Wt_bits.Membuf.of_string (v7_arena strings))) in
   let tail strings =
     let t = Append_wt.create () in
@@ -755,23 +772,62 @@ let test_merge_cut_labels () =
       Flat_wt.check_invariants merged;
       check_bool what true (bytes merged = bytes (Wtrie.Static.of_array (Array.concat strings))))
     [
-      ("a, b", [ v8 a; v8 b ], [ a; b ]);
-      ("b, a", [ v8 b; v8 a ], [ b; a ]);
-      ("a at v7, b", [ v7 a; v8 b ], [ a; b ]);
-      ("a, b at v7", [ v8 a; v7 b ], [ a; b ]);
-      ("a, a", [ v8 a; v8 a ], [ a; a ]);
-      ("a, b, a's tail", [ v8 a; v8 b; tail a ], [ a; b; a ]);
+      ("a, b", [ v9 a; v9 b ], [ a; b ]);
+      ("b, a", [ v9 b; v9 a ], [ b; a ]);
+      ("a at v7, b", [ v7 a; v9 b ], [ a; b ]);
+      ("a, b at v7", [ v9 a; v7 b ], [ a; b ]);
+      ("a at v8, b at v7", [ v8 a; v7 b ], [ a; b ]);
+      ("a, b at v8", [ v9 a; v8 b ], [ a; b ]);
+      ("a, a", [ v9 a; v9 a ], [ a; a ]);
+      ("a, b, a's tail", [ v9 a; v9 b; tail a ], [ a; b; a ]);
     ]
+
+(* Version-9 arenas at their byte codes' edges ([Oracle.code_edges]):
+   |B| = 1, |B| = 256, and a dominant byte whose 1-bit internal
+   codeword takes the end field to 4 bits.  Each passes the deep check,
+   and the merge of arenas of its thirds (at versions 9, 8 and 7) and
+   an append-only trie of the rest writes the static build's bytes. *)
+let test_code_edges () =
+  List.iter
+    (fun (what, a) ->
+      let t = Wtrie.Static.of_array a in
+      Flat_wt.check_invariants t;
+      let layout = Flat_wt.layout t in
+      (match what with
+      | "one byte" -> check_int "one byte: |B|" 1 layout.byte_set_size
+      | "every byte" -> check_int "every byte: |B|" 256 layout.byte_set_size
+      | _ ->
+          let icode = Option.get t.Flat_wt.icode in
+          check_int "dominant byte: shortest internal codeword" 1 (Binarize.shortest icode);
+          check_int "dominant byte: end field" 4 t.Flat_wt.end_bits);
+      let n = Array.length a in
+      let part i = Array.sub a (i * n / 4) (((i + 1) * n / 4) - (i * n / 4)) in
+      let source s = Flat_wt.Arena (Flat_wt.of_membuf (Wt_bits.Membuf.of_string s)) in
+      let delta = Append_wt.create () in
+      Array.iter (fun s -> Append_wt.append delta (Wt_core.String_api.encode s)) (part 3);
+      let merged =
+        Flat_wt.merge ~keys:Bytes
+          [|
+            Flat_wt.Arena (Wtrie.Static.of_array (part 0));
+            source (v8_arena (part 1));
+            source (v7_arena (part 2));
+            Flat_wt.Trie ((module Append_wt.Node), delta);
+          |]
+      in
+      Flat_wt.check_invariants merged;
+      check_bool (what ^ ": merged = static build") true (arena merged = arena t))
+    Oracle.code_edges
 
 (* The writer takes a packed label in pieces that end at a depth
    = 0 (mod 9) or at the label's end: after a piece that stops inside a
    byte, the next is refused, in a leaf's label and an internal one's. *)
 let test_label_pieces () =
   let enc = Binarize.of_bytes "ab" in
-  let code = Some (Binarize.code_of_set (Binarize.byte_set [| "ab" |])) in
+  let set = Binarize.byte_set [| "ab" |] in
+  let code = Some (Binarize.fixed_code set) in
   List.iter
     (fun internal ->
-      let w = Flat_wt.writer ~code ~n:2 ~nodes:1 () in
+      let w = Flat_wt.writer ~set ~code ~icode:code ~n:2 ~nodes:1 () in
       Flat_wt.start_node w ~internal ~depth:0;
       Flat_wt.add_label w 9 (Bitstring.get_bits enc 0 9);
       Flat_wt.add_label w 5 (Bitstring.get_bits enc 9 5);
@@ -782,8 +838,8 @@ let test_label_pieces () =
     [ false; true ]
 
 (* [Node.label_lcp] compares a label in place as [Bitstring.lcp_from]
-   compares the decoded one, at every node of version-8, version-7 and
-   bitstring arenas: against the label and a bit more, each prefix of
+   compares the decoded one, at every node of version-9, version-8,
+   version-7 and bitstring arenas: against the label and a bit more, each prefix of
    it, and it with each bit flipped, from the node's depth. *)
 let test_label_lcp () =
   let rng = Xoshiro.create 47 in
@@ -827,7 +883,8 @@ let test_label_lcp () =
       in
       Option.iter (fun root -> visit root 0) (Flat_wt.Node.root t))
     [
-      ("version 8", Wtrie.Static.of_array strings);
+      ("version 9", Wtrie.Static.of_array strings);
+      ("version 8", Flat_wt.of_membuf (Wt_bits.Membuf.of_string (v8_arena strings)));
       ("version 7", Flat_wt.of_membuf (Wt_bits.Membuf.of_string (v7_arena strings)));
       ("bitstrings", Flat_wt.of_array bits);
     ]
@@ -868,6 +925,7 @@ let () =
           qcheck_merge;
           Alcotest.test_case "bitstring input not prefix-free" `Quick test_not_prefix_free;
           Alcotest.test_case "merged labels cut from packed ones" `Quick test_merge_cut_labels;
+          Alcotest.test_case "merged = static build at the codes' edges" `Quick test_code_edges;
           Alcotest.test_case "label pieces end at a byte" `Quick test_label_pieces;
           Alcotest.test_case "labels compared in place" `Quick test_label_lcp;
         ] );
@@ -881,13 +939,14 @@ let () =
           Alcotest.test_case "v2 load + convert to v3" `Quick test_v2_migration;
           Alcotest.test_case "errors are data" `Quick test_storage_errors;
           Alcotest.test_case "arena v1 fails closed" `Quick (test_arena_version_rejected 1);
-          Alcotest.test_case "arena v9 fails closed" `Quick (test_arena_version_rejected 9);
+          Alcotest.test_case "arena v10 fails closed" `Quick (test_arena_version_rejected 10);
           Alcotest.test_case "version-2 index and store" `Quick (test_fixtures 2);
           Alcotest.test_case "version-3 index and store" `Quick (test_fixtures 3);
           Alcotest.test_case "version-4 index and store" `Quick (test_fixtures 4);
           Alcotest.test_case "version-5 index and store" `Quick (test_fixtures 5);
           Alcotest.test_case "version-6 index and store" `Quick (test_fixtures 6);
           Alcotest.test_case "version-7 index and store" `Quick (test_fixtures 7);
+          Alcotest.test_case "version-8 index and store" `Quick (test_fixtures 8);
           Alcotest.test_case "corrupt v3 β blobs stay bounded" `Quick test_v3_blob_corruption;
           Alcotest.test_case "corrupt v5 β fields fail verify" `Quick test_v5_blob_fields;
         ] );

@@ -58,7 +58,7 @@ let test_static () =
           Wtrie.Static.close t)
         [ ("static, copy", `Copy); ("static, mmap", `Mmap) ])
 
-(* [fixtures/v<version>/index.wt]: arena version 2 to 7, written from
+(* [fixtures/v<version>/index.wt]: arena version 2 to 8, written from
    input.txt. *)
 let test_static_fixture version () =
   let fixture name = Printf.sprintf "fixtures/v%d/%s" version name in
@@ -72,6 +72,17 @@ let test_static_fixture version () =
       C_static.exhaustive ~ctx t m;
       Wtrie.Static.close t)
     [ `Copy; `Mmap ]
+
+(* Version-9 arenas at their byte codes' edges ([Oracle.code_edges]):
+   one byte, all 256, and one dominant byte (a 4-bit end field). *)
+let test_code_edges () =
+  List.iter
+    (fun (what, a) ->
+      let t = Wtrie.Static.of_array a and m = Oracle.model a in
+      let ctx = "code edges, " ^ what in
+      C_static.run ~ctx t m;
+      C_static.exhaustive ~ctx t m)
+    Oracle.code_edges
 
 let test_append () =
   let a = corpus 3 700 in
@@ -228,6 +239,8 @@ let () =
           Alcotest.test_case "static: arena version 5" `Quick (test_static_fixture 5);
           Alcotest.test_case "static: arena version 6" `Quick (test_static_fixture 6);
           Alcotest.test_case "static: arena version 7" `Quick (test_static_fixture 7);
+          Alcotest.test_case "static: arena version 8" `Quick (test_static_fixture 8);
+          Alcotest.test_case "static: byte codes at their edges" `Quick test_code_edges;
           Alcotest.test_case "append-only" `Quick test_append;
           Alcotest.test_case "dynamic and its snapshot" `Quick test_dynamic;
           tiered_scenarios;

@@ -185,26 +185,194 @@ let test_bytes_reference () =
   Alcotest.check_raises "trailing bits" (Invalid_argument "Binarize.to_bytes: trailing bits")
     (fun () -> ignore (Binarize.to_bytes (Bitstring.append long long)))
 
-(* Leaf labels without marker bits: the rest of an encoded string from
-   every bit depth (every phase mod 9, lengths 0 to 40 bytes) packs, in
-   pieces that each end at a marker position or at the label's end, to
-   its stored bits, dropping ones and then the terminator, and unpacks
-   from that depth back to itself.  [codes] are byte sets of 1 to 256
-   bytes (code widths 1, 1, 2, 5, 8 and 8), the last all 256 bytes,
-   whose code is a byte's data bits; each string is drawn from its set.
-   The stored lengths seen are the only ones [unpacked_length] and
-   [unpack] accept. *)
+(* Byte codes.  [canonical code] is a reference: each coded byte's
+   codeword, most significant bit first, handed out in order of length
+   and then of byte. *)
+let canonical code =
+  let coded =
+    List.filter (fun b -> Binarize.code_length code b > 0) (List.init 256 Fun.id)
+    |> List.stable_sort (fun a b ->
+           compare (Binarize.code_length code a) (Binarize.code_length code b))
+  in
+  let next = ref 0 and len = ref 0 in
+  List.map
+    (fun b ->
+      let l = Binarize.code_length code b in
+      next := !next lsl (l - !len);
+      len := l;
+      let cw = !next in
+      incr next;
+      (b, l, cw))
+    coded
+
 let set_of bytes =
   let seen = Bytes.make 256 '\000' in
   List.iter (fun b -> Bytes.set seen b '\001') bytes;
   Binarize.set_of_flags seen
 
+let membuf_of bb =
+  let b = Buffer.create 64 in
+  Bitbuf.add_to_buffer b bb;
+  Wt_bits.Membuf.of_string (Buffer.contents b)
+
+(* [code]'s lengths are capped and meet the Kraft inequality; every
+   codeword decodes back to its byte (alone at bit depth 9, as an
+   internal label's one whole byte, from bit 3 of a buffer); bits that
+   start no codeword neither decode nor compare in place; and the end
+   field's width follows the shortest codeword. *)
+let check_code ctx code =
+  let cws = canonical code in
+  check_int (ctx ^ ": bytes coded") (List.length cws) (Binarize.code_bytes code);
+  let kraft = List.fold_left (fun acc (_, l, _) -> acc + (1 lsl (12 - l))) 0 cws in
+  check_bool (ctx ^ ": Kraft sum at most 1") true (kraft <= 1 lsl 12);
+  List.iter
+    (fun (b, l, cw) ->
+      check_bool (ctx ^ ": length within the cap") true (l >= 1 && l <= Binarize.max_code_length);
+      check_bool (ctx ^ ": codeword fits its length") true (cw < 1 lsl l);
+      let stored = Bitbuf.create () in
+      Bitbuf.add_bits stored 3 0b101;
+      Bitbuf.add_bits stored l (Wt_bits.Broadword.reverse_bits cw l);
+      let out = Bitbuf.create () in
+      Binarize.unpack code (membuf_of stored) 3 ~depth:9 ~stored:l 9 ~leaf:false out;
+      check_string
+        (Printf.sprintf "%s: byte %d decodes" ctx b)
+        (Bitstring.to_string (Bitstring.sub (Binarize.of_bytes (String.make 1 (Char.chr b))) 0 9))
+        (Bitbuf.to_string out))
+    cws;
+  let lmax = Binarize.longest code in
+  for v = 0 to (1 lsl lmax) - 1 do
+    (* v, most significant bit first, starts no codeword *)
+    if not (List.exists (fun (_, l, cw) -> l <= lmax && v lsr (lmax - l) = cw) cws) then begin
+      let stored = Bitbuf.create () in
+      Bitbuf.add_bits stored 3 0;
+      Bitbuf.add_bits stored lmax (Wt_bits.Broadword.reverse_bits v lmax);
+      let mb = membuf_of stored in
+      (match Binarize.unpack code mb 3 ~depth:9 ~stored:lmax 9 ~leaf:false (Bitbuf.create ()) with
+      | () -> Alcotest.failf "%s: bits %d decoded" ctx v
+      | exception Invalid_argument _ -> ());
+      match Binarize.lcp code mb 3 ~depth:9 ~stored:lmax 9 ~leaf:false (Binarize.of_bytes "ab") 0 with
+      | _ -> Alcotest.failf "%s: bits %d compared" ctx v
+      | exception Invalid_argument _ -> ()
+    end
+  done;
+  let lmin = List.fold_left (fun acc (_, l, _) -> Int.min acc l) lmax cws in
+  check_int (ctx ^ ": shortest") lmin (Binarize.shortest code);
+  check_int (ctx ^ ": end field width")
+    (Wt_bits.Broadword.bit_width ((7 / lmin) + 1))
+    (Binarize.end_width code)
+
+let huffman counts = Binarize.code_of_lengths (Binarize.huffman_lengths counts)
+
+(* Huffman's cost, the sum of its merged weights, by a sorted list. *)
+let huffman_cost counts =
+  let rec go acc = function
+    | a :: b :: rest -> go (acc + a + b) (List.merge compare [ a + b ] rest)
+    | _ -> acc
+  in
+  go 0 (List.sort compare (List.filter (fun c -> c > 0) (Array.to_list counts)))
+
+(* Codes over random histograms (with their Huffman cost whenever no
+   length reaches the cap), a one-byte set, all 256 bytes, no byte, and
+   a Fibonacci-weighted histogram whose Huffman code runs past the cap;
+   B's fixed-width codes; and lengths that break the cap or the Kraft
+   inequality, which are refused. *)
+let test_byte_codes () =
+  let rng = Xoshiro.create 5 in
+  for i = 1 to 40 do
+    let counts =
+      Array.init 256 (fun _ ->
+          if Xoshiro.int rng (1 + (i mod 7)) = 0 then Xoshiro.int rng (1 lsl (1 + (i mod 20))) else 0)
+    in
+    let code = huffman counts in
+    let ctx = Printf.sprintf "histogram %d" i in
+    check_code ctx code;
+    let cost = ref 0 in
+    Array.iteri (fun b c -> cost := !cost + (c * Binarize.code_length code b)) counts;
+    if Binarize.longest code < Binarize.max_code_length && Binarize.code_bytes code > 1 then
+      check_int (ctx ^ ": Huffman's cost") (huffman_cost counts) !cost;
+    check_string (ctx ^ ": the same counts, the same code") (Binarize.huffman_lengths counts)
+      (Binarize.huffman_lengths (Array.copy counts))
+  done;
+  let one = huffman (Array.init 256 (fun b -> if b = 0x61 then 9 else 0)) in
+  check_code "one byte" one;
+  check_int "one byte: one bit" 1 (Binarize.code_length one 0x61);
+  let all = huffman (Array.make 256 3) in
+  check_code "all 256 bytes" all;
+  check_int "all 256 bytes: eight bits" 8 (Binarize.shortest all);
+  let none = huffman (Array.make 256 0) in
+  check_code "no byte" none;
+  check_int "no byte: bytes" 0 (Binarize.code_bytes none);
+  let fib = Array.make 256 0 in
+  let a = ref 1 and b = ref 1 in
+  for i = 0 to 29 do
+    fib.(i * 5) <- !a;
+    let c = !a + !b in
+    a := !b;
+    b := c
+  done;
+  let capped = huffman fib in
+  check_code "Fibonacci weights" capped;
+  check_int "Fibonacci weights: capped" Binarize.max_code_length (Binarize.longest capped);
+  List.iter
+    (fun size ->
+      let set = set_of (List.init size (fun i -> (i * 37) land 255)) in
+      let code = Binarize.fixed_code set in
+      let w = Int.max 1 (Wt_bits.Broadword.bit_width (size - 1)) in
+      check_code (Printf.sprintf "fixed, %d bytes" size) code;
+      check_int "fixed width" w (Binarize.longest code);
+      List.iteri
+        (fun r (b, l, cw) ->
+          check_bool "a byte of B" true (Binarize.mem set b);
+          check_int "its rank in w bits" w l;
+          check_int "its rank" r cw)
+        (canonical code))
+    [ 1; 2; 3; 5; 32; 200; 256 ];
+  let raises l =
+    match Binarize.code_of_lengths l with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "a length past the cap" true (raises (String.make 1 '\013' ^ String.make 255 '\000'));
+  check_bool "past Kraft" true (raises (String.make 3 '\001' ^ String.make 253 '\000'));
+  check_bool "not 256 lengths" true (raises (String.make 255 '\000'))
+
+(* The codes labels are tested in: B's fixed-width codes of 1 to 256
+   bytes (widths 1, 1, 2, 5, 8 and 8), the last all 256 bytes, whose
+   codeword is a byte's data bits; and Huffman codes of a skewed
+   histogram over 40 bytes, of one byte (one 1-bit codeword, the rest
+   of its code space unused) and of one dominant byte (a 1-bit
+   codeword, so a 4-bit end field). *)
 let codes =
   let rng = Xoshiro.create 17 in
   let some k = List.sort_uniq compare (List.init k (fun _ -> Xoshiro.int rng 256)) in
-  List.map Binarize.code_of_set
-    [ set_of [ 0x61 ]; set_of [ 0x00; 0xff ]; set_of [ 0x00; 0x61; 0xff ]; set_of (some 40);
-      set_of (some 400); Binarize.full_set ]
+  let skewed = Array.make 256 0 in
+  List.iteri (fun i b -> skewed.(b) <- 1 + (1000 / (i + 1))) (some 40);
+  let dominant = Array.init 256 (fun b -> if b < 9 then if b = 4 then 1000 else 1 + b else 0) in
+  List.map
+    (fun c -> (c, true))
+    (List.map Binarize.fixed_code
+       [ set_of [ 0x61 ]; set_of [ 0x00; 0xff ]; set_of [ 0x00; 0x61; 0xff ]; set_of (some 40);
+         set_of (some 400); Binarize.full_set ])
+  @ List.map
+      (fun counts -> (huffman counts, false))
+      [ skewed; Array.init 256 (fun b -> if b = 0x61 then 1 else 0); dominant ]
+
+(* The bytes a code holds, for strings drawn from them. *)
+let coded code = Array.of_list (List.map (fun (b, _, _) -> b) (canonical code))
+
+(* The stored bits of a label of [len] bits from [depth] of [s]'s
+   encoding: its data bits, the whole bytes' as their codewords. *)
+let stored_length code s ~depth len =
+  let bits = ref 0 in
+  for p = depth to depth + len - 1 do
+    if p mod 9 <> 0 then bits := !bits + 1
+  done;
+  String.iteri
+    (fun i c ->
+      if (9 * i) + 1 >= depth && (9 * i) + 9 <= depth + len then
+        bits := !bits - 8 + Binarize.code_length code (Char.code c))
+    s;
+  !bits
 
 let pack_range code enc depth stop =
   let stored = Bitbuf.create () and dropped = Bitbuf.create () in
@@ -226,22 +394,17 @@ let pack_range code enc depth stop =
 
 let pack_rest code enc depth = pack_range code enc depth (Bitstring.length enc)
 
-let membuf_of bb =
-  let b = Buffer.create 64 in
-  Bitbuf.add_to_buffer b bb;
-  Wt_bits.Membuf.of_string (Buffer.contents b)
-
 (* [Binarize.lcp] of a packed label, stored from bit 3 of [mb], against
    queries from bit 5 of a bitstring: the label and one bit more, and
    three times a random prefix and the label with a random bit flipped,
    each as [Bitstring.lcp_from] finds it on the decoded [label]. *)
-let check_lcp rng ctx code mb ~depth ~leaf label =
+let check_lcp rng ctx code mb ~depth ~stored ~leaf label =
   let len = Bitstring.length label in
   let junk = Bitstring.of_bool_list [ true; false; true; true; false ] in
   let bit b = Bitstring.of_bool_list [ b ] in
   let check what s =
     check_int (Printf.sprintf "%s: lcp with %s" ctx what) (Bitstring.lcp_from label s 5)
-      (Binarize.lcp code mb 3 ~depth len ~leaf s 5)
+      (Binarize.lcp code mb 3 ~depth ~stored len ~leaf s 5)
   in
   check "the label and a bit" (Bitstring.concat [ junk; label; bit true ]);
   for _ = 1 to 3 do
@@ -259,18 +422,26 @@ let check_lcp rng ctx code mb ~depth ~leaf label =
   done
 
 let unpacked code mb ~depth ~stored =
+  let len = Binarize.leaf_length code mb 3 ~depth ~stored in
+  if len < 0 then invalid_arg "no leaf label";
   let out = Bitbuf.create () in
-  Binarize.unpack code mb 3 ~depth ~stored out;
+  Binarize.unpack code mb 3 ~depth ~stored len ~leaf:true out;
   Bitstring.of_bitbuf out
 
+(* Leaf labels without marker bits: the rest of an encoded string from
+   every bit depth (every phase mod 9, lengths 0 to 40 bytes) packs, in
+   pieces that each end at a marker position or at the label's end, to
+   its stored bits, dropping ones and then the terminator; its codewords
+   give back its length, and it unpacks from that depth back to itself
+   and compares in place as its bits do.  Each string is drawn from its
+   code's bytes.  Under a fixed-width code the stored lengths seen are
+   the only ones [leaf_length] accepts, and each gives back its label's
+   length, whatever the bits. *)
 let test_leaf_labels () =
   let rng = Xoshiro.create 9 and lrng = Xoshiro.create 41 in
-  List.iter
-    (fun code ->
-      let w = Binarize.code_width code and set = Binarize.code_set code in
-      let bytes = Array.of_list (List.filter (Binarize.mem set) (List.init 256 Fun.id)) in
-      check_int "set size" (Array.length bytes) (Binarize.code_size code);
-      check_int "code width" (Int.max 1 (Wt_bits.Broadword.bit_width (Array.length bytes - 1))) w;
+  List.iteri
+    (fun ci (code, fixed) ->
+      let bytes = coded code in
       let seen = Hashtbl.create 64 in
       for len = 0 to 40 do
         let s =
@@ -281,21 +452,24 @@ let test_leaf_labels () =
           let rest = Bitstring.drop enc depth in
           let stored, dropped = pack_rest code enc depth in
           let d = Bitbuf.length stored - 3 and m = Bitbuf.length dropped in
-          Hashtbl.replace seen (depth mod 9, d) ();
-          let ctx = Printf.sprintf "w %d: %d bytes from depth %d" w len depth in
-          (* the data bits less 8 - w for each whole byte *)
-          let data = Bitstring.length rest - m in
-          let whole = (data - if depth mod 9 <= 1 then 0 else 9 - (depth mod 9)) / 8 in
-          check_int (ctx ^ ": bits stored") (data - ((8 - w) * whole)) d;
+          let ctx = Printf.sprintf "code %d: %d bytes from depth %d" ci len depth in
+          (match Hashtbl.find_opt seen (depth mod 9, d) with
+          | Some l ->
+              if fixed then check_int (ctx ^ ": one length a stored length") l (Bitstring.length rest)
+          | None -> Hashtbl.replace seen (depth mod 9, d) (Bitstring.length rest));
+          check_int (ctx ^ ": bits stored")
+            (stored_length code s ~depth (Bitstring.length rest))
+            d;
+          let mb = membuf_of stored in
           check_int (ctx ^ ": logical length") (Bitstring.length rest)
-            (Binarize.unpacked_length code ~depth d);
+            (Binarize.leaf_length code mb 3 ~depth ~stored:d);
           (* a one before each byte, then the terminator *)
           for i = 0 to m - 1 do
             check_bool (ctx ^ ": dropped bit") (i < m - 1) (Bitbuf.get dropped i)
           done;
           check_bool (ctx ^ ": round trip") true
-            (Bitstring.equal rest (unpacked code (membuf_of stored) ~depth ~stored:d));
-          check_lcp lrng ctx code (membuf_of stored) ~depth ~leaf:true rest
+            (Bitstring.equal rest (unpacked code mb ~depth ~stored:d));
+          check_lcp lrng ctx code mb ~depth ~stored:d ~leaf:true rest
         done
       done;
       (* the terminator-only label (phase 0) and the empty one (phase 1) *)
@@ -303,44 +477,27 @@ let test_leaf_labels () =
       check_string "terminator only" "0"
         (Bitstring.to_string (unpacked code mb ~depth:9 ~stored:0));
       check_string "empty" "" (Bitstring.to_string (unpacked code mb ~depth:10 ~stored:0));
-      (* every code past the set, where the width leaves room *)
-      for g = Binarize.code_size code to (1 lsl w) - 1 do
-        let bad = Bitbuf.create () in
-        Bitbuf.add_bits bad 3 0;
-        Bitbuf.add_bits bad w (Wt_bits.Broadword.reverse_bits g w);
-        (match unpacked code (membuf_of bad) ~depth:9 ~stored:w with
-        | _ ->
-            Alcotest.failf "w %d: unpacked code %d of a %d-byte set" w g (Binarize.code_size code)
-        | exception Invalid_argument _ -> ());
-        let query = Binarize.of_bytes "ab" in
-        match Binarize.lcp code (membuf_of bad) 3 ~depth:9 9 ~leaf:false query 0 with
-        | _ ->
-            Alcotest.failf "w %d: compared code %d of a %d-byte set" w g (Binarize.code_size code)
-        | exception Invalid_argument _ -> ()
-      done;
-      let junk = Bitbuf.create () in
-      Bitbuf.add_run junk true 400;
-      let mb = membuf_of junk in
-      for depth = 0 to 17 do
-        for d = 0 to 39 * w do
-          let ok = Hashtbl.mem seen (depth mod 9, d) in
-          check_bool
-            (Printf.sprintf "w %d: stored length %d at depth %d" w d depth)
-            ok
-            (Binarize.unpacked_length code ~depth d >= 0);
-          if not ok then
-            match unpacked code mb ~depth ~stored:d with
-            | _ -> Alcotest.failf "w %d: unpacked %d bits at depth %d" w d depth
-            | exception Invalid_argument _ -> ()
+      if fixed then begin
+        let w = Binarize.longest code in
+        let junk = Bitbuf.create () in
+        Bitbuf.add_run junk true 400;
+        let mb = membuf_of junk in
+        for depth = 0 to 17 do
+          for d = 0 to 39 * w do
+            check_int
+              (Printf.sprintf "w %d: stored length %d at depth %d" w d depth)
+              (Option.value ~default:(-1) (Hashtbl.find_opt seen (depth mod 9, d)))
+              (Binarize.leaf_length code mb 3 ~depth ~stored:d)
+          done
         done
-      done)
+      end)
     codes;
-  (* a byte outside the set, and a byte cut by the piece's end, which
+  (* a byte outside the code, and a byte cut by the piece's end, which
      keeps its data bits *)
-  let code = List.hd codes in
+  let code, _ = List.hd codes in
   let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
   let enc = Binarize.of_bytes "b" in
-  check_bool "byte outside the set" true
+  check_bool "byte outside the code" true
     (raises (fun () ->
          Binarize.pack_bits code (Bitbuf.create ()) ~depth:0 10 (Bitstring.get_bits enc 0 10)));
   let enc = Binarize.of_bytes "a" in
@@ -349,49 +506,78 @@ let test_leaf_labels () =
     (Binarize.pack_bits code cut ~depth:0 5 (Bitstring.get_bits enc 0 5));
   check_string "cut byte: raw data bits" (Bitstring.to_string (Bitstring.sub enc 1 4))
     (Bitstring.to_string (Bitstring.of_bitbuf cut));
-  (* the byte set of some strings, and one label walk over them *)
+  (* the byte set of some strings, and one label walk over them that
+     counts the whole bytes of labels starting at depth 9 *)
   let strings = [| "ab"; ""; "\x00\xff"; "ab" |] in
   check_string "byte_set" (set_of [ 0x00; 0x61; 0x62; 0xff ]) (Binarize.byte_set strings);
-  let seen = Bytes.make 256 '\000' in
+  let seen = Bytes.make 256 '\000' and counts = Array.make 256 0 in
   Array.iter
     (fun s ->
       let enc = Binarize.of_bytes s in
       let part = ref 0 and p = ref 0 in
       while !p < Bitstring.length enc do
         let take = Int.min (1 + (!p mod 5)) (Bitstring.length enc - !p) in
-        part := Binarize.label_bytes seen ~depth:!p take (Bitstring.get_bits enc !p take) !part;
+        part :=
+          Binarize.label_bytes seen counts ~start:9 ~depth:!p take (Bitstring.get_bits enc !p take)
+            !part;
         p := !p + take
       done)
     strings;
-  check_string "label_bytes" (Binarize.byte_set strings) (Binarize.set_of_flags seen)
+  check_string "label_bytes" (Binarize.byte_set strings) (Binarize.set_of_flags seen);
+  check_int "whole bytes from depth 9: b twice" 2 counts.(0x62);
+  check_int "whole bytes from depth 9: 0xff" 1 counts.(0xff);
+  check_int "whole bytes from depth 9: no a" 0 counts.(0x61)
+
+(* Version 8's end field: the index of the label's end state among
+   those its stored length admits under a fixed-width code, found by
+   trying every length from the depth. *)
+let v8_field code ~depth len =
+  let w = Binarize.longest code in
+  let stored l =
+    l - Binarize.markers ~depth l - ((8 - w) * Binarize.whole_bytes ~depth l)
+  in
+  let d = stored len in
+  let states =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun l -> if stored l = d then Some ((depth + l) mod 9) else None)
+         (List.init ((9 * (d + 2)) + 9) Fun.id))
+  in
+  let rec index i = function
+    | m :: rest -> if m = (depth + len) mod 9 then i else index (i + 1) rest
+    | [] -> -1
+  in
+  index 0 states
 
 (* Internal labels: every run of an encoded string's bits that stops
    before its terminator, from every depth phase (a byte above, so a
    first byte can be cut) to every end state, over 0 to 40 bytes,
    packs in pieces to its stored bits, dropping only ones; its end field
-   and stored length give back its length, and it unpacks to itself.
-   The byte sets have 1, 2, 3, 5, 9, 17, 33, 65, 129 and 256 bytes
-   (w = 1, 1, 2, 3, 4, 5, 6, 7, 8, 8: every end field width), and it is
-   compared in place as its decoded bits are.  Every other stored length
-   and field value up to 30 bytes is rejected. *)
+   fits the field's width, and with its stored bits gives back its
+   length; it unpacks to itself and is compared in place as its decoded
+   bits are.  Under B's fixed-width codes of 1, 2, 3, 5, 9, 17, 33, 65,
+   129 and 256 bytes (w = 1, 1, 2, 3, 4, 5, 6, 7, 8, 8: every end field
+   width) the field is version 8's, a stored length admits up to
+   7 / w + 2 end states, and on bits of all ones each stored length and
+   field seen gives back its label's length while every other one up
+   to 30 bytes is rejected; the Huffman codes of [codes] admit at most
+   7 / lmin + 2. *)
 let test_internal_labels () =
   let rng = Xoshiro.create 23 and lrng = Xoshiro.create 43 in
+  let fixed size =
+    let set =
+      if size = 256 then Binarize.full_set
+      else
+        set_of
+          (List.filteri (fun i _ -> i < size)
+             (List.sort_uniq compare (List.init 256 (fun b -> (b * 37) land 255))))
+    in
+    (Binarize.fixed_code set, true)
+  in
   List.iter
-    (fun size ->
-      let set =
-        if size = 256 then Binarize.full_set
-        else
-          set_of
-            (List.filteri (fun i _ -> i < size)
-               (List.sort_uniq compare (List.init 256 (fun b -> (b * 37) land 255))))
-      in
-      let code = Binarize.code_of_set set in
-      let w = Binarize.code_width code and x = Binarize.end_width code in
-      check_int "set size" size (Binarize.code_size code);
-      check_int (Printf.sprintf "w %d: end field width" w)
-        (Wt_bits.Broadword.bit_width ((7 / w) + 1))
-        x;
-      let bytes = Array.of_list (List.filter (Binarize.mem set) (List.init 256 Fun.id)) in
+    (fun (code, fixed) ->
+      let lmin = Binarize.shortest code and x = Binarize.end_width code in
+      let bytes = coded code in
       let seen = Hashtbl.create 1024 and most = ref 0 in
       for phase = 0 to 8 do
         for nbytes = 0 to 40 do
@@ -402,47 +588,55 @@ let test_internal_labels () =
           for m = 0 to 8 do
             let depth = 9 + phase in
             let len = (9 * nbytes) + ((m - phase + 9) mod 9) in
-            let ctx = Printf.sprintf "w %d: %d bits from depth %d" w len depth in
+            let ctx = Printf.sprintf "lmin %d, x %d: %d bits from depth %d" lmin x len depth in
             let stored, dropped = pack_range code enc depth (depth + len) in
             let d = Bitbuf.length stored - 3 in
             check_int (ctx ^ ": markers dropped") (Binarize.markers ~depth len)
               (Bitbuf.length dropped);
             check_bool (ctx ^ ": every marker a one") true
               (Bitbuf.pop_count dropped 0 (Bitbuf.length dropped) = Bitbuf.length dropped);
-            check_int (ctx ^ ": bits stored") (Binarize.stored_length code ~depth len) d;
-            let field = Binarize.end_field code ~depth len in
+            check_int (ctx ^ ": bits stored") (stored_length code s ~depth len) d;
+            let field = Binarize.end_field code stored 3 ~depth ~stored:d len in
             check_bool (ctx ^ ": field fits") true (field >= 0 && field < 1 lsl x);
+            if fixed then check_int (ctx ^ ": version 8's field") (v8_field code ~depth len) field;
             most := Int.max !most field;
-            Hashtbl.replace seen (phase, d, field) ();
+            (match Hashtbl.find_opt seen (phase, d, field) with
+            | Some l -> if fixed then check_int (ctx ^ ": one length a state") l len
+            | None -> Hashtbl.replace seen (phase, d, field) len);
+            let mb = membuf_of stored in
             check_int (ctx ^ ": length") len
-              (Binarize.internal_length code ~depth ~stored:d field);
+              (Binarize.internal_length code mb 3 ~depth ~stored:d field);
             let out = Bitbuf.create () in
-            Binarize.unpack_internal code (membuf_of stored) 3 ~depth len out;
+            Binarize.unpack code mb 3 ~depth ~stored:d len ~leaf:false out;
             let label = Bitstring.of_bitbuf out in
             check_bool (ctx ^ ": round trip") true
               (Bitstring.equal (Bitstring.sub enc depth len) label);
-            check_lcp lrng ctx code (membuf_of stored) ~depth ~leaf:false label
+            check_lcp lrng ctx code mb ~depth ~stored:d ~leaf:false label
           done
         done
       done;
-      check_int (Printf.sprintf "w %d: end states of one stored length" w) ((7 / w) + 2)
-        (!most + 1);
-      for depth = 0 to 17 do
-        for d = -1 to 30 * w do
-          for field = 0 to (1 lsl x) - 1 do
-            let len = Binarize.internal_length code ~depth ~stored:d field in
-            if Hashtbl.mem seen (depth mod 9, d, field) then begin
-              check_int "stored length of a length" d (Binarize.stored_length code ~depth len);
-              check_int "end field of a length" field (Binarize.end_field code ~depth len)
-            end
-            else
-              check_int
-                (Printf.sprintf "w %d: stored %d, field %d at depth %d" w d field depth)
-                (-1) len
+      if fixed then
+        check_int (Printf.sprintf "w %d: end states of one stored length" lmin) ((7 / lmin) + 2)
+          (!most + 1)
+      else check_bool "end states within the field" true (!most + 1 <= (7 / lmin) + 2);
+      if fixed then begin
+        let junk = Bitbuf.create () in
+        Bitbuf.add_run junk true 400;
+        let mb = membuf_of junk in
+        for depth = 0 to 17 do
+          for d = -1 to 30 * lmin do
+            for field = 0 to (1 lsl x) - 1 do
+              let len = Binarize.internal_length code mb 3 ~depth ~stored:d field in
+              let ctx = Printf.sprintf "w %d: stored %d, field %d at depth %d" lmin d field depth in
+              match Hashtbl.find_opt seen (depth mod 9, d, field) with
+              | Some l -> check_int (ctx ^ ": its label's length") l len
+              | None -> check_int ctx (-1) len
+            done
           done
         done
-      done)
-    [ 1; 2; 3; 5; 9; 17; 33; 65; 129; 256 ]
+      end)
+    (List.map fixed [ 1; 2; 3; 5; 9; 17; 33; 65; 129; 256 ]
+    @ List.filter (fun (_, fixed) -> not fixed) codes)
 
 let test_int_codecs () =
   check_string "msb 5 w4" "0101" (Bitstring.to_string (Binarize.of_int_msb ~width:4 5));
@@ -512,6 +706,7 @@ let () =
           Alcotest.test_case "int codecs" `Quick test_int_codecs;
           Alcotest.test_case "leaf labels without marker bits" `Quick test_leaf_labels;
           Alcotest.test_case "internal labels without marker bits" `Quick test_internal_labels;
+          Alcotest.test_case "byte codes" `Quick test_byte_codes;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
